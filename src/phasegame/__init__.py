@@ -6,7 +6,6 @@ from .lattice import (
     PowersetLattice,
     lattice_from_doc,
     load_lattice,
-    powerset_lattice,
 )
 from .phase import (
     PhaseStructure,
@@ -56,7 +55,6 @@ __all__ = [
     "PowersetLattice",
     "lattice_from_doc",
     "load_lattice",
-    "powerset_lattice",
     "PhaseStructure",
     "classify",
     "load_phase",

@@ -25,7 +25,7 @@ from .lattice import load_lattice
 from .phase import classify, load_phase, verify_laws
 from .planner import load_scenario, run_cognition
 from .solver import solve_table
-from .subset_oracle import oracle_report
+from .subset_oracle import monoid_from_doc, oracle_report
 
 
 class Report:
@@ -90,6 +90,18 @@ def _need(args, attr, flag):
     if value is None:
         print("error: %s requires %s" % (args.verb, flag), file=sys.stderr)
         raise SystemExit(2)
+    return value
+
+
+def _count(text):
+    """argparse type for a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "expected a nonnegative integer, got %r" % text)
     return value
 
 
@@ -237,14 +249,9 @@ def cmd_simulate(args):
 def cmd_oracle(args):
     with open(resolve_path(args.monoid)) as fh:
         doc = json.load(fh)
-    pole = frozenset(doc["falsum_subset"])
-    elements, mult, unit = (doc["elements"],
-                            {(x, y): v for x, y, v in doc["mult"]},
-                            doc["unit"])
-    sym = dict(mult)
-    for (x, y), v in mult.items():
-        sym.setdefault((y, x), v)
-    audit = oracle_report(elements, sym, unit, pole)
+    elements, mult, unit = monoid_from_doc(doc)
+    audit = oracle_report(elements, mult, unit,
+                          frozenset(doc["falsum_subset"]))
     report = Report("oracle")
     for law in audit["laws"]:
         detail = "%d checked" % law["checked"]
@@ -306,7 +313,7 @@ def build_parser():
                        help="complete an ambiguous multiplication table")
     p.add_argument("table", nargs="?",
                    help="candidates JSON (defaults to --phase)")
-    p.add_argument("--max-solutions", type=int, metavar="N")
+    p.add_argument("--max-solutions", type=_count, metavar="N")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", parents=[common],
@@ -323,7 +330,7 @@ def build_parser():
     p.add_argument("--dual-payoff", choices=("copy", "negate"),
                    default="copy")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=50)
+    p.add_argument("--max-steps", type=_count, default=50)
     p.add_argument("--emit", choices=("json", "dot", "both"), default="json")
     p.add_argument("--strict-termination", action="store_true",
                    help="treat a step-limit stop as failure")

@@ -20,7 +20,3 @@ def resolve_path(path, base_dir=None):
     if base_dir is not None and not os.path.isabs(path):
         return os.path.join(base_dir, path)
     return path
-
-
-def list_data():
-    return sorted(f for f in os.listdir(_DATA_DIR) if f.endswith(".json"))

@@ -1,43 +1,10 @@
-"""Graphviz renderings of games and simulation traces."""
-
-from .games import vertex_name
+"""Graphviz rendering of simulation traces."""
 
 _HIGHLIGHT_PENWIDTH = 3
 
 
 def _quote(text):
     return '"%s"' % str(text).replace("\\", "\\\\").replace('"', '\\"')
-
-
-def game_to_dot(game, payoffs=None, highlight=None, name="game"):
-    """Render a game graph as a DOT digraph.
-
-    payoffs maps vertices to labels shown under the vertex name.  highlight
-    is a play (vertex sequence); its edges get penwidth 3.
-    """
-    hot = set()
-    if highlight:
-        for a, b in zip(highlight, highlight[1:]):
-            hot.add((a, b))
-    ids = {v: "v%d" % i for i, v in enumerate(game.vertices)}
-    lines = ["digraph %s {" % _quote(name).strip('"'), "  rankdir=LR;"]
-    for v in game.vertices:
-        label = vertex_name(v)
-        if payoffs is not None and v in payoffs:
-            label += "\\n" + str(payoffs[v])
-        shape = "doublecircle" if v == game.root else "ellipse"
-        lines.append("  %s [label=%s, shape=%s];" % (ids[v], _quote(label), shape))
-    for frm, to, owner in game.edges:
-        attrs = ["label=%s" % _quote(owner)]
-        if owner == "O":
-            attrs.append("style=solid")
-        else:
-            attrs.append("style=dashed")
-        if (frm, to) in hot:
-            attrs.append("penwidth=%d" % _HIGHLIGHT_PENWIDTH)
-        lines.append("  %s -> %s [%s];" % (ids[frm], ids[to], ", ".join(attrs)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def trace_to_dot(trace_doc, name="trace"):

@@ -31,6 +31,8 @@ _SYMBOLS = {
 
 _WORDS = {"x": "tensor", "par": "par"}
 
+_TOO_DEEP = "expression nested too deeply"
+
 
 def _ident_char(ch):
     return ch.isalnum() or ch == "_"
@@ -159,12 +161,19 @@ def parse(text):
     tokens = tokenize(text)
     if not tokens:
         raise ExprSyntaxError("empty expression")
-    return _Parser(tokens).parse()
+    try:
+        return _Parser(tokens).parse()
+    except RecursionError:
+        raise ExprSyntaxError(_TOO_DEEP) from None
 
 
 def eval_expr(ps, text):
     """Evaluate an expression against a phase structure; returns an element."""
-    return eval_node(ps, parse(text))
+    node = parse(text)
+    try:
+        return eval_node(ps, node)
+    except RecursionError:
+        raise ExprSyntaxError(_TOO_DEEP) from None
 
 
 def eval_node(ps, node):

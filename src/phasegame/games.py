@@ -8,10 +8,8 @@ edge ownership, and implication is tensor of the dual with the consequent,
 with payoffs combined by meet and by Heyting implication respectively.
 """
 
-import json
 from collections import deque
 
-from .data import resolve_path
 from .errors import (
     ComponentMismatch,
     ForeignElement,
@@ -20,8 +18,6 @@ from .errors import (
     LatticeMismatch,
     NotHeyting,
 )
-from .lattice import lattice_from_doc, load_lattice
-
 _POLS = ("O", "P")
 
 
@@ -145,14 +141,13 @@ def payoff_tensor(pa, pb):
     return PayoffGame(g, lat, k)
 
 
-def payoff_implication(pa, pb, dual_payoff="negate"):
+def payoff_implication(pa, pb):
     if not _same_lattice(pa.lattice, pb.lattice):
         raise LatticeMismatch("payoff lattices differ")
     g = implication_game(pa.game, pb.game)
     lat = pa.lattice
     k = {(u, v): lat.heyting_implies(pa.k[u], pb.k[v])
          for (u, v) in g.vertices}
-    del dual_payoff  # vertex payoffs already combine both sides
     return PayoffGame(g, lat, k)
 
 
@@ -350,28 +345,6 @@ def vertex_name(v):
 def game_from_doc(doc):
     return Game(doc["vertices"], doc["root"],
                 [(f, t, p) for f, t, p in doc["edges"]])
-
-
-def payoff_game_from_doc(doc, lattice=None, base_dir=None):
-    game = game_from_doc(doc)
-    if lattice is None:
-        lat_field = doc["lattice"]
-        if isinstance(lat_field, str):
-            lattice = load_lattice(resolve_path(lat_field, base_dir))
-        else:
-            lattice = lattice_from_doc(lat_field)
-    return PayoffGame(game, lattice, dict(doc["k"]))
-
-
-def load_game(path, lattice=None):
-    import os
-    path = resolve_path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    if "k" in doc or "lattice" in doc:
-        return payoff_game_from_doc(doc, lattice=lattice,
-                                    base_dir=os.path.dirname(path))
-    return game_from_doc(doc)
 
 
 def game_to_doc(game, payoff=None):

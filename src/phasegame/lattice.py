@@ -222,7 +222,8 @@ class PowersetLattice:
 
     Shares the Lattice interface but skips the quadratic table construction,
     so it stays fast for the feature universes the planner builds.  Elements
-    are named by comma-joined sorted members ('' for the empty set).
+    are named by comma-joined sorted members ('' for the empty set); any
+    other spelling of a subset is not an element.
     """
 
     def __init__(self, universe):
@@ -249,9 +250,8 @@ class PowersetLattice:
         s = self._parsed.get(x)
         if s is not None:
             return s
-        parts = [p for p in x.split(",") if p]
-        s = frozenset(parts)
-        if len(s) != len(parts) or not s <= self._members:
+        s = frozenset(x.split(",")) if x else frozenset()
+        if not s <= self._members or self._name(s) != x:
             raise ForeignElement(repr(x))
         self._parsed[x] = s
         return s
@@ -310,26 +310,6 @@ class PowersetLattice:
 
     def __repr__(self):
         return "PowersetLattice(%d members)" % len(self.base)
-
-
-def powerset_lattice(universe):
-    """Boolean lattice of all subsets of `universe`; table-backed when small
-    enough for exhaustive law scans, set-backed otherwise."""
-    base = sorted(universe)
-    if len(base) > 6:
-        return PowersetLattice(base)
-    subsets = [[]]
-    for u in base:
-        subsets += [s + [u] for s in subsets]
-    names = {frozenset(s): ",".join(sorted(s)) for s in subsets}
-    elements = [names[frozenset(s)] for s in sorted(subsets, key=lambda s: (len(s), s))]
-    covers = []
-    for s in subsets:
-        fs = frozenset(s)
-        for u in base:
-            if u not in fs:
-                covers.append((names[fs], names[fs | {u}]))
-    return Lattice(elements, covers, "", ",".join(base))
 
 
 def downset_lattice(poset_elements, poset_leq):

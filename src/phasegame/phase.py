@@ -1,8 +1,10 @@
 """Phase structures: a commutative multiplication on a lattice plus duality.
 
-A phase structure carries a complete distributive lattice, a commutative
-monoid-like product on it, a falsum element used to define duals, and the
-derived apparatus of linear-logic connectives (tensor, par, implication,
+A phase structure carries a finite bounded lattice (residuals are joins of
+finitely many witnesses, checked to be witnesses themselves, so neither
+completeness nor distributivity is assumed), a commutative monoid-like
+product on it, a falsum element used to define duals, and the derived
+apparatus of linear-logic connectives (tensor, par, implication,
 additives) together with the fact/open/closed classification.
 
 Duals come either from explicit overrides in the source document or from the
@@ -12,6 +14,7 @@ residuation dual(X) = lin_implies(X, falsum) when that join is closed.
 import json
 import os
 import warnings
+from itertools import islice
 
 from .data import resolve_path
 from .errors import (
@@ -24,7 +27,7 @@ from .errors import (
     OverrideInconsistent,
     UnitNotNeutral,
 )
-from .lattice import Lattice, lattice_from_doc, load_lattice
+from .lattice import lattice_from_doc, load_lattice
 
 
 class NonFactWarning(UserWarning):
@@ -103,18 +106,20 @@ class PhaseStructure:
         Raises NotClosed when the join of all witnesses fails the bound, in
         which case the residual does not exist in this structure.
         """
-        star, closed = self._residual(x, y)
+        star, closed = _residual(self.lattice, self._mult, x, y)
         if not closed:
             raise NotClosed(
                 "lin_implies(%r, %r): join %r of witnesses is not a witness"
                 % (x, y, star))
         return star
 
-    def _residual(self, x, y):
-        lat = self.lattice
-        cands = [z for z in lat.elements if lat.leq(self._mult[(x, z)], y)]
-        star = lat.join(cands)
-        return star, lat.leq(self._mult[(x, star)], y)
+
+def _residual(lattice, mult, x, y):
+    """Join of every z with mult(x, z) <= y (bottom if there is none), and
+    whether that join is itself such a z."""
+    cands = [z for z in lattice.elements if lattice.leq(mult[(x, z)], y)]
+    star = lattice.join(cands) if cands else lattice.bottom
+    return star, lattice.leq(mult[(x, star)], y)
 
 
 def _check_totality(lattice, mult):
@@ -122,19 +127,6 @@ def _check_totality(lattice, mult):
         for y in lattice.elements:
             if (x, y) not in mult:
                 raise NotCommutative("product undefined at (%r, %r)" % (x, y))
-
-
-def _check_associative(lattice, mult):
-    els = lattice.elements
-    for x in els:
-        for y in els:
-            xy = mult[(x, y)]
-            for z in els:
-                if mult[(xy, z)] != mult[(x, mult[(y, z)])]:
-                    raise NotAssociative(
-                        "(%r*%r)*%r = %r but %r*(%r*%r) = %r"
-                        % (x, y, z, mult[(xy, z)],
-                           x, y, z, mult[(x, mult[(y, z)])]))
 
 
 def _symmetrize(lattice, triples):
@@ -152,7 +144,7 @@ def _symmetrize(lattice, triples):
     return mult
 
 
-def _derive_duals(ps_like, lattice, mult, falsum, overrides):
+def _derive_duals(lattice, mult, falsum, overrides):
     dual = {}
     for x in lattice.elements:
         if x in overrides:
@@ -160,9 +152,8 @@ def _derive_duals(ps_like, lattice, mult, falsum, overrides):
                 raise ForeignElement(repr(overrides[x]))
             dual[x] = overrides[x]
             continue
-        cands = [z for z in lattice.elements if lattice.leq(mult[(x, z)], falsum)]
-        star = lattice.join(cands)
-        if not lattice.leq(mult[(x, star)], falsum):
+        star, closed = _residual(lattice, mult, x, falsum)
+        if not closed:
             raise NotClosed(
                 "dual of %r is not expressible: join %r of witnesses fails "
                 "mult(%r, %r) <= %r; add a dual override" % (x, star, x, star, falsum))
@@ -170,30 +161,81 @@ def _derive_duals(ps_like, lattice, mult, falsum, overrides):
     return dual
 
 
-def _check_dual_laws(lattice, mult, falsum, dual, had_overrides):
-    err = OverrideInconsistent if had_overrides else DualLawViolation
-    for x in lattice.elements:
-        if dual[dual[dual[x]]] != dual[x]:
-            raise err("triple dual broken at %r" % (x,))
-        if not lattice.leq(x, dual[dual[x]]):
-            raise err("%r is not below its double dual %r" % (x, dual[dual[x]]))
-        if not lattice.leq(mult[(x, dual[x])], falsum):
-            raise err("mult(%r, dual) = %r exceeds falsum"
-                      % (x, mult[(x, dual[x])]))
-    for x in lattice.elements:
-        for y in lattice.elements:
-            lhs = dual[lattice.join2(x, y)]
-            rhs = lattice.meet2(dual[x], dual[y])
-            if lhs != rhs:
-                raise err("dual of join broken at (%r, %r): %r vs %r"
-                          % (x, y, lhs, rhs))
+# laws -----------------------------------------------------------------
+
+_RESIDUAL_LAW = "residual_matches_dual_product"
+_DUAL_LAWS = ("triple_dual", "double_dual_extensive",
+              "contradiction_below_falsum", "dual_of_join_is_meet_of_duals")
+
+
+def _laws(lattice, mult, unit, falsum, dual=None):
+    """Yield (name, witnesses, instances) for each law, in a fixed order.
+
+    witnesses lazily yields the failing instances, so a caller that stops
+    at the first pays only for the scan up to it.  Without a dual table only
+    the product laws are listed.
+    """
+    els = lattice.elements
+    n = len(els)
+    yield ("commutative",
+           ((x, y) for x in els for y in els
+            if mult.get((x, y)) != mult.get((y, x))),
+           n * n)
+    yield ("associative",
+           ((x, y, z) for x in els for y in els for xy in [mult[(x, y)]]
+            for z in els if mult[(xy, z)] != mult[(x, mult[(y, z)])]),
+           n ** 3)
+    yield ("unit_identity", (x for x in els if mult[(unit, x)] != x), n)
+    if dual is None:
+        return
+    yield ("triple_dual",
+           (x for x in els if dual[dual[dual[x]]] != dual[x]), n)
+    yield ("double_dual_extensive",
+           (x for x in els if not lattice.leq(x, dual[dual[x]])), n)
+    yield ("contradiction_below_falsum",
+           (x for x in els if not lattice.leq(mult[(x, dual[x])], falsum)), n)
+    yield ("dual_of_join_is_meet_of_duals",
+           ((x, y) for x in els for y in els
+            if dual[lattice.join2(x, y)] != lattice.meet2(dual[x], dual[y])),
+           n * n)
+    # only pairs whose residual towards dual(y) exists are instances, so
+    # this law is scanned in full before it is listed
+    checked, witnesses = 0, []
+    for x in els:
+        for y in els:
+            star, closed = _residual(lattice, mult, x, dual[y])
+            if closed:
+                checked += 1
+                if star != dual[mult[(x, y)]]:
+                    witnesses.append((x, y, star, dual[mult[(x, y)]]))
+    yield (_RESIDUAL_LAW, iter(witnesses), checked)
+
+
+def _enforce(laws, errors):
+    """Raise errors[name] on the first witness of each law named in errors,
+    taking the laws in order and advancing no further than the last one."""
+    pending = dict(errors)
+    laws = iter(laws)
+    while pending:
+        name, witnesses, _ = next(laws)
+        err = pending.pop(name, None)
+        if err is not None:
+            for w in witnesses:
+                raise err("%s fails at %r" % (name, w))
 
 
 def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     """Build a PhaseStructure from a parsed JSON document.
 
-    validate=False skips the associativity, strict-unit and dual-law gates
-    so a broken table can still be loaded and audited with verify_laws.
+    validate=True raises on the first witness of each enforced law, in
+    order: associative (NotAssociative) under checks 'full'; unit_identity
+    (UnitNotNeutral) under unit_mode 'strict'; then, once duals are derived
+    and under checks 'full', the dual laws triple_dual,
+    double_dual_extensive, contradiction_below_falsum and
+    dual_of_join_is_meet_of_duals (OverrideInconsistent if the document
+    overrides duals, else DualLawViolation).  validate=False skips these
+    gates so a broken table can still be loaded and audited with
+    verify_laws.
     """
     if lattice is None:
         lat_field = doc["lattice"]
@@ -202,6 +244,9 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
         else:
             lattice = lattice_from_doc(lat_field)
     for entry in doc["mult"]:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ValueError("mult row %r is not an [x, y, value] triple"
+                             % (entry,))
         if isinstance(entry[2], list):
             raise ValueError(
                 "entry %r lists candidates; resolve it with the solver first"
@@ -222,18 +267,19 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
         raise ValueError("checks must be 'full' or 'relaxed'")
 
     if validate:
+        product_gates = {}
         if checks == "full":
-            _check_associative(lattice, mult)
+            product_gates["associative"] = NotAssociative
         if unit_mode == "strict":
-            for x in lattice.elements:
-                if mult[(unit, x)] != x:
-                    raise UnitNotNeutral(
-                        "mult(%r, %r) = %r" % (unit, x, mult[(unit, x)]))
+            product_gates["unit_identity"] = UnitNotNeutral
+        _enforce(_laws(lattice, mult, unit, falsum), product_gates)
 
     overrides = {x: d for x, d in doc.get("dual_overrides", [])}
-    dual = _derive_duals(None, lattice, mult, falsum, overrides)
+    dual = _derive_duals(lattice, mult, falsum, overrides)
     if validate and checks == "full":
-        _check_dual_laws(lattice, mult, falsum, dual, bool(overrides))
+        err = OverrideInconsistent if overrides else DualLawViolation
+        _enforce(_laws(lattice, mult, unit, falsum, dual),
+                 dict.fromkeys(_DUAL_LAWS, err))
 
     return PhaseStructure(
         lattice, mult, unit, falsum, dual,
@@ -254,82 +300,26 @@ def load_phase(path, lattice=None, validate=True):
 _MAX_WITNESSES = 5
 
 
-def _law(name, witnesses, checked, skipped=0):
-    return {
-        "law": name,
-        "status": "fail" if witnesses else "pass",
-        "checked": checked,
-        "skipped": skipped,
-        "witnesses": witnesses[:_MAX_WITNESSES],
-    }
-
-
 def verify_laws(ps):
     """Audit every law on a structure, returning a report dictionary.
 
     Unlike load-time validation this never raises: hand-built or corrupted
     structures produce a report with failing entries and witnesses instead.
+    Pairs with no residual are skipped by the residual law, not failed.
     """
-    lat = ps.lattice
-    els = lat.elements
+    n = len(ps.lattice.elements)
     laws = []
-
-    w = []
-    for x in els:
-        for y in els:
-            if ps._mult.get((x, y)) != ps._mult.get((y, x)):
-                w.append((x, y))
-    laws.append(_law("commutative", w, len(els) ** 2))
-
-    w = []
-    for x in els:
-        for y in els:
-            xy = ps._mult[(x, y)]
-            for z in els:
-                if ps._mult[(xy, z)] != ps._mult[(x, ps._mult[(y, z)])]:
-                    w.append((x, y, z))
-    laws.append(_law("associative", w, len(els) ** 3))
-
-    if ps.unit_mode == "strict":
-        w = [x for x in els if ps._mult[(ps.unit, x)] != x]
-        laws.append(_law("unit_identity", w, len(els)))
-    else:
-        laws.append({"law": "unit_identity", "status": "skipped",
-                     "checked": 0, "skipped": len(els), "witnesses": []})
-
-    w = [x for x in els if ps._dual[ps._dual[ps._dual[x]]] != ps._dual[x]]
-    laws.append(_law("triple_dual", w, len(els)))
-
-    w = [x for x in els if not lat.leq(x, ps._dual[ps._dual[x]])]
-    laws.append(_law("double_dual_extensive", w, len(els)))
-
-    w = [x for x in els if not lat.leq(ps._mult[(x, ps._dual[x])], ps.falsum)]
-    laws.append(_law("contradiction_below_falsum", w, len(els)))
-
-    w = []
-    for x in els:
-        for y in els:
-            if ps._dual[lat.join2(x, y)] != lat.meet2(ps._dual[x], ps._dual[y]):
-                w.append((x, y))
-    laws.append(_law("dual_of_join_is_meet_of_duals", w, len(els) ** 2))
-
-    # implication law: where the residual towards dual(y) exists, it must
-    # coincide with the dual of the product.  Pairs with no residual are
-    # reported as skipped, not failed.
-    w = []
-    skipped = 0
-    checked = 0
-    for x in els:
-        for y in els:
-            star, closed = ps._residual(x, ps._dual[y])
-            if not closed:
-                skipped += 1
-                continue
-            checked += 1
-            if star != ps._dual[ps._mult[(x, y)]]:
-                w.append((x, y, star, ps._dual[ps._mult[(x, y)]]))
-    laws.append(_law("residual_matches_dual_product", w, checked, skipped))
-
+    for name, witnesses, instances in _laws(ps.lattice, ps._mult, ps.unit,
+                                            ps.falsum, ps._dual):
+        if name == "unit_identity" and ps.unit_mode != "strict":
+            laws.append({"law": name, "status": "skipped", "checked": 0,
+                         "skipped": instances, "witnesses": []})
+            continue
+        found = list(islice(witnesses, _MAX_WITNESSES))
+        skipped = n * n - instances if name == _RESIDUAL_LAW else 0
+        laws.append({"law": name, "status": "fail" if found else "pass",
+                     "checked": instances, "skipped": skipped,
+                     "witnesses": found})
     return {"ok": all(e["status"] != "fail" for e in laws), "laws": laws}
 
 

@@ -25,7 +25,7 @@ from .errors import (
     UnknownGoalElement,
 )
 from .games import Game, PayoffGame, implication_game, tensor_game
-from .lattice import powerset_lattice
+from .lattice import PowersetLattice
 from .phase import load_phase
 
 _PLAY_CAP = 200000
@@ -61,7 +61,7 @@ class Scenario:
 
     def payoff_lattice(self):
         if self._payoff_lattice is None:
-            self._payoff_lattice = powerset_lattice(self.universe)
+            self._payoff_lattice = PowersetLattice(self.universe)
         return self._payoff_lattice
 
     def cells(self):
@@ -109,7 +109,8 @@ def load_scenario(path_or_doc):
     if start not in passable:
         raise BadGrid("start %r is not a passable cell" % (start,))
     horizon = doc["horizon"]
-    if not isinstance(horizon, int) or horizon < 0:
+    if isinstance(horizon, bool) or not isinstance(horizon, int) \
+            or horizon < 0:
         raise BadGrid("horizon must be a nonnegative integer")
 
     phase = load_phase(resolve_path(doc["goal_phase"], base_dir))
@@ -450,9 +451,9 @@ def plan_play(sc, goals, mode="practical", dual_payoff="copy",
     """Pick a play of the compound game with a maximal joined payoff.
 
     Every alternated play is enumerated and scored by the join of vertex
-    payoffs along it; plays no other play strictly exceeds survive, and
-    ties fall to larger payoff support, then shorter plays, then lexical
-    move order.
+    payoffs along it.  Plays whose objective has the largest support win;
+    in a powerset such an objective is maximal, since no other set strictly
+    contains it.  Ties fall to shorter plays, then to lexical move order.
     """
     if position is None:
         position = sc.start
@@ -478,20 +479,15 @@ def plan_play(sc, goals, mode="practical", dual_payoff="copy",
         by_val.setdefault(val, []).append(p)
     trace.log("enumerated %d alternated plays" % len(plays))
 
-    vals = list(by_val)
-    top_vals = [v for v in vals
-                if not any(v != w and lat.leq(v, w) for w in vals)]
-    maximal = [(p, v) for v in top_vals for p in by_val[v]]
-    trace.log("plays with maximal objective: %d" % len(maximal))
-
-    best_rank = max(lat.atom_rank(val) for _, val in maximal)
-    ranked = [(p, val) for p, val in maximal
-              if lat.atom_rank(val) == best_rank]
+    best_rank = max(lat.atom_rank(val) for val in by_val)
+    ranked = [(p, val) for val, ps in by_val.items()
+              if lat.atom_rank(val) == best_rank for p in ps]
+    trace.log("plays with an objective of largest support: %d" % len(ranked))
     shortest = min(len(p) for p, _ in ranked)
     short = [(p, val) for p, val in ranked if len(p) == shortest]
     short.sort(key=lambda pv: tuple(repr(v) for v in pv[0]))
-    if len(maximal) > 1:
-        trace.log("tie-broken by support, length, then move order")
+    if len(ranked) > 1:
+        trace.log("tie-broken by length, then move order")
     play, objective = short[0]
 
     running = lat.bottom

@@ -82,7 +82,7 @@ def solve_table(doc_or_path, lattice=None, max_solutions=None):
 
     slots = sorted(open_slots)
     cand_lists = [open_slots[k] for k in slots]
-    prune = doc.get("checks", "full") == "full"
+    full_checks = doc.get("checks", "full") == "full"
 
     table = {}
     for (x, y), v in fixed.items():
@@ -129,12 +129,15 @@ def solve_table(doc_or_path, lattice=None, max_solutions=None):
         return out
 
     def accept():
+        # under full checks the audit covers every law that load-time
+        # validation enforces, so each law is evaluated once
         cand = resolved_doc()
         try:
-            ps = phase_from_doc(cand, lattice=lattice)
+            ps = phase_from_doc(cand, lattice=lattice,
+                                validate=not full_checks)
         except PhasegameError:
             return None
-        if ps.checks == "full" and not verify_laws(ps)["ok"]:
+        if full_checks and not verify_laws(ps)["ok"]:
             return None
         return cand
 
@@ -154,7 +157,7 @@ def solve_table(doc_or_path, lattice=None, max_solutions=None):
         for v in cand_lists[i]:
             table[(x, y)] = v
             table[(y, x)] = v
-            if (not prune or assoc_ok_after(x, y)) and constraints_ok():
+            if (not full_checks or assoc_ok_after(x, y)) and constraints_ok():
                 walk(i + 1)
             del table[(x, y)]
             if x != y:

@@ -80,10 +80,18 @@ class SubsetPhase:
 
 
 def monoid_from_doc(doc):
+    """Elements, symmetric product table and unit of a monoid document.
+
+    Each entry fixes both orders of its pair; two entries that disagree on
+    a pair raise NotCommutative.
+    """
     mult = {}
     for x, y, v in doc["mult"]:
-        mult[(x, y)] = v
-        mult[(y, x)] = v
+        for key in ((x, y), (y, x)):
+            if mult.get(key, v) != v:
+                raise NotCommutative("conflicting entries at %r: %r vs %r"
+                                     % (key, mult[key], v))
+            mult[key] = v
     return doc["elements"], mult, doc["unit"]
 
 

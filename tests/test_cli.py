@@ -229,6 +229,46 @@ def test_facts_report_file(tmp_path):
     assert doc["exit_code"] == 0
 
 
+# malformed input ---------------------------------------------------------
+
+def _short_mult_row(tmp_path):
+    doc = read_json(data_path("goal_phase.json"))
+    doc["lattice"] = "data:goal_lattice.json"
+    doc["mult"][0] = doc["mult"][0][:1]
+    path = tmp_path / "short_row.json"
+    path.write_text(json.dumps(doc))
+    return ["verify", "--phase", str(path)]
+
+
+def _boolean_horizon(tmp_path):
+    doc = read_json(data_path("tiny_scenario.json"))
+    doc["horizon"] = True
+    path = tmp_path / "bool_horizon.json"
+    path.write_text(json.dumps(doc))
+    return ["simulate", str(path), "--out-dir", str(tmp_path)]
+
+
+MALFORMED = [
+    ("short_mult_row", _short_mult_row, 2),
+    ("deep_expression",
+     lambda tmp_path: ["eval", "--phase", "data:goal_phase.json",
+                       "(" * 3000 + "a" + ")" * 3000], 2),
+    ("boolean_horizon", _boolean_horizon, 1),
+    ("negative_max_steps",
+     lambda tmp_path: ["simulate", "data:tiny_scenario.json",
+                       "--max-steps", "-1", "--out-dir", str(tmp_path)], 2),
+]
+
+
+@pytest.mark.parametrize("make_argv,code",
+                         [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_keeps_exit_code(tmp_path, capsys, make_argv, code):
+    assert main(make_argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+
+
 # installed script -------------------------------------------------------
 
 def test_console_script_runs():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,6 @@ from phasegame.lattice import (
     chain,
     lattice_from_doc,
     load_lattice,
-    powerset_lattice,
 )
 
 
@@ -129,27 +130,44 @@ def test_rank_and_atom_rank(goal_lattice):
     assert lat.atom_rank("b2") == 1
 
 
-def test_powerset_dispatch():
-    small = powerset_lattice(["x", "y"])
-    assert isinstance(small, Lattice)
-    big = powerset_lattice(["f%d" % i for i in range(7)])
-    assert isinstance(big, PowersetLattice)
-
-
 def test_powerset_implementations_agree():
-    universe = ["a", "b", "c"]
-    table = powerset_lattice(universe)
-    direct = PowersetLattice(universe)
-    assert sorted(table.elements) == sorted(direct.elements)
-    for x in table.elements:
-        for y in table.elements:
-            assert table.join2(x, y) == direct.join2(x, y)
-            assert table.meet2(x, y) == direct.meet2(x, y)
-            assert table.leq(x, y) == direct.leq(x, y)
-            assert table.heyting_implies(x, y) == direct.heyting_implies(x, y)
-    assert sorted(table.atoms()) == sorted(direct.atoms())
-    for x in table.elements:
-        assert table.atom_rank(x) == direct.atom_rank(x)
+    # PowersetLattice against plain frozenset algebra on every small universe
+    for size in range(5):
+        universe = ["u%d" % i for i in range(size)][::-1]
+        lat = PowersetLattice(universe)
+        subsets = [frozenset(c) for r in range(size + 1)
+                   for c in combinations(sorted(universe), r)]
+
+        def name(s):
+            return ",".join(sorted(s))
+
+        full = frozenset(universe)
+        assert sorted(lat.elements) == sorted(name(s) for s in subsets)
+        assert len(lat) == len(subsets) == 1 << size
+        assert lat.bottom == "" and lat.top == name(full)
+        assert sorted(lat.atoms()) == sorted(universe)
+        for s in subsets:
+            x = name(s)
+            assert x in lat
+            assert lat.atom_rank(x) == len(s)
+            assert lat.rank(x) == sum(1 for t in subsets if t <= s)
+            assert lat.heyting_neg(x) == name(full - s)
+            for t in subsets:
+                y = name(t)
+                assert lat.join2(x, y) == name(s | t)
+                assert lat.meet2(x, y) == name(s & t)
+                assert lat.leq(x, y) == (s <= t)
+                assert lat.heyting_implies(x, y) == name((full - s) | t)
+        assert lat.join(name(s) for s in subsets) == name(full)
+        assert lat.meet(name(s) for s in subsets) == ""
+
+    # only the canonical spelling of a subset is an element
+    lat = PowersetLattice(["a", "b"])
+    for bad in ("b,a", ",a", "a,", "a,,b", "a,a", "c", " a"):
+        assert bad not in lat
+        assert bad not in lat.elements
+        with pytest.raises(ForeignElement):
+            lat.leq(bad, "a,b")
 
 
 def test_powerset_lattice_basics():

@@ -6,6 +6,7 @@ from itertools import chain, combinations
 
 import pytest
 
+from phasegame.cli import main
 from phasegame.data import data_path
 from phasegame.errors import (ForeignElement, NotAssociative, NotCommutative,
                               SizeExceeded)
@@ -143,3 +144,16 @@ def test_shipped_monoid_files():
 def test_doc_symmetrizes_table():
     els, mult, unit = load_monoid(data_path("z3_monoid.json"))
     assert mult[("2", "1")] == mult[("1", "2")] == "0"
+
+
+def test_doc_rejects_conflicting_entries(capsys, tmp_path):
+    # one pair given twice with different products, off and on the diagonal
+    for extra in (["1", "0", "0"], ["1", "1", "1"]):
+        doc = json.loads(open(data_path("z2_monoid.json")).read())
+        doc["mult"].append(extra)
+        with pytest.raises(NotCommutative, match="conflicting"):
+            monoid_from_doc(doc)
+        path = tmp_path / "conflict.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path)]) == 1
+        assert "NotCommutative" in capsys.readouterr().err

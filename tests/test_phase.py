@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import phasegame.phase
 from phasegame.data import data_path
 from phasegame.errors import (
     DualLawViolation,
@@ -20,6 +21,7 @@ from phasegame.phase import (
     phase_from_doc,
     verify_laws,
 )
+from phasegame.lattice import chain
 
 ESTIMATIONS = [
     (["J1a", "e", "b2"], "1"),
@@ -270,3 +272,56 @@ def test_declared_class_mismatch_detected(goal_phase):
                         op_class=["0"], cl_class=["1"])
     with pytest.raises(NotClosedClass):
         classify(ps)
+
+
+def test_load_runs_no_residual_scan(monkeypatch):
+    # every dual of the goal phase is an override, so loading needs no
+    # residual at all; the audit computes one per pair
+    calls = []
+    residual = phasegame.phase._residual
+
+    def counting(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(phasegame.phase, "_residual", counting)
+    ps = phase_from_doc(phase_doc())
+    assert calls == []
+    verify_laws(ps)
+    assert len(calls) == len(ps.lattice.elements) ** 2
+
+
+def test_verify_laws_caps_witnesses():
+    doc = phase_doc()
+    doc["mult"] = [e if (e[0], e[1]) != ("e", "e") else ["e", "e", "a"]
+                   for e in doc["mult"]]
+    report = verify_laws(phase_from_doc(doc, validate=False))
+    assoc = {l["law"]: l for l in report["laws"]}["associative"]
+    assert assoc["status"] == "fail"
+    assert assoc["checked"] == 18 ** 3
+    assert len(assoc["witnesses"]) == 5
+    with pytest.raises(NotAssociative, match=r"\('a', 'J2e', 'e'\)"):
+        phase_from_doc(doc)
+
+
+def test_element_without_any_witness_has_no_residual():
+    lat = chain(2)
+    doc = {"mult": [["0", "0", "1"], ["0", "1", "1"], ["1", "1", "1"]],
+           "unit": "1", "falsum": "0"}
+    with pytest.raises(NotClosed):
+        phase_from_doc(doc, lattice=lat)
+    top = {(x, y): "1" for x in lat.elements for y in lat.elements}
+    ps = PhaseStructure(lat, top, "1", "0", {"0": "1", "1": "0"})
+    with pytest.raises(NotClosed):
+        ps.lin_implies("1", "0")
+    # towards dual(1) = 0 no element has a witness: skipped, not raised
+    residual = verify_laws(ps)["laws"][-1]
+    assert residual["law"] == "residual_matches_dual_product"
+    assert (residual["checked"], residual["skipped"]) == (2, 2)
+
+
+def test_mult_rows_must_be_triples():
+    doc = phase_doc()
+    doc["mult"][3] = doc["mult"][3][:2]
+    with pytest.raises(ValueError, match="triple"):
+        phase_from_doc(doc, validate=False)

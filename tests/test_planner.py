@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
@@ -308,6 +310,37 @@ def test_empty_scenario_wanders_to_step_limit():
     moves = [e for e in trace.entries if e["actor"] == "system"]
     assert moves and all(e["move"] == "wander" for e in moves)
     assert any("wander" in line for line in trace.decision_log)
+
+
+# SHA-256 of the run_cognition trace JSON of each shipped scenario under the
+# default flags.  Two runs of the same code always agree, so only fixed
+# digests catch a change to the traces that every run shares.
+TRACE_DIGESTS = {
+    ("four_goals_scenario", "practical", 0):
+        "a37b0fe4ecc2fae44f3f417d2d59cfa4f097414e51c2569b124a62cc3ff9e1bb",
+    ("four_goals_scenario", "strict", 0):
+        "3f714c57402bf17d1aa9ce08c65a72610fe908d83b56d5a16e17a8add37ced4a",
+    ("four_goals_scenario", "practical", 1):
+        "665da81d1bb5b74bc987c94b336ece69f4deed0819363751e1af92e0993e2f16",
+    ("four_goals_scenario", "strict", 1):
+        "c643f798b6ec528bf81bdfe2398c113550a67ff9affa49e3a8987b8cf09d2dc7",
+    ("four_goals_scenario", "practical", 2):
+        "d8ee761edc3aa8a05dea23fc7a5741970f51f6d61e65b91ae6b548861cd92594",
+    ("four_goals_scenario", "strict", 2):
+        "484506829a5189a59b19ad72b52c08aa52c45e6f535bc1ef857fc16cbd41eb5f",
+    ("tiny_scenario", "practical", 0):
+        "7f9fda7d08552dcaf61142bf1a9c91920db3ec8859d8a41e99335649ed64b9e6",
+    ("empty_scenario", "practical", 0):
+        "cc18c1ddd9649772d18fdd52f6725c82831e28a35b8b093be91e285f71e7687a",
+}
+
+
+@pytest.mark.parametrize("name,mode,seed", sorted(TRACE_DIGESTS))
+def test_trace_digests_are_pinned(name, mode, seed):
+    sc = load_scenario("data:%s.json" % name)
+    text = run_cognition(sc, mode=mode, seed=seed).to_json()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == TRACE_DIGESTS[(name, mode, seed)]
 
 
 def test_traces_are_deterministic():
