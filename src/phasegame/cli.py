@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .data import resolve_path
+from .data import load_doc, stem
 from .dot import trace_to_dot
 from .errors import (
     ExprSyntaxError,
@@ -93,22 +93,21 @@ def _need(args, attr, flag):
     return value
 
 
-def _count(text):
-    """argparse type for a nonnegative integer."""
+def _count(text, least=0):
+    """argparse type for a nonnegative integer (positive if least is 1)."""
     try:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
+    if value < least:
         raise argparse.ArgumentTypeError(
-            "expected a nonnegative integer, got %r" % text)
+            "expected a %s integer, got %r"
+            % ("positive" if least else "nonnegative", text))
     return value
 
 
-def _stem(path):
-    if path.startswith("data:"):
-        path = path[len("data:"):]
-    return os.path.splitext(os.path.basename(path))[0]
+def _positive(text):
+    return _count(text, 1)
 
 
 # verbs -----------------------------------------------------------------
@@ -175,9 +174,9 @@ def cmd_solve(args):
         solutions = exc.solutions
         capped = True
 
-    stem = _stem(table) if isinstance(table, str) else "table"
+    name = stem(table)
     for i, doc in enumerate(solutions, 1):
-        path = os.path.join(out_dir, "%s_solution_%03d.json" % (stem, i))
+        path = os.path.join(out_dir, "%s_solution_%03d.json" % (name, i))
         _write_json(path, doc)
         report.add("solution_%03d" % i, "pass", path)
     report.add("completions", "pass", "%d found" % len(solutions))
@@ -234,21 +233,19 @@ def cmd_simulate(args):
                    "step limit %d reached" % args.max_steps)
 
     out_dir = args.out_dir or "."
-    stem = _stem(args.scenario)
     if args.emit in ("json", "both"):
-        path = os.path.join(out_dir, "%s_trace.json" % stem)
+        path = os.path.join(out_dir, "%s_trace.json" % sc.name)
         _write_text(path, trace.to_json())
         report.add("trace_json", "pass", path)
     if args.emit in ("dot", "both"):
-        path = os.path.join(out_dir, "%s_trace.dot" % stem)
-        _write_text(path, trace_to_dot(doc, name=stem))
+        path = os.path.join(out_dir, "%s_trace.dot" % sc.name)
+        _write_text(path, trace_to_dot(doc, name=sc.name))
         report.add("trace_dot", "pass", path)
     return report.emit(args)
 
 
 def cmd_oracle(args):
-    with open(resolve_path(args.monoid)) as fh:
-        doc = json.load(fh)
+    doc, _ = load_doc(args.monoid)
     elements, mult, unit = monoid_from_doc(doc)
     audit = oracle_report(elements, mult, unit,
                           frozenset(doc["falsum_subset"]))
@@ -313,7 +310,7 @@ def build_parser():
                        help="complete an ambiguous multiplication table")
     p.add_argument("table", nargs="?",
                    help="candidates JSON (defaults to --phase)")
-    p.add_argument("--max-solutions", type=_count, metavar="N")
+    p.add_argument("--max-solutions", type=_positive, metavar="N")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", parents=[common],

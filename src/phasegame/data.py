@@ -1,10 +1,16 @@
-"""Resolution of bundled data files.
+"""The document boundary: reading JSON documents and their references.
 
-Paths of the form ``data:<name>`` refer to JSON documents shipped inside the
-package.  Everything else is treated as an ordinary filesystem path.
+Lattices, phase structures, candidate tables, scenarios and monoids are
+JSON objects.  A reference to one is a path or ``data:<name>``, a document
+shipped inside the package.  A relative path inside a document resolves
+against that document's directory.  ``load_doc`` is the one reader and
+``symmetrize`` the one parser of ``[x, y, value]`` product rows.
 """
 
+import json
 import os
+
+from .errors import ForeignElement, NotCommutative
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -20,3 +26,54 @@ def resolve_path(path, base_dir=None):
     if base_dir is not None and not os.path.isabs(path):
         return os.path.join(base_dir, path)
     return path
+
+
+def load_doc(path_or_doc, base_dir=None):
+    """(doc, dir): a document and the directory its relative references
+    resolve against.
+
+    A reference, resolved against base_dir, is read and must hold a JSON
+    object; dir is then its file's absolute directory.  A parsed document
+    passes through unchanged, with base_dir as its directory.
+    """
+    if not isinstance(path_or_doc, str):
+        return path_or_doc, base_dir
+    path = resolve_path(path_or_doc, base_dir)
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("%s: top level is not a JSON object" % path)
+    return doc, os.path.dirname(os.path.abspath(path))
+
+
+def stem(ref):
+    """Name of a referenced document: its file name without extension."""
+    return os.path.splitext(os.path.basename(resolve_path(ref)))[0]
+
+
+def symmetrize(carrier, rows):
+    """Product table of [x, y, value] rows, each fixing both orders of its
+    pair, with every name in carrier (a lattice or an element set).
+
+    The first bad row raises: ValueError for a wrong shape, ForeignElement
+    for a name outside carrier, NotCommutative for a conflicting pair.
+    """
+    table = {}
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise ValueError("mult row %r is not an [x, y, value] triple"
+                             % (row,))
+        x, y, v = row
+        if isinstance(v, list):
+            raise ValueError(
+                "entry %r lists candidates; resolve it with the solver first"
+                % (row,))
+        for el in row:
+            if el not in carrier:
+                raise ForeignElement(repr(el))
+        for key in ((x, y), (y, x)):
+            if table.get(key, v) != v:
+                raise NotCommutative("conflicting entries at %r: %r vs %r"
+                                     % (key, table[key], v))
+            table[key] = v
+    return table

@@ -4,8 +4,7 @@ Order is the reflexive-transitive closure of the covers, computed once at
 construction and cached as bitmasks.  All operations are pure; a Lattice is
 immutable after __init__.
 """
-import json
-
+from .data import load_doc
 from .errors import (
     ForeignElement,
     NotALattice,
@@ -100,22 +99,16 @@ class Lattice:
         return (self._up[self.idx(x)] >> self.idx(y)) & 1 == 1
 
     def join(self, xs):
-        it = iter(xs)
-        try:
-            acc = self.idx(next(it))
-        except StopIteration:
-            raise ValueError("join of empty set")
-        for x in it:
+        """Join of xs; bottom when xs is empty."""
+        acc = self.idx(self.bottom)
+        for x in xs:
             acc = self._join[acc][self.idx(x)]
         return self.elements[acc]
 
     def meet(self, xs):
-        it = iter(xs)
-        try:
-            acc = self.idx(next(it))
-        except StopIteration:
-            raise ValueError("meet of empty set")
-        for x in it:
+        """Meet of xs; top when xs is empty."""
+        acc = self.idx(self.top)
+        for x in xs:
             acc = self._meet[acc][self.idx(x)]
         return self.elements[acc]
 
@@ -194,7 +187,10 @@ class Lattice:
             len(self.elements), self.bottom, self.top)
 
 
-def lattice_from_doc(doc):
+def lattice_from_doc(doc, base_dir=None):
+    """Build a Lattice from a document, or from a reference to one resolved
+    against base_dir (the directory of the document that names it)."""
+    doc, _ = load_doc(doc, base_dir)
     for key in ("elements", "covers", "bottom", "top"):
         if key not in doc:
             raise NotALattice("lattice document missing %r" % (key,))
@@ -203,10 +199,7 @@ def lattice_from_doc(doc):
 
 
 def load_lattice(path):
-    from .data import resolve_path
-    with open(resolve_path(path)) as f:
-        doc = json.load(f)
-    return lattice_from_doc(doc)
+    return lattice_from_doc(path)
 
 
 def chain(n, names=None):
@@ -233,8 +226,9 @@ class PowersetLattice:
         if len(set(self.base)) != len(self.base):
             raise ValueError("duplicate universe members")
         for u in self.base:
-            if "," in u:
-                raise ValueError("universe members must not contain commas")
+            if not u or "," in u:
+                raise ValueError(
+                    "universe members must be nonempty and contain no commas")
         self.bottom = ""
         self.top = ",".join(self.base)
         self.generators = list(self.base)

@@ -11,12 +11,10 @@ Duals come either from explicit overrides in the source document or from the
 residuation dual(X) = lin_implies(X, falsum) when that join is closed.
 """
 
-import json
-import os
 import warnings
 from itertools import islice
 
-from .data import resolve_path
+from .data import load_doc, symmetrize
 from .errors import (
     DualLawViolation,
     ForeignElement,
@@ -27,7 +25,7 @@ from .errors import (
     OverrideInconsistent,
     UnitNotNeutral,
 )
-from .lattice import lattice_from_doc, load_lattice
+from .lattice import lattice_from_doc
 
 
 class NonFactWarning(UserWarning):
@@ -117,8 +115,8 @@ class PhaseStructure:
 def _residual(lattice, mult, x, y):
     """Join of every z with mult(x, z) <= y (bottom if there is none), and
     whether that join is itself such a z."""
-    cands = [z for z in lattice.elements if lattice.leq(mult[(x, z)], y)]
-    star = lattice.join(cands) if cands else lattice.bottom
+    star = lattice.join(z for z in lattice.elements
+                        if lattice.leq(mult[(x, z)], y))
     return star, lattice.leq(mult[(x, star)], y)
 
 
@@ -127,21 +125,6 @@ def _check_totality(lattice, mult):
         for y in lattice.elements:
             if (x, y) not in mult:
                 raise NotCommutative("product undefined at (%r, %r)" % (x, y))
-
-
-def _symmetrize(lattice, triples):
-    mult = {}
-    for x, y, v in triples:
-        for el in (x, y, v):
-            if el not in lattice:
-                raise ForeignElement(repr(el))
-        for key in ((x, y), (y, x)):
-            if key in mult and mult[key] != v:
-                raise NotCommutative(
-                    "conflicting entries at %r: %r vs %r"
-                    % (key, mult[key], v))
-            mult[key] = v
-    return mult
 
 
 def _derive_duals(lattice, mult, falsum, overrides):
@@ -225,7 +208,9 @@ def _enforce(laws, errors):
 
 
 def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
-    """Build a PhaseStructure from a parsed JSON document.
+    """Build a PhaseStructure from a document, or from a reference to one
+    resolved against base_dir.  Its lattice field is an inline document or
+    a reference resolved against the phase document's directory.
 
     validate=True raises on the first witness of each enforced law, in
     order: associative (NotAssociative) under checks 'full'; unit_identity
@@ -237,21 +222,10 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     gates so a broken table can still be loaded and audited with
     verify_laws.
     """
+    doc, base_dir = load_doc(doc, base_dir)
     if lattice is None:
-        lat_field = doc["lattice"]
-        if isinstance(lat_field, str):
-            lattice = load_lattice(resolve_path(lat_field, base_dir))
-        else:
-            lattice = lattice_from_doc(lat_field)
-    for entry in doc["mult"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ValueError("mult row %r is not an [x, y, value] triple"
-                             % (entry,))
-        if isinstance(entry[2], list):
-            raise ValueError(
-                "entry %r lists candidates; resolve it with the solver first"
-                % (entry,))
-    mult = _symmetrize(lattice, doc["mult"])
+        lattice = lattice_from_doc(doc["lattice"], base_dir)
+    mult = symmetrize(lattice, doc["mult"])
     _check_totality(lattice, mult)
 
     unit = doc["unit"]
@@ -288,11 +262,7 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
 
 
 def load_phase(path, lattice=None, validate=True):
-    path = resolve_path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    return phase_from_doc(doc, lattice=lattice,
-                          base_dir=os.path.dirname(path), validate=validate)
+    return phase_from_doc(path, lattice=lattice, validate=validate)
 
 
 # law audit ------------------------------------------------------------

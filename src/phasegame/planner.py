@@ -11,13 +11,11 @@ images of the active goals the set shrinks, until a single goal saturates.
 """
 
 import json
-import math
-import os
 import random
 from collections import deque
 from itertools import combinations
 
-from .data import resolve_path
+from .data import load_doc, stem
 from .errors import (
     BadGrid,
     HorizonEmpty,
@@ -26,7 +24,7 @@ from .errors import (
 )
 from .games import Game, PayoffGame, implication_game, tensor_game
 from .lattice import PowersetLattice
-from .phase import load_phase
+from .phase import phase_from_doc
 
 _PLAY_CAP = 200000
 
@@ -80,16 +78,9 @@ class Scenario:
 
 
 def load_scenario(path_or_doc):
-    base_dir = None
-    if isinstance(path_or_doc, str):
-        path = resolve_path(path_or_doc)
-        with open(path) as fh:
-            doc = json.load(fh)
-        base_dir = os.path.dirname(path)
-        name = os.path.splitext(os.path.basename(path))[0]
-    else:
-        doc = path_or_doc
-        name = doc.get("name", "scenario")
+    doc, base_dir = load_doc(path_or_doc)
+    name = (stem(path_or_doc) if isinstance(path_or_doc, str)
+            else doc.get("name", "scenario"))
 
     rows = doc["grid"]
     if not rows or not all(isinstance(r, str) for r in rows):
@@ -113,7 +104,7 @@ def load_scenario(path_or_doc):
             or horizon < 0:
         raise BadGrid("horizon must be a nonnegative integer")
 
-    phase = load_phase(resolve_path(doc["goal_phase"], base_dir))
+    phase = phase_from_doc(doc["goal_phase"], base_dir=base_dir)
     lattice = phase.lattice
     generators = lattice.generators if lattice.generators else list(
         lattice.elements)

@@ -8,10 +8,7 @@ associativity instances that become decidable after each assignment, and
 keeps only completions whose finished table passes the full law audit.
 """
 
-import json
-import os
-
-from .data import resolve_path
+from .data import load_doc, resolve_path
 from .errors import (
     CapExceeded,
     ForeignElement,
@@ -19,20 +16,12 @@ from .errors import (
     NotCommutative,
     PhasegameError,
 )
-from .lattice import lattice_from_doc, load_lattice
+from .lattice import lattice_from_doc
 from .phase import phase_from_doc, verify_laws
 
 
 def _canon(lattice, x, y):
     return (x, y) if lattice.idx(x) <= lattice.idx(y) else (y, x)
-
-
-def _load_doc(doc_or_path):
-    if isinstance(doc_or_path, str):
-        path = resolve_path(doc_or_path)
-        with open(path) as fh:
-            return json.load(fh), os.path.dirname(path)
-    return doc_or_path, None
 
 
 def solve_table(doc_or_path, lattice=None, max_solutions=None):
@@ -43,13 +32,9 @@ def solve_table(doc_or_path, lattice=None, max_solutions=None):
     NoSolution when nothing survives and CapExceeded (carrying the documents
     found so far) when more than max_solutions survive.
     """
-    doc, base_dir = _load_doc(doc_or_path)
+    doc, base_dir = load_doc(doc_or_path)
     if lattice is None:
-        lat_field = doc["lattice"]
-        if isinstance(lat_field, str):
-            lattice = load_lattice(resolve_path(lat_field, base_dir))
-        else:
-            lattice = lattice_from_doc(lat_field)
+        lattice = lattice_from_doc(doc["lattice"], base_dir)
 
     fixed = {}
     open_slots = {}

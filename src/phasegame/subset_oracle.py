@@ -8,10 +8,9 @@ engine takes as axioms.  Sizes are capped hard because everything below is
 exponential in the monoid.
 """
 
-import json
 from itertools import product
 
-from .data import resolve_path
+from .data import load_doc, symmetrize
 from .errors import ForeignElement, NotAssociative, NotCommutative, SizeExceeded
 
 MAX_MONOID = 6
@@ -82,22 +81,16 @@ class SubsetPhase:
 def monoid_from_doc(doc):
     """Elements, symmetric product table and unit of a monoid document.
 
-    Each entry fixes both orders of its pair; two entries that disagree on
-    a pair raise NotCommutative.
+    The rows are parsed by data.symmetrize over the element set, so a
+    foreign name raises ForeignElement and two rows that disagree on a pair
+    raise NotCommutative.
     """
-    mult = {}
-    for x, y, v in doc["mult"]:
-        for key in ((x, y), (y, x)):
-            if mult.get(key, v) != v:
-                raise NotCommutative("conflicting entries at %r: %r vs %r"
-                                     % (key, mult[key], v))
-            mult[key] = v
-    return doc["elements"], mult, doc["unit"]
+    elements = doc["elements"]
+    return elements, symmetrize(set(elements), doc["mult"]), doc["unit"]
 
 
 def load_monoid(path):
-    with open(resolve_path(path)) as fh:
-        return monoid_from_doc(json.load(fh))
+    return monoid_from_doc(load_doc(path)[0])
 
 
 def oracle_report(elements, mult, unit, pole):

@@ -248,6 +248,15 @@ def _boolean_horizon(tmp_path):
     return ["simulate", str(path), "--out-dir", str(tmp_path)]
 
 
+def _non_object(verb_argv):
+    """A verb reading a document whose top level is a JSON array."""
+    def make(tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        return [a.format(path) for a in verb_argv]
+    return make
+
+
 MALFORMED = [
     ("short_mult_row", _short_mult_row, 2),
     ("deep_expression",
@@ -257,6 +266,17 @@ MALFORMED = [
     ("negative_max_steps",
      lambda tmp_path: ["simulate", "data:tiny_scenario.json",
                        "--max-steps", "-1", "--out-dir", str(tmp_path)], 2),
+    ("zero_max_solutions",
+     lambda tmp_path: ["solve", "data:goal_phase_candidates.json",
+                       "--max-solutions", "0", "--out-dir", str(tmp_path)],
+     2),
+    ("array_verify_phase", _non_object(["verify", "--phase", "{}"]), 2),
+    ("array_verify_lattice", _non_object(["verify", "--lattice", "{}"]), 2),
+    ("array_eval", _non_object(["eval", "--phase", "{}", "a"]), 2),
+    ("array_facts", _non_object(["facts", "--phase", "{}"]), 2),
+    ("array_solve", _non_object(["solve", "{}"]), 2),
+    ("array_simulate", _non_object(["simulate", "{}"]), 2),
+    ("array_oracle", _non_object(["oracle", "{}"]), 2),
 ]
 
 
@@ -264,9 +284,13 @@ MALFORMED = [
                          [case[1:] for case in MALFORMED],
                          ids=[case[0] for case in MALFORMED])
 def test_malformed_input_keeps_exit_code(tmp_path, capsys, make_argv, code):
-    assert main(make_argv(tmp_path)) == code
+    argv = make_argv(tmp_path)
+    assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    if str(tmp_path / "array.json") in argv:
+        assert "ValueError: %s: top level is not a JSON object" % (
+            tmp_path / "array.json") in err
 
 
 # installed script -------------------------------------------------------

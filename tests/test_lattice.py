@@ -183,6 +183,23 @@ def test_powerset_lattice_basics():
         lat.join2("p", "zz")
 
 
+def test_empty_join_is_bottom_and_empty_meet_is_top():
+    # both lattice classes share this convention
+    for lat in (chain(2), PowersetLattice(["a"])):
+        assert lat.join([]) == lat.bottom
+        assert lat.meet([]) == lat.top
+        assert lat.join(iter(())) == lat.bottom
+
+
+def test_powerset_rejects_empty_member():
+    # "" already names the empty set, so it cannot also name a member
+    with pytest.raises(ValueError, match="nonempty"):
+        PowersetLattice(["", "a"])
+    with pytest.raises(ValueError, match="commas"):
+        PowersetLattice(["a,b"])
+    assert PowersetLattice(["a"]).elements == ["", "a"]
+
+
 def test_powerset_cap():
     with pytest.raises(SizeExceeded):
         PowersetLattice(["f%d" % i for i in range(21)])

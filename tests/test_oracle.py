@@ -2,7 +2,7 @@
 tests lean on hand-worked examples plus exhaustive small censuses."""
 
 import json
-from itertools import chain, combinations
+from itertools import combinations
 
 import pytest
 
@@ -144,6 +144,31 @@ def test_shipped_monoid_files():
 def test_doc_symmetrizes_table():
     els, mult, unit = load_monoid(data_path("z3_monoid.json"))
     assert mult[("2", "1")] == mult[("1", "2")] == "0"
+
+
+def test_doc_rejects_foreign_entries(capsys, tmp_path):
+    # a row naming an element outside the carrier is an error, wherever the
+    # foreign name sits in the row
+    for extra in (["0", "7", "1"], ["7", "7", "7"], ["1", "1", "7"]):
+        doc = json.loads(open(data_path("z2_monoid.json")).read())
+        doc["mult"].append(extra)
+        with pytest.raises(ForeignElement, match="'7'"):
+            monoid_from_doc(doc)
+        path = tmp_path / "foreign.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path)]) == 1
+        assert "ForeignElement" in capsys.readouterr().err
+
+
+def test_doc_rejects_short_rows(capsys, tmp_path):
+    doc = json.loads(open(data_path("z2_monoid.json")).read())
+    doc["mult"].append(["0", "1"])
+    with pytest.raises(ValueError, match=r"\['0', '1'\] is not an \[x, y"):
+        monoid_from_doc(doc)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", str(path)]) == 2
+    assert "triple" in capsys.readouterr().err
 
 
 def test_doc_rejects_conflicting_entries(capsys, tmp_path):
