@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .data import load_doc, stem
+from .data import field, load_doc, stem
 from .dot import trace_to_dot
 from .errors import (
     ExprSyntaxError,
@@ -248,7 +248,7 @@ def cmd_oracle(args):
     doc, _ = load_doc(args.monoid)
     elements, mult, unit = monoid_from_doc(doc)
     audit = oracle_report(elements, mult, unit,
-                          frozenset(doc["falsum_subset"]))
+                          frozenset(field(doc, "falsum_subset", list)))
     report = Report("oracle")
     for law in audit["laws"]:
         detail = "%d checked" % law["checked"]

@@ -3,8 +3,10 @@
 Lattices, phase structures, candidate tables, scenarios and monoids are
 JSON objects.  A reference to one is a path or ``data:<name>``, a document
 shipped inside the package.  A relative path inside a document resolves
-against that document's directory.  ``load_doc`` is the one reader and
-``symmetrize`` the one parser of ``[x, y, value]`` product rows.
+against that document's directory.  ``load_doc`` is the one reader, ``field``
+checks the type of a field it read, ``mult_row`` checks the shape of an
+``[x, y, value]`` product row and ``symmetrize`` is the one parser of a
+table of them.
 """
 
 import json
@@ -46,9 +48,36 @@ def load_doc(path_or_doc, base_dir=None):
     return doc, os.path.dirname(os.path.abspath(path))
 
 
+_KINDS = {list: "an array", dict: "an object", str: "a string"}
+_REQUIRED = object()
+
+
+def field(doc, key, kind, default=_REQUIRED):
+    """doc[key], or default when the key is absent and a default is given.
+
+    The value must be an instance of kind (a type or a tuple of types), else
+    a ValueError names the field.
+    """
+    value = doc[key] if default is _REQUIRED else doc.get(key, default)
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise ValueError("field %r must be %s, got %r"
+                         % (key, " or ".join(_KINDS[k] for k in kinds),
+                            value))
+    return value
+
+
 def stem(ref):
     """Name of a referenced document: its file name without extension."""
     return os.path.splitext(os.path.basename(resolve_path(ref)))[0]
+
+
+def mult_row(row):
+    """An [x, y, value] product row; ValueError naming it otherwise."""
+    if not isinstance(row, (list, tuple)) or len(row) != 3:
+        raise ValueError("mult row %r is not an [x, y, value] triple"
+                         % (row,))
+    return row
 
 
 def symmetrize(carrier, rows):
@@ -60,10 +89,7 @@ def symmetrize(carrier, rows):
     """
     table = {}
     for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise ValueError("mult row %r is not an [x, y, value] triple"
-                             % (row,))
-        x, y, v = row
+        x, y, v = mult_row(row)
         if isinstance(v, list):
             raise ValueError(
                 "entry %r lists candidates; resolve it with the solver first"

@@ -210,6 +210,19 @@ def chain(n, names=None):
     return Lattice(names, covers, names[0], names[-1])
 
 
+def check_universe(universe):
+    """Raise unless universe can name the subsets of a PowersetLattice: at
+    most 20 distinct members, each nonempty and free of commas."""
+    if len(universe) > 20:
+        raise SizeExceeded("universe of %d members" % len(universe))
+    if len(set(universe)) != len(universe):
+        raise ValueError("duplicate universe members")
+    for u in universe:
+        if not u or "," in u:
+            raise ValueError(
+                "universe members must be nonempty and contain no commas")
+
+
 class PowersetLattice:
     """Boolean lattice of all subsets of a universe, backed by set algebra.
 
@@ -221,14 +234,7 @@ class PowersetLattice:
 
     def __init__(self, universe):
         self.base = sorted(universe)
-        if len(self.base) > 20:
-            raise SizeExceeded("universe of %d members" % len(self.base))
-        if len(set(self.base)) != len(self.base):
-            raise ValueError("duplicate universe members")
-        for u in self.base:
-            if not u or "," in u:
-                raise ValueError(
-                    "universe members must be nonempty and contain no commas")
+        check_universe(self.base)
         self.bottom = ""
         self.top = ",".join(self.base)
         self.generators = list(self.base)

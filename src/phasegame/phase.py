@@ -14,7 +14,7 @@ residuation dual(X) = lin_implies(X, falsum) when that join is closed.
 import warnings
 from itertools import islice
 
-from .data import load_doc, symmetrize
+from .data import field, load_doc, symmetrize
 from .errors import (
     DualLawViolation,
     ForeignElement,
@@ -224,8 +224,9 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     """
     doc, base_dir = load_doc(doc, base_dir)
     if lattice is None:
-        lattice = lattice_from_doc(doc["lattice"], base_dir)
-    mult = symmetrize(lattice, doc["mult"])
+        lattice = lattice_from_doc(field(doc, "lattice", (str, dict)),
+                                   base_dir)
+    mult = symmetrize(lattice, field(doc, "mult", list))
     _check_totality(lattice, mult)
 
     unit = doc["unit"]

@@ -15,18 +15,11 @@ import random
 from collections import deque
 from itertools import combinations
 
-from .data import load_doc, stem
-from .errors import (
-    BadGrid,
-    HorizonEmpty,
-    InteractionOverflow,
-    UnknownGoalElement,
-)
-from .games import Game, PayoffGame, implication_game, tensor_game
-from .lattice import PowersetLattice
+from .data import field, load_doc, stem
+from .errors import BadGrid, HorizonEmpty, UnknownGoalElement
+from .games import Game, PayoffGame
+from .lattice import PowersetLattice, check_universe
 from .phase import phase_from_doc
-
-_PLAY_CAP = 200000
 
 
 class SceneObject:
@@ -82,7 +75,7 @@ def load_scenario(path_or_doc):
     name = (stem(path_or_doc) if isinstance(path_or_doc, str)
             else doc.get("name", "scenario"))
 
-    rows = doc["grid"]
+    rows = field(doc, "grid", list)
     if not rows or not all(isinstance(r, str) for r in rows):
         raise BadGrid("grid must be a nonempty list of row strings")
     width = len(rows[0])
@@ -96,7 +89,7 @@ def load_scenario(path_or_doc):
             elif ch != "#":
                 raise BadGrid("unknown grid character %r" % ch)
 
-    start = tuple(doc["start"])
+    start = tuple(field(doc, "start", list))
     if start not in passable:
         raise BadGrid("start %r is not a passable cell" % (start,))
     horizon = doc["horizon"]
@@ -104,15 +97,16 @@ def load_scenario(path_or_doc):
             or horizon < 0:
         raise BadGrid("horizon must be a nonnegative integer")
 
-    phase = phase_from_doc(doc["goal_phase"], base_dir=base_dir)
+    phase = phase_from_doc(field(doc, "goal_phase", (str, dict)),
+                           base_dir=base_dir)
     lattice = phase.lattice
     generators = lattice.generators if lattice.generators else list(
         lattice.elements)
 
     objects = []
     seen_goals = set()
-    for od in doc.get("objects", []):
-        cell = tuple(od["cell"])
+    for od in field(doc, "objects", list, []):
+        cell = tuple(field(od, "cell", list))
         if cell not in passable:
             raise BadGrid("object %r sits on cell %r outside the grid"
                           % (od["id"], cell))
@@ -125,7 +119,8 @@ def load_scenario(path_or_doc):
             raise UnknownGoalElement(
                 "two objects share the goal element %r" % (goal,))
         seen_goals.add(goal)
-        objects.append(SceneObject(od["id"], cell, od["features"], goal,
+        objects.append(SceneObject(od["id"], cell,
+                                   field(od, "features", list), goal,
                                    od.get("attractiveness", 0)))
 
     free_move_goal = doc["free_move_goal"]
@@ -271,116 +266,138 @@ def _ball(sc, pos, radius):
     return seen
 
 
-def _chain_prefix(obj, j):
-    return frozenset(obj.features[:j])
+def _mask(bits, features):
+    out = 0
+    for f in features:
+        out |= bits[f]
+    return out
+
+
+class CompoundGame:
+    """Movement game implying the tensor of per-goal reveal chains, given by
+    its moves and payoffs instead of built.
+
+    A vertex is ((cell, tick), chains).  The movement game alternates a
+    system step inside the horizon with a reveal tick, for horizon-many
+    rounds; implication dualizes it, so Proponent steps at even ticks and
+    Opponent ticks at odd ones.  Each goal contributes a chain of vertices
+    (goal id, revealed count) through its feature list, advanced by
+    Opponent, and chains nests them as tensor_game pairs its factors:
+    (g1, j1), then ((g1, j1), (g2, j2)), and so on.  Every move advances the
+    tick or one count, so a vertex sits at depth tick + sum of counts.
+
+    A payoff is an int bitmask over the scenario's sorted feature universe:
+    what the cell reveals of the goals, joined with their images (or its
+    complement, in strict mode and for a negated dual payoff), joined with
+    the meet over goals of each revealed prefix joined with its image.
+    """
+
+    def __init__(self, sc, goals, position=None, mode="practical",
+                 dual_payoff="copy", images=None):
+        pos = tuple(sc.start if position is None else position)
+        if not sc.neighbors(pos) and len(sc.passable) > 1:
+            raise HorizonEmpty("no legal move from %r" % (pos,))
+        check_universe(sc.universe)
+        if mode not in ("practical", "strict"):
+            raise ValueError("mode must be 'practical' or 'strict'")
+        images = images or {}
+        objs = [g if isinstance(g, SceneObject) else sc.objects[g]
+                for g in goals]
+        self.sc = sc
+        self.features = sc.universe
+        self._bits = bits = {f: 1 << i for i, f in enumerate(sc.universe)}
+        self._last_tick = 2 * sc.horizon
+        self._ids = [o.id for o in objs]
+        self._lengths = [len(o.features) for o in objs]
+        image = [_mask(bits, images.get(o.id, ())) for o in objs]
+        self._prefix = [[_mask(bits, o.features[:j]) | im
+                         for j in range(len(o.features) + 1)]
+                        for o, im in zip(objs, image)]
+        self._images = _mask(bits, [f for o in objs
+                                    for f in images.get(o.id, ())])
+        self._negate = mode == "strict" or dual_payoff != "copy"
+        self._full = (1 << len(self.features)) - 1
+        self._chains = {}
+        self._counts = {}
+        self._side = {}
+        self._meet = {}
+        self.root = ((pos, 0), self._chain((0,) * len(objs)))
+
+    def _chain(self, counts):
+        """The nested chains vertex of a tuple of revealed counts."""
+        b = self._chains.get(counts)
+        if b is None:
+            b = (self._ids[0], counts[0])
+            for oid, j in zip(self._ids[1:], counts[1:]):
+                b = (b, (oid, j))
+            self._chains[counts] = b
+            self._counts[b] = counts
+        return b
+
+    def moves(self, v, pol):
+        """The successors of v by moves of polarity pol ('O' or 'P')."""
+        (cell, t), b = v
+        if pol == "P":
+            # after t/2 steps the cell lies within t/2 of the start, so every
+            # neighbour is inside the horizon ball
+            if t % 2 or t >= self._last_tick:
+                return []
+            return [((n, t + 1), b) for n in self.sc.neighbors(cell)]
+        out = [((cell, t + 1), b)] if t % 2 and t < self._last_tick else []
+        counts = self._counts[b]
+        for i, j in enumerate(counts):
+            if j < self._lengths[i]:
+                out.append(((cell, t), self._chain(
+                    counts[:i] + (j + 1,) + counts[i + 1:])))
+        return out
+
+    def payoff(self, v):
+        (cell, _), b = v
+        side = self._side.get(cell)
+        if side is None:
+            vis = visible_rewards(self.sc, cell)
+            side = self._images | _mask(self._bits, [
+                f for oid in self._ids for f in vis[oid]])
+            if self._negate:
+                side = self._full & ~side
+            self._side[cell] = side
+        meet = self._meet.get(b)
+        if meet is None:
+            meet = self._full
+            for prefix, j in zip(self._prefix, self._counts[b]):
+                meet &= prefix[j]
+            self._meet[b] = meet
+        return side | meet
+
+    def names(self, mask):
+        """The features of a payoff mask, in sorted order."""
+        return [f for i, f in enumerate(self.features) if mask >> i & 1]
 
 
 def build_compound_game(sc, goals, position=None, mode="practical",
                         dual_payoff="copy", images=None):
-    """Movement game implying the tensor of per-goal reveal chains.
+    """The CompoundGame materialized as a PayoffGame.
 
-    The movement game alternates a system move (Opponent) with a reveal tick
-    (Proponent) for horizon-many rounds inside the reachable ball; each goal
-    contributes a chain that steps through its feature list.  Payoffs live
-    in the powerset of the scenario's feature universe; each goal's payoff
-    is its accumulated image joined with what the position reveals, so a
-    play that uncovers anything new strictly dominates one that does not.
+    Its vertices are those reachable from the root by moves of either
+    polarity, and its payoffs are named in the scenario's payoff lattice,
+    the powerset of its feature universe.
     """
-    if position is None:
-        position = sc.start
-    if images is None:
-        images = {}
-    pos = tuple(position)
-    radius = sc.horizon
-    if not sc.neighbors(pos) and len(sc.passable) > 1:
-        raise HorizonEmpty("no legal move from %r" % (pos,))
-
-    ball = _ball(sc, pos, radius)
+    game = CompoundGame(sc, goals, position=position, mode=mode,
+                        dual_payoff=dual_payoff, images=images)
+    seen = {game.root}
+    todo = [game.root]
     edges = []
-    for c in sorted(ball):
-        for t in range(2 * radius):
-            if t % 2 == 0:
-                for n in sc.neighbors(c):
-                    if n in ball:
-                        edges.append(((c, t), (n, t + 1), "O"))
-            else:
-                edges.append(((c, t), (c, t + 1), "P"))
-    # keep only what the system can actually reach from the start vertex
-    reach = {(pos, 0)}
-    frontier = deque([(pos, 0)])
-    adj = {}
-    for f, t, _ in edges:
-        adj.setdefault(f, []).append(t)
-    while frontier:
-        v = frontier.popleft()
-        for w in adj.get(v, []):
-            if w not in reach:
-                reach.add(w)
-                frontier.append(w)
-    verts = sorted(reach)
-    move_game = Game(verts, (pos, 0),
-                     [(f, t, p) for f, t, p in edges
-                      if f in reach and t in reach])
-
-    objs = [sc.objects[g] if not isinstance(g, SceneObject) else g
-            for g in goals]
-    chains = []
-    for obj in objs:
-        m = len(obj.features)
-        chains.append(Game([(obj.id, j) for j in range(m + 1)], (obj.id, 0),
-                           [((obj.id, j), (obj.id, j + 1), "O")
-                            for j in range(m)]))
-    consequent = chains[0]
-    for ch in chains[1:]:
-        consequent = tensor_game(consequent, ch)
-    compound = implication_game(move_game, consequent)
-
-    universe = sc.universe
-    lat = sc.payoff_lattice()
-
-    def name(subset):
-        return ",".join(sorted(subset))
-
-    vis_cache = {}
-
-    def visible_union(cell):
-        if cell not in vis_cache:
-            vis = visible_rewards(sc, cell)
-            out = frozenset()
-            for o in objs:
-                out = out | vis[o.id] | images.get(o.id, frozenset())
-            vis_cache[cell] = out
-        return vis_cache[cell]
-
-    def chain_sets(bvert):
-        out = []
-        node = bvert
-        for _ in range(len(objs) - 1):
-            node, last = node
-            out.append(last)
-        out.append(node)
-        out.reverse()
-        return [_chain_prefix(obj, j) | images.get(obj.id, frozenset())
-                for obj, (oid, j) in zip(objs, out)]
-
-    full = frozenset(universe)
-    k = {}
-    for v in compound.vertices:
-        (cell, t), bvert = v
-        vis = visible_union(cell)
-        sets = chain_sets(bvert)
-        meet = sets[0]
-        for s in sets[1:]:
-            meet = meet & s
-        if mode == "practical":
-            side = vis if dual_payoff == "copy" else full - vis
-            val = side | meet
-        elif mode == "strict":
-            val = (full - vis) | meet
-        else:
-            raise ValueError("mode must be 'practical' or 'strict'")
-        k[v] = name(val)
-    return PayoffGame(compound, lat, k)
+    while todo:
+        v = todo.pop()
+        for pol in ("O", "P"):
+            for w in game.moves(v, pol):
+                edges.append((v, w, pol))
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    verts = sorted(seen)
+    k = {v: ",".join(game.names(game.payoff(v))) for v in verts}
+    return PayoffGame(Game(verts, game.root, edges), sc.payoff_lattice(), k)
 
 
 # traces ----------------------------------------------------------------
@@ -420,37 +437,29 @@ class Trace:
         return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
 
 
-def _enumerate_plays(game):
-    plays = []
-    stack = [(game.root,)]
-    while stack:
-        p = stack.pop()
-        pol = "O" if (len(p) - 1) % 2 == 0 else "P"
-        nxt = game.moves(p[-1], pol)
-        if not nxt:
-            plays.append(p)
-            continue
-        for w in sorted(nxt, key=repr):
-            stack.append(p + (w,))
-        if len(plays) + len(stack) > _PLAY_CAP:
-            raise InteractionOverflow("play enumeration exceeded cap")
-    return plays
-
-
 def plan_play(sc, goals, mode="practical", dual_payoff="copy",
               position=None, images=None):
     """Pick a play of the compound game with a maximal joined payoff.
 
-    Every alternated play is enumerated and scored by the join of vertex
-    payoffs along it.  Plays whose objective has the largest support win;
-    in a powerset such an objective is maximal, since no other set strictly
-    contains it.  Ties fall to shorter plays, then to lexical move order.
+    A play's objective is the join of its vertex payoffs.  Plays whose
+    objective has the largest support win; in a powerset such an objective
+    is maximal, since no other set strictly contains it.  Ties fall to
+    shorter plays, then to lexical move order (by repr of the vertices).
+
+    No play is listed.  A breadth-first search runs over states (vertex,
+    objective so far), one layer per play length: a vertex fixes its depth,
+    so every prefix reaching a state has the same length, and the state
+    keeps the number of prefixes reaching it and the lexically smallest
+    one, whose every extension is the smallest among theirs.  Each layer
+    is kept in the lexical order of those prefixes, so the first play found
+    with the largest objective is the winner, and the play counts of the
+    decision log are sums of state counts.  The trace header reports the
+    states explored and the plays counted.
     """
     if position is None:
         position = sc.start
-    pg = build_compound_game(sc, goals, position=position, mode=mode,
-                             dual_payoff=dual_payoff, images=images)
-    lat = pg.lattice
+    game = CompoundGame(sc, goals, position=position, mode=mode,
+                        dual_payoff=dual_payoff, images=images)
     goal_ids = [g.id if isinstance(g, SceneObject) else g for g in goals]
 
     trace = Trace({
@@ -463,43 +472,69 @@ def plan_play(sc, goals, mode="practical", dual_payoff="copy",
         "objective_lattice": "powerset of %d features" % len(sc.universe),
     })
 
-    plays = _enumerate_plays(pg.game)
-    by_val = {}
-    for p in plays:
-        val = lat.join([pg.k[v] for v in p])
-        by_val.setdefault(val, []).append(p)
-    trace.log("enumerated %d alternated plays" % len(plays))
-
-    best_rank = max(lat.atom_rank(val) for val in by_val)
-    ranked = [(p, val) for val, ps in by_val.items()
-              if lat.atom_rank(val) == best_rank for p in ps]
-    trace.log("plays with an objective of largest support: %d" % len(ranked))
-    shortest = min(len(p) for p, _ in ranked)
-    short = [(p, val) for p, val in ranked if len(p) == shortest]
-    short.sort(key=lambda pv: tuple(repr(v) for v in pv[0]))
-    if len(ranked) > 1:
+    root = (game.root, game.payoff(game.root))
+    count = {root: 1}
+    parent = {root: None}
+    succ = {}
+    support = {}                # objective size -> plays ending with it
+    best_size, best = -1, None
+    layer = [root]
+    depth = 0
+    while layer:
+        pol = "O" if depth % 2 == 0 else "P"
+        nxt = []
+        for s in layer:
+            v, mask = s
+            if v not in succ:
+                succ[v] = [(w, game.payoff(w))
+                           for w in sorted(game.moves(v, pol), key=repr)]
+            if not succ[v]:
+                size = mask.bit_count()
+                support[size] = support.get(size, 0) + count[s]
+                if size > best_size:
+                    best_size, best = size, s
+                continue
+            for w, k in succ[v]:
+                u = (w, mask | k)
+                if u in count:
+                    count[u] += count[s]
+                else:
+                    count[u] = count[s]
+                    parent[u] = s
+                    nxt.append(u)
+        layer = nxt
+        depth += 1
+    trace.header["states"] = len(count)
+    trace.header["plays"] = sum(support.values())
+    trace.log("enumerated %d alternated plays" % trace.header["plays"])
+    trace.log("plays with an objective of largest support: %d"
+              % support[best_size])
+    if support[best_size] > 1:
         trace.log("tie-broken by length, then move order")
-    play, objective = short[0]
 
-    running = lat.bottom
-    pos_now = tuple(position)
+    play = []
+    s = best
+    while s is not None:
+        play.append(s[0])
+        s = parent[s]
+    play.reverse()
+
+    running = 0
     for i, v in enumerate(play):
         (cell, t), _ = v
-        running = lat.join2(running, pg.k[v])
+        running |= game.payoff(v)
         if i == 0:
             continue
         actor = "environment" if (i - 1) % 2 == 0 else "system"
-        if actor == "system":
-            pos_now = cell
         vis = visible_rewards(sc, cell)
         trace.entries.append({
             "actor": actor,
             "position": list(cell),
             "rewards": {g: sorted(vis[g]) for g in sorted(goal_ids)},
-            "objective_so_far": sorted(x for x in running.split(",") if x),
+            "objective_so_far": game.names(running),
         })
     trace.final_play = [_vertex_doc(v) for v in play]
-    trace.objective = sorted(x for x in objective.split(",") if x)
+    trace.objective = game.names(best[1])
 
     reached = {cell for (cell, t), _ in play}
     for g in goal_ids:

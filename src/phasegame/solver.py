@@ -8,7 +8,7 @@ associativity instances that become decidable after each assignment, and
 keeps only completions whose finished table passes the full law audit.
 """
 
-from .data import load_doc, resolve_path
+from .data import field, load_doc, mult_row, resolve_path
 from .errors import (
     CapExceeded,
     ForeignElement,
@@ -34,12 +34,13 @@ def solve_table(doc_or_path, lattice=None, max_solutions=None):
     """
     doc, base_dir = load_doc(doc_or_path)
     if lattice is None:
-        lattice = lattice_from_doc(doc["lattice"], base_dir)
+        lattice = lattice_from_doc(field(doc, "lattice", (str, dict)),
+                                   base_dir)
 
     fixed = {}
     open_slots = {}
-    for entry in doc["mult"]:
-        x, y, v = entry
+    for entry in field(doc, "mult", list):
+        x, y, v = mult_row(entry)
         if x not in lattice or y not in lattice:
             raise ForeignElement("%r, %r" % (x, y))
         key = _canon(lattice, x, y)

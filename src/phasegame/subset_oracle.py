@@ -10,7 +10,7 @@ exponential in the monoid.
 
 from itertools import product
 
-from .data import load_doc, symmetrize
+from .data import field, load_doc, symmetrize
 from .errors import ForeignElement, NotAssociative, NotCommutative, SizeExceeded
 
 MAX_MONOID = 6
@@ -85,8 +85,9 @@ def monoid_from_doc(doc):
     foreign name raises ForeignElement and two rows that disagree on a pair
     raise NotCommutative.
     """
-    elements = doc["elements"]
-    return elements, symmetrize(set(elements), doc["mult"]), doc["unit"]
+    elements = field(doc, "elements", list)
+    return (elements, symmetrize(set(elements), field(doc, "mult", list)),
+            doc["unit"])
 
 
 def load_monoid(path):

@@ -257,6 +257,31 @@ def _non_object(verb_argv):
     return make
 
 
+def _edited(name, edit, verb_argv):
+    """A verb reading a copy of a shipped document changed by edit; the
+    argv entries are formatted with the copy's path and tmp_path."""
+    def make(tmp_path):
+        doc = read_json(data_path(name))
+        edit(doc)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return [a.format(path, tmp_path) for a in verb_argv]
+    return make
+
+
+SIMULATE = ["simulate", "{0}", "--out-dir", "{1}"]
+VERIFY_PHASE = ["verify", "--phase", "{0}"]
+
+
+def _edit_object(**fields):
+    return lambda doc: doc["objects"][0].update(fields)
+
+
+def _short_candidate_row(doc):
+    doc["lattice"] = "data:goal_lattice.json"
+    doc["mult"].append(["a", "b1"])
+
+
 MALFORMED = [
     ("short_mult_row", _short_mult_row, 2),
     ("deep_expression",
@@ -277,13 +302,46 @@ MALFORMED = [
     ("array_solve", _non_object(["solve", "{}"]), 2),
     ("array_simulate", _non_object(["simulate", "{}"]), 2),
     ("array_oracle", _non_object(["oracle", "{}"]), 2),
+    ("scenario_start_number",
+     _edited("four_goals_scenario.json", lambda d: d.update(start=0),
+             SIMULATE), 2),
+    ("scenario_objects_number",
+     _edited("four_goals_scenario.json", lambda d: d.update(objects=5),
+             SIMULATE), 2),
+    ("object_features_number",
+     _edited("four_goals_scenario.json", _edit_object(features=5),
+             SIMULATE), 2),
+    ("phase_mult_number",
+     _edited("goal_phase.json",
+             lambda d: d.update(mult=5, lattice="data:goal_lattice.json"),
+             VERIFY_PHASE), 2),
+    ("phase_lattice_number",
+     _edited("goal_phase.json", lambda d: d.update(lattice=5),
+             VERIFY_PHASE), 2),
+    ("monoid_falsum_subset_number",
+     _edited("z3_monoid.json", lambda d: d.update(falsum_subset=3),
+             ["oracle", "{0}"]), 2),
+    ("short_candidate_row",
+     _edited("goal_phase_candidates.json", _short_candidate_row,
+             ["solve", "{0}", "--out-dir", "{1}"]), 2),
 ]
 
+# the field or row each error message must name
+NAMED = {
+    "scenario_start_number": "'start' must be an array, got 0",
+    "scenario_objects_number": "'objects' must be an array, got 5",
+    "object_features_number": "'features' must be an array, got 5",
+    "phase_mult_number": "'mult' must be an array, got 5",
+    "phase_lattice_number": "'lattice' must be a string or an object, got 5",
+    "monoid_falsum_subset_number": "'falsum_subset' must be an array, got 3",
+    "short_candidate_row": "mult row ['a', 'b1'] is not an [x, y, value]",
+}
 
-@pytest.mark.parametrize("make_argv,code",
-                         [case[1:] for case in MALFORMED],
+
+@pytest.mark.parametrize("case,make_argv,code", MALFORMED,
                          ids=[case[0] for case in MALFORMED])
-def test_malformed_input_keeps_exit_code(tmp_path, capsys, make_argv, code):
+def test_malformed_input_keeps_exit_code(tmp_path, capsys, case, make_argv,
+                                         code):
     argv = make_argv(tmp_path)
     assert main(argv) == code
     err = capsys.readouterr().err
@@ -291,6 +349,8 @@ def test_malformed_input_keeps_exit_code(tmp_path, capsys, make_argv, code):
     if str(tmp_path / "array.json") in argv:
         assert "ValueError: %s: top level is not a JSON object" % (
             tmp_path / "array.json") in err
+    if case in NAMED:
+        assert "ValueError: " in err and NAMED[case] in err
 
 
 # installed script -------------------------------------------------------

@@ -1,11 +1,14 @@
 import hashlib
+import random
 
 import pytest
 
 from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
-from phasegame.planner import (build_compound_game, eval_priority,
-                               load_scenario, plan_play, run_cognition,
-                               select_goal_sets, visible_rewards)
+from phasegame.games import Game, implication_game, tensor_game
+from phasegame.planner import (_ball, _vertex_doc, build_compound_game,
+                               eval_priority, load_scenario, plan_play,
+                               run_cognition, select_goal_sets,
+                               visible_rewards)
 
 
 def four_goals():
@@ -239,6 +242,163 @@ def test_bad_mode_rejected():
 
 # planning ---------------------------------------------------------------
 
+# The exhaustive oracle: the compound game built as a product of explicit
+# games, every alternated play listed, and the planner's ranking applied to
+# the list (largest support, then shortest, then repr order).
+
+def oracle_compound_game(sc, goals, position=None, mode="practical",
+                         dual_payoff="copy", images=None):
+    """implication_game(movement game, tensor of reveal chains), with each
+    payoff a frozenset of features."""
+    pos = sc.start if position is None else tuple(position)
+    images = images or {}
+    radius = sc.horizon
+    ball = _ball(sc, pos, radius)
+    edges = []
+    for c in sorted(ball):
+        for t in range(2 * radius):
+            if t % 2 == 0:
+                edges += [((c, t), (n, t + 1), "O") for n in sc.neighbors(c)
+                          if n in ball]
+            else:
+                edges.append(((c, t), (c, t + 1), "P"))
+    reach, todo = {(pos, 0)}, [(pos, 0)]
+    while todo:
+        v = todo.pop()
+        for f, t, _ in edges:
+            if f == v and t not in reach:
+                reach.add(t)
+                todo.append(t)
+    move_game = Game(sorted(reach), (pos, 0),
+                     [e for e in edges if e[0] in reach and e[1] in reach])
+    objs = [sc.objects[g] for g in goals]
+    chains = [Game([(o.id, j) for j in range(len(o.features) + 1)],
+                   (o.id, 0),
+                   [((o.id, j), (o.id, j + 1), "O")
+                    for j in range(len(o.features))]) for o in objs]
+    consequent = chains[0]
+    for ch in chains[1:]:
+        consequent = tensor_game(consequent, ch)
+    game = implication_game(move_game, consequent)
+
+    full = frozenset(sc.universe)
+    k = {}
+    for v in game.vertices:
+        (cell, _), b = v
+        vis = visible_rewards(sc, cell)
+        side = frozenset()
+        for o in objs:
+            side |= vis[o.id] | images.get(o.id, frozenset())
+        if mode == "strict" or dual_payoff != "copy":
+            side = full - side
+        counts = []
+        for _ in objs[1:]:
+            b, (_, j) = b
+            counts.append(j)
+        counts.append(b[1])
+        counts.reverse()
+        meet = full
+        for o, j in zip(objs, counts):
+            meet &= frozenset(o.features[:j]) | images.get(o.id, frozenset())
+        k[v] = side | meet
+    return game, k
+
+
+def enumerate_plays(game):
+    plays = []
+    stack = [(game.root,)]
+    while stack:
+        p = stack.pop()
+        nxt = game.moves(p[-1], "O" if len(p) % 2 else "P")
+        if not nxt:
+            plays.append(p)
+        stack += [p + (w,) for w in nxt]
+    return plays
+
+
+def oracle_plan(game, k):
+    """(plays, plays of largest support, winning play, its objective)."""
+    scored = [(p, frozenset().union(*(k[v] for v in p)))
+              for p in enumerate_plays(game)]
+    size = max(len(val) for _, val in scored)
+    ranked = [(p, val) for p, val in scored if len(val) == size]
+    play, val = min(ranked, key=lambda pv: (len(pv[0]),
+                                            tuple(map(repr, pv[0]))))
+    return len(scored), len(ranked), play, sorted(val)
+
+
+def random_case(rng):
+    """A small seeded scenario, and plan_play arguments with nonempty
+    images that start away from sc.start wherever another cell has a
+    move."""
+    while True:
+        w, h = rng.randint(2, 5), rng.randint(2, 4)
+        grid = ["".join("#" if rng.random() < 0.15 else "."
+                        for _ in range(w)) for _ in range(h)]
+        cells = [(x, y) for y in range(h) for x in range(w)
+                 if grid[y][x] == "."]
+        ngoals = rng.randint(1, 3)
+        if len(cells) >= max(2, ngoals):
+            break
+    shared = ["u%d" % i for i in range(4)] if rng.random() < 0.5 else None
+    objects = []
+    for i, (cell, goal) in enumerate(zip(rng.sample(cells, ngoals),
+                                         ["J1a", "b2", "b3", "e"])):
+        n = rng.randint(1, 3)
+        feats = (rng.sample(shared, n) if shared
+                 else ["f%d_%d" % (i, j) for j in range(n)])
+        objects.append({"id": "o%d" % i, "cell": list(cell),
+                        "features": feats, "goal": goal})
+    start = rng.choice(cells)
+    sc = load_scenario({
+        "name": "random", "grid": grid, "start": list(start),
+        "horizon": rng.randint(1, 3), "goal_phase": "data:goal_phase.json",
+        "free_move_goal": "a", "objects": objects})
+    moving = [c for c in cells if c != start and sc.neighbors(c)]
+    position = rng.choice(moving) if moving else start
+    goals = sorted(sc.objects)
+    images = {g: frozenset(rng.sample(sc.objects[g].features, 1))
+              for g in goals if rng.random() < 0.7}
+    images[goals[0]] = frozenset(sc.objects[goals[0]].features[:1])
+    return sc, goals, position, images
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_plan_agrees_with_exhaustive_enumeration(seed):
+    rng = random.Random(seed)
+    sc, goals, position, images = random_case(rng)
+    for mode in ("practical", "strict"):
+        for dual_payoff in ("copy", "negate"):
+            plan = plan_play(sc, goals, mode=mode, dual_payoff=dual_payoff,
+                             position=position, images=images)
+            game, k = oracle_compound_game(sc, goals, position, mode,
+                                           dual_payoff, images)
+            plays, ranked, play, objective = oracle_plan(game, k)
+            assert plan.final_play == [_vertex_doc(v) for v in play]
+            assert plan.objective == objective
+            assert plan.decision_log[:2] == [
+                "enumerated %d alternated plays" % plays,
+                "plays with an objective of largest support: %d" % ranked]
+            assert plan.header["plays"] == plays
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compound_game_matches_product_construction(seed):
+    rng = random.Random(100 + seed)
+    sc, goals, position, images = random_case(rng)
+    for mode, dual_payoff in (("practical", "copy"), ("strict", "copy"),
+                              ("practical", "negate")):
+        pg = build_compound_game(sc, goals, position=position, mode=mode,
+                                 dual_payoff=dual_payoff, images=images)
+        game, k = oracle_compound_game(sc, goals, position, mode,
+                                       dual_payoff, images)
+        assert pg.game.root == game.root
+        assert set(pg.game.vertices) == set(game.vertices)
+        assert len(pg.game.edges) == len(game.edges)
+        assert set(pg.game.edges) == set(game.edges)
+        assert pg.k == {v: ",".join(sorted(val)) for v, val in k.items()}
+
+
 def test_plan_objective_is_maximal_over_all_plays():
     doc = base_doc()
     doc["grid"] = ["..."]
@@ -246,14 +406,38 @@ def test_plan_objective_is_maximal_over_all_plays():
     doc["objects"] = [{"id": "obj_x", "cell": [2, 0],
                        "features": ["f1", "f2"], "goal": "e"}]
     sc = load_scenario(doc)
-    from phasegame.planner import _enumerate_plays
-    pg = build_compound_game(sc, ["obj_x"])
-    lat = pg.lattice
+    game, k = oracle_compound_game(sc, ["obj_x"])
     plan = plan_play(sc, ["obj_x"])
-    objective = ",".join(plan.objective)
-    for p in _enumerate_plays(pg.game):
-        val = lat.join([pg.k[v] for v in p])
-        assert not (objective != val and lat.leq(objective, val)), val
+    objective = set(plan.objective)
+    for p in enumerate_plays(game):
+        val = frozenset().union(*(k[v] for v in p))
+        assert not objective < val, val
+
+
+def test_plan_header_counts_states_and_plays():
+    sc = four_goals()
+    plan = plan_play(sc, ["obj_b2", "obj_e"])
+    assert plan.header["plays"] == int(plan.decision_log[0].split()[1])
+    assert 0 < plan.header["states"]
+    assert plan.to_json() == plan_play(sc, ["obj_b2", "obj_e"]).to_json()
+
+
+def test_plan_finishes_beyond_former_play_cap():
+    # an open 15x13 grid with four goals at horizon 7 has more plays than
+    # an enumeration could list
+    doc = base_doc()
+    doc["grid"] = ["." * 15] * 13
+    doc["start"] = [7, 6]
+    doc["horizon"] = 7
+    doc["objects"] = [
+        {"id": "o%d" % i, "cell": [7 + dx, 6 + dy],
+         "features": ["s%d_0" % i, "s%d_1" % i], "goal": goal}
+        for i, ((dx, dy), goal) in enumerate(zip(
+            [(-3, -2), (3, -2), (-3, 2), (3, 2)], ["J1a", "b2", "b3", "e"]))]
+    sc = load_scenario(doc)
+    plan = plan_play(sc, sorted(sc.objects))
+    assert plan.header["plays"] > 200000
+    assert len(plan.objective) == 8
 
 
 def test_walled_off_goal_is_reported():

@@ -100,3 +100,10 @@ def test_resolved_docs_round_trip():
         text = json.dumps(doc, sort_keys=True)
         again = json.loads(text)
         assert phase_from_doc(again).mult("b3", "e") == "J3e"
+
+
+def test_short_candidate_row_is_named():
+    doc = candidates_doc()
+    doc["mult"].append(["a", "b1"])
+    with pytest.raises(ValueError, match=r"mult row \['a', 'b1'\] is not"):
+        solve_table(doc)
