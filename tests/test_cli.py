@@ -273,10 +273,6 @@ SIMULATE = ["simulate", "{0}", "--out-dir", "{1}"]
 VERIFY_PHASE = ["verify", "--phase", "{0}"]
 
 
-def _edit_object(**fields):
-    return lambda doc: doc["objects"][0].update(fields)
-
-
 def _short_candidate_row(doc):
     doc["lattice"] = "data:goal_lattice.json"
     doc["mult"].append(["a", "b1"])
@@ -309,8 +305,8 @@ MALFORMED = [
      _edited("four_goals_scenario.json", lambda d: d.update(objects=5),
              SIMULATE), 2),
     ("object_features_number",
-     _edited("four_goals_scenario.json", _edit_object(features=5),
-             SIMULATE), 2),
+     _edited("four_goals_scenario.json",
+             lambda d: d["objects"][0].update(features=5), SIMULATE), 2),
     ("phase_mult_number",
      _edited("goal_phase.json",
              lambda d: d.update(mult=5, lattice="data:goal_lattice.json"),
