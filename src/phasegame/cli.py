@@ -287,33 +287,35 @@ def cmd_facts(args):
 # wiring ----------------------------------------------------------------
 
 def build_parser():
+    # each verb gets only the flags it reads, so an ignored flag is an error
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lattice", metavar="FILE",
-                        help="lattice JSON (file path or data:NAME)")
-    common.add_argument("--phase", metavar="FILE",
-                        help="phase structure JSON")
     common.add_argument("--out-dir", metavar="DIR",
                         help="directory for emitted files")
     common.add_argument("--quiet", action="store_true",
                         help="print only the final status line")
+    phased = argparse.ArgumentParser(add_help=False, parents=[common])
+    phased.add_argument("--phase", metavar="FILE",
+                        help="phase structure JSON")
 
     parser = argparse.ArgumentParser(
         prog="phasegame",
         description="Lattice-valued phase semantics, games and planning.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[phased],
                        help="audit lattice and phase laws")
+    p.add_argument("--lattice", metavar="FILE",
+                   help="lattice JSON (file path or data:NAME)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[phased],
                        help="complete an ambiguous multiplication table")
     p.add_argument("table", nargs="?",
                    help="candidates JSON (defaults to --phase)")
     p.add_argument("--max-solutions", type=_positive, metavar="N")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[phased],
                        help="evaluate a connective expression")
     p.add_argument("expr", nargs=argparse.REMAINDER,
                    help="expression; quote it or pass flags first")
@@ -338,7 +340,7 @@ def build_parser():
     p.add_argument("monoid", help="monoid JSON with falsum_subset")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("facts", parents=[common],
+    p = sub.add_parser("facts", parents=[phased],
                        help="print the fact census and classification")
     p.set_defaults(func=cmd_facts)
     return parser

@@ -4,9 +4,9 @@ Lattices, phase structures, candidate tables, scenarios and monoids are
 JSON objects.  A reference to one is a path or ``data:<name>``, a document
 shipped inside the package.  A relative path inside a document resolves
 against that document's directory.  ``load_doc`` is the one reader, ``field``
-checks the type of a field it read, ``mult_row`` checks the shape of an
-``[x, y, value]`` product row and ``symmetrize`` is the one parser of a
-table of them.
+checks the type of a field it read and ``items`` the types of an array
+field's items, ``mult_row`` checks the shape of an ``[x, y, value]`` product
+row and ``symmetrize`` is the one parser of a table of them.
 """
 
 import json
@@ -60,11 +60,25 @@ def field(doc, key, kind, default=_REQUIRED):
     """
     value = doc[key] if default is _REQUIRED else doc.get(key, default)
     if not isinstance(value, kind):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
         raise ValueError("field %r must be %s, got %r"
-                         % (key, " or ".join(_KINDS[k] for k in kinds),
-                            value))
+                         % (key, _name_kinds(kind), value))
     return value
+
+
+def items(doc, key, kind, default=_REQUIRED):
+    """field(doc, key, list, default), each of whose items must be an
+    instance of kind, else a ValueError names the field."""
+    value = field(doc, key, list, default)
+    for item in value:
+        if not isinstance(item, kind):
+            raise ValueError("items of field %r must be %s, got %r"
+                             % (key, _name_kinds(kind), item))
+    return value
+
+
+def _name_kinds(kind):
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return " or ".join(_KINDS[k] for k in kinds)
 
 
 def stem(ref):

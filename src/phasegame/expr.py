@@ -33,6 +33,9 @@ _WORDS = {"x": "tensor", "par": "par"}
 
 _TOO_DEEP = "expression nested too deeply"
 
+# the left-associative binary operators, loosest binding first
+_LEFT_ASSOC = ("plus", "with", "par", "tensor")
+
 
 def _ident_char(ch):
     return ch.isalnum() or ch == "_"
@@ -102,39 +105,23 @@ class _Parser:
         return node
 
     def expr(self):
-        left = self.additive()
+        left = self.binary(0)
         if self.peek() == "impl":
             self.take()
             right = self.expr()
             return ("impl", left, right)
         return left
 
-    def additive(self):
-        node = self.withs()
-        while self.peek() == "plus":
+    def binary(self, level):
+        """A left-associative chain of the operator _LEFT_ASSOC[level] over
+        operands of the next tighter level, or of unary past the last."""
+        op = _LEFT_ASSOC[level]
+        tighter = level + 1 < len(_LEFT_ASSOC)
+        node = self.binary(level + 1) if tighter else self.unary()
+        while self.peek() == op:
             self.take()
-            node = ("plus", node, self.withs())
-        return node
-
-    def withs(self):
-        node = self.pars()
-        while self.peek() == "with":
-            self.take()
-            node = ("with", node, self.pars())
-        return node
-
-    def pars(self):
-        node = self.tensors()
-        while self.peek() == "par":
-            self.take()
-            node = ("par", node, self.tensors())
-        return node
-
-    def tensors(self):
-        node = self.unary()
-        while self.peek() == "tensor":
-            self.take()
-            node = ("tensor", node, self.unary())
+            right = self.binary(level + 1) if tighter else self.unary()
+            node = (op, node, right)
         return node
 
     def unary(self):
@@ -199,16 +186,3 @@ def eval_node(ps, node):
         return ps.impl(left, right)
     raise ExprSyntaxError("unknown node %r" % (op,))
 
-
-def unparse(node):
-    """Render a tree back to canonical ASCII; mainly for error messages."""
-    op = node[0]
-    if op == "atom":
-        return node[1]
-    if op == "dual":
-        inner = unparse(node[1])
-        if node[1][0] not in ("atom", "dual"):
-            inner = "(" + inner + ")"
-        return inner + "^"
-    sym = {"tensor": "x", "par": "par", "with": "&", "plus": "+", "impl": "-o"}[op]
-    return "(%s %s %s)" % (unparse(node[1]), sym, unparse(node[2]))

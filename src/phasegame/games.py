@@ -333,27 +333,3 @@ def compose_strategies(game_x, game_y, game_z, sigma, tau):
                     side = "s"
     return Strategy(impl_xz, plays)
 
-
-# serialization --------------------------------------------------------
-
-def vertex_name(v):
-    if isinstance(v, tuple):
-        return "(" + ",".join(vertex_name(c) for c in v) + ")"
-    return str(v)
-
-
-def game_from_doc(doc):
-    return Game(doc["vertices"], doc["root"],
-                [(f, t, p) for f, t, p in doc["edges"]])
-
-
-def game_to_doc(game, payoff=None):
-    doc = {
-        "vertices": [vertex_name(v) for v in game.vertices],
-        "root": vertex_name(game.root),
-        "edges": [[vertex_name(f), vertex_name(t), p]
-                  for f, t, p in game.edges],
-    }
-    if payoff is not None:
-        doc["k"] = {vertex_name(v): payoff.k[v] for v in game.vertices}
-    return doc

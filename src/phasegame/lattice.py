@@ -4,7 +4,7 @@ Order is the reflexive-transitive closure of the covers, computed once at
 construction and cached as bitmasks.  All operations are pure; a Lattice is
 immutable after __init__.
 """
-from .data import load_doc
+from .data import items, load_doc
 from .errors import (
     ForeignElement,
     NotALattice,
@@ -135,46 +135,35 @@ class Lattice:
                     break
         return self._distributive
 
+    def residual(self, products, y):
+        """(join, closed): the join of the witnesses, the z whose product
+        products[z] (listed in element order) is at or below y, and whether
+        that join is itself a witness.
+
+        When products is the row of some x, a closed join is the largest z
+        with x.z <= y: the residual of y by x.  Bottom when no z is a witness.
+        """
+        index, join = self._index, self._join
+        ks = [index[p] for p in products]
+        below = self._down[self.idx(y)]
+        acc = index[self.bottom]
+        for z, k in enumerate(ks):
+            if below >> k & 1:
+                acc = join[acc][z]
+        return self.elements[acc], below >> ks[acc] & 1 == 1
+
     def heyting_implies(self, a, b):
         """Relative pseudo-complement: join of all c with a /\\ c <= b."""
         if not self.is_distributive():
             raise NotHeyting("lattice is not distributive")
-        ia, ib = self.idx(a), self.idx(b)
-        cand = [k for k in range(len(self.elements))
-                if (self._up[self._meet[ia][k]] >> ib) & 1]
-        acc = cand[0]
-        for k in cand[1:]:
-            acc = self._join[acc][k]
-        # residuation check: the join must itself be a candidate
-        if not (self._up[self._meet[ia][acc]] >> ib) & 1:
+        star, closed = self.residual(
+            [self.elements[k] for k in self._meet[self.idx(a)]], b)
+        if not closed:
             raise NotHeyting("residuation fails at (%r, %r)" % (a, b))
-        return self.elements[acc]
+        return star
 
     def heyting_neg(self, a):
         return self.heyting_implies(a, self.bottom)
-
-    def atoms(self):
-        """Elements covering bottom."""
-        bot = self.idx(self.bottom)
-        out = []
-        for i, e in enumerate(self.elements):
-            if i == bot:
-                continue
-            if (self._up[bot] >> i) & 1:
-                strictly_between = any(
-                    j not in (bot, i) and (self._up[bot] >> j) & 1 and (self._up[j] >> i) & 1
-                    for j in range(len(self.elements)))
-                if not strictly_between:
-                    out.append(e)
-        return out
-
-    def rank(self, x):
-        """Number of elements at or below x (used for deterministic tie-breaks)."""
-        return bin(self._down[self.idx(x)]).count("1")
-
-    def atom_rank(self, x):
-        """Number of atoms at or below x."""
-        return sum(1 for a in self.atoms() if self.leq(a, x))
 
     def __contains__(self, x):
         return x in self._index
@@ -194,8 +183,10 @@ def lattice_from_doc(doc, base_dir=None):
     for key in ("elements", "covers", "bottom", "top"):
         if key not in doc:
             raise NotALattice("lattice document missing %r" % (key,))
-    return Lattice(doc["elements"], [tuple(c) for c in doc["covers"]],
-                   doc["bottom"], doc["top"], doc.get("generators"))
+    return Lattice(items(doc, "elements", str),
+                   [tuple(c) for c in items(doc, "covers", list)],
+                   doc["bottom"], doc["top"],
+                   items(doc, "generators", str, []))
 
 
 def load_lattice(path):
@@ -289,15 +280,6 @@ class PowersetLattice:
     def is_distributive(self):
         return True
 
-    def atoms(self):
-        return list(self.base)
-
-    def rank(self, x):
-        return 1 << len(self._set(x))
-
-    def atom_rank(self, x):
-        return len(self._set(x))
-
     def __contains__(self, x):
         try:
             self._set(x)
@@ -311,37 +293,3 @@ class PowersetLattice:
     def __repr__(self):
         return "PowersetLattice(%d members)" % len(self.base)
 
-
-def downset_lattice(poset_elements, poset_leq):
-    """Lattice of down-closed subsets of a finite poset (Birkhoff dual).
-
-    poset_leq(x, y) must be a partial order on poset_elements.  Every finite
-    distributive lattice arises this way.  Element names are comma-joined
-    sorted member lists ('' for the empty set).
-    """
-    downsets = {frozenset()}
-    for p in poset_elements:
-        below = frozenset(q for q in poset_elements if poset_leq(q, p))
-        downsets |= {d | below for d in list(downsets)}
-    # close under unions
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(downsets)
-        for i, d1 in enumerate(snapshot):
-            for d2 in snapshot[i + 1:]:
-                u = d1 | d2
-                if u not in downsets:
-                    downsets.add(u)
-                    changed = True
-    def name(d):
-        return ",".join(sorted(d))
-    ds = sorted(downsets, key=lambda d: (len(d), sorted(d)))
-    elements = [name(d) for d in ds]
-    covers = []
-    for d1 in ds:
-        for d2 in ds:
-            if d1 < d2 and len(d2 - d1) == 1:
-                covers.append((name(d1), name(d2)))
-    full = frozenset(poset_elements)
-    return Lattice(elements, covers, "", name(full))

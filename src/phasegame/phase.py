@@ -36,15 +36,13 @@ class PhaseStructure:
     """Immutable bundle of lattice, product, unit, falsum and dual table."""
 
     def __init__(self, lattice, mult, unit, falsum, dual_table,
-                 unit_mode="weak", checks="full",
-                 op_class=None, cl_class=None):
+                 unit_mode="weak", op_class=None, cl_class=None):
         self.lattice = lattice
         self._mult = dict(mult)
         self.unit = unit
         self.falsum = falsum
         self._dual = dict(dual_table)
         self.unit_mode = unit_mode
-        self.checks = checks
         self.op_class = list(op_class) if op_class is not None else None
         self.cl_class = list(cl_class) if cl_class is not None else None
 
@@ -104,20 +102,13 @@ class PhaseStructure:
         Raises NotClosed when the join of all witnesses fails the bound, in
         which case the residual does not exist in this structure.
         """
-        star, closed = _residual(self.lattice, self._mult, x, y)
+        star, closed = self.lattice.residual(
+            [self._mult[(x, z)] for z in self.lattice.elements], y)
         if not closed:
             raise NotClosed(
                 "lin_implies(%r, %r): join %r of witnesses is not a witness"
                 % (x, y, star))
         return star
-
-
-def _residual(lattice, mult, x, y):
-    """Join of every z with mult(x, z) <= y (bottom if there is none), and
-    whether that join is itself such a z."""
-    star = lattice.join(z for z in lattice.elements
-                        if lattice.leq(mult[(x, z)], y))
-    return star, lattice.leq(mult[(x, star)], y)
 
 
 def _check_totality(lattice, mult):
@@ -135,7 +126,8 @@ def _derive_duals(lattice, mult, falsum, overrides):
                 raise ForeignElement(repr(overrides[x]))
             dual[x] = overrides[x]
             continue
-        star, closed = _residual(lattice, mult, x, falsum)
+        star, closed = lattice.residual(
+            [mult[(x, z)] for z in lattice.elements], falsum)
         if not closed:
             raise NotClosed(
                 "dual of %r is not expressible: join %r of witnesses fails "
@@ -185,8 +177,9 @@ def _laws(lattice, mult, unit, falsum, dual=None):
     # this law is scanned in full before it is listed
     checked, witnesses = 0, []
     for x in els:
+        row = [mult[(x, z)] for z in els]
         for y in els:
-            star, closed = _residual(lattice, mult, x, dual[y])
+            star, closed = lattice.residual(row, dual[y])
             if closed:
                 checked += 1
                 if star != dual[mult[(x, y)]]:
@@ -258,8 +251,7 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
 
     return PhaseStructure(
         lattice, mult, unit, falsum, dual,
-        unit_mode=unit_mode, checks=checks,
-        op_class=doc.get("op_class"), cl_class=doc.get("cl_class"))
+        unit_mode=unit_mode, op_class=doc.get("op_class"), cl_class=doc.get("cl_class"))
 
 
 def load_phase(path, lattice=None, validate=True):
@@ -295,21 +287,11 @@ def verify_laws(ps):
 
 
 class FactClassification:
-    def __init__(self, facts, open_class, closed_class, neutral, top_fact):
+    def __init__(self, facts, open_class, closed_class, neutral):
         self.facts = facts
         self.open_class = open_class
         self.closed_class = closed_class
         self.neutral = neutral
-        self.top_fact = top_fact
-
-    def to_doc(self):
-        return {
-            "facts": self.facts,
-            "open_class": self.open_class,
-            "closed_class": self.closed_class,
-            "neutral": self.neutral,
-            "top_fact": self.top_fact,
-        }
 
 
 def classify(ps):
@@ -358,4 +340,4 @@ def classify(ps):
     if lat.meet(cl) != ps.falsum:
         raise NotClosedClass("least closed fact is not falsum")
 
-    return FactClassification(facts, op, cl, neutral, ps.dual(lat.bottom))
+    return FactClassification(facts, op, cl, neutral)

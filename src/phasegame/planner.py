@@ -6,8 +6,9 @@ prefix of it, so images of objects accumulate monotonically as the system
 moves.  Discovered goals are ranked through the goal phase structure, the
 preferred goal set is turned into a compound game (movement game implying
 the tensor of per-goal reveal chains), and a play maximizing the
-lattice-valued objective is chosen.  When lookahead cannot grow the joined
-images of the active goals the set shrinks, until a single goal saturates.
+lattice-valued objective is chosen.  When the cells within the horizon
+cannot grow the joined images of the active goals the set shrinks, until a
+single goal saturates.
 """
 
 import json
@@ -15,7 +16,7 @@ import random
 from collections import deque
 from itertools import combinations
 
-from .data import field, load_doc, stem
+from .data import field, items, load_doc, stem
 from .errors import BadGrid, HorizonEmpty, UnknownGoalElement
 from .games import Game, PayoffGame
 from .lattice import PowersetLattice, check_universe
@@ -33,13 +34,11 @@ class SceneObject:
 
 class Scenario:
     def __init__(self, width, height, passable, start, horizon, objects,
-                 phase, free_move_goal, name="scenario", rows=None):
+                 phase, free_move_goal, rows, name="scenario"):
         self.width = width
         self.height = height
         self.passable = passable
-        self.rows = rows or ["".join(
-            "." if (x, y) in passable else "#" for x in range(width))
-            for y in range(height)]
+        self.rows = rows
         self.start = start
         self.horizon = horizon
         self.objects = {o.id: o for o in objects}
@@ -48,15 +47,6 @@ class Scenario:
         self.free_move_goal = free_move_goal
         self.name = name
         self.universe = sorted({f for o in objects for f in o.features})
-        self._payoff_lattice = None
-
-    def payoff_lattice(self):
-        if self._payoff_lattice is None:
-            self._payoff_lattice = PowersetLattice(self.universe)
-        return self._payoff_lattice
-
-    def cells(self):
-        return sorted(self.passable)
 
     def neighbors(self, cell):
         x, y = cell
@@ -105,7 +95,7 @@ def load_scenario(path_or_doc):
 
     objects = []
     seen_goals = set()
-    for od in field(doc, "objects", list, []):
+    for od in items(doc, "objects", dict, []):
         cell = tuple(field(od, "cell", list))
         if cell not in passable:
             raise BadGrid("object %r sits on cell %r outside the grid"
@@ -120,7 +110,7 @@ def load_scenario(path_or_doc):
                 "two objects share the goal element %r" % (goal,))
         seen_goals.add(goal)
         objects.append(SceneObject(od["id"], cell,
-                                   field(od, "features", list), goal,
+                                   items(od, "features", str), goal,
                                    od.get("attractiveness", 0)))
 
     free_move_goal = doc["free_move_goal"]
@@ -128,7 +118,7 @@ def load_scenario(path_or_doc):
         raise UnknownGoalElement("free_move_goal %r not in the goal lattice"
                                  % (free_move_goal,))
     return Scenario(width, len(rows), passable, start, horizon, objects,
-                    phase, free_move_goal, name=name, rows=list(rows))
+                    phase, free_move_goal, list(rows), name=name)
 
 
 def chebyshev(a, b):
@@ -397,7 +387,8 @@ def build_compound_game(sc, goals, position=None, mode="practical",
                     todo.append(w)
     verts = sorted(seen)
     k = {v: ",".join(game.names(game.payoff(v))) for v in verts}
-    return PayoffGame(Game(verts, game.root, edges), sc.payoff_lattice(), k)
+    return PayoffGame(Game(verts, game.root, edges),
+                      PowersetLattice(sc.universe), k)
 
 
 # traces ----------------------------------------------------------------
@@ -551,7 +542,7 @@ def _vertex_doc(v):
 
 
 def run_cognition(sc, max_steps=50, mode="practical", dual_payoff="copy",
-                  seed=0, lookahead=None):
+                  seed=0):
     """Full exploration loop: discover, select, plan, move, accumulate.
 
     Images of objects only ever grow (by join with what is visible).  When
@@ -560,8 +551,6 @@ def run_cognition(sc, max_steps=50, mode="practical", dual_payoff="copy",
     goal saturates, else it stops at max_steps with the step_limit flag.
     """
     rng = random.Random(seed)
-    if lookahead is None:
-        lookahead = sc.horizon
     trace = Trace({
         "kind": "cognition",
         "scenario": sc.name,
@@ -606,7 +595,7 @@ def run_cognition(sc, max_steps=50, mode="practical", dual_payoff="copy",
 
     def ball_potential(ids):
         out = frozenset()
-        for cell in _ball(sc, pos, lookahead):
+        for cell in _ball(sc, pos, sc.horizon):
             vis = visible_rewards(sc, cell)
             for i in ids:
                 out = out | vis[i]

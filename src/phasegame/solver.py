@@ -24,7 +24,7 @@ def _canon(lattice, x, y):
     return (x, y) if lattice.idx(x) <= lattice.idx(y) else (y, x)
 
 
-def solve_table(doc_or_path, lattice=None, max_solutions=None):
+def solve_table(doc_or_path, max_solutions=None):
     """Enumerate law-abiding completions of a candidates document.
 
     Returns a list of fully resolved phase documents, in the deterministic
@@ -33,9 +33,7 @@ def solve_table(doc_or_path, lattice=None, max_solutions=None):
     found so far) when more than max_solutions survive.
     """
     doc, base_dir = load_doc(doc_or_path)
-    if lattice is None:
-        lattice = lattice_from_doc(field(doc, "lattice", (str, dict)),
-                                   base_dir)
+    lattice = lattice_from_doc(field(doc, "lattice", (str, dict)), base_dir)
 
     fixed = {}
     open_slots = {}

@@ -10,10 +10,17 @@ exponential in the monoid.
 
 from itertools import product
 
-from .data import field, load_doc, symmetrize
+from .data import field, symmetrize
 from .errors import ForeignElement, NotAssociative, NotCommutative, SizeExceeded
 
 MAX_MONOID = 6
+
+
+def _associativity_failures(elements, mult):
+    """Every (x, y, z) with (x.y).z != x.(y.z), lazily, in element order."""
+    return ((x, y, z) for x in elements for y in elements
+            for xy in [mult[(x, y)]] for z in elements
+            if mult[(xy, z)] != mult[(x, mult[(y, z)])])
 
 
 class SubsetPhase:
@@ -32,12 +39,9 @@ class SubsetPhase:
                     raise ForeignElement("product out of carrier")
                 if self.mult[(x, y)] != self.mult[(y, x)]:
                     raise NotCommutative("at (%r, %r)" % (x, y))
+        for x, y, z in _associativity_failures(elements, self.mult):
+            raise NotAssociative("at (%r, %r, %r)" % (x, y, z))
         for x in elements:
-            for y in elements:
-                for z in elements:
-                    if (self.mult[(self.mult[(x, y)], z)]
-                            != self.mult[(x, self.mult[(y, z)])]):
-                        raise NotAssociative("at (%r, %r, %r)" % (x, y, z))
             if self.mult[(unit, x)] != x:
                 raise NotAssociative("unit is not neutral at %r" % (x,))
         self.pole = frozenset(pole)
@@ -88,10 +92,6 @@ def monoid_from_doc(doc):
     elements = field(doc, "elements", list)
     return (elements, symmetrize(set(elements), field(doc, "mult", list)),
             doc["unit"])
-
-
-def load_monoid(path):
-    return monoid_from_doc(load_doc(path)[0])
 
 
 def oracle_report(elements, mult, unit, pole):
@@ -196,17 +196,6 @@ def all_commutative_monoids(n):
         for (i, j), v in zip(free, choice):
             mult[(els[i], els[j])] = els[v]
             mult[(els[j], els[i])] = els[v]
-        ok = True
-        for x in els:
-            for y in els:
-                for z in els:
-                    if mult[(mult[(x, y)], z)] != mult[(x, mult[(y, z)])]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        if next(_associativity_failures(els, mult), None) is None:
             out.append((els, mult, els[0]))
     return out

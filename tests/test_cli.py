@@ -271,6 +271,7 @@ def _edited(name, edit, verb_argv):
 
 SIMULATE = ["simulate", "{0}", "--out-dir", "{1}"]
 VERIFY_PHASE = ["verify", "--phase", "{0}"]
+VERIFY_LATTICE = ["verify", "--lattice", "{0}"]
 
 
 def _short_candidate_row(doc):
@@ -320,6 +321,18 @@ MALFORMED = [
     ("short_candidate_row",
      _edited("goal_phase_candidates.json", _short_candidate_row,
              ["solve", "{0}", "--out-dir", "{1}"]), 2),
+    ("scenario_object_number",
+     _edited("tiny_scenario.json", lambda d: d.update(objects=[5]),
+             SIMULATE), 2),
+    ("object_feature_number",
+     _edited("tiny_scenario.json",
+             lambda d: d["objects"][0].update(features=[1]), SIMULATE), 2),
+    ("lattice_elements_number",
+     _edited("goal_lattice.json", lambda d: d.update(elements=5),
+             VERIFY_LATTICE), 2),
+    ("lattice_cover_number",
+     _edited("goal_lattice.json", lambda d: d.update(covers=[5]),
+             VERIFY_LATTICE), 2),
 ]
 
 # the field or row each error message must name
@@ -331,6 +344,12 @@ NAMED = {
     "phase_lattice_number": "'lattice' must be a string or an object, got 5",
     "monoid_falsum_subset_number": "'falsum_subset' must be an array, got 3",
     "short_candidate_row": "mult row ['a', 'b1'] is not an [x, y, value]",
+    "scenario_object_number": "items of field 'objects' must be an object, "
+                              "got 5",
+    "object_feature_number": "items of field 'features' must be a string, "
+                             "got 1",
+    "lattice_elements_number": "'elements' must be an array, got 5",
+    "lattice_cover_number": "items of field 'covers' must be an array, got 5",
 }
 
 
@@ -347,6 +366,25 @@ def test_malformed_input_keeps_exit_code(tmp_path, capsys, case, make_argv,
             tmp_path / "array.json") in err
     if case in NAMED:
         assert "ValueError: " in err and NAMED[case] in err
+
+
+# flags a verb does not read are usage errors ----------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "data:tiny_scenario.json", "--phase", "nosuch.json"],
+    ["simulate", "data:tiny_scenario.json", "--lattice", "nosuch.json"],
+    ["oracle", "data:z2_monoid.json", "--phase", "data:goal_phase.json"],
+    ["oracle", "data:z2_monoid.json", "--lattice", "data:goal_lattice.json"],
+    ["solve", "data:goal_phase_candidates.json", "--lattice", "nosuch.json"],
+    ["eval", "--phase", "data:goal_phase.json", "--lattice", "nosuch.json",
+     "a"],
+    ["facts", "--phase", "data:goal_phase.json", "--lattice", "nosuch.json"],
+], ids=["simulate_phase", "simulate_lattice", "oracle_phase",
+        "oracle_lattice", "solve_lattice", "eval_lattice", "facts_lattice"])
+def test_ignored_flag_is_usage_failure(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # a verb that ran would write files here
+    assert main(argv) == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
 # installed script -------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 from phasegame.errors import ExprSyntaxError, ForeignElement
-from phasegame.expr import eval_expr, parse, tokenize, unparse
+from phasegame.expr import eval_expr, parse, tokenize
 
 
 def test_tokenize_mixed_spellings():
@@ -76,10 +76,3 @@ def test_eval_on_goal_structure(goal_phase):
 def test_eval_unknown_element(goal_phase):
     with pytest.raises(ForeignElement):
         eval_expr(goal_phase, "a -o zork")
-
-
-def test_unparse_round_trips():
-    for text in ["a -o b -o c", "a x b par c", "(a + b) & c^", "e^^",
-                 "(a -o b)^"]:
-        tree = parse(text)
-        assert parse(unparse(tree)) == tree

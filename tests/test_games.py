@@ -7,10 +7,9 @@ from phasegame.errors import (ComponentMismatch, ForeignElement,
                               LatticeMismatch, NotHeyting)
 from phasegame.games import (Game, PayoffGame, Strategy, compose_strategies,
                              copycat, dual_game, dual_payoff_game,
-                             game_from_doc, game_to_doc, implication_game,
-                             is_winning, maximal_plays, payoff_implication,
-                             payoff_tensor, tensor_game, validate_strategy,
-                             vertex_name)
+                             implication_game, is_winning, maximal_plays,
+                             payoff_implication, payoff_tensor, tensor_game,
+                             validate_strategy)
 from phasegame.lattice import Lattice, chain
 
 
@@ -386,20 +385,3 @@ def test_positional_winning_composes_over_unique_atom_lattices():
         comp = compose_strategies(gx, gy, gz, sigma, tau)
         assert is_winning(payoff_implication(px, pz), comp)
 
-
-# serialization ----------------------------------------------------------
-
-def test_game_doc_round_trip():
-    g = tensor_game(line_game(), point("z"))
-    doc = game_to_doc(g)
-    back = game_from_doc(doc)
-    assert back.root == vertex_name(g.root) == "(r,z)"
-    assert len(back.edges) == len(g.edges)
-    assert sorted(back.vertices) == sorted(vertex_name(v) for v in g.vertices)
-
-
-def test_payoff_round_trip_through_doc():
-    lat = chain(3)
-    pg = PayoffGame(line_game(), lat, {"r": "2", "s": "1", "t": "0"})
-    doc = game_to_doc(pg.game, payoff=pg)
-    assert doc["k"] == {"r": "2", "s": "1", "t": "0"}

@@ -7,13 +7,13 @@ from itertools import combinations
 import pytest
 
 from phasegame.cli import main
-from phasegame.data import data_path
+from phasegame.data import load_doc
 from phasegame.errors import (ForeignElement, NotAssociative, NotCommutative,
                               SizeExceeded)
 from phasegame.phase import phase_from_doc, verify_laws
 from phasegame.subset_oracle import (SubsetPhase, all_commutative_monoids,
-                                     cyclic_monoid, load_monoid,
-                                     monoid_from_doc, oracle_report)
+                                     cyclic_monoid, monoid_from_doc,
+                                     oracle_report)
 
 
 def all_poles(elements):
@@ -135,15 +135,15 @@ def test_rejects_foreign_pole():
 
 def test_shipped_monoid_files():
     for name in ("trivial_monoid.json", "z2_monoid.json", "z3_monoid.json"):
-        doc = json.loads(open(data_path(name)).read())
-        els, mult, unit = load_monoid(data_path(name))
+        doc = load_doc("data:" + name)[0]
+        els, mult, unit = monoid_from_doc(doc)
         report = oracle_report(els, mult, unit,
                                frozenset(doc["falsum_subset"]))
         assert report["ok"], name
 
 
 def test_doc_symmetrizes_table():
-    els, mult, unit = load_monoid(data_path("z3_monoid.json"))
+    els, mult, unit = monoid_from_doc(load_doc("data:z3_monoid.json")[0])
     assert mult[("2", "1")] == mult[("1", "2")] == "0"
 
 
@@ -151,7 +151,7 @@ def test_doc_rejects_foreign_entries(capsys, tmp_path):
     # a row naming an element outside the carrier is an error, wherever the
     # foreign name sits in the row
     for extra in (["0", "7", "1"], ["7", "7", "7"], ["1", "1", "7"]):
-        doc = json.loads(open(data_path("z2_monoid.json")).read())
+        doc = load_doc("data:z2_monoid.json")[0]
         doc["mult"].append(extra)
         with pytest.raises(ForeignElement, match="'7'"):
             monoid_from_doc(doc)
@@ -162,7 +162,7 @@ def test_doc_rejects_foreign_entries(capsys, tmp_path):
 
 
 def test_doc_rejects_short_rows(capsys, tmp_path):
-    doc = json.loads(open(data_path("z2_monoid.json")).read())
+    doc = load_doc("data:z2_monoid.json")[0]
     doc["mult"].append(["0", "1"])
     with pytest.raises(ValueError, match=r"\['0', '1'\] is not an \[x, y"):
         monoid_from_doc(doc)
@@ -175,7 +175,7 @@ def test_doc_rejects_short_rows(capsys, tmp_path):
 def test_doc_rejects_conflicting_entries(capsys, tmp_path):
     # one pair given twice with different products, off and on the diagonal
     for extra in (["1", "0", "0"], ["1", "1", "1"]):
-        doc = json.loads(open(data_path("z2_monoid.json")).read())
+        doc = load_doc("data:z2_monoid.json")[0]
         doc["mult"].append(extra)
         with pytest.raises(NotCommutative, match="conflicting"):
             monoid_from_doc(doc)

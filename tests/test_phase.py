@@ -1,9 +1,6 @@
-import json
-
 import pytest
 
-import phasegame.phase
-from phasegame.data import data_path
+from phasegame.data import load_doc
 from phasegame.errors import (
     DualLawViolation,
     ForeignElement,
@@ -21,7 +18,7 @@ from phasegame.phase import (
     phase_from_doc,
     verify_laws,
 )
-from phasegame.lattice import chain
+from phasegame.lattice import Lattice, chain
 
 ESTIMATIONS = [
     (["J1a", "e", "b2"], "1"),
@@ -47,7 +44,7 @@ NONFACT_DUALS = {
 
 
 def phase_doc():
-    doc = json.loads(open(data_path("goal_phase.json")).read())
+    doc = load_doc("data:goal_phase.json")[0]
     doc["lattice"] = "data:goal_lattice.json"
     return doc
 
@@ -278,13 +275,13 @@ def test_load_runs_no_residual_scan(monkeypatch):
     # every dual of the goal phase is an override, so loading needs no
     # residual at all; the audit computes one per pair
     calls = []
-    residual = phasegame.phase._residual
+    residual = Lattice.residual
 
-    def counting(*args):
+    def counting(self, *args):
         calls.append(args)
-        return residual(*args)
+        return residual(self, *args)
 
-    monkeypatch.setattr(phasegame.phase, "_residual", counting)
+    monkeypatch.setattr(Lattice, "residual", counting)
     ps = phase_from_doc(phase_doc())
     assert calls == []
     verify_laws(ps)

@@ -2,14 +2,14 @@ import json
 
 import pytest
 
-from phasegame.data import data_path
+from phasegame.data import data_path, load_doc
 from phasegame.errors import CapExceeded, NoSolution, NotCommutative
 from phasegame.phase import phase_from_doc, verify_laws
 from phasegame.solver import solve_table
 
 
 def candidates_doc():
-    doc = json.loads(open(data_path("goal_phase_candidates.json")).read())
+    doc = load_doc("data:goal_phase_candidates.json")[0]
     doc["lattice"] = "data:goal_lattice.json"
     return doc
 
