@@ -250,8 +250,8 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
                  dict.fromkeys(_DUAL_LAWS, err))
 
     return PhaseStructure(
-        lattice, mult, unit, falsum, dual,
-        unit_mode=unit_mode, op_class=doc.get("op_class"), cl_class=doc.get("cl_class"))
+        lattice, mult, unit, falsum, dual, unit_mode=unit_mode,
+        op_class=doc.get("op_class"), cl_class=doc.get("cl_class"))
 
 
 def load_phase(path, lattice=None, validate=True):
