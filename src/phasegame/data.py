@@ -4,9 +4,10 @@ Lattices, phase structures, candidate tables, scenarios and monoids are
 JSON objects.  A reference to one is a path or ``data:<name>``, a document
 shipped inside the package.  A relative path inside a document resolves
 against that document's directory.  ``load_doc`` is the one reader, ``field``
-checks the type of a field it read and ``items`` the types of an array
-field's items, ``mult_row`` checks the shape of an ``[x, y, value]`` product
-row and ``symmetrize`` is the one parser of a table of them.
+checks the type of a field it read, ``items`` the types of an array field's
+items and ``pairs`` that they are pairs of names, ``mult_row`` checks the
+shape of an ``[x, y, value]`` product row and ``symmetrize`` is the one
+parser of a table of them.
 """
 
 import json
@@ -73,6 +74,17 @@ def items(doc, key, kind, default=_REQUIRED):
         if not isinstance(item, kind):
             raise ValueError("items of field %r must be %s, got %r"
                              % (key, _name_kinds(kind), item))
+    return value
+
+
+def pairs(doc, key, default=_REQUIRED):
+    """items(doc, key, list, default), each of whose items must be a pair
+    of strings, else a ValueError names the field and the item."""
+    value = items(doc, key, list, default)
+    for item in value:
+        if len(item) != 2 or not all(isinstance(v, str) for v in item):
+            raise ValueError("items of field %r must be pairs of strings, "
+                             "got %r" % (key, item))
     return value
 
 

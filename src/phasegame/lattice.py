@@ -4,7 +4,7 @@ Order is the reflexive-transitive closure of the covers, computed once at
 construction and cached as bitmasks.  All operations are pure; a Lattice is
 immutable after __init__.
 """
-from .data import items, load_doc
+from .data import field, items, load_doc, pairs
 from .errors import (
     ForeignElement,
     NotALattice,
@@ -49,12 +49,13 @@ class Lattice:
                     up[i] = acc
                     changed = True
         self._up = up
-
-        for i in range(n):
-            for j in range(n):
-                if i != j and (up[i] >> j) & 1 and (up[j] >> i) & 1:
-                    raise NotAPartialOrder(
-                        "cycle through %r and %r" % (self.elements[i], self.elements[j]))
+        # i and j reach each other exactly when their up-sets are equal
+        by_up = {m: k for k, m in enumerate(up)}
+        if len(by_up) < n:
+            i, j = next((i, j) for i in range(n) for j in range(n)
+                        if i != j and up[i] == up[j])
+            raise NotAPartialOrder(
+                "cycle through %r and %r" % (self.elements[i], self.elements[j]))
 
         bot, topi = self._index[bottom], self._index[top]
         full = (1 << n) - 1
@@ -63,30 +64,34 @@ class Lattice:
         if any(not (up[i] >> topi) & 1 for i in range(n)):
             raise UnboundedLattice("declared top %r is not above every element" % (top,))
 
-        # join/meet tables; uniqueness of lub/glb is the lattice test
-        self._join = [[0] * n for _ in range(n)]
-        self._meet = [[0] * n for _ in range(n)]
         down = [0] * n
         for i in range(n):
             for j in range(n):
                 if (up[j] >> i) & 1:
                     down[i] |= 1 << j
         self._down = down
+        self._by_down = by_down = {m: k for k, m in enumerate(down)}
+        # each element after its lower covers, for scans that fold upwards
+        self._lower = [[] for _ in range(n)]
+        for lo, hi in enumerate(succ):
+            for h in hi:
+                self._lower[h].append(lo)
+        self._upward = sorted(range(n), key=lambda k: down[k].bit_count())
+        # join/meet tables: the join of i and j is the k whose up-set is the
+        # common up-set, if there is one; meets dually.  A pair j < i was
+        # found in row j, so each row raises at its first pair j >= i.
+        self._join, self._meet = [], []
         for i in range(n):
-            for j in range(i, n):
-                ub = up[i] & up[j]
-                # least element of ub: the k in ub whose up-set contains all of ub
-                lub = [k for k in range(n) if (ub >> k) & 1 and (ub & ~up[k]) == 0]
-                lb = down[i] & down[j]
-                glb = [k for k in range(n) if (lb >> k) & 1 and (lb & ~down[k]) == 0]
-                if len(lub) != 1:
-                    raise NotALattice("no unique join for %r, %r"
-                                      % (self.elements[i], self.elements[j]))
-                if len(glb) != 1:
-                    raise NotALattice("no unique meet for %r, %r"
-                                      % (self.elements[i], self.elements[j]))
-                self._join[i][j] = self._join[j][i] = lub[0]
-                self._meet[i][j] = self._meet[j][i] = glb[0]
+            joins = [by_up.get(up[i] & u) for u in up]
+            meets = [by_down.get(down[i] & d) for d in down]
+            if None in joins or None in meets:
+                j = next(j for j in range(i, n)
+                         if joins[j] is None or meets[j] is None)
+                raise NotALattice("no unique %s for %r, %r" % (
+                    "join" if joins[j] is None else "meet",
+                    self.elements[i], self.elements[j]))
+            self._join.append(joins)
+            self._meet.append(meets)
         self._distributive = None
 
     def idx(self, x):
@@ -119,48 +124,58 @@ class Lattice:
         return self.elements[self._meet[self.idx(x)][self.idx(y)]]
 
     def is_distributive(self):
+        # row-wise: i /\ (j \/ k) == (i /\ j) \/ (i /\ k) for every k at once
         if self._distributive is None:
-            n = len(self.elements)
-            self._distributive = True
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if self._meet[i][self._join[j][k]] != \
-                                self._join[self._meet[i][j]][self._meet[i][k]]:
-                            self._distributive = False
-                            break
-                    if not self._distributive:
-                        break
-                if not self._distributive:
-                    break
+            join = self._join
+            self._distributive = all(
+                list(map(mi.__getitem__, join[j]))
+                == list(map(join[mij].__getitem__, mi))
+                for mi in self._meet for j, mij in enumerate(mi))
         return self._distributive
 
-    def residual(self, products, y):
-        """(join, closed): the join of the witnesses, the z whose product
-        products[z] (listed in element order) is at or below y, and whether
-        that join is itself a witness.
+    def residual(self, row, targets):
+        """[(star, closed)] for each target index t, where row lists the
+        indices of some products in element order: star indexes the join of
+        the witnesses, the z with row[z] at or below t, and closed says
+        whether star is itself a witness.
 
-        When products is the row of some x, a closed join is the largest z
-        with x.z <= y: the residual of y by x.  Bottom when no z is a witness.
+        When row is the product row of some x, a closed star is the largest
+        z with x.z <= t: the residual of t by x.  Bottom when no z is a
+        witness.  The witnesses of t, as a bitmask, are those whose product
+        is t plus the witnesses of each lower cover of t.  When they form a
+        principal down-set its top is their join, else (products need not be
+        monotone) the join is folded.
         """
-        index, join = self._index, self._join
-        ks = [index[p] for p in products]
-        below = self._down[self.idx(y)]
-        acc = index[self.bottom]
-        for z, k in enumerate(ks):
-            if below >> k & 1:
-                acc = join[acc][z]
-        return self.elements[acc], below >> ks[acc] & 1 == 1
+        witnesses = [0] * len(row)
+        for z, p in enumerate(row):
+            witnesses[p] |= 1 << z
+        lower = self._lower
+        for t in self._upward:
+            for s in lower[t]:
+                witnesses[t] |= witnesses[s]
+        by_down, join = self._by_down, self._join
+        bottom = self._index[self.bottom]
+        out = []
+        for t in targets:
+            w = witnesses[t]
+            star = by_down.get(w)
+            if star is None:
+                star, rest = bottom, w
+                while rest:
+                    low = rest & -rest
+                    star = join[star][low.bit_length() - 1]
+                    rest ^= low
+            out.append((star, w >> star & 1 == 1))
+        return out
 
     def heyting_implies(self, a, b):
         """Relative pseudo-complement: join of all c with a /\\ c <= b."""
         if not self.is_distributive():
             raise NotHeyting("lattice is not distributive")
-        star, closed = self.residual(
-            [self.elements[k] for k in self._meet[self.idx(a)]], b)
+        [(star, closed)] = self.residual(self._meet[self.idx(a)], [self.idx(b)])
         if not closed:
             raise NotHeyting("residuation fails at (%r, %r)" % (a, b))
-        return star
+        return self.elements[star]
 
     def heyting_neg(self, a):
         return self.heyting_implies(a, self.bottom)
@@ -184,8 +199,8 @@ def lattice_from_doc(doc, base_dir=None):
         if key not in doc:
             raise NotALattice("lattice document missing %r" % (key,))
     return Lattice(items(doc, "elements", str),
-                   [tuple(c) for c in items(doc, "covers", list)],
-                   doc["bottom"], doc["top"],
+                   [tuple(c) for c in pairs(doc, "covers")],
+                   field(doc, "bottom", str), field(doc, "top", str),
                    items(doc, "generators", str, []))
 
 

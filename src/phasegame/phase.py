@@ -13,8 +13,9 @@ residuation dual(X) = lin_implies(X, falsum) when that join is closed.
 
 import warnings
 from itertools import islice
+from operator import itemgetter
 
-from .data import field, load_doc, symmetrize
+from .data import field, items, load_doc, pairs, symmetrize
 from .errors import (
     DualLawViolation,
     ForeignElement,
@@ -33,35 +34,52 @@ class NonFactWarning(UserWarning):
 
 
 class PhaseStructure:
-    """Immutable bundle of lattice, product, unit, falsum and dual table."""
+    """Immutable bundle of lattice, product, unit, falsum and dual table.
+
+    The product and the duals are held once, as element indices: rows[i][j]
+    indexes e_i.e_j and dual[i] the dual of e_i.  Element names appear only
+    in the arguments and results of the methods.
+    """
 
     def __init__(self, lattice, mult, unit, falsum, dual_table,
                  unit_mode="weak", op_class=None, cl_class=None):
+        """mult maps each pair (x, y) of elements to their product and
+        dual_table each element to its dual; both are interned here."""
+        idx = lattice.idx
+        self._adopt(lattice, _product_rows(lattice, mult),
+                    tuple(idx(dual_table[x]) for x in lattice.elements),
+                    unit, falsum, unit_mode, op_class, cl_class)
+
+    def _adopt(self, lattice, rows, dual, unit, falsum, unit_mode, op_class,
+               cl_class):
         self.lattice = lattice
-        self._mult = dict(mult)
+        self._rows = rows
+        self._dual = dual
         self.unit = unit
         self.falsum = falsum
-        self._dual = dict(dual_table)
         self.unit_mode = unit_mode
         self.op_class = list(op_class) if op_class is not None else None
         self.cl_class = list(cl_class) if cl_class is not None else None
+        return self
 
     def mult(self, x, y):
+        index = self.lattice._index
         try:
-            return self._mult[(x, y)]
+            return self.lattice.elements[self._rows[index[x]][index[y]]]
         except KeyError:
-            if x not in self.lattice or y not in self.lattice:
-                raise ForeignElement("%r, %r" % (x, y))
-            raise
+            raise ForeignElement("%r, %r" % (x, y)) from None
 
     def dual(self, x):
-        return self._dual[x]
+        return self.lattice.elements[self._dual[self.lattice._index[x]]]
 
     def is_fact(self, x):
-        return self._dual[self._dual[x]] == x
+        i = self.lattice._index[x]
+        return self._dual[self._dual[i]] == i
 
     def facts(self):
-        return [x for x in self.lattice.elements if self.is_fact(x)]
+        dual = self._dual
+        return [x for i, x in enumerate(self.lattice.elements)
+                if dual[dual[i]] == i]
 
     # connectives -----------------------------------------------------
 
@@ -69,17 +87,17 @@ class PhaseStructure:
         """Product of x and y; mode 'fact_closed' applies double dual."""
         v = self.mult(x, y)
         if mode == "fact_closed":
-            return self._dual[self._dual[v]]
+            return self.dual(self.dual(v))
         if mode != "raw":
             raise ValueError("mode must be 'raw' or 'fact_closed'")
         return v
 
     def par(self, x, y):
-        return self._dual[self.mult(self._dual[x], self._dual[y])]
+        return self.dual(self.mult(self.dual(x), self.dual(y)))
 
     def impl(self, x, y):
         """Implication as the dual of x times dual y."""
-        return self._dual[self.mult(x, self._dual[y])]
+        return self.dual(self.mult(x, self.dual(y)))
 
     def additive_conj(self, x, y):
         self._warn_non_fact("additive_conj", x, y)
@@ -88,7 +106,7 @@ class PhaseStructure:
     def additive_disj(self, x, y):
         self._warn_non_fact("additive_disj", x, y)
         j = self.lattice.join2(x, y)
-        return self._dual[self._dual[j]]
+        return self.dual(self.dual(j))
 
     def _warn_non_fact(self, op, *xs):
         for x in xs:
@@ -102,88 +120,136 @@ class PhaseStructure:
         Raises NotClosed when the join of all witnesses fails the bound, in
         which case the residual does not exist in this structure.
         """
-        star, closed = self.lattice.residual(
-            [self._mult[(x, z)] for z in self.lattice.elements], y)
+        lat = self.lattice
+        [(star, closed)] = lat.residual(self._rows[lat.idx(x)], [lat.idx(y)])
         if not closed:
             raise NotClosed(
                 "lin_implies(%r, %r): join %r of witnesses is not a witness"
-                % (x, y, star))
-        return star
+                % (x, y, lat.elements[star]))
+        return lat.elements[star]
 
 
-def _check_totality(lattice, mult):
-    for x in lattice.elements:
-        for y in lattice.elements:
-            if (x, y) not in mult:
-                raise NotCommutative("product undefined at (%r, %r)" % (x, y))
+def _product_rows(lattice, mult):
+    """The name-keyed product table mult as index rows; NotCommutative at
+    the first pair it leaves undefined."""
+    els, index = lattice.elements, lattice._index
+    rows = []
+    for x in els:
+        try:
+            rows.append(tuple([index[mult[x, y]] for y in els]))
+        except KeyError:
+            for y in els:
+                if (x, y) not in mult:
+                    raise NotCommutative(
+                        "product undefined at (%r, %r)" % (x, y)) from None
+                lattice.idx(mult[x, y])
+    return tuple(rows)
 
 
-def _derive_duals(lattice, mult, falsum, overrides):
-    dual = {}
-    for x in lattice.elements:
+def _derive_duals(lattice, rows, falsum, overrides):
+    """Index duals: an override where the name-keyed overrides give one,
+    else the residual of falsum (an index) by each element."""
+    els = lattice.elements
+    dual = []
+    for x, row in zip(els, rows):
         if x in overrides:
             if overrides[x] not in lattice:
                 raise ForeignElement(repr(overrides[x]))
-            dual[x] = overrides[x]
+            dual.append(lattice.idx(overrides[x]))
             continue
-        star, closed = lattice.residual(
-            [mult[(x, z)] for z in lattice.elements], falsum)
+        [(star, closed)] = lattice.residual(row, [falsum])
         if not closed:
             raise NotClosed(
                 "dual of %r is not expressible: join %r of witnesses fails "
-                "mult(%r, %r) <= %r; add a dual override" % (x, star, x, star, falsum))
-        dual[x] = star
-    return dual
+                "mult(%r, %r) <= %r; add a dual override"
+                % (x, els[star], x, els[star], els[falsum]))
+        dual.append(star)
+    return tuple(dual)
 
 
 # laws -----------------------------------------------------------------
+#
+# Every law reads the index tables.  A law over pairs or triples first
+# compares whole rows, each built in one C call, and scans single instances
+# only in the rows that differ, so its witnesses come out in the order a
+# scan of every instance would give them.
 
 _RESIDUAL_LAW = "residual_matches_dual_product"
 _DUAL_LAWS = ("triple_dual", "double_dual_extensive",
               "contradiction_below_falsum", "dual_of_join_is_meet_of_duals")
 
 
-def _laws(lattice, mult, unit, falsum, dual=None):
+def _commutative(els, rows):
+    for x, (row, col) in enumerate(zip(rows, zip(*rows))):
+        if row != col:
+            for y in range(len(els)):
+                if row[y] != col[y]:
+                    yield els[x], els[y]
+
+
+def _associative(els, rows):
+    # (xy)z == x(yz) for every z: the row of xy against row_x taken at the
+    # entries of row_y (with one element, the getter returns a bare index,
+    # so the single instance is scanned)
+    getters = [itemgetter(*row_y) for row_y in rows]
+    for x, row_x in enumerate(rows):
+        for y, xy in enumerate(row_x):
+            row_y, row_xy = rows[y], rows[xy]
+            if getters[y](row_x) != row_xy:
+                for z in range(len(els)):
+                    if row_xy[z] != row_x[row_y[z]]:
+                        yield els[x], els[y], els[z]
+
+
+def _dual_of_join(lattice, dual):
+    # dual(x \/ y) == dual(x) /\ dual(y) for every y
+    els = lattice.elements
+    get = dual.__getitem__
+    for x, join_x in enumerate(lattice._join):
+        meet_dx = lattice._meet[dual[x]]
+        if list(map(get, join_x)) != list(map(meet_dx.__getitem__, dual)):
+            for y in range(len(els)):
+                if dual[join_x[y]] != meet_dx[dual[y]]:
+                    yield els[x], els[y]
+
+
+def _laws(lattice, rows, unit, falsum, dual=None):
     """Yield (name, witnesses, instances) for each law, in a fixed order.
 
+    rows, unit, falsum and dual are element indices; witnesses are names.
     witnesses lazily yields the failing instances, so a caller that stops
     at the first pays only for the scan up to it.  Without a dual table only
     the product laws are listed.
     """
     els = lattice.elements
     n = len(els)
-    yield ("commutative",
-           ((x, y) for x in els for y in els
-            if mult.get((x, y)) != mult.get((y, x))),
-           n * n)
-    yield ("associative",
-           ((x, y, z) for x in els for y in els for xy in [mult[(x, y)]]
-            for z in els if mult[(xy, z)] != mult[(x, mult[(y, z)])]),
-           n ** 3)
-    yield ("unit_identity", (x for x in els if mult[(unit, x)] != x), n)
+    span = range(n)
+    yield ("commutative", _commutative(els, rows), n * n)
+    yield ("associative", _associative(els, rows), n ** 3)
+    yield ("unit_identity",
+           (els[x] for x in span if rows[unit][x] != x), n)
     if dual is None:
         return
+    up = lattice._up
     yield ("triple_dual",
-           (x for x in els if dual[dual[dual[x]]] != dual[x]), n)
+           (els[x] for x in span if dual[dual[dual[x]]] != dual[x]), n)
     yield ("double_dual_extensive",
-           (x for x in els if not lattice.leq(x, dual[dual[x]])), n)
+           (els[x] for x in span if not up[x] >> dual[dual[x]] & 1), n)
     yield ("contradiction_below_falsum",
-           (x for x in els if not lattice.leq(mult[(x, dual[x])], falsum)), n)
-    yield ("dual_of_join_is_meet_of_duals",
-           ((x, y) for x in els for y in els
-            if dual[lattice.join2(x, y)] != lattice.meet2(dual[x], dual[y])),
+           (els[x] for x in span if not up[rows[x][dual[x]]] >> falsum & 1),
+           n)
+    yield ("dual_of_join_is_meet_of_duals", _dual_of_join(lattice, dual),
            n * n)
     # only pairs whose residual towards dual(y) exists are instances, so
     # this law is scanned in full before it is listed
     checked, witnesses = 0, []
-    for x in els:
-        row = [mult[(x, z)] for z in els]
-        for y in els:
-            star, closed = lattice.residual(row, dual[y])
+    for x, row in enumerate(rows):
+        for y, (star, closed) in enumerate(lattice.residual(row, dual)):
             if closed:
                 checked += 1
-                if star != dual[mult[(x, y)]]:
-                    witnesses.append((x, y, star, dual[mult[(x, y)]]))
+                want = dual[row[y]]
+                if star != want:
+                    witnesses.append((els[x], els[y], els[star], els[want]))
     yield (_RESIDUAL_LAW, iter(witnesses), checked)
 
 
@@ -219,11 +285,11 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     if lattice is None:
         lattice = lattice_from_doc(field(doc, "lattice", (str, dict)),
                                    base_dir)
-    mult = symmetrize(lattice, field(doc, "mult", list))
-    _check_totality(lattice, mult)
+    rows = _product_rows(lattice,
+                         symmetrize(lattice, field(doc, "mult", list)))
 
-    unit = doc["unit"]
-    falsum = doc["falsum"]
+    unit = field(doc, "unit", str)
+    falsum = field(doc, "falsum", str)
     for el in (unit, falsum):
         if el not in lattice:
             raise ForeignElement(repr(el))
@@ -233,6 +299,7 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
         raise ValueError("unit_mode must be 'weak' or 'strict'")
     if checks not in ("full", "relaxed"):
         raise ValueError("checks must be 'full' or 'relaxed'")
+    unit_i, falsum_i = lattice.idx(unit), lattice.idx(falsum)
 
     if validate:
         product_gates = {}
@@ -240,18 +307,21 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
             product_gates["associative"] = NotAssociative
         if unit_mode == "strict":
             product_gates["unit_identity"] = UnitNotNeutral
-        _enforce(_laws(lattice, mult, unit, falsum), product_gates)
+        _enforce(_laws(lattice, rows, unit_i, falsum_i), product_gates)
 
-    overrides = {x: d for x, d in doc.get("dual_overrides", [])}
-    dual = _derive_duals(lattice, mult, falsum, overrides)
+    overrides = dict(pairs(doc, "dual_overrides", []))
+    dual = _derive_duals(lattice, rows, falsum_i, overrides)
     if validate and checks == "full":
         err = OverrideInconsistent if overrides else DualLawViolation
-        _enforce(_laws(lattice, mult, unit, falsum, dual),
+        _enforce(_laws(lattice, rows, unit_i, falsum_i, dual),
                  dict.fromkeys(_DUAL_LAWS, err))
 
-    return PhaseStructure(
-        lattice, mult, unit, falsum, dual, unit_mode=unit_mode,
-        op_class=doc.get("op_class"), cl_class=doc.get("cl_class"))
+    op_class, cl_class = [None if doc.get(key) is None
+                          else items(doc, key, str)
+                          for key in ("op_class", "cl_class")]
+    # the tables are interned already, so __init__ is not run again
+    return PhaseStructure.__new__(PhaseStructure)._adopt(
+        lattice, rows, dual, unit, falsum, unit_mode, op_class, cl_class)
 
 
 def load_phase(path, lattice=None, validate=True):
@@ -270,10 +340,11 @@ def verify_laws(ps):
     structures produce a report with failing entries and witnesses instead.
     Pairs with no residual are skipped by the residual law, not failed.
     """
-    n = len(ps.lattice.elements)
+    lat = ps.lattice
+    n = len(lat.elements)
     laws = []
-    for name, witnesses, instances in _laws(ps.lattice, ps._mult, ps.unit,
-                                            ps.falsum, ps._dual):
+    for name, witnesses, instances in _laws(lat, ps._rows, lat.idx(ps.unit),
+                                            lat.idx(ps.falsum), ps._dual):
         if name == "unit_identity" and ps.unit_mode != "strict":
             laws.append({"law": name, "status": "skipped", "checked": 0,
                          "skipped": instances, "witnesses": []})

@@ -333,7 +333,29 @@ MALFORMED = [
     ("lattice_cover_number",
      _edited("goal_lattice.json", lambda d: d.update(covers=[5]),
              VERIFY_LATTICE), 2),
-]
+    ("lattice_cover_short",
+     _edited("goal_lattice.json", lambda d: d.update(covers=[["a"]]),
+             VERIFY_LATTICE), 2),
+    ("lattice_bottom_array",
+     _edited("goal_lattice.json", lambda d: d.update(bottom=[1]),
+             VERIFY_LATTICE), 2),
+    ("lattice_top_array",
+     _edited("goal_lattice.json", lambda d: d.update(top=[1]),
+             VERIFY_LATTICE), 2),
+] + [
+    ("phase_%s" % case,
+     _edited("goal_phase.json",
+             lambda d, edit=edit: d.update(edit,
+                                           lattice="data:goal_lattice.json"),
+             VERIFY_PHASE), 2)
+    for case, edit in [
+        ("unit_array", {"unit": [1]}),
+        ("falsum_array", {"falsum": [1]}),
+        ("dual_overrides_number", {"dual_overrides": 5}),
+        ("dual_override_short", {"dual_overrides": [["a"]]}),
+        ("op_class_number", {"op_class": 5}),
+        ("cl_class_number", {"cl_class": 5}),
+    ]]
 
 # the field or row each error message must name
 NAMED = {
@@ -350,6 +372,18 @@ NAMED = {
                              "got 1",
     "lattice_elements_number": "'elements' must be an array, got 5",
     "lattice_cover_number": "items of field 'covers' must be an array, got 5",
+    "lattice_cover_short": "items of field 'covers' must be pairs of "
+                           "strings, got ['a']",
+    "lattice_bottom_array": "'bottom' must be a string, got [1]",
+    "lattice_top_array": "'top' must be a string, got [1]",
+    "phase_unit_array": "'unit' must be a string, got [1]",
+    "phase_falsum_array": "'falsum' must be a string, got [1]",
+    "phase_dual_overrides_number": "'dual_overrides' must be an array, "
+                                   "got 5",
+    "phase_dual_override_short": "items of field 'dual_overrides' must be "
+                                 "pairs of strings, got ['a']",
+    "phase_op_class_number": "'op_class' must be an array, got 5",
+    "phase_cl_class_number": "'cl_class' must be an array, got 5",
 }
 
 

@@ -88,7 +88,7 @@ def test_relocated_documents_load_like_shipped_ones(relocated):
     ps = load_phase(str(relocated / "goal_phase.json"))
     shipped = load_phase("data:goal_phase.json")
     assert ps.lattice.elements == shipped.lattice.elements
-    assert (ps._mult, ps._dual) == (shipped._mult, shipped._dual)
+    assert (ps._rows, ps._dual) == (shipped._rows, shipped._dual)
 
     sols = solve_table("../docs/goal_phase_candidates.json")
     shipped = solve_table("data:goal_phase_candidates.json")

@@ -212,6 +212,19 @@ def test_totality_enforced():
         phase_from_doc(doc)
 
 
+def test_hand_built_table_is_checked_at_construction():
+    lat = chain(3)
+    duals = {x: x for x in lat.elements}
+    table = {(x, y): "0" for x in lat.elements for y in lat.elements}
+    del table[("1", "2")], table[("2", "0")]
+    with pytest.raises(NotCommutative,
+                       match=r"product undefined at \('1', '2'\)"):
+        PhaseStructure(lat, table, "2", "0", duals)
+    table[("1", "2")] = table[("2", "0")] = "7"
+    with pytest.raises(ForeignElement, match="'7'"):
+        PhaseStructure(lat, table, "2", "0", duals)
+
+
 def test_associativity_enforced():
     doc = phase_doc()
     doc["mult"] = [e if (e[0], e[1]) != ("e", "e") else ["e", "e", "a"]
@@ -263,9 +276,12 @@ def test_unit_mode_and_checks_validated():
 
 def test_declared_class_mismatch_detected(goal_phase):
     from phasegame.errors import NotClosedClass
-    ps = PhaseStructure(goal_phase.lattice, goal_phase._mult,
+    els = goal_phase.lattice.elements
+    ps = PhaseStructure(goal_phase.lattice,
+                        {(x, y): goal_phase.mult(x, y)
+                         for x in els for y in els},
                         goal_phase.unit, goal_phase.falsum,
-                        goal_phase._dual,
+                        {x: goal_phase.dual(x) for x in els},
                         op_class=["0"], cl_class=["1"])
     with pytest.raises(NotClosedClass):
         classify(ps)
@@ -273,7 +289,8 @@ def test_declared_class_mismatch_detected(goal_phase):
 
 def test_load_runs_no_residual_scan(monkeypatch):
     # every dual of the goal phase is an override, so loading needs no
-    # residual at all; the audit computes one per pair
+    # residual at all; the audit computes one per pair, in one call per
+    # element that asks for its residual towards every dual
     calls = []
     residual = Lattice.residual
 
@@ -285,7 +302,9 @@ def test_load_runs_no_residual_scan(monkeypatch):
     ps = phase_from_doc(phase_doc())
     assert calls == []
     verify_laws(ps)
-    assert len(calls) == len(ps.lattice.elements) ** 2
+    n = len(ps.lattice.elements)
+    assert len(calls) == n
+    assert sum(len(targets) for _, targets in calls) == n * n
 
 
 def test_verify_laws_caps_witnesses():
