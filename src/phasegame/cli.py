@@ -1,8 +1,9 @@
 """Command line front end.
 
 Verbs: verify, solve, eval, simulate, oracle, facts.  Exit codes follow a
-fixed contract: 0 success, 1 domain failure (a law or search failed), 2
-usage or parse failure.
+fixed contract: 0 success; 2 usage or parse failure (a UsageError, even one
+that is also a PhasegameError, or an OSError); 1 any other domain failure
+(a PhasegameError).  Any other exception is a defect and propagates.
 """
 
 import argparse
@@ -10,15 +11,14 @@ import json
 import os
 import sys
 
-from .data import field, load_doc, stem
+from .data import fields, load_doc, stem
 from .dot import trace_to_dot
 from .errors import (
-    ExprSyntaxError,
     NoSolution,
     CapExceeded,
     NotClosedClass,
     PhasegameError,
-    SizeExceeded,
+    UsageError,
 )
 from .expr import eval_expr
 from .lattice import load_lattice
@@ -88,8 +88,7 @@ def _write_text(path, text):
 def _need(args, attr, flag):
     value = getattr(args, attr, None)
     if value is None:
-        print("error: %s requires %s" % (args.verb, flag), file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError("%s requires %s" % (args.verb, flag))
     return value
 
 
@@ -114,8 +113,7 @@ def _positive(text):
 
 def cmd_verify(args):
     if args.lattice is None and args.phase is None:
-        print("error: verify needs --lattice and/or --phase", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError("verify needs --lattice and/or --phase")
     report = Report("verify")
 
     lattice = None
@@ -191,8 +189,7 @@ def cmd_eval(args):
     phase = _need(args, "phase", "--phase")
     text = " ".join(args.expr).strip()
     if not text:
-        print("error: eval needs an expression", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError("eval needs an expression")
     ps = load_phase(phase)
     value = eval_expr(ps, text)
     print(value)
@@ -246,9 +243,8 @@ def cmd_simulate(args):
 
 def cmd_oracle(args):
     doc, _ = load_doc(args.monoid)
-    elements, mult, unit = monoid_from_doc(doc)
-    audit = oracle_report(elements, mult, unit,
-                          frozenset(field(doc, "falsum_subset", list)))
+    pole = frozenset(fields(doc, "oracle")["falsum_subset"])
+    audit = oracle_report(*monoid_from_doc(doc), pole)
     report = Report("oracle")
     for law in audit["laws"]:
         detail = "%d checked" % law["checked"]
@@ -354,18 +350,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    except (ExprSyntaxError, SizeExceeded) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, FileNotFoundError, IsADirectoryError,
-            KeyError, ValueError) as exc:
+    except (UsageError, OSError, PhasegameError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 2
-    except PhasegameError as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (UsageError, OSError)) else 1
 
 
 if __name__ == "__main__":

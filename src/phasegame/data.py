@@ -1,19 +1,17 @@
 """The document boundary: reading JSON documents and their references.
 
 Lattices, phase structures, candidate tables, scenarios and monoids are
-JSON objects.  A reference to one is a path or ``data:<name>``, a document
-shipped inside the package.  A relative path inside a document resolves
-against that document's directory.  ``load_doc`` is the one reader, ``field``
-checks the type of a field it read, ``items`` the types of an array field's
-items and ``pairs`` that they are pairs of names, ``mult_row`` checks the
-shape of an ``[x, y, value]`` product row and ``symmetrize`` is the one
-parser of a table of them.
+JSON objects, named by a path or ``data:<name>`` (a document shipped in the
+package); a relative path inside a document resolves against its directory.
+``load_doc`` is the one reader, ``SCHEMAS`` the one definition of each kind,
+``fields`` the one checker and ``symmetrize`` the one product-row parser.
 """
 
 import json
 import os
+from collections import namedtuple
 
-from .errors import ForeignElement, NotCommutative
+from .errors import ForeignElement, NotCommutative, UsageError
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -43,54 +41,13 @@ def load_doc(path_or_doc, base_dir=None):
         return path_or_doc, base_dir
     path = resolve_path(path_or_doc, base_dir)
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise UsageError("%s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
-        raise ValueError("%s: top level is not a JSON object" % path)
+        raise UsageError("%s: top level is not a JSON object" % path)
     return doc, os.path.dirname(os.path.abspath(path))
-
-
-_KINDS = {list: "an array", dict: "an object", str: "a string"}
-_REQUIRED = object()
-
-
-def field(doc, key, kind, default=_REQUIRED):
-    """doc[key], or default when the key is absent and a default is given.
-
-    The value must be an instance of kind (a type or a tuple of types), else
-    a ValueError names the field.
-    """
-    value = doc[key] if default is _REQUIRED else doc.get(key, default)
-    if not isinstance(value, kind):
-        raise ValueError("field %r must be %s, got %r"
-                         % (key, _name_kinds(kind), value))
-    return value
-
-
-def items(doc, key, kind, default=_REQUIRED):
-    """field(doc, key, list, default), each of whose items must be an
-    instance of kind, else a ValueError names the field."""
-    value = field(doc, key, list, default)
-    for item in value:
-        if not isinstance(item, kind):
-            raise ValueError("items of field %r must be %s, got %r"
-                             % (key, _name_kinds(kind), item))
-    return value
-
-
-def pairs(doc, key, default=_REQUIRED):
-    """items(doc, key, list, default), each of whose items must be a pair
-    of strings, else a ValueError names the field and the item."""
-    value = items(doc, key, list, default)
-    for item in value:
-        if len(item) != 2 or not all(isinstance(v, str) for v in item):
-            raise ValueError("items of field %r must be pairs of strings, "
-                             "got %r" % (key, item))
-    return value
-
-
-def _name_kinds(kind):
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    return " or ".join(_KINDS[k] for k in kinds)
 
 
 def stem(ref):
@@ -98,34 +55,117 @@ def stem(ref):
     return os.path.splitext(os.path.basename(resolve_path(ref)))[0]
 
 
-def mult_row(row):
-    """An [x, y, value] product row; ValueError naming it otherwise."""
-    if not isinstance(row, (list, tuple)) or len(row) != 3:
-        raise ValueError("mult row %r is not an [x, y, value] triple"
-                         % (row,))
-    return row
+# document schemas -------------------------------------------------------
+
+REQUIRED = object()
+
+# A field's JSON type; the type of an array's items, or the kind of
+# document (SCHEMAS) or row (ROWS) each item is; an array's length; and an
+# absent field's value, unless REQUIRED (a None default also allows null).
+Field = namedtuple("Field", "type item arity default",
+                   defaults=(None, None, REQUIRED))
+
+# each kind of document: its fields, in the order they are checked
+SCHEMAS = {
+    "lattice": {"elements": Field(list, str), "covers": Field(list, "pair"),
+                "bottom": Field(str), "top": Field(str),
+                "generators": Field(list, str, default=())},
+    "phase": {"lattice": Field((str, dict)), "mult": Field(list, "product"),
+              "unit": Field(str), "falsum": Field(str),
+              "unit_mode": Field(str, default="weak"),
+              "checks": Field(str, default="full"),
+              "dual_overrides": Field(list, "pair", default=()),
+              "op_class": Field(list, str, default=None),
+              "cl_class": Field(list, str, default=None)},
+    "constraint": {"sum": Field(list, "pair"), "equals": Field(str)},
+    "scenario": {"name": Field(str, default="scenario"),
+                 "grid": Field(list, str), "start": Field(list, int, 2),
+                 "horizon": Field(int), "goal_phase": Field((str, dict)),
+                 "objects": Field(list, "object", default=()),
+                 "free_move_goal": Field(str)},
+    "object": {"id": Field(str), "cell": Field(list, int, 2),
+               "features": Field(list, str), "goal": Field(str),
+               "attractiveness": Field((int, float), default=0)},
+    "monoid": {"elements": Field(list, str), "mult": Field(list, "product"),
+               "unit": Field(str)},
+}
+SCHEMAS["candidates"] = dict(
+    SCHEMAS["phase"], linked_constraints=Field(list, "constraint", default=()))
+SCHEMAS["oracle"] = dict(SCHEMAS["monoid"], falsum_subset=Field(list, str))
+
+# the values a string field may take, where they are fixed
+ENUMS = {"unit_mode": ("weak", "strict"), "checks": ("full", "relaxed")}
+
+# each kind of row: the types its entries may have, in order (an array
+# entry lists names, as a product's candidates do), and the message for a
+# row that does not fit
+ROWS = {"pair": ({(str, str)}, "items of field {0!r} must be pairs of "
+                 "strings, got {1!r}"),
+        "product": ({(str, str, str), (str, str, list)},
+                    "{0} row {1!r} is not an [x, y, value] triple")}
+
+_KINDS = {list: "an array", dict: "an object", str: "a string",
+          int: "an integer", (int, float): "a number",
+          (str, dict): "a string or an object"}
 
 
-def symmetrize(carrier, rows):
-    """Product table of [x, y, value] rows, each fixing both orders of its
-    pair, with every name in carrier (a lattice or an element set).
+def fields(doc, kind, given=()):
+    """The fields of doc, a document of this kind, checked against
+    SCHEMAS[kind] into a new dict: absent fields take their defaults and
+    items of a nested kind are checked in turn.  Fields in given are the
+    caller's and are skipped.  The first bad field raises UsageError
+    naming it; doc is not changed."""
+    out = {}
+    for key, (types, item, arity, default) in SCHEMAS[kind].items():
+        if key in given:
+            continue
+        value = out[key] = doc.get(key, default)
+        if value is REQUIRED:
+            raise UsageError("%s document has no field %r" % (kind, key))
+        if value is default:
+            continue
+        if not isinstance(value, types):
+            raise UsageError("field %r must be %s, got %r"
+                             % (key, _KINDS[types], value))
+        if key in ENUMS and value not in ENUMS[key]:
+            raise UsageError("field %r must be %s, got %r" % (
+                key, " or ".join(map(repr, ENUMS[key])), value))
+        if arity is not None and len(value) != arity:
+            raise UsageError("field %r must have %d items, got %r"
+                             % (key, arity, value))
+        if item is None:
+            continue
+        entries, message = ROWS.get(item, (None, None))
+        want = list if entries else dict if item in SCHEMAS else item
+        for v in value:
+            if not isinstance(v, want):
+                raise UsageError("items of field %r must be %s, got %r"
+                                 % (key, _KINDS[want], v))
+            if entries and (tuple(map(type, v)) not in entries
+                            or type(v[-1]) is list
+                            and not all(isinstance(n, str) for n in v[-1])):
+                raise UsageError(message.format(key, v))
+        if item in SCHEMAS:
+            out[key] = [fields(v, item) for v in value]
+    return out
 
-    The first bad row raises: ValueError for a wrong shape, ForeignElement
-    for a name outside carrier, NotCommutative for a conflicting pair.
-    """
+
+def symmetrize(names, rows):
+    """Product table of checked [x, y, value] rows, each fixing both orders
+    of its pair, with every name in names (a set, dict or lattice).  The
+    first bad row raises: UsageError for a row listing candidates,
+    ForeignElement for a foreign name, NotCommutative for a conflict."""
     table = {}
     for row in rows:
-        x, y, v = mult_row(row)
+        x, y, v = row
         if isinstance(v, list):
-            raise ValueError(
+            raise UsageError(
                 "entry %r lists candidates; resolve it with the solver first"
                 % (row,))
-        for el in row:
-            if el not in carrier:
-                raise ForeignElement(repr(el))
+        if x not in names or y not in names or v not in names:
+            raise ForeignElement(repr(next(e for e in row if e not in names)))
         for key in ((x, y), (y, x)):
-            if table.get(key, v) != v:
+            if table.setdefault(key, v) != v:
                 raise NotCommutative("conflicting entries at %r: %r vs %r"
                                      % (key, table[key], v))
-            table[key] = v
     return table

@@ -5,6 +5,10 @@ class PhasegameError(Exception):
     """Base class for all domain errors."""
 
 
+class UsageError(ValueError):
+    """Malformed input; not a PhasegameError, so domain handlers miss it."""
+
+
 # lattice loading / queries
 
 class NotAPartialOrder(PhasegameError):
@@ -49,7 +53,7 @@ class UnitNotNeutral(PhasegameError):
     """Strict-unit mode only: the unit row is not the identity."""
 
 
-class ExprSyntaxError(PhasegameError):
+class ExprSyntaxError(UsageError, PhasegameError):
     """Malformed connective expression."""
 
 
@@ -105,5 +109,5 @@ class HorizonEmpty(PhasegameError):
     pass
 
 
-class SizeExceeded(PhasegameError):
+class SizeExceeded(UsageError, PhasegameError):
     pass

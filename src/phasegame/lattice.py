@@ -4,7 +4,7 @@ Order is the reflexive-transitive closure of the covers, computed once at
 construction and cached as bitmasks.  All operations are pure; a Lattice is
 immutable after __init__.
 """
-from .data import field, items, load_doc, pairs
+from .data import fields, load_doc
 from .errors import (
     ForeignElement,
     NotALattice,
@@ -12,6 +12,7 @@ from .errors import (
     NotHeyting,
     SizeExceeded,
     UnboundedLattice,
+    UsageError,
 )
 
 
@@ -194,14 +195,7 @@ class Lattice:
 def lattice_from_doc(doc, base_dir=None):
     """Build a Lattice from a document, or from a reference to one resolved
     against base_dir (the directory of the document that names it)."""
-    doc, _ = load_doc(doc, base_dir)
-    for key in ("elements", "covers", "bottom", "top"):
-        if key not in doc:
-            raise NotALattice("lattice document missing %r" % (key,))
-    return Lattice(items(doc, "elements", str),
-                   [tuple(c) for c in pairs(doc, "covers")],
-                   field(doc, "bottom", str), field(doc, "top", str),
-                   items(doc, "generators", str, []))
+    return Lattice(**fields(load_doc(doc, base_dir)[0], "lattice"))
 
 
 def load_lattice(path):
@@ -222,10 +216,10 @@ def check_universe(universe):
     if len(universe) > 20:
         raise SizeExceeded("universe of %d members" % len(universe))
     if len(set(universe)) != len(universe):
-        raise ValueError("duplicate universe members")
+        raise UsageError("duplicate universe members")
     for u in universe:
         if not u or "," in u:
-            raise ValueError(
+            raise UsageError(
                 "universe members must be nonempty and contain no commas")
 
 

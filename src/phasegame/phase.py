@@ -15,7 +15,7 @@ import warnings
 from itertools import islice
 from operator import itemgetter
 
-from .data import field, items, load_doc, pairs, symmetrize
+from .data import fields, load_doc, symmetrize
 from .errors import (
     DualLawViolation,
     ForeignElement,
@@ -282,23 +282,16 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     verify_laws.
     """
     doc, base_dir = load_doc(doc, base_dir)
+    f = fields(doc, "phase", given=() if lattice is None else ("lattice",))
     if lattice is None:
-        lattice = lattice_from_doc(field(doc, "lattice", (str, dict)),
-                                   base_dir)
-    rows = _product_rows(lattice,
-                         symmetrize(lattice, field(doc, "mult", list)))
+        lattice = lattice_from_doc(f["lattice"], base_dir)
+    rows = _product_rows(lattice, symmetrize(lattice._index, f["mult"]))
 
-    unit = field(doc, "unit", str)
-    falsum = field(doc, "falsum", str)
+    unit, falsum = f["unit"], f["falsum"]
     for el in (unit, falsum):
         if el not in lattice:
             raise ForeignElement(repr(el))
-    unit_mode = doc.get("unit_mode", "weak")
-    checks = doc.get("checks", "full")
-    if unit_mode not in ("weak", "strict"):
-        raise ValueError("unit_mode must be 'weak' or 'strict'")
-    if checks not in ("full", "relaxed"):
-        raise ValueError("checks must be 'full' or 'relaxed'")
+    unit_mode, checks = f["unit_mode"], f["checks"]
     unit_i, falsum_i = lattice.idx(unit), lattice.idx(falsum)
 
     if validate:
@@ -309,19 +302,17 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
             product_gates["unit_identity"] = UnitNotNeutral
         _enforce(_laws(lattice, rows, unit_i, falsum_i), product_gates)
 
-    overrides = dict(pairs(doc, "dual_overrides", []))
+    overrides = dict(f["dual_overrides"])
     dual = _derive_duals(lattice, rows, falsum_i, overrides)
     if validate and checks == "full":
         err = OverrideInconsistent if overrides else DualLawViolation
         _enforce(_laws(lattice, rows, unit_i, falsum_i, dual),
                  dict.fromkeys(_DUAL_LAWS, err))
 
-    op_class, cl_class = [None if doc.get(key) is None
-                          else items(doc, key, str)
-                          for key in ("op_class", "cl_class")]
     # the tables are interned already, so __init__ is not run again
     return PhaseStructure.__new__(PhaseStructure)._adopt(
-        lattice, rows, dual, unit, falsum, unit_mode, op_class, cl_class)
+        lattice, rows, dual, unit, falsum, unit_mode, f["op_class"],
+        f["cl_class"])
 
 
 def load_phase(path, lattice=None, validate=True):

@@ -16,7 +16,7 @@ import random
 from collections import deque
 from itertools import combinations
 
-from .data import field, items, load_doc, stem
+from .data import fields, load_doc, stem
 from .errors import BadGrid, HorizonEmpty, UnknownGoalElement
 from .games import Game, PayoffGame
 from .lattice import PowersetLattice, check_universe
@@ -24,9 +24,9 @@ from .phase import phase_from_doc
 
 
 class SceneObject:
-    def __init__(self, oid, cell, features, goal, attractiveness=0):
-        self.id = oid
-        self.cell = cell
+    def __init__(self, id, cell, features, goal, attractiveness=0):
+        self.id = id
+        self.cell = tuple(cell)
         self.features = tuple(features)
         self.goal = goal
         self.attractiveness = attractiveness
@@ -47,6 +47,7 @@ class Scenario:
         self.free_move_goal = free_move_goal
         self.name = name
         self.universe = sorted({f for o in objects for f in o.features})
+        check_universe(self.universe)
 
     def neighbors(self, cell):
         x, y = cell
@@ -62,11 +63,11 @@ class Scenario:
 
 def load_scenario(path_or_doc):
     doc, base_dir = load_doc(path_or_doc)
-    name = (stem(path_or_doc) if isinstance(path_or_doc, str)
-            else doc.get("name", "scenario"))
+    f = fields(doc, "scenario")
+    name = stem(path_or_doc) if isinstance(path_or_doc, str) else f["name"]
 
-    rows = field(doc, "grid", list)
-    if not rows or not all(isinstance(r, str) for r in rows):
+    rows = f["grid"]
+    if not rows:
         raise BadGrid("grid must be a nonempty list of row strings")
     width = len(rows[0])
     if width == 0 or any(len(r) != width for r in rows):
@@ -79,41 +80,35 @@ def load_scenario(path_or_doc):
             elif ch != "#":
                 raise BadGrid("unknown grid character %r" % ch)
 
-    start = tuple(field(doc, "start", list))
+    start = tuple(f["start"])
     if start not in passable:
         raise BadGrid("start %r is not a passable cell" % (start,))
-    horizon = doc["horizon"]
-    if isinstance(horizon, bool) or not isinstance(horizon, int) \
-            or horizon < 0:
+    horizon = f["horizon"]
+    if isinstance(horizon, bool) or horizon < 0:
         raise BadGrid("horizon must be a nonnegative integer")
 
-    phase = phase_from_doc(field(doc, "goal_phase", (str, dict)),
-                           base_dir=base_dir)
+    phase = phase_from_doc(f["goal_phase"], base_dir=base_dir)
     lattice = phase.lattice
     generators = lattice.generators if lattice.generators else list(
         lattice.elements)
 
     objects = []
     seen_goals = set()
-    for od in items(doc, "objects", dict, []):
-        cell = tuple(field(od, "cell", list))
-        if cell not in passable:
+    for obj in (SceneObject(**od) for od in f["objects"]):
+        if obj.cell not in passable:
             raise BadGrid("object %r sits on cell %r outside the grid"
-                          % (od["id"], cell))
-        goal = od["goal"]
-        if goal not in generators:
+                          % (obj.id, obj.cell))
+        if obj.goal not in generators:
             raise UnknownGoalElement(
                 "goal %r of object %r is not a declared generator"
-                % (goal, od["id"]))
-        if goal in seen_goals:
+                % (obj.goal, obj.id))
+        if obj.goal in seen_goals:
             raise UnknownGoalElement(
-                "two objects share the goal element %r" % (goal,))
-        seen_goals.add(goal)
-        objects.append(SceneObject(od["id"], cell,
-                                   items(od, "features", str), goal,
-                                   od.get("attractiveness", 0)))
+                "two objects share the goal element %r" % (obj.goal,))
+        seen_goals.add(obj.goal)
+        objects.append(obj)
 
-    free_move_goal = doc["free_move_goal"]
+    free_move_goal = f["free_move_goal"]
     if free_move_goal not in lattice:
         raise UnknownGoalElement("free_move_goal %r not in the goal lattice"
                                  % (free_move_goal,))
@@ -287,7 +282,6 @@ class CompoundGame:
         pos = tuple(sc.start if position is None else position)
         if not sc.neighbors(pos) and len(sc.passable) > 1:
             raise HorizonEmpty("no legal move from %r" % (pos,))
-        check_universe(sc.universe)
         if mode not in ("practical", "strict"):
             raise ValueError("mode must be 'practical' or 'strict'")
         images = images or {}

@@ -8,7 +8,7 @@ associativity instances that become decidable after each assignment, and
 keeps only completions whose finished table passes the full law audit.
 """
 
-from .data import field, load_doc, mult_row, resolve_path
+from .data import fields, load_doc, resolve_path, symmetrize
 from .errors import (
     CapExceeded,
     ForeignElement,
@@ -33,45 +33,34 @@ def solve_table(doc_or_path, max_solutions=None):
     found so far) when more than max_solutions survive.
     """
     doc, base_dir = load_doc(doc_or_path)
-    lattice = lattice_from_doc(field(doc, "lattice", (str, dict)), base_dir)
+    f = fields(doc, "candidates")
+    lattice = lattice_from_doc(f["lattice"], base_dir)
 
-    fixed = {}
+    # the fixed rows parse as a phase table does; a fixed entry closes the
+    # slot a candidate row would open
+    table = symmetrize(lattice, [row for row in f["mult"]
+                                 if not isinstance(row[2], list)])
     open_slots = {}
-    for entry in field(doc, "mult", list):
-        x, y, v = mult_row(entry)
-        if x not in lattice or y not in lattice:
-            raise ForeignElement("%r, %r" % (x, y))
-        key = _canon(lattice, x, y)
-        if isinstance(v, list):
-            cands = list(dict.fromkeys(v))
+    for x, y, cands in f["mult"]:
+        if isinstance(cands, list):
+            key = _canon(lattice, x, y)
+            cands = list(dict.fromkeys(cands))
             for c in cands:
                 if c not in lattice:
                     raise ForeignElement(repr(c))
-            if key in open_slots and open_slots[key] != cands:
-                raise NotCommutative("conflicting candidate lists at %r" % (key,))
+            if open_slots.get(key, cands) != cands:
+                raise NotCommutative("conflicting candidate lists at %r"
+                                     % (key,))
             open_slots[key] = cands
-        else:
-            if v not in lattice:
-                raise ForeignElement(repr(v))
-            if fixed.get(key, v) != v:
-                raise NotCommutative("conflicting entries at %r" % (key,))
-            fixed[key] = v
-    for key in fixed:
-        open_slots.pop(key, None)
 
     constraints = []
-    for c in doc.get("linked_constraints", []):
+    for c in f["linked_constraints"]:
         pairs = [_canon(lattice, x, y) for x, y in c["sum"]]
         constraints.append((pairs, c["equals"]))
 
-    slots = sorted(open_slots)
+    slots = sorted(k for k in open_slots if k not in table)
     cand_lists = [open_slots[k] for k in slots]
-    full_checks = doc.get("checks", "full") == "full"
-
-    table = {}
-    for (x, y), v in fixed.items():
-        table[(x, y)] = v
-        table[(y, x)] = v
+    full_checks = f["checks"] == "full"
 
     els = lattice.elements
     solutions = []
@@ -108,8 +97,8 @@ def solve_table(doc_or_path, max_solutions=None):
                       key=lambda k: (lattice.idx(k[0]), lattice.idx(k[1])))
         out = dict(doc)
         out["mult"] = [[x, y, table[(x, y)]] for x, y in keys]
-        if base_dir is not None and isinstance(out.get("lattice"), str):
-            out["lattice"] = resolve_path(out["lattice"], base_dir)
+        if base_dir is not None and isinstance(f["lattice"], str):
+            out["lattice"] = resolve_path(f["lattice"], base_dir)
         return out
 
     def accept():

@@ -10,7 +10,7 @@ exponential in the monoid.
 
 from itertools import product
 
-from .data import field, symmetrize
+from .data import fields, symmetrize
 from .errors import ForeignElement, NotAssociative, NotCommutative, SizeExceeded
 
 MAX_MONOID = 6
@@ -35,14 +35,14 @@ class SubsetPhase:
         self.mult = dict(mult)
         for x in elements:
             for y in elements:
-                if self.mult[(x, y)] not in elements:
+                if self.mult.get((x, y)) not in elements:
                     raise ForeignElement("product out of carrier")
                 if self.mult[(x, y)] != self.mult[(y, x)]:
                     raise NotCommutative("at (%r, %r)" % (x, y))
         for x, y, z in _associativity_failures(elements, self.mult):
             raise NotAssociative("at (%r, %r, %r)" % (x, y, z))
         for x in elements:
-            if self.mult[(unit, x)] != x:
+            if self.mult.get((unit, x)) != x:
                 raise NotAssociative("unit is not neutral at %r" % (x,))
         self.pole = frozenset(pole)
         if not self.pole <= frozenset(elements):
@@ -83,15 +83,12 @@ class SubsetPhase:
 
 
 def monoid_from_doc(doc):
-    """Elements, symmetric product table and unit of a monoid document.
-
-    The rows are parsed by data.symmetrize over the element set, so a
-    foreign name raises ForeignElement and two rows that disagree on a pair
-    raise NotCommutative.
-    """
-    elements = field(doc, "elements", list)
-    return (elements, symmetrize(set(elements), field(doc, "mult", list)),
-            doc["unit"])
+    """Elements, symmetric product table and unit of a monoid document;
+    data.symmetrize raises ForeignElement for a name outside the elements
+    and NotCommutative for two rows that disagree on a pair."""
+    f = fields(doc, "monoid")
+    return (f["elements"], symmetrize(set(f["elements"]), f["mult"]),
+            f["unit"])
 
 
 def oracle_report(elements, mult, unit, pole):

@@ -1,11 +1,12 @@
 import json
+import re
 import shutil
 import subprocess
 
 import pytest
 
 from phasegame.cli import main
-from phasegame.data import data_path
+from phasegame.data import ENUMS, REQUIRED, ROWS, SCHEMAS, data_path
 from phasegame.phase import phase_from_doc, verify_laws
 
 
@@ -269,9 +270,33 @@ def _edited(name, edit, verb_argv):
     return make
 
 
+def _raw(content):
+    """verify --phase reading a file of the given bytes."""
+    def make(tmp_path):
+        path = tmp_path / "raw.json"
+        path.write_bytes(content)
+        return ["verify", "--phase", str(path)]
+    return make
+
+
+def _object(**edit):
+    return lambda doc: doc["objects"][0].update(edit)
+
+
+def _drop(*keys):
+    """An edit deleting the field at the end of the path keys."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
 SIMULATE = ["simulate", "{0}", "--out-dir", "{1}"]
 VERIFY_PHASE = ["verify", "--phase", "{0}"]
 VERIFY_LATTICE = ["verify", "--lattice", "{0}"]
+SOLVE = ["solve", "{0}", "--out-dir", "{1}"]
+ORACLE = ["oracle", "{0}"]
 
 
 def _short_candidate_row(doc):
@@ -342,7 +367,49 @@ MALFORMED = [
     ("lattice_top_array",
      _edited("goal_lattice.json", lambda d: d.update(top=[1]),
              VERIFY_LATTICE), 2),
+    ("object_id_array",
+     _edited("tiny_scenario.json", _object(id=[1]), SIMULATE), 2),
+    ("free_move_goal_array",
+     _edited("tiny_scenario.json", lambda d: d.update(free_move_goal=[1]),
+             SIMULATE), 2),
+    ("object_attractiveness_string",
+     _edited("four_goals_scenario.json", _object(attractiveness="x"),
+             SIMULATE), 2),
+    ("object_cell_nested",
+     _edited("tiny_scenario.json", _object(cell=[[0], [0]]), SIMULATE), 2),
+    ("linked_constraints_number",
+     _edited("goal_phase_candidates.json",
+             lambda d: d.update(linked_constraints=5), SOLVE), 2),
+    ("monoid_unit_array",
+     _edited("z3_monoid.json", lambda d: d.update(unit=[1]), ORACLE), 2),
+    ("falsum_subset_nested",
+     _edited("z3_monoid.json", lambda d: d.update(falsum_subset=[["0"]]),
+             ORACLE), 2),
+    ("constraint_sum_short",
+     _edited("goal_phase_candidates.json",
+             lambda d: d["linked_constraints"][0].update(sum=[["0"]]),
+             SOLVE), 2),
+    ("binary_file", _raw(b"\xff\xfe{"), 2),
+    ("deep_arrays", _raw(b"[" * 3000 + b"]" * 3000), 2),
+    # a one-cell scenario builds no compound game, so nothing else would
+    # catch a feature that cannot name a subset
+    ("tiny_feature_comma",
+     _edited("tiny_scenario.json", _object(features=["a,b"]), SIMULATE), 2),
+    ("tiny_feature_empty",
+     _edited("tiny_scenario.json", _object(features=[""]), SIMULATE), 2),
 ] + [
+    ("no_%s" % "_".join(map(str, keys)), _edited(name, _drop(*keys), verb), 2)
+    for name, keys, verb in [
+        ("tiny_scenario.json", ["horizon"], SIMULATE),
+        ("tiny_scenario.json", ["free_move_goal"], SIMULATE),
+        ("tiny_scenario.json", ["objects", 0, "id"], SIMULATE),
+        ("tiny_scenario.json", ["objects", 0, "goal"], SIMULATE),
+        ("goal_phase_candidates.json", ["linked_constraints", 0, "sum"],
+         SOLVE),
+        ("goal_phase_candidates.json", ["lattice"], SOLVE),
+        ("z3_monoid.json", ["unit"], ORACLE),
+        ("z3_monoid.json", ["falsum_subset"], ORACLE),
+    ]] + [
     ("phase_%s" % case,
      _edited("goal_phase.json",
              lambda d, edit=edit: d.update(edit,
@@ -384,6 +451,33 @@ NAMED = {
                                  "pairs of strings, got ['a']",
     "phase_op_class_number": "'op_class' must be an array, got 5",
     "phase_cl_class_number": "'cl_class' must be an array, got 5",
+    "object_id_array": "field 'id' must be a string, got [1]",
+    "free_move_goal_array": "field 'free_move_goal' must be a string, "
+                            "got [1]",
+    "object_attractiveness_string": "field 'attractiveness' must be a "
+                                    "number, got 'x'",
+    "object_cell_nested": "items of field 'cell' must be an integer, got [0]",
+    "linked_constraints_number": "field 'linked_constraints' must be an "
+                                 "array, got 5",
+    "monoid_unit_array": "field 'unit' must be a string, got [1]",
+    "falsum_subset_nested": "items of field 'falsum_subset' must be a "
+                            "string, got ['0']",
+    "constraint_sum_short": "items of field 'sum' must be pairs of strings, "
+                            "got ['0']",
+    "binary_file": "raw.json: 'utf-8' codec can't decode byte 0xff",
+    "deep_arrays": "raw.json: maximum recursion depth exceeded",
+    "tiny_feature_comma": "universe members must be nonempty and contain "
+                          "no commas",
+    "tiny_feature_empty": "universe members must be nonempty and contain "
+                          "no commas",
+    "no_horizon": "scenario document has no field 'horizon'",
+    "no_free_move_goal": "scenario document has no field 'free_move_goal'",
+    "no_objects_0_id": "object document has no field 'id'",
+    "no_objects_0_goal": "object document has no field 'goal'",
+    "no_linked_constraints_0_sum": "constraint document has no field 'sum'",
+    "no_lattice": "candidates document has no field 'lattice'",
+    "no_unit": "oracle document has no field 'unit'",
+    "no_falsum_subset": "oracle document has no field 'falsum_subset'",
 }
 
 
@@ -396,10 +490,85 @@ def test_malformed_input_keeps_exit_code(tmp_path, capsys, case, make_argv,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if str(tmp_path / "array.json") in argv:
-        assert "ValueError: %s: top level is not a JSON object" % (
+        assert "UsageError: %s: top level is not a JSON object" % (
             tmp_path / "array.json") in err
     if case in NAMED:
-        assert "ValueError: " in err and NAMED[case] in err
+        assert "UsageError: " in err and NAMED[case] in err
+
+
+def test_defect_inside_a_verb_is_not_a_usage_error(monkeypatch):
+    # only malformed input exits 2: an internal KeyError stays a defect
+    def broken(ps):
+        raise KeyError("defect")
+    monkeypatch.setattr("phasegame.cli.verify_laws", broken)
+    with pytest.raises(KeyError, match="defect"):
+        main(["verify", "--phase", "data:goal_phase.json"])
+
+
+# the schema tables are the contract --------------------------------------
+
+# each kind of document: a shipped document holding one, the path from its
+# top level down to it, and the verb that reads it
+OWNERS = {
+    "lattice": ("goal_lattice.json", (), VERIFY_LATTICE),
+    "phase": ("goal_phase.json", (), VERIFY_PHASE),
+    "candidates": ("goal_phase_candidates.json", (), SOLVE),
+    "constraint": ("goal_phase_candidates.json", ("linked_constraints", 0),
+                   SOLVE),
+    "scenario": ("tiny_scenario.json", (), SIMULATE),
+    "object": ("tiny_scenario.json", ("objects", 0), SIMULATE),
+    "monoid": ("z3_monoid.json", (), ORACLE),
+    "oracle": ("z3_monoid.json", (), ORACLE),
+}
+_MISSING = object()
+
+
+def _contract_cases():
+    """(kind, field, edit of the field's shipped value) for every field of
+    every kind: drop it if required, give it each wrong JSON type, a value
+    outside its enum, a wrong-typed first item and a short tuple."""
+    for kind, table in SCHEMAS.items():
+        for key, (types, item, arity, default) in table.items():
+            edits = {}
+            if default is REQUIRED:
+                edits["missing"] = lambda v: _MISSING
+            for wrong in ["x", 5, [], {}] + [None] * (default is not None):
+                if not isinstance(wrong, types):
+                    edits["type_%s" % type(wrong).__name__] = \
+                        lambda v, wrong=wrong: wrong
+            if key in ENUMS:
+                edits["enum"] = lambda v: "x"
+            if item is not None:
+                bad = "x" if item is int else 5
+                edits["item"] = lambda v, bad=bad: [bad] + v[1:]
+            if arity is not None:
+                edits["short"] = lambda v: v[:-1]
+            if item in ROWS:
+                edits["short_row"] = lambda v: [v[0][:-1]] + v[1:]
+            for name, edit in edits.items():
+                yield pytest.param(kind, key, edit,
+                                   id="%s.%s-%s" % (kind, key, name))
+
+
+@pytest.mark.parametrize("kind,key,edit", list(_contract_cases()))
+def test_schema_contract(tmp_path, capsys, kind, key, edit):
+    name, where, verb = OWNERS[kind]
+
+    def change(doc):
+        if doc.get("lattice") == "goal_lattice.json":
+            doc["lattice"] = "data:goal_lattice.json"
+        for step in where:
+            doc = doc[step]
+        value = edit(doc[key])
+        if value is _MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
+
+    assert main(_edited(name, change, verb)(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(r"\b%s\b" % key, err), err
 
 
 # flags a verb does not read are usage errors ----------------------------

@@ -12,6 +12,7 @@ from phasegame.errors import (
     NotHeyting,
     SizeExceeded,
     UnboundedLattice,
+    UsageError,
 )
 from phasegame.lattice import (
     Lattice,
@@ -111,7 +112,7 @@ def test_doc_round_trip(tmp_path):
            "bottom": "0", "top": "1"}
     lat = lattice_from_doc(doc)
     assert lat.leq("0", "1")
-    with pytest.raises(NotALattice):
+    with pytest.raises(UsageError):
         lattice_from_doc({"elements": ["0"]})
     path = tmp_path / "l.json"
     path.write_text('{"elements": ["0"], "covers": [], '
