@@ -6,6 +6,8 @@ value to every vertex; a strategy wins when every maximal play it allows
 ends strictly above bottom.  Tensor is the product graph, the dual flips
 edge ownership, and implication is tensor of the dual with the consequent,
 with payoffs combined by meet and by Heyting implication respectively.
+Any object with a root and moves(v, pol) is a game too: Dual, Tensor and
+implication compose such implicit games lazily, and walk lists any game.
 """
 
 from collections import deque
@@ -19,6 +21,25 @@ from .errors import (
     NotHeyting,
 )
 _POLS = ("O", "P")
+_FLIP = {"O": "P", "P": "O"}
+
+
+def walk(game):
+    """The vertices reachable from the root of a game, in breadth-first
+    order, and the edges (v, w, pol) leaving them.  Equal vertices are one
+    shared object, the first one reached."""
+    seen = {game.root: game.root}
+    order = [game.root]
+    edges = []
+    for v in order:
+        for pol in _POLS:
+            for w in game.moves(v, pol):
+                u = seen.get(w)
+                if u is None:
+                    u = seen[w] = w
+                    order.append(w)
+                edges.append((v, u, pol))
+    return order, edges
 
 
 class Game:
@@ -31,7 +52,7 @@ class Game:
             raise ForeignElement("root %r is not a vertex" % (root,))
         self.root = root
         self.edges = []
-        self.out = {v: [] for v in self.vertices}
+        self._out = {v: [] for v in self.vertices}
         for frm, to, pol in edges:
             if frm not in vset or to not in vset:
                 raise ForeignElement("edge (%r, %r) leaves the vertex set"
@@ -39,21 +60,14 @@ class Game:
             if pol not in _POLS:
                 raise ValueError("edge polarity must be 'O' or 'P'")
             self.edges.append((frm, to, pol))
-            self.out[frm].append((to, pol))
-        seen = {root}
-        todo = deque([root])
-        while todo:
-            v = todo.popleft()
-            for w, _ in self.out[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
+            self._out[frm].append((to, pol))
+        seen = set(walk(self)[0])
         if seen != vset:
             raise ValueError("unreachable vertices: %r" % (sorted(
                 v for v in self.vertices if v not in seen),))
 
     def moves(self, v, pol):
-        return [w for w, p in self.out[v] if p == pol]
+        return [w for w, p in self._out[v] if p == pol]
 
     def __repr__(self):
         return "Game(%d vertices, %d edges)" % (len(self.vertices),
@@ -76,10 +90,56 @@ class PayoffGame:
         self.k = dict(k)
 
 
+class Dual:
+    """A game with the owner of every move swapped."""
+
+    def __init__(self, game):
+        self.game = game
+        self.root = game.root
+
+    def moves(self, v, pol):
+        return self.game.moves(v, _FLIP[pol])
+
+
+class Tensor:
+    """The product of two games: a move of either factor changes its
+    coordinate and leaves the other one in place."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.root = (a.root, b.root)
+
+    def moves(self, v, pol):
+        u, w = v
+        return ([(x, w) for x in self.a.moves(u, pol)]
+                + [(u, y) for y in self.b.moves(w, pol)])
+
+
+def implication(a, b):
+    return Tensor(Dual(a), b)
+
+
+class Memo:
+    """A game whose moves are computed once per (vertex, polarity), equal
+    successors shared as one object; callers must not change the lists."""
+
+    def __init__(self, game):
+        self.game = game
+        self.root = game.root
+        self._moves = {}
+        self._shared = {self.root: self.root}
+
+    def moves(self, v, pol):
+        out = self._moves.get((v, pol))
+        if out is None:
+            out = self._moves[v, pol] = [self._shared.setdefault(w, w)
+                                         for w in self.game.moves(v, pol)]
+        return out
+
+
 def dual_game(game):
-    flip = {"O": "P", "P": "O"}
     return Game(game.vertices, game.root,
-                [(f, t, flip[p]) for f, t, p in game.edges])
+                [(f, t, _FLIP[p]) for f, t, p in game.edges])
 
 
 def dual_payoff_game(pg, mode="negate"):
@@ -96,59 +156,37 @@ def dual_payoff_game(pg, mode="negate"):
 
 
 def tensor_game(a, b):
-    vertices = [(u, v) for u in a.vertices for v in b.vertices]
-    root = (a.root, b.root)
-    edges = []
-    for f, t, p in a.edges:
-        for v in b.vertices:
-            edges.append(((f, v), (t, v), p))
-    for u in a.vertices:
-        for f, t, p in b.edges:
-            edges.append(((u, f), (u, t), p))
-    # the product of two rooted graphs can strand pairs; keep the reachable part
-    out = {v: [] for v in vertices}
-    for f, t, p in edges:
-        out[f].append((t, p))
-    seen = {root}
-    todo = deque([root])
-    while todo:
-        v = todo.popleft()
-        for w, _ in out[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    if len(seen) == len(vertices):
-        return Game(vertices, root, edges)
-    kept = [v for v in vertices if v in seen]
-    return Game(kept, root,
-                [(f, t, p) for f, t, p in edges if f in seen and t in seen])
+    """Tensor listed in the order of the factors' listings, keeping only
+    the pairs reachable from the root and the edges leaving them."""
+    seen = set(walk(Tensor(a, b))[0])
+    return Game([(u, v) for u in a.vertices for v in b.vertices
+                 if (u, v) in seen], (a.root, b.root),
+                [((f, v), (t, v), p) for f, t, p in a.edges
+                 for v in b.vertices if (f, v) in seen]
+                + [((u, f), (u, t), p) for u in a.vertices
+                   for f, t, p in b.edges if (u, f) in seen])
 
 
 def implication_game(a, b):
     return tensor_game(dual_game(a), b)
 
 
-def _same_lattice(la, lb):
-    return la is lb or la.elements == lb.elements
+def _payoff_product(pa, pb, product, combine):
+    if pa.lattice is not pb.lattice \
+            and pa.lattice.elements != pb.lattice.elements:
+        raise LatticeMismatch("payoff lattices differ")
+    g = product(pa.game, pb.game)
+    return PayoffGame(g, pa.lattice, {(u, v): combine(pa.k[u], pb.k[v])
+                                      for (u, v) in g.vertices})
 
 
 def payoff_tensor(pa, pb):
-    if not _same_lattice(pa.lattice, pb.lattice):
-        raise LatticeMismatch("payoff lattices differ")
-    g = tensor_game(pa.game, pb.game)
-    lat = pa.lattice
-    k = {(u, v): lat.meet2(pa.k[u], pb.k[v]) for (u, v) in g.vertices}
-    return PayoffGame(g, lat, k)
+    return _payoff_product(pa, pb, tensor_game, pa.lattice.meet2)
 
 
 def payoff_implication(pa, pb):
-    if not _same_lattice(pa.lattice, pb.lattice):
-        raise LatticeMismatch("payoff lattices differ")
-    g = implication_game(pa.game, pb.game)
-    lat = pa.lattice
-    k = {(u, v): lat.heyting_implies(pa.k[u], pb.k[v])
-         for (u, v) in g.vertices}
-    return PayoffGame(g, lat, k)
+    return _payoff_product(pa, pb, implication_game,
+                           pa.lattice.heyting_implies)
 
 
 class Strategy:
@@ -164,11 +202,7 @@ class Strategy:
         validate_strategy(self)
 
     def response(self):
-        resp = {}
-        for p in self.plays:
-            if len(p) >= 3:
-                resp[p[:-1]] = p[-1]
-        return resp
+        return {p[:-1]: p[-1] for p in self.plays if len(p) >= 3}
 
 
 def validate_strategy(strategy):
@@ -189,12 +223,9 @@ def validate_strategy(strategy):
             raise InvalidStrategy("prefix of %r missing" % (p,))
     resp = {}
     for p in plays:
-        if len(p) >= 3:
-            key = p[:-1]
-            if resp.setdefault(key, p[-1]) != p[-1]:
-                raise InvalidStrategy(
-                    "two responses after %r: %r and %r"
-                    % (key, resp[key], p[-1]))
+        if len(p) >= 3 and resp.setdefault(p[:-1], p[-1]) != p[-1]:
+            raise InvalidStrategy("two responses after %r: %r and %r"
+                                  % (p[:-1], resp[p[:-1]], p[-1]))
     return True
 
 
@@ -238,15 +269,9 @@ def copycat(game):
         p = queue.popleft()
         if len(p) > cap:
             raise InteractionOverflow("mirror play exceeds bound")
-        u, v = p[-1]
-        for (w, pol) in impl.out[(u, v)]:
-            if pol != "O":
-                continue
-            wu, wv = w
-            if wv == v:
-                mirror = (wu, wu)
-            else:
-                mirror = (wv, wv)
+        v = p[-1][1]
+        for w in impl.moves(p[-1], "O"):
+            mirror = (w[0], w[0]) if w[1] == v else (w[1], w[1])
             if mirror not in impl.moves(w, "P"):
                 continue
             q = p + (w, mirror)
@@ -286,9 +311,7 @@ def compose_strategies(game_x, game_y, game_z, sigma, tau):
             raise InteractionOverflow("composite play exceeds bound")
         x, z = cp[-1]
         _, y_s = sp[-1]
-        for (w, pol) in impl_xz.out[(x, z)]:
-            if pol != "O":
-                continue
+        for w in impl_xz.moves((x, z), "O"):
             wx, wz = w
             if wx != x:
                 side, sq, tq = "s", sp + ((wx, y_s),), tp
@@ -314,8 +337,7 @@ def compose_strategies(game_x, game_y, game_z, sigma, tau):
                         queue.append((nq, sq, tq))
                         break
                     # answered in Y: forward to tau as an O-move
-                    y_t, z_t = tq[-1]
-                    tq = tq + ((ry, z_t),)
+                    tq = tq + ((ry, tq[-1][1]),)
                     side = "t"
                 else:
                     r = resp_t.get(tq)
@@ -328,8 +350,7 @@ def compose_strategies(game_x, game_y, game_z, sigma, tau):
                         plays.add(nq)
                         queue.append((nq, sq, tq))
                         break
-                    x_s, y_s2 = sq[-1]
-                    sq = sq + ((x_s, ry),)
+                    sq = sq + ((sq[-1][0], ry),)
                     side = "s"
     return Strategy(impl_xz, plays)
 

@@ -3,22 +3,22 @@
 The system (Opponent) explores a grid under a visibility horizon.  Each
 object carries an ordered feature list; visibility reveals a distance-scaled
 prefix of it, so images of objects accumulate monotonically as the system
-moves.  Discovered goals are ranked through the goal phase structure, the
-preferred goal set is turned into a compound game (movement game implying
-the tensor of per-goal reveal chains), and a play maximizing the
-lattice-valued objective is chosen.  When the cells within the horizon
-cannot grow the joined images of the active goals the set shrinks, until a
-single goal saturates.
+moves.  Discovered goals are ranked through the goal phase structure, and
+the preferred goal set becomes a compound game composed from the implicit
+games of games.py: the movement game implying the tensor of per-goal reveal
+chains.  A play maximizing the lattice-valued objective is chosen.  When the
+cells within the horizon cannot grow the joined images of the active goals
+the set shrinks, until a single goal saturates.
 """
 
 import json
 import random
-from collections import deque
+from functools import reduce
 from itertools import combinations
 
 from .data import fields, load_doc, stem
-from .errors import BadGrid, HorizonEmpty, UnknownGoalElement
-from .games import Game, PayoffGame
+from .errors import BadGrid, HorizonEmpty, UnknownGoalElement, UsageError
+from .games import Game, Memo, PayoffGame, Tensor, implication, walk
 from .lattice import PowersetLattice, check_universe
 from .phase import phase_from_doc
 
@@ -95,6 +95,8 @@ def load_scenario(path_or_doc):
     objects = []
     seen_goals = set()
     for obj in (SceneObject(**od) for od in f["objects"]):
+        if any(o.id == obj.id for o in objects):
+            raise UsageError("two objects share the id %r" % (obj.id,))
         if obj.cell not in passable:
             raise BadGrid("object %r sits on cell %r outside the grid"
                           % (obj.id, obj.cell))
@@ -237,20 +239,6 @@ def select_goal_sets(sc, discovered, must_include=None, max_size=None):
 
 # compound game ---------------------------------------------------------
 
-def _ball(sc, pos, radius):
-    seen = {pos: 0}
-    todo = deque([pos])
-    while todo:
-        c = todo.popleft()
-        if seen[c] == radius:
-            continue
-        for n in sc.neighbors(c):
-            if n not in seen:
-                seen[n] = seen[c] + 1
-                todo.append(n)
-    return seen
-
-
 def _mask(bits, features):
     out = 0
     for f in features:
@@ -258,18 +246,39 @@ def _mask(bits, features):
     return out
 
 
-class CompoundGame:
-    """Movement game implying the tensor of per-goal reveal chains, given by
-    its moves and payoffs instead of built.
+class _Movement:
+    """The system's movement game from pos: Opponent steps to a neighbour
+    at even ticks and Proponent ticks at odd ones, for radius rounds."""
 
-    A vertex is ((cell, tick), chains).  The movement game alternates a
-    system step inside the horizon with a reveal tick, for horizon-many
-    rounds; implication dualizes it, so Proponent steps at even ticks and
-    Opponent ticks at odd ones.  Each goal contributes a chain of vertices
-    (goal id, revealed count) through its feature list, advanced by
-    Opponent, and chains nests them as tensor_game pairs its factors:
-    (g1, j1), then ((g1, j1), (g2, j2)), and so on.  Every move advances the
-    tick or one count, so a vertex sits at depth tick + sum of counts.
+    def __init__(self, sc, pos, radius):
+        self.sc = sc
+        self.root = (pos, 0)
+        self._last_tick = 2 * radius
+
+    def moves(self, v, pol):
+        cell, t = v
+        if t >= self._last_tick or t % 2 != (pol == "P"):
+            return []
+        if pol == "O":
+            return [(n, t + 1) for n in self.sc.neighbors(cell)]
+        return [(cell, t + 1)]
+
+
+def _ball(sc, pos, radius):
+    """The cells within radius steps of pos."""
+    return {cell for cell, _ in walk(_Movement(sc, pos, radius))[0]}
+
+
+class CompoundGame:
+    """The implicit game implication(movement, Memo(tensor of per-goal
+    reveal chains)), given by its moves and payoffs instead of built.
+
+    A vertex is ((cell, tick), chains): implication dualizes the movement
+    game, so Proponent steps at even ticks and Opponent ticks at odd ones.
+    A goal's chain runs through (goal id, revealed count), advanced by
+    Opponent; tensoring left to right nests them as (g1, j1), then
+    ((g1, j1), (g2, j2)), and so on.  Every move advances the tick or one
+    count, so a vertex sits at depth tick + sum of counts.
 
     A payoff is an int bitmask over the scenario's sorted feature universe:
     what the cell reveals of the goals, joined with their images (or its
@@ -290,9 +299,7 @@ class CompoundGame:
         self.sc = sc
         self.features = sc.universe
         self._bits = bits = {f: 1 << i for i, f in enumerate(sc.universe)}
-        self._last_tick = 2 * sc.horizon
         self._ids = [o.id for o in objs]
-        self._lengths = [len(o.features) for o in objs]
         image = [_mask(bits, images.get(o.id, ())) for o in objs]
         self._prefix = [[_mask(bits, o.features[:j]) | im
                          for j in range(len(o.features) + 1)]
@@ -301,39 +308,16 @@ class CompoundGame:
                                     for f in images.get(o.id, ())])
         self._negate = mode == "strict" or dual_payoff != "copy"
         self._full = (1 << len(self.features)) - 1
-        self._chains = {}
-        self._counts = {}
         self._side = {}
         self._meet = {}
-        self.root = ((pos, 0), self._chain((0,) * len(objs)))
-
-    def _chain(self, counts):
-        """The nested chains vertex of a tuple of revealed counts."""
-        b = self._chains.get(counts)
-        if b is None:
-            b = (self._ids[0], counts[0])
-            for oid, j in zip(self._ids[1:], counts[1:]):
-                b = (b, (oid, j))
-            self._chains[counts] = b
-            self._counts[b] = counts
-        return b
-
-    def moves(self, v, pol):
-        """The successors of v by moves of polarity pol ('O' or 'P')."""
-        (cell, t), b = v
-        if pol == "P":
-            # after t/2 steps the cell lies within t/2 of the start, so every
-            # neighbour is inside the horizon ball
-            if t % 2 or t >= self._last_tick:
-                return []
-            return [((n, t + 1), b) for n in self.sc.neighbors(cell)]
-        out = [((cell, t + 1), b)] if t % 2 and t < self._last_tick else []
-        counts = self._counts[b]
-        for i, j in enumerate(counts):
-            if j < self._lengths[i]:
-                out.append(((cell, t), self._chain(
-                    counts[:i] + (j + 1,) + counts[i + 1:])))
-        return out
+        chains = [Game([(o.id, j) for j in range(len(o.features) + 1)],
+                       (o.id, 0), [((o.id, j), (o.id, j + 1), "O")
+                                   for j in range(len(o.features))])
+                  for o in objs]
+        game = implication(_Movement(sc, pos, sc.horizon),
+                           Memo(reduce(Tensor, chains)))
+        self.root = game.root
+        self.moves = game.moves
 
     def payoff(self, v):
         (cell, _), b = v
@@ -347,9 +331,11 @@ class CompoundGame:
             self._side[cell] = side
         meet = self._meet.get(b)
         if meet is None:
-            meet = self._full
-            for prefix, j in zip(self._prefix, self._counts[b]):
+            meet, rest = self._full, b
+            for prefix in reversed(self._prefix[1:]):
+                rest, (_, j) = rest
                 meet &= prefix[j]
+            meet &= self._prefix[0][rest[1]]
             self._meet[b] = meet
         return side | meet
 
@@ -368,18 +354,8 @@ def build_compound_game(sc, goals, position=None, mode="practical",
     """
     game = CompoundGame(sc, goals, position=position, mode=mode,
                         dual_payoff=dual_payoff, images=images)
-    seen = {game.root}
-    todo = [game.root]
-    edges = []
-    while todo:
-        v = todo.pop()
-        for pol in ("O", "P"):
-            for w in game.moves(v, pol):
-                edges.append((v, w, pol))
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-    verts = sorted(seen)
+    verts, edges = walk(game)
+    verts.sort()
     k = {v: ",".join(game.names(game.payoff(v))) for v in verts}
     return PayoffGame(Game(verts, game.root, edges),
                       PowersetLattice(sc.universe), k)

@@ -397,6 +397,10 @@ MALFORMED = [
      _edited("tiny_scenario.json", _object(features=["a,b"]), SIMULATE), 2),
     ("tiny_feature_empty",
      _edited("tiny_scenario.json", _object(features=[""]), SIMULATE), 2),
+    ("duplicate_object_id",
+     _edited("four_goals_scenario.json",
+             lambda d: d["objects"][1].update(id=d["objects"][0]["id"]),
+             SIMULATE), 2),
 ] + [
     ("no_%s" % "_".join(map(str, keys)), _edited(name, _drop(*keys), verb), 2)
     for name, keys, verb in [
@@ -470,6 +474,7 @@ NAMED = {
                           "no commas",
     "tiny_feature_empty": "universe members must be nonempty and contain "
                           "no commas",
+    "duplicate_object_id": "two objects share the id 'obj_b1'",
     "no_horizon": "scenario document has no field 'horizon'",
     "no_free_move_goal": "scenario document has no field 'free_move_goal'",
     "no_objects_0_id": "object document has no field 'id'",

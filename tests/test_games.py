@@ -5,11 +5,12 @@ from conftest import (positionally_winning, random_distributive_lattice,
 from phasegame.errors import (ComponentMismatch, ForeignElement,
                               InteractionOverflow, InvalidStrategy,
                               LatticeMismatch, NotHeyting)
-from phasegame.games import (Game, PayoffGame, Strategy, compose_strategies,
-                             copycat, dual_game, dual_payoff_game,
-                             implication_game, is_winning, maximal_plays,
-                             payoff_implication, payoff_tensor, tensor_game,
-                             validate_strategy)
+from phasegame.games import (Dual, Game, Memo, PayoffGame, Strategy, Tensor,
+                             compose_strategies, copycat, dual_game,
+                             dual_payoff_game, implication, implication_game,
+                             is_winning, maximal_plays, payoff_implication,
+                             payoff_tensor, tensor_game, validate_strategy,
+                             walk)
 from phasegame.lattice import Lattice, chain
 
 
@@ -135,6 +136,42 @@ def test_implication_flips_only_antecedent():
     assert impl.root == ("r", "z")
     assert (("r", "z"), ("s", "z"), "P") in impl.edges
     assert (("s", "z"), ("t", "z"), "O") in impl.edges
+
+
+def assert_walks_to(implicit, explicit):
+    vertices, edges = walk(implicit)
+    assert implicit.root == explicit.root
+    assert set(vertices) == set(explicit.vertices)
+    assert len(edges) == len(explicit.edges)
+    assert set(edges) == set(explicit.edges)
+
+
+def test_implicit_games_walk_to_the_explicit_ones():
+    rng = seeded(12)
+    for _ in range(30):
+        a, b, c = (random_game(rng, 4) for _ in range(3))
+        assert_walks_to(Dual(a), dual_game(a))
+        assert_walks_to(Tensor(a, b), tensor_game(a, b))
+        assert_walks_to(implication(a, b), implication_game(a, b))
+        assert_walks_to(Tensor(Tensor(a, b), c),
+                        tensor_game(tensor_game(a, b), c))
+        assert walk(Memo(a)) == walk(a)
+        assert walk(Memo(Tensor(a, b))) == walk(Tensor(a, b))
+
+
+def test_memo_and_walk_share_equal_vertices():
+    rng = seeded(13)
+    for _ in range(20):
+        a, b = random_game(rng), random_game(rng)
+        memo = Memo(Tensor(a, b))
+        first = {}
+        for v in walk(memo)[0]:
+            for pol in "OP":
+                for w in memo.moves(v, pol):
+                    assert first.setdefault(w, w) is w
+        vertices, edges = walk(Tensor(a, b))
+        shared = {v: v for v in vertices}
+        assert all(shared[v] is v and shared[w] is w for v, w, _ in edges)
 
 
 # payoff games -----------------------------------------------------------

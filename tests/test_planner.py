@@ -474,8 +474,12 @@ def test_full_scenario_completes_and_selects():
     assert first["sets"][0]["priority"] == "1"
 
 
-def test_images_grow_monotonically():
-    sc = four_goals()
+@pytest.mark.parametrize("case", ["four_goals"] + list(range(24)))
+def test_images_grow_monotonically(case):
+    if case == "four_goals":
+        sc = four_goals()
+    else:
+        sc = random_case(random.Random(case))[0]
     trace = run_cognition(sc, max_steps=50)
     last = {}
     for entry in trace.entries:
