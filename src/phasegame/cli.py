@@ -74,9 +74,7 @@ class Report:
 
 
 def _write_json(path, doc):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_text(path, text):

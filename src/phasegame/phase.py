@@ -286,7 +286,12 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     if lattice is None:
         lattice = lattice_from_doc(f["lattice"], base_dir)
     rows = _product_rows(lattice, symmetrize(lattice._index, f["mult"]))
+    return phase_from_rows(lattice, rows, f, validate)
 
+
+def phase_from_rows(lattice, rows, f, validate=True):
+    """The PhaseStructure of lattice, index product rows (tuples) and checked
+    phase fields f, through the gates that phase_from_doc describes."""
     unit, falsum = f["unit"], f["falsum"]
     for el in (unit, falsum):
         if el not in lattice:

@@ -269,6 +269,13 @@ def _ball(sc, pos, radius):
     return {cell for cell, _ in walk(_Movement(sc, pos, radius))[0]}
 
 
+def _check_modes(mode, dual_payoff):
+    if mode not in ("practical", "strict"):
+        raise ValueError("mode must be 'practical' or 'strict'")
+    if dual_payoff not in ("copy", "negate"):
+        raise ValueError("dual_payoff must be 'copy' or 'negate'")
+
+
 class CompoundGame:
     """The implicit game implication(movement, Memo(tensor of per-goal
     reveal chains)), given by its moves and payoffs instead of built.
@@ -291,8 +298,9 @@ class CompoundGame:
         pos = tuple(sc.start if position is None else position)
         if not sc.neighbors(pos) and len(sc.passable) > 1:
             raise HorizonEmpty("no legal move from %r" % (pos,))
-        if mode not in ("practical", "strict"):
-            raise ValueError("mode must be 'practical' or 'strict'")
+        _check_modes(mode, dual_payoff)
+        if not goals:
+            raise ValueError("goals must not be empty")
         images = images or {}
         objs = [g if isinstance(g, SceneObject) else sc.objects[g]
                 for g in goals]
@@ -520,6 +528,7 @@ def run_cognition(sc, max_steps=50, mode="practical", dual_payoff="copy",
     active goals, the active set shrinks; the run completes when a single
     goal saturates, else it stops at max_steps with the step_limit flag.
     """
+    _check_modes(mode, dual_payoff)
     rng = random.Random(seed)
     trace = Trace({
         "kind": "cognition",

@@ -3,9 +3,10 @@
 A candidates document looks like a phase document except that some mult
 entries carry a list of candidate values instead of a single value, and it
 may state linked constraints of the form "the join of these products equals
-v".  The solver enumerates completions by backtracking, pruning with the
-associativity instances that become decidable after each assignment, and
-keeps only completions whose finished table passes the full law audit.
+v".  The solver enumerates completions by backtracking on index product
+rows, pruning with the associativity instances that become decidable after
+each assignment, and keeps only completions that pass the gates a phase
+document's load passes and, under full checks, the full law audit.
 """
 
 from .data import fields, load_doc, resolve_path, symmetrize
@@ -17,11 +18,11 @@ from .errors import (
     PhasegameError,
 )
 from .lattice import lattice_from_doc
-from .phase import phase_from_doc, verify_laws
+from .phase import phase_from_rows, verify_laws
 
 
-def _canon(lattice, x, y):
-    return (x, y) if lattice.idx(x) <= lattice.idx(y) else (y, x)
+def _agree(a, b):
+    return a is None or b is None or a == b
 
 
 def solve_table(doc_or_path, max_solutions=None):
@@ -35,106 +36,92 @@ def solve_table(doc_or_path, max_solutions=None):
     doc, base_dir = load_doc(doc_or_path)
     f = fields(doc, "candidates")
     lattice = lattice_from_doc(f["lattice"], base_dir)
+    els, index = lattice.elements, lattice._index
+    span = range(len(els))
 
-    # the fixed rows parse as a phase table does; a fixed entry closes the
-    # slot a candidate row would open
-    table = symmetrize(lattice, [row for row in f["mult"]
+    def pair(x, y):
+        return tuple(sorted((lattice.idx(x), lattice.idx(y))))
+
+    # the search runs on index product rows, None marking an open entry;
+    # the fixed rows parse as a phase table does, and a fixed entry closes
+    # the slot a candidate row would open
+    fixed = symmetrize(lattice, [row for row in f["mult"]
                                  if not isinstance(row[2], list)])
+    rows = [[index.get(fixed.get((x, y))) for y in els] for x in els]
     open_slots = {}
     for x, y, cands in f["mult"]:
         if isinstance(cands, list):
-            key = _canon(lattice, x, y)
-            cands = list(dict.fromkeys(cands))
+            key = pair(x, y)
             for c in cands:
                 if c not in lattice:
                     raise ForeignElement(repr(c))
+            cands = [index[c] for c in dict.fromkeys(cands)]
             if open_slots.get(key, cands) != cands:
                 raise NotCommutative("conflicting candidate lists at %r"
-                                     % (key,))
+                                     % (tuple(els[i] for i in key),))
             open_slots[key] = cands
 
-    constraints = []
-    for c in f["linked_constraints"]:
-        pairs = [_canon(lattice, x, y) for x, y in c["sum"]]
-        constraints.append((pairs, c["equals"]))
+    constraints = [([pair(x, y) for x, y in c["sum"]], c["equals"])
+                   for c in f["linked_constraints"]]
 
-    slots = sorted(k for k in open_slots if k not in table)
-    cand_lists = [open_slots[k] for k in slots]
+    slots = sorted((k for k in open_slots if rows[k[0]][k[1]] is None),
+                   key=lambda k: (els[k[0]], els[k[1]]))
     full_checks = f["checks"] == "full"
-
-    els = lattice.elements
+    resolved = dict(doc)
+    if base_dir is not None and isinstance(f["lattice"], str):
+        resolved["lattice"] = resolve_path(f["lattice"], base_dir)
     solutions = []
 
     def assoc_ok_after(x, y):
-        # only triples whose inner product is the fresh pair can newly fail
-        for z in els:
-            xy = table[(x, y)]
-            yz = table.get((y, z))
-            if yz is not None:
-                lhs = table.get((xy, z))
-                rhs = table.get((x, yz))
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    return False
-            zx = table.get((z, x))
-            if zx is not None:
-                lhs = table.get((zx, y))
-                rhs = table.get((z, xy))
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    return False
+        # only triples whose inner product is the fresh pair, (xy)z or (zx)y,
+        # can newly fail; an open entry (None) agrees with any value
+        row_x, row_y = rows[x], rows[y]
+        xy = row_x[y]
+        for z in span:
+            yz, zx = row_y[z], row_x[z]
+            if yz is not None and not _agree(rows[xy][z], row_x[yz]):
+                return False
+            if zx is not None and not _agree(rows[zx][y], rows[z][xy]):
+                return False
         return True
 
     def constraints_ok():
         for pairs, want in constraints:
-            vals = [table.get(p) for p in pairs]
-            if any(v is None for v in vals):
-                continue
-            if lattice.join(vals) != want:
+            vals = [rows[x][y] for x, y in pairs]
+            if None not in vals and \
+                    lattice.join([els[v] for v in vals]) != want:
                 return False
         return True
 
-    def resolved_doc():
-        keys = sorted({_canon(lattice, x, y) for (x, y) in table},
-                      key=lambda k: (lattice.idx(k[0]), lattice.idx(k[1])))
-        out = dict(doc)
-        out["mult"] = [[x, y, table[(x, y)]] for x, y in keys]
-        if base_dir is not None and isinstance(f["lattice"], str):
-            out["lattice"] = resolve_path(f["lattice"], base_dir)
-        return out
-
     def accept():
-        # under full checks the audit covers every law that load-time
-        # validation enforces, so each law is evaluated once
-        cand = resolved_doc()
+        # the loader's gates, which an entry no row fixes fails; under full
+        # checks the audit covers every law they enforce, so each runs once
+        if any(None in row for row in rows):
+            return False
         try:
-            ps = phase_from_doc(cand, lattice=lattice,
-                                validate=not full_checks)
+            ps = phase_from_rows(lattice, tuple(map(tuple, rows)), f,
+                                 validate=not full_checks)
         except PhasegameError:
-            return None
-        if full_checks and not verify_laws(ps)["ok"]:
-            return None
-        return cand
+            return False
+        return not full_checks or verify_laws(ps)["ok"]
 
     def walk(i):
         if i == len(slots):
-            if not constraints_ok():
-                return
-            cand = accept()
-            if cand is not None:
-                solutions.append(cand)
+            if constraints_ok() and accept():
+                solutions.append(dict(resolved, mult=[
+                    [els[x], els[y], els[rows[x][y]]]
+                    for x in span for y in span[x:]]))
                 if max_solutions is not None and len(solutions) > max_solutions:
                     raise CapExceeded(
                         "more than %d completions" % max_solutions,
                         solutions=solutions[:max_solutions])
             return
         x, y = slots[i]
-        for v in cand_lists[i]:
-            table[(x, y)] = v
-            table[(y, x)] = v
+        for v in open_slots[x, y]:
+            rows[x][y] = rows[y][x] = v
             if (not full_checks or assoc_ok_after(x, y)) and constraints_ok():
                 walk(i + 1)
-            del table[(x, y)]
-            if x != y:
-                del table[(y, x)]
+        rows[x][y] = rows[y][x] = None
 
     walk(0)
     if not solutions:

@@ -3,13 +3,17 @@
 The scans below are the earlier implementations, kept only as oracles:
 the list-comprehension search for joins and meets, the triple loop for
 distributivity, the name-keyed law generator with its per-pair residual
-fold, and the load sequence built on them.  Seeded random posets, tables
-and dual tables (most of them lawless: not monotone, not associative, not
-even commutative) must give the same tables, reports, duals and errors.
-The last test checks the algebra against the independent reference model
-of the benchmark's generated structures.
+fold, the load sequence built on them, and the table solver on a
+name-keyed table that re-read each completion as a document.  Seeded
+random posets, tables and dual tables (most of them lawless: not monotone,
+not associative, not even commutative) must give the same tables, reports,
+duals and errors, and seeded and edited candidate tables the same
+completions, in the same order, or the same error.  One test checks the
+algebra against the independent reference model of the benchmark's
+generated structures.
 """
 
+import copy
 import importlib.util
 import os
 import random
@@ -17,7 +21,9 @@ from itertools import islice
 
 import pytest
 
+from phasegame.data import data_path, fields, load_doc, resolve_path, symmetrize
 from phasegame.errors import (
+    CapExceeded,
     DualLawViolation,
     ForeignElement,
     NotALattice,
@@ -25,13 +31,15 @@ from phasegame.errors import (
     NotAssociative,
     NotClosed,
     NotClosedClass,
+    NotCommutative,
+    NoSolution,
     OverrideInconsistent,
     PhasegameError,
     UnboundedLattice,
     UnitNotNeutral,
 )
 from phasegame.expr import eval_expr
-from phasegame.lattice import Lattice
+from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
     _enforce,
@@ -40,6 +48,7 @@ from phasegame.phase import (
     phase_from_doc,
     verify_laws,
 )
+from phasegame.solver import solve_table
 
 
 # the earlier lattice tables -------------------------------------------
@@ -426,3 +435,223 @@ def test_generated_structures_agree_with_reference_model(kind, n):
                 classify(ps)
         for text, want in gen.expr_batch(rng, model, 40):
             assert eval_expr(ps, text) == want, text
+
+
+# the earlier name-keyed solver ----------------------------------------
+
+def old_canon(lattice, x, y):
+    return (x, y) if lattice.idx(x) <= lattice.idx(y) else (y, x)
+
+
+def old_solve_table(doc_or_path, max_solutions=None):
+    """The solver on a name-keyed table, re-reading each completion as a
+    phase document."""
+    doc, base_dir = load_doc(doc_or_path)
+    f = fields(doc, "candidates")
+    lattice = lattice_from_doc(f["lattice"], base_dir)
+
+    table = symmetrize(lattice, [row for row in f["mult"]
+                                 if not isinstance(row[2], list)])
+    open_slots = {}
+    for x, y, cands in f["mult"]:
+        if isinstance(cands, list):
+            key = old_canon(lattice, x, y)
+            cands = list(dict.fromkeys(cands))
+            for c in cands:
+                if c not in lattice:
+                    raise ForeignElement(repr(c))
+            if open_slots.get(key, cands) != cands:
+                raise NotCommutative("conflicting candidate lists at %r"
+                                     % (key,))
+            open_slots[key] = cands
+
+    constraints = []
+    for c in f["linked_constraints"]:
+        pairs = [old_canon(lattice, x, y) for x, y in c["sum"]]
+        constraints.append((pairs, c["equals"]))
+
+    slots = sorted(k for k in open_slots if k not in table)
+    cand_lists = [open_slots[k] for k in slots]
+    full_checks = f["checks"] == "full"
+
+    els = lattice.elements
+    solutions = []
+
+    def assoc_ok_after(x, y):
+        for z in els:
+            xy = table[(x, y)]
+            yz = table.get((y, z))
+            if yz is not None:
+                lhs = table.get((xy, z))
+                rhs = table.get((x, yz))
+                if lhs is not None and rhs is not None and lhs != rhs:
+                    return False
+            zx = table.get((z, x))
+            if zx is not None:
+                lhs = table.get((zx, y))
+                rhs = table.get((z, xy))
+                if lhs is not None and rhs is not None and lhs != rhs:
+                    return False
+        return True
+
+    def constraints_ok():
+        for pairs, want in constraints:
+            vals = [table.get(p) for p in pairs]
+            if any(v is None for v in vals):
+                continue
+            if lattice.join(vals) != want:
+                return False
+        return True
+
+    def resolved_doc():
+        keys = sorted({old_canon(lattice, x, y) for (x, y) in table},
+                      key=lambda k: (lattice.idx(k[0]), lattice.idx(k[1])))
+        out = dict(doc)
+        out["mult"] = [[x, y, table[(x, y)]] for x, y in keys]
+        if base_dir is not None and isinstance(f["lattice"], str):
+            out["lattice"] = resolve_path(f["lattice"], base_dir)
+        return out
+
+    def accept():
+        cand = resolved_doc()
+        try:
+            ps = phase_from_doc(cand, lattice=lattice,
+                                validate=not full_checks)
+        except PhasegameError:
+            return None
+        if full_checks and not verify_laws(ps)["ok"]:
+            return None
+        return cand
+
+    def walk(i):
+        if i == len(slots):
+            if not constraints_ok():
+                return
+            cand = accept()
+            if cand is not None:
+                solutions.append(cand)
+                if max_solutions is not None and len(solutions) > max_solutions:
+                    raise CapExceeded(
+                        "more than %d completions" % max_solutions,
+                        solutions=solutions[:max_solutions])
+            return
+        x, y = slots[i]
+        for v in cand_lists[i]:
+            table[(x, y)] = v
+            table[(y, x)] = v
+            if (not full_checks or assoc_ok_after(x, y)) and constraints_ok():
+                walk(i + 1)
+            del table[(x, y)]
+            if x != y:
+                del table[(y, x)]
+
+    walk(0)
+    if not solutions:
+        raise NoSolution("no completion satisfies the declared laws")
+    return solutions
+
+
+def solved(solve, doc, max_solutions):
+    """The documents solve finds, or the class and message of the error
+    it raises, with the documents a CapExceeded carries."""
+    try:
+        return solve(copy.deepcopy(doc), max_solutions)
+    except CapExceeded as exc:
+        return "CapExceeded", str(exc), exc.solutions
+    except (PhasegameError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_solvers_agree(doc, max_solutions=None):
+    want = solved(old_solve_table, doc, max_solutions)
+    assert solved(solve_table, doc, max_solutions) == want, doc
+    return want
+
+
+def test_solver_matches_the_earlier_solver_on_planted_tables():
+    # goal_phase_alt is degenerate and relaxed checks prune nothing, so
+    # every completion may pass: a cap of 64 bounds the leaves re-read
+    gen = _load_gen()
+    rng = random.Random(604)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    shipped = [gen.inline_lattice(root, load_doc("data:%s.json" % name)[0])
+               for name in ("goal_phase", "goal_phase_alt")]
+    kinds = set()
+    for i in range(60):
+        if i % 4 == 3:
+            phase_doc, _ = gen.downset_structure(rng, rng.choice([6, 8, 10]))
+        else:
+            phase_doc = shipped[i % 2]
+        doc, table = gen.planted_table(rng, phase_doc, rng.randint(2, 8), 3)
+        if rng.random() < 0.2:
+            doc["checks"] = "relaxed"
+        want = assert_solvers_agree(doc, rng.choice([1, 2, 64]))
+        if isinstance(want, list):
+            # the planted table is lawful, so it is always a completion
+            assert table in [gen.table_of(s) for s in want]
+        kinds.add(want[0] if isinstance(want, tuple) else "solved")
+    assert kinds == {"solved", "CapExceeded"}
+
+
+def edited_candidates(edit):
+    """The shipped candidates document, with its lattice referenced from
+    the package, after the named edit."""
+    doc = load_doc("data:goal_phase_candidates.json")[0]
+    doc["lattice"] = "data:goal_lattice.json"
+    mult, constraints = doc["mult"], doc["linked_constraints"]
+    if edit == "relaxed":
+        # relaxed checks prune nothing: three slots stay open
+        doc["checks"] = "relaxed"
+        for row in [row for row in mult if isinstance(row[2], list)][3:]:
+            row[2] = row[2][:1]
+    elif edit == "strict_unit":
+        doc["unit_mode"] = "strict"
+    elif edit in ("dropped_fixed_pair", "dropped_candidate_pair"):
+        pair = ["a", "J12"] if edit == "dropped_fixed_pair" else ["a", "b3"]
+        doc["mult"] = [row for row in mult if row[:2] != pair]
+    elif edit == "foreign_candidate":
+        mult.append(["a", "b1", ["0", "zz"]])
+    elif edit == "foreign_candidate_row":
+        mult.append(["zz", "a", ["0"]])
+    elif edit == "conflicting_candidates":
+        mult.append(["b1", "a", ["a", "0"]])
+    elif edit == "repeated_candidates":
+        mult.append(["b1", "a", ["0", "a", "0"]])
+    elif edit == "fixed_closes_slot":
+        mult.append(["b3", "b3", "b3"])
+    elif edit == "conflicting_fixed":
+        mult.append(["b1", "b1", "0"])
+    elif edit == "foreign_constraint_pair":
+        constraints.append({"sum": [["a", "zz"]], "equals": "a"})
+    elif edit == "foreign_constraint_value":
+        constraints[0]["equals"] = "zz"
+    elif edit == "empty_constraint":
+        constraints.append({"sum": [], "equals": "0"})
+    elif edit == "foreign_unit":
+        doc["unit"] = "zz"
+    elif edit == "no_overrides":
+        doc["dual_overrides"] = []
+    else:
+        assert edit == "shipped", edit
+    return doc
+
+
+EDITS = ["shipped", "relaxed", "strict_unit", "dropped_fixed_pair",
+         "dropped_candidate_pair", "foreign_candidate",
+         "foreign_candidate_row", "conflicting_candidates",
+         "repeated_candidates", "fixed_closes_slot", "conflicting_fixed",
+         "foreign_constraint_pair", "foreign_constraint_value",
+         "empty_constraint", "foreign_unit", "no_overrides"]
+
+
+@pytest.mark.parametrize("edit", EDITS)
+@pytest.mark.parametrize("max_solutions", [None, 0, 1, 2])
+def test_solver_matches_the_earlier_solver_on_edited_candidates(
+        edit, max_solutions):
+    assert_solvers_agree(edited_candidates(edit), max_solutions)
+
+
+def test_solver_resolves_a_referenced_lattice_as_before():
+    path = data_path("goal_phase_candidates.json")
+    want = assert_solvers_agree(path)
+    assert want[0]["lattice"] == data_path("goal_lattice.json")

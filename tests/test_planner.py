@@ -5,10 +5,10 @@ import pytest
 
 from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
 from phasegame.games import Game, implication_game, tensor_game
-from phasegame.planner import (_ball, _vertex_doc, build_compound_game,
-                               eval_priority, load_scenario, plan_play,
-                               run_cognition, select_goal_sets,
-                               visible_rewards)
+from phasegame.planner import (_ball, _vertex_doc, CompoundGame,
+                               build_compound_game, eval_priority,
+                               load_scenario, plan_play, run_cognition,
+                               select_goal_sets, visible_rewards)
 
 
 def four_goals():
@@ -238,6 +238,26 @@ def test_bad_mode_rejected():
     sc = load_scenario("data:tiny_scenario.json")
     with pytest.raises(ValueError):
         build_compound_game(sc, ["obj_e"], mode="dreamy")
+
+
+def test_bad_dual_payoff_rejected():
+    message = "dual_payoff must be 'copy' or 'negate'"
+    with pytest.raises(ValueError, match=message):
+        plan_play(four_goals(), ["obj_e"], dual_payoff="nonsense")
+    # a scenario with no goal plans nothing, and is rejected all the same
+    for name in ("four_goals", "empty"):
+        sc = load_scenario("data:%s_scenario.json" % name)
+        with pytest.raises(ValueError, match=message):
+            run_cognition(sc, dual_payoff="nonsense")
+        with pytest.raises(ValueError, match="mode must be"):
+            run_cognition(sc, mode="dreamy")
+
+
+@pytest.mark.parametrize("build", [CompoundGame, build_compound_game,
+                                   plan_play])
+def test_empty_goal_list_rejected(build):
+    with pytest.raises(ValueError, match="goals must not be empty"):
+        build(four_goals(), [])
 
 
 # planning ---------------------------------------------------------------
