@@ -157,6 +157,8 @@ def cmd_verify(args):
 
 
 def cmd_solve(args):
+    if args.table is not None and args.phase is not None:
+        raise UsageError("solve reads a table argument or --phase, not both")
     table = args.table or _need(args, "phase", "--phase or a table argument")
     report = Report("solve")
     out_dir = args.out_dir or "."

@@ -27,7 +27,7 @@ def trace_to_dot(trace_doc, name="trace"):
     def passable(x, y):
         return grid[y][x] != "#"
 
-    lines = ["digraph %s {" % _quote(name).strip('"'),
+    lines = ["digraph %s {" % _quote(name),
              "  node [shape=square, fixedsize=true, width=0.7];"]
     height = len(grid)
     width = len(grid[0]) if height else 0

@@ -4,6 +4,9 @@ Order is the reflexive-transitive closure of the covers, computed once at
 construction and cached as bitmasks.  All operations are pure; a Lattice is
 immutable after __init__.
 """
+from functools import cached_property
+from itertools import combinations
+
 from .data import fields, load_doc
 from .errors import (
     ForeignElement,
@@ -210,88 +213,105 @@ def chain(n, names=None):
     return Lattice(names, covers, names[0], names[-1])
 
 
-def check_universe(universe):
-    """Raise unless universe can name the subsets of a PowersetLattice: at
-    most 20 distinct members, each nonempty and free of commas."""
-    if len(universe) > 20:
-        raise SizeExceeded("universe of %d members" % len(universe))
-    if len(set(universe)) != len(universe):
-        raise UsageError("duplicate universe members")
-    for u in universe:
-        if not u or "," in u:
-            raise UsageError(
-                "universe members must be nonempty and contain no commas")
-
-
 class PowersetLattice:
-    """Boolean lattice of all subsets of a universe, backed by set algebra.
+    """Boolean lattice of all subsets of a universe, on int bitmasks.
 
-    Shares the Lattice interface but skips the quadratic table construction,
-    so it stays fast for the feature universes the planner builds.  Elements
-    are named by comma-joined sorted members ('' for the empty set); any
-    other spelling of a subset is not an element.
+    Bit i of a mask stands for the i-th member of the sorted universe, so
+    join, meet and complement are |, & and a flip of every member's bit.
+    An element is named by its members, comma-joined in that order ('' for
+    the empty set); any other spelling of a subset is not an element.  The
+    universe holds at most 20 distinct members, each nonempty and free of
+    commas.  Shares the Lattice interface, but lists its elements only when
+    they are asked for.
     """
 
     def __init__(self, universe):
         self.base = sorted(universe)
-        check_universe(self.base)
+        if len(self.base) > 20:
+            raise SizeExceeded("universe of %d members" % len(self.base))
+        self._bit = {u: 1 << i for i, u in enumerate(self.base)}
+        if len(self._bit) != len(self.base):
+            raise UsageError("duplicate universe members")
+        for u in self.base:
+            if not u or "," in u:
+                raise UsageError(
+                    "universe members must be nonempty and contain no commas")
+        self._full = (1 << len(self.base)) - 1
         self.bottom = ""
         self.top = ",".join(self.base)
         self.generators = list(self.base)
-        subsets = [[]]
-        for u in self.base:
-            subsets += [s + [u] for s in subsets]
-        self.elements = [",".join(s) for s in
-                         sorted(subsets, key=lambda s: (len(s), s))]
-        self._members = set(self.base)
         self._parsed = {}
 
-    def _set(self, x):
-        s = self._parsed.get(x)
-        if s is not None:
-            return s
-        s = frozenset(x.split(",")) if x else frozenset()
-        if not s <= self._members or self._name(s) != x:
-            raise ForeignElement(repr(x))
-        self._parsed[x] = s
-        return s
+    @cached_property
+    def elements(self):
+        """Every element name, by size and then by member list."""
+        return [",".join(c) for k in range(len(self.base) + 1)
+                for c in combinations(self.base, k)]
 
-    def _name(self, s):
-        return ",".join(sorted(s))
+    def mask(self, members):
+        """The mask of an iterable of members."""
+        out = 0
+        for u in members:
+            try:
+                out |= self._bit[u]
+            except KeyError:
+                raise ForeignElement("%r is not a member of the universe"
+                                     % (u,))
+        return out
+
+    def members(self, mask):
+        """The members of a mask, in sorted order."""
+        return [u for i, u in enumerate(self.base) if mask >> i & 1]
+
+    def name(self, mask):
+        return ",".join(self.members(mask))
+
+    def complement(self, mask):
+        return self._full & ~mask
+
+    def _parse(self, x):
+        m = self._parsed.get(x)
+        if m is not None:
+            return m
+        m = self.mask(x.split(",")) if x else 0
+        if self.name(m) != x:
+            raise ForeignElement(repr(x))
+        self._parsed[x] = m
+        return m
 
     def leq(self, x, y):
-        return self._set(x) <= self._set(y)
+        return self._parse(x) & ~self._parse(y) == 0
 
     def join2(self, x, y):
-        return self._name(self._set(x) | self._set(y))
+        return self.name(self._parse(x) | self._parse(y))
 
     def meet2(self, x, y):
-        return self._name(self._set(x) & self._set(y))
+        return self.name(self._parse(x) & self._parse(y))
 
     def join(self, xs):
-        out = frozenset()
+        out = 0
         for x in xs:
-            out = out | self._set(x)
-        return self._name(out)
+            out |= self._parse(x)
+        return self.name(out)
 
     def meet(self, xs):
-        out = frozenset(self.base)
+        out = self._full
         for x in xs:
-            out = out & self._set(x)
-        return self._name(out)
+            out &= self._parse(x)
+        return self.name(out)
 
     def heyting_implies(self, x, y):
-        return self._name((frozenset(self.base) - self._set(x)) | self._set(y))
+        return self.name(self.complement(self._parse(x)) | self._parse(y))
 
     def heyting_neg(self, x):
-        return self._name(frozenset(self.base) - self._set(x))
+        return self.name(self.complement(self._parse(x)))
 
     def is_distributive(self):
         return True
 
     def __contains__(self, x):
         try:
-            self._set(x)
+            self._parse(x)
             return True
         except ForeignElement:
             return False
@@ -301,4 +321,3 @@ class PowersetLattice:
 
     def __repr__(self):
         return "PowersetLattice(%d members)" % len(self.base)
-

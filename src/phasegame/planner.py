@@ -19,7 +19,7 @@ from itertools import combinations
 from .data import fields, load_doc, stem
 from .errors import BadGrid, HorizonEmpty, UnknownGoalElement, UsageError
 from .games import Game, Memo, PayoffGame, Tensor, implication, walk
-from .lattice import PowersetLattice, check_universe
+from .lattice import PowersetLattice
 from .phase import phase_from_doc
 
 
@@ -41,13 +41,14 @@ class Scenario:
         self.rows = rows
         self.start = start
         self.horizon = horizon
-        self.objects = {o.id: o for o in objects}
+        self.objects = {o.id: o for o in sorted(objects, key=lambda o: o.id)}
         self.phase = phase
         self.lattice = phase.lattice
         self.free_move_goal = free_move_goal
         self.name = name
-        self.universe = sorted({f for o in objects for f in o.features})
-        check_universe(self.universe)
+        self.payoff_lattice = PowersetLattice(
+            {f for o in objects for f in o.features})
+        self.universe = self.payoff_lattice.base
 
     def neighbors(self, cell):
         x, y = cell
@@ -56,9 +57,6 @@ class Scenario:
             if (nx, ny) in self.passable:
                 out.append((nx, ny))
         return out
-
-    def object_list(self):
-        return [self.objects[k] for k in sorted(self.objects)]
 
 
 def load_scenario(path_or_doc):
@@ -131,7 +129,7 @@ def visible_rewards(sc, pos):
     """
     out = {}
     den = sc.horizon + 1
-    for obj in sc.object_list():
+    for obj in sc.objects.values():
         d = chebyshev(pos, obj.cell)
         n = len(obj.features)
         num = n * (den - d)
@@ -141,20 +139,12 @@ def visible_rewards(sc, pos):
 
 
 def _as_elements(sc, goals):
-    els = []
-    for g in goals:
-        if isinstance(g, SceneObject):
-            els.append(g.goal)
-        elif g in sc.objects:
-            els.append(sc.objects[g].goal)
-        else:
-            els.append(g)
-    return els
+    return [sc.objects[g].goal for g in goals]
 
 
 def eval_priority(sc, goals):
-    """Priority of a goal set: the implication from the free-move element
-    to the folded product of the goal elements."""
+    """Priority of a goal set, given by object ids: the implication from
+    the free-move element to the folded product of the goal elements."""
     ps = sc.phase
     els = _as_elements(sc, goals)
     folded = els[0]
@@ -193,10 +183,7 @@ def select_goal_sets(sc, discovered, must_include=None, max_size=None):
     no information (all candidates evaluated equal).
     """
     lat = sc.lattice
-    ids = sorted(o.id if isinstance(o, SceneObject) else o
-                 for o in discovered)
-    if must_include is not None and isinstance(must_include, SceneObject):
-        must_include = must_include.id
+    ids = sorted(discovered)
     log = []
     candidates = []
     for size in range(1, len(ids) + 1):
@@ -239,13 +226,6 @@ def select_goal_sets(sc, discovered, must_include=None, max_size=None):
 
 # compound game ---------------------------------------------------------
 
-def _mask(bits, features):
-    out = 0
-    for f in features:
-        out |= bits[f]
-    return out
-
-
 class _Movement:
     """The system's movement game from pos: Opponent steps to a neighbour
     at even ticks and Proponent ticks at odd ones, for radius rounds."""
@@ -287,10 +267,11 @@ class CompoundGame:
     ((g1, j1), (g2, j2)), and so on.  Every move advances the tick or one
     count, so a vertex sits at depth tick + sum of counts.
 
-    A payoff is an int bitmask over the scenario's sorted feature universe:
-    what the cell reveals of the goals, joined with their images (or its
-    complement, in strict mode and for a negated dual payoff), joined with
-    the meet over goals of each revealed prefix joined with its image.
+    A payoff is a mask of the scenario's payoff lattice, the powerset of
+    its feature universe: what the cell reveals of the goals, joined with
+    their images (or its complement, in strict mode and for a negated dual
+    payoff), joined with the meet over goals of each revealed prefix joined
+    with its image.
     """
 
     def __init__(self, sc, goals, position=None, mode="practical",
@@ -302,20 +283,16 @@ class CompoundGame:
         if not goals:
             raise ValueError("goals must not be empty")
         images = images or {}
-        objs = [g if isinstance(g, SceneObject) else sc.objects[g]
-                for g in goals]
+        objs = [sc.objects[g] for g in goals]
         self.sc = sc
-        self.features = sc.universe
-        self._bits = bits = {f: 1 << i for i, f in enumerate(sc.universe)}
-        self._ids = [o.id for o in objs]
-        image = [_mask(bits, images.get(o.id, ())) for o in objs]
-        self._prefix = [[_mask(bits, o.features[:j]) | im
+        self.lattice = lat = sc.payoff_lattice
+        self._ids = list(goals)
+        image = [lat.mask(images.get(g, ())) for g in goals]
+        self._prefix = [[lat.mask(o.features[:j]) | im
                          for j in range(len(o.features) + 1)]
                         for o, im in zip(objs, image)]
-        self._images = _mask(bits, [f for o in objs
-                                    for f in images.get(o.id, ())])
+        self._images = lat.mask(f for g in goals for f in images.get(g, ()))
         self._negate = mode == "strict" or dual_payoff != "copy"
-        self._full = (1 << len(self.features)) - 1
         self._side = {}
         self._meet = {}
         chains = [Game([(o.id, j) for j in range(len(o.features) + 1)],
@@ -329,17 +306,18 @@ class CompoundGame:
 
     def payoff(self, v):
         (cell, _), b = v
+        lat = self.lattice
         side = self._side.get(cell)
         if side is None:
             vis = visible_rewards(self.sc, cell)
-            side = self._images | _mask(self._bits, [
-                f for oid in self._ids for f in vis[oid]])
+            side = self._images | lat.mask(
+                f for oid in self._ids for f in vis[oid])
             if self._negate:
-                side = self._full & ~side
+                side = lat.complement(side)
             self._side[cell] = side
         meet = self._meet.get(b)
         if meet is None:
-            meet, rest = self._full, b
+            meet, rest = lat.complement(0), b
             for prefix in reversed(self._prefix[1:]):
                 rest, (_, j) = rest
                 meet &= prefix[j]
@@ -347,26 +325,21 @@ class CompoundGame:
             self._meet[b] = meet
         return side | meet
 
-    def names(self, mask):
-        """The features of a payoff mask, in sorted order."""
-        return [f for i, f in enumerate(self.features) if mask >> i & 1]
-
 
 def build_compound_game(sc, goals, position=None, mode="practical",
                         dual_payoff="copy", images=None):
     """The CompoundGame materialized as a PayoffGame.
 
     Its vertices are those reachable from the root by moves of either
-    polarity, and its payoffs are named in the scenario's payoff lattice,
-    the powerset of its feature universe.
+    polarity, and its payoffs are named in the scenario's payoff lattice.
     """
     game = CompoundGame(sc, goals, position=position, mode=mode,
                         dual_payoff=dual_payoff, images=images)
     verts, edges = walk(game)
     verts.sort()
-    k = {v: ",".join(game.names(game.payoff(v))) for v in verts}
-    return PayoffGame(Game(verts, game.root, edges),
-                      PowersetLattice(sc.universe), k)
+    lat = sc.payoff_lattice
+    k = {v: lat.name(game.payoff(v)) for v in verts}
+    return PayoffGame(Game(verts, game.root, edges), lat, k)
 
 
 # traces ----------------------------------------------------------------
@@ -429,7 +402,7 @@ def plan_play(sc, goals, mode="practical", dual_payoff="copy",
         position = sc.start
     game = CompoundGame(sc, goals, position=position, mode=mode,
                         dual_payoff=dual_payoff, images=images)
-    goal_ids = [g.id if isinstance(g, SceneObject) else g for g in goals]
+    lat = sc.payoff_lattice
 
     trace = Trace({
         "kind": "plan",
@@ -437,7 +410,7 @@ def plan_play(sc, goals, mode="practical", dual_payoff="copy",
         "mode": mode,
         "dual_payoff": dual_payoff,
         "position": list(position),
-        "goals": sorted(goal_ids),
+        "goals": sorted(goals),
         "objective_lattice": "powerset of %d features" % len(sc.universe),
     })
 
@@ -499,14 +472,14 @@ def plan_play(sc, goals, mode="practical", dual_payoff="copy",
         trace.entries.append({
             "actor": actor,
             "position": list(cell),
-            "rewards": {g: sorted(vis[g]) for g in sorted(goal_ids)},
-            "objective_so_far": game.names(running),
+            "rewards": {g: sorted(vis[g]) for g in sorted(goals)},
+            "objective_so_far": lat.members(running),
         })
     trace.final_play = [_vertex_doc(v) for v in play]
-    trace.objective = game.names(best[1])
+    trace.objective = lat.members(best[1])
 
     reached = {cell for (cell, t), _ in play}
-    for g in goal_ids:
+    for g in goals:
         obj = sc.objects[g]
         if obj.cell not in reached:
             trace.log("goal %s not reached within horizon" % g)
@@ -548,10 +521,10 @@ def run_cognition(sc, max_steps=50, mode="practical", dual_payoff="copy",
             "features": list(o.features),
             "goal": o.goal,
             "attractiveness": o.attractiveness,
-        } for o in sc.object_list()],
+        } for o in sc.objects.values()],
     })
     pos = sc.start
-    images = {o.id: frozenset() for o in sc.object_list()}
+    images = {oid: frozenset() for oid in sc.objects}
     dropped = set()
     pool = []
 
@@ -590,7 +563,7 @@ def run_cognition(sc, max_steps=50, mode="practical", dual_payoff="copy",
                 pool.append(oid)
         if not pool:
             moves = sc.neighbors(pos)
-            prio = eval_priority(sc, [sc.free_move_goal])
+            prio = sc.phase.impl(sc.free_move_goal, sc.free_move_goal)
             if moves:
                 pos = moves[rng.randrange(len(moves))]
             trace.entries.append({

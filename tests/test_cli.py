@@ -168,6 +168,17 @@ def test_simulate_emits_stable_trace_and_dot(tmp_path, capsys):
     assert "penwidth=3" in dot
 
 
+def test_dot_graph_name_is_quoted(tmp_path):
+    # a bare DOT ID cannot hold a hyphen, so the stem is always quoted
+    scenario = tmp_path / "my-scenario.json"
+    doc = read_json(data_path("tiny_scenario.json"))
+    scenario.write_text(json.dumps(doc))
+    assert main(["simulate", str(scenario), "--quiet", "--emit", "dot",
+                 "--out-dir", str(tmp_path)]) == 0
+    dot = (tmp_path / "my-scenario_trace.dot").read_text()
+    assert dot.startswith('digraph "my-scenario" {\n')
+
+
 def test_simulate_same_seed_same_bytes(tmp_path):
     for sub in ("a", "b"):
         rc = main(["simulate", "data:four_goals_scenario.json", "--quiet",
@@ -593,6 +604,15 @@ def test_ignored_flag_is_usage_failure(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)  # a verb that ran would write files here
     assert main(argv) == 2
     assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
+def test_solve_rejects_table_and_phase_together(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)  # a verb that ran would write files here
+    assert main(["solve", "data:goal_phase_candidates.json",
+                 "--phase", "data:goal_lattice.json"]) == 2
+    assert "not both" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # installed script -------------------------------------------------------

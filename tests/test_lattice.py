@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -155,6 +156,47 @@ def test_powerset_implementations_agree():
         assert bad not in lat.elements
         with pytest.raises(ForeignElement):
             lat.leq(bad, "a,b")
+
+
+def eager_powerset_elements(universe):
+    # the former eager construction, kept as the oracle of the lazy order
+    subsets = [[]]
+    for u in sorted(universe):
+        subsets += [s + [u] for s in subsets]
+    return [",".join(s) for s in sorted(subsets, key=lambda s: (len(s), s))]
+
+
+def test_powerset_elements_follow_the_eager_order():
+    for size in range(6):
+        universe = ["q", "b", "x", "a", "m"][:size]
+        assert (PowersetLattice(universe).elements
+                == eager_powerset_elements(universe))
+
+
+def test_powerset_mask_members_name_round_trip():
+    lat = PowersetLattice(["r", "p", "q"])
+    assert lat.mask([]) == 0 and lat.members(0) == [] and lat.name(0) == ""
+    assert lat.mask(["p"]) == 1 and lat.mask(["r", "q"]) == 6
+    for x in lat.elements:
+        m = lat.mask(x.split(",") if x else [])
+        assert lat.name(m) == x
+        assert lat.members(m) == (x.split(",") if x else [])
+        assert lat.mask(lat.members(m)) == m
+        assert lat.name(lat.complement(m)) == lat.heyting_neg(x)
+    assert lat.mask(["q", "q"]) == lat.mask(["q"])
+    with pytest.raises(ForeignElement):
+        lat.mask(["s"])
+
+
+def test_twenty_member_powerset_is_built_without_listing():
+    universe = ["f%02d" % i for i in range(20)]
+    began = time.process_time()
+    lat = PowersetLattice(universe)
+    assert len(lat) == 1 << 20
+    assert lat.join2("f00,f05", "f19") == "f00,f05,f19"
+    assert lat.heyting_neg(lat.top) == lat.bottom
+    assert time.process_time() - began < 1.0
+    assert "elements" not in vars(lat)
 
 
 def test_powerset_lattice_basics():

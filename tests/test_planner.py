@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -143,7 +144,6 @@ def test_priorities_of_known_goal_sets():
     assert eval_priority(sc, ["obj_b1", "obj_b2", "obj_e"]) == "1"
     assert eval_priority(sc, ["obj_b1", "obj_b3", "obj_e"]) == "b1"
     assert eval_priority(sc, ["obj_b1", "obj_b2", "obj_b3", "obj_e"]) == "b1"
-    assert eval_priority(sc, [sc.objects["obj_e"]]) == "1"
 
 
 def test_selection_keeps_the_two_largest_top_sets():
@@ -214,6 +214,32 @@ def test_compound_vertex_count_is_product_of_projections():
     chain_part = {c for _, c in verts}
     assert len(verts) == len(move_part) * len(chain_part)
     assert len(chain_part) == (3 + 1) * (2 + 1)
+
+
+def test_compound_game_names_payoffs_in_the_scenario_lattice():
+    sc = four_goals()
+    pg = build_compound_game(sc, ["obj_e", "obj_b2"])
+    assert pg.lattice is sc.payoff_lattice
+    assert sc.universe == sc.payoff_lattice.base
+
+
+def test_compound_game_on_twenty_features_is_fast():
+    # two cells and two goals of ten features each: the payoff lattice has
+    # 2**20 elements, none of which needs listing
+    doc = base_doc()
+    doc["grid"] = [".."]
+    doc["start"] = [0, 0]
+    doc["objects"] = [
+        {"id": "obj_%d" % i, "cell": [i, 0], "goal": goal,
+         "features": ["f%d_%d" % (i, j) for j in range(10)]}
+        for i, goal in enumerate(["b2", "e"])]
+    sc = load_scenario(doc)
+    began = time.process_time()
+    pg = build_compound_game(sc, ["obj_0", "obj_1"])
+    assert time.process_time() - began < 1.0
+    assert len(pg.lattice) == 1 << 20
+    vis = visible_rewards(sc, (0, 0))
+    assert pg.k[pg.game.root] == ",".join(sorted(vis["obj_0"] | vis["obj_1"]))
 
 
 def test_compound_payoffs_accumulate_images():
@@ -518,6 +544,21 @@ def test_empty_scenario_wanders_to_step_limit():
     moves = [e for e in trace.entries if e["actor"] == "system"]
     assert moves and all(e["move"] == "wander" for e in moves)
     assert any("wander" in line for line in trace.decision_log)
+
+
+def test_wander_priority_is_the_free_move_goal_on_itself():
+    # an object id that names a goal element is still an object: the
+    # priority of wandering is impl(a, a), never impl(a, goal of "a")
+    doc = base_doc()
+    doc["grid"] = ["......"]
+    doc["start"] = [0, 0]
+    doc["objects"] = [{"id": "a", "cell": [5, 0], "features": ["f"],
+                       "goal": "e"}]
+    sc = load_scenario(doc)
+    trace = run_cognition(sc, max_steps=1)
+    [wander] = [e for e in trace.entries if e.get("move") == "wander"]
+    assert wander["free_move_priority"] == sc.phase.impl("a", "a") == "J123"
+    assert sc.phase.impl("a", "e") != "J123"
 
 
 # SHA-256 of the run_cognition trace JSON of each shipped scenario under the
