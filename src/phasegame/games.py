@@ -6,8 +6,9 @@ value to every vertex; a strategy wins when every maximal play it allows
 ends strictly above bottom.  Tensor is the product graph, the dual flips
 edge ownership, and implication is tensor of the dual with the consequent,
 with payoffs combined by meet and by Heyting implication respectively.
-Any object with a root and moves(v, pol) is a game too: Dual, Tensor and
-implication compose such implicit games lazily, and walk lists any game.
+Any object with a root and moves(v, pol) is a game: Dual, Tensor and
+implication compose such games lazily, walk lists any game breadth-first,
+and a Game is that walked listing, in one vertex order (see materialize).
 """
 
 from collections import deque
@@ -44,27 +45,25 @@ def walk(game):
 
 class Game:
     def __init__(self, vertices, root, edges):
-        self.vertices = list(vertices)
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        vertices = list(vertices)
+        vset = set(vertices)
+        if len(vset) != len(vertices):
             raise ValueError("duplicate vertices")
         if root not in vset:
             raise ForeignElement("root %r is not a vertex" % (root,))
         self.root = root
-        self.edges = []
-        self._out = {v: [] for v in self.vertices}
+        self._out = {v: [] for v in vertices}
         for frm, to, pol in edges:
             if frm not in vset or to not in vset:
                 raise ForeignElement("edge (%r, %r) leaves the vertex set"
                                      % (frm, to))
             if pol not in _POLS:
                 raise ValueError("edge polarity must be 'O' or 'P'")
-            self.edges.append((frm, to, pol))
             self._out[frm].append((to, pol))
-        seen = set(walk(self)[0])
-        if seen != vset:
-            raise ValueError("unreachable vertices: %r" % (sorted(
-                v for v in self.vertices if v not in seen),))
+        self.vertices, self.edges = walk(self)
+        if len(self.vertices) != len(vset):
+            raise ValueError("unreachable vertices: %r"
+                             % sorted(vset.difference(self.vertices)))
 
     def moves(self, v, pol):
         return [w for w, p in self._out[v] if p == pol]
@@ -137,9 +136,14 @@ class Memo:
         return out
 
 
+def materialize(game):
+    """Any game, walked and listed as a Game."""
+    vertices, edges = walk(game)
+    return Game(vertices, game.root, edges)
+
+
 def dual_game(game):
-    return Game(game.vertices, game.root,
-                [(f, t, _FLIP[p]) for f, t, p in game.edges])
+    return materialize(Dual(game))
 
 
 def dual_payoff_game(pg, mode="negate"):
@@ -156,19 +160,11 @@ def dual_payoff_game(pg, mode="negate"):
 
 
 def tensor_game(a, b):
-    """Tensor listed in the order of the factors' listings, keeping only
-    the pairs reachable from the root and the edges leaving them."""
-    seen = set(walk(Tensor(a, b))[0])
-    return Game([(u, v) for u in a.vertices for v in b.vertices
-                 if (u, v) in seen], (a.root, b.root),
-                [((f, v), (t, v), p) for f, t, p in a.edges
-                 for v in b.vertices if (f, v) in seen]
-                + [((u, f), (u, t), p) for u in a.vertices
-                   for f, t, p in b.edges if (u, f) in seen])
+    return materialize(Tensor(a, b))
 
 
 def implication_game(a, b):
-    return tensor_game(dual_game(a), b)
+    return materialize(implication(a, b))
 
 
 def _payoff_product(pa, pb, product, combine):
@@ -232,7 +228,7 @@ def validate_strategy(strategy):
 def maximal_plays(game, strategy):
     """Every play the strategy can be driven into that cannot continue."""
     resp = strategy.response()
-    cap = 4 * len(game.vertices) + 4
+    cap = 4 * len(walk(game)[0]) + 4
     out = []
     stack = [(game.root,)]
     while stack:
@@ -261,8 +257,8 @@ def is_winning(pg, strategy):
 
 def copycat(game):
     """The mirror strategy on game -o game."""
-    impl = implication_game(game, game)
-    cap = 4 * len(impl.vertices) + 4
+    impl = implication(game, game)
+    cap = 4 * len(walk(impl)[0]) + 4
     plays = {(impl.root,)}
     queue = deque([(impl.root,)])
     while queue:
@@ -281,6 +277,11 @@ def copycat(game):
     return Strategy(impl, plays)
 
 
+def _same_game(g, h):
+    """Equal roots and walked edge sets, so equal vertex sets too."""
+    return g.root == h.root and set(walk(g)[1]) == set(walk(h)[1])
+
+
 def compose_strategies(game_x, game_y, game_z, sigma, tau):
     """Compose a strategy on X -o Y with one on Y -o Z into X -o Z.
 
@@ -288,23 +289,20 @@ def compose_strategies(game_x, game_y, game_z, sigma, tau):
     game are ping-ponged until one side answers in X or Z.  The number of
     interaction steps is capped by the product of the component sizes.
     """
-    impl_xy = implication_game(game_x, game_y)
-    impl_yz = implication_game(game_y, game_z)
-    impl_xz = implication_game(game_x, game_z)
-    if set(sigma.game.vertices) != set(impl_xy.vertices) \
-            or sigma.game.root != impl_xy.root:
+    impl_xz = implication(game_x, game_z)
+    if not _same_game(sigma.game, implication(game_x, game_y)):
         raise ComponentMismatch("first strategy is not on X -o Y")
-    if set(tau.game.vertices) != set(impl_yz.vertices) \
-            or tau.game.root != impl_yz.root:
+    if not _same_game(tau.game, implication(game_y, game_z)):
         raise ComponentMismatch("second strategy is not on Y -o Z")
 
     resp_s = sigma.response()
     resp_t = tau.response()
-    cap = 4 * len(game_x.vertices) * len(game_y.vertices) * len(game_z.vertices)
+    cap = 4 * len(walk(game_x)[0]) * len(walk(game_y)[0]) \
+        * len(walk(game_z)[0])
 
     plays = {(impl_xz.root,)}
     # state: composite play, sigma play, tau play (all even length)
-    queue = deque([((impl_xz.root,), (impl_xy.root,), (impl_yz.root,))])
+    queue = deque([((impl_xz.root,), (sigma.game.root,), (tau.game.root,))])
     while queue:
         cp, sp, tp = queue.popleft()
         if len(cp) > cap:

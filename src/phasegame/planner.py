@@ -18,7 +18,8 @@ from itertools import combinations
 
 from .data import fields, load_doc, stem
 from .errors import BadGrid, HorizonEmpty, UnknownGoalElement, UsageError
-from .games import Game, Memo, PayoffGame, Tensor, implication, walk
+from .games import (Game, Memo, PayoffGame, Tensor, implication,
+                    materialize, walk)
 from .lattice import PowersetLattice
 from .phase import phase_from_doc
 
@@ -335,11 +336,10 @@ def build_compound_game(sc, goals, position=None, mode="practical",
     """
     game = CompoundGame(sc, goals, position=position, mode=mode,
                         dual_payoff=dual_payoff, images=images)
-    verts, edges = walk(game)
-    verts.sort()
+    listed = materialize(game)
     lat = sc.payoff_lattice
-    k = {v: lat.name(game.payoff(v)) for v in verts}
-    return PayoffGame(Game(verts, game.root, edges), lat, k)
+    k = {v: lat.name(game.payoff(v)) for v in listed.vertices}
+    return PayoffGame(listed, lat, k)
 
 
 # traces ----------------------------------------------------------------

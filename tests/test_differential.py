@@ -11,6 +11,10 @@ duals and errors, and seeded and edited candidate tables the same
 completions, in the same order, or the same error.  One test checks the
 algebra against the independent reference model of the benchmark's
 generated structures.
+
+The earlier list-based dual and tensor games are kept here too, as the
+oracles that tests/test_games.py and tests/test_planner.py hold the walked
+implicit games and their Game listings to.
 """
 
 import copy
@@ -655,3 +659,51 @@ def test_solver_resolves_a_referenced_lattice_as_before():
     path = data_path("goal_phase_candidates.json")
     want = assert_solvers_agree(path)
     assert want[0]["lattice"] == data_path("goal_lattice.json")
+
+
+# the earlier list-based games ------------------------------------------
+#
+# dual_game and tensor_game as they were before each became a walked
+# implicit game.  They list from the factors' own vertex and edge lists and
+# find the reachable pairs with their own search, never calling walk, Dual,
+# Tensor or the Game constructor.
+
+class Listed:
+    """A game as plain vertex and edge lists, unchecked and unwalked."""
+
+    def __init__(self, vertices, root, edges):
+        self.vertices, self.root = list(vertices), root
+        self.edges = list(edges)
+        self._out = {}
+        for f, t, p in self.edges:
+            self._out.setdefault((f, p), []).append(t)
+
+    def moves(self, v, pol):
+        return self._out.get((v, pol), [])
+
+
+def old_dual_game(game):
+    flip = {"O": "P", "P": "O"}
+    return Listed(game.vertices, game.root,
+                  [(f, t, flip[p]) for f, t, p in game.edges])
+
+
+def old_tensor_game(a, b):
+    """Tensor listed in the order of the factors' listings, keeping only
+    the pairs reachable from the root and the edges leaving them."""
+    root = (a.root, b.root)
+    edges = ([((f, v), (t, v), p) for f, t, p in a.edges for v in b.vertices]
+             + [((u, f), (u, t), p) for u in a.vertices
+                for f, t, p in b.edges])
+    out = {}
+    for f, t, _ in edges:
+        out.setdefault(f, []).append(t)
+    seen, todo = {root}, [root]
+    while todo:
+        for w in out.get(todo.pop(), []):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return Listed([(u, v) for u in a.vertices for v in b.vertices
+                   if (u, v) in seen], root,
+                  [e for e in edges if e[0] in seen])

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import (positionally_winning, random_distributive_lattice,
                       random_game, random_payoff, random_strategy, seeded)
+from test_differential import old_dual_game, old_tensor_game
 from phasegame.errors import (ComponentMismatch, ForeignElement,
                               InteractionOverflow, InvalidStrategy,
                               LatticeMismatch, NotHeyting)
@@ -48,6 +49,29 @@ def test_rejects_bad_polarity():
 def test_rejects_unreachable_vertices():
     with pytest.raises(ValueError, match="unreachable"):
         Game(["r", "s", "t"], "r", [("s", "t", "O")])
+
+
+def test_game_lists_vertices_and_edges_in_walk_order():
+    # given out of walk order: t before s, and r's P-edge before its O-edge
+    edges = [("s", "t", "O"), ("r", "t", "P"), ("r", "s", "O")]
+    g = Game(["t", "s", "r"], "r", edges)
+    assert g.vertices == ["r", "s", "t"]
+    assert g.edges == [("r", "s", "O"), ("r", "t", "P"), ("s", "t", "O")]
+    for v in "rst":
+        for pol in "OP":
+            assert g.moves(v, pol) == [t for f, t, p in edges
+                                       if (f, p) == (v, pol)]
+    rng = seeded(14)
+    for _ in range(20):
+        g = random_game(rng)
+        vertices, edges = g.vertices[:], g.edges[:]
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        h = Game(vertices, g.root, edges)
+        assert (h.vertices, h.edges) == walk(h)
+        for v in g.vertices:
+            for pol in "OP":
+                assert sorted(h.moves(v, pol)) == sorted(g.moves(v, pol))
 
 
 def test_moves_filters_by_polarity():
@@ -138,23 +162,29 @@ def test_implication_flips_only_antecedent():
     assert (("s", "z"), ("t", "z"), "O") in impl.edges
 
 
-def assert_walks_to(implicit, explicit):
-    vertices, edges = walk(implicit)
-    assert implicit.root == explicit.root
-    assert set(vertices) == set(explicit.vertices)
-    assert len(edges) == len(explicit.edges)
-    assert set(edges) == set(explicit.edges)
+def assert_lists_as(root, vertices, edges, oracle):
+    assert root == oracle.root
+    assert set(vertices) == set(oracle.vertices)
+    assert len(edges) == len(oracle.edges)
+    assert set(edges) == set(oracle.edges)
 
 
 def test_implicit_games_walk_to_the_explicit_ones():
+    # both the walked implicit game and its Game listing against the
+    # earlier list-based construction
     rng = seeded(12)
     for _ in range(30):
         a, b, c = (random_game(rng, 4) for _ in range(3))
-        assert_walks_to(Dual(a), dual_game(a))
-        assert_walks_to(Tensor(a, b), tensor_game(a, b))
-        assert_walks_to(implication(a, b), implication_game(a, b))
-        assert_walks_to(Tensor(Tensor(a, b), c),
-                        tensor_game(tensor_game(a, b), c))
+        for implicit, listed, oracle in [
+                (Dual(a), dual_game(a), old_dual_game(a)),
+                (Tensor(a, b), tensor_game(a, b), old_tensor_game(a, b)),
+                (implication(a, b), implication_game(a, b),
+                 old_tensor_game(old_dual_game(a), b)),
+                (Tensor(Tensor(a, b), c), tensor_game(tensor_game(a, b), c),
+                 old_tensor_game(old_tensor_game(a, b), c))]:
+            assert_lists_as(implicit.root, *walk(implicit), oracle)
+            assert_lists_as(listed.root, listed.vertices, listed.edges,
+                            oracle)
         assert walk(Memo(a)) == walk(a)
         assert walk(Memo(Tensor(a, b))) == walk(Tensor(a, b))
 
@@ -360,6 +390,14 @@ def test_compose_rejects_mismatched_components():
         compose_strategies(big, y, y, sigma, copycat(y))
     with pytest.raises(ComponentMismatch):
         compose_strategies(x, y, big, sigma, sigma)
+    # the same vertices and root, with the one edge owned by the other side
+    y, y2 = (Game(["r", "s"], "r", [("r", "s", pol)]) for pol in "OP")
+    on_xy2 = Strategy(implication_game(x, y2), {(("a", "r"),)})
+    on_y2x = Strategy(implication_game(y2, x), {(("r", "a"),)})
+    with pytest.raises(ComponentMismatch, match="first strategy"):
+        compose_strategies(x, y, y, on_xy2, copycat(y))
+    with pytest.raises(ComponentMismatch, match="second strategy"):
+        compose_strategies(y, y, x, copycat(y), on_y2x)
 
 
 # winning does not compose in general ------------------------------------

@@ -4,9 +4,12 @@ import time
 
 import pytest
 
+from conftest import random_strategy
+from test_differential import Listed, old_dual_game, old_tensor_game
 from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
-from phasegame.games import Game, implication_game, tensor_game
-from phasegame.planner import (_ball, _vertex_doc, CompoundGame,
+from phasegame.games import (compose_strategies, copycat, implication,
+                             walk)
+from phasegame.planner import (_vertex_doc, CompoundGame,
                                build_compound_game, eval_priority,
                                load_scenario, plan_play, run_cognition,
                                select_goal_sets, visible_rewards)
@@ -294,18 +297,17 @@ def test_empty_goal_list_rejected(build):
 
 def oracle_compound_game(sc, goals, position=None, mode="practical",
                          dual_payoff="copy", images=None):
-    """implication_game(movement game, tensor of reveal chains), with each
-    payoff a frozenset of features."""
+    """The earlier list-based implication (the tensor of the dual) of the
+    movement game and the tensor of reveal chains, with each payoff a
+    frozenset of features."""
     pos = sc.start if position is None else tuple(position)
     images = images or {}
     radius = sc.horizon
-    ball = _ball(sc, pos, radius)
     edges = []
-    for c in sorted(ball):
+    for c in sorted(sc.passable):
         for t in range(2 * radius):
             if t % 2 == 0:
-                edges += [((c, t), (n, t + 1), "O") for n in sc.neighbors(c)
-                          if n in ball]
+                edges += [((c, t), (n, t + 1), "O") for n in sc.neighbors(c)]
             else:
                 edges.append(((c, t), (c, t + 1), "P"))
     reach, todo = {(pos, 0)}, [(pos, 0)]
@@ -315,17 +317,17 @@ def oracle_compound_game(sc, goals, position=None, mode="practical",
             if f == v and t not in reach:
                 reach.add(t)
                 todo.append(t)
-    move_game = Game(sorted(reach), (pos, 0),
-                     [e for e in edges if e[0] in reach and e[1] in reach])
+    move_game = Listed(sorted(reach), (pos, 0),
+                       [e for e in edges if e[0] in reach and e[1] in reach])
     objs = [sc.objects[g] for g in goals]
-    chains = [Game([(o.id, j) for j in range(len(o.features) + 1)],
-                   (o.id, 0),
-                   [((o.id, j), (o.id, j + 1), "O")
-                    for j in range(len(o.features))]) for o in objs]
+    chains = [Listed([(o.id, j) for j in range(len(o.features) + 1)],
+                     (o.id, 0),
+                     [((o.id, j), (o.id, j + 1), "O")
+                      for j in range(len(o.features))]) for o in objs]
     consequent = chains[0]
     for ch in chains[1:]:
-        consequent = tensor_game(consequent, ch)
-    game = implication_game(move_game, consequent)
+        consequent = old_tensor_game(consequent, ch)
+    game = old_tensor_game(old_dual_game(move_game), consequent)
 
     full = frozenset(sc.universe)
     k = {}
@@ -443,6 +445,40 @@ def test_compound_game_matches_product_construction(seed):
         assert len(pg.game.edges) == len(game.edges)
         assert set(pg.game.edges) == set(game.edges)
         assert pg.k == {v: ",".join(sorted(val)) for v, val in k.items()}
+
+
+def test_compound_game_is_listed_in_walk_order():
+    cases = [(four_goals(), ["obj_e", "obj_b2"], None, None)]
+    cases += [random_case(random.Random(100 + seed)) for seed in range(3)]
+    for sc, goals, position, images in cases:
+        pg = build_compound_game(sc, goals, position=position, images=images)
+        game = CompoundGame(sc, goals, position=position, images=images)
+        assert (pg.game.vertices, pg.game.edges) == walk(game)
+
+
+def one_goal_game(features, start):
+    """A one-goal CompoundGame on two cells at horizon 1: 3 movement
+    vertices times the goal's len(features) + 1 reveal counts."""
+    doc = base_doc()
+    doc["grid"] = [".."]
+    doc["start"] = list(start)
+    doc["objects"] = [{"id": "obj_x", "cell": [1, 0], "features": features,
+                       "goal": "e"}]
+    return CompoundGame(load_scenario(doc), ["obj_x"])
+
+
+@pytest.mark.parametrize("features", [["f1"], ["f1", "f2"]])
+def test_strategies_play_on_implicit_compound_games(features):
+    g, h = one_goal_game(features, (0, 0)), one_goal_game(["f1"], (1, 0))
+    assert len(walk(g)[0]) == 3 * (len(features) + 1)
+    cc = copycat(g)
+    assert len(cc.plays) > 1
+    assert all(p[-1][0] == p[-1][1] for p in cc.plays)
+    assert compose_strategies(g, g, g, cc, cc).plays == cc.plays
+    sigma = random_strategy(random.Random(3), implication(g, h))
+    assert len(sigma.plays) > 1
+    assert compose_strategies(g, g, h, cc, sigma).plays == sigma.plays
+    assert compose_strategies(g, h, h, sigma, copycat(h)).plays == sigma.plays
 
 
 def test_plan_objective_is_maximal_over_all_plays():
