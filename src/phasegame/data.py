@@ -96,6 +96,9 @@ SCHEMAS["oracle"] = dict(SCHEMAS["monoid"], falsum_subset=Field(list, str))
 # the values a string field may take, where they are fixed
 ENUMS = {"unit_mode": ("weak", "strict"), "checks": ("full", "relaxed")}
 
+# the array fields that name each of their items once
+DISTINCT = ("elements",)
+
 # each kind of row: the types its entries may have, in order (an array
 # entry lists names, as a product's candidates do), and the message for a
 # row that does not fit
@@ -145,6 +148,10 @@ def fields(doc, kind, given=()):
                             or type(v[-1]) is list
                             and not all(isinstance(n, str) for n in v[-1])):
                 raise UsageError(message.format(key, v))
+        if key in DISTINCT and len(set(value)) != len(value):
+            seen = set()
+            repeated = next(v for v in value if v in seen or seen.add(v))
+            raise UsageError("field %r names %r twice" % (key, repeated))
         if item in SCHEMAS:
             out[key] = [fields(v, item) for v in value]
     return out

@@ -6,7 +6,8 @@ import subprocess
 import pytest
 
 from phasegame.cli import main
-from phasegame.data import ENUMS, REQUIRED, ROWS, SCHEMAS, data_path
+from phasegame.data import (DISTINCT, ENUMS, REQUIRED, ROWS, SCHEMAS,
+                            data_path)
 from phasegame.phase import phase_from_doc, verify_laws
 
 
@@ -412,6 +413,18 @@ MALFORMED = [
      _edited("four_goals_scenario.json",
              lambda d: d["objects"][1].update(id=d["objects"][0]["id"]),
              SIMULATE), 2),
+    # a repeated name would be read as one element
+    ("lattice_elements_repeated",
+     _edited("goal_lattice.json", lambda d: d["elements"].insert(1, "a"),
+             VERIFY_LATTICE), 2),
+    ("monoid_elements_repeated",
+     _edited("z2_monoid.json", lambda d: d.update(elements=["0", "1", "1"]),
+             ORACLE), 2),
+    ("monoid_elements_twice",
+     _edited("z2_monoid.json",
+             lambda d: d.update(elements=["a", "a"], unit="a",
+                                mult=[["a", "a", "a"]], falsum_subset=[]),
+             ORACLE), 2),
 ] + [
     ("no_%s" % "_".join(map(str, keys)), _edited(name, _drop(*keys), verb), 2)
     for name, keys, verb in [
@@ -486,6 +499,9 @@ NAMED = {
     "tiny_feature_empty": "universe members must be nonempty and contain "
                           "no commas",
     "duplicate_object_id": "two objects share the id 'obj_b1'",
+    "lattice_elements_repeated": "field 'elements' names 'a' twice",
+    "monoid_elements_repeated": "field 'elements' names '1' twice",
+    "monoid_elements_twice": "field 'elements' names 'a' twice",
     "no_horizon": "scenario document has no field 'horizon'",
     "no_free_move_goal": "scenario document has no field 'free_move_goal'",
     "no_objects_0_id": "object document has no field 'id'",
@@ -542,7 +558,8 @@ _MISSING = object()
 def _contract_cases():
     """(kind, field, edit of the field's shipped value) for every field of
     every kind: drop it if required, give it each wrong JSON type, a value
-    outside its enum, a wrong-typed first item and a short tuple."""
+    outside its enum, a wrong-typed first item, a short tuple and a
+    repeated name."""
     for kind, table in SCHEMAS.items():
         for key, (types, item, arity, default) in table.items():
             edits = {}
@@ -561,6 +578,8 @@ def _contract_cases():
                 edits["short"] = lambda v: v[:-1]
             if item in ROWS:
                 edits["short_row"] = lambda v: [v[0][:-1]] + v[1:]
+            if key in DISTINCT:
+                edits["repeated"] = lambda v: v + v[:1]
             for name, edit in edits.items():
                 yield pytest.param(kind, key, edit,
                                    id="%s.%s-%s" % (kind, key, name))

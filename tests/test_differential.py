@@ -14,14 +14,17 @@ generated structures.
 
 The earlier list-based dual and tensor games are kept here too, as the
 oracles that tests/test_games.py and tests/test_planner.py hold the walked
-implicit games and their Game listings to.
+implicit games and their Game listings to, and so is the earlier subset
+oracle on frozensets, whose reports the bitmask oracle must equal on every
+pole of every census monoid up to size 4 and on seeded larger monoids.
 """
 
 import copy
+import functools
 import importlib.util
 import os
 import random
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -53,6 +56,8 @@ from phasegame.phase import (
     verify_laws,
 )
 from phasegame.solver import solve_table
+from phasegame.subset_oracle import (all_commutative_monoids, cyclic_monoid,
+                                     oracle_report)
 
 
 # the earlier lattice tables -------------------------------------------
@@ -707,3 +712,162 @@ def old_tensor_game(a, b):
     return Listed([(u, v) for u in a.vertices for v in b.vertices
                    if (u, v) in seen], root,
                   [e for e in edges if e[0] in seen])
+
+
+# the earlier frozenset subset oracle -----------------------------------
+#
+# SubsetPhase and oracle_report as they were before subsets became masks:
+# every subset a frozenset of names, every dual a scan of the carrier.
+# dual and tensor are pure, so each instance memoizes them; that keeps the
+# n<=4 census and the 64-fact Z/6 pole within Tier-1 time (about 24 s
+# unmemoized for Z/6 alone) and changes no result.
+
+class OldSubsetPhase:
+    def __init__(self, elements, mult, unit, pole):
+        self.elements = list(elements)
+        self.unit = unit
+        self.mult = dict(mult)
+        self.pole = frozenset(pole)
+        self.dual = functools.cache(self.dual)
+        self.tensor = functools.cache(self.tensor)
+
+    def subsets(self):
+        out = []
+        for bits in range(1 << len(self.elements)):
+            out.append(frozenset(
+                e for i, e in enumerate(self.elements) if bits >> i & 1))
+        return out
+
+    def prod(self, xs, ys):
+        return frozenset(self.mult[(x, y)] for x in xs for y in ys)
+
+    def dual(self, xs):
+        return frozenset(
+            z for z in self.elements
+            if all(self.mult[(x, z)] in self.pole for x in xs))
+
+    def is_fact(self, xs):
+        return self.dual(self.dual(xs)) == frozenset(xs)
+
+    def facts(self):
+        return [s for s in self.subsets() if self.is_fact(s)]
+
+    def tensor(self, xs, ys):
+        return self.dual(self.dual(self.prod(xs, ys)))
+
+    def par(self, xs, ys):
+        return self.dual(self.prod(self.dual(xs), self.dual(ys)))
+
+    def impl(self, xs, ys):
+        return self.dual(self.prod(xs, self.dual(ys)))
+
+    def one(self):
+        return self.dual(self.dual(frozenset([self.unit])))
+
+
+def old_oracle_report(elements, mult, unit, pole):
+    """The earlier report on valid input; the input checks did not change
+    and stay with the new SubsetPhase."""
+    sp = OldSubsetPhase(elements, mult, unit, pole)
+    subs = sp.subsets()
+    laws = []
+
+    def law(name, witnesses, checked):
+        laws.append({"law": name, "status": "fail" if witnesses else "pass",
+                     "checked": checked, "skipped": 0,
+                     "witnesses": [repr(w) for w in witnesses[:5]]})
+
+    w = [s for s in subs if sp.dual(sp.dual(sp.dual(s))) != sp.dual(s)]
+    law("triple_dual", w, len(subs))
+
+    w = [s for s in subs if not s <= sp.dual(sp.dual(s))]
+    law("double_dual_extensive", w, len(subs))
+
+    w = [s for s in subs if not sp.prod(s, sp.dual(s)) <= sp.pole]
+    law("contradiction_in_pole", w, len(subs))
+
+    w = []
+    for s in subs:
+        for t in subs:
+            if s <= t and not sp.dual(t) <= sp.dual(s):
+                w.append((s, t))
+    law("dual_antitone", w, len(subs) ** 2)
+
+    w = []
+    for s in subs:
+        for t in subs:
+            if sp.dual(s | t) != sp.dual(s) & sp.dual(t):
+                w.append((s, t))
+    law("dual_of_union_is_intersection", w, len(subs) ** 2)
+
+    facts = sp.facts()
+    w = [(s, t) for s in facts for t in facts if s & t not in facts]
+    law("facts_meet_closed", w, len(facts) ** 2)
+
+    w = []
+    for s in subs:
+        for t in facts:
+            direct = frozenset(z for z in sp.elements
+                               if sp.prod(s, frozenset([z])) <= t)
+            if sp.impl(s, t) != direct:
+                w.append((s, t))
+    law("implication_is_residual", w, len(subs) * len(facts))
+
+    w = []
+    for s in facts:
+        for t in facts:
+            if sp.tensor(s, t) != sp.tensor(t, s):
+                w.append((s, t))
+            if sp.dual(sp.tensor(s, t)) != sp.par(sp.dual(s), sp.dual(t)):
+                w.append((s, t))
+    law("tensor_par_duality", w, len(facts) ** 2)
+
+    w = []
+    for s in facts:
+        for t in facts:
+            for u in facts:
+                if sp.tensor(sp.tensor(s, t), u) != \
+                        sp.tensor(s, sp.tensor(t, u)):
+                    w.append((s, t, u))
+    law("tensor_associative_on_facts", w, len(facts) ** 3)
+
+    one = sp.one()
+    w = [s for s in facts if sp.tensor(one, s) != s]
+    law("one_neutral_on_facts", w, len(facts))
+
+    w = [] if sp.is_fact(sp.dual(frozenset([sp.unit]))) else [sp.pole]
+    law("pole_is_fact", w, 1)
+
+    return {"ok": all(e["status"] != "fail" for e in laws),
+            "laws": laws,
+            "subsets": len(subs),
+            "facts": len(facts)}
+
+
+def oracle_inputs():
+    """Every pole of every n<=4 census monoid, 30 seeded monoids of each
+    of sizes 5 and 6 drawn as the benchmark draws them, and Z/6 with the
+    pole {1..5}, under which all 64 subsets are facts."""
+    for n in (1, 2, 3, 4):
+        for els, mult, unit in all_commutative_monoids(n):
+            for r in range(n + 1):
+                for pole in combinations(els, r):
+                    yield els, mult, unit, frozenset(pole)
+    gen = _load_gen()
+    rng = random.Random(1204)
+    for m in (5, 6):
+        for _ in range(30):
+            yield gen.random_monoid(rng, m)[:4]
+    els, mult, unit = cyclic_monoid(6)
+    yield els, mult, unit, frozenset(els[1:])
+
+
+def test_oracle_reports_match_the_earlier_oracle():
+    facts = []
+    for els, mult, unit, pole in oracle_inputs():
+        want = old_oracle_report(els, mult, unit, pole)
+        assert oracle_report(els, mult, unit, pole) == want, (mult, pole)
+        assert want["ok"]
+        facts.append(want["facts"])
+    assert len(facts) == 1586 + 60 + 1
+    assert facts[-1] == 64

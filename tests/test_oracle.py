@@ -2,7 +2,7 @@
 tests lean on hand-worked examples plus exhaustive small censuses."""
 
 import json
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -10,7 +10,7 @@ from phasegame.cli import main
 from phasegame.data import load_doc
 from phasegame.errors import (ForeignElement, NotAssociative, NotCommutative,
                               SizeExceeded)
-from phasegame.phase import phase_from_doc, verify_laws
+from phasegame.phase import classify, phase_from_doc, verify_laws
 from phasegame.subset_oracle import (SubsetPhase, all_commutative_monoids,
                                      cyclic_monoid, monoid_from_doc,
                                      oracle_report)
@@ -24,15 +24,29 @@ def all_poles(elements):
 def test_z2_hand_computed_duals():
     els, mult, unit = cyclic_monoid(2)
     sp = SubsetPhase(els, mult, unit, frozenset({"0"}))
-    assert sp.dual(frozenset({"0"})) == frozenset({"0"})
-    assert sp.dual(frozenset({"1"})) == frozenset({"1"})
-    assert sp.dual(frozenset()) == frozenset({"0", "1"})
-    assert sp.dual(frozenset({"0", "1"})) == frozenset()
+    zero, one, both = sp.mask({"0"}), sp.mask({"1"}), sp.mask({"0", "1"})
+    assert (zero, one, both) == (0b01, 0b10, 0b11)
+    assert sp.dual[zero] == zero
+    assert sp.dual[one] == one
+    assert sp.dual[0] == both
+    assert sp.dual[both] == 0
     # every subset of Z/2 with pole {0} is a fact
-    assert len(sp.facts()) == 4
-    assert sp.tensor(frozenset({"1"}), frozenset({"1"})) == frozenset({"0"})
-    assert sp.impl(frozenset({"1"}), frozenset({"0"})) == frozenset({"1"})
-    assert sp.one() == frozenset({"0"})
+    assert sp.facts() == [0, zero, one, both]
+    assert sp.tensor(one, one) == zero
+    assert sp.impl(one, zero) == one
+    assert sp.one() == zero
+    assert sp.names(both) == frozenset(els)
+
+
+def test_products_fold_element_masks():
+    # Z/3: {1, 2}.{1, 2} = {2, 0, 1}, and {1}.{2} = {0}
+    els, mult, unit = cyclic_monoid(3)
+    sp = SubsetPhase(els, mult, unit, frozenset({"0"}))
+    assert sp.prod(sp.mask("12"), sp.mask("12")) == sp.mask("012")
+    assert sp.prod(sp.mask("1"), sp.mask("2")) == sp.mask("0")
+    assert sp.prod(0, sp.mask("012")) == sp.prod(sp.mask("012"), 0) == 0
+    # dual of {1} against {0}: the z with 1 + z = 0
+    assert sp.names(sp.dual[sp.mask("1")]) == frozenset("2")
 
 
 def test_z2_all_poles_pass():
@@ -75,6 +89,7 @@ def test_census_sizes():
     assert len(all_commutative_monoids(1)) == 1
     assert len(all_commutative_monoids(2)) == 2
     assert len(all_commutative_monoids(3)) == 9
+    assert len(all_commutative_monoids(4)) == 94
 
 
 def test_census_all_poles_pass():
@@ -87,7 +102,7 @@ def test_census_all_poles_pass():
 
 def test_census_cap():
     with pytest.raises(SizeExceeded):
-        all_commutative_monoids(4)
+        all_commutative_monoids(5)
 
 
 def test_monoid_size_cap():
@@ -119,6 +134,27 @@ def test_rejects_non_neutral_unit():
     els, mult, unit = monoid_from_doc(doc)
     with pytest.raises(NotAssociative, match="unit"):
         SubsetPhase(els, mult, unit, frozenset())
+
+
+def test_rejects_foreign_unit():
+    # the unit must be an element, of an empty carrier or not; it is named
+    # as foreign, not as a unit that fails to be neutral
+    with pytest.raises(ForeignElement, match="unit 'x' is not in the carrier"):
+        SubsetPhase([], {}, "x", frozenset())
+    els, mult, unit = cyclic_monoid(2)
+    with pytest.raises(ForeignElement, match="unit 'x' is not in the carrier"):
+        SubsetPhase(els, mult, "x", frozenset())
+
+
+def test_foreign_unit_exits_1(capsys, tmp_path):
+    for elements, mult in (([], []), (["0", "1"], load_doc(
+            "data:z2_monoid.json")[0]["mult"])):
+        doc = {"elements": elements, "mult": mult, "unit": "x",
+               "falsum_subset": []}
+        path = tmp_path / "foreign_unit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path)]) == 1
+        assert "ForeignElement: unit 'x'" in capsys.readouterr().err
 
 
 def test_rejects_foreign_product():
@@ -190,12 +226,12 @@ def _fact_phase_doc(sp):
     tensor the closure of the product, unit the closure of {unit}, falsum
     the pole, and no dual overrides, so every dual is derived."""
     facts = sp.facts()
-    name = {s: "{%s}" % ",".join(sorted(s)) for s in facts}
+    name = {s: "{%s}" % ",".join(sorted(sp.names(s))) for s in facts}
     lattice = {"elements": [name[s] for s in facts],
                "covers": [[name[s], name[t]] for s in facts for t in facts
-                          if s < t],
-               "bottom": name[min(facts, key=len)],
-               "top": name[frozenset(sp.elements)]}
+                          if s != t and not s & ~t],
+               "bottom": name[min(facts, key=int.bit_count)],
+               "top": name[sp.dual[0]]}
     mult = [[name[s], name[t], name[sp.tensor(s, t)]]
             for i, s in enumerate(facts) for t in facts[i:]]
     doc = {"lattice": lattice, "mult": mult,
@@ -203,29 +239,57 @@ def _fact_phase_doc(sp):
     return doc, name
 
 
+def up_to_relabelling(monoids):
+    """One (monoid, pole) pair of each class under renamings of the
+    non-unit elements, the first met; each unit is its monoid's first
+    element."""
+    seen = set()
+    for els, mult, unit in monoids:
+        for pole in all_poles(els):
+            forms = []
+            for perm in permutations(els[1:]):
+                new = dict(zip(els, (unit,) + perm))
+                forms.append((
+                    sorted((new[x], new[y], new[v])
+                           for (x, y), v in mult.items()),
+                    sorted(new[p] for p in pole)))
+            key = repr(min(forms))
+            if key not in seen:
+                seen.add(key)
+                yield els, mult, unit, pole
+
+
 def test_fact_phase_agrees_with_subset_oracle():
     # the abstract engine, loaded with the fact lattice of a monoid, must
     # compute what the oracle computes from first principles, distributive
-    # or not
-    monoids = [m for n in (1, 2, 3) for m in all_commutative_monoids(n)]
-    monoids += [cyclic_monoid(4), cyclic_monoid(5)]
+    # or not; Z/4 is in the census up to relabelling
+    monoids = [m for n in (1, 2, 3, 4) for m in all_commutative_monoids(n)]
+    monoids.append(cyclic_monoid(5))
     cases = non_distributive = 0
-    for els, mult, unit in monoids:
-        for pole in all_poles(els):
-            sp = SubsetPhase(els, mult, unit, pole)
-            doc, name = _fact_phase_doc(sp)
-            ps = phase_from_doc(doc)
-            facts = sp.facts()
-            case = (mult, sorted(pole))
-            for s in facts:
-                assert ps.dual(name[s]) == name[sp.dual(s)], case
-                for t in facts:
-                    assert ps.par(name[s], name[t]) == name[sp.par(s, t)], case
-                    assert ps.impl(name[s], name[t]) == \
-                        name[sp.impl(s, t)], case
-            # the oracle's laws hold on every fact structure (its reports
-            # all pass), so the engine's audit must pass too
-            assert verify_laws(ps)["ok"], case
-            cases += 1
-            non_distributive += not ps.lattice.is_distributive()
-    assert (cases, non_distributive) == (130, 38)
+    for els, mult, unit, pole in up_to_relabelling(monoids):
+        sp = SubsetPhase(els, mult, unit, pole)
+        doc, name = _fact_phase_doc(sp)
+        ps = phase_from_doc(doc)
+        facts = sp.facts()
+        case = (mult, sorted(pole))
+        for s in facts:
+            assert ps.dual(name[s]) == name[sp.dual[s]], case
+            for t in facts:
+                assert ps.par(name[s], name[t]) == name[sp.par(s, t)], case
+                assert ps.impl(name[s], name[t]) == \
+                    name[sp.impl(s, t)], case
+        # the oracle's laws hold on every fact structure (its reports all
+        # pass), so the engine's audit must pass too
+        assert verify_laws(ps)["ok"], case
+        # open facts lie below the neutral element dual(pole), closed ones
+        # above the pole
+        neutral = sp.dual[sp.pole]
+        fc = classify(ps)
+        assert fc.neutral == name[neutral], case
+        assert fc.open_class == [name[s] for s in facts
+                                 if not s & ~neutral], case
+        assert fc.closed_class == [name[s] for s in facts
+                                   if not sp.pole & ~s], case
+        cases += 1
+        non_distributive += not ps.lattice.is_distributive()
+    assert (cases, non_distributive) == (336, 54)
