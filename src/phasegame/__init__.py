@@ -1,93 +1,40 @@
-"""Lattice-valued phase semantics, payoff games, and a goal-driven planner."""
+"""Lattice-valued phase semantics, payoff games, and a goal-driven planner.
 
-from .errors import PhasegameError
-from .lattice import (
-    Lattice,
-    PowersetLattice,
-    lattice_from_doc,
-    load_lattice,
-)
-from .phase import (
-    PhaseStructure,
-    classify,
-    load_phase,
-    phase_from_doc,
-    verify_laws,
-)
-from .solver import solve_table
-from .subset_oracle import (
-    SubsetPhase,
-    all_commutative_monoids,
-    cyclic_monoid,
-    oracle_report,
-)
-from .games import (
-    Game,
-    PayoffGame,
-    Strategy,
-    compose_strategies,
-    copycat,
-    dual_game,
-    dual_payoff_game,
-    implication_game,
-    is_winning,
-    maximal_plays,
-    payoff_implication,
-    payoff_tensor,
-    tensor_game,
-    validate_strategy,
-)
-from .planner import (
-    Scenario,
-    build_compound_game,
-    eval_priority,
-    load_scenario,
-    plan_play,
-    run_cognition,
-    select_goal_sets,
-    visible_rewards,
-)
-from .expr import eval_expr, parse
+Importing the package loads none of its modules: each public name below is
+imported from its module when it is first read (PEP 562), so a CLI verb
+loads only the layers it runs.
+"""
 
-__all__ = [
-    "PhasegameError",
-    "Lattice",
-    "PowersetLattice",
-    "lattice_from_doc",
-    "load_lattice",
-    "PhaseStructure",
-    "classify",
-    "load_phase",
-    "phase_from_doc",
-    "verify_laws",
-    "solve_table",
-    "SubsetPhase",
-    "all_commutative_monoids",
-    "cyclic_monoid",
-    "oracle_report",
-    "Game",
-    "PayoffGame",
-    "Strategy",
-    "compose_strategies",
-    "copycat",
-    "dual_game",
-    "dual_payoff_game",
-    "implication_game",
-    "is_winning",
-    "maximal_plays",
-    "payoff_implication",
-    "payoff_tensor",
-    "tensor_game",
-    "validate_strategy",
-    "Scenario",
-    "build_compound_game",
-    "eval_priority",
-    "load_scenario",
-    "plan_play",
-    "run_cognition",
-    "select_goal_sets",
-    "visible_rewards",
-    "eval_expr",
-    "parse",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "errors": ["PhasegameError"],
+    "lattice": ["Lattice", "PowersetLattice", "lattice_from_doc",
+                "load_lattice"],
+    "phase": ["PhaseStructure", "classify", "load_phase", "phase_from_doc",
+              "verify_laws"],
+    "solver": ["solve_table"],
+    "subset_oracle": ["SubsetPhase", "all_commutative_monoids",
+                      "cyclic_monoid", "oracle_report"],
+    "games": ["Game", "PayoffGame", "Strategy", "compose_strategies",
+              "copycat", "dual_game", "dual_payoff_game", "implication_game",
+              "is_winning", "maximal_plays", "payoff_implication",
+              "payoff_tensor", "tensor_game", "validate_strategy"],
+    "planner": ["Scenario", "build_compound_game", "eval_priority",
+                "load_scenario", "plan_play", "run_cognition",
+                "select_goal_sets", "visible_rewards"],
+    "expr": ["eval_expr", "parse"],
+}
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
+__all__ = list(_OWNER)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(import_module("." + _OWNER[name], __name__), name)
+    globals()[name] = value
+    return value

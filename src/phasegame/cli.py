@@ -12,7 +12,6 @@ import os
 import sys
 
 from .data import fields, load_doc, stem
-from .dot import trace_to_dot
 from .errors import (
     NoSolution,
     CapExceeded,
@@ -20,12 +19,6 @@ from .errors import (
     PhasegameError,
     UsageError,
 )
-from .expr import eval_expr
-from .lattice import load_lattice
-from .phase import classify, load_phase, verify_laws
-from .planner import load_scenario, run_cognition
-from .solver import solve_table
-from .subset_oracle import monoid_from_doc, oracle_report
 
 
 class Report:
@@ -108,8 +101,13 @@ def _positive(text):
 
 
 # verbs -----------------------------------------------------------------
+#
+# Each verb imports the modules it runs, so a verb loads no layer it does
+# not use.
 
 def cmd_verify(args):
+    from .lattice import load_lattice
+    from .phase import classify, load_phase, verify_laws
     if args.lattice is None and args.phase is None:
         raise UsageError("verify needs --lattice and/or --phase")
     report = Report("verify")
@@ -157,6 +155,7 @@ def cmd_verify(args):
 
 
 def cmd_solve(args):
+    from .solver import solve_table
     if args.table is not None and args.phase is not None:
         raise UsageError("solve reads a table argument or --phase, not both")
     table = args.table or _need(args, "phase", "--phase or a table argument")
@@ -186,6 +185,8 @@ def cmd_solve(args):
 
 
 def cmd_eval(args):
+    from .expr import eval_expr
+    from .phase import load_phase
     phase = _need(args, "phase", "--phase")
     text = " ".join(args.expr).strip()
     if not text:
@@ -200,6 +201,7 @@ def cmd_eval(args):
 
 
 def cmd_simulate(args):
+    from .planner import load_scenario, run_cognition
     sc = load_scenario(args.scenario)
     trace = run_cognition(sc, max_steps=args.max_steps, mode=args.mode,
                           dual_payoff=args.dual_payoff, seed=args.seed)
@@ -235,6 +237,7 @@ def cmd_simulate(args):
         _write_text(path, trace.to_json())
         report.add("trace_json", "pass", path)
     if args.emit in ("dot", "both"):
+        from .dot import trace_to_dot
         path = os.path.join(out_dir, "%s_trace.dot" % sc.name)
         _write_text(path, trace_to_dot(doc, name=sc.name))
         report.add("trace_dot", "pass", path)
@@ -242,6 +245,7 @@ def cmd_simulate(args):
 
 
 def cmd_oracle(args):
+    from .subset_oracle import monoid_from_doc, oracle_report
     doc, _ = load_doc(args.monoid)
     pole = frozenset(fields(doc, "oracle")["falsum_subset"])
     audit = oracle_report(*monoid_from_doc(doc), pole)
@@ -258,6 +262,7 @@ def cmd_oracle(args):
 
 
 def cmd_facts(args):
+    from .phase import classify, load_phase
     phase = _need(args, "phase", "--phase")
     ps = load_phase(phase)
     report = Report("facts")

@@ -148,13 +148,22 @@ def fields(doc, kind, given=()):
                             or type(v[-1]) is list
                             and not all(isinstance(n, str) for n in v[-1])):
                 raise UsageError(message.format(key, v))
-        if key in DISTINCT and len(set(value)) != len(value):
-            seen = set()
-            repeated = next(v for v in value if v in seen or seen.add(v))
-            raise UsageError("field %r names %r twice" % (key, repeated))
+        if key in DISTINCT:
+            distinct(value, "field %r" % key)
         if item in SCHEMAS:
             out[key] = [fields(v, item) for v in value]
     return out
+
+
+def distinct(values, what):
+    """values as a list, once none repeats: the first repeat raises a
+    UsageError naming what lists it."""
+    values, seen = list(values), set()
+    for v in values:
+        if v in seen:
+            raise UsageError("%s names %r twice" % (what, v))
+        seen.add(v)
+    return values
 
 
 def symmetrize(names, rows):

@@ -7,7 +7,7 @@ immutable after __init__.
 from functools import cached_property
 from itertools import combinations
 
-from .data import fields, load_doc
+from .data import distinct, fields, load_doc
 from .errors import (
     ForeignElement,
     NotALattice,
@@ -21,7 +21,7 @@ from .errors import (
 
 class Lattice:
     def __init__(self, elements, covers, bottom, top, generators=None):
-        self.elements = list(dict.fromkeys(elements))
+        self.elements = distinct(elements, "the element list")
         self.covers = [(lo, hi) for lo, hi in covers]
         self.bottom = bottom
         self.top = top

@@ -34,10 +34,8 @@ class SceneObject:
 
 
 class Scenario:
-    def __init__(self, width, height, passable, start, horizon, objects,
-                 phase, free_move_goal, rows, name="scenario"):
-        self.width = width
-        self.height = height
+    def __init__(self, passable, start, horizon, objects, phase,
+                 free_move_goal, rows, name="scenario"):
         self.passable = passable
         self.rows = rows
         self.start = start
@@ -113,8 +111,8 @@ def load_scenario(path_or_doc):
     if free_move_goal not in lattice:
         raise UnknownGoalElement("free_move_goal %r not in the goal lattice"
                                  % (free_move_goal,))
-    return Scenario(width, len(rows), passable, start, horizon, objects,
-                    phase, free_move_goal, list(rows), name=name)
+    return Scenario(passable, start, horizon, objects, phase,
+                    free_move_goal, list(rows), name=name)
 
 
 def chebyshev(a, b):

@@ -18,7 +18,7 @@ the monoid.
 from functools import lru_cache
 from itertools import product
 
-from .data import fields, symmetrize
+from .data import distinct, fields, symmetrize
 from .errors import ForeignElement, NotAssociative, NotCommutative, SizeExceeded
 
 MAX_MONOID = 6
@@ -50,7 +50,7 @@ class SubsetPhase:
         if len(elements) > MAX_MONOID:
             raise SizeExceeded("monoid has %d elements, cap is %d"
                                % (len(elements), MAX_MONOID))
-        self.elements = list(elements)
+        self.elements = distinct(elements, "the element list")
         self.unit = unit
         self.mult = dict(mult)
         for x in elements:
@@ -222,9 +222,12 @@ def cyclic_monoid(n):
 
 
 def all_commutative_monoids(n):
-    """Every commutative monoid table on n named elements with unit m0."""
+    """Every commutative monoid table on n named elements with unit m0;
+    none for n <= 0, since a monoid has a unit."""
     if n > 4:
         raise SizeExceeded("enumeration supported up to size 4")
+    if n <= 0:
+        return []
     els = ["m%d" % i for i in range(n)]
     free = [(i, j) for i in range(1, n) for j in range(i, n)]
     out = []

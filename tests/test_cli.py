@@ -532,7 +532,7 @@ def test_defect_inside_a_verb_is_not_a_usage_error(monkeypatch):
     # only malformed input exits 2: an internal KeyError stays a defect
     def broken(ps):
         raise KeyError("defect")
-    monkeypatch.setattr("phasegame.cli.verify_laws", broken)
+    monkeypatch.setattr("phasegame.phase.verify_laws", broken)
     with pytest.raises(KeyError, match="defect"):
         main(["verify", "--phase", "data:goal_phase.json"])
 

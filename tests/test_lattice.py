@@ -108,6 +108,11 @@ def test_foreign_element_errors():
         Lattice(["a"], [], "a", "a", generators=["ghost"])
 
 
+def test_rejects_repeated_element():
+    with pytest.raises(UsageError, match="names 'a' twice"):
+        Lattice(["a", "a", "b"], [("a", "b")], "a", "b")
+
+
 def test_doc_round_trip(tmp_path):
     doc = {"elements": ["0", "1"], "covers": [["0", "1"]],
            "bottom": "0", "top": "1"}

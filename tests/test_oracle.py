@@ -9,7 +9,7 @@ import pytest
 from phasegame.cli import main
 from phasegame.data import load_doc
 from phasegame.errors import (ForeignElement, NotAssociative, NotCommutative,
-                              SizeExceeded)
+                              SizeExceeded, UsageError)
 from phasegame.phase import classify, phase_from_doc, verify_laws
 from phasegame.subset_oracle import (SubsetPhase, all_commutative_monoids,
                                      cyclic_monoid, monoid_from_doc,
@@ -86,6 +86,7 @@ def test_report_shape():
 
 
 def test_census_sizes():
+    assert len(all_commutative_monoids(0)) == 0
     assert len(all_commutative_monoids(1)) == 1
     assert len(all_commutative_monoids(2)) == 2
     assert len(all_commutative_monoids(3)) == 9
@@ -134,6 +135,12 @@ def test_rejects_non_neutral_unit():
     els, mult, unit = monoid_from_doc(doc)
     with pytest.raises(NotAssociative, match="unit"):
         SubsetPhase(els, mult, unit, frozenset())
+
+
+def test_rejects_repeated_element():
+    # a repeated name would share one bit with its first occurrence
+    with pytest.raises(UsageError, match="names 'a' twice"):
+        oracle_report(["a", "a"], {("a", "a"): "a"}, "a", frozenset())
 
 
 def test_rejects_foreign_unit():

@@ -1,0 +1,77 @@
+"""The package's public names, and the modules each entry point loads."""
+
+import os
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import phasegame
+
+# every name the package exports, under the module that defines it
+PUBLIC = {
+    "errors": ["PhasegameError"],
+    "lattice": ["Lattice", "PowersetLattice", "lattice_from_doc",
+                "load_lattice"],
+    "phase": ["PhaseStructure", "classify", "load_phase", "phase_from_doc",
+              "verify_laws"],
+    "solver": ["solve_table"],
+    "subset_oracle": ["SubsetPhase", "all_commutative_monoids",
+                      "cyclic_monoid", "oracle_report"],
+    "games": ["Game", "PayoffGame", "Strategy", "compose_strategies",
+              "copycat", "dual_game", "dual_payoff_game", "implication_game",
+              "is_winning", "maximal_plays", "payoff_implication",
+              "payoff_tensor", "tensor_game", "validate_strategy"],
+    "planner": ["Scenario", "build_compound_game", "eval_priority",
+                "load_scenario", "plan_play", "run_cognition",
+                "select_goal_sets", "visible_rewards"],
+    "expr": ["eval_expr", "parse"],
+}
+
+
+def test_each_public_name_is_its_modules_object():
+    assert set(phasegame.__all__) == {
+        name for names in PUBLIC.values() for name in names}
+    assert len(phasegame.__all__) == 39
+    for module, names in PUBLIC.items():
+        owner = import_module("phasegame." + module)
+        for name in names:
+            assert getattr(phasegame, name) is getattr(owner, name), name
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "monoid_from_doc"])
+def test_other_names_are_attribute_errors(name):
+    # monoid_from_doc is public in subset_oracle but not exported
+    with pytest.raises(AttributeError, match=name):
+        getattr(phasegame, name)
+
+
+def imported(argv):
+    """The phasegame modules a fresh interpreter imports to run argv."""
+    src = os.path.dirname(os.path.dirname(phasegame.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    names = (line.rsplit("|", 1)[-1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:"))
+    return {name for name in names if name.split(".")[0] == "phasegame"}
+
+
+CORE = {"phasegame", "phasegame.data", "phasegame.errors"}
+
+
+# a verb run with -m executes phasegame.cli as __main__, so the CLI module
+# itself is never imported under its own name
+@pytest.mark.parametrize("argv, loaded", [
+    (["-c", "import phasegame"], {"phasegame"}),
+    (["-m", "phasegame.cli", "oracle", "data:z3_monoid.json"],
+     CORE | {"phasegame.subset_oracle"}),
+    (["-m", "phasegame.cli", "eval", "--phase", "data:goal_phase.json",
+      "e^^"],
+     CORE | {"phasegame.expr", "phasegame.lattice", "phasegame.phase"}),
+])
+def test_entry_point_loads_only_what_it_runs(argv, loaded):
+    assert imported(argv) == loaded
