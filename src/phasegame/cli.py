@@ -204,7 +204,7 @@ def cmd_simulate(args):
     from .planner import load_scenario, run_cognition
     sc = load_scenario(args.scenario)
     trace = run_cognition(sc, max_steps=args.max_steps, mode=args.mode,
-                          dual_payoff=args.dual_payoff, seed=args.seed)
+                          seed=args.seed)
     report = Report("simulate")
     doc = trace.to_doc()
 
@@ -327,8 +327,6 @@ def build_parser():
     p.add_argument("scenario", help="scenario JSON")
     p.add_argument("--mode", choices=("practical", "strict"),
                    default="practical")
-    p.add_argument("--dual-payoff", choices=("copy", "negate"),
-                   default="copy")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=_count, default=50)
     p.add_argument("--emit", choices=("json", "dot", "both"), default="json")

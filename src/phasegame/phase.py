@@ -4,14 +4,14 @@ A phase structure carries a finite bounded lattice (residuals are joins of
 finitely many witnesses, checked to be witnesses themselves, so neither
 completeness nor distributivity is assumed), a commutative monoid-like
 product on it, a falsum element used to define duals, and the derived
-apparatus of linear-logic connectives (tensor, par, implication,
-additives) together with the fact/open/closed classification.
+multiplicative connectives (par and implication, beside the product itself)
+together with the fact/open/closed classification.  The additives are the
+lattice's own meet and join.
 
 Duals come either from explicit overrides in the source document or from the
 residuation dual(X) = lin_implies(X, falsum) when that join is closed.
 """
 
-import warnings
 from itertools import islice
 from operator import itemgetter
 
@@ -27,10 +27,6 @@ from .errors import (
     UnitNotNeutral,
 )
 from .lattice import lattice_from_doc
-
-
-class NonFactWarning(UserWarning):
-    """Additive connective applied to an element outside the fact set."""
 
 
 class PhaseStructure:
@@ -63,17 +59,14 @@ class PhaseStructure:
         return self
 
     def mult(self, x, y):
-        index = self.lattice._index
-        try:
-            return self.lattice.elements[self._rows[index[x]][index[y]]]
-        except KeyError:
-            raise ForeignElement("%r, %r" % (x, y)) from None
+        idx = self.lattice.idx
+        return self.lattice.elements[self._rows[idx(x)][idx(y)]]
 
     def dual(self, x):
-        return self.lattice.elements[self._dual[self.lattice._index[x]]]
+        return self.lattice.elements[self._dual[self.lattice.idx(x)]]
 
     def is_fact(self, x):
-        i = self.lattice._index[x]
+        i = self.lattice.idx(x)
         return self._dual[self._dual[i]] == i
 
     def facts(self):
@@ -83,36 +76,12 @@ class PhaseStructure:
 
     # connectives -----------------------------------------------------
 
-    def tensor(self, x, y, mode="raw"):
-        """Product of x and y; mode 'fact_closed' applies double dual."""
-        v = self.mult(x, y)
-        if mode == "fact_closed":
-            return self.dual(self.dual(v))
-        if mode != "raw":
-            raise ValueError("mode must be 'raw' or 'fact_closed'")
-        return v
-
     def par(self, x, y):
         return self.dual(self.mult(self.dual(x), self.dual(y)))
 
     def impl(self, x, y):
         """Implication as the dual of x times dual y."""
         return self.dual(self.mult(x, self.dual(y)))
-
-    def additive_conj(self, x, y):
-        self._warn_non_fact("additive_conj", x, y)
-        return self.lattice.meet2(x, y)
-
-    def additive_disj(self, x, y):
-        self._warn_non_fact("additive_disj", x, y)
-        j = self.lattice.join2(x, y)
-        return self.dual(self.dual(j))
-
-    def _warn_non_fact(self, op, *xs):
-        for x in xs:
-            if not self.is_fact(x):
-                warnings.warn("%s: %r is not a fact" % (op, x),
-                              NonFactWarning, stacklevel=3)
 
     def lin_implies(self, x, y):
         """Largest z with mult(x, z) <= y, if that join is itself a witness.
@@ -390,8 +359,7 @@ def classify(ps):
             j = lat.join2(x, y)
             if j not in op:
                 raise NotClosedClass("open class not join-closed at (%r, %r)" % (x, y))
-            t = ps.tensor(x, y, mode="fact_closed")
-            if t not in op:
+            if ps.dual(ps.dual(ps.mult(x, y))) not in op:
                 raise NotClosedClass("open class not tensor-closed at (%r, %r)" % (x, y))
     for x in cl:
         for y in cl:

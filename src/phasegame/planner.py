@@ -137,13 +137,25 @@ def visible_rewards(sc, pos):
     return out
 
 
+def _goal_objects(sc, goals):
+    """The scene objects with the ids in goals, in order; an id that names
+    no object raises UnknownGoalElement."""
+    try:
+        return [sc.objects[g] for g in goals]
+    except KeyError as exc:
+        raise UnknownGoalElement(
+            "no object has the id %r" % (exc.args[0],)) from None
+
+
 def _as_elements(sc, goals):
-    return [sc.objects[g].goal for g in goals]
+    return [o.goal for o in _goal_objects(sc, goals)]
 
 
 def eval_priority(sc, goals):
     """Priority of a goal set, given by object ids: the implication from
     the free-move element to the folded product of the goal elements."""
+    if not goals:
+        raise ValueError("goals must not be empty")
     ps = sc.phase
     els = _as_elements(sc, goals)
     folded = els[0]
@@ -183,6 +195,7 @@ def select_goal_sets(sc, discovered, must_include=None, max_size=None):
     """
     lat = sc.lattice
     ids = sorted(discovered)
+    attractiveness = {o.id: o.attractiveness for o in _goal_objects(sc, ids)}
     log = []
     candidates = []
     for size in range(1, len(ids) + 1):
@@ -192,7 +205,7 @@ def select_goal_sets(sc, discovered, must_include=None, max_size=None):
             if must_include is not None and must_include not in combo:
                 continue
             pr = eval_priority(sc, combo)
-            att = sum(sc.objects[i].attractiveness for i in combo)
+            att = sum(attractiveness[i] for i in combo)
             candidates.append(GoalProcessSet(combo, pr, att))
             log.append("candidate {%s}: priority %s"
                        % (",".join(combo), pr))
@@ -248,11 +261,9 @@ def _ball(sc, pos, radius):
     return {cell for cell, _ in walk(_Movement(sc, pos, radius))[0]}
 
 
-def _check_modes(mode, dual_payoff):
+def _check_mode(mode):
     if mode not in ("practical", "strict"):
         raise ValueError("mode must be 'practical' or 'strict'")
-    if dual_payoff not in ("copy", "negate"):
-        raise ValueError("dual_payoff must be 'copy' or 'negate'")
 
 
 class CompoundGame:
@@ -268,21 +279,20 @@ class CompoundGame:
 
     A payoff is a mask of the scenario's payoff lattice, the powerset of
     its feature universe: what the cell reveals of the goals, joined with
-    their images (or its complement, in strict mode and for a negated dual
-    payoff), joined with the meet over goals of each revealed prefix joined
-    with its image.
+    their images (or its complement, in strict mode), joined with the meet
+    over goals of each revealed prefix joined with its image.
     """
 
     def __init__(self, sc, goals, position=None, mode="practical",
-                 dual_payoff="copy", images=None):
+                 images=None):
         pos = tuple(sc.start if position is None else position)
         if not sc.neighbors(pos) and len(sc.passable) > 1:
             raise HorizonEmpty("no legal move from %r" % (pos,))
-        _check_modes(mode, dual_payoff)
+        _check_mode(mode)
         if not goals:
             raise ValueError("goals must not be empty")
         images = images or {}
-        objs = [sc.objects[g] for g in goals]
+        objs = _goal_objects(sc, goals)
         self.sc = sc
         self.lattice = lat = sc.payoff_lattice
         self._ids = list(goals)
@@ -291,7 +301,7 @@ class CompoundGame:
                          for j in range(len(o.features) + 1)]
                         for o, im in zip(objs, image)]
         self._images = lat.mask(f for g in goals for f in images.get(g, ()))
-        self._negate = mode == "strict" or dual_payoff != "copy"
+        self._negate = mode == "strict"
         self._side = {}
         self._meet = {}
         chains = [Game([(o.id, j) for j in range(len(o.features) + 1)],
@@ -326,14 +336,13 @@ class CompoundGame:
 
 
 def build_compound_game(sc, goals, position=None, mode="practical",
-                        dual_payoff="copy", images=None):
+                        images=None):
     """The CompoundGame materialized as a PayoffGame.
 
     Its vertices are those reachable from the root by moves of either
     polarity, and its payoffs are named in the scenario's payoff lattice.
     """
-    game = CompoundGame(sc, goals, position=position, mode=mode,
-                        dual_payoff=dual_payoff, images=images)
+    game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
     listed = materialize(game)
     lat = sc.payoff_lattice
     k = {v: lat.name(game.payoff(v)) for v in listed.vertices}
@@ -377,8 +386,7 @@ class Trace:
         return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
 
 
-def plan_play(sc, goals, mode="practical", dual_payoff="copy",
-              position=None, images=None):
+def plan_play(sc, goals, mode="practical", position=None, images=None):
     """Pick a play of the compound game with a maximal joined payoff.
 
     A play's objective is the join of its vertex payoffs.  Plays whose
@@ -398,15 +406,13 @@ def plan_play(sc, goals, mode="practical", dual_payoff="copy",
     """
     if position is None:
         position = sc.start
-    game = CompoundGame(sc, goals, position=position, mode=mode,
-                        dual_payoff=dual_payoff, images=images)
+    game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
     lat = sc.payoff_lattice
 
     trace = Trace({
         "kind": "plan",
         "scenario": sc.name,
         "mode": mode,
-        "dual_payoff": dual_payoff,
         "position": list(position),
         "goals": sorted(goals),
         "objective_lattice": "powerset of %d features" % len(sc.universe),
@@ -490,8 +496,7 @@ def _vertex_doc(v):
     return {"cell": list(cell), "tick": t, "chains": repr(bvert)}
 
 
-def run_cognition(sc, max_steps=50, mode="practical", dual_payoff="copy",
-                  seed=0):
+def run_cognition(sc, max_steps=50, mode="practical", seed=0):
     """Full exploration loop: discover, select, plan, move, accumulate.
 
     Images of objects only ever grow (by join with what is visible).  When
@@ -499,13 +504,12 @@ def run_cognition(sc, max_steps=50, mode="practical", dual_payoff="copy",
     active goals, the active set shrinks; the run completes when a single
     goal saturates, else it stops at max_steps with the step_limit flag.
     """
-    _check_modes(mode, dual_payoff)
+    _check_mode(mode)
     rng = random.Random(seed)
     trace = Trace({
         "kind": "cognition",
         "scenario": sc.name,
         "mode": mode,
-        "dual_payoff": dual_payoff,
         "seed": seed,
         "max_steps": max_steps,
         "free_move_goal": sc.free_move_goal,
@@ -526,12 +530,12 @@ def run_cognition(sc, max_steps=50, mode="practical", dual_payoff="copy",
     dropped = set()
     pool = []
 
-    def reveal(where, actor="environment"):
+    def reveal(where):
         vis = visible_rewards(sc, where)
         for oid, feats in vis.items():
             images[oid] = images[oid] | feats
         trace.entries.append({
-            "actor": actor,
+            "actor": "environment",
             "position": list(where),
             "rewards": {oid: sorted(v) for oid, v in vis.items()},
             "images": {oid: sorted(v) for oid, v in images.items()},
@@ -624,8 +628,7 @@ def run_cognition(sc, max_steps=50, mode="practical", dual_payoff="copy",
                       % (steps, ",".join(active), ",".join(shrunk)))
             continue
 
-        plan = plan_play(sc, active, mode=mode, dual_payoff=dual_payoff,
-                         position=pos, images=images)
+        plan = plan_play(sc, active, mode=mode, position=pos, images=images)
         move_to = None
         for v in plan.final_play[1:]:
             cell = tuple(v["cell"])

@@ -617,8 +617,10 @@ def test_schema_contract(tmp_path, capsys, kind, key, edit):
     ["eval", "--phase", "data:goal_phase.json", "--lattice", "nosuch.json",
      "a"],
     ["facts", "--phase", "data:goal_phase.json", "--lattice", "nosuch.json"],
+    ["simulate", "data:four_goals_scenario.json", "--dual-payoff", "negate"],
 ], ids=["simulate_phase", "simulate_lattice", "oracle_phase",
-        "oracle_lattice", "solve_lattice", "eval_lattice", "facts_lattice"])
+        "oracle_lattice", "solve_lattice", "eval_lattice", "facts_lattice",
+        "simulate_dual_payoff"])
 def test_ignored_flag_is_usage_failure(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)  # a verb that ran would write files here
     assert main(argv) == 2

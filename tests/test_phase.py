@@ -11,7 +11,6 @@ from phasegame.errors import (
     UnitNotNeutral,
 )
 from phasegame.phase import (
-    NonFactWarning,
     PhaseStructure,
     classify,
     load_phase,
@@ -122,15 +121,6 @@ def test_alt_structure_fails_full_laws(alt_phase):
     assert "associative" in failing
 
 
-def test_tensor_modes(goal_phase):
-    ps = goal_phase
-    assert ps.tensor("e", "e") == "e"
-    assert ps.tensor("e", "e", mode="fact_closed") == "J23e"
-    assert ps.tensor("b2", "b3") == ps.mult("b2", "b3")
-    with pytest.raises(ValueError):
-        ps.tensor("e", "e", mode="nonsense")
-
-
 def test_par_de_morgan_on_facts(goal_phase):
     ps = goal_phase
     for x in ps.facts():
@@ -143,17 +133,6 @@ def test_impl_is_dual_of_product(goal_phase):
     for x in ("a", "e", "J1a", "b3"):
         for y in ("b2", "e", "1", "0"):
             assert ps.impl(x, y) == ps.dual(ps.mult(x, ps.dual(y)))
-
-
-def test_additives_warn_on_non_facts(goal_phase):
-    ps = goal_phase
-    assert ps.additive_conj("b2", "b3") == "a"
-    with pytest.warns(NonFactWarning):
-        ps.additive_conj("e", "J2e")
-    with pytest.warns(NonFactWarning):
-        ps.additive_disj("e", "b2")
-    # additive disjunction is the fact closure of the join
-    assert ps.additive_disj("b2", "b3") == ps.dual(ps.dual("J23"))
 
 
 def test_lin_implies_closed_and_not(goal_phase):
@@ -238,6 +217,16 @@ def test_foreign_elements_rejected():
     doc["unit"] = "zz"
     with pytest.raises(ForeignElement):
         phase_from_doc(doc)
+
+
+@pytest.mark.parametrize("method,args", [
+    ("mult", ("zz", "a")), ("dual", ("zz",)), ("is_fact", ("zz",)),
+    ("par", ("zz", "a")), ("impl", ("a", "zz")),
+    ("lin_implies", ("zz", "a"))],
+    ids=["mult", "dual", "is_fact", "par", "impl", "lin_implies"])
+def test_foreign_names_in_connectives(goal_phase, method, args):
+    with pytest.raises(ForeignElement, match="'zz'"):
+        getattr(goal_phase, method)(*args)
 
 
 def test_corrupted_override_reported_not_raised():

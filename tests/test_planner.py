@@ -267,26 +267,25 @@ def test_bad_mode_rejected():
     sc = load_scenario("data:tiny_scenario.json")
     with pytest.raises(ValueError):
         build_compound_game(sc, ["obj_e"], mode="dreamy")
-
-
-def test_bad_dual_payoff_rejected():
-    message = "dual_payoff must be 'copy' or 'negate'"
-    with pytest.raises(ValueError, match=message):
-        plan_play(four_goals(), ["obj_e"], dual_payoff="nonsense")
     # a scenario with no goal plans nothing, and is rejected all the same
     for name in ("four_goals", "empty"):
         sc = load_scenario("data:%s_scenario.json" % name)
-        with pytest.raises(ValueError, match=message):
-            run_cognition(sc, dual_payoff="nonsense")
         with pytest.raises(ValueError, match="mode must be"):
             run_cognition(sc, mode="dreamy")
 
 
 @pytest.mark.parametrize("build", [CompoundGame, build_compound_game,
-                                   plan_play])
+                                   plan_play, eval_priority])
 def test_empty_goal_list_rejected(build):
     with pytest.raises(ValueError, match="goals must not be empty"):
         build(four_goals(), [])
+
+
+@pytest.mark.parametrize("call", [CompoundGame, build_compound_game,
+                                  plan_play, eval_priority, select_goal_sets])
+def test_unknown_goal_id_is_named(call):
+    with pytest.raises(UnknownGoalElement, match="'nope'"):
+        call(four_goals(), ["obj_e", "nope"])
 
 
 # planning ---------------------------------------------------------------
@@ -296,7 +295,7 @@ def test_empty_goal_list_rejected(build):
 # the list (largest support, then shortest, then repr order).
 
 def oracle_compound_game(sc, goals, position=None, mode="practical",
-                         dual_payoff="copy", images=None):
+                         images=None):
     """The earlier list-based implication (the tensor of the dual) of the
     movement game and the tensor of reveal chains, with each payoff a
     frozenset of features."""
@@ -337,7 +336,7 @@ def oracle_compound_game(sc, goals, position=None, mode="practical",
         side = frozenset()
         for o in objs:
             side |= vis[o.id] | images.get(o.id, frozenset())
-        if mode == "strict" or dual_payoff != "copy":
+        if mode == "strict":
             side = full - side
         counts = []
         for _ in objs[1:]:
@@ -416,30 +415,26 @@ def test_plan_agrees_with_exhaustive_enumeration(seed):
     rng = random.Random(seed)
     sc, goals, position, images = random_case(rng)
     for mode in ("practical", "strict"):
-        for dual_payoff in ("copy", "negate"):
-            plan = plan_play(sc, goals, mode=mode, dual_payoff=dual_payoff,
-                             position=position, images=images)
-            game, k = oracle_compound_game(sc, goals, position, mode,
-                                           dual_payoff, images)
-            plays, ranked, play, objective = oracle_plan(game, k)
-            assert plan.final_play == [_vertex_doc(v) for v in play]
-            assert plan.objective == objective
-            assert plan.decision_log[:2] == [
-                "enumerated %d alternated plays" % plays,
-                "plays with an objective of largest support: %d" % ranked]
-            assert plan.header["plays"] == plays
+        plan = plan_play(sc, goals, mode=mode, position=position,
+                         images=images)
+        game, k = oracle_compound_game(sc, goals, position, mode, images)
+        plays, ranked, play, objective = oracle_plan(game, k)
+        assert plan.final_play == [_vertex_doc(v) for v in play]
+        assert plan.objective == objective
+        assert plan.decision_log[:2] == [
+            "enumerated %d alternated plays" % plays,
+            "plays with an objective of largest support: %d" % ranked]
+        assert plan.header["plays"] == plays
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_compound_game_matches_product_construction(seed):
     rng = random.Random(100 + seed)
     sc, goals, position, images = random_case(rng)
-    for mode, dual_payoff in (("practical", "copy"), ("strict", "copy"),
-                              ("practical", "negate")):
+    for mode in ("practical", "strict"):
         pg = build_compound_game(sc, goals, position=position, mode=mode,
-                                 dual_payoff=dual_payoff, images=images)
-        game, k = oracle_compound_game(sc, goals, position, mode,
-                                       dual_payoff, images)
+                                 images=images)
+        game, k = oracle_compound_game(sc, goals, position, mode, images)
         assert pg.game.root == game.root
         assert set(pg.game.vertices) == set(game.vertices)
         assert len(pg.game.edges) == len(game.edges)
@@ -602,21 +597,21 @@ def test_wander_priority_is_the_free_move_goal_on_itself():
 # digests catch a change to the traces that every run shares.
 TRACE_DIGESTS = {
     ("four_goals_scenario", "practical", 0):
-        "a37b0fe4ecc2fae44f3f417d2d59cfa4f097414e51c2569b124a62cc3ff9e1bb",
+        "343288b6a485c143a213850f7d0354b233212ac2864f955cde7a0d20753a545b",
     ("four_goals_scenario", "strict", 0):
-        "3f714c57402bf17d1aa9ce08c65a72610fe908d83b56d5a16e17a8add37ced4a",
+        "7c3f660faa747e9d00aa1cc13443c39fd30653bcb41228faf15ef4a16d3d8d16",
     ("four_goals_scenario", "practical", 1):
-        "665da81d1bb5b74bc987c94b336ece69f4deed0819363751e1af92e0993e2f16",
+        "7a886730e95bf685307f49144e95337c2aa7fe1ba0007bd286b160715cb6b894",
     ("four_goals_scenario", "strict", 1):
-        "c643f798b6ec528bf81bdfe2398c113550a67ff9affa49e3a8987b8cf09d2dc7",
+        "b1460eec21f8c408685c60766fb3a5e13a8f40f4baefab31024f25e3b96d6821",
     ("four_goals_scenario", "practical", 2):
-        "d8ee761edc3aa8a05dea23fc7a5741970f51f6d61e65b91ae6b548861cd92594",
+        "759fcbf8fd6a4817bf8d30f60cc8f520f6fb1e52b03393bfdb3ad477b8d2f64f",
     ("four_goals_scenario", "strict", 2):
-        "484506829a5189a59b19ad72b52c08aa52c45e6f535bc1ef857fc16cbd41eb5f",
+        "c6ad2de56a265f9f0a9f7a7954d6657a262cd724236979241b8a61a82b27fe14",
     ("tiny_scenario", "practical", 0):
-        "7f9fda7d08552dcaf61142bf1a9c91920db3ec8859d8a41e99335649ed64b9e6",
+        "3ecd779f8d050d5e0f916c3eb076b08fceb2bfa1a83c8447dd03cae3f60d3016",
     ("empty_scenario", "practical", 0):
-        "cc18c1ddd9649772d18fdd52f6725c82831e28a35b8b093be91e285f71e7687a",
+        "107dc440ae90da524a35edde1588c0d90c411ee80293797433aa5c63c70b75b8",
 }
 
 
