@@ -3,10 +3,13 @@
 Lattices, phase structures, candidate tables, scenarios and monoids are
 JSON objects, named by a path or ``data:<name>`` (a document shipped in the
 package); a relative path inside a document resolves against its directory.
-``load_doc`` is the one reader, ``SCHEMAS`` the one definition of each kind,
-``fields`` the one checker and ``symmetrize`` the one product-row parser.
+``load_doc`` is the one reader (``read_bytes`` and ``parse_doc`` are its two
+halves, for a caller that keeps the bytes), ``SCHEMAS`` the one definition of
+each kind, ``fields`` the one checker and ``symmetrize`` the one product-row
+parser.
 """
 
+import io
 import json
 import os
 from collections import namedtuple
@@ -40,14 +43,26 @@ def load_doc(path_or_doc, base_dir=None):
     if not isinstance(path_or_doc, str):
         return path_or_doc, base_dir
     path = resolve_path(path_or_doc, base_dir)
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise UsageError("%s: %s" % (path, exc)) from exc
+    return parse_doc(read_bytes(path), path), os.path.dirname(
+        os.path.abspath(path))
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def parse_doc(raw, path):
+    """The JSON object in raw, the bytes of the file at path, decoded as a
+    text-mode open() decodes them; anything else raises UsageError naming
+    path."""
+    try:
+        doc = json.load(io.TextIOWrapper(io.BytesIO(raw)))
+    except (ValueError, RecursionError) as exc:
+        raise UsageError("%s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
         raise UsageError("%s: top level is not a JSON object" % path)
-    return doc, os.path.dirname(os.path.abspath(path))
+    return doc
 
 
 def stem(ref):

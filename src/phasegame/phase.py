@@ -12,10 +12,12 @@ Duals come either from explicit overrides in the source document or from the
 residuation dual(X) = lin_implies(X, falsum) when that join is closed.
 """
 
+import os
 from itertools import islice
 from operator import itemgetter
 
-from .data import fields, load_doc, symmetrize
+from .data import (fields, load_doc, parse_doc, read_bytes, resolve_path,
+                   symmetrize)
 from .errors import (
     DualLawViolation,
     ForeignElement,
@@ -54,8 +56,8 @@ class PhaseStructure:
         self.unit = unit
         self.falsum = falsum
         self.unit_mode = unit_mode
-        self.op_class = list(op_class) if op_class is not None else None
-        self.cl_class = list(cl_class) if cl_class is not None else None
+        self.op_class = tuple(op_class) if op_class is not None else None
+        self.cl_class = tuple(cl_class) if cl_class is not None else None
         return self
 
     def mult(self, x, y):
@@ -235,6 +237,11 @@ def _enforce(laws, errors):
                 raise err("%s fails at %r" % (name, w))
 
 
+# phase files built so far: (absolute path, validate) -> (the file's bytes,
+# the path and bytes of its lattice file or two Nones, the PhaseStructure)
+_LOADED = {}
+
+
 def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     """Build a PhaseStructure from a document, or from a reference to one
     resolved against base_dir.  Its lattice field is an inline document or
@@ -249,13 +256,44 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     overrides duals, else DualLawViolation).  validate=False skips these
     gates so a broken table can still be loaded and audited with
     verify_laws.
+
+    A reference with no lattice given is built once per content: while the
+    bytes of its file, and of its lattice file if the lattice field is a
+    reference, are those a structure was built from under the same
+    validate, that structure is returned again.
     """
-    doc, base_dir = load_doc(doc, base_dir)
+    if lattice is not None or not isinstance(doc, str):
+        doc, base_dir = load_doc(doc, base_dir)
+        return _phase_of(doc, lattice, base_dir, validate)[0]
+    path = resolve_path(doc, base_dir)
+    key = (os.path.abspath(path), validate)
+    raw = read_bytes(path)
+    if key in _LOADED:
+        was, lattice_path, lattice_raw, ps = _LOADED[key]
+        if was == raw and (lattice_path is None
+                           or read_bytes(lattice_path) == lattice_raw):
+            return ps
+    ps, lattice_path, lattice_raw = _phase_of(
+        parse_doc(raw, path), None, os.path.dirname(key[0]), validate)
+    _LOADED[key] = (raw, lattice_path, lattice_raw, ps)
+    return ps
+
+
+def _phase_of(doc, lattice, base_dir, validate):
+    """(structure, lattice path, lattice bytes) of a phase document; the
+    last two are None unless its lattice is read here from a file."""
     f = fields(doc, "phase", given=() if lattice is None else ("lattice",))
+    lattice_path = lattice_raw = None
     if lattice is None:
-        lattice = lattice_from_doc(f["lattice"], base_dir)
+        lattice = f["lattice"]
+        if isinstance(lattice, str):
+            lattice_path = resolve_path(lattice, base_dir)
+            lattice_raw = read_bytes(lattice_path)
+            lattice = parse_doc(lattice_raw, lattice_path)
+        lattice = lattice_from_doc(lattice)
     rows = _product_rows(lattice, symmetrize(lattice._index, f["mult"]))
-    return phase_from_rows(lattice, rows, f, validate)
+    return (phase_from_rows(lattice, rows, f, validate), lattice_path,
+            lattice_raw)
 
 
 def phase_from_rows(lattice, rows, f, validate=True):
@@ -347,10 +385,10 @@ def classify(ps):
 
     if ps.op_class is not None and sorted(ps.op_class) != sorted(op):
         raise NotClosedClass("declared open class %r differs from derived %r"
-                             % (ps.op_class, op))
+                             % (list(ps.op_class), op))
     if ps.cl_class is not None and sorted(ps.cl_class) != sorted(cl):
         raise NotClosedClass("declared closed class %r differs from derived %r"
-                             % (ps.cl_class, cl))
+                             % (list(ps.cl_class), cl))
 
     if sorted(ps.dual(x) for x in op) != sorted(cl):
         raise NotClosedClass("duality does not swap the open and closed classes")

@@ -90,9 +90,9 @@ def load_scenario(path_or_doc):
         lattice.elements)
 
     objects = []
-    seen_goals = set()
+    seen_ids, seen_goals = set(), set()
     for obj in (SceneObject(**od) for od in f["objects"]):
-        if any(o.id == obj.id for o in objects):
+        if obj.id in seen_ids:
             raise UsageError("two objects share the id %r" % (obj.id,))
         if obj.cell not in passable:
             raise BadGrid("object %r sits on cell %r outside the grid"
@@ -104,6 +104,7 @@ def load_scenario(path_or_doc):
         if obj.goal in seen_goals:
             raise UnknownGoalElement(
                 "two objects share the goal element %r" % (obj.goal,))
+        seen_ids.add(obj.id)
         seen_goals.add(obj.goal)
         objects.append(obj)
 

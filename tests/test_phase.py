@@ -1,6 +1,9 @@
+import json
+import os
+
 import pytest
 
-from phasegame.data import load_doc
+from phasegame.data import data_path, load_doc
 from phasegame.errors import (
     DualLawViolation,
     ForeignElement,
@@ -9,6 +12,7 @@ from phasegame.errors import (
     NotCommutative,
     OverrideInconsistent,
     UnitNotNeutral,
+    UsageError,
 )
 from phasegame.phase import (
     PhaseStructure,
@@ -17,7 +21,8 @@ from phasegame.phase import (
     phase_from_doc,
     verify_laws,
 )
-from phasegame.lattice import Lattice, chain
+from phasegame.lattice import Lattice, chain, lattice_from_doc
+from phasegame.planner import load_scenario
 
 ESTIMATIONS = [
     (["J1a", "e", "b2"], "1"),
@@ -330,3 +335,96 @@ def test_mult_rows_must_be_triples():
     doc["mult"][3] = doc["mult"][3][:2]
     with pytest.raises(ValueError, match="triple"):
         phase_from_doc(doc, validate=False)
+
+
+# the cache of phase files -------------------------------------------------
+
+CHAIN2 = {"elements": ["0", "1"], "covers": [["0", "1"]], "bottom": "0",
+          "top": "1", "generators": ["0"]}
+MEET2 = {"lattice": "lattice.json",
+         "mult": [["0", "0", "0"], ["0", "1", "0"], ["1", "1", "1"]],
+         "unit": "1", "falsum": "0"}
+
+
+def write_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def rewrite_in_place(path, old, new):
+    """Replace old by new, a string of its length, in the file at path and
+    give the file back its modification time."""
+    st = os.stat(path)
+    text = path.read_text()
+    assert len(old) == len(new) and text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+
+
+@pytest.fixture
+def phase_file(tmp_path):
+    write_doc(tmp_path / "lattice.json", CHAIN2)
+    return write_doc(tmp_path / "phase.json", MEET2)
+
+
+def test_scenarios_naming_one_phase_share_it(tmp_path, phase_file,
+                                             monkeypatch):
+    scenario = load_doc("data:tiny_scenario.json")[0]
+    assert scenario["goal_phase"] == "data:goal_phase.json"
+    a = load_scenario(write_doc(tmp_path / "scenario.json", scenario))
+    b = load_scenario(dict(scenario, goal_phase=data_path("goal_phase.json")))
+    assert a.phase is b.phase is load_phase("data:goal_phase.json")
+    # one file named by a relative and by an absolute path
+    monkeypatch.chdir(tmp_path)
+    assert load_phase("phase.json") is load_phase(phase_file)
+
+
+def test_same_size_rewrite_of_phase_is_reloaded(tmp_path, phase_file):
+    ps = load_phase(phase_file)
+    assert load_phase(phase_file) is ps
+    rewrite_in_place(tmp_path / "phase.json", '"falsum": "0"',
+                     '"falsum": "1"')
+    fresh = load_phase(phase_file)
+    assert (ps.falsum, fresh.falsum) == ("0", "1")
+    assert load_phase(phase_file) is fresh
+
+
+def test_same_size_rewrite_of_lattice_is_reloaded(tmp_path, phase_file):
+    ps = load_phase(phase_file)
+    rewrite_in_place(tmp_path / "lattice.json", '"generators": ["0"]',
+                     '"generators": ["1"]')
+    fresh = load_phase(phase_file)
+    assert (ps.lattice.generators, fresh.lattice.generators) == (["0"],
+                                                                 ["1"])
+    assert load_phase(phase_file) is fresh
+
+
+def test_failed_load_is_not_kept(tmp_path, phase_file):
+    good = (tmp_path / "phase.json").read_text()
+    (tmp_path / "phase.json").write_text(good[:-1])
+    for _ in range(2):
+        with pytest.raises(UsageError, match="phase.json"):
+            load_phase(phase_file)
+    (tmp_path / "phase.json").write_text(good)
+    assert load_phase(phase_file).falsum == "0"
+
+
+def test_unvalidated_load_never_answers_a_validated_one(tmp_path):
+    write_doc(tmp_path / "lattice.json", CHAIN2)
+    path = write_doc(tmp_path / "phase.json",
+                     dict(MEET2, unit="0", unit_mode="strict"))
+    broken = load_phase(path, validate=False)
+    assert load_phase(path, validate=False) is broken
+    for _ in range(2):
+        with pytest.raises(UnitNotNeutral):
+            load_phase(path)
+
+
+def test_given_lattice_bypasses_the_cache(tmp_path, phase_file):
+    cached = load_phase(phase_file)
+    lattice = lattice_from_doc(CHAIN2)
+    a, b = (load_phase(phase_file, lattice=lattice) for _ in range(2))
+    assert a is not b and cached not in (a, b)
+    assert a.lattice is lattice

@@ -6,9 +6,11 @@ import pytest
 
 from conftest import random_strategy
 from test_differential import Listed, old_dual_game, old_tensor_game
+from phasegame.data import load_doc
 from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
 from phasegame.games import (compose_strategies, copycat, implication,
                              walk)
+from phasegame.phase import phase_from_doc
 from phasegame.planner import (_vertex_doc, CompoundGame,
                                build_compound_game, eval_priority,
                                load_scenario, plan_play, run_cognition,
@@ -627,6 +629,27 @@ def test_traces_are_deterministic():
     a = run_cognition(four_goals(), seed=3).to_json()
     b = run_cognition(four_goals(), seed=3).to_json()
     assert a == b
+
+
+def test_cognition_leaves_the_shared_phase_as_loaded():
+    # every shipped scenario names data:goal_phase.json, so all of them play
+    # on the one structure that its first load built
+    first = run_cognition(four_goals(), seed=3).to_json()
+    scenarios = [load_scenario("data:%s.json" % name) for name in
+                 ("four_goals_scenario", "tiny_scenario", "empty_scenario")]
+    shared = scenarios[0].phase
+    assert all(sc.phase is shared for sc in scenarios)
+    for sc in scenarios:
+        for mode in ("practical", "strict"):
+            run_cognition(sc, mode=mode, seed=1)
+    doc, base_dir = load_doc("data:goal_phase.json")
+    fresh = phase_from_doc(doc, base_dir=base_dir)
+    assert fresh is not shared
+    assert (shared._rows, shared._dual, shared.unit, shared.falsum) == (
+        fresh._rows, fresh._dual, fresh.unit, fresh.falsum)
+    again = four_goals()
+    assert again.phase is shared
+    assert run_cognition(again, seed=3).to_json() == first
 
 
 def test_trace_header_describes_world():
