@@ -92,7 +92,7 @@ class LatticeMismatch(PhasegameError):
 
 
 class InteractionOverflow(PhasegameError):
-    """Strategy composition exceeded its interaction step cap."""
+    """Copycat reached a mirror play longer than an acyclic game allows."""
 
 
 # planner

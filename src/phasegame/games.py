@@ -9,9 +9,10 @@ with payoffs combined by meet and by Heyting implication respectively.
 Any object with a root and moves(v, pol) is a game: Dual, Tensor and
 implication compose such games lazily, walk lists any game breadth-first,
 and a Game is that walked listing, in one vertex order (see materialize).
+A strategy is a set of plays.  One breadth-first unfolding of plays against
+a response (_unfold) lists the maximal plays of a strategy, copycat, and
+the composite of two strategies with the middle game hidden.
 """
-
-from collections import deque
 
 from .errors import (
     ComponentMismatch,
@@ -146,17 +147,11 @@ def dual_game(game):
     return materialize(Dual(game))
 
 
-def dual_payoff_game(pg, mode="negate"):
-    """Dual of a payoff game.  Payoffs are Heyting-negated by default; mode
-    'copy' keeps them, for lattices whose negation collapses too much."""
-    g = dual_game(pg.game)
-    if mode == "negate":
-        k = {v: pg.lattice.heyting_neg(pg.k[v]) for v in pg.game.vertices}
-    elif mode == "copy":
-        k = dict(pg.k)
-    else:
-        raise ValueError("mode must be 'negate' or 'copy'")
-    return PayoffGame(g, pg.lattice, k)
+def dual_payoff_game(pg):
+    """Dual of a payoff game, each payoff Heyting-negated."""
+    return PayoffGame(dual_game(pg.game), pg.lattice,
+                      {v: pg.lattice.heyting_neg(pg.k[v])
+                       for v in pg.game.vertices})
 
 
 def tensor_game(a, b):
@@ -225,29 +220,39 @@ def validate_strategy(strategy):
     return True
 
 
-def maximal_plays(game, strategy):
-    """Every play the strategy can be driven into that cannot continue."""
-    resp = strategy.response()
-    cap = 4 * len(walk(game)[0]) + 4
-    out = []
-    stack = [(game.root,)]
-    while stack:
-        p = stack.pop()
-        if len(p) > cap:
-            raise InteractionOverflow(
-                "play of %d moves; the game graph may be cyclic" % (len(p) - 1,))
+def _unfold(game, respond, state=None):
+    """Every play a strategy allows on game, breadth first from the root.
+
+    Opponent tries each move w at the end of a play p that was reached in
+    state s, and respond(p, w, s) gives the strategy's (reply, next state),
+    or None when it leaves w unanswered.  Returns the plays, (root,) first,
+    and the maximal ones: a play at a vertex with no O-move, and p + (w,)
+    for each w with no answer."""
+    todo = [((game.root,), state)]
+    maximal = []
+    for p, s in todo:
         omoves = game.moves(p[-1], "O")
         if not omoves:
-            out.append(p)
-            continue
+            maximal.append(p)
         for w in omoves:
-            q = p + (w,)
-            r = resp.get(q)
-            if r is None:
-                out.append(q)
+            answer = respond(p, w, s)
+            if answer is None:
+                maximal.append(p + (w,))
             else:
-                stack.append(q + (r,))
-    return out
+                todo.append((p + (w, answer[0]), answer[1]))
+    return [p for p, _ in todo], maximal
+
+
+def maximal_plays(game, strategy):
+    """Every play the strategy can be driven into that cannot continue, in
+    breadth-first order.  A finite strategy ends every play, so this ends
+    on a cyclic game too."""
+    resp = strategy.response()
+
+    def respond(p, w, _):
+        r = resp.get(p + (w,))
+        return None if r is None else (r, None)
+    return _unfold(game, respond)[1]
 
 
 def is_winning(pg, strategy):
@@ -256,25 +261,19 @@ def is_winning(pg, strategy):
 
 
 def copycat(game):
-    """The mirror strategy on game -o game."""
+    """The mirror strategy on game -o game: each Opponent move is copied to
+    the other component.  A cyclic game has mirror plays of every length,
+    so a play beyond four times the vertex count raises InteractionOverflow."""
     impl = implication(game, game)
     cap = 4 * len(walk(impl)[0]) + 4
-    plays = {(impl.root,)}
-    queue = deque([(impl.root,)])
-    while queue:
-        p = queue.popleft()
+
+    def respond(p, w, _):
         if len(p) > cap:
             raise InteractionOverflow("mirror play exceeds bound")
-        v = p[-1][1]
-        for w in impl.moves(p[-1], "O"):
-            mirror = (w[0], w[0]) if w[1] == v else (w[1], w[1])
-            if mirror not in impl.moves(w, "P"):
-                continue
-            q = p + (w, mirror)
-            if q not in plays:
-                plays.add(q)
-                queue.append(q)
-    return Strategy(impl, plays)
+        mirror = (w[0], w[0]) if w[1] == p[-1][1] else (w[1], w[1])
+        if mirror in impl.moves(w, "P"):
+            return mirror, None
+    return Strategy(impl, _unfold(impl, respond)[0])
 
 
 def _same_game(g, h):
@@ -285,70 +284,47 @@ def _same_game(g, h):
 def compose_strategies(game_x, game_y, game_z, sigma, tau):
     """Compose a strategy on X -o Y with one on Y -o Z into X -o Z.
 
-    Runs the two strategies against each other: moves in the shared middle
-    game are ping-ponged until one side answers in X or Z.  The number of
-    interaction steps is capped by the product of the component sizes.
+    Runs the two strategies against each other, with the sigma and tau plays
+    behind a composite play as its hidden state.  A move in the middle game
+    Y is ping-ponged between them until one side answers in X or Z, or
+    leaves it unanswered.  Each pass looks up a strictly longer play of
+    sigma or tau, so with finite strategies every interaction and every
+    composite play ends, even on cyclic games.
     """
     impl_xz = implication(game_x, game_z)
     if not _same_game(sigma.game, implication(game_x, game_y)):
         raise ComponentMismatch("first strategy is not on X -o Y")
     if not _same_game(tau.game, implication(game_y, game_z)):
         raise ComponentMismatch("second strategy is not on Y -o Z")
+    resp_s, resp_t = sigma.response(), tau.response()
 
-    resp_s = sigma.response()
-    resp_t = tau.response()
-    cap = 4 * len(walk(game_x)[0]) * len(walk(game_y)[0]) \
-        * len(walk(game_z)[0])
-
-    plays = {(impl_xz.root,)}
-    # state: composite play, sigma play, tau play (all even length)
-    queue = deque([((impl_xz.root,), (sigma.game.root,), (tau.game.root,))])
-    while queue:
-        cp, sp, tp = queue.popleft()
-        if len(cp) > cap:
-            raise InteractionOverflow("composite play exceeds bound")
-        x, z = cp[-1]
-        _, y_s = sp[-1]
-        for w in impl_xz.moves((x, z), "O"):
-            wx, wz = w
-            if wx != x:
-                side, sq, tq = "s", sp + ((wx, y_s),), tp
+    def respond(cp, w, hidden):
+        sq, tq = hidden
+        wx, wz = w
+        if wx != cp[-1][0]:
+            side, sq = "s", sq + ((wx, sq[-1][1]),)
+        else:
+            side, tq = "t", tq + ((tq[-1][0], wz),)
+        while True:
+            if side == "s":
+                r = resp_s.get(sq)
+                if r is None:
+                    return None
+                sq += (r,)
+                if r[0] != sq[-2][0]:
+                    # answered in X: a composite P-move
+                    return (r[0], wz), (sq, tq)
+                # answered in Y: forwarded to tau as an O-move
+                tq += ((r[1], tq[-1][1]),)
+                side = "t"
             else:
-                y_t, _ = tp[-1]
-                side, sq, tq = "t", sp, tp + ((y_t, wz),)
-            steps = 0
-            while True:
-                steps += 1
-                if steps > cap:
-                    raise InteractionOverflow(
-                        "interaction between strategies did not settle")
-                if side == "s":
-                    r = resp_s.get(sq)
-                    if r is None:
-                        break
-                    rx, ry = r
-                    sq = sq + (r,)
-                    if rx != sq[-2][0]:
-                        # answered in X: composite P-move
-                        nq = cp + (w, (rx, wz))
-                        plays.add(nq)
-                        queue.append((nq, sq, tq))
-                        break
-                    # answered in Y: forward to tau as an O-move
-                    tq = tq + ((ry, tq[-1][1]),)
-                    side = "t"
-                else:
-                    r = resp_t.get(tq)
-                    if r is None:
-                        break
-                    ry, rz = r
-                    tq = tq + (r,)
-                    if rz != tq[-2][1]:
-                        nq = cp + (w, (wx, rz))
-                        plays.add(nq)
-                        queue.append((nq, sq, tq))
-                        break
-                    sq = sq + ((sq[-1][0], ry),)
-                    side = "s"
-    return Strategy(impl_xz, plays)
-
+                r = resp_t.get(tq)
+                if r is None:
+                    return None
+                tq += (r,)
+                if r[1] != tq[-2][1]:
+                    return (wx, r[1]), (sq, tq)
+                sq += ((sq[-1][0], r[0]),)
+                side = "s"
+    hidden = ((sigma.game.root,), (tau.game.root,))
+    return Strategy(impl_xz, _unfold(impl_xz, respond, hidden)[0])

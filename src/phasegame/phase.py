@@ -39,17 +39,9 @@ class PhaseStructure:
     in the arguments and results of the methods.
     """
 
-    def __init__(self, lattice, mult, unit, falsum, dual_table,
-                 unit_mode="weak", op_class=None, cl_class=None):
-        """mult maps each pair (x, y) of elements to their product and
-        dual_table each element to its dual; both are interned here."""
-        idx = lattice.idx
-        self._adopt(lattice, _product_rows(lattice, mult),
-                    tuple(idx(dual_table[x]) for x in lattice.elements),
-                    unit, falsum, unit_mode, op_class, cl_class)
-
-    def _adopt(self, lattice, rows, dual, unit, falsum, unit_mode, op_class,
-               cl_class):
+    def __init__(self, lattice, rows, unit, falsum, dual, unit_mode="weak",
+                 op_class=None, cl_class=None):
+        """rows and dual are the index tables; unit and falsum are names."""
         self.lattice = lattice
         self._rows = rows
         self._dual = dual
@@ -58,7 +50,6 @@ class PhaseStructure:
         self.unit_mode = unit_mode
         self.op_class = tuple(op_class) if op_class is not None else None
         self.cl_class = tuple(cl_class) if cl_class is not None else None
-        return self
 
     def mult(self, x, y):
         idx = self.lattice.idx
@@ -321,10 +312,8 @@ def phase_from_rows(lattice, rows, f, validate=True):
         _enforce(_laws(lattice, rows, unit_i, falsum_i, dual),
                  dict.fromkeys(_DUAL_LAWS, err))
 
-    # the tables are interned already, so __init__ is not run again
-    return PhaseStructure.__new__(PhaseStructure)._adopt(
-        lattice, rows, dual, unit, falsum, unit_mode, f["op_class"],
-        f["cl_class"])
+    return PhaseStructure(lattice, rows, unit, falsum, dual, unit_mode,
+                          f["op_class"], f["cl_class"])
 
 
 def load_phase(path, lattice=None, validate=True):

@@ -6,7 +6,7 @@ import pytest
 
 from phasegame.games import Game, PayoffGame, Strategy, maximal_plays
 from phasegame.lattice import Lattice
-from phasegame.phase import load_phase
+from phasegame.phase import PhaseStructure, _product_rows, load_phase
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +22,15 @@ def goal_lattice(goal_phase):
 @pytest.fixture(scope="session")
 def alt_phase():
     return load_phase("data:goal_phase_alt.json")
+
+
+def hand_built(lattice, table, unit, falsum, duals, **kwargs):
+    """A PhaseStructure from a name-keyed product table and dual map, turned
+    into its index tables; a partial table raises NotCommutative and a
+    foreign product ForeignElement."""
+    rows = _product_rows(lattice, table)
+    dual = tuple(lattice.idx(duals[x]) for x in lattice.elements)
+    return PhaseStructure(lattice, rows, unit, falsum, dual, **kwargs)
 
 
 # random distributive lattices -------------------------------------------

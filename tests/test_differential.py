@@ -14,7 +14,10 @@ generated structures.
 
 The earlier list-based dual and tensor games are kept here too, as the
 oracles that tests/test_games.py and tests/test_planner.py hold the walked
-implicit games and their Game listings to, and so is the earlier subset
+implicit games and their Game listings to; so are the earlier play walkers
+behind maximal_plays, copycat and compose_strategies, which the one
+unfolding must match on seeded random games, tensors of alternating chains
+and (in tests/test_planner.py) compound games; and so is the earlier subset
 oracle on frozensets, whose reports the bitmask oracle must equal on every
 pole of every census monoid up to size 4 and on seeded larger monoids.
 """
@@ -24,15 +27,18 @@ import functools
 import importlib.util
 import os
 import random
+from collections import deque
 from itertools import combinations, islice
 
 import pytest
 
+from conftest import hand_built, random_game, random_strategy
 from phasegame.data import data_path, fields, load_doc, resolve_path, symmetrize
 from phasegame.errors import (
     CapExceeded,
     DualLawViolation,
     ForeignElement,
+    InteractionOverflow,
     NotALattice,
     NotAPartialOrder,
     NotAssociative,
@@ -46,11 +52,13 @@ from phasegame.errors import (
     UnitNotNeutral,
 )
 from phasegame.expr import eval_expr
+from phasegame.games import (Game, compose_strategies, copycat, implication,
+                             implication_game, maximal_plays, tensor_game,
+                             walk)
 from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
     _enforce,
-    PhaseStructure,
     classify,
     phase_from_doc,
     verify_laws,
@@ -391,8 +399,8 @@ def test_hand_built_structures_match_the_earlier_laws():
         dual = {x: rng.choice(els) for x in els}
         unit, falsum = rng.choice(els), rng.choice(els)
         unit_mode = rng.choice(["weak", "strict"])
-        ps = PhaseStructure(lat, table, unit, falsum, dual,
-                            unit_mode=unit_mode)
+        ps = hand_built(lat, table, unit, falsum, dual,
+                        unit_mode=unit_mode)
         report = verify_laws(ps)
         assert report == old_report(lat, table, unit, falsum, dual,
                                     unit_mode), (els, table, dual)
@@ -712,6 +720,164 @@ def old_tensor_game(a, b):
     return Listed([(u, v) for u in a.vertices for v in b.vertices
                    if (u, v) in seen], root,
                   [e for e in edges if e[0] in seen])
+
+
+# the earlier play walkers ----------------------------------------------
+#
+# maximal_plays, copycat and compose_strategies as they were before the
+# three became one breadth-first unfolding: a depth-first stack, and two
+# queues with their own caps.  They return play sets, built without the
+# Strategy constructor.
+
+def old_maximal_plays(game, strategy):
+    resp = strategy.response()
+    cap = 4 * len(walk(game)[0]) + 4
+    out = []
+    stack = [(game.root,)]
+    while stack:
+        p = stack.pop()
+        if len(p) > cap:
+            raise InteractionOverflow(
+                "play of %d moves; the game graph may be cyclic" % (len(p) - 1,))
+        omoves = game.moves(p[-1], "O")
+        if not omoves:
+            out.append(p)
+            continue
+        for w in omoves:
+            q = p + (w,)
+            r = resp.get(q)
+            if r is None:
+                out.append(q)
+            else:
+                stack.append(q + (r,))
+    return out
+
+
+def old_copycat(game):
+    impl = implication(game, game)
+    cap = 4 * len(walk(impl)[0]) + 4
+    plays = {(impl.root,)}
+    queue = deque([(impl.root,)])
+    while queue:
+        p = queue.popleft()
+        if len(p) > cap:
+            raise InteractionOverflow("mirror play exceeds bound")
+        v = p[-1][1]
+        for w in impl.moves(p[-1], "O"):
+            mirror = (w[0], w[0]) if w[1] == v else (w[1], w[1])
+            if mirror not in impl.moves(w, "P"):
+                continue
+            q = p + (w, mirror)
+            if q not in plays:
+                plays.add(q)
+                queue.append(q)
+    return plays
+
+
+def old_compose_strategies(game_x, game_y, game_z, sigma, tau):
+    impl_xz = implication(game_x, game_z)
+    resp_s = sigma.response()
+    resp_t = tau.response()
+    cap = 4 * len(walk(game_x)[0]) * len(walk(game_y)[0]) \
+        * len(walk(game_z)[0])
+
+    plays = {(impl_xz.root,)}
+    # state: composite play, sigma play, tau play (all even length)
+    queue = deque([((impl_xz.root,), (sigma.game.root,), (tau.game.root,))])
+    while queue:
+        cp, sp, tp = queue.popleft()
+        if len(cp) > cap:
+            raise InteractionOverflow("composite play exceeds bound")
+        x, z = cp[-1]
+        _, y_s = sp[-1]
+        for w in impl_xz.moves((x, z), "O"):
+            wx, wz = w
+            if wx != x:
+                side, sq, tq = "s", sp + ((wx, y_s),), tp
+            else:
+                y_t, _ = tp[-1]
+                side, sq, tq = "t", sp, tp + ((y_t, wz),)
+            steps = 0
+            while True:
+                steps += 1
+                if steps > cap:
+                    raise InteractionOverflow(
+                        "interaction between strategies did not settle")
+                if side == "s":
+                    r = resp_s.get(sq)
+                    if r is None:
+                        break
+                    rx, ry = r
+                    sq = sq + (r,)
+                    if rx != sq[-2][0]:
+                        # answered in X: composite P-move
+                        nq = cp + (w, (rx, wz))
+                        plays.add(nq)
+                        queue.append((nq, sq, tq))
+                        break
+                    # answered in Y: forward to tau as an O-move
+                    tq = tq + ((ry, tq[-1][1]),)
+                    side = "t"
+                else:
+                    r = resp_t.get(tq)
+                    if r is None:
+                        break
+                    ry, rz = r
+                    tq = tq + (r,)
+                    if rz != tq[-2][1]:
+                        nq = cp + (w, (wx, rz))
+                        plays.add(nq)
+                        queue.append((nq, sq, tq))
+                        break
+                    sq = sq + ((sq[-1][0], ry),)
+                    side = "s"
+    return plays
+
+
+def assert_unfolds_as_before(x, y, z, sigma, tau):
+    """Copycat on X, Y and Z, sigma;tau, and the maximal plays of each of
+    these strategies equal the earlier walkers' (maximal plays as sets,
+    since the unfolding lists them breadth first)."""
+    strategies = [sigma, tau]
+    for g in (x, y, z):
+        cc = copycat(g)
+        assert cc.plays == old_copycat(g)
+        strategies.append(cc)
+    comp = compose_strategies(x, y, z, sigma, tau)
+    assert comp.plays == old_compose_strategies(x, y, z, sigma, tau)
+    strategies.append(comp)
+    for s in strategies:
+        maximal = maximal_plays(s.game, s)
+        assert len(maximal) == len(set(maximal))
+        assert set(maximal) == set(old_maximal_plays(s.game, s))
+
+
+def test_plays_match_the_earlier_walkers_on_random_games():
+    rng = random.Random(1605)
+    for _ in range(100):
+        x, y, z = (random_game(rng, 4) for _ in range(3))
+        sigma = random_strategy(rng, implication_game(x, y))
+        tau = random_strategy(rng, implication_game(y, z))
+        assert_unfolds_as_before(x, y, z, sigma, tau)
+        assert_unfolds_as_before(x, x, y, copycat(x), sigma)
+        assert_unfolds_as_before(x, y, y, sigma, copycat(y))
+
+
+def alternating_chain(length):
+    """c0 -O-> c1 -P-> c2 -O-> ... with length moves."""
+    names = ["c%d" % i for i in range(length + 1)]
+    return Game(names, names[0], [(names[i], names[i + 1], "OP"[i % 2])
+                                  for i in range(length)])
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_plays_match_the_earlier_walkers_on_chain_tensors(length):
+    g = tensor_game(alternating_chain(length), alternating_chain(length))
+    h = tensor_game(alternating_chain(length - 1), alternating_chain(1))
+    cc = copycat(g)
+    assert_unfolds_as_before(g, g, g, cc, cc)
+    sigma = random_strategy(random.Random(length), implication_game(g, h))
+    assert_unfolds_as_before(g, g, h, cc, sigma)
 
 
 # the earlier frozenset subset oracle -----------------------------------

@@ -252,16 +252,12 @@ def test_payoff_lattice_mismatch():
         payoff_implication(pa, pb)
 
 
-def test_dual_payoff_modes():
+def test_dual_payoff_negates_every_payoff():
     lat = chain(3)
     pg = PayoffGame(line_game(), lat, {"r": "0", "s": "1", "t": "2"})
     neg = dual_payoff_game(pg)
     assert neg.k == {"r": "2", "s": "0", "t": "0"}
     assert neg.game.edges == [("r", "s", "P"), ("s", "t", "O")]
-    copy = dual_payoff_game(pg, mode="copy")
-    assert copy.k == pg.k
-    with pytest.raises(ValueError):
-        dual_payoff_game(pg, mode="twist")
 
 
 # strategies and plays ---------------------------------------------------
@@ -313,6 +309,14 @@ def test_maximal_plays_answered_and_unanswered():
     assert maximal_plays(g, answered) == [("r", "s", "t")]
     silent = Strategy(g, {("r",)})
     assert maximal_plays(g, silent) == [("r", "s")]
+
+
+def test_maximal_plays_of_a_finite_strategy_on_a_cyclic_game():
+    # r -O-> s -P-> r forever; the strategy answers twice, so the third
+    # O-move is the one unanswered ending
+    g = Game(["r", "s"], "r", [("r", "s", "O"), ("s", "r", "P")])
+    twice = Strategy(g, {("r",), ("r", "s", "r"), ("r", "s", "r", "s", "r")})
+    assert maximal_plays(g, twice) == [("r", "s", "r", "s", "r", "s")]
 
 
 def test_is_winning_checks_every_ending():
@@ -380,6 +384,33 @@ def test_compose_associative():
         b = compose_strategies(
             w, x, z, s1, compose_strategies(x, y, z, s2, s3))
         assert a.plays == b.plays
+
+
+def test_compose_through_a_cyclic_middle_game():
+    # Y is r -O-> s -P-> r; tau sends the O-move of Z twice around Y's
+    # cycle, sigma answering each lap, before it answers in Z
+    x = point("x")
+    y = Game(["r", "s"], "r", [("r", "s", "O"), ("s", "r", "P")])
+    z = Game(["z0", "z1", "z2"], "z0", [("z0", "z1", "O"), ("z1", "z2", "P")])
+    lap_s = (("x", "s"), ("x", "r"))
+    lap_t = (("r", "z1"), ("s", "z1"))
+    s_plays = [(("x", "r"),), (("x", "r"),) + lap_s,
+               (("x", "r"),) + lap_s + lap_s]
+    t_plays = [(("r", "z0"),), (("r", "z0"),) + lap_t,
+               (("r", "z0"),) + lap_t + lap_t,
+               (("r", "z0"),) + lap_t + lap_t + (("r", "z1"), ("r", "z2"))]
+    sigma = Strategy(implication_game(x, y), s_plays)
+    tau = Strategy(implication_game(y, z), t_plays)
+    root, answered = ("x", "z0"), (("x", "z0"), ("x", "z1"), ("x", "z2"))
+    comp = compose_strategies(x, y, z, sigma, tau)
+    assert comp.plays == {(root,), answered}
+    assert maximal_plays(comp.game, comp) == [answered]
+    # one lap short on either side, the interaction stops unanswered
+    for s, t in [(s_plays[:2], t_plays), (s_plays, t_plays[:3])]:
+        comp = compose_strategies(x, y, z, Strategy(sigma.game, s),
+                                  Strategy(tau.game, t))
+        assert comp.plays == {(root,)}
+        assert maximal_plays(comp.game, comp) == [(root, ("x", "z1"))]
 
 
 def test_compose_rejects_mismatched_components():

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from conftest import hand_built
 from phasegame.data import data_path, load_doc
 from phasegame.errors import (
     DualLawViolation,
@@ -15,7 +16,6 @@ from phasegame.errors import (
     UsageError,
 )
 from phasegame.phase import (
-    PhaseStructure,
     classify,
     load_phase,
     phase_from_doc,
@@ -203,10 +203,10 @@ def test_hand_built_table_is_checked_at_construction():
     del table[("1", "2")], table[("2", "0")]
     with pytest.raises(NotCommutative,
                        match=r"product undefined at \('1', '2'\)"):
-        PhaseStructure(lat, table, "2", "0", duals)
+        hand_built(lat, table, "2", "0", duals)
     table[("1", "2")] = table[("2", "0")] = "7"
     with pytest.raises(ForeignElement, match="'7'"):
-        PhaseStructure(lat, table, "2", "0", duals)
+        hand_built(lat, table, "2", "0", duals)
 
 
 def test_associativity_enforced():
@@ -271,12 +271,11 @@ def test_unit_mode_and_checks_validated():
 def test_declared_class_mismatch_detected(goal_phase):
     from phasegame.errors import NotClosedClass
     els = goal_phase.lattice.elements
-    ps = PhaseStructure(goal_phase.lattice,
-                        {(x, y): goal_phase.mult(x, y)
-                         for x in els for y in els},
-                        goal_phase.unit, goal_phase.falsum,
-                        {x: goal_phase.dual(x) for x in els},
-                        op_class=["0"], cl_class=["1"])
+    ps = hand_built(goal_phase.lattice,
+                    {(x, y): goal_phase.mult(x, y) for x in els for y in els},
+                    goal_phase.unit, goal_phase.falsum,
+                    {x: goal_phase.dual(x) for x in els},
+                    op_class=["0"], cl_class=["1"])
     with pytest.raises(NotClosedClass):
         classify(ps)
 
@@ -321,7 +320,7 @@ def test_element_without_any_witness_has_no_residual():
     with pytest.raises(NotClosed):
         phase_from_doc(doc, lattice=lat)
     top = {(x, y): "1" for x in lat.elements for y in lat.elements}
-    ps = PhaseStructure(lat, top, "1", "0", {"0": "1", "1": "0"})
+    ps = hand_built(lat, top, "1", "0", {"0": "1", "1": "0"})
     with pytest.raises(NotClosed):
         ps.lin_implies("1", "0")
     # towards dual(1) = 0 no element has a witness: skipped, not raised

@@ -5,7 +5,8 @@ import time
 import pytest
 
 from conftest import random_strategy
-from test_differential import Listed, old_dual_game, old_tensor_game
+from test_differential import (Listed, assert_unfolds_as_before,
+                               old_dual_game, old_tensor_game)
 from phasegame.data import load_doc
 from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
 from phasegame.games import (compose_strategies, copycat, implication,
@@ -476,6 +477,10 @@ def test_strategies_play_on_implicit_compound_games(features):
     assert len(sigma.plays) > 1
     assert compose_strategies(g, g, h, cc, sigma).plays == sigma.plays
     assert compose_strategies(g, h, h, sigma, copycat(h)).plays == sigma.plays
+    tau = random_strategy(random.Random(4), implication(h, g))
+    assert_unfolds_as_before(g, h, g, sigma, tau)
+    assert_unfolds_as_before(g, g, h, cc, sigma)
+    assert_unfolds_as_before(g, h, h, sigma, copycat(h))
 
 
 def test_plan_objective_is_maximal_over_all_plays():
