@@ -127,6 +127,11 @@ _KINDS = {list: "an array", dict: "an object", str: "a string",
           (str, dict): "a string or an object"}
 
 
+def _is_a(value, types):
+    """isinstance, except that a JSON boolean is not a number."""
+    return isinstance(value, types) and type(value) is not bool
+
+
 def fields(doc, kind, given=()):
     """The fields of doc, a document of this kind, checked against
     SCHEMAS[kind] into a new dict: absent fields take their defaults and
@@ -142,7 +147,7 @@ def fields(doc, kind, given=()):
             raise UsageError("%s document has no field %r" % (kind, key))
         if value is default:
             continue
-        if not isinstance(value, types):
+        if not _is_a(value, types):
             raise UsageError("field %r must be %s, got %r"
                              % (key, _KINDS[types], value))
         if key in ENUMS and value not in ENUMS[key]:
@@ -155,8 +160,10 @@ def fields(doc, kind, given=()):
             continue
         entries, message = ROWS.get(item, (None, None))
         want = list if entries else dict if item in SCHEMAS else item
+        # rows are checked by entry types below, so they skip _is_a
+        fits = isinstance if entries else _is_a
         for v in value:
-            if not isinstance(v, want):
+            if not fits(v, want):
                 raise UsageError("items of field %r must be %s, got %r"
                                  % (key, _KINDS[want], v))
             if entries and (tuple(map(type, v)) not in entries

@@ -50,7 +50,8 @@ class OverrideInconsistent(PhasegameError):
 
 
 class UnitNotNeutral(PhasegameError):
-    """Strict-unit mode only: the unit row is not the identity."""
+    """The unit row is not the identity: in a phase structure under
+    unit_mode 'strict', or in a subset oracle's monoid."""
 
 
 class ExprSyntaxError(UsageError, PhasegameError):

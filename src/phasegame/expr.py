@@ -1,14 +1,9 @@
 """Parser and evaluator for linear connective expressions.
 
-Grammar, loosest binding first:
-
-    expr    := additive (("-o" | "⊸") expr)?        right associative
-    additive:= withs ("+" withs)*
-    withs   := pars ("&" pars)*
-    pars    := tensors (("par" | "⅋") tensors)*
-    tensors := unary (("x" | "⊗") unary)*
-    unary   := primary "^"*                          postfix dual
-    primary := IDENT | "(" expr ")"
+_OPERATORS below is the grammar: each operator once, loosest binding
+first, with its spellings, its binding power and its meaning on a
+PhaseStructure.  The tokenizer reads the spellings, the parser climbs the
+binding powers and the evaluator applies the meanings.
 
 Identifiers are runs of letters, digits and underscores, so element names
 like ``J1a`` or ``1`` work unquoted.  The bare words ``x`` and ``par`` are
@@ -16,131 +11,89 @@ reserved as operators; an element that happens to carry one of those names
 is still reachable through the Unicode spellings.
 """
 
+import re
+from itertools import repeat
+from operator import attrgetter
+
 from .errors import ExprSyntaxError, ForeignElement
 
-_SYMBOLS = {
-    "(": "lparen",
-    ")": "rparen",
-    "^": "dual",
-    "&": "with",
-    "+": "plus",
-    "⊗": "tensor",  # ⊗
-    "⅋": "par",  # ⅋
-    "⊸": "impl",  # ⊸
+# kind: (spellings, binding power, meaning).  An infix operator's power is
+# (left, right): it takes the operand before it when left reaches the
+# parser's floor, and parses the operand after it with right as the floor,
+# so right == left binds to the right and right == left + 1 to the left.
+# The postfix dual has no right power.  The meaning picks the method of a
+# PhaseStructure that applies the operator; the parentheses have no power
+# and no meaning.
+_OPERATORS = {
+    "impl": (("-o", "⊸"), (1, 1), attrgetter("impl")),
+    "plus": (("+",), (2, 3), attrgetter("lattice.join2")),
+    "with": (("&",), (3, 4), attrgetter("lattice.meet2")),
+    "par": (("par", "⅋"), (4, 5), attrgetter("par")),
+    "tensor": (("x", "⊗"), (5, 6), attrgetter("mult")),
+    "dual": (("^",), (7, None), attrgetter("dual")),
+    "lparen": (("(",), None, None),
+    "rparen": ((")",), None, None),
 }
 
-_WORDS = {"x": "tensor", "par": "par"}
+_KIND = {s: kind for kind, (spellings, _, _) in _OPERATORS.items()
+         for s in spellings}
+_POWER = {kind: row[1] for kind, row in _OPERATORS.items() if row[1]}
+_MEANING = {kind: row[2] for kind, row in _OPERATORS.items() if row[2]}
+
+# an identifier, or a spelling (a word-shaped one such as "par" is matched
+# whole as an identifier first); anything else visible is stray
+_TOKEN = re.compile(r"(\w+|%s)|(\S)" % "|".join(
+    map(re.escape, sorted(_KIND, key=len, reverse=True))))
+
+_END = (None, None)
 
 _TOO_DEEP = "expression nested too deeply"
-
-# the left-associative binary operators, loosest binding first
-_LEFT_ASSOC = ("plus", "with", "par", "tensor")
-
-
-def _ident_char(ch):
-    return ch.isalnum() or ch == "_"
 
 
 def tokenize(text):
     """Split an expression into (kind, lexeme) pairs."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((_SYMBOLS[ch], ch))
-            i += 1
-            continue
-        if ch == "-":
-            if i + 1 < n and text[i + 1] == "o":
-                tokens.append(("impl", "-o"))
-                i += 2
-                continue
-            raise ExprSyntaxError("stray '-' at position %d (did you mean '-o'?)" % i)
-        if _ident_char(ch):
-            j = i
-            while j < n and _ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            tokens.append((_WORDS.get(word, "ident"), word))
-            i = j
-            continue
-        raise ExprSyntaxError("unexpected character %r at position %d" % (ch, i))
+    for m in _TOKEN.finditer(text):
+        lexeme, stray = m.groups()
+        if stray == "-":
+            raise ExprSyntaxError("stray '-' at position %d (did you mean "
+                                  "'-o'?)" % m.start())
+        if stray:
+            raise ExprSyntaxError("unexpected character %r at position %d"
+                                  % (stray, m.start()))
+        tokens.append((_KIND.get(lexeme, "ident"), lexeme))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _describe(token):
+    return "end of input" if token is _END else "%r" % (token[1],)
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        if self.peek() != kind:
-            raise ExprSyntaxError("expected %s, got %s" % (kind, self._describe()))
-        return self.take()
-
-    def _describe(self):
-        if self.pos < len(self.tokens):
-            return "%r" % self.tokens[self.pos][1]
-        return "end of input"
-
-    def parse(self):
-        node = self.expr()
-        if self.pos != len(self.tokens):
-            raise ExprSyntaxError("trailing input at %s" % self._describe())
-        return node
-
-    def expr(self):
-        left = self.binary(0)
-        if self.peek() == "impl":
-            self.take()
-            right = self.expr()
-            return ("impl", left, right)
-        return left
-
-    def binary(self, level):
-        """A left-associative chain of the operator _LEFT_ASSOC[level] over
-        operands of the next tighter level, or of unary past the last."""
-        op = _LEFT_ASSOC[level]
-        tighter = level + 1 < len(_LEFT_ASSOC)
-        node = self.binary(level + 1) if tighter else self.unary()
-        while self.peek() == op:
-            self.take()
-            right = self.binary(level + 1) if tighter else self.unary()
-            node = (op, node, right)
-        return node
-
-    def unary(self):
-        node = self.primary()
-        while self.peek() == "dual":
-            self.take()
-            node = ("dual", node)
-        return node
-
-    def primary(self):
-        kind = self.peek()
-        if kind == "lparen":
-            self.take()
-            node = self.expr()
-            self.expect("rparen")
-            return node
-        if kind == "ident":
-            return ("atom", self.take()[1])
-        raise ExprSyntaxError("expected an element or '(', got %s" % self._describe())
+def _climb(tokens, i, floor):
+    """The tree of the expression at tokens[i] whose operators all bind at
+    least as tightly as floor, and the index of the token after it."""
+    kind, lexeme = tokens[i]
+    if kind == "ident":
+        node, i = ("atom", lexeme), i + 1
+    elif kind == "lparen":
+        node, i = _climb(tokens, i + 1, 0)
+        if tokens[i][0] != "rparen":
+            raise ExprSyntaxError("expected rparen, got %s"
+                                  % _describe(tokens[i]))
+        i += 1
+    else:
+        raise ExprSyntaxError("expected an element or '(', got %s"
+                              % _describe(tokens[i]))
+    while True:
+        kind = tokens[i][0]
+        power = _POWER.get(kind)
+        if power is None or power[0] < floor:
+            return node, i
+        if power[1] is None:
+            node, i = (kind, node), i + 1
+        else:
+            right, i = _climb(tokens, i + 1, power[1])
+            node = (kind, node, right)
 
 
 def parse(text):
@@ -148,10 +101,14 @@ def parse(text):
     tokens = tokenize(text)
     if not tokens:
         raise ExprSyntaxError("empty expression")
+    tokens.append(_END)
     try:
-        return _Parser(tokens).parse()
+        node, i = _climb(tokens, 0, 0)
     except RecursionError:
         raise ExprSyntaxError(_TOO_DEEP) from None
+    if tokens[i] is not _END:
+        raise ExprSyntaxError("trailing input at %s" % _describe(tokens[i]))
+    return node
 
 
 def eval_expr(ps, text):
@@ -164,25 +121,12 @@ def eval_expr(ps, text):
 
 
 def eval_node(ps, node):
-    op = node[0]
-    if op == "atom":
-        name = node[1]
-        if name not in ps.lattice.elements:
-            raise ForeignElement("unknown element %r in expression" % name)
-        return name
-    if op == "dual":
-        return ps.dual(eval_node(ps, node[1]))
-    left = eval_node(ps, node[1])
-    right = eval_node(ps, node[2])
-    if op == "tensor":
-        return ps.mult(left, right)
-    if op == "par":
-        return ps.par(left, right)
-    if op == "with":
-        return ps.lattice.meet2(left, right)
-    if op == "plus":
-        return ps.lattice.join2(left, right)
-    if op == "impl":
-        return ps.impl(left, right)
-    raise ExprSyntaxError("unknown node %r" % (op,))
-
+    kind = node[0]
+    if kind == "atom":
+        if node[1] not in ps.lattice:
+            raise ForeignElement("unknown element %r in expression" % node[1])
+        return node[1]
+    if kind not in _MEANING:
+        raise ExprSyntaxError("unknown node %r" % (kind,))
+    # map, not a list display, keeps one frame per level of the tree
+    return _MEANING[kind](ps)(*map(eval_node, repeat(ps), node[1:]))

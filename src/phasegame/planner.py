@@ -81,7 +81,7 @@ def load_scenario(path_or_doc):
     if start not in passable:
         raise BadGrid("start %r is not a passable cell" % (start,))
     horizon = f["horizon"]
-    if isinstance(horizon, bool) or horizon < 0:
+    if horizon < 0:
         raise BadGrid("horizon must be a nonnegative integer")
 
     phase = phase_from_doc(f["goal_phase"], base_dir=base_dir)

@@ -61,7 +61,9 @@ def solve_table(doc_or_path, max_solutions=None):
                                      % (tuple(els[i] for i in key),))
             open_slots[key] = cands
 
-    constraints = [([pair(x, y) for x, y in c["sum"]], c["equals"])
+    # a foreign name in a sum or as a target raises ForeignElement here
+    constraints = [([pair(x, y) for x, y in c["sum"]],
+                    lattice.idx(c["equals"]))
                    for c in f["linked_constraints"]]
 
     slots = sorted((k for k in open_slots if rows[k[0]][k[1]] is None),
@@ -89,7 +91,7 @@ def solve_table(doc_or_path, max_solutions=None):
         for pairs, want in constraints:
             vals = [rows[x][y] for x, y in pairs]
             if None not in vals and \
-                    lattice.join([els[v] for v in vals]) != want:
+                    lattice.join([els[v] for v in vals]) != els[want]:
                 return False
         return True
 

@@ -19,7 +19,13 @@ from functools import lru_cache
 from itertools import product
 
 from .data import distinct, fields, symmetrize
-from .errors import ForeignElement, NotAssociative, NotCommutative, SizeExceeded
+from .errors import (
+    ForeignElement,
+    NotAssociative,
+    NotCommutative,
+    SizeExceeded,
+    UnitNotNeutral,
+)
 
 MAX_MONOID = 6
 
@@ -65,7 +71,7 @@ class SubsetPhase:
             raise ForeignElement("unit %r is not in the carrier" % (unit,))
         for x in elements:
             if self.mult.get((unit, x)) != x:
-                raise NotAssociative("unit is not neutral at %r" % (x,))
+                raise UnitNotNeutral("unit is not neutral at %r" % (x,))
         if not frozenset(pole) <= frozenset(elements):
             raise ForeignElement("pole is not a subset of the carrier")
 

@@ -1,10 +1,13 @@
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import phasegame
 from phasegame.cli import main
 from phasegame.data import (DISTINCT, ENUMS, REQUIRED, ROWS, SCHEMAS,
                             data_path)
@@ -190,6 +193,28 @@ def test_simulate_same_seed_same_bytes(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("mode", ["practical", "strict"])
+def test_simulate_same_seed_same_bytes_across_processes(tmp_path, mode):
+    # string hashing differs between the two interpreters, so a trace that
+    # followed set or dict-of-hash order would differ between them; the
+    # report is left out, as it may carry timings
+    src = os.path.dirname(os.path.dirname(phasegame.__file__))
+    traces = []
+    for hash_seed in ("0", "1"):
+        out_dir = tmp_path / hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasegame.cli", "simulate",
+             "data:four_goals_scenario.json", "--mode", mode, "--seed", "7",
+             "--emit", "both", "--quiet", "--out-dir", str(out_dir)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed))
+        assert proc.returncode == 0, proc.stderr
+        traces.append([(out_dir / name).read_bytes() for name in (
+            "four_goals_scenario_trace.json",
+            "four_goals_scenario_trace.dot")])
+    assert traces[0] == traces[1]
+
+
 def test_simulate_step_limit_warns_by_default(tmp_path, capsys):
     rc = main(["simulate", "data:empty_scenario.json", "--max-steps", "3",
                "--out-dir", str(tmp_path)])
@@ -253,14 +278,6 @@ def _short_mult_row(tmp_path):
     return ["verify", "--phase", str(path)]
 
 
-def _boolean_horizon(tmp_path):
-    doc = read_json(data_path("tiny_scenario.json"))
-    doc["horizon"] = True
-    path = tmp_path / "bool_horizon.json"
-    path.write_text(json.dumps(doc))
-    return ["simulate", str(path), "--out-dir", str(tmp_path)]
-
-
 def _non_object(verb_argv):
     """A verb reading a document whose top level is a JSON array."""
     def make(tmp_path):
@@ -321,7 +338,18 @@ MALFORMED = [
     ("deep_expression",
      lambda tmp_path: ["eval", "--phase", "data:goal_phase.json",
                        "(" * 3000 + "a" + ")" * 3000], 2),
-    ("boolean_horizon", _boolean_horizon, 1),
+    # a JSON boolean is not a number, though Python's bool is an int
+    ("boolean_horizon",
+     _edited("tiny_scenario.json", lambda d: d.update(horizon=True),
+             SIMULATE), 2),
+    ("boolean_start",
+     _edited("four_goals_scenario.json",
+             lambda d: d.update(start=[True, d["start"][1]]), SIMULATE), 2),
+    ("boolean_cell",
+     _edited("tiny_scenario.json", _object(cell=[0, False]), SIMULATE), 2),
+    ("boolean_attractiveness",
+     _edited("four_goals_scenario.json", _object(attractiveness=True),
+             SIMULATE), 2),
     ("negative_max_steps",
      lambda tmp_path: ["simulate", "data:tiny_scenario.json",
                        "--max-steps", "-1", "--out-dir", str(tmp_path)], 2),
@@ -492,6 +520,11 @@ NAMED = {
                             "string, got ['0']",
     "constraint_sum_short": "items of field 'sum' must be pairs of strings, "
                             "got ['0']",
+    "boolean_horizon": "field 'horizon' must be an integer, got True",
+    "boolean_start": "items of field 'start' must be an integer, got True",
+    "boolean_cell": "items of field 'cell' must be an integer, got False",
+    "boolean_attractiveness": "field 'attractiveness' must be a number, "
+                              "got True",
     "binary_file": "raw.json: 'utf-8' codec can't decode byte 0xff",
     "deep_arrays": "raw.json: maximum recursion depth exceeded",
     "tiny_feature_comma": "universe members must be nonempty and contain "

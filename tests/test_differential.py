@@ -20,6 +20,9 @@ unfolding must match on seeded random games, tensors of alternating chains
 and (in tests/test_planner.py) compound games; and so is the earlier subset
 oracle on frozensets, whose reports the bitmask oracle must equal on every
 pole of every census monoid up to size 4 and on seeded larger monoids.
+Last come the earlier expression tokenizer, parser and evaluator, whose
+tokens, trees, values and error messages the one operator table must
+reproduce on seeded random strings, well-formed and not.
 """
 
 import copy
@@ -27,7 +30,7 @@ import functools
 import importlib.util
 import os
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, islice
 
 import pytest
@@ -37,6 +40,7 @@ from phasegame.data import data_path, fields, load_doc, resolve_path, symmetrize
 from phasegame.errors import (
     CapExceeded,
     DualLawViolation,
+    ExprSyntaxError,
     ForeignElement,
     InteractionOverflow,
     NotALattice,
@@ -51,7 +55,7 @@ from phasegame.errors import (
     UnboundedLattice,
     UnitNotNeutral,
 )
-from phasegame.expr import eval_expr
+from phasegame.expr import eval_expr, parse, tokenize
 from phasegame.games import (Game, compose_strategies, copycat, implication,
                              implication_game, maximal_plays, tensor_game,
                              walk)
@@ -665,7 +669,17 @@ EDITS = ["shipped", "relaxed", "strict_unit", "dropped_fixed_pair",
 @pytest.mark.parametrize("max_solutions", [None, 0, 1, 2])
 def test_solver_matches_the_earlier_solver_on_edited_candidates(
         edit, max_solutions):
-    assert_solvers_agree(edited_candidates(edit), max_solutions)
+    doc = edited_candidates(edit)
+    if edit == "foreign_constraint_value":
+        # the one intended difference: a foreign target is named while the
+        # constraints are read, where the earlier solver searched every
+        # completion and found none
+        assert solved(old_solve_table, doc, max_solutions) == (
+            "NoSolution", "no completion satisfies the declared laws")
+        assert solved(solve_table, doc, max_solutions) == (
+            "ForeignElement", "'zz' is not an element of this lattice")
+        return
+    assert_solvers_agree(doc, max_solutions)
 
 
 def test_solver_resolves_a_referenced_lattice_as_before():
@@ -1037,3 +1051,234 @@ def test_oracle_reports_match_the_earlier_oracle():
         facts.append(want["facts"])
     assert len(facts) == 1586 + 60 + 1
     assert facts[-1] == 64
+
+
+# the earlier expression grammar ----------------------------------------
+
+# tokenize, parse and eval_node as they were before one operator table
+# held the grammar: two token tables, a precedence list, a recursive-descent
+# parser with a special case for right-associative implication and one for
+# the postfix dual, and an if-chain of meanings.
+
+_OLD_SYMBOLS = {
+    "(": "lparen",
+    ")": "rparen",
+    "^": "dual",
+    "&": "with",
+    "+": "plus",
+    "⊗": "tensor",  # ⊗
+    "⅋": "par",  # ⅋
+    "⊸": "impl",  # ⊸
+}
+
+_OLD_WORDS = {"x": "tensor", "par": "par"}
+
+_OLD_TOO_DEEP = "expression nested too deeply"
+
+# the left-associative binary operators, loosest binding first
+_OLD_LEFT_ASSOC = ("plus", "with", "par", "tensor")
+
+
+def _old_ident_char(ch):
+    return ch.isalnum() or ch == "_"
+
+
+def old_tokenize(text):
+    """Split an expression into (kind, lexeme) pairs."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _OLD_SYMBOLS:
+            tokens.append((_OLD_SYMBOLS[ch], ch))
+            i += 1
+            continue
+        if ch == "-":
+            if i + 1 < n and text[i + 1] == "o":
+                tokens.append(("impl", "-o"))
+                i += 2
+                continue
+            raise ExprSyntaxError("stray '-' at position %d (did you mean '-o'?)" % i)
+        if _old_ident_char(ch):
+            j = i
+            while j < n and _old_ident_char(text[j]):
+                j += 1
+            word = text[i:j]
+            tokens.append((_OLD_WORDS.get(word, "ident"), word))
+            i = j
+            continue
+        raise ExprSyntaxError("unexpected character %r at position %d" % (ch, i))
+    return tokens
+
+
+class _OldParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos][0]
+        return None
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        if self.peek() != kind:
+            raise ExprSyntaxError("expected %s, got %s" % (kind, self._describe()))
+        return self.take()
+
+    def _describe(self):
+        if self.pos < len(self.tokens):
+            return "%r" % self.tokens[self.pos][1]
+        return "end of input"
+
+    def parse(self):
+        node = self.expr()
+        if self.pos != len(self.tokens):
+            raise ExprSyntaxError("trailing input at %s" % self._describe())
+        return node
+
+    def expr(self):
+        left = self.binary(0)
+        if self.peek() == "impl":
+            self.take()
+            right = self.expr()
+            return ("impl", left, right)
+        return left
+
+    def binary(self, level):
+        """A left-associative chain of the operator _OLD_LEFT_ASSOC[level] over
+        operands of the next tighter level, or of unary past the last."""
+        op = _OLD_LEFT_ASSOC[level]
+        tighter = level + 1 < len(_OLD_LEFT_ASSOC)
+        node = self.binary(level + 1) if tighter else self.unary()
+        while self.peek() == op:
+            self.take()
+            right = self.binary(level + 1) if tighter else self.unary()
+            node = (op, node, right)
+        return node
+
+    def unary(self):
+        node = self.primary()
+        while self.peek() == "dual":
+            self.take()
+            node = ("dual", node)
+        return node
+
+    def primary(self):
+        kind = self.peek()
+        if kind == "lparen":
+            self.take()
+            node = self.expr()
+            self.expect("rparen")
+            return node
+        if kind == "ident":
+            return ("atom", self.take()[1])
+        raise ExprSyntaxError("expected an element or '(', got %s" % self._describe())
+
+
+def old_parse(text):
+    """Parse an expression into a nested tuple tree."""
+    tokens = old_tokenize(text)
+    if not tokens:
+        raise ExprSyntaxError("empty expression")
+    try:
+        return _OldParser(tokens).parse()
+    except RecursionError:
+        raise ExprSyntaxError(_OLD_TOO_DEEP) from None
+
+
+def old_eval_node(ps, node):
+    op = node[0]
+    if op == "atom":
+        name = node[1]
+        if name not in ps.lattice.elements:
+            raise ForeignElement("unknown element %r in expression" % name)
+        return name
+    if op == "dual":
+        return ps.dual(old_eval_node(ps, node[1]))
+    left = old_eval_node(ps, node[1])
+    right = old_eval_node(ps, node[2])
+    if op == "tensor":
+        return ps.mult(left, right)
+    if op == "par":
+        return ps.par(left, right)
+    if op == "with":
+        return ps.lattice.meet2(left, right)
+    if op == "plus":
+        return ps.lattice.join2(left, right)
+    if op == "impl":
+        return ps.impl(left, right)
+    raise ExprSyntaxError("unknown node %r" % (op,))
+
+
+# atoms: goal_phase elements, a foreign name, the reserved words, a
+# non-ASCII letter and words that only start like an operator
+EXPR_ATOMS = ["a", "b1", "b2", "b3", "e", "J1a", "J23", "J12", "1", "0",
+              "zork", "x", "par", "\u00e9", "parx", "x1", "_"]
+EXPR_INFIX = ["-o", "\u22b8", "+", "&", "par", "\u214b", "x", "\u2297"]
+EXPR_NOISE = ["^", "(", ")", "-", "?", " ", "\t", "\u00a0"]
+
+
+def random_expression(rng, depth):
+    """Pieces of a well-formed expression, in random spellings."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        pieces = [rng.choice(EXPR_ATOMS)]
+    elif roll < 0.45:
+        pieces = ["("] + random_expression(rng, depth - 1) + [")"]
+    else:
+        pieces = (random_expression(rng, depth - 1) + [rng.choice(EXPR_INFIX)]
+                  + random_expression(rng, depth - 1))
+    return pieces + ["^"] * (rng.random() < 0.2)
+
+
+def random_expression_text(rng):
+    """A well-formed expression, one with a piece swapped, dropped or
+    added, or a soup of pieces; pieces join with or without a space."""
+    pieces = random_expression(rng, rng.randint(0, 4))
+    every = EXPR_ATOMS + EXPR_INFIX + EXPR_NOISE
+    roll = rng.random()
+    if roll < 0.3:
+        pieces[rng.randrange(len(pieces))] = rng.choice(every)
+    elif roll < 0.4:
+        del pieces[rng.randrange(len(pieces))]
+    elif roll < 0.5:
+        pieces.insert(rng.randint(0, len(pieces)), rng.choice(every))
+    elif roll < 0.65:
+        pieces = [rng.choice(every) for _ in range(rng.randint(0, 8))]
+    return "".join(p + rng.choice(["", " "]) for p in pieces)
+
+
+def expr_outcome(fn, *args):
+    """("ok", fn's result), or the class and message of the domain error
+    it raised."""
+    try:
+        return "ok", fn(*args)
+    except PhasegameError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_expressions_match_the_earlier_grammar(goal_phase):
+    rng = random.Random(1717)
+    seen = Counter()
+    for _ in range(20000):
+        text = random_expression_text(rng)
+        assert expr_outcome(tokenize, text) == expr_outcome(
+            old_tokenize, text), text
+        tree = expr_outcome(old_parse, text)
+        assert expr_outcome(parse, text) == tree, text
+        want = tree if tree[0] != "ok" else expr_outcome(
+            old_eval_node, goal_phase, tree[1])
+        assert expr_outcome(eval_expr, goal_phase, text) == want, text
+        seen[want[0]] += 1
+    assert set(seen) == {"ok", "ExprSyntaxError", "ForeignElement"}
+    assert min(seen.values()) > 2000, seen

@@ -76,3 +76,23 @@ def test_eval_on_goal_structure(goal_phase):
 def test_eval_unknown_element(goal_phase):
     with pytest.raises(ForeignElement):
         eval_expr(goal_phase, "a -o zork")
+
+
+def test_nesting_depth():
+    # one parser frame per parenthesis, so 400 levels fit under the
+    # default recursion limit
+    deep = "(" * 400 + "a" + ")" * 400
+    assert parse(deep) == ("atom", "a")
+    assert parse("a x " * 400 + "a")[0] == "tensor"
+    for text in ("(" * 3000 + "a" + ")" * 3000, "a -o " * 3000 + "a"):
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse(text)
+
+
+def test_eval_deep_expression(goal_phase):
+    # one evaluator frame per tree level
+    assert eval_expr(goal_phase, "(" * 400 + "e^^" + ")" * 400) == "J23e"
+    assert eval_expr(goal_phase, "b2 x " * 400 + "b2") == goal_phase.mult(
+        "b2", "b2")
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        eval_expr(goal_phase, "a x " * 3000 + "a")

@@ -9,7 +9,7 @@ import pytest
 from phasegame.cli import main
 from phasegame.data import load_doc
 from phasegame.errors import (ForeignElement, NotAssociative, NotCommutative,
-                              SizeExceeded, UsageError)
+                              SizeExceeded, UnitNotNeutral, UsageError)
 from phasegame.phase import classify, phase_from_doc, verify_laws
 from phasegame.subset_oracle import (SubsetPhase, all_commutative_monoids,
                                      cyclic_monoid, monoid_from_doc,
@@ -133,7 +133,7 @@ def test_rejects_non_neutral_unit():
     doc = {"elements": ["u", "a"], "unit": "u",
            "mult": [["u", "u", "u"], ["u", "a", "u"], ["a", "a", "a"]]}
     els, mult, unit = monoid_from_doc(doc)
-    with pytest.raises(NotAssociative, match="unit"):
+    with pytest.raises(UnitNotNeutral, match="unit is not neutral at 'a'"):
         SubsetPhase(els, mult, unit, frozenset())
 
 
@@ -162,6 +162,17 @@ def test_foreign_unit_exits_1(capsys, tmp_path):
         path.write_text(json.dumps(doc))
         assert main(["oracle", str(path)]) == 1
         assert "ForeignElement: unit 'x'" in capsys.readouterr().err
+
+
+def test_non_neutral_unit_exits_1(capsys, tmp_path):
+    # the constant product is associative, so only the unit is at fault
+    doc = {"elements": ["u", "a"], "unit": "u", "falsum_subset": [],
+           "mult": [["u", "u", "a"], ["u", "a", "a"], ["a", "a", "a"]]}
+    path = tmp_path / "constant_monoid.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", str(path)]) == 1
+    assert "UnitNotNeutral: unit is not neutral at 'u'" in (
+        capsys.readouterr().err)
 
 
 def test_rejects_foreign_product():

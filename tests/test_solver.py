@@ -3,7 +3,8 @@ import json
 import pytest
 
 from phasegame.data import data_path, load_doc
-from phasegame.errors import CapExceeded, NoSolution, NotCommutative
+from phasegame.errors import (CapExceeded, ForeignElement, NoSolution,
+                              NotCommutative)
 from phasegame.phase import phase_from_doc, verify_laws
 from phasegame.solver import solve_table
 
@@ -71,6 +72,15 @@ def test_violated_linked_constraint_raises():
     doc = candidates_doc()
     doc["linked_constraints"][0]["equals"] = "J123"
     with pytest.raises(NoSolution):
+        solve_table(doc)
+
+
+def test_foreign_constraint_target_is_named():
+    # named while the constraints are read, not after a search that no
+    # completion could pass
+    doc = candidates_doc()
+    doc["linked_constraints"][0]["equals"] = "zork"
+    with pytest.raises(ForeignElement, match="'zork' is not an element"):
         solve_table(doc)
 
 
