@@ -13,8 +13,8 @@ residuation dual(X) = lin_implies(X, falsum) when that join is closed.
 """
 
 import os
-from itertools import islice
-from operator import itemgetter
+from itertools import compress, islice
+from operator import itemgetter, ne
 
 from .data import (fields, load_doc, parse_doc, read_bytes, resolve_path,
                    symmetrize)
@@ -134,7 +134,12 @@ def _derive_duals(lattice, rows, falsum, overrides):
 # Every law reads the index tables.  A law over pairs or triples first
 # compares whole rows, each built in one C call, and scans single instances
 # only in the rows that differ, so its witnesses come out in the order a
-# scan of every instance would give them.
+# scan of every instance would give them.  Associativity is decided first
+# by Light's test (Clifford and Preston, The Algebraic Theory of
+# Semigroups, vol. 1, 1961, section 1.2): if a set A generates the magma,
+# the product is associative iff (x.a).y == x.(a.y) for every a in A and
+# every x, y, which is n.|A| row comparisons instead of n^2.  Only when the
+# test fails, or does not apply, are the rows scanned for witnesses.
 
 _RESIDUAL_LAW = "residual_matches_dual_product"
 _DUAL_LAWS = ("triple_dual", "double_dual_extensive",
@@ -149,7 +154,76 @@ def _commutative(els, rows):
                     yield els[x], els[y]
 
 
-def _associative(els, rows):
+def _generators(rows, unit):
+    """A generating set of the magma rows, or None when it would hold more
+    than half the carrier.
+
+    It starts from the elements that are no product y.z with y and z other
+    than the unit and the element itself, and closes them under x -> x.a
+    for each generator a, each pair (x, a) taken once; an element the
+    closure misses becomes a generator too.  Every element reached is a
+    left-nested product of generators, so a closure that covers the carrier
+    proves that they generate it, whatever the product.
+    """
+    n = len(rows)
+    others = [z for z in range(n) if z != unit]
+    pick = itemgetter(*others)
+    made = set()
+    for y, row in enumerate(rows):
+        if y != unit:
+            vals = pick(row)
+            got = set(compress(vals, map(ne, vals, others)))
+            got.discard(y)
+            made |= got
+    gens, reached, seen = [], [], bytearray(n)
+
+    def reach(vals):
+        for v in vals:
+            if not seen[v]:
+                seen[v] = 1
+                reached.append(v)
+
+    new = [x for x in range(n) if x not in made]
+    done = 0                    # reached[:done] are multiplied by all gens
+    misses = iter(range(n))
+    while 2 * (len(gens) + len(new)) <= n:
+        reach(new)
+        for x in reached[:done]:
+            reach([rows[x][a] for a in new])
+        gens += new
+        while done < len(reached):
+            row = rows[reached[done]]
+            reach([row[a] for a in gens])
+            done += 1
+        if done == n:
+            return gens
+        new = [next(x for x in misses if not seen[x])]
+    return None
+
+
+def _light(rows, gens):
+    """Light's test: (x.a).y == x.(a.y) for every a in gens and every x, y.
+    For each a, the rows x.(a.y) over y are built in one C call each and
+    compared with the rows of x.a."""
+    for a in gens:
+        if list(map(itemgetter(*rows[a]), rows)) != \
+                list(map(rows.__getitem__, map(itemgetter(a), rows))):
+            return False
+    return True
+
+
+def _associative(els, rows, unit):
+    # Light's test decides the verdict; the per-instance scan runs from the
+    # start only when it fails or does not apply (two elements or fewer,
+    # or generators making up most of the carrier)
+    if len(rows) > 2:
+        gens = _generators(rows, unit)
+        if gens is not None and _light(rows, gens):
+            return
+    yield from _scan_associative(els, rows)
+
+
+def _scan_associative(els, rows):
     # (xy)z == x(yz) for every z: the row of xy against row_x taken at the
     # entries of row_y (with one element, the getter returns a bare index,
     # so the single instance is scanned)
@@ -187,7 +261,7 @@ def _laws(lattice, rows, unit, falsum, dual=None):
     n = len(els)
     span = range(n)
     yield ("commutative", _commutative(els, rows), n * n)
-    yield ("associative", _associative(els, rows), n ** 3)
+    yield ("associative", _associative(els, rows, unit), n ** 3)
     yield ("unit_identity",
            (els[x] for x in span if rows[unit][x] != x), n)
     if dual is None:

@@ -402,8 +402,9 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     one, whose every extension is the smallest among theirs.  Each layer
     is kept in the lexical order of those prefixes, so the first play found
     with the largest objective is the winner, and the play counts of the
-    decision log are sums of state counts.  The trace header reports the
-    states explored and the plays counted.
+    decision log (the plays, those of the largest support, and the plays
+    ending with each objective size) are sums of state counts.  The trace
+    header reports the states explored and the plays counted.
     """
     if position is None:
         position = sc.start
@@ -456,6 +457,8 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     trace.log("enumerated %d alternated plays" % trace.header["plays"])
     trace.log("plays with an objective of largest support: %d"
               % support[best_size])
+    trace.log("plays by objective size: %s" % ", ".join(
+        "%d: %d" % kv for kv in sorted(support.items())))
     if support[best_size] > 1:
         trace.log("tie-broken by length, then move order")
 

@@ -10,7 +10,11 @@ not associative, not even commutative) must give the same tables, reports,
 duals and errors, and seeded and edited candidate tables the same
 completions, in the same order, or the same error.  One test checks the
 algebra against the independent reference model of the benchmark's
-generated structures.
+generated structures.  The row scan of every associativity instance is
+the oracle for Light's test, which decides the verdict: on every magma of
+at most three elements, on the census monoids and on seeded structures
+with one planted edit, the law must list the scan's witnesses; and on
+lawful seeded structures of 128 and 256 elements the scan must never run.
 
 The earlier list-based dual and tensor games are kept here too, as the
 oracles that tests/test_games.py and tests/test_planner.py hold the walked
@@ -31,11 +35,12 @@ import importlib.util
 import os
 import random
 from collections import Counter, deque
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
 from conftest import hand_built, random_game, random_strategy
+from phasegame import phase as phase_module
 from phasegame.data import data_path, fields, load_doc, resolve_path, symmetrize
 from phasegame.errors import (
     CapExceeded,
@@ -62,7 +67,11 @@ from phasegame.games import (Game, compose_strategies, copycat, implication,
 from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
+    _associative,
     _enforce,
+    _generators,
+    _light,
+    _scan_associative,
     classify,
     phase_from_doc,
     verify_laws,
@@ -456,6 +465,106 @@ def test_generated_structures_agree_with_reference_model(kind, n):
                 classify(ps)
         for text, want in gen.expr_batch(rng, model, 40):
             assert eval_expr(ps, text) == want, text
+
+
+# associativity by Light's test ----------------------------------------
+#
+# The row scan of every instance is the oracle: the law's witnesses must be
+# the scan's, in its order, on every magma of at most three elements with
+# any element as the unit, on the census monoids, and on seeded structures
+# with one planted edit.
+
+def scan_rows(rows):
+    """The witnesses of the row scan, as index triples in scan order."""
+    n = len(rows)
+    return [(x, y, z) for x in range(n) for y in range(n)
+            for z in range(n)
+            if rows[rows[x][y]][z] != rows[x][rows[y][z]]]
+
+
+def associative_witnesses(rows, unit, limit=None):
+    return list(islice(_associative(range(len(rows)), rows, unit), limit))
+
+
+def test_light_verdict_matches_the_scan_on_every_small_magma():
+    tested = Counter()
+    for n in (1, 2, 3):
+        for values in product(range(n), repeat=n * n):
+            rows = tuple(values[i:i + n] for i in range(0, n * n, n))
+            want = scan_rows(rows)
+            assert list(_scan_associative(range(n), rows)) == want
+            for unit in range(n):
+                assert associative_witnesses(rows, unit) == want, (rows, unit)
+            tested[n, not want] += 1
+    # 8 of the 16 two-element and 113 of the 19,683 three-element tables
+    # are semigroups
+    assert tested == {(1, True): 1, (2, True): 8, (2, False): 8,
+                      (3, True): 113, (3, False): 19570}
+
+
+def test_light_verdict_matches_the_scan_on_the_census():
+    for n in range(1, 5):
+        for els, mult, unit in all_commutative_monoids(n):
+            rows = tuple(tuple(els.index(mult[x, y]) for y in els)
+                         for x in els)
+            assert associative_witnesses(rows, els.index(unit)) == []
+            if n > 2:
+                gens = _generators(rows, els.index(unit))
+                assert gens is None or _light(rows, gens)
+
+
+def structure_rows(doc):
+    """The index rows and unit of a generated structure's document."""
+    index = {x: i for i, x in enumerate(doc["lattice"]["elements"])}
+    n = len(index)
+    rows = [[None] * n for _ in range(n)]
+    for x, y, v in doc["mult"]:
+        rows[index[x]][index[y]] = rows[index[y]][index[x]] = index[v]
+    return tuple(map(tuple, rows)), index[doc["unit"]]
+
+
+def test_light_verdict_matches_the_scan_on_edited_structures():
+    gen = _load_gen()
+    rng = random.Random(604)
+    cases = [("boolean", n) for n in (32, 64, 128)] + \
+        [("downset", n) for n in (32, 48, 64, 96, 128)]
+    edits = Counter()
+    for kind, n in cases * 2:
+        doc, _ = getattr(gen, kind + "_structure")(rng, n)
+        rows, unit = structure_rows(doc)
+        assert associative_witnesses(rows, unit) == []
+        for _ in range(20):
+            x, y, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            one_sided = rng.random() < 0.5
+            edited = [list(row) for row in rows]
+            edited[x][y] = v
+            if not one_sided:
+                edited[y][x] = v
+            edited = tuple(map(tuple, edited))
+            want = list(islice(_scan_associative(range(n), edited), 5))
+            assert associative_witnesses(edited, unit, 5) == want, \
+                (kind, n, x, y, v, one_sided)
+            edits[one_sided, not want] += 1
+    assert sum(edits.values()) >= 300
+    assert edits[True, False] and edits[False, False]
+
+
+@pytest.mark.parametrize("kind,n", [("boolean", 128), ("boolean", 256),
+                                    ("downset", 128), ("downset", 256)])
+def test_lawful_structures_never_scan_associativity(kind, n, monkeypatch):
+    gen = _load_gen()
+    doc, _ = getattr(gen, kind + "_structure")(random.Random(n + 605), n)
+    assert fields(doc, "phase")["checks"] == "full"
+
+    def scan(els, rows):
+        raise AssertionError("associativity scanned instance by instance")
+
+    monkeypatch.setattr(phase_module, "_scan_associative", scan)
+    report = verify_laws(phase_from_doc(doc))
+    assert report["ok"]
+    assert report["laws"][1] == {"law": "associative", "status": "pass",
+                                 "checked": n ** 3, "skipped": 0,
+                                 "witnesses": []}
 
 
 # the earlier name-keyed solver ----------------------------------------

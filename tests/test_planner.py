@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -367,14 +368,16 @@ def enumerate_plays(game):
 
 
 def oracle_plan(game, k):
-    """(plays, plays of largest support, winning play, its objective)."""
+    """(plays, plays of largest support, winning play, its objective,
+    plays by objective size)."""
     scored = [(p, frozenset().union(*(k[v] for v in p)))
               for p in enumerate_plays(game)]
     size = max(len(val) for _, val in scored)
     ranked = [(p, val) for p, val in scored if len(val) == size]
     play, val = min(ranked, key=lambda pv: (len(pv[0]),
                                             tuple(map(repr, pv[0]))))
-    return len(scored), len(ranked), play, sorted(val)
+    sizes = Counter(len(val) for _, val in scored)
+    return len(scored), len(ranked), play, sorted(val), sizes
 
 
 def random_case(rng):
@@ -421,12 +424,14 @@ def test_plan_agrees_with_exhaustive_enumeration(seed):
         plan = plan_play(sc, goals, mode=mode, position=position,
                          images=images)
         game, k = oracle_compound_game(sc, goals, position, mode, images)
-        plays, ranked, play, objective = oracle_plan(game, k)
+        plays, ranked, play, objective, sizes = oracle_plan(game, k)
         assert plan.final_play == [_vertex_doc(v) for v in play]
         assert plan.objective == objective
-        assert plan.decision_log[:2] == [
+        assert plan.decision_log[:3] == [
             "enumerated %d alternated plays" % plays,
-            "plays with an objective of largest support: %d" % ranked]
+            "plays with an objective of largest support: %d" % ranked,
+            "plays by objective size: %s" % ", ".join(
+                "%d: %d" % kv for kv in sorted(sizes.items()))]
         assert plan.header["plays"] == plays
 
 
