@@ -387,13 +387,23 @@ class Trace:
         return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
 
 
+class _Reprs(dict):
+    """repr of each key, computed on first lookup."""
+
+    def __missing__(self, x):
+        r = self[x] = repr(x)
+        return r
+
+
 def plan_play(sc, goals, mode="practical", position=None, images=None):
     """Pick a play of the compound game with a maximal joined payoff.
 
     A play's objective is the join of its vertex payoffs.  Plays whose
     objective has the largest support win; in a powerset such an objective
     is maximal, since no other set strictly contains it.  Ties fall to
-    shorter plays, then to lexical move order (by repr of the vertices).
+    shorter plays, then to lexical move order: the repr order of the
+    vertices, found by comparing the reprs of their cell, tick and chains
+    in turn (tests pin it on two-digit coordinates and ticks).
 
     No play is listed.  A breadth-first search runs over states (vertex,
     objective so far), one layer per play length: a vertex fixes its depth,
@@ -420,6 +430,15 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
         "objective_lattice": "powerset of %d features" % len(sc.universe),
     })
 
+    reprs = _Reprs()
+
+    def order(w):
+        # repr(w) is "((" cell ", " tick "), " chains ")": a tuple's repr is
+        # prefix-free and an int's is followed by "," or ")", below every
+        # digit, so the parts' reprs compared in turn order as repr(w) does
+        (cell, t), b = w
+        return reprs[cell], reprs[t], reprs[b]
+
     root = (game.root, game.payoff(game.root))
     count = {root: 1}
     parent = {root: None}
@@ -435,7 +454,7 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
             v, mask = s
             if v not in succ:
                 succ[v] = [(w, game.payoff(w))
-                           for w in sorted(game.moves(v, pol), key=repr)]
+                           for w in sorted(game.moves(v, pol), key=order)]
             if not succ[v]:
                 size = mask.bit_count()
                 support[size] = support.get(size, 0) + count[s]

@@ -21,8 +21,11 @@ oracles that tests/test_games.py and tests/test_planner.py hold the walked
 implicit games and their Game listings to; so are the earlier play walkers
 behind maximal_plays, copycat and compose_strategies, which the one
 unfolding must match on seeded random games, tensors of alternating chains
-and (in tests/test_planner.py) compound games; and so is the earlier subset
-oracle on frozensets, whose reports the bitmask oracle must equal on every
+and (in tests/test_planner.py) compound games; so is the earlier play
+search, which sorted each successor list by a repr of every vertex and
+whose traces plan_play must reproduce on seeded scenarios with two-digit
+coordinates and ticks and with object ids that share a prefix or hold
+quotes and commas; and so is the earlier subset oracle on frozensets, whose reports the bitmask oracle must equal on every
 pole of every census monoid up to size 4 and on seeded larger monoids.
 Last come the earlier expression tokenizer, parser and evaluator, whose
 tokens, trees, values and error messages the one operator table must
@@ -76,6 +79,8 @@ from phasegame.phase import (
     phase_from_doc,
     verify_laws,
 )
+from phasegame.planner import (CompoundGame, Trace, _vertex_doc,
+                               load_scenario, plan_play, visible_rewards)
 from phasegame.solver import solve_table
 from phasegame.subset_oracle import (all_commutative_monoids, cyclic_monoid,
                                      oracle_report)
@@ -1001,6 +1006,152 @@ def test_plays_match_the_earlier_walkers_on_chain_tensors(length):
     assert_unfolds_as_before(g, g, g, cc, cc)
     sigma = random_strategy(random.Random(length), implication_game(g, h))
     assert_unfolds_as_before(g, g, h, cc, sigma)
+
+
+# the earlier play search -----------------------------------------------
+#
+# plan_play as it was before its successor lists were ordered by the cached
+# reprs of their parts: each list sorted by a fresh repr of every vertex.
+
+def old_plan_play(sc, goals, mode="practical", position=None, images=None):
+    if position is None:
+        position = sc.start
+    game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
+    lat = sc.payoff_lattice
+
+    trace = Trace({
+        "kind": "plan",
+        "scenario": sc.name,
+        "mode": mode,
+        "position": list(position),
+        "goals": sorted(goals),
+        "objective_lattice": "powerset of %d features" % len(sc.universe),
+    })
+
+    root = (game.root, game.payoff(game.root))
+    count = {root: 1}
+    parent = {root: None}
+    succ = {}
+    support = {}
+    best_size, best = -1, None
+    layer = [root]
+    depth = 0
+    while layer:
+        pol = "O" if depth % 2 == 0 else "P"
+        nxt = []
+        for s in layer:
+            v, mask = s
+            if v not in succ:
+                succ[v] = [(w, game.payoff(w))
+                           for w in sorted(game.moves(v, pol), key=repr)]
+            if not succ[v]:
+                size = mask.bit_count()
+                support[size] = support.get(size, 0) + count[s]
+                if size > best_size:
+                    best_size, best = size, s
+                continue
+            for w, k in succ[v]:
+                u = (w, mask | k)
+                if u in count:
+                    count[u] += count[s]
+                else:
+                    count[u] = count[s]
+                    parent[u] = s
+                    nxt.append(u)
+        layer = nxt
+        depth += 1
+    trace.header["states"] = len(count)
+    trace.header["plays"] = sum(support.values())
+    trace.log("enumerated %d alternated plays" % trace.header["plays"])
+    trace.log("plays with an objective of largest support: %d"
+              % support[best_size])
+    trace.log("plays by objective size: %s" % ", ".join(
+        "%d: %d" % kv for kv in sorted(support.items())))
+    if support[best_size] > 1:
+        trace.log("tie-broken by length, then move order")
+
+    play = []
+    s = best
+    while s is not None:
+        play.append(s[0])
+        s = parent[s]
+    play.reverse()
+
+    running = 0
+    for i, v in enumerate(play):
+        (cell, t), _ = v
+        running |= game.payoff(v)
+        if i == 0:
+            continue
+        actor = "environment" if (i - 1) % 2 == 0 else "system"
+        vis = visible_rewards(sc, cell)
+        trace.entries.append({
+            "actor": actor,
+            "position": list(cell),
+            "rewards": {g: sorted(vis[g]) for g in sorted(goals)},
+            "objective_so_far": lat.members(running),
+        })
+    trace.final_play = [_vertex_doc(v) for v in play]
+    trace.objective = lat.members(best[1])
+
+    reached = {cell for (cell, t), _ in play}
+    for g in goals:
+        obj = sc.objects[g]
+        if obj.cell not in reached:
+            trace.log("goal %s not reached within horizon" % g)
+    trace.complete = True
+    return trace
+
+
+# object ids that share a prefix, or hold a quote or a comma, so that the
+# chains' reprs differ in length, quoting and escapes
+PLAN_IDS = ["o1", "o10", "o1'", 'o"1', "o,1", "o'1\"", "o", "o0"]
+
+
+def wide_plan_case(rng):
+    """A seeded grid of 10 to 15 columns and 1 to 13 rows, sparse in
+    obstacles, at horizon 5 to 7 so that ticks cross 9 -> 10, whose start
+    and position sit at a column of 7 to 12 so that plays cross x = 9 ->
+    10; one to three goals with one to three features each, about half
+    of them with a revealed first feature."""
+    while True:
+        w, h = rng.randint(10, 15), rng.randint(1, 13)
+        grid = ["".join("#" if rng.random() < 0.1 else "."
+                        for _ in range(w)) for _ in range(h)]
+        cells = [(x, y) for y in range(h) for x in range(w)
+                 if grid[y][x] == "."]
+        near = [c for c in cells if 7 <= c[0] <= 12]
+        if near and len(cells) >= 4:
+            break
+    objects = [{"id": oid, "cell": list(rng.choice(cells)),
+                "features": ["f%d_%d" % (i, j)
+                             for j in range(rng.randint(1, 3))],
+                "goal": goal}
+               for i, (oid, goal) in enumerate(zip(
+                   rng.sample(PLAN_IDS, rng.randint(1, 3)),
+                   ["J1a", "b2", "b3"]))]
+    sc = load_scenario({
+        "name": "wide", "grid": grid, "start": list(rng.choice(near)),
+        "horizon": rng.randint(5, 7), "goal_phase": "data:goal_phase.json",
+        "free_move_goal": "a", "objects": objects})
+    goals = sorted(sc.objects)
+    images = {g: frozenset(sc.objects[g].features[:1])
+              for g in goals if rng.random() < 0.5}
+    return sc, goals, rng.choice(near), images
+
+
+def test_plans_match_the_earlier_repr_sort_past_one_digit():
+    rng = random.Random(1919)
+    wide = 0
+    for _ in range(16):
+        sc, goals, position, images = wide_plan_case(rng)
+        for mode in ("practical", "strict"):
+            for at in (None, position):
+                want = old_plan_play(sc, goals, mode, at, images).to_json()
+                assert plan_play(sc, goals, mode, at, images).to_json() == \
+                    want, (sc.rows, goals, mode, at)
+        wide += max(x for x, _ in sc.passable) >= 10
+    assert wide >= 12
 
 
 # the earlier frozenset subset oracle -----------------------------------

@@ -1,9 +1,12 @@
 import json
 import os
+import random
 
 import pytest
 
 from conftest import hand_built
+from test_differential import _load_gen
+from phasegame import phase as phase_module
 from phasegame.data import data_path, load_doc
 from phasegame.errors import (
     DualLawViolation,
@@ -16,6 +19,7 @@ from phasegame.errors import (
     UsageError,
 )
 from phasegame.phase import (
+    PhaseStructure,
     classify,
     load_phase,
     phase_from_doc,
@@ -298,6 +302,57 @@ def test_load_runs_no_residual_scan(monkeypatch):
     n = len(ps.lattice.elements)
     assert len(calls) == n
     assert sum(len(targets) for _, targets in calls) == n * n
+
+
+def counting_light(monkeypatch):
+    """The calls of Light's test from here on, one list entry each."""
+    calls = []
+    light = phase_module._light
+
+    def counting(rows, gens):
+        calls.append(gens)
+        return light(rows, gens)
+
+    monkeypatch.setattr(phase_module, "_light", counting)
+    return calls
+
+
+def boolean_doc(n=32):
+    """A seeded lawful structure whose associativity Light's test decides."""
+    doc, _ = _load_gen().boolean_structure(random.Random(n), n)
+    return doc
+
+
+def test_audit_reuses_the_load_time_associativity_verdict(monkeypatch):
+    calls = counting_light(monkeypatch)
+    ps = phase_from_doc(boolean_doc())
+    assert len(calls) == 1
+    report = verify_laws(ps)
+    assert len(calls) == 1
+    assert report["laws"][1] == {"law": "associative", "status": "pass",
+                                 "checked": 32 ** 3, "skipped": 0,
+                                 "witnesses": []}
+    # the same rows loaded without the gate are audited in full, to the
+    # same report
+    assert verify_laws(phase_from_doc(boolean_doc(), validate=False)) == \
+        report
+    assert len(calls) == 2
+
+
+def test_ungated_structures_are_audited_in_full(monkeypatch):
+    loaded = phase_from_doc(boolean_doc())
+    calls = counting_light(monkeypatch)
+    relaxed = boolean_doc()
+    relaxed["checks"] = "relaxed"
+    # a structure built by hand on the same index tables
+    built = PhaseStructure(loaded.lattice, loaded._rows, loaded.unit,
+                           loaded.falsum, loaded._dual)
+    for ps in (phase_from_doc(boolean_doc(), validate=False),
+               phase_from_doc(relaxed), built):
+        assert calls == []
+        assert verify_laws(ps)["ok"]
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_verify_laws_caps_witnesses():

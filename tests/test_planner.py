@@ -416,10 +416,10 @@ def random_case(rng):
     return sc, goals, position, images
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_plan_agrees_with_exhaustive_enumeration(seed):
-    rng = random.Random(seed)
-    sc, goals, position, images = random_case(rng)
+def assert_plan_matches_enumeration(sc, goals, position=None, images=None):
+    """plan_play picks the oracle's play, objective and play counts in
+    both modes; returns the numbers of plays of largest support."""
+    ties = []
     for mode in ("practical", "strict"):
         plan = plan_play(sc, goals, mode=mode, position=position,
                          images=images)
@@ -433,6 +433,34 @@ def test_plan_agrees_with_exhaustive_enumeration(seed):
             "plays by objective size: %s" % ", ".join(
                 "%d: %d" % kv for kv in sorted(sizes.items()))]
         assert plan.header["plays"] == plays
+        ties.append(ranked)
+    return ties
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_plan_agrees_with_exhaustive_enumeration(seed):
+    assert_plan_matches_enumeration(*random_case(random.Random(seed)))
+
+
+@pytest.mark.parametrize("horizon", [4, 5])
+@pytest.mark.parametrize("x,features", [(6, ["f1"]), (6, ["f1", "f2"]),
+                                        (10, ["f1"]), (10, ["f1", "f2"]),
+                                        (3, ["f1", "f2", "f3"])])
+def test_tie_break_past_one_digit_agrees_with_enumeration(horizon, x,
+                                                          features):
+    # random_case stays below 10 in every coordinate and tick; here the
+    # start's neighbours are x=8 and x=10, where repr order ("(10, 0)"
+    # before "(8, 0)") and tuple order differ, and at horizon 5 a goal
+    # with three features still has a reveal left at tick 9, where
+    # stepping to tick 10 comes first in repr order
+    doc = base_doc()
+    doc["grid"] = ["." * 11]
+    doc["start"] = [9, 0]
+    doc["horizon"] = horizon
+    doc["objects"] = [{"id": "obj_x", "cell": [x, 0], "features": features,
+                       "goal": "e"}]
+    ties = assert_plan_matches_enumeration(load_scenario(doc), ["obj_x"])
+    assert max(ties) > 1
 
 
 @pytest.mark.parametrize("seed", range(6))
