@@ -48,6 +48,7 @@ class Scenario:
         self.payoff_lattice = PowersetLattice(
             {f for o in objects for f in o.features})
         self.universe = self.payoff_lattice.base
+        self._visible = {}              # cell -> visible_rewards
 
     def neighbors(self, cell):
         x, y = cell
@@ -125,17 +126,21 @@ def visible_rewards(sc, pos):
 
     At distance d the first ceil(n * (1 - d/(horizon+1))) features show, so
     standing on the object reveals everything and the fraction decays with
-    distance.
+    distance.  Computed once per scenario and cell; every call returns a
+    fresh dict, which the caller may change.
     """
-    out = {}
-    den = sc.horizon + 1
-    for obj in sc.objects.values():
-        d = chebyshev(pos, obj.cell)
-        n = len(obj.features)
-        num = n * (den - d)
-        count = -(-num // den) if num > 0 else 0
-        out[obj.id] = frozenset(obj.features[:count])
-    return out
+    pos = tuple(pos)
+    out = sc._visible.get(pos)
+    if out is None:
+        out = sc._visible[pos] = {}
+        den = sc.horizon + 1
+        for obj in sc.objects.values():
+            d = chebyshev(pos, obj.cell)
+            n = len(obj.features)
+            num = n * (den - d)
+            count = -(-num // den) if num > 0 else 0
+            out[obj.id] = frozenset(obj.features[:count])
+    return dict(out)
 
 
 def _goal_objects(sc, goals):
@@ -276,12 +281,17 @@ class CompoundGame:
     A goal's chain runs through (goal id, revealed count), advanced by
     Opponent; tensoring left to right nests them as (g1, j1), then
     ((g1, j1), (g2, j2)), and so on.  Every move advances the tick or one
-    count, so a vertex sits at depth tick + sum of counts.
+    count, so a vertex sits at depth tick + sum of counts.  The factors
+    stay reachable, movement (the dualized movement game) and chains (the
+    per-goal chain games, in goal order), so that plan_play can search on
+    their ranked vertices; moves serves build_compound_game and other
+    walkers of the whole game.
 
     A payoff is a mask of the scenario's payoff lattice, the powerset of
-    its feature universe: what the cell reveals of the goals, joined with
-    their images (or its complement, in strict mode), joined with the meet
-    over goals of each revealed prefix joined with its image.
+    its feature universe: side(cell), what the cell reveals of the goals
+    joined with their images (or its complement, in strict mode), joined
+    with meet(chains), the meet over goals of each revealed prefix joined
+    with its image.
     """
 
     def __init__(self, sc, goals, position=None, mode="practical",
@@ -311,29 +321,38 @@ class CompoundGame:
                   for o in objs]
         game = implication(_Movement(sc, pos, sc.horizon),
                            Memo(reduce(Tensor, chains)))
+        self.movement, self.chains = game.a, chains
         self.root = game.root
         self.moves = game.moves
 
-    def payoff(self, v):
-        (cell, _), b = v
-        lat = self.lattice
+    def side(self, cell):
+        """The payoff part of a movement vertex at cell."""
         side = self._side.get(cell)
         if side is None:
+            lat = self.lattice
             vis = visible_rewards(self.sc, cell)
             side = self._images | lat.mask(
                 f for oid in self._ids for f in vis[oid])
             if self._negate:
                 side = lat.complement(side)
             self._side[cell] = side
+        return side
+
+    def meet(self, b):
+        """The payoff part of a chains vertex b."""
         meet = self._meet.get(b)
         if meet is None:
-            meet, rest = lat.complement(0), b
+            meet, rest = self.lattice.complement(0), b
             for prefix in reversed(self._prefix[1:]):
                 rest, (_, j) = rest
                 meet &= prefix[j]
             meet &= self._prefix[0][rest[1]]
             self._meet[b] = meet
-        return side | meet
+        return meet
+
+    def payoff(self, v):
+        (cell, _), b = v
+        return self.side(cell) | self.meet(b)
 
 
 def build_compound_game(sc, goals, position=None, mode="practical",
@@ -387,12 +406,40 @@ class Trace:
         return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
 
 
-class _Reprs(dict):
-    """repr of each key, computed on first lookup."""
+def _ranked(game, key):
+    """A game's vertices sorted by key, and for each polarity the
+    successors of each vertex as indices into that list."""
+    vertices, edges = walk(game)
+    vertices.sort(key=key)
+    rank = {v: i for i, v in enumerate(vertices)}
+    succ = {pol: [[] for _ in vertices] for pol in ("O", "P")}
+    for v, w, pol in edges:
+        succ[pol][rank[v]].append(rank[w])
+    return vertices, succ
 
-    def __missing__(self, x):
-        r = self[x] = repr(x)
-        return r
+
+def _tensor(f, g):
+    """The ranked tensor of two ranked games: pair (i, j) of ranks is rank
+    i * len(g's vertices) + j, and a move changes one coordinate."""
+    (fv, fs), (gv, gs) = f, g
+    n = len(gv)
+    return ([(a, b) for a in fv for b in gv],
+            {pol: [[x * n + j for x in fr] + [i * n + y for y in gr]
+                   for i, fr in enumerate(fs[pol])
+                   for j, gr in enumerate(gs[pol])]
+             for pol in fs})
+
+
+def _ranked_factors(game):
+    """The ranked factors of a CompoundGame: its movement vertices by the
+    reprs of cell and tick, and its chains vertices by repr.  A tuple's
+    repr is prefix-free and an int's is followed by "," or ")", below every
+    digit, so comparing the parts' reprs in turn orders tuples as comparing
+    their whole reprs does: the chains rank as the tensor of the per-goal
+    chains ranked by repr, and m * nb + b for movement rank m, chains rank b
+    and nb chains vertices orders the compound vertices by repr."""
+    return (_ranked(game.movement, lambda m: (repr(m[0]), repr(m[1]))),
+            reduce(_tensor, [_ranked(c, repr) for c in game.chains]))
 
 
 def plan_play(sc, goals, mode="practical", position=None, images=None):
@@ -402,19 +449,28 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     objective has the largest support win; in a powerset such an objective
     is maximal, since no other set strictly contains it.  Ties fall to
     shorter plays, then to lexical move order: the repr order of the
-    vertices, found by comparing the reprs of their cell, tick and chains
-    in turn (tests pin it on two-digit coordinates and ticks).
+    vertices, which compares the reprs of their cell, tick and chains in
+    turn (tests pin it on two-digit coordinates and ticks).
 
-    No play is listed.  A breadth-first search runs over states (vertex,
-    objective so far), one layer per play length: a vertex fixes its depth,
-    so every prefix reaching a state has the same length, and the state
-    keeps the number of prefixes reaching it and the lexically smallest
-    one, whose every extension is the smallest among theirs.  Each layer
-    is kept in the lexical order of those prefixes, so the first play found
-    with the largest objective is the winner, and the play counts of the
-    decision log (the plays, those of the largest support, and the plays
-    ending with each objective size) are sums of state counts.  The trace
-    header reports the states explored and the plays counted.
+    No play is listed, and no move of the compound game is asked for: the
+    search runs on ranked factor indices (_ranked_factors).  A compound
+    vertex is the int m * nb + b for movement rank m, chains rank b and nb
+    chains vertices, and this int order is the part-by-part repr order.
+    Its successors follow Tensor's rule, one coordinate moving, and its
+    payoff is side(cell) | meet(chains), read by rank.  Nested tuples are
+    rebuilt only for the chosen play.
+
+    A breadth-first search runs over states (vertex, objective so far),
+    packed as the int objective * nv + vertex for the exact vertex count
+    nv, one layer per play length: a vertex fixes its depth, so every
+    prefix reaching a state has the same length, and the state keeps the
+    number of prefixes reaching it and the lexically smallest one, whose
+    every extension is the smallest among theirs.  Each layer is kept in
+    the lexical order of those prefixes, so the first play found with the
+    largest objective is the winner, and the play counts of the decision
+    log (the plays, those of the largest support, and the plays ending
+    with each objective size) are sums of state counts.  The trace header
+    reports the states explored and the plays counted.
     """
     if position is None:
         position = sc.start
@@ -430,16 +486,14 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
         "objective_lattice": "powerset of %d features" % len(sc.universe),
     })
 
-    reprs = _Reprs()
+    (mverts, msucc), (bverts, bsucc) = _ranked_factors(game)
+    nb = len(bverts)
+    nv = len(mverts) * nb
+    side = [game.side(cell) for cell, _ in mverts]
+    meet = [game.meet(b) for b in bverts]
 
-    def order(w):
-        # repr(w) is "((" cell ", " tick "), " chains ")": a tuple's repr is
-        # prefix-free and an int's is followed by "," or ")", below every
-        # digit, so the parts' reprs compared in turn order as repr(w) does
-        (cell, t), b = w
-        return reprs[cell], reprs[t], reprs[b]
-
-    root = (game.root, game.payoff(game.root))
+    v = mverts.index(game.root[0]) * nb + bverts.index(game.root[1])
+    root = (side[v // nb] | meet[v % nb]) * nv + v
     count = {root: 1}
     parent = {root: None}
     succ = {}
@@ -449,24 +503,31 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     depth = 0
     while layer:
         pol = "O" if depth % 2 == 0 else "P"
+        mrows, brows = msucc[pol], bsucc[pol]
         nxt = []
         for s in layer:
-            v, mask = s
-            if v not in succ:
-                succ[v] = [(w, game.payoff(w))
-                           for w in sorted(game.moves(v, pol), key=order)]
-            if not succ[v]:
+            mask, v = divmod(s, nv)
+            out = succ.get(v)
+            if out is None:
+                m, b = divmod(v, nb)
+                ws = [x * nb + b for x in mrows[m]]
+                ws += [v - b + y for y in brows[b]]     # v - b == m * nb
+                ws.sort()
+                out = succ[v] = [(w, side[w // nb] | meet[w % nb])
+                                 for w in ws]
+            if not out:
                 size = mask.bit_count()
                 support[size] = support.get(size, 0) + count[s]
                 if size > best_size:
                     best_size, best = size, s
                 continue
-            for w, k in succ[v]:
-                u = (w, mask | k)
+            c = count[s]
+            for w, k in out:
+                u = (mask | k) * nv + w
                 if u in count:
-                    count[u] += count[s]
+                    count[u] += c
                 else:
-                    count[u] = count[s]
+                    count[u] = c
                     parent[u] = s
                     nxt.append(u)
         layer = nxt
@@ -484,7 +545,8 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     play = []
     s = best
     while s is not None:
-        play.append(s[0])
+        m, b = divmod(s % nv, nb)
+        play.append((mverts[m], bverts[b]))
         s = parent[s]
     play.reverse()
 
@@ -503,7 +565,7 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
             "objective_so_far": lat.members(running),
         })
     trace.final_play = [_vertex_doc(v) for v in play]
-    trace.objective = lat.members(best[1])
+    trace.objective = lat.members(best // nv)
 
     reached = {cell for (cell, t), _ in play}
     for g in goals:

@@ -64,9 +64,10 @@ from phasegame.errors import (
     UnitNotNeutral,
 )
 from phasegame.expr import eval_expr, parse, tokenize
-from phasegame.games import (Game, compose_strategies, copycat, implication,
-                             implication_game, maximal_plays, tensor_game,
-                             walk)
+from phasegame.games import (Game, Memo, PayoffGame, Tensor,
+                             compose_strategies, copycat, implication,
+                             implication_game, materialize, maximal_plays,
+                             tensor_game, walk)
 from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
@@ -79,8 +80,9 @@ from phasegame.phase import (
     phase_from_doc,
     verify_laws,
 )
-from phasegame.planner import (CompoundGame, Trace, _vertex_doc,
-                               load_scenario, plan_play, visible_rewards)
+from phasegame.planner import (CompoundGame, Trace, _Movement, _check_mode,
+                               _goal_objects, _vertex_doc, load_scenario,
+                               plan_play, visible_rewards)
 from phasegame.solver import solve_table
 from phasegame.subset_oracle import (all_commutative_monoids, cyclic_monoid,
                                      oracle_report)
@@ -1011,7 +1013,9 @@ def test_plays_match_the_earlier_walkers_on_chain_tensors(length):
 # the earlier play search -----------------------------------------------
 #
 # plan_play as it was before its successor lists were ordered by the cached
-# reprs of their parts: each list sorted by a fresh repr of every vertex.
+# reprs of their parts: each list sorted by a fresh repr of every vertex,
+# asked of the compound game's moves at each vertex, with nested tuples for
+# vertices and states.
 
 def old_plan_play(sc, goals, mode="practical", position=None, images=None):
     if position is None:
@@ -1152,6 +1156,144 @@ def test_plans_match_the_earlier_repr_sort_past_one_digit():
                     want, (sc.rows, goals, mode, at)
         wide += max(x for x, _ in sc.passable) >= 10
     assert wide >= 12
+
+
+def planner_shape_case(rng):
+    """A seeded grid in the shape of the benchmark's dearer plans: 10 to 13
+    columns and 1 to 11 rows at horizon 4 to 7, four goals (J1a, b2, b3,
+    e) of three features each drawn from one six-name universe shared
+    across objects, each object within the horizon of the start; a moved
+    position with a move, and images of each goal's first feature."""
+    while True:
+        w, h, horizon = rng.randint(10, 13), rng.randint(1, 11), \
+            rng.randint(4, 7)
+        grid = ["".join("#" if rng.random() < 0.1 else "."
+                        for _ in range(w)) for _ in range(h)]
+        cells = [(x, y) for y in range(h) for x in range(w)
+                 if grid[y][x] == "."]
+        starts = [c for c in cells if c[0] >= 7]
+        if not starts:
+            continue
+        start = rng.choice(starts)
+        near = [c for c in cells
+                if max(abs(c[0] - start[0]), abs(c[1] - start[1])) <= horizon]
+        if len(near) >= 5:
+            break
+    universe = ["t%d" % i for i in range(6)]
+    objects = [{"id": "o%d" % i, "cell": list(cell),
+                "features": rng.sample(universe, 3), "goal": goal}
+               for i, (cell, goal) in enumerate(zip(
+                   rng.sample(near, 4), ["J1a", "b2", "b3", "e"]))]
+    sc = load_scenario({
+        "name": "shaped", "grid": grid, "start": list(start),
+        "horizon": horizon, "goal_phase": "data:goal_phase.json",
+        "free_move_goal": "a", "objects": objects})
+    moved = rng.choice([c for c in near if c != start and sc.neighbors(c)]
+                       or [start])
+    goals = sorted(sc.objects)
+    images = {g: frozenset(sc.objects[g].features[:1]) for g in goals}
+    return sc, goals, moved, images
+
+
+def test_plans_match_the_earlier_search_in_the_benchmark_shapes():
+    rng = random.Random(2020)
+    horizons = set()
+    for _ in range(10):
+        sc, goals, position, images = planner_shape_case(rng)
+        horizons.add(sc.horizon)
+        for mode in ("practical", "strict"):
+            for at in (None, position):
+                for seen in (None, images):
+                    want = old_plan_play(sc, goals, mode, at, seen).to_json()
+                    assert plan_play(sc, goals, mode, at, seen).to_json() \
+                        == want, (sc.rows, goals, mode, at, seen)
+    assert horizons == {4, 5, 6, 7}
+
+
+def test_plans_match_the_earlier_search_on_twenty_features():
+    # two goals of ten features make a universe of 20, so an objective that
+    # holds the last feature sets the top bit of the payoff lattice's masks
+    sc = load_scenario({
+        "name": "twenty", "grid": ["." * 8] * 3,
+        "start": [1, 1], "horizon": 3, "goal_phase": "data:goal_phase.json",
+        "free_move_goal": "a", "objects": [
+            {"id": "o%d" % i, "cell": cell, "goal": goal,
+             "features": ["f%d_%d" % (i, j) for j in range(10)]}
+            for i, (cell, goal) in enumerate([([0, 1], "b2"),
+                                              ([4, 1], "e")])]})
+    assert len(sc.universe) == 20
+    goals = sorted(sc.objects)
+    for mode in ("practical", "strict"):
+        for images in (None, {"o0": frozenset(["f0_0"])}):
+            plan = plan_play(sc, goals, mode, None, images)
+            assert plan.to_json() == \
+                old_plan_play(sc, goals, mode, None, images).to_json()
+            if mode == "practical":
+                assert sc.universe[-1] in plan.objective
+
+
+# the earlier compound game ---------------------------------------------
+#
+# CompoundGame as it was before its payoff was split into side(cell) and
+# meet(chains), less its argument checks, and build_compound_game over it.
+
+class OldCompoundGame:
+    def __init__(self, sc, goals, position=None, mode="practical",
+                 images=None):
+        pos = tuple(sc.start if position is None else position)
+        _check_mode(mode)
+        images = images or {}
+        objs = _goal_objects(sc, goals)
+        self.sc = sc
+        self.lattice = lat = sc.payoff_lattice
+        self._ids = list(goals)
+        image = [lat.mask(images.get(g, ())) for g in goals]
+        self._prefix = [[lat.mask(o.features[:j]) | im
+                         for j in range(len(o.features) + 1)]
+                        for o, im in zip(objs, image)]
+        self._images = lat.mask(f for g in goals for f in images.get(g, ()))
+        self._negate = mode == "strict"
+        self._side = {}
+        self._meet = {}
+        chains = [Game([(o.id, j) for j in range(len(o.features) + 1)],
+                       (o.id, 0), [((o.id, j), (o.id, j + 1), "O")
+                                   for j in range(len(o.features))])
+                  for o in objs]
+        game = implication(_Movement(sc, pos, sc.horizon),
+                           Memo(functools.reduce(Tensor, chains)))
+        self.root = game.root
+        self.moves = game.moves
+
+    def payoff(self, v):
+        (cell, _), b = v
+        lat = self.lattice
+        side = self._side.get(cell)
+        if side is None:
+            vis = visible_rewards(self.sc, cell)
+            side = self._images | lat.mask(
+                f for oid in self._ids for f in vis[oid])
+            if self._negate:
+                side = lat.complement(side)
+            self._side[cell] = side
+        meet = self._meet.get(b)
+        if meet is None:
+            meet, rest = lat.complement(0), b
+            for prefix in reversed(self._prefix[1:]):
+                rest, (_, j) = rest
+                meet &= prefix[j]
+            meet &= self._prefix[0][rest[1]]
+            self._meet[b] = meet
+        return side | meet
+
+
+def old_build_compound_game(sc, goals, position=None, mode="practical",
+                            images=None):
+    game = OldCompoundGame(sc, goals, position=position, mode=mode,
+                           images=images)
+    listed = materialize(game)
+    lat = sc.payoff_lattice
+    k = {v: lat.name(game.payoff(v)) for v in listed.vertices}
+    return PayoffGame(listed, lat, k)
 
 
 # the earlier frozenset subset oracle -----------------------------------

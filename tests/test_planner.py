@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import time
@@ -7,16 +8,19 @@ import pytest
 
 from conftest import random_strategy
 from test_differential import (Listed, assert_unfolds_as_before,
-                               old_dual_game, old_tensor_game)
+                               old_build_compound_game, old_dual_game,
+                               old_tensor_game, wide_plan_case)
+from phasegame import planner
 from phasegame.data import load_doc
 from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
-from phasegame.games import (compose_strategies, copycat, implication,
-                             walk)
+from phasegame.games import (Dual, Game, Memo, Tensor, compose_strategies,
+                             copycat, implication, walk)
 from phasegame.phase import phase_from_doc
-from phasegame.planner import (_vertex_doc, CompoundGame,
-                               build_compound_game, eval_priority,
-                               load_scenario, plan_play, run_cognition,
-                               select_goal_sets, visible_rewards)
+from phasegame.planner import (_Movement, _ranked_factors, _vertex_doc,
+                               CompoundGame, build_compound_game,
+                               eval_priority, load_scenario, plan_play,
+                               run_cognition, select_goal_sets,
+                               visible_rewards)
 
 
 def four_goals():
@@ -72,6 +76,21 @@ def test_reveal_counts_follow_scaled_ceiling():
     sc = load_scenario(doc)
     for d, want in [(0, 5), (1, 4), (2, 3), (3, 2), (4, 0), (8, 0)]:
         assert len(visible_rewards(sc, (d, 0))["o"]) == want, d
+
+
+def test_visibility_is_computed_once_and_returned_fresh(monkeypatch):
+    sc = four_goals()
+    vis = visible_rewards(sc, (6, 3))
+    want = dict(vis)
+    vis["obj_e"] = frozenset()
+    vis["extra"] = frozenset({"x"})
+    calls = []
+    monkeypatch.setattr(planner, "chebyshev",
+                        lambda a, b: calls.append(a) or 0)
+    assert visible_rewards(sc, [6, 3]) == want
+    assert calls == []
+    assert visible_rewards(sc, (5, 3)) != want
+    assert calls
 
 
 # loading ----------------------------------------------------------------
@@ -290,6 +309,22 @@ def test_empty_goal_list_rejected(build):
 def test_unknown_goal_id_is_named(call):
     with pytest.raises(UnknownGoalElement, match="'nope'"):
         call(four_goals(), ["obj_e", "nope"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_payoff_is_side_joined_with_meet(seed):
+    sc, goals, position, images = random_case(random.Random(200 + seed))
+    for mode in ("practical", "strict"):
+        game = CompoundGame(sc, goals, position, mode, images)
+        pg = build_compound_game(sc, goals, position, mode, images)
+        old = old_build_compound_game(sc, goals, position, mode, images)
+        assert pg.game.root == old.game.root
+        assert pg.game.vertices == old.game.vertices
+        assert pg.game.edges == old.game.edges
+        assert pg.k == old.k
+        for v in pg.game.vertices:
+            (cell, _), b = v
+            assert game.payoff(v) == game.side(cell) | game.meet(b)
 
 
 # planning ---------------------------------------------------------------
@@ -529,6 +564,47 @@ def test_plan_objective_is_maximal_over_all_plays():
     for p in enumerate_plays(game):
         val = frozenset().union(*(k[v] for v in p))
         assert not objective < val, val
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_ranks_order_the_compound_game_by_repr(seed):
+    rng = random.Random(300 + seed)
+    sc, goals, position, images = wide_plan_case(rng)
+    game = CompoundGame(sc, goals, position, images=images)
+    (mverts, msucc), (bverts, bsucc) = _ranked_factors(game)
+    for factor, verts, succ in [
+            (game.movement, mverts, msucc),
+            (Memo(functools.reduce(Tensor, game.chains)), bverts, bsucc)]:
+        walked, edges = walk(factor)
+        assert verts == sorted(walked, key=repr)
+        rank = {v: i for i, v in enumerate(verts)}
+        assert sorted((rank[v], rank[w], pol) for v, w, pol in edges) == \
+            sorted((i, j, pol) for pol, rows in succ.items()
+                   for i, row in enumerate(rows) for j in row)
+    nv = len(mverts) * len(bverts)
+    pairs = rng.sample(range(nv), min(nv, 2000))
+    vertex = {i: (mverts[i // len(bverts)], bverts[i % len(bverts)])
+              for i in pairs}
+    assert sorted(pairs) == sorted(pairs, key=lambda i: repr(vertex[i]))
+
+
+def test_plan_search_asks_no_move_of_the_compound_game(monkeypatch):
+    # the factors are walked once each; the search reads their ranks, so
+    # neither the compound game nor its tensor of chains is asked a move
+    sc, goals = four_goals(), ["obj_b1", "obj_b2", "obj_e"]
+    nm = len(walk(CompoundGame(sc, goals).movement)[0])
+    calls = Counter()
+    for cls in (Dual, Game, Memo, Tensor, _Movement):
+        def counted(self, v, pol, _moves=cls.moves, _name=cls.__name__):
+            calls[_name] += 1
+            return _moves(self, v, pol)
+        monkeypatch.setattr(cls, "moves", counted)
+    plan = plan_play(sc, goals)
+    # a chain Game walks itself when it is built, and once more when ranked
+    chains = sum(len(sc.objects[g].features) + 1 for g in goals)
+    assert calls == {"Dual": 2 * nm, "_Movement": 2 * nm,
+                     "Game": 4 * chains}
+    assert plan.header["states"] > 2 * nm
 
 
 def test_plan_header_counts_states_and_plays():
