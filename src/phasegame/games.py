@@ -119,24 +119,6 @@ def implication(a, b):
     return Tensor(Dual(a), b)
 
 
-class Memo:
-    """A game whose moves are computed once per (vertex, polarity), equal
-    successors shared as one object; callers must not change the lists."""
-
-    def __init__(self, game):
-        self.game = game
-        self.root = game.root
-        self._moves = {}
-        self._shared = {self.root: self.root}
-
-    def moves(self, v, pol):
-        out = self._moves.get((v, pol))
-        if out is None:
-            out = self._moves[v, pol] = [self._shared.setdefault(w, w)
-                                         for w in self.game.moves(v, pol)]
-        return out
-
-
 def materialize(game):
     """Any game, walked and listed as a Game."""
     vertices, edges = walk(game)

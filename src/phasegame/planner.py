@@ -4,9 +4,10 @@ The system (Opponent) explores a grid under a visibility horizon.  Each
 object carries an ordered feature list; visibility reveals a distance-scaled
 prefix of it, so images of objects accumulate monotonically as the system
 moves.  Discovered goals are ranked through the goal phase structure, and
-the preferred goal set becomes a compound game composed from the implicit
-games of games.py: the movement game implying the tensor of per-goal reveal
-chains.  A play maximizing the lattice-valued objective is chosen.  When the
+the preferred goal set becomes a compound game: the movement game implying
+the tensor of per-goal reveal chains, held in ranked form (CompoundGame),
+int tables of its two factors that both its moves and the play search
+read.  A play maximizing the lattice-valued objective is chosen.  When the
 cells within the horizon cannot grow the joined images of the active goals
 the set shrinks, until a single goal saturates.
 """
@@ -18,8 +19,7 @@ from itertools import combinations
 
 from .data import fields, load_doc, stem
 from .errors import BadGrid, HorizonEmpty, UnknownGoalElement, UsageError
-from .games import (Game, Memo, PayoffGame, Tensor, implication,
-                    materialize, walk)
+from .games import PayoffGame, materialize, walk
 from .lattice import PowersetLattice
 from .phase import phase_from_doc
 
@@ -49,6 +49,7 @@ class Scenario:
             {f for o in objects for f in o.features})
         self.universe = self.payoff_lattice.base
         self._visible = {}              # cell -> visible_rewards
+        self._movement = {}             # position -> _movement
 
     def neighbors(self, cell):
         x, y = cell
@@ -224,10 +225,9 @@ def select_goal_sets(sc, discovered, must_include=None, max_size=None):
     if indistinguishable:
         log.append("all priorities equal (%s): indistinguishable"
                    % next(iter(prios)))
-    maximal = [c for c in candidates
-               if not any(c.priority != d.priority
-                          and lat.leq(c.priority, d.priority)
-                          for d in candidates)]
+    top = {p for p in prios
+           if not any(p != q and lat.leq(p, q) for q in prios)}
+    maximal = [c for c in candidates if c.priority in top]
     log.append("maximal priority sets: %d of %d"
                % (len(maximal), len(candidates)))
     best_size = max(len(c.goals) for c in maximal)
@@ -262,9 +262,50 @@ class _Movement:
         return [(cell, t + 1)]
 
 
-def _ball(sc, pos, radius):
-    """The cells within radius steps of pos."""
-    return {cell for cell, _ in walk(_Movement(sc, pos, radius))[0]}
+def _movement(sc, pos):
+    """The movement game from pos, walked once per scenario and position,
+    dualized and ranked: its vertices sorted by the reprs of cell and tick,
+    and for each polarity the successors of each vertex as ranks, in move
+    order.  Dualizing swaps the polarities, so Proponent steps at even
+    ticks and Opponent ticks at odd ones."""
+    ranked = sc._movement.get(pos)
+    if ranked is None:
+        vertices, edges = walk(_Movement(sc, pos, sc.horizon))
+        vertices.sort(key=lambda m: (repr(m[0]), repr(m[1])))
+        rank = {v: i for i, v in enumerate(vertices)}
+        succ = {pol: [[] for _ in vertices] for pol in ("O", "P")}
+        for v, w, pol in edges:
+            succ[pol][rank[v]].append(rank[w])
+        ranked = sc._movement[pos] = (vertices,
+                                      {"O": succ["P"], "P": succ["O"]})
+    return ranked
+
+
+def _chain(obj, lat, image):
+    """A goal's reveal chain, ranked by repr: its vertices (goal id, count),
+    the successor ranks of each per polarity (Opponent reveals one more
+    feature), and the revealed prefix of each joined with the image."""
+    n = len(obj.features)
+    counts = sorted(range(n + 1), key=lambda j: repr((obj.id, j)))
+    rank = {j: i for i, j in enumerate(counts)}
+    return ([(obj.id, j) for j in counts],
+            {"O": [[rank[j + 1]] if j < n else [] for j in counts],
+             "P": [[] for _ in counts]},
+            [lat.mask(obj.features[:j]) | image for j in counts])
+
+
+def _tensor(f, g):
+    """The ranked tensor of two ranked chains: pair (i, j) of ranks is rank
+    i * len(g's vertices) + j, a move changes one coordinate, and a pair's
+    prefix mask is the meet of its coordinates' masks."""
+    (fv, fs, fk), (gv, gs, gk) = f, g
+    n = len(gv)
+    return ([(a, b) for a in fv for b in gv],
+            {pol: [[x * n + j for x in fr] + [i * n + y for y in gr]
+                   for i, fr in enumerate(fs[pol])
+                   for j, gr in enumerate(gs[pol])]
+             for pol in fs},
+            [a & b for a in fk for b in gk])
 
 
 def _check_mode(mode):
@@ -273,30 +314,38 @@ def _check_mode(mode):
 
 
 class CompoundGame:
-    """The implicit game implication(movement, Memo(tensor of per-goal
-    reveal chains)), given by its moves and payoffs instead of built.
+    """The game implication(movement, tensor of per-goal reveal chains),
+    held as the ranked tables of its two factors.
 
     A vertex is ((cell, tick), chains): implication dualizes the movement
     game, so Proponent steps at even ticks and Opponent ticks at odd ones.
     A goal's chain runs through (goal id, revealed count), advanced by
     Opponent; tensoring left to right nests them as (g1, j1), then
     ((g1, j1), (g2, j2)), and so on.  Every move advances the tick or one
-    count, so a vertex sits at depth tick + sum of counts.  The factors
-    stay reachable, movement (the dualized movement game) and chains (the
-    per-goal chain games, in goal order), so that plan_play can search on
-    their ranked vertices; moves serves build_compound_game and other
-    walkers of the whole game.
+    count, so a vertex sits at depth tick + sum of counts.
+
+    mverts lists the movement vertices by the reprs of cell and tick, and
+    bverts the chains vertices by repr, the tensor of the per-goal chains
+    each ranked by repr; msucc and bsucc give each rank's successor ranks
+    per polarity.  A tuple's repr is prefix-free and an int's is followed
+    by "," or ")", below every digit, so m * len(bverts) + b for movement
+    rank m and chains rank b orders the compound vertices by repr.
+    moves(v, pol) reads these tables in Tensor's order, movement moves
+    first, and builds the nested vertices as a walk reaches them; moves
+    and payoff take the root and the vertices moves has returned.
 
     A payoff is a mask of the scenario's payoff lattice, the powerset of
-    its feature universe: side(cell), what the cell reveals of the goals
-    joined with their images (or its complement, in strict mode), joined
-    with meet(chains), the meet over goals of each revealed prefix joined
-    with its image.
+    its feature universe: side[m], what the cell of movement rank m reveals
+    of the goals joined with their images (or its complement, in strict
+    mode), joined with meet[b], the meet over goals of each revealed prefix
+    in chains rank b joined with its image.
     """
 
     def __init__(self, sc, goals, position=None, mode="practical",
                  images=None):
         pos = tuple(sc.start if position is None else position)
+        if pos not in sc.passable:
+            raise BadGrid("position %r is not a passable cell" % (pos,))
         if not sc.neighbors(pos) and len(sc.passable) > 1:
             raise HorizonEmpty("no legal move from %r" % (pos,))
         _check_mode(mode)
@@ -304,55 +353,35 @@ class CompoundGame:
             raise ValueError("goals must not be empty")
         images = images or {}
         objs = _goal_objects(sc, goals)
-        self.sc = sc
-        self.lattice = lat = sc.payoff_lattice
-        self._ids = list(goals)
-        image = [lat.mask(images.get(g, ())) for g in goals]
-        self._prefix = [[lat.mask(o.features[:j]) | im
-                         for j in range(len(o.features) + 1)]
-                        for o, im in zip(objs, image)]
-        self._images = lat.mask(f for g in goals for f in images.get(g, ()))
-        self._negate = mode == "strict"
-        self._side = {}
-        self._meet = {}
-        chains = [Game([(o.id, j) for j in range(len(o.features) + 1)],
-                       (o.id, 0), [((o.id, j), (o.id, j + 1), "O")
-                                   for j in range(len(o.features))])
-                  for o in objs]
-        game = implication(_Movement(sc, pos, sc.horizon),
-                           Memo(reduce(Tensor, chains)))
-        self.movement, self.chains = game.a, chains
-        self.root = game.root
-        self.moves = game.moves
+        lat = sc.payoff_lattice
+        self.mverts, self.msucc = _movement(sc, pos)
+        self.bverts, self.bsucc, self.meet = reduce(_tensor, [
+            _chain(o, lat, lat.mask(images.get(o.id, ()))) for o in objs])
+        seen = lat.mask(f for g in goals for f in images.get(g, ()))
+        side = {}
+        for cell, _ in self.mverts:
+            if cell not in side:
+                vis = visible_rewards(sc, cell)
+                mask = seen | lat.mask(f for g in goals for f in vis[g])
+                side[cell] = lat.complement(mask) if mode == "strict" \
+                    else mask
+        self.side = [side[cell] for cell, _ in self.mverts]
+        # every chain's root (goal id, 0) has the smallest repr of its chain
+        m = self.mverts.index((pos, 0))
+        self.root = (self.mverts[m], self.bverts[0])
+        self._ranks = {self.root: (m, 0)}
 
-    def side(self, cell):
-        """The payoff part of a movement vertex at cell."""
-        side = self._side.get(cell)
-        if side is None:
-            lat = self.lattice
-            vis = visible_rewards(self.sc, cell)
-            side = self._images | lat.mask(
-                f for oid in self._ids for f in vis[oid])
-            if self._negate:
-                side = lat.complement(side)
-            self._side[cell] = side
-        return side
-
-    def meet(self, b):
-        """The payoff part of a chains vertex b."""
-        meet = self._meet.get(b)
-        if meet is None:
-            meet, rest = self.lattice.complement(0), b
-            for prefix in reversed(self._prefix[1:]):
-                rest, (_, j) = rest
-                meet &= prefix[j]
-            meet &= self._prefix[0][rest[1]]
-            self._meet[b] = meet
-        return meet
+    def moves(self, v, pol):
+        m, b = self._ranks[v]
+        ranks = ([(x, b) for x in self.msucc[pol][m]]
+                 + [(m, y) for y in self.bsucc[pol][b]])
+        out = [(self.mverts[x], self.bverts[y]) for x, y in ranks]
+        self._ranks.update(zip(out, ranks))
+        return out
 
     def payoff(self, v):
-        (cell, _), b = v
-        return self.side(cell) | self.meet(b)
+        m, b = self._ranks[v]
+        return self.side[m] | self.meet[b]
 
 
 def build_compound_game(sc, goals, position=None, mode="practical",
@@ -406,42 +435,6 @@ class Trace:
         return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
 
 
-def _ranked(game, key):
-    """A game's vertices sorted by key, and for each polarity the
-    successors of each vertex as indices into that list."""
-    vertices, edges = walk(game)
-    vertices.sort(key=key)
-    rank = {v: i for i, v in enumerate(vertices)}
-    succ = {pol: [[] for _ in vertices] for pol in ("O", "P")}
-    for v, w, pol in edges:
-        succ[pol][rank[v]].append(rank[w])
-    return vertices, succ
-
-
-def _tensor(f, g):
-    """The ranked tensor of two ranked games: pair (i, j) of ranks is rank
-    i * len(g's vertices) + j, and a move changes one coordinate."""
-    (fv, fs), (gv, gs) = f, g
-    n = len(gv)
-    return ([(a, b) for a in fv for b in gv],
-            {pol: [[x * n + j for x in fr] + [i * n + y for y in gr]
-                   for i, fr in enumerate(fs[pol])
-                   for j, gr in enumerate(gs[pol])]
-             for pol in fs})
-
-
-def _ranked_factors(game):
-    """The ranked factors of a CompoundGame: its movement vertices by the
-    reprs of cell and tick, and its chains vertices by repr.  A tuple's
-    repr is prefix-free and an int's is followed by "," or ")", below every
-    digit, so comparing the parts' reprs in turn orders tuples as comparing
-    their whole reprs does: the chains rank as the tensor of the per-goal
-    chains ranked by repr, and m * nb + b for movement rank m, chains rank b
-    and nb chains vertices orders the compound vertices by repr."""
-    return (_ranked(game.movement, lambda m: (repr(m[0]), repr(m[1]))),
-            reduce(_tensor, [_ranked(c, repr) for c in game.chains]))
-
-
 def plan_play(sc, goals, mode="practical", position=None, images=None):
     """Pick a play of the compound game with a maximal joined payoff.
 
@@ -453,12 +446,11 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     turn (tests pin it on two-digit coordinates and ticks).
 
     No play is listed, and no move of the compound game is asked for: the
-    search runs on ranked factor indices (_ranked_factors).  A compound
-    vertex is the int m * nb + b for movement rank m, chains rank b and nb
-    chains vertices, and this int order is the part-by-part repr order.
-    Its successors follow Tensor's rule, one coordinate moving, and its
-    payoff is side(cell) | meet(chains), read by rank.  Nested tuples are
-    rebuilt only for the chosen play.
+    search reads the game's ranked tables.  A compound vertex is the int
+    m * nb + b for movement rank m, chains rank b and nb chains vertices,
+    and this int order is the repr order.  Its successors follow Tensor's
+    rule, one coordinate moving, and its payoff is side[m] | meet[b].
+    Nested tuples are rebuilt only for the chosen play.
 
     A breadth-first search runs over states (vertex, objective so far),
     packed as the int objective * nv + vertex for the exact vertex count
@@ -486,14 +478,12 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
         "objective_lattice": "powerset of %d features" % len(sc.universe),
     })
 
-    (mverts, msucc), (bverts, bsucc) = _ranked_factors(game)
+    mverts, msucc, side = game.mverts, game.msucc, game.side
+    bverts, bsucc, meet = game.bverts, game.bsucc, game.meet
     nb = len(bverts)
     nv = len(mverts) * nb
-    side = [game.side(cell) for cell, _ in mverts]
-    meet = [game.meet(b) for b in bverts]
-
-    v = mverts.index(game.root[0]) * nb + bverts.index(game.root[1])
-    root = (side[v // nb] | meet[v % nb]) * nv + v
+    m, b = game._ranks[game.root]
+    root = (side[m] | meet[b]) * nv + m * nb + b
     count = {root: 1}
     parent = {root: None}
     succ = {}
@@ -545,15 +535,14 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     play = []
     s = best
     while s is not None:
-        m, b = divmod(s % nv, nb)
-        play.append((mverts[m], bverts[b]))
+        play.append(divmod(s % nv, nb))
         s = parent[s]
     play.reverse()
 
     running = 0
-    for i, v in enumerate(play):
-        (cell, t), _ = v
-        running |= game.payoff(v)
+    for i, (m, b) in enumerate(play):
+        cell = mverts[m][0]
+        running |= side[m] | meet[b]
         if i == 0:
             continue
         actor = "environment" if (i - 1) % 2 == 0 else "system"
@@ -564,10 +553,10 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
             "rewards": {g: sorted(vis[g]) for g in sorted(goals)},
             "objective_so_far": lat.members(running),
         })
-    trace.final_play = [_vertex_doc(v) for v in play]
+    trace.final_play = [_vertex_doc((mverts[m], bverts[b])) for m, b in play]
     trace.objective = lat.members(best // nv)
 
-    reached = {cell for (cell, t), _ in play}
+    reached = {mverts[m][0] for m, _ in play}
     for g in goals:
         obj = sc.objects[g]
         if obj.cell not in reached:
@@ -634,7 +623,7 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
 
     def ball_potential(ids):
         out = frozenset()
-        for cell in _ball(sc, pos, sc.horizon):
+        for cell in {cell for cell, _ in _movement(sc, pos)[0]}:
             vis = visible_rewards(sc, cell)
             for i in ids:
                 out = out | vis[i]

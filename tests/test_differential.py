@@ -25,7 +25,11 @@ and (in tests/test_planner.py) compound games; so is the earlier play
 search, which sorted each successor list by a repr of every vertex and
 whose traces plan_play must reproduce on seeded scenarios with two-digit
 coordinates and ticks and with object ids that share a prefix or hold
-quotes and commas; and so is the earlier subset oracle on frozensets, whose reports the bitmask oracle must equal on every
+quotes and commas; so are the earlier compound game, composed of the
+movement game and the per-goal chain Games, whose listing and payoffs the
+ranked CompoundGame must reproduce, and the earlier goal-set selection,
+whose pairwise maximality test select_goal_sets must match on every
+anchor; and so is the earlier subset oracle on frozensets, whose reports the bitmask oracle must equal on every
 pole of every census monoid up to size 4 and on seeded larger monoids.
 Last come the earlier expression tokenizer, parser and evaluator, whose
 tokens, trees, values and error messages the one operator table must
@@ -64,7 +68,7 @@ from phasegame.errors import (
     UnitNotNeutral,
 )
 from phasegame.expr import eval_expr, parse, tokenize
-from phasegame.games import (Game, Memo, PayoffGame, Tensor,
+from phasegame.games import (Game, PayoffGame, Tensor,
                              compose_strategies, copycat, implication,
                              implication_game, materialize, maximal_plays,
                              tensor_game, walk)
@@ -80,8 +84,9 @@ from phasegame.phase import (
     phase_from_doc,
     verify_laws,
 )
-from phasegame.planner import (CompoundGame, Trace, _Movement, _check_mode,
-                               _goal_objects, _vertex_doc, load_scenario,
+from phasegame.planner import (CompoundGame, GoalProcessSet, Selection,
+                               Trace, _Movement, _check_mode, _goal_objects,
+                               _vertex_doc, eval_priority, load_scenario,
                                plan_play, visible_rewards)
 from phasegame.solver import solve_table
 from phasegame.subset_oracle import (all_commutative_monoids, cyclic_monoid,
@@ -1234,8 +1239,10 @@ def test_plans_match_the_earlier_search_on_twenty_features():
 
 # the earlier compound game ---------------------------------------------
 #
-# CompoundGame as it was before its payoff was split into side(cell) and
-# meet(chains), less its argument checks, and build_compound_game over it.
+# CompoundGame as it was before it was held as ranked tables: moves
+# composed from the movement game and the per-goal chain Games, each payoff
+# read off the nested vertex; less its argument checks, and
+# build_compound_game over it.
 
 class OldCompoundGame:
     def __init__(self, sc, goals, position=None, mode="practical",
@@ -1260,7 +1267,7 @@ class OldCompoundGame:
                                    for j in range(len(o.features))])
                   for o in objs]
         game = implication(_Movement(sc, pos, sc.horizon),
-                           Memo(functools.reduce(Tensor, chains)))
+                           functools.reduce(Tensor, chains))
         self.root = game.root
         self.moves = game.moves
 
@@ -1294,6 +1301,55 @@ def old_build_compound_game(sc, goals, position=None, mode="practical",
     lat = sc.payoff_lattice
     k = {v: lat.name(game.payoff(v)) for v in listed.vertices}
     return PayoffGame(listed, lat, k)
+
+
+# the earlier goal-set selection ----------------------------------------
+#
+# select_goal_sets as it was before maximality was decided over the distinct
+# priorities: every candidate tested against every other one.
+
+def old_select_goal_sets(sc, discovered, must_include=None, max_size=None):
+    lat = sc.lattice
+    ids = sorted(discovered)
+    attractiveness = {o.id: o.attractiveness for o in _goal_objects(sc, ids)}
+    log = []
+    candidates = []
+    for size in range(1, len(ids) + 1):
+        if max_size is not None and size > max_size:
+            break
+        for combo in combinations(ids, size):
+            if must_include is not None and must_include not in combo:
+                continue
+            pr = eval_priority(sc, combo)
+            att = sum(attractiveness[i] for i in combo)
+            candidates.append(GoalProcessSet(combo, pr, att))
+            log.append("candidate {%s}: priority %s"
+                       % (",".join(combo), pr))
+
+    if not candidates:
+        return Selection([], [], False, log + ["no candidates"])
+
+    prios = {c.priority for c in candidates}
+    indistinguishable = len(prios) == 1 and len(candidates) > 1
+    if indistinguishable:
+        log.append("all priorities equal (%s): indistinguishable"
+                   % next(iter(prios)))
+    maximal = [c for c in candidates
+               if not any(c.priority != d.priority
+                          and lat.leq(c.priority, d.priority)
+                          for d in candidates)]
+    log.append("maximal priority sets: %d of %d"
+               % (len(maximal), len(candidates)))
+    best_size = max(len(c.goals) for c in maximal)
+    sized = [c for c in maximal if len(c.goals) == best_size]
+    if len(sized) < len(maximal):
+        log.append("tie-break on goal count: kept %d of size %d"
+                   % (len(sized), best_size))
+    sized.sort(key=lambda c: (-c.attractiveness, c.goals))
+    if len(sized) > 1:
+        log.append("order by attractiveness then name: %s first"
+                   % ",".join(sized[0].goals))
+    return Selection(sized, candidates, indistinguishable, log)
 
 
 # the earlier frozenset subset oracle -----------------------------------

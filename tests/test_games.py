@@ -6,7 +6,7 @@ from test_differential import old_dual_game, old_tensor_game
 from phasegame.errors import (ComponentMismatch, ForeignElement,
                               InteractionOverflow, InvalidStrategy,
                               LatticeMismatch, NotHeyting)
-from phasegame.games import (Dual, Game, Memo, PayoffGame, Strategy, Tensor,
+from phasegame.games import (Dual, Game, PayoffGame, Strategy, Tensor,
                              compose_strategies, copycat, dual_game,
                              dual_payoff_game, implication, implication_game,
                              is_winning, maximal_plays, payoff_implication,
@@ -185,20 +185,12 @@ def test_implicit_games_walk_to_the_explicit_ones():
             assert_lists_as(implicit.root, *walk(implicit), oracle)
             assert_lists_as(listed.root, listed.vertices, listed.edges,
                             oracle)
-        assert walk(Memo(a)) == walk(a)
-        assert walk(Memo(Tensor(a, b))) == walk(Tensor(a, b))
 
 
-def test_memo_and_walk_share_equal_vertices():
+def test_walk_shares_equal_vertices():
     rng = seeded(13)
     for _ in range(20):
         a, b = random_game(rng), random_game(rng)
-        memo = Memo(Tensor(a, b))
-        first = {}
-        for v in walk(memo)[0]:
-            for pol in "OP":
-                for w in memo.moves(v, pol):
-                    assert first.setdefault(w, w) is w
         vertices, edges = walk(Tensor(a, b))
         shared = {v: v for v in vertices}
         assert all(shared[v] is v and shared[w] is w for v, w, _ in edges)

@@ -9,14 +9,15 @@ import pytest
 from conftest import random_strategy
 from test_differential import (Listed, assert_unfolds_as_before,
                                old_build_compound_game, old_dual_game,
-                               old_tensor_game, wide_plan_case)
+                               old_select_goal_sets, old_tensor_game,
+                               wide_plan_case)
 from phasegame import planner
 from phasegame.data import load_doc
 from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
-from phasegame.games import (Dual, Game, Memo, Tensor, compose_strategies,
+from phasegame.games import (Dual, Game, Tensor, compose_strategies,
                              copycat, implication, walk)
 from phasegame.phase import phase_from_doc
-from phasegame.planner import (_Movement, _ranked_factors, _vertex_doc,
+from phasegame.planner import (_Movement, _vertex_doc,
                                CompoundGame, build_compound_game,
                                eval_priority, load_scenario, plan_play,
                                run_cognition, select_goal_sets,
@@ -311,6 +312,18 @@ def test_unknown_goal_id_is_named(call):
         call(four_goals(), ["obj_e", "nope"])
 
 
+@pytest.mark.parametrize("call", [CompoundGame, build_compound_game,
+                                  plan_play])
+@pytest.mark.parametrize("position", [(2, 0), (-1, 0), (99, 99)])
+def test_impassable_position_rejected(call, position):
+    # a wall and an off-grid cell beside passable ones, and a far cell
+    doc = base_doc()
+    doc["grid"] = ["..#", "...", "..."]
+    sc = load_scenario(doc)
+    with pytest.raises(BadGrid, match="position .* is not a passable cell"):
+        call(sc, ["obj_x"], position=position)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_payoff_is_side_joined_with_meet(seed):
     sc, goals, position, images = random_case(random.Random(200 + seed))
@@ -322,9 +335,12 @@ def test_payoff_is_side_joined_with_meet(seed):
         assert pg.game.vertices == old.game.vertices
         assert pg.game.edges == old.game.edges
         assert pg.k == old.k
-        for v in pg.game.vertices:
-            (cell, _), b = v
-            assert game.payoff(v) == game.side(cell) | game.meet(b)
+        lat = sc.payoff_lattice
+        for m, mv in enumerate(game.mverts):
+            for b, bv in enumerate(game.bverts):
+                if (mv, bv) in pg.k:
+                    assert pg.k[mv, bv] == \
+                        lat.name(game.side[m] | game.meet[b])
 
 
 # planning ---------------------------------------------------------------
@@ -571,10 +587,14 @@ def test_factor_ranks_order_the_compound_game_by_repr(seed):
     rng = random.Random(300 + seed)
     sc, goals, position, images = wide_plan_case(rng)
     game = CompoundGame(sc, goals, position, images=images)
-    (mverts, msucc), (bverts, bsucc) = _ranked_factors(game)
+    mverts, bverts = game.mverts, game.bverts
+    chains = [Game([(g, j) for j in range(len(sc.objects[g].features) + 1)],
+                   (g, 0), [((g, j), (g, j + 1), "O")
+                            for j in range(len(sc.objects[g].features))])
+              for g in goals]
     for factor, verts, succ in [
-            (game.movement, mverts, msucc),
-            (Memo(functools.reduce(Tensor, game.chains)), bverts, bsucc)]:
+            (Dual(_Movement(sc, position, sc.horizon)), mverts, game.msucc),
+            (functools.reduce(Tensor, chains), bverts, game.bsucc)]:
         walked, edges = walk(factor)
         assert verts == sorted(walked, key=repr)
         rank = {v: i for i, v in enumerate(verts)}
@@ -588,23 +608,55 @@ def test_factor_ranks_order_the_compound_game_by_repr(seed):
     assert sorted(pairs) == sorted(pairs, key=lambda i: repr(vertex[i]))
 
 
-def test_plan_search_asks_no_move_of_the_compound_game(monkeypatch):
-    # the factors are walked once each; the search reads their ranks, so
-    # neither the compound game nor its tensor of chains is asked a move
-    sc, goals = four_goals(), ["obj_b1", "obj_b2", "obj_e"]
-    nm = len(walk(CompoundGame(sc, goals).movement)[0])
+def count_moves(monkeypatch):
+    """A Counter of the moves asked of each game class from now on."""
     calls = Counter()
-    for cls in (Dual, Game, Memo, Tensor, _Movement):
+    for cls in (CompoundGame, Dual, Game, Tensor, _Movement):
         def counted(self, v, pol, _moves=cls.moves, _name=cls.__name__):
             calls[_name] += 1
             return _moves(self, v, pol)
         monkeypatch.setattr(cls, "moves", counted)
+    return calls
+
+
+def test_plan_search_asks_no_move_of_the_compound_game(monkeypatch):
+    # the movement game is walked once; the search reads the ranked tables,
+    # so the compound game is asked no move
+    sc, goals = four_goals(), ["obj_b1", "obj_b2", "obj_e"]
+    nm = len(walk(_Movement(sc, sc.start, sc.horizon))[0])
+    calls = count_moves(monkeypatch)
     plan = plan_play(sc, goals)
-    # a chain Game walks itself when it is built, and once more when ranked
-    chains = sum(len(sc.objects[g].features) + 1 for g in goals)
-    assert calls == {"Dual": 2 * nm, "_Movement": 2 * nm,
-                     "Game": 4 * chains}
+    assert calls == {"_Movement": 2 * nm}
     assert plan.header["states"] > 2 * nm
+
+
+def test_cognition_step_walks_the_movement_game_once(monkeypatch):
+    # the saturation check and the plan of a step share one walk
+    sc = four_goals()
+    nm = len(walk(_Movement(sc, sc.start, sc.horizon))[0])
+    calls = count_moves(monkeypatch)
+    trace = run_cognition(sc, max_steps=1)
+    assert trace.header["steps_taken"] == 1
+    assert any(e.get("move") != "wander" for e in trace.entries
+               if e["actor"] == "system")
+    assert calls == {"_Movement": 2 * nm}
+
+
+@pytest.mark.parametrize("case", ["four_goals"] + list(range(24)))
+def test_selection_matches_pairwise_maximality(case):
+    if case == "four_goals":
+        sc = four_goals()
+    else:
+        sc = random_case(random.Random(case))[0]
+    ids = sorted(sc.objects)
+    for must in [None] + ids:
+        for max_size in (None, len(ids) - 1):
+            new = select_goal_sets(sc, ids, must, max_size)
+            old = old_select_goal_sets(sc, ids, must, max_size)
+            assert [(c.goals, c.priority, c.attractiveness) for c in new] \
+                == [(c.goals, c.priority, c.attractiveness) for c in old]
+            assert new.log == old.log
+            assert new.indistinguishable == old.indistinguishable
 
 
 def test_plan_header_counts_states_and_plays():
