@@ -18,7 +18,8 @@ from functools import reduce
 from itertools import combinations
 
 from .data import fields, load_doc, stem
-from .errors import BadGrid, HorizonEmpty, UnknownGoalElement, UsageError
+from .errors import (BadGrid, ForeignElement, HorizonEmpty,
+                     UnknownGoalElement, UsageError)
 from .games import PayoffGame, materialize, walk
 from .lattice import PowersetLattice
 from .phase import phase_from_doc
@@ -49,7 +50,7 @@ class Scenario:
             {f for o in objects for f in o.features})
         self.universe = self.payoff_lattice.base
         self._visible = {}              # cell -> visible_rewards
-        self._movement = {}             # position -> _movement
+        self._movement = None           # (position, _movement there)
 
     def neighbors(self, cell):
         x, y = cell
@@ -263,21 +264,23 @@ class _Movement:
 
 
 def _movement(sc, pos):
-    """The movement game from pos, walked once per scenario and position,
-    dualized and ranked: its vertices sorted by the reprs of cell and tick,
-    and for each polarity the successors of each vertex as ranks, in move
-    order.  Dualizing swaps the polarities, so Proponent steps at even
-    ticks and Opponent ticks at odd ones."""
-    ranked = sc._movement.get(pos)
-    if ranked is None:
-        vertices, edges = walk(_Movement(sc, pos, sc.horizon))
-        vertices.sort(key=lambda m: (repr(m[0]), repr(m[1])))
-        rank = {v: i for i, v in enumerate(vertices)}
-        succ = {pol: [[] for _ in vertices] for pol in ("O", "P")}
-        for v, w, pol in edges:
-            succ[pol][rank[v]].append(rank[w])
-        ranked = sc._movement[pos] = (vertices,
-                                      {"O": succ["P"], "P": succ["O"]})
+    """The movement game from pos, dualized and ranked: its vertices sorted
+    by the reprs of cell and tick, the rank of each vertex, and for each
+    polarity the successors of each vertex as ranks, in move order.
+    Dualizing swaps the polarities, so Proponent steps at even ticks and
+    Opponent ticks at odd ones.  The scenario keeps the last position's
+    ranking, so a cognition step, which checks saturation and plans from
+    one position, walks the movement game once."""
+    if sc._movement is not None and sc._movement[0] == pos:
+        return sc._movement[1]
+    vertices, edges = walk(_Movement(sc, pos, sc.horizon))
+    vertices.sort(key=lambda m: (repr(m[0]), repr(m[1])))
+    rank = {v: i for i, v in enumerate(vertices)}
+    succ = {pol: [[] for _ in vertices] for pol in ("O", "P")}
+    for v, w, pol in edges:
+        succ[pol][rank[v]].append(rank[w])
+    ranked = (vertices, rank, {"O": succ["P"], "P": succ["O"]})
+    sc._movement = (pos, ranked)
     return ranked
 
 
@@ -330,9 +333,10 @@ class CompoundGame:
     per polarity.  A tuple's repr is prefix-free and an int's is followed
     by "," or ")", below every digit, so m * len(bverts) + b for movement
     rank m and chains rank b orders the compound vertices by repr.
-    moves(v, pol) reads these tables in Tensor's order, movement moves
-    first, and builds the nested vertices as a walk reaches them; moves
-    and payoff take the root and the vertices moves has returned.
+    moves(v, pol) and payoff(v) find the ranks of v's two parts, then read
+    these tables, moves in Tensor's order, movement moves first, building
+    the nested vertices as a walk reaches them; a v that is no vertex of
+    the game raises ForeignElement.
 
     A payoff is a mask of the scenario's payoff lattice, the powerset of
     its feature universe: side[m], what the cell of movement rank m reveals
@@ -354,9 +358,10 @@ class CompoundGame:
         images = images or {}
         objs = _goal_objects(sc, goals)
         lat = sc.payoff_lattice
-        self.mverts, self.msucc = _movement(sc, pos)
+        self.mverts, self._mrank, self.msucc = _movement(sc, pos)
         self.bverts, self.bsucc, self.meet = reduce(_tensor, [
             _chain(o, lat, lat.mask(images.get(o.id, ()))) for o in objs])
+        self._brank = {v: i for i, v in enumerate(self.bverts)}
         seen = lat.mask(f for g in goals for f in images.get(g, ()))
         side = {}
         for cell, _ in self.mverts:
@@ -367,20 +372,24 @@ class CompoundGame:
                     else mask
         self.side = [side[cell] for cell, _ in self.mverts]
         # every chain's root (goal id, 0) has the smallest repr of its chain
-        m = self.mverts.index((pos, 0))
-        self.root = (self.mverts[m], self.bverts[0])
-        self._ranks = {self.root: (m, 0)}
+        self.root = ((pos, 0), self.bverts[0])
+
+    def _ranks(self, v):
+        try:
+            mv, bv = v
+            return self._mrank[mv], self._brank[bv]
+        except (KeyError, TypeError, ValueError):
+            raise ForeignElement("%r is not a vertex of the compound game"
+                                 % (v,)) from None
 
     def moves(self, v, pol):
-        m, b = self._ranks[v]
-        ranks = ([(x, b) for x in self.msucc[pol][m]]
-                 + [(m, y) for y in self.bsucc[pol][b]])
-        out = [(self.mverts[x], self.bverts[y]) for x, y in ranks]
-        self._ranks.update(zip(out, ranks))
-        return out
+        m, b = self._ranks(v)
+        mv, bv = v
+        return ([(self.mverts[x], bv) for x in self.msucc[pol][m]]
+                + [(mv, self.bverts[y]) for y in self.bsucc[pol][b]])
 
     def payoff(self, v):
-        m, b = self._ranks[v]
+        m, b = self._ranks(v)
         return self.side[m] | self.meet[b]
 
 
@@ -482,7 +491,7 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     bverts, bsucc, meet = game.bverts, game.bsucc, game.meet
     nb = len(bverts)
     nv = len(mverts) * nb
-    m, b = game._ranks[game.root]
+    m, b = game._ranks(game.root)
     root = (side[m] | meet[b]) * nv + m * nb + b
     count = {root: 1}
     parent = {root: None}

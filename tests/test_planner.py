@@ -13,7 +13,8 @@ from test_differential import (Listed, assert_unfolds_as_before,
                                wide_plan_case)
 from phasegame import planner
 from phasegame.data import load_doc
-from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
+from phasegame.errors import (BadGrid, ForeignElement, HorizonEmpty,
+                              UnknownGoalElement)
 from phasegame.games import (Dual, Game, Tensor, compose_strategies,
                              copycat, implication, walk)
 from phasegame.phase import phase_from_doc
@@ -536,6 +537,34 @@ def test_compound_game_is_listed_in_walk_order():
         pg = build_compound_game(sc, goals, position=position, images=images)
         game = CompoundGame(sc, goals, position=position, images=images)
         assert (pg.game.vertices, pg.game.edges) == walk(game)
+
+
+def test_compound_game_takes_equal_vertices_from_anywhere():
+    # moves and payoff read a vertex's value, not where it was built
+    sc, goals = four_goals(), ["obj_e", "obj_b2"]
+    game = CompoundGame(sc, goals)
+    vertices, _ = walk(game)
+    other = CompoundGame(sc, goals)
+    for v in vertices:
+        copy = eval(repr(v))
+        for pol in ("O", "P"):
+            assert other.moves(copy, pol) == game.moves(v, pol)
+        assert other.payoff(copy) == game.payoff(v)
+
+
+@pytest.mark.parametrize("vertex", [
+    (((9, 9), 0), (("obj_e", 0), ("obj_b2", 0))),
+    (((4, 3), 0), (("obj_e", 9), ("obj_b2", 0))),
+    (((4, 3), 0), ("obj_e", 0)),
+    ((4, 3), 0),
+    (([4, 3], 0), (("obj_e", 0), ("obj_b2", 0))),
+])
+def test_compound_game_names_a_foreign_vertex(vertex):
+    game = CompoundGame(four_goals(), ["obj_e", "obj_b2"])
+    with pytest.raises(ForeignElement, match="not a vertex of the compound"):
+        game.moves(vertex, "O")
+    with pytest.raises(ForeignElement, match="not a vertex of the compound"):
+        game.payoff(vertex)
 
 
 def one_goal_game(features, start):
