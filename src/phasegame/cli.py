@@ -225,7 +225,7 @@ def cmd_simulate(args):
 
     if doc["complete"]:
         report.add("termination", "pass",
-                   "complete after %d steps" % len(doc["entries"]))
+                   "complete after %d steps" % doc["header"]["steps_taken"])
     elif doc["step_limit"]:
         status = "fail" if args.strict_termination else "warn"
         report.add("termination", status,

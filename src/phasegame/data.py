@@ -5,8 +5,8 @@ JSON objects, named by a path or ``data:<name>`` (a document shipped in the
 package); a relative path inside a document resolves against its directory.
 ``load_doc`` is the one reader (``read_bytes`` and ``parse_doc`` are its two
 halves, for a caller that keeps the bytes), ``SCHEMAS`` the one definition of
-each kind, ``fields`` the one checker and ``symmetrize`` the one product-row
-parser.
+each kind, ``fields`` the one checker and ``product_rows`` the one parser of
+product rows, straight into index rows.
 """
 
 import io
@@ -111,8 +111,9 @@ SCHEMAS["oracle"] = dict(SCHEMAS["monoid"], falsum_subset=Field(list, str))
 # the values a string field may take, where they are fixed
 ENUMS = {"unit_mode": ("weak", "strict"), "checks": ("full", "relaxed")}
 
-# the array fields that name each of their items once
-DISTINCT = ("elements",)
+# the array fields that name each of their items, or the first name of each
+# of their pairs, once
+DISTINCT = ("elements", "dual_overrides")
 
 # each kind of row: the types its entries may have, in order (an array
 # entry lists names, as a product's candidates do), and the message for a
@@ -171,7 +172,8 @@ def fields(doc, kind, given=()):
                             and not all(isinstance(n, str) for n in v[-1])):
                 raise UsageError(message.format(key, v))
         if key in DISTINCT:
-            distinct(value, "field %r" % key)
+            distinct(value if item is str else [v[0] for v in value],
+                     "field %r" % key)
         if item in SCHEMAS:
             out[key] = [fields(v, item) for v in value]
     return out
@@ -188,22 +190,28 @@ def distinct(values, what):
     return values
 
 
-def symmetrize(names, rows):
-    """Product table of checked [x, y, value] rows, each fixing both orders
-    of its pair, with every name in names (a set, dict or lattice).  The
-    first bad row raises: UsageError for a row listing candidates,
-    ForeignElement for a foreign name, NotCommutative for a conflict."""
-    table = {}
+def product_rows(elements, rows):
+    """Index rows of checked [x, y, value] rows over elements: out[i][j]
+    indexes the value that a row fixes for (elements[i], elements[j]) in
+    either order, or is None if no row does.  The first bad row raises:
+    UsageError for a row listing candidates, ForeignElement for a foreign
+    name, NotCommutative for a conflict."""
+    index = {e: i for i, e in enumerate(elements)}
+    out = [[None] * len(index) for _ in index]
     for row in rows:
         x, y, v = row
         if isinstance(v, list):
             raise UsageError(
                 "entry %r lists candidates; resolve it with the solver first"
                 % (row,))
-        if x not in names or y not in names or v not in names:
-            raise ForeignElement(repr(next(e for e in row if e not in names)))
-        for key in ((x, y), (y, x)):
-            if table.setdefault(key, v) != v:
-                raise NotCommutative("conflicting entries at %r: %r vs %r"
-                                     % (key, table[key], v))
-    return table
+        try:
+            i, j, k = index[x], index[y], index[v]
+        except KeyError as exc:
+            raise ForeignElement(repr(exc.args[0])) from None
+        was = out[i][j]
+        if was is None:
+            out[i][j] = out[j][i] = k
+        elif was != k:
+            raise NotCommutative("conflicting entries at %r: %r vs %r"
+                                 % ((x, y), elements[was], v))
+    return out

@@ -40,13 +40,12 @@ def trace_to_dot(trace_doc, name="trace"):
                 attrs.append("fillcolor=black")
                 attrs.append("label=\"\"")
             else:
-                label = ""
+                parts = []
                 if cell in objects:
-                    obj = objects[cell]
-                    label = "%s\\n%s" % (obj["id"], obj["goal"])
+                    parts += [objects[cell]["id"], objects[cell]["goal"]]
                 if cell == start:
-                    label = (label + "\\nstart").strip("\\n")
-                attrs.append("label=%s" % _quote(label))
+                    parts.append("start")
+                attrs.append("label=%s" % _quote("\\n".join(parts)))
             lines.append("  %s [%s];" % (cid(cell), ", ".join(attrs)))
     for a, b in zip(walk, walk[1:]):
         lines.append(

@@ -16,8 +16,8 @@ import os
 from itertools import compress, islice
 from operator import itemgetter, ne
 
-from .data import (fields, load_doc, parse_doc, read_bytes, resolve_path,
-                   symmetrize)
+from .data import (fields, load_doc, parse_doc, product_rows, read_bytes,
+                   resolve_path)
 from .errors import (
     DualLawViolation,
     ForeignElement,
@@ -94,21 +94,13 @@ class PhaseStructure:
         return lat.elements[star]
 
 
-def _product_rows(lattice, mult):
-    """The name-keyed product table mult as index rows; NotCommutative at
-    the first pair it leaves undefined."""
-    els, index = lattice.elements, lattice._index
-    rows = []
-    for x in els:
-        try:
-            rows.append(tuple([index[mult[x, y]] for y in els]))
-        except KeyError:
-            for y in els:
-                if (x, y) not in mult:
-                    raise NotCommutative(
-                        "product undefined at (%r, %r)" % (x, y)) from None
-                lattice.idx(mult[x, y])
-    return tuple(rows)
+def override_map(lattice, pairs):
+    """The checked dual_overrides pairs as a dict, once no pair overrides a
+    foreign element: the first that does raises ForeignElement."""
+    for x, _ in pairs:
+        if x not in lattice:
+            raise ForeignElement(repr(x))
+    return dict(pairs)
 
 
 def _derive_duals(lattice, rows, falsum, overrides):
@@ -361,14 +353,21 @@ def _phase_of(doc, lattice, base_dir, validate):
             lattice_raw = read_bytes(lattice_path)
             lattice = parse_doc(lattice_raw, lattice_path)
         lattice = lattice_from_doc(lattice)
-    rows = _product_rows(lattice, symmetrize(lattice._index, f["mult"]))
-    return (phase_from_rows(lattice, rows, f, validate), lattice_path,
-            lattice_raw)
+    return (phase_from_rows(lattice, product_rows(lattice.elements, f["mult"]),
+                            f, validate), lattice_path, lattice_raw)
 
 
 def phase_from_rows(lattice, rows, f, validate=True):
-    """The PhaseStructure of lattice, index product rows (tuples) and checked
-    phase fields f, through the gates that phase_from_doc describes."""
+    """The PhaseStructure of lattice, index product rows and checked phase
+    fields f, through the gates that phase_from_doc describes.  The first
+    check is that the table is total: the first entry in element order that
+    is None, fixed by no row, raises NotCommutative."""
+    els = lattice.elements
+    rows = tuple(map(tuple, rows))
+    for x, row in zip(els, rows):
+        if None in row:
+            raise NotCommutative("product undefined at (%r, %r)"
+                                 % (x, els[row.index(None)]))
     unit, falsum = f["unit"], f["falsum"]
     for el in (unit, falsum):
         if el not in lattice:
@@ -384,7 +383,7 @@ def phase_from_rows(lattice, rows, f, validate=True):
             product_gates["unit_identity"] = UnitNotNeutral
         _enforce(_laws(lattice, rows, unit_i, falsum_i), product_gates)
 
-    overrides = dict(f["dual_overrides"])
+    overrides = override_map(lattice, f["dual_overrides"])
     dual = _derive_duals(lattice, rows, falsum_i, overrides)
     if validate and checks == "full":
         err = OverrideInconsistent if overrides else DualLawViolation

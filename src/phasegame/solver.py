@@ -9,7 +9,7 @@ each assignment, and keeps only completions that pass the gates a phase
 document's load passes and, under full checks, the full law audit.
 """
 
-from .data import fields, load_doc, resolve_path, symmetrize
+from .data import fields, load_doc, product_rows, resolve_path
 from .errors import (
     CapExceeded,
     ForeignElement,
@@ -18,7 +18,7 @@ from .errors import (
     PhasegameError,
 )
 from .lattice import lattice_from_doc
-from .phase import phase_from_rows, verify_laws
+from .phase import override_map, phase_from_rows, verify_laws
 
 
 def _agree(a, b):
@@ -45,9 +45,8 @@ def solve_table(doc_or_path, max_solutions=None):
     # the search runs on index product rows, None marking an open entry;
     # the fixed rows parse as a phase table does, and a fixed entry closes
     # the slot a candidate row would open
-    fixed = symmetrize(lattice, [row for row in f["mult"]
-                                 if not isinstance(row[2], list)])
-    rows = [[index.get(fixed.get((x, y))) for y in els] for x in els]
+    rows = product_rows(els, [row for row in f["mult"]
+                              if not isinstance(row[2], list)])
     open_slots = {}
     for x, y, cands in f["mult"]:
         if isinstance(cands, list):
@@ -61,7 +60,9 @@ def solve_table(doc_or_path, max_solutions=None):
                                      % (tuple(els[i] for i in key),))
             open_slots[key] = cands
 
-    # a foreign name in a sum or as a target raises ForeignElement here
+    # a foreign name in a sum, as a target or as an overridden element
+    # raises ForeignElement here
+    override_map(lattice, f["dual_overrides"])
     constraints = [([pair(x, y) for x, y in c["sum"]],
                     lattice.idx(c["equals"]))
                    for c in f["linked_constraints"]]
@@ -98,11 +99,8 @@ def solve_table(doc_or_path, max_solutions=None):
     def accept():
         # the loader's gates, which an entry no row fixes fails; under full
         # checks the audit covers every law they enforce, so each runs once
-        if any(None in row for row in rows):
-            return False
         try:
-            ps = phase_from_rows(lattice, tuple(map(tuple, rows)), f,
-                                 validate=not full_checks)
+            ps = phase_from_rows(lattice, rows, f, validate=not full_checks)
         except PhasegameError:
             return False
         return not full_checks or verify_laws(ps)["ok"]

@@ -18,7 +18,7 @@ the monoid.
 from functools import lru_cache
 from itertools import product
 
-from .data import distinct, fields, symmetrize
+from .data import distinct, fields, product_rows
 from .errors import (
     ForeignElement,
     NotAssociative,
@@ -132,12 +132,15 @@ class SubsetPhase:
 
 
 def monoid_from_doc(doc):
-    """Elements, symmetric product table and unit of a monoid document;
-    data.symmetrize raises ForeignElement for a name outside the elements
-    and NotCommutative for two rows that disagree on a pair."""
+    """Elements, symmetric product table of the pairs its rows fix, and
+    unit of a monoid document; data.product_rows raises ForeignElement for a
+    name outside the elements and NotCommutative for two rows that disagree
+    on a pair."""
     f = fields(doc, "monoid")
-    return (f["elements"], symmetrize(set(f["elements"]), f["mult"]),
-            f["unit"])
+    els = f["elements"]
+    rows = product_rows(els, f["mult"])
+    return els, {(x, y): els[v] for x, row in zip(els, rows)
+                 for y, v in zip(els, row) if v is not None}, f["unit"]
 
 
 def oracle_report(elements, mult, unit, pole):

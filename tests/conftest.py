@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from phasegame.errors import NotCommutative
 from phasegame.games import Game, PayoffGame, Strategy, maximal_plays
 from phasegame.lattice import Lattice
-from phasegame.phase import PhaseStructure, _product_rows, load_phase
+from phasegame.phase import PhaseStructure, load_phase
 
 
 @pytest.fixture(scope="session")
@@ -27,10 +28,20 @@ def alt_phase():
 def hand_built(lattice, table, unit, falsum, duals, **kwargs):
     """A PhaseStructure from a name-keyed product table and dual map, turned
     into its index tables; a partial table raises NotCommutative and a
-    foreign product ForeignElement."""
-    rows = _product_rows(lattice, table)
-    dual = tuple(lattice.idx(duals[x]) for x in lattice.elements)
-    return PhaseStructure(lattice, rows, unit, falsum, dual, **kwargs)
+    foreign product ForeignElement, at the first such pair in element order.
+    The table need not be commutative, so each pair is read in its own
+    order."""
+    els = lattice.elements
+    rows = []
+    for x in els:
+        row = []
+        for y in els:
+            if (x, y) not in table:
+                raise NotCommutative("product undefined at (%r, %r)" % (x, y))
+            row.append(lattice.idx(table[x, y]))
+        rows.append(tuple(row))
+    dual = tuple(lattice.idx(duals[x]) for x in els)
+    return PhaseStructure(lattice, tuple(rows), unit, falsum, dual, **kwargs)
 
 
 # random distributive lattices -------------------------------------------

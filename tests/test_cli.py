@@ -11,6 +11,7 @@ import phasegame
 from phasegame.cli import main
 from phasegame.data import (DISTINCT, ENUMS, REQUIRED, ROWS, SCHEMAS,
                             data_path)
+from phasegame.dot import trace_to_dot
 from phasegame.phase import phase_from_doc, verify_laws
 
 
@@ -34,6 +35,22 @@ def test_verify_lattice_only(capsys):
     out = capsys.readouterr().out
     assert "lattice_wellformed" in out
     assert "lattice_distributive" in out
+
+
+@pytest.mark.parametrize("overrides,code", [
+    ([["zz", "0"]], 1), ([["0", "1"], ["0", "1"]], 2), ([["0", "1"]], 0)],
+    ids=["foreign_key", "repeated_key", "override"])
+def test_verify_checks_override_keys(tmp_path, capsys, overrides, code):
+    doc = read_json(data_path("bool2_phase.json"))
+    doc["dual_overrides"] = overrides
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--phase", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert {0: "verify: pass", 1: "ForeignElement: 'zz'",
+            2: "UsageError: field 'dual_overrides' names '0' twice"}[code] \
+        in out + err
 
 
 def test_verify_needs_an_input():
@@ -170,6 +187,28 @@ def test_simulate_emits_stable_trace_and_dot(tmp_path, capsys):
     dot = (tmp_path / "four_goals_scenario_trace.dot").read_text()
     assert dot.startswith("digraph")
     assert "penwidth=3" in dot
+
+
+def test_simulate_reports_the_steps_taken(tmp_path, capsys):
+    assert main(["simulate", "data:four_goals_scenario.json", "--seed", "0",
+                 "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    doc = read_json(tmp_path / "four_goals_scenario_trace.json")
+    assert doc["header"]["steps_taken"] == 6 < len(doc["entries"])
+    assert "complete after 6 steps" in out
+
+
+def test_dot_start_label_keeps_the_object_id():
+    # the start cell's label lists the object on it, then "start"
+    header = {"grid": ["..", ".#"], "start": [0, 0],
+              "objects": [{"id": "nest", "cell": [0, 0], "goal": "n1"},
+                          {"id": "n", "cell": [1, 0], "goal": "g"}]}
+    lines = trace_to_dot({"header": header, "entries": []}).splitlines()
+    assert lines[2:6] == [
+        r'  c_0_0 [pos="0,1!", label="nest\\nn1\\nstart"];',
+        r'  c_1_0 [pos="1,1!", label="n\\ng"];',
+        r'  c_0_1 [pos="0,0!", label=""];',
+        r'  c_1_1 [pos="1,0!", style=filled, fillcolor=black, label=""];']
 
 
 def test_dot_graph_name_is_quoted(tmp_path):

@@ -9,7 +9,7 @@ import shutil
 import pytest
 
 from phasegame.cli import main
-from phasegame.data import data_path, load_doc, stem, symmetrize
+from phasegame.data import data_path, load_doc, product_rows, stem
 from phasegame.lattice import chain, load_lattice
 from phasegame.phase import load_phase
 from phasegame.planner import load_scenario, run_cognition
@@ -72,11 +72,13 @@ def test_stem_names_a_reference():
 
 
 def test_symmetrize_parses_rows():
-    # foreign, short and conflicting rows are covered through the oracle
-    table = symmetrize(chain(2), [["0", "1", "0"], ["1", "1", "1"]])
-    assert table == {("0", "1"): "0", ("1", "0"): "0", ("1", "1"): "1"}
+    # each row fixes both orders of its pair; a pair no row fixes is None.
+    # Foreign, conflicting and missing rows are compared with the earlier
+    # two-pass parser in tests/test_differential.py
+    rows = product_rows(chain(2).elements, [["0", "1", "0"], ["1", "1", "1"]])
+    assert rows == [[None, 0], [0, 1]]
     with pytest.raises(ValueError, match="candidates"):
-        symmetrize(chain(2), [["0", "1", ["0", "1"]]])
+        product_rows(chain(2).elements, [["0", "1", ["0", "1"]]])
 
 
 def test_relocated_documents_load_like_shipped_ones(relocated):

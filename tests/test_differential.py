@@ -33,7 +33,10 @@ anchor; and so is the earlier subset oracle on frozensets, whose reports the bit
 pole of every census monoid up to size 4 and on seeded larger monoids.
 Last come the earlier expression tokenizer, parser and evaluator, whose
 tokens, trees, values and error messages the one operator table must
-reproduce on seeded random strings, well-formed and not.
+reproduce on seeded random strings, well-formed and not; and the earlier
+two-pass product-row parser, a name-keyed table read back into index rows,
+whose rows or errors the one parser must reproduce through phase_from_doc,
+solve_table and monoid_from_doc on edited and seeded documents.
 """
 
 import copy
@@ -48,7 +51,7 @@ import pytest
 
 from conftest import hand_built, random_game, random_strategy
 from phasegame import phase as phase_module
-from phasegame.data import data_path, fields, load_doc, resolve_path, symmetrize
+from phasegame.data import data_path, fields, load_doc, resolve_path
 from phasegame.errors import (
     CapExceeded,
     DualLawViolation,
@@ -66,6 +69,7 @@ from phasegame.errors import (
     PhasegameError,
     UnboundedLattice,
     UnitNotNeutral,
+    UsageError,
 )
 from phasegame.expr import eval_expr, parse, tokenize
 from phasegame.games import (Game, PayoffGame, Tensor,
@@ -81,6 +85,7 @@ from phasegame.phase import (
     _light,
     _scan_associative,
     classify,
+    load_phase,
     phase_from_doc,
     verify_laws,
 )
@@ -90,7 +95,7 @@ from phasegame.planner import (CompoundGame, GoalProcessSet, Selection,
                                plan_play, visible_rewards)
 from phasegame.solver import solve_table
 from phasegame.subset_oracle import (all_commutative_monoids, cyclic_monoid,
-                                     oracle_report)
+                                     monoid_from_doc, oracle_report)
 
 
 # the earlier lattice tables -------------------------------------------
@@ -280,11 +285,11 @@ def old_report(lat, mult, unit, falsum, dual, unit_mode):
 
 
 def outcome(fn, *args):
-    """fn's result, or the class and message of the domain error it
-    raised."""
+    """fn's result, or the class and message of the domain or usage error
+    it raised."""
     try:
         return fn(*args)
-    except PhasegameError as exc:
+    except (PhasegameError, UsageError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -577,6 +582,176 @@ def test_lawful_structures_never_scan_associativity(kind, n, monkeypatch):
     assert report["laws"][1] == {"law": "associative", "status": "pass",
                                  "checked": n ** 3, "skipped": 0,
                                  "witnesses": []}
+
+
+# the earlier two-pass product-row parser -------------------------------
+#
+# symmetrize and _product_rows as they were before one parser read the
+# rows straight into index rows: a name-keyed table holding both orders of
+# each pair, read back into index rows by a second pass that also checked
+# that the table was total.  The earlier solver below reads its fixed rows
+# with symmetrize too.
+
+def symmetrize(names, rows):
+    """Product table of checked [x, y, value] rows, each fixing both orders
+    of its pair, with every name in names (a set, dict or lattice).  The
+    first bad row raises: UsageError for a row listing candidates,
+    ForeignElement for a foreign name, NotCommutative for a conflict."""
+    table = {}
+    for row in rows:
+        x, y, v = row
+        if isinstance(v, list):
+            raise UsageError(
+                "entry %r lists candidates; resolve it with the solver first"
+                % (row,))
+        if x not in names or y not in names or v not in names:
+            raise ForeignElement(repr(next(e for e in row if e not in names)))
+        for key in ((x, y), (y, x)):
+            if table.setdefault(key, v) != v:
+                raise NotCommutative("conflicting entries at %r: %r vs %r"
+                                     % (key, table[key], v))
+    return table
+
+
+def old_product_rows(lattice, mult):
+    """The name-keyed product table mult as index rows; NotCommutative at
+    the first pair it leaves undefined."""
+    els, index = lattice.elements, lattice._index
+    rows = []
+    for x in els:
+        try:
+            rows.append(tuple([index[mult[x, y]] for y in els]))
+        except KeyError:
+            for y in els:
+                if (x, y) not in mult:
+                    raise NotCommutative(
+                        "product undefined at (%r, %r)" % (x, y)) from None
+                lattice.idx(mult[x, y])
+    return tuple(rows)
+
+
+def old_phase_rows(doc, lattice=None, base_dir=None):
+    f = fields(doc, "phase", given=() if lattice is None else ("lattice",))
+    if lattice is None:
+        lattice = lattice_from_doc(f["lattice"], base_dir)
+    return old_product_rows(lattice, symmetrize(lattice._index, f["mult"]))
+
+
+def new_phase_rows(doc, lattice=None, base_dir=None):
+    return phase_from_doc(doc, lattice, base_dir, validate=False)._rows
+
+
+def old_monoid_from_doc(doc):
+    f = fields(doc, "monoid")
+    return (f["elements"], symmetrize(set(f["elements"]), f["mult"]),
+            f["unit"])
+
+
+ROW_EDITS = ["shipped", "candidates", "foreign_left", "foreign_right",
+             "foreign_value", "conflict", "reversed_conflict",
+             "conflicting_diagonal", "missing_pair", "repeated_row"]
+
+
+def edit_rows(doc, edit):
+    """doc with its mult rows after the named edit, which takes its pair
+    from the first fixed row off the diagonal, its diagonal from the first
+    fixed row on it, and a conflicting value from the names they use."""
+    doc = copy.deepcopy(doc)
+    mult = doc["mult"]
+    fixed = [row for row in mult if not isinstance(row[2], list)]
+    x, y, v = next(row for row in fixed if row[0] != row[1])
+    d, _, u = next(row for row in fixed if row[0] == row[1])
+    names = [name for row in fixed for name in row]
+    if edit == "candidates":
+        mult.append([y, x, [v, "zz"]])
+    elif edit == "foreign_left":
+        mult.append(["zz", y, v])
+    elif edit == "foreign_right":
+        mult.append([x, "zz", v])
+    elif edit == "foreign_value":
+        mult.append([x, y, "zz"])
+    elif edit in ("conflict", "reversed_conflict"):
+        w = next(name for name in names if name != v)
+        mult.append([x, y, w] if edit == "conflict" else [y, x, w])
+    elif edit == "conflicting_diagonal":
+        mult.append([d, d, next(name for name in names if name != u)])
+    elif edit == "missing_pair":
+        mult.remove([x, y, v])
+    elif edit == "repeated_row":
+        mult += [[x, y, v], [y, x, v]]
+    else:
+        assert edit == "shipped", edit
+    return doc
+
+
+@pytest.mark.parametrize("edit", ROW_EDITS)
+def test_phase_rows_match_the_earlier_parser_on_edited_rows(edit):
+    doc, base_dir = load_doc("data:goal_phase.json")
+    doc = edit_rows(doc, edit)
+    want = outcome(old_phase_rows, doc, None, base_dir)
+    assert outcome(new_phase_rows, doc, None, base_dir) == want
+    if edit in ("shipped", "repeated_row"):
+        assert want == load_phase("data:goal_phase.json")._rows
+    else:
+        assert want[0] in ("UsageError", "ForeignElement", "NotCommutative")
+
+
+@pytest.mark.parametrize("edit", ROW_EDITS)
+def test_solver_matches_the_earlier_solver_on_edited_rows(edit):
+    want = assert_solvers_agree(edit_rows(edited_candidates("shipped"), edit))
+    if edit in ("foreign_left", "foreign_right", "foreign_value",
+                "conflict", "reversed_conflict", "conflicting_diagonal"):
+        assert want[0] in ("ForeignElement", "NotCommutative")
+
+
+@pytest.mark.parametrize("edit", ROW_EDITS)
+def test_monoid_rows_match_the_earlier_parser_on_edited_rows(edit):
+    doc = edit_rows(load_doc("data:z3_monoid.json")[0], edit)
+    want = outcome(old_monoid_from_doc, doc)
+    assert outcome(monoid_from_doc, doc) == want
+    if edit not in ("shipped", "repeated_row", "missing_pair"):
+        assert want[0] in ("UsageError", "ForeignElement", "NotCommutative")
+
+
+def test_phase_rows_match_the_earlier_parser_on_seeded_rows():
+    # rows in shuffled order and orientation, some repeated, some dropped,
+    # some conflicting and some foreign; every element's dual is overridden
+    # so that no residual is asked for
+    rng = random.Random(605)
+    seen = set()
+    for _ in range(400):
+        lat = random_lattice(rng)
+        els = lat.elements
+        table = random_table(rng, lat)
+        rows = [[x, y, v] for (x, y), v in table.items()
+                if rng.random() < 0.6 or x == y]
+        rows += rng.sample(rows, rng.randint(0, len(rows) // 2))
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            rows.append([rng.choice(els), rng.choice(els), rng.choice(els)])
+        if rng.random() < 0.1:
+            row = rng.choice(rows)
+            row[rng.randrange(3)] = "nowhere"
+        rng.shuffle(rows)
+        doc = {"mult": rows, "unit": els[0], "falsum": els[0],
+               "dual_overrides": [[x, x] for x in els]}
+        want = outcome(old_phase_rows, doc, lat)
+        assert outcome(new_phase_rows, doc, lat) == want, (els, rows)
+        seen.add(want[0] if isinstance(want[0], str) else "rows")
+    assert seen == {"rows", "ForeignElement", "NotCommutative"}
+
+
+@pytest.mark.parametrize("kind,n", [("boolean", 64), ("downset", 48)])
+def test_phase_rows_match_the_earlier_parser_on_generated_structures(
+        kind, n):
+    gen = _load_gen()
+    make = gen.boolean_structure if kind == "boolean" else \
+        gen.downset_structure
+    rng = random.Random(606 + n)
+    doc = make(rng, n)[0]
+    doc["mult"] = [[y, x, v] if rng.random() < 0.5 else [x, y, v]
+                   for x, y, v in doc["mult"]]
+    rng.shuffle(doc["mult"])
+    assert new_phase_rows(doc) == old_phase_rows(doc)
 
 
 # the earlier name-keyed solver ----------------------------------------

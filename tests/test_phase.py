@@ -238,6 +238,20 @@ def test_foreign_names_in_connectives(goal_phase, method, args):
         getattr(goal_phase, method)(*args)
 
 
+def test_foreign_override_key_rejected():
+    doc = phase_doc()
+    doc["dual_overrides"].append(["zz", "0"])
+    with pytest.raises(ForeignElement, match="'zz'"):
+        phase_from_doc(doc)
+
+
+def test_repeated_override_key_rejected():
+    doc = phase_doc()
+    doc["dual_overrides"].append(list(doc["dual_overrides"][0]))
+    with pytest.raises(UsageError, match="'dual_overrides' names '0' twice"):
+        phase_from_doc(doc)
+
+
 def test_corrupted_override_reported_not_raised():
     doc = phase_doc()
     for pair in doc["dual_overrides"]:

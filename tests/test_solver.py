@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from phasegame import solver
 from phasegame.data import data_path, load_doc
 from phasegame.errors import (CapExceeded, ForeignElement, NoSolution,
-                              NotCommutative)
+                              NotCommutative, UsageError)
 from phasegame.phase import phase_from_doc, verify_laws
 from phasegame.solver import solve_table
 
@@ -81,6 +82,30 @@ def test_foreign_constraint_target_is_named():
     doc = candidates_doc()
     doc["linked_constraints"][0]["equals"] = "zork"
     with pytest.raises(ForeignElement, match="'zork' is not an element"):
+        solve_table(doc)
+
+
+def test_search_audits_two_leaves(monkeypatch):
+    # the associativity prune leaves two completions to audit on the
+    # shipped candidates; without it the search reaches 16,128 leaves
+    phase_from_rows, calls = solver.phase_from_rows, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return phase_from_rows(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "phase_from_rows", counted)
+    assert len(solve_table("data:goal_phase_candidates.json")) == 2
+    assert len(calls) == 2
+
+
+def test_bad_override_keys_are_named():
+    doc = candidates_doc()
+    doc["dual_overrides"].append(["zz", "0"])
+    with pytest.raises(ForeignElement, match="'zz'"):
+        solve_table(doc)
+    doc["dual_overrides"][-1] = list(doc["dual_overrides"][0])
+    with pytest.raises(UsageError, match="'dual_overrides' names '0' twice"):
         solve_table(doc)
 
 
