@@ -3,8 +3,8 @@
 _HIGHLIGHT_PENWIDTH = 3
 
 
-def _quote(text):
-    return '"%s"' % str(text).replace("\\", "\\\\").replace('"', '\\"')
+def _escape(text):
+    return str(text).replace("\\", "\\\\").replace('"', '\\"')
 
 
 def trace_to_dot(trace_doc, name="trace"):
@@ -27,7 +27,7 @@ def trace_to_dot(trace_doc, name="trace"):
     def passable(x, y):
         return grid[y][x] != "#"
 
-    lines = ["digraph %s {" % _quote(name),
+    lines = ['digraph "%s" {' % _escape(name),
              "  node [shape=square, fixedsize=true, width=0.7];"]
     height = len(grid)
     width = len(grid[0]) if height else 0
@@ -45,7 +45,8 @@ def trace_to_dot(trace_doc, name="trace"):
                     parts += [objects[cell]["id"], objects[cell]["goal"]]
                 if cell == start:
                     parts.append("start")
-                attrs.append("label=%s" % _quote("\\n".join(parts)))
+                # DOT reads the two characters \n in a label as a line break
+                attrs.append('label="%s"' % "\\n".join(map(_escape, parts)))
             lines.append("  %s [%s];" % (cid(cell), ", ".join(attrs)))
     for a, b in zip(walk, walk[1:]):
         lines.append(

@@ -50,7 +50,6 @@ class Scenario:
             {f for o in objects for f in o.features})
         self.universe = self.payoff_lattice.base
         self._visible = {}              # cell -> visible_rewards
-        self._movement = None           # (position, _movement there)
 
     def neighbors(self, cell):
         x, y = cell
@@ -268,20 +267,14 @@ def _movement(sc, pos):
     by the reprs of cell and tick, the rank of each vertex, and for each
     polarity the successors of each vertex as ranks, in move order.
     Dualizing swaps the polarities, so Proponent steps at even ticks and
-    Opponent ticks at odd ones.  The scenario keeps the last position's
-    ranking, so a cognition step, which checks saturation and plans from
-    one position, walks the movement game once."""
-    if sc._movement is not None and sc._movement[0] == pos:
-        return sc._movement[1]
+    Opponent ticks at odd ones."""
     vertices, edges = walk(_Movement(sc, pos, sc.horizon))
     vertices.sort(key=lambda m: (repr(m[0]), repr(m[1])))
     rank = {v: i for i, v in enumerate(vertices)}
     succ = {pol: [[] for _ in vertices] for pol in ("O", "P")}
     for v, w, pol in edges:
         succ[pol][rank[v]].append(rank[w])
-    ranked = (vertices, rank, {"O": succ["P"], "P": succ["O"]})
-    sc._movement = (pos, ranked)
-    return ranked
+    return vertices, rank, {"O": succ["P"], "P": succ["O"]}
 
 
 def _chain(obj, lat, image):
@@ -444,8 +437,10 @@ class Trace:
         return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
 
 
-def plan_play(sc, goals, mode="practical", position=None, images=None):
-    """Pick a play of the compound game with a maximal joined payoff.
+def _search(game):
+    """The play of a CompoundGame with a maximal joined payoff, as (movement
+    rank, chains rank) pairs, with its objective mask, the number of states
+    explored and the number of plays ending with each objective size.
 
     A play's objective is the join of its vertex payoffs.  Plays whose
     objective has the largest support win; in a powerset such an objective
@@ -454,12 +449,11 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     vertices, which compares the reprs of their cell, tick and chains in
     turn (tests pin it on two-digit coordinates and ticks).
 
-    No play is listed, and no move of the compound game is asked for: the
-    search reads the game's ranked tables.  A compound vertex is the int
-    m * nb + b for movement rank m, chains rank b and nb chains vertices,
-    and this int order is the repr order.  Its successors follow Tensor's
-    rule, one coordinate moving, and its payoff is side[m] | meet[b].
-    Nested tuples are rebuilt only for the chosen play.
+    No play is listed, and no move of the game is asked for: the search
+    reads its ranked tables.  A compound vertex is the int m * nb + b for
+    movement rank m, chains rank b and nb chains vertices, and this int
+    order is the repr order.  Its successors follow Tensor's rule, one
+    coordinate moving, and its payoff is side[m] | meet[b].
 
     A breadth-first search runs over states (vertex, objective so far),
     packed as the int objective * nv + vertex for the exact vertex count
@@ -468,29 +462,13 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     number of prefixes reaching it and the lexically smallest one, whose
     every extension is the smallest among theirs.  Each layer is kept in
     the lexical order of those prefixes, so the first play found with the
-    largest objective is the winner, and the play counts of the decision
-    log (the plays, those of the largest support, and the plays ending
-    with each objective size) are sums of state counts.  The trace header
-    reports the states explored and the plays counted.
+    largest objective is the winner, and each play count is a sum of
+    state counts.
     """
-    if position is None:
-        position = sc.start
-    game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
-    lat = sc.payoff_lattice
-
-    trace = Trace({
-        "kind": "plan",
-        "scenario": sc.name,
-        "mode": mode,
-        "position": list(position),
-        "goals": sorted(goals),
-        "objective_lattice": "powerset of %d features" % len(sc.universe),
-    })
-
-    mverts, msucc, side = game.mverts, game.msucc, game.side
-    bverts, bsucc, meet = game.bverts, game.bsucc, game.meet
-    nb = len(bverts)
-    nv = len(mverts) * nb
+    msucc, side = game.msucc, game.side
+    bsucc, meet = game.bsucc, game.meet
+    nb = len(game.bverts)
+    nv = len(game.mverts) * nb
     m, b = game._ranks(game.root)
     root = (side[m] | meet[b]) * nv + m * nb + b
     count = {root: 1}
@@ -531,15 +509,6 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
                     nxt.append(u)
         layer = nxt
         depth += 1
-    trace.header["states"] = len(count)
-    trace.header["plays"] = sum(support.values())
-    trace.log("enumerated %d alternated plays" % trace.header["plays"])
-    trace.log("plays with an objective of largest support: %d"
-              % support[best_size])
-    trace.log("plays by objective size: %s" % ", ".join(
-        "%d: %d" % kv for kv in sorted(support.items())))
-    if support[best_size] > 1:
-        trace.log("tie-broken by length, then move order")
 
     play = []
     s = best
@@ -547,6 +516,37 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
         play.append(divmod(s % nv, nb))
         s = parent[s]
     play.reverse()
+    return play, best // nv, len(count), support
+
+
+def plan_play(sc, goals, mode="practical", position=None, images=None):
+    """The play _search picks in the compound game, as a plan trace: an
+    entry per move after the root, the play's vertices and objective, and
+    its counts of states and plays in the header and the decision log."""
+    if position is None:
+        position = sc.start
+    game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
+    play, objective, states, support = _search(game)
+    lat = sc.payoff_lattice
+    mverts, bverts, side, meet = game.mverts, game.bverts, game.side, game.meet
+    plays = sum(support.values())
+    trace = Trace({
+        "kind": "plan",
+        "scenario": sc.name,
+        "mode": mode,
+        "position": list(position),
+        "goals": sorted(goals),
+        "objective_lattice": "powerset of %d features" % len(sc.universe),
+        "states": states,
+        "plays": plays,
+    })
+    best = support[max(support)]
+    trace.log("enumerated %d alternated plays" % plays)
+    trace.log("plays with an objective of largest support: %d" % best)
+    trace.log("plays by objective size: %s" % ", ".join(
+        "%d: %d" % kv for kv in sorted(support.items())))
+    if best > 1:
+        trace.log("tie-broken by length, then move order")
 
     running = 0
     for i, (m, b) in enumerate(play):
@@ -563,7 +563,7 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
             "objective_so_far": lat.members(running),
         })
     trace.final_play = [_vertex_doc((mverts[m], bverts[b])) for m, b in play]
-    trace.objective = lat.members(best // nv)
+    trace.objective = lat.members(objective)
 
     reached = {mverts[m][0] for m, _ in play}
     for g in goals:
@@ -579,13 +579,26 @@ def _vertex_doc(v):
     return {"cell": list(cell), "tick": t, "chains": repr(bvert)}
 
 
+def _step_game(sc, goals, pos, mode, images):
+    """The compound game a cognition step plans in, or None when the step
+    is saturated.  A side payoff joins the images, which hold what pos
+    shows, with what its cell shows, so no cell within the horizon adds to
+    them when every cell pays the same; a walled-in pos sees only itself."""
+    if not sc.neighbors(pos):
+        return None
+    game = CompoundGame(sc, goals, pos, mode, images)
+    return None if min(game.side) == max(game.side) else game
+
+
 def run_cognition(sc, max_steps=50, mode="practical", seed=0):
     """Full exploration loop: discover, select, plan, move, accumulate.
 
-    Images of objects only ever grow (by join with what is visible).  When
-    the reachable ball cannot add anything to the joined images of the
-    active goals, the active set shrinks; the run completes when a single
-    goal saturates, else it stops at max_steps with the step_limit flag.
+    Images of objects only ever grow (by join with what is visible).  A
+    planning step builds one compound game of the active goals.  When no
+    cell within the horizon can add anything to their joined images, the
+    active set shrinks; the run completes when a single goal saturates,
+    else it stops at max_steps with the step_limit flag.  Otherwise the
+    system moves to the first new cell of the game's searched play.
     """
     _check_mode(mode)
     rng = random.Random(seed)
@@ -623,20 +636,6 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
             "rewards": {oid: sorted(v) for oid, v in vis.items()},
             "images": {oid: sorted(v) for oid, v in images.items()},
         })
-
-    def joined_image(ids):
-        out = frozenset()
-        for i in ids:
-            out = out | images[i]
-        return out
-
-    def ball_potential(ids):
-        out = frozenset()
-        for cell in {cell for cell, _ in _movement(sc, pos)[0]}:
-            vis = visible_rewards(sc, cell)
-            for i in ids:
-                out = out | vis[i]
-        return out
 
     reveal(pos)
     steps = 0
@@ -687,8 +686,8 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
         trace.log("  active set {%s} priority %s"
                   % (",".join(active), selection[0].priority))
 
-        potential = ball_potential(active)
-        if potential <= joined_image(active):
+        game = _step_game(sc, active, pos, mode, images)
+        if game is None:
             if len(active) == 1:
                 trace.log("step %d: single goal %s saturated; run complete"
                           % (steps, active[0]))
@@ -711,13 +710,9 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
                       % (steps, ",".join(active), ",".join(shrunk)))
             continue
 
-        plan = plan_play(sc, active, mode=mode, position=pos, images=images)
-        move_to = None
-        for v in plan.final_play[1:]:
-            cell = tuple(v["cell"])
-            if cell != pos:
-                move_to = cell
-                break
+        play, objective, _, _ = _search(game)
+        cells = [game.mverts[m][0] for m, _ in play]
+        move_to = next((cell for cell in cells if cell != pos), None)
         if move_to is None:
             trace.log("step %d: plan holds position" % steps)
             move_to = pos
@@ -726,7 +721,7 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
             "position": list(move_to),
             "move": [list(pos), list(move_to)],
             "active": sorted(active),
-            "objective": plan.objective,
+            "objective": sc.payoff_lattice.members(objective),
         })
         pos = move_to
         reveal(pos)

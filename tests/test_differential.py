@@ -29,7 +29,9 @@ quotes and commas; so are the earlier compound game, composed of the
 movement game and the per-goal chain Games, whose listing and payoffs the
 ranked CompoundGame must reproduce, and the earlier goal-set selection,
 whose pairwise maximality test select_goal_sets must match on every
-anchor; and so is the earlier subset oracle on frozensets, whose reports the bitmask oracle must equal on every
+anchor, and the earlier saturation check of a cognition step (the features
+visible from the movement ball against the joined images), which the
+step's compound game must match on seeded states; and so is the earlier subset oracle on frozensets, whose reports the bitmask oracle must equal on every
 pole of every census monoid up to size 4 and on seeded larger monoids.
 Last come the earlier expression tokenizer, parser and evaluator, whose
 tokens, trees, values and error messages the one operator table must
@@ -91,8 +93,8 @@ from phasegame.phase import (
 )
 from phasegame.planner import (CompoundGame, GoalProcessSet, Selection,
                                Trace, _Movement, _check_mode, _goal_objects,
-                               _vertex_doc, eval_priority, load_scenario,
-                               plan_play, visible_rewards)
+                               _step_game, _vertex_doc, eval_priority,
+                               load_scenario, plan_play, visible_rewards)
 from phasegame.solver import solve_table
 from phasegame.subset_oracle import (all_commutative_monoids, cyclic_monoid,
                                      monoid_from_doc, oracle_report)
@@ -946,6 +948,10 @@ def edited_candidates(edit):
         constraints.append({"sum": [], "equals": "0"})
     elif edit == "foreign_unit":
         doc["unit"] = "zz"
+    elif edit == "foreign_falsum":
+        doc["falsum"] = "zz"
+    elif edit == "foreign_override_value":
+        doc["dual_overrides"][0][1] = "zz"
     elif edit == "no_overrides":
         doc["dual_overrides"] = []
     else:
@@ -958,7 +964,16 @@ EDITS = ["shipped", "relaxed", "strict_unit", "dropped_fixed_pair",
          "foreign_candidate_row", "conflicting_candidates",
          "repeated_candidates", "fixed_closes_slot", "conflicting_fixed",
          "foreign_constraint_pair", "foreign_constraint_value",
-         "empty_constraint", "foreign_unit", "no_overrides"]
+         "empty_constraint", "foreign_unit", "foreign_falsum",
+         "foreign_override_value", "no_overrides"]
+# the intended differences: a foreign name is named before the search,
+# where the earlier solver searched every completion and found none
+FOREIGN_BEFORE_SEARCH = {
+    "foreign_constraint_value": "'zz' is not an element of this lattice",
+    "foreign_unit": "'zz'",
+    "foreign_falsum": "'zz'",
+    "foreign_override_value": "'zz'",
+}
 
 
 @pytest.mark.parametrize("edit", EDITS)
@@ -966,14 +981,11 @@ EDITS = ["shipped", "relaxed", "strict_unit", "dropped_fixed_pair",
 def test_solver_matches_the_earlier_solver_on_edited_candidates(
         edit, max_solutions):
     doc = edited_candidates(edit)
-    if edit == "foreign_constraint_value":
-        # the one intended difference: a foreign target is named while the
-        # constraints are read, where the earlier solver searched every
-        # completion and found none
+    if edit in FOREIGN_BEFORE_SEARCH:
         assert solved(old_solve_table, doc, max_solutions) == (
             "NoSolution", "no completion satisfies the declared laws")
         assert solved(solve_table, doc, max_solutions) == (
-            "ForeignElement", "'zz' is not an element of this lattice")
+            "ForeignElement", FOREIGN_BEFORE_SEARCH[edit])
         return
     assert_solvers_agree(doc, max_solutions)
 
@@ -1525,6 +1537,74 @@ def old_select_goal_sets(sc, discovered, must_include=None, max_size=None):
         log.append("order by attractiveness then name: %s first"
                    % ",".join(sized[0].goals))
     return Selection(sized, candidates, indistinguishable, log)
+
+
+# the earlier saturation check -----------------------------------------
+#
+# A cognition step's saturation test as it was before it read the step's
+# compound game: the features of the active goals visible from any cell of
+# the movement ball, against the join of their images.
+
+def old_saturated(sc, pos, active, images):
+    potential = frozenset()
+    for cell in {cell for cell, _ in walk(_Movement(sc, pos, sc.horizon))[0]}:
+        vis = visible_rewards(sc, cell)
+        for i in active:
+            potential = potential | vis[i]
+    joined = frozenset()
+    for i in active:
+        joined = joined | images[i]
+    return potential <= joined
+
+
+def saturation_case(rng):
+    """A seeded grid of 1 to 5 rows and columns, dense enough in obstacles
+    to wall some cells in, at horizon 0 to 3, with one to four goals of
+    one to three features from distinct or shared names."""
+    while True:
+        w, h = rng.randint(1, 5), rng.randint(1, 5)
+        grid = ["".join("#" if rng.random() < 0.35 else "."
+                        for _ in range(w)) for _ in range(h)]
+        cells = [(x, y) for y in range(h) for x in range(w)
+                 if grid[y][x] == "."]
+        if cells:
+            break
+    shared = ["u%d" % i for i in range(4)] if rng.random() < 0.5 else None
+    objects = [{"id": "o%d" % i, "cell": list(rng.choice(cells)),
+                "features": (rng.sample(shared, n) if shared else
+                             ["f%d_%d" % (i, j) for j in range(n)]),
+                "goal": goal}
+               for i, goal in enumerate(rng.sample(["J1a", "b2", "b3", "e"],
+                                                   rng.randint(1, 4)))
+               for n in [rng.randint(1, 3)]]
+    return load_scenario({
+        "name": "saturation", "grid": grid, "start": list(cells[0]),
+        "horizon": rng.randint(0, 3), "goal_phase": "data:goal_phase.json",
+        "free_move_goal": "a", "objects": objects})
+
+
+def test_saturation_matches_the_earlier_ball_check():
+    # images always hold what pos shows, as they do in run_cognition after
+    # each reveal, joined with a seeded part of each object's features
+    rng = random.Random(2323)
+    seen = Counter()
+    for _ in range(60):
+        sc = saturation_case(rng)
+        ids = sorted(sc.objects)
+        for pos in sorted(sc.passable):
+            vis = visible_rewards(sc, pos)
+            for size in range(1, len(ids) + 1):
+                active = rng.sample(ids, size)
+                for mode in ("practical", "strict"):
+                    images = {i: vis[i] | frozenset(
+                        f for f in sc.objects[i].features
+                        if rng.random() < 0.6) for i in ids}
+                    want = old_saturated(sc, pos, active, images)
+                    game = _step_game(sc, active, pos, mode, images)
+                    assert (game is None) == want, (sc.rows, pos, active)
+                    seen[want, not sc.neighbors(pos)] += 1
+    assert min(seen[k] for k in [(True, False), (False, False),
+                                 (True, True)]) >= 50, seen
 
 
 # the earlier frozenset subset oracle -----------------------------------

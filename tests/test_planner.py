@@ -748,6 +748,28 @@ def test_full_scenario_completes_and_selects():
     assert first["sets"][0]["priority"] == "1"
 
 
+@pytest.mark.parametrize("mode", ["practical", "strict"])
+def test_walled_in_start_saturates_at_once(mode):
+    # no cell neighbours the start, so it sees only itself: the pair of
+    # goals shrinks to one and the run completes at step 0, with no
+    # compound game built from the walled-in start
+    doc = base_doc()
+    doc["grid"] = [".#..", "##.."]
+    doc["start"] = [0, 0]
+    doc["horizon"] = 2
+    doc["objects"] = [
+        {"id": "obj_x", "cell": [0, 0], "features": ["f1"], "goal": "e"},
+        {"id": "obj_y", "cell": [2, 0], "features": ["f2", "f3"],
+         "goal": "b2"}]
+    trace = run_cognition(load_scenario(doc), mode=mode)
+    assert trace.complete and not trace.step_limit
+    assert trace.header["steps_taken"] == 0
+    assert [(e["step"], e["from"]) for e in trace.shrink_events] == [
+        (0, ["obj_x", "obj_y"])]
+    assert trace.decision_log[-1].startswith("step 0: single goal")
+    assert not any(e["actor"] == "system" for e in trace.entries)
+
+
 @pytest.mark.parametrize("case", ["four_goals"] + list(range(24)))
 def test_images_grow_monotonically(case):
     if case == "four_goals":
