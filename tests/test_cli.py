@@ -203,16 +203,18 @@ def test_dot_start_label_keeps_the_object_id():
     # part a line: the parts are joined by the two characters \n, which
     # DOT reads as a line break, while a quote or backslash in a part
     # stays escaped
-    header = {"grid": ["..", ".#"], "start": [0, 0],
+    header = {"grid": ["...", ".#."], "start": [0, 0],
               "objects": [{"id": "nest", "cell": [0, 0], "goal": "n1"},
                           {"id": "n", "cell": [1, 0], "goal": "g"},
-                          {"id": 'q"\\', "cell": [0, 1], "goal": "n2"}]}
+                          {"id": 'q"\\', "cell": [2, 0], "goal": "n2"}]}
     lines = trace_to_dot({"header": header, "entries": []}).splitlines()
-    assert lines[2:6] == [
+    assert lines[2:8] == [
         r'  c_0_0 [pos="0,1!", label="nest\nn1\nstart"];',
         r'  c_1_0 [pos="1,1!", label="n\ng"];',
-        r'  c_0_1 [pos="0,0!", label="q\"\\\nn2"];',
-        r'  c_1_1 [pos="1,0!", style=filled, fillcolor=black, label=""];']
+        r'  c_2_0 [pos="2,1!", label="q\"\\\nn2"];',
+        r'  c_0_1 [pos="0,0!", label=""];',
+        r'  c_1_1 [pos="1,0!", style=filled, fillcolor=black, label=""];',
+        r'  c_2_1 [pos="2,0!", label=""];']
 
 
 def test_dot_graph_name_is_quoted(tmp_path):

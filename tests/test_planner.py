@@ -671,6 +671,26 @@ def test_cognition_step_walks_the_movement_game_once(monkeypatch):
     assert calls == {"_Movement": 2 * nm}
 
 
+def test_cognition_walks_the_movement_game_once_per_active_set(monkeypatch):
+    # each compound game walks the movement game from its position: a step
+    # that moves builds one, and a saturation check after a shrink builds
+    # another at the same position, with the smaller active set
+    walked = []
+
+    def counted(sc, pos, _movement=planner._movement):
+        walked.append(pos)
+        return _movement(sc, pos)
+    monkeypatch.setattr(planner, "_movement", counted)
+    trace = run_cognition(four_goals())
+    moved = [e for e in trace.entries
+             if e["actor"] == "system" and e["move"] != "wander"]
+    assert trace.complete
+    assert (len(moved), len(trace.shrink_events)) == (6, 2)
+    assert len(walked) == len(moved) + len(trace.shrink_events) + 1 == 9
+    assert walked[:len(moved)] == [tuple(e["move"][0]) for e in moved]
+    assert len(set(walked[len(moved):])) == 1
+
+
 @pytest.mark.parametrize("case", ["four_goals"] + list(range(24)))
 def test_selection_matches_pairwise_maximality(case):
     if case == "four_goals":
