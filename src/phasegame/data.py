@@ -6,7 +6,7 @@ package); a relative path inside a document resolves against its directory.
 ``load_doc`` is the one reader (``read_bytes`` and ``parse_doc`` are its two
 halves, for a caller that keeps the bytes), ``SCHEMAS`` the one definition of
 each kind, ``fields`` the one checker and ``product_rows`` the one parser of
-product rows, straight into index rows.
+product rows, straight into index rows, which ``total_rows`` requires total.
 """
 
 import io
@@ -52,12 +52,17 @@ def read_bytes(path):
         return fh.read()
 
 
+def _not_json(constant):
+    raise ValueError("%s is not a JSON value" % constant)
+
+
 def parse_doc(raw, path):
     """The JSON object in raw, the bytes of the file at path, decoded as a
-    text-mode open() decodes them; anything else raises UsageError naming
-    path."""
+    text-mode open() decodes them; anything else, NaN and the infinities
+    included, raises UsageError naming path."""
     try:
-        doc = json.load(io.TextIOWrapper(io.BytesIO(raw)))
+        doc = json.load(io.TextIOWrapper(io.BytesIO(raw)),
+                        parse_constant=_not_json)
     except (ValueError, RecursionError) as exc:
         raise UsageError("%s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
@@ -215,3 +220,13 @@ def product_rows(elements, rows):
             raise NotCommutative("conflicting entries at %r: %r vs %r"
                                  % ((x, y), elements[was], v))
     return out
+
+
+def total_rows(elements, rows):
+    """The index rows, if every entry is fixed; else the first pair in
+    element order whose entry is None raises NotCommutative."""
+    for x, row in zip(elements, rows):
+        if None in row:
+            raise NotCommutative("product undefined at (%r, %r)"
+                                 % (x, elements[row.index(None)]))
+    return rows

@@ -176,9 +176,9 @@ class Lattice:
         """Relative pseudo-complement: join of all c with a /\\ c <= b."""
         if not self.is_distributive():
             raise NotHeyting("lattice is not distributive")
-        [(star, closed)] = self.residual(self._meet[self.idx(a)], [self.idx(b)])
-        if not closed:
-            raise NotHeyting("residuation fails at (%r, %r)" % (a, b))
+        # a /\ (join of the witnesses) is the join of their meets with a,
+        # at or below b, so the residual of a distributive meet row is closed
+        [(star, _)] = self.residual(self._meet[self.idx(a)], [self.idx(b)])
         return self.elements[star]
 
     def heyting_neg(self, a):

@@ -17,14 +17,13 @@ from itertools import compress, islice
 from operator import itemgetter, ne
 
 from .data import (fields, load_doc, parse_doc, product_rows, read_bytes,
-                   resolve_path)
+                   resolve_path, total_rows)
 from .errors import (
     DualLawViolation,
     ForeignElement,
     NotAssociative,
     NotClosed,
     NotClosedClass,
-    NotCommutative,
     OverrideInconsistent,
     UnitNotNeutral,
 )
@@ -359,15 +358,10 @@ def _phase_of(doc, lattice, base_dir, validate):
 
 def phase_from_rows(lattice, rows, f, validate=True):
     """The PhaseStructure of lattice, index product rows and checked phase
-    fields f, through the gates that phase_from_doc describes.  The first
-    check is that the table is total: the first entry in element order that
-    is None, fixed by no row, raises NotCommutative."""
+    fields f, through the gates that phase_from_doc describes, the first
+    being data.total_rows: the table must be total."""
     els = lattice.elements
-    rows = tuple(map(tuple, rows))
-    for x, row in zip(els, rows):
-        if None in row:
-            raise NotCommutative("product undefined at (%r, %r)"
-                                 % (x, els[row.index(None)]))
+    rows = tuple(map(tuple, total_rows(els, rows)))
     unit, falsum = f["unit"], f["falsum"]
     for el in (unit, falsum):
         if el not in lattice:

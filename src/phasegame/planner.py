@@ -192,34 +192,37 @@ class Selection(list):
         self.log = log
 
 
-def select_goal_sets(sc, discovered, must_include=None, max_size=None):
+def select_goal_sets(sc, discovered, must_include=None):
     """Rank subsets of the discovered objects by goal-lattice priority.
 
-    Keeps the subsets whose priority no other subset strictly exceeds, then
-    the largest of those, ordered by declared attractiveness and then by
-    name.  The indistinguishable flag reports that priorities alone carried
-    no information (all candidates evaluated equal).
+    Prices every subset (holding must_include, if given) and ranks them
+    with _rank; the log lists each candidate, then the ranking.
     """
-    lat = sc.lattice
     ids = sorted(discovered)
     attractiveness = {o.id: o.attractiveness for o in _goal_objects(sc, ids)}
-    log = []
     candidates = []
     for size in range(1, len(ids) + 1):
-        if max_size is not None and size > max_size:
-            break
         for combo in combinations(ids, size):
             if must_include is not None and must_include not in combo:
                 continue
-            pr = eval_priority(sc, combo)
-            att = sum(attractiveness[i] for i in combo)
-            candidates.append(GoalProcessSet(combo, pr, att))
-            log.append("candidate {%s}: priority %s"
-                       % (",".join(combo), pr))
+            candidates.append(GoalProcessSet(
+                combo, eval_priority(sc, combo),
+                sum(attractiveness[i] for i in combo)))
+    ranked = _rank(sc.lattice, candidates)
+    ranked.log[:0] = ["candidate {%s}: priority %s"
+                      % (",".join(c.goals), c.priority) for c in candidates]
+    return ranked
 
+
+def _rank(lat, candidates):
+    """Rank priced GoalProcessSets: keep those whose priority no other
+    priority strictly exceeds, then the largest of those, ordered by
+    attractiveness and then by name.  The indistinguishable flag reports
+    that priorities alone carried no information (all candidates evaluated
+    equal)."""
     if not candidates:
-        return Selection([], [], False, log + ["no candidates"])
-
+        return Selection([], [], False, ["no candidates"])
+    log = []
     prios = {c.priority for c in candidates}
     indistinguishable = len(prios) == 1 and len(candidates) > 1
     if indistinguishable:
@@ -624,7 +627,6 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
     pos = sc.start
     images = {oid: frozenset() for oid in sc.objects}
     dropped = set()
-    pool = []
 
     def reveal(where):
         vis = visible_rewards(sc, where)
@@ -640,11 +642,8 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
     reveal(pos)
     steps = 0
     while steps < max_steps:
-        discovered = [oid for oid in sorted(images)
-                      if images[oid] and oid not in dropped]
-        for oid in discovered:
-            if oid not in pool:
-                pool.append(oid)
+        pool = [oid for oid in sorted(images)
+                if images[oid] and oid not in dropped]
         if not pool:
             moves = sc.neighbors(pos)
             prio = sc.phase.impl(sc.free_move_goal, sc.free_move_goal)
@@ -665,14 +664,14 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
         must = sorted(pool, key=lambda i: (-sc.objects[i].attractiveness, i))[0]
         selection = select_goal_sets(sc, pool, must_include=must)
         trace.log("step %d: pool {%s}, anchor %s"
-                  % (steps, ",".join(sorted(pool)), must))
+                  % (steps, ",".join(pool), must))
         for line in selection.log:
             trace.log("  " + line)
         if selection.indistinguishable:
             trace.log("  selection indistinguishable; keeping first in order")
         trace.selections.append({
             "step": steps,
-            "pool": sorted(pool),
+            "pool": pool,
             "anchor": must,
             "indistinguishable": selection.indistinguishable,
             "sets": [{
@@ -693,14 +692,12 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
                           % (steps, active[0]))
                 trace.complete = True
                 break
-            keep = select_goal_sets(sc, active,
-                                    must_include=must if must in active
-                                    else None,
-                                    max_size=len(active) - 1)
-            shrunk = list(keep[0].goals)
-            gone = sorted(set(pool) - set(shrunk))
-            dropped.update(gone)
-            pool = [i for i in pool if i in shrunk]
+            # the step priced every subset of the pool holding the
+            # anchor, so every proper subset of active that holds it
+            shrunk = _rank(sc.lattice, [
+                c for c in selection.candidates
+                if set(c.goals) < set(active)])[0].goals
+            dropped.update(set(pool) - set(shrunk))
             trace.shrink_events.append({
                 "step": steps,
                 "from": sorted(active),

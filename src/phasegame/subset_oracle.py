@@ -18,7 +18,7 @@ the monoid.
 from functools import lru_cache
 from itertools import product
 
-from .data import distinct, fields, product_rows
+from .data import distinct, fields, product_rows, total_rows
 from .errors import (
     ForeignElement,
     NotAssociative,
@@ -132,15 +132,15 @@ class SubsetPhase:
 
 
 def monoid_from_doc(doc):
-    """Elements, symmetric product table of the pairs its rows fix, and
-    unit of a monoid document; data.product_rows raises ForeignElement for a
-    name outside the elements and NotCommutative for two rows that disagree
-    on a pair."""
+    """Elements, symmetric product table and unit of a monoid document;
+    data.product_rows raises ForeignElement for a name outside the elements
+    and NotCommutative for two rows that disagree on a pair, and
+    data.total_rows NotCommutative for a pair that no row fixes."""
     f = fields(doc, "monoid")
     els = f["elements"]
-    rows = product_rows(els, f["mult"])
+    rows = total_rows(els, product_rows(els, f["mult"]))
     return els, {(x, y): els[v] for x, row in zip(els, rows)
-                 for y, v in zip(els, row) if v is not None}, f["unit"]
+                 for y, v in zip(els, row)}, f["unit"]
 
 
 def oracle_report(elements, mult, unit, pole):

@@ -476,6 +476,17 @@ MALFORMED = [
              SOLVE), 2),
     ("binary_file", _raw(b"\xff\xfe{"), 2),
     ("deep_arrays", _raw(b"[" * 3000 + b"]" * 3000), 2),
+    # json.dumps writes these constants, which are not JSON, and a trace
+    # copying one could not be read back as JSON
+    ("attractiveness_nan",
+     _edited("four_goals_scenario.json", _object(attractiveness=float("nan")),
+             SIMULATE), 2),
+    ("attractiveness_infinity",
+     _edited("four_goals_scenario.json", _object(attractiveness=float("inf")),
+             SIMULATE), 2),
+    ("attractiveness_minus_infinity",
+     _edited("four_goals_scenario.json",
+             _object(attractiveness=float("-inf")), SIMULATE), 2),
     # a one-cell scenario builds no compound game, so nothing else would
     # catch a feature that cannot name a subset
     ("tiny_feature_comma",
@@ -572,6 +583,11 @@ NAMED = {
                               "got True",
     "binary_file": "raw.json: 'utf-8' codec can't decode byte 0xff",
     "deep_arrays": "raw.json: maximum recursion depth exceeded",
+    "attractiveness_nan": "four_goals_scenario.json: NaN is not a JSON value",
+    "attractiveness_infinity": "four_goals_scenario.json: Infinity is not a "
+                               "JSON value",
+    "attractiveness_minus_infinity": "four_goals_scenario.json: -Infinity is "
+                                     "not a JSON value",
     "tiny_feature_comma": "universe members must be nonempty and contain "
                           "no commas",
     "tiny_feature_empty": "universe members must be nonempty and contain "

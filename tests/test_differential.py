@@ -94,7 +94,8 @@ from phasegame.phase import (
 from phasegame.planner import (CompoundGame, GoalProcessSet, Selection,
                                Trace, _Movement, _check_mode, _goal_objects,
                                _step_game, _vertex_doc, eval_priority,
-                               load_scenario, plan_play, visible_rewards)
+                               load_scenario, plan_play, run_cognition,
+                               visible_rewards)
 from phasegame.solver import solve_table
 from phasegame.subset_oracle import (all_commutative_monoids, cyclic_monoid,
                                      monoid_from_doc, oracle_report)
@@ -368,6 +369,33 @@ def test_lattice_tables_match_the_earlier_search():
     want = ("NotALattice", "no unique join for 'x', 'y'")
     assert outcome(old_tables, els, covers, "bot", "top") == want
     assert outcome(Lattice, els, covers, "bot", "top") == want
+
+
+def test_distributive_meet_rows_residuate_closed():
+    # heyting_implies takes the residual of a meet row unchecked: in a
+    # distributive lattice, a /\ (join of the c with a /\ c <= b) is the
+    # join of those meets, at or below b, so the residual is closed
+    rng = random.Random(601)
+    lattices = residuals = 0
+    for _ in range(3000):
+        try:
+            lat = Lattice(*random_order(rng))
+        except PhasegameError:
+            continue
+        if not lat.is_distributive():
+            continue
+        lattices += 1
+        els = lat.elements
+        for a, row in zip(els, lat._meet):
+            for b, (star, closed) in zip(els, lat.residual(
+                    row, range(len(els)))):
+                assert closed, (els, a, b)
+                witnesses = [c for c in els if lat.leq(lat.meet2(a, c), b)]
+                assert els[star] in witnesses
+                assert all(lat.leq(c, els[star]) for c in witnesses)
+                assert lat.heyting_implies(a, b) == els[star]
+                residuals += 1
+    assert (lattices, residuals) == (938, 13572)
 
 
 def loaded_duals(doc, lat):
@@ -644,9 +672,16 @@ def new_phase_rows(doc, lattice=None, base_dir=None):
 
 
 def old_monoid_from_doc(doc):
+    # the earlier parser, and the first pair it leaves undefined, as the
+    # phase loader names it
     f = fields(doc, "monoid")
-    return (f["elements"], symmetrize(set(f["elements"]), f["mult"]),
-            f["unit"])
+    els = f["elements"]
+    mult = symmetrize(set(els), f["mult"])
+    for x in els:
+        for y in els:
+            if (x, y) not in mult:
+                raise NotCommutative("product undefined at (%r, %r)" % (x, y))
+    return els, mult, f["unit"]
 
 
 ROW_EDITS = ["shipped", "candidates", "foreign_left", "foreign_right",
@@ -711,7 +746,7 @@ def test_monoid_rows_match_the_earlier_parser_on_edited_rows(edit):
     doc = edit_rows(load_doc("data:z3_monoid.json")[0], edit)
     want = outcome(old_monoid_from_doc, doc)
     assert outcome(monoid_from_doc, doc) == want
-    if edit not in ("shipped", "repeated_row", "missing_pair"):
+    if edit not in ("shipped", "repeated_row"):
         assert want[0] in ("UsageError", "ForeignElement", "NotCommutative")
 
 
@@ -1605,6 +1640,31 @@ def test_saturation_matches_the_earlier_ball_check():
                     seen[want, not sc.neighbors(pos)] += 1
     assert min(seen[k] for k in [(True, False), (False, False),
                                  (True, True)]) >= 50, seen
+
+
+def test_shrinks_match_the_earlier_max_size_selection():
+    # a shrink ranks the proper subsets of the active set among its step's
+    # candidates; the earlier loop priced them again, selecting with the
+    # step's anchor up to one goal fewer
+    rng = random.Random(2424)
+    shrinks = Counter()
+    for _ in range(1000):
+        sc = saturation_case(rng)
+        for mode in ("practical", "strict"):
+            trace = run_cognition(sc, mode=mode, seed=rng.randrange(100))
+            selections = {}
+            for sel in trace.selections:
+                selections.setdefault(sel["step"], []).append(sel)
+            for event in trace.shrink_events:
+                # a step's shrinks follow its selections in turn
+                sel = selections[event["step"]].pop(0)
+                assert sel["sets"][0]["goals"] == event["from"]
+                old = old_select_goal_sets(sc, event["from"], sel["anchor"],
+                                           max_size=len(event["from"]) - 1)
+                assert event["to"] == list(old[0].goals)
+                shrinks[sel["pool"] == event["from"]] += 1
+    # a shrink from part of the pool must skip the pool's other subsets
+    assert min(shrinks[True], shrinks[False]) >= 300, shrinks
 
 
 # the earlier frozenset subset oracle -----------------------------------

@@ -201,6 +201,21 @@ def test_doc_symmetrizes_table():
     assert mult[("2", "1")] == mult[("1", "2")] == "0"
 
 
+def test_doc_rejects_an_undefined_product(capsys, tmp_path):
+    # z3 without its last row fixes no product for ('2', '2'): the same
+    # error as a phase structure with a pair no row fixes
+    doc = load_doc("data:z3_monoid.json")[0]
+    assert doc["mult"].pop() == ["2", "2", "1"]
+    with pytest.raises(NotCommutative,
+                       match=r"^product undefined at \('2', '2'\)$"):
+        monoid_from_doc(doc)
+    path = tmp_path / "undefined.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "NotCommutative: product undefined at ('2', '2')" in err
+    assert "ForeignElement" not in err
+
 def test_doc_rejects_foreign_entries(capsys, tmp_path):
     # a row naming an element outside the carrier is an error, wherever the
     # foreign name sits in the row

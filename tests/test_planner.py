@@ -697,15 +697,42 @@ def test_selection_matches_pairwise_maximality(case):
         sc = four_goals()
     else:
         sc = random_case(random.Random(case))[0]
+
+    def ranked(sel):
+        return ([(c.goals, c.priority, c.attractiveness) for c in sel],
+                sel.indistinguishable)
+
     ids = sorted(sc.objects)
     for must in [None] + ids:
-        for max_size in (None, len(ids) - 1):
-            new = select_goal_sets(sc, ids, must, max_size)
-            old = old_select_goal_sets(sc, ids, must, max_size)
-            assert [(c.goals, c.priority, c.attractiveness) for c in new] \
-                == [(c.goals, c.priority, c.attractiveness) for c in old]
-            assert new.log == old.log
-            assert new.indistinguishable == old.indistinguishable
+        new = select_goal_sets(sc, ids, must)
+        old = old_select_goal_sets(sc, ids, must)
+        assert ranked(new) == ranked(old)
+        assert new.log == old.log
+        # a shrink ranks the proper subsets among the candidates its step
+        # priced, where the earlier selection priced them again
+        shrink = planner._rank(sc.lattice, [c for c in new.candidates
+                                            if len(c.goals) < len(ids)])
+        old = old_select_goal_sets(sc, ids, must, max_size=len(ids) - 1)
+        assert ranked(shrink) == ranked(old)
+        assert shrink.log == [line for line in old.log
+                              if not line.startswith("candidate ")]
+
+
+@pytest.mark.parametrize("mode,calls", [("practical", 59), ("strict", 51)])
+def test_cognition_prices_each_candidate_once(monkeypatch, mode, calls):
+    # a shrink re-ranks its step's candidates, so every priority the run
+    # computes is one candidate line of the trace
+    priced = []
+
+    def counted(sc, goals, eval_priority=planner.eval_priority):
+        priced.append(goals)
+        return eval_priority(sc, goals)
+    monkeypatch.setattr(planner, "eval_priority", counted)
+    trace = run_cognition(four_goals(), mode=mode)
+    assert trace.shrink_events
+    lines = [line for line in trace.decision_log
+             if line.startswith("  candidate ")]
+    assert len(priced) == len(lines) == calls
 
 
 def test_plan_header_counts_states_and_plays():
