@@ -56,13 +56,23 @@ def _not_json(constant):
     raise ValueError("%s is not a JSON value" % constant)
 
 
+def _object(pairs):
+    """A JSON object's dict; a key given twice raises ValueError naming
+    it, where json would keep its last value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        distinct((key for key, _ in pairs), "an object")
+    return out
+
+
 def parse_doc(raw, path):
     """The JSON object in raw, the bytes of the file at path, decoded as a
     text-mode open() decodes them; anything else, NaN and the infinities
-    included, raises UsageError naming path."""
+    and an object that repeats a key included, raises UsageError naming
+    path."""
     try:
         doc = json.load(io.TextIOWrapper(io.BytesIO(raw)),
-                        parse_constant=_not_json)
+                        parse_constant=_not_json, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         raise UsageError("%s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):

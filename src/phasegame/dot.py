@@ -12,7 +12,10 @@ def trace_to_dot(trace_doc, name="trace"):
     header = trace_doc["header"]
     grid = header["grid"]
     start = tuple(header["start"])
-    objects = {tuple(o["cell"]): o for o in header.get("objects", [])}
+    # each cell's label parts: every object on it, in header order
+    labels = {}
+    for o in header.get("objects", []):
+        labels.setdefault(tuple(o["cell"]), []).extend([o["id"], o["goal"]])
     walk = [start]
     for entry in trace_doc.get("entries", []):
         if entry.get("actor") == "system" and "position" in entry:
@@ -40,9 +43,7 @@ def trace_to_dot(trace_doc, name="trace"):
                 attrs.append("fillcolor=black")
                 attrs.append("label=\"\"")
             else:
-                parts = []
-                if cell in objects:
-                    parts += [objects[cell]["id"], objects[cell]["goal"]]
+                parts = list(labels.get(cell, []))
                 if cell == start:
                     parts.append("start")
                 # DOT reads the two characters \n in a label as a line break

@@ -5,11 +5,11 @@ object carries an ordered feature list; visibility reveals a distance-scaled
 prefix of it, so images of objects accumulate monotonically as the system
 moves.  Discovered goals are ranked through the goal phase structure, and
 the preferred goal set becomes a compound game: the movement game implying
-the tensor of per-goal reveal chains, held in ranked form (CompoundGame),
-int tables of its two factors that both its moves and the play search
-read.  A play maximizing the lattice-valued objective is chosen.  When the
-cells within the horizon cannot grow the joined images of the active goals
-the set shrinks, until a single goal saturates.
+the tensor of per-goal reveal chains, held in ranked form (CompoundGame):
+its vertices are ints that index the tables of its two factors.  A play
+maximizing the lattice-valued objective is chosen.  When the cells within
+the horizon cannot grow the joined images of the active goals the set
+shrinks, until a single goal saturates.
 """
 
 import json
@@ -18,9 +18,8 @@ from functools import reduce
 from itertools import combinations
 
 from .data import fields, load_doc, stem
-from .errors import (BadGrid, ForeignElement, HorizonEmpty,
-                     UnknownGoalElement, UsageError)
-from .games import PayoffGame, materialize, walk
+from .errors import BadGrid, HorizonEmpty, UnknownGoalElement, UsageError
+from .games import Game, PayoffGame, walk
 from .lattice import PowersetLattice
 from .phase import phase_from_doc
 
@@ -196,10 +195,16 @@ def select_goal_sets(sc, discovered, must_include=None):
     """Rank subsets of the discovered objects by goal-lattice priority.
 
     Prices every subset (holding must_include, if given) and ranks them
-    with _rank; the log lists each candidate, then the ranking.
+    with _rank; the log lists each candidate, then the ranking.  An id,
+    the anchor's included, that names no object raises UnknownGoalElement,
+    and an anchor outside discovered raises ValueError.
     """
     ids = sorted(discovered)
     attractiveness = {o.id: o.attractiveness for o in _goal_objects(sc, ids)}
+    if must_include is not None and must_include not in ids:
+        _goal_objects(sc, [must_include])
+        raise ValueError("anchor %r is not a discovered object"
+                         % (must_include,))
     candidates = []
     for size in range(1, len(ids) + 1):
         for combo in combinations(ids, size):
@@ -267,17 +272,18 @@ class _Movement:
 
 def _movement(sc, pos):
     """The movement game from pos, dualized and ranked: its vertices sorted
-    by the reprs of cell and tick, the rank of each vertex, and for each
-    polarity the successors of each vertex as ranks, in move order.
+    by the reprs of cell and tick, the rank of its root (pos, 0), and for
+    each polarity the successors of each vertex as ranks, in move order.
     Dualizing swaps the polarities, so Proponent steps at even ticks and
     Opponent ticks at odd ones."""
     vertices, edges = walk(_Movement(sc, pos, sc.horizon))
+    root = vertices[0]
     vertices.sort(key=lambda m: (repr(m[0]), repr(m[1])))
     rank = {v: i for i, v in enumerate(vertices)}
     succ = {pol: [[] for _ in vertices] for pol in ("O", "P")}
     for v, w, pol in edges:
         succ[pol][rank[v]].append(rank[w])
-    return vertices, rank, {"O": succ["P"], "P": succ["O"]}
+    return vertices, rank[root], {"O": succ["P"], "P": succ["O"]}
 
 
 def _chain(obj, lat, image):
@@ -316,23 +322,23 @@ class CompoundGame:
     """The game implication(movement, tensor of per-goal reveal chains),
     held as the ranked tables of its two factors.
 
-    A vertex is ((cell, tick), chains): implication dualizes the movement
-    game, so Proponent steps at even ticks and Opponent ticks at odd ones.
-    A goal's chain runs through (goal id, revealed count), advanced by
-    Opponent; tensoring left to right nests them as (g1, j1), then
-    ((g1, j1), (g2, j2)), and so on.  Every move advances the tick or one
-    count, so a vertex sits at depth tick + sum of counts.
+    The game's vertices are ints: v = m * nb + b for movement rank m,
+    chains rank b and nb = len(bverts) chains vertices, and vertex(v)
+    names v as the nested pair ((cell, tick), chains).  Implication
+    dualizes the movement game, so Proponent steps at even ticks and
+    Opponent ticks at odd ones.  A goal's chain runs through (goal id,
+    revealed count), advanced by Opponent; tensoring left to right nests
+    them as (g1, j1), then ((g1, j1), (g2, j2)), and so on.  Every move
+    advances the tick or one count, so a vertex sits at depth tick + sum
+    of counts.
 
     mverts lists the movement vertices by the reprs of cell and tick, and
     bverts the chains vertices by repr, the tensor of the per-goal chains
     each ranked by repr; msucc and bsucc give each rank's successor ranks
     per polarity.  A tuple's repr is prefix-free and an int's is followed
-    by "," or ")", below every digit, so m * len(bverts) + b for movement
-    rank m and chains rank b orders the compound vertices by repr.
-    moves(v, pol) and payoff(v) find the ranks of v's two parts, then read
-    these tables, moves in Tensor's order, movement moves first, building
-    the nested vertices as a walk reaches them; a v that is no vertex of
-    the game raises ForeignElement.
+    by "," or ")", below every digit, so the int order of the vertices is
+    the repr order of their names.  moves(v, pol) reads these tables in
+    Tensor's order, movement moves first.
 
     A payoff is a mask of the scenario's payoff lattice, the powerset of
     its feature universe: side[m], what the cell of movement rank m reveals
@@ -354,10 +360,9 @@ class CompoundGame:
         images = images or {}
         objs = _goal_objects(sc, goals)
         lat = sc.payoff_lattice
-        self.mverts, self._mrank, self.msucc = _movement(sc, pos)
+        self.mverts, mroot, self.msucc = _movement(sc, pos)
         self.bverts, self.bsucc, self.meet = reduce(_tensor, [
             _chain(o, lat, lat.mask(images.get(o.id, ()))) for o in objs])
-        self._brank = {v: i for i, v in enumerate(self.bverts)}
         seen = lat.mask(f for g in goals for f in images.get(g, ()))
         side = {}
         for cell, _ in self.mverts:
@@ -368,38 +373,36 @@ class CompoundGame:
                     else mask
         self.side = [side[cell] for cell, _ in self.mverts]
         # every chain's root (goal id, 0) has the smallest repr of its chain
-        self.root = ((pos, 0), self.bverts[0])
-
-    def _ranks(self, v):
-        try:
-            mv, bv = v
-            return self._mrank[mv], self._brank[bv]
-        except (KeyError, TypeError, ValueError):
-            raise ForeignElement("%r is not a vertex of the compound game"
-                                 % (v,)) from None
+        self.root = mroot * len(self.bverts)
 
     def moves(self, v, pol):
-        m, b = self._ranks(v)
-        mv, bv = v
-        return ([(self.mverts[x], bv) for x in self.msucc[pol][m]]
-                + [(mv, self.bverts[y]) for y in self.bsucc[pol][b]])
+        nb = len(self.bverts)
+        m, b = divmod(v, nb)
+        return ([x * nb + b for x in self.msucc[pol][m]]
+                + [v - b + y for y in self.bsucc[pol][b]])
 
     def payoff(self, v):
-        m, b = self._ranks(v)
+        m, b = divmod(v, len(self.bverts))
         return self.side[m] | self.meet[b]
+
+    def vertex(self, v):
+        m, b = divmod(v, len(self.bverts))
+        return self.mverts[m], self.bverts[b]
 
 
 def build_compound_game(sc, goals, position=None, mode="practical",
                         images=None):
-    """The CompoundGame materialized as a PayoffGame.
-
-    Its vertices are those reachable from the root by moves of either
-    polarity, and its payoffs are named in the scenario's payoff lattice.
-    """
+    """The CompoundGame listed as a PayoffGame on the names of its
+    vertices, in its walk order; every vertex is reachable from the root
+    by moves of either polarity.  Payoffs are named in the scenario's
+    payoff lattice."""
     game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
-    listed = materialize(game)
+    names = [(mv, bv) for mv in game.mverts for bv in game.bverts]
+    listed = Game(names, names[game.root], [
+        (names[v], names[w], pol) for v in range(len(names))
+        for pol in ("O", "P") for w in game.moves(v, pol)])
     lat = sc.payoff_lattice
-    k = {v: lat.name(game.payoff(v)) for v in listed.vertices}
+    k = {name: lat.name(game.payoff(v)) for v, name in enumerate(names)}
     return PayoffGame(listed, lat, k)
 
 
@@ -441,8 +444,8 @@ class Trace:
 
 
 def _search(game):
-    """The play of a CompoundGame with a maximal joined payoff, as (movement
-    rank, chains rank) pairs, with its objective mask, the number of states
+    """The play of a CompoundGame with a maximal joined payoff, as a list
+    of its int vertices, with its objective mask, the number of states
     explored and the number of plays ending with each objective size.
 
     A play's objective is the join of its vertex payoffs.  Plays whose
@@ -453,10 +456,10 @@ def _search(game):
     turn (tests pin it on two-digit coordinates and ticks).
 
     No play is listed, and no move of the game is asked for: the search
-    reads its ranked tables.  A compound vertex is the int m * nb + b for
-    movement rank m, chains rank b and nb chains vertices, and this int
-    order is the repr order.  Its successors follow Tensor's rule, one
-    coordinate moving, and its payoff is side[m] | meet[b].
+    reads its ranked tables, hoisting each layer's successor rows.  A
+    vertex is the int m * nb + b, whose order is the repr order of its
+    name; its successors follow Tensor's rule, one coordinate moving, and
+    its payoff is side[m] | meet[b].
 
     A breadth-first search runs over states (vertex, objective so far),
     packed as the int objective * nv + vertex for the exact vertex count
@@ -472,8 +475,7 @@ def _search(game):
     bsucc, meet = game.bsucc, game.meet
     nb = len(game.bverts)
     nv = len(game.mverts) * nb
-    m, b = game._ranks(game.root)
-    root = (side[m] | meet[b]) * nv + m * nb + b
+    root = game.payoff(game.root) * nv + game.root
     count = {root: 1}
     parent = {root: None}
     succ = {}
@@ -516,7 +518,7 @@ def _search(game):
     play = []
     s = best
     while s is not None:
-        play.append(divmod(s % nv, nb))
+        play.append(s % nv)
         s = parent[s]
     play.reverse()
     return play, best // nv, len(count), support
@@ -526,18 +528,16 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     """The play _search picks in the compound game, as a plan trace: an
     entry per move after the root, the play's vertices and objective, and
     its counts of states and plays in the header and the decision log."""
-    if position is None:
-        position = sc.start
     game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
     play, objective, states, support = _search(game)
+    named = [game.vertex(v) for v in play]
     lat = sc.payoff_lattice
-    mverts, bverts, side, meet = game.mverts, game.bverts, game.side, game.meet
     plays = sum(support.values())
     trace = Trace({
         "kind": "plan",
         "scenario": sc.name,
         "mode": mode,
-        "position": list(position),
+        "position": list(named[0][0][0]),
         "goals": sorted(goals),
         "objective_lattice": "powerset of %d features" % len(sc.universe),
         "states": states,
@@ -552,11 +552,11 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
         trace.log("tie-broken by length, then move order")
 
     running = 0
-    for i, (m, b) in enumerate(play):
-        cell = mverts[m][0]
-        running |= side[m] | meet[b]
+    for i, v in enumerate(play):
+        running |= game.payoff(v)
         if i == 0:
             continue
+        cell = named[i][0][0]
         actor = "environment" if (i - 1) % 2 == 0 else "system"
         vis = visible_rewards(sc, cell)
         trace.entries.append({
@@ -565,10 +565,10 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
             "rewards": {g: sorted(vis[g]) for g in sorted(goals)},
             "objective_so_far": lat.members(running),
         })
-    trace.final_play = [_vertex_doc((mverts[m], bverts[b])) for m, b in play]
+    trace.final_play = [_vertex_doc(v) for v in named]
     trace.objective = lat.members(objective)
 
-    reached = {mverts[m][0] for m, _ in play}
+    reached = {cell for (cell, _), _ in named}
     for g in goals:
         obj = sc.objects[g]
         if obj.cell not in reached:
@@ -708,7 +708,7 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
             continue
 
         play, objective, _, _ = _search(game)
-        cells = [game.mverts[m][0] for m, _ in play]
+        cells = [game.vertex(v)[0][0] for v in play]
         move_to = next((cell for cell in cells if cell != pos), None)
         if move_to is None:
             trace.log("step %d: plan holds position" % steps)

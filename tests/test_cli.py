@@ -217,6 +217,28 @@ def test_dot_start_label_keeps_the_object_id():
         r'  c_2_1 [pos="2,0!", label=""];']
 
 
+def test_dot_labels_every_object_on_a_shared_cell(tmp_path):
+    # objects sharing a cell are listed in header order, each by id and
+    # goal, then "start"; obj_b1 moves onto obj_b2's cell
+    doc = read_json(data_path("four_goals_scenario.json"))
+    moved = next(o for o in doc["objects"] if o["id"] == "obj_b1")
+    shared = next(o for o in doc["objects"] if o["id"] == "obj_b2")["cell"]
+    moved["cell"] = shared
+    scenario = tmp_path / "shared.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["simulate", str(scenario), "--quiet", "--emit", "dot",
+                 "--out-dir", str(tmp_path)]) == 0
+    dot = (tmp_path / "shared_trace.dot").read_text()
+    assert r'  c_%d_%d [pos="%d,%d!", label="obj_b1\nJ1a\nobj_b2\nb2"];' % (
+        shared[0], shared[1], shared[0], len(doc["grid"]) - 1 - shared[1]) \
+        in dot.splitlines()
+    header = {"grid": ["."], "start": [0, 0],
+              "objects": [{"id": "z", "cell": [0, 0], "goal": "g1"},
+                          {"id": "a", "cell": [0, 0], "goal": "g2"}]}
+    assert r'label="z\ng1\na\ng2\nstart"' in trace_to_dot(
+        {"header": header, "entries": []})
+
+
 def test_dot_graph_name_is_quoted(tmp_path):
     # a bare DOT ID cannot hold a hyphen, so the stem is always quoted
     scenario = tmp_path / "my-scenario.json"
@@ -340,6 +362,19 @@ def _edited(name, edit, verb_argv):
         edit(doc)
         path = tmp_path / name
         path.write_text(json.dumps(doc))
+        return [a.format(path, tmp_path) for a in verb_argv]
+    return make
+
+
+def _respelled(name, old, new, verb_argv):
+    """A verb reading a copy of a shipped document whose text has old
+    replaced by new once."""
+    def make(tmp_path):
+        with open(data_path(name)) as fh:
+            text = fh.read()
+        assert text.count(old) == 1
+        path = tmp_path / name
+        path.write_text(text.replace(old, new))
         return [a.format(path, tmp_path) for a in verb_argv]
     return make
 
@@ -487,6 +522,11 @@ MALFORMED = [
     ("attractiveness_minus_infinity",
      _edited("four_goals_scenario.json",
              _object(attractiveness=float("-inf")), SIMULATE), 2),
+    # json keeps the last of two values for one key, which would run
+    # this scenario at horizon 0
+    ("repeated_key",
+     _respelled("tiny_scenario.json", '"horizon": 1,',
+                '"horizon": 1, "horizon": 0,', SIMULATE), 2),
     # a one-cell scenario builds no compound game, so nothing else would
     # catch a feature that cannot name a subset
     ("tiny_feature_comma",
@@ -588,6 +628,7 @@ NAMED = {
                                "JSON value",
     "attractiveness_minus_infinity": "four_goals_scenario.json: -Infinity is "
                                      "not a JSON value",
+    "repeated_key": "tiny_scenario.json: an object names 'horizon' twice",
     "tiny_feature_comma": "universe members must be nonempty and contain "
                           "no commas",
     "tiny_feature_empty": "universe members must be nonempty and contain "

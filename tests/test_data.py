@@ -10,6 +10,7 @@ import pytest
 
 from phasegame.cli import main
 from phasegame.data import data_path, load_doc, product_rows, stem
+from phasegame.errors import UsageError
 from phasegame.lattice import chain, load_lattice
 from phasegame.phase import load_phase
 from phasegame.planner import load_scenario, run_cognition
@@ -64,6 +65,22 @@ def test_load_doc_rejects_non_object(tmp_path, top):
     path.write_text(top)
     with pytest.raises(ValueError, match="not_an_object.json"):
         load_doc(str(path))
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"a": 1, "a": 1}', "a"),
+    ('{"a": {"b": [], "c": 0, "b": []}}', "b"),
+    ('{"objects": [{"id": "x", "goal": "e", "id": "y"}]}', "id")])
+def test_load_doc_rejects_a_repeated_key(tmp_path, text, key):
+    # at any depth, even with equal values; a key repeated only across
+    # objects is fine
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(UsageError, match="repeated.json: an object names "
+                                         "%r twice" % key):
+        load_doc(str(path))
+    path.write_text('{"a": {"b": 1}, "c": {"b": 2}}')
+    assert load_doc(str(path))[0] == {"a": {"b": 1}, "c": {"b": 2}}
 
 
 def test_stem_names_a_reference():

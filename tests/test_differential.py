@@ -27,7 +27,8 @@ whose traces plan_play must reproduce on seeded scenarios with two-digit
 coordinates and ticks and with object ids that share a prefix or hold
 quotes and commas; so are the earlier compound game, composed of the
 movement game and the per-goal chain Games, whose listing and payoffs the
-ranked CompoundGame must reproduce, and the earlier goal-set selection,
+ranked CompoundGame must reproduce, as must copycat on its int vertices
+once named, and the earlier goal-set selection,
 whose pairwise maximality test select_goal_sets must match on every
 anchor, and the earlier saturation check of a cognition step (the features
 visible from the movement ball against the joined images), which the
@@ -93,9 +94,9 @@ from phasegame.phase import (
 )
 from phasegame.planner import (CompoundGame, GoalProcessSet, Selection,
                                Trace, _Movement, _check_mode, _goal_objects,
-                               _step_game, _vertex_doc, eval_priority,
-                               load_scenario, plan_play, run_cognition,
-                               visible_rewards)
+                               _step_game, _vertex_doc, build_compound_game,
+                               eval_priority, load_scenario, plan_play,
+                               run_cognition, visible_rewards)
 from phasegame.solver import solve_table
 from phasegame.subset_oracle import (all_commutative_monoids, cyclic_monoid,
                                      monoid_from_doc, oracle_report)
@@ -1247,7 +1248,8 @@ def test_plays_match_the_earlier_walkers_on_chain_tensors(length):
 def old_plan_play(sc, goals, mode="practical", position=None, images=None):
     if position is None:
         position = sc.start
-    game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
+    game = OldCompoundGame(sc, goals, position=position, mode=mode,
+                           images=images)
     lat = sc.payoff_lattice
 
     trace = Trace({
@@ -1523,6 +1525,33 @@ def old_build_compound_game(sc, goals, position=None, mode="practical",
     lat = sc.payoff_lattice
     k = {v: lat.name(game.payoff(v)) for v in listed.vertices}
     return PayoffGame(listed, lat, k)
+
+
+def one_goal_scenario(features, start):
+    """Two cells at horizon 1, with one goal obj_x on the second."""
+    return load_scenario({
+        "name": "inline", "grid": [".."], "start": list(start),
+        "horizon": 1, "goal_phase": "data:goal_phase.json",
+        "free_move_goal": "a", "objects": [
+            {"id": "obj_x", "cell": [1, 0], "features": features,
+             "goal": "e"}]})
+
+
+@pytest.mark.parametrize("features,start", [(["f1"], (0, 0)),
+                                            (["f1", "f2"], (0, 0)),
+                                            (["f1"], (1, 0))])
+def test_compound_copycat_on_int_vertices_names_the_listed_copycat(
+        features, start):
+    # copycat on the CompoundGame's int vertices, each named through
+    # vertex, is copycat on the listing build_compound_game names, and on
+    # the earlier compound game
+    sc = one_goal_scenario(features, start)
+    game = CompoundGame(sc, ["obj_x"])
+    named = {tuple((game.vertex(a), game.vertex(b)) for a, b in p)
+             for p in copycat(game).plays}
+    listed = copycat(build_compound_game(sc, ["obj_x"]).game).plays
+    assert len(listed) > 1
+    assert named == listed == copycat(OldCompoundGame(sc, ["obj_x"])).plays
 
 
 # the earlier goal-set selection ----------------------------------------

@@ -10,11 +10,10 @@ from conftest import random_strategy
 from test_differential import (Listed, assert_unfolds_as_before,
                                old_build_compound_game, old_dual_game,
                                old_select_goal_sets, old_tensor_game,
-                               wide_plan_case)
+                               one_goal_scenario, wide_plan_case)
 from phasegame import planner
 from phasegame.data import load_doc
-from phasegame.errors import (BadGrid, ForeignElement, HorizonEmpty,
-                              UnknownGoalElement)
+from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
 from phasegame.games import (Dual, Game, Tensor, compose_strategies,
                              copycat, implication, walk)
 from phasegame.phase import phase_from_doc
@@ -306,11 +305,22 @@ def test_empty_goal_list_rejected(build):
         build(four_goals(), [])
 
 
+def _select_anchored(sc, goals):
+    """select_goal_sets over goals[:-1], anchored at goals[-1]."""
+    return select_goal_sets(sc, goals[:-1], must_include=goals[-1])
+
+
 @pytest.mark.parametrize("call", [CompoundGame, build_compound_game,
-                                  plan_play, eval_priority, select_goal_sets])
+                                  plan_play, eval_priority, select_goal_sets,
+                                  _select_anchored])
 def test_unknown_goal_id_is_named(call):
     with pytest.raises(UnknownGoalElement, match="'nope'"):
         call(four_goals(), ["obj_e", "nope"])
+    if call is _select_anchored:
+        # an object's id, but not a discovered one
+        with pytest.raises(ValueError, match="anchor 'obj_b2' is not a "
+                                             "discovered object"):
+            call(four_goals(), ["obj_e", "obj_b2"])
 
 
 @pytest.mark.parametrize("call", [CompoundGame, build_compound_game,
@@ -536,46 +546,16 @@ def test_compound_game_is_listed_in_walk_order():
     for sc, goals, position, images in cases:
         pg = build_compound_game(sc, goals, position=position, images=images)
         game = CompoundGame(sc, goals, position=position, images=images)
-        assert (pg.game.vertices, pg.game.edges) == walk(game)
-
-
-def test_compound_game_takes_equal_vertices_from_anywhere():
-    # moves and payoff read a vertex's value, not where it was built
-    sc, goals = four_goals(), ["obj_e", "obj_b2"]
-    game = CompoundGame(sc, goals)
-    vertices, _ = walk(game)
-    other = CompoundGame(sc, goals)
-    for v in vertices:
-        copy = eval(repr(v))
-        for pol in ("O", "P"):
-            assert other.moves(copy, pol) == game.moves(v, pol)
-        assert other.payoff(copy) == game.payoff(v)
-
-
-@pytest.mark.parametrize("vertex", [
-    (((9, 9), 0), (("obj_e", 0), ("obj_b2", 0))),
-    (((4, 3), 0), (("obj_e", 9), ("obj_b2", 0))),
-    (((4, 3), 0), ("obj_e", 0)),
-    ((4, 3), 0),
-    (([4, 3], 0), (("obj_e", 0), ("obj_b2", 0))),
-])
-def test_compound_game_names_a_foreign_vertex(vertex):
-    game = CompoundGame(four_goals(), ["obj_e", "obj_b2"])
-    with pytest.raises(ForeignElement, match="not a vertex of the compound"):
-        game.moves(vertex, "O")
-    with pytest.raises(ForeignElement, match="not a vertex of the compound"):
-        game.payoff(vertex)
+        vertices, edges = walk(game)
+        assert pg.game.vertices == [game.vertex(v) for v in vertices]
+        assert pg.game.edges == [(game.vertex(v), game.vertex(w), pol)
+                                 for v, w, pol in edges]
 
 
 def one_goal_game(features, start):
     """A one-goal CompoundGame on two cells at horizon 1: 3 movement
     vertices times the goal's len(features) + 1 reveal counts."""
-    doc = base_doc()
-    doc["grid"] = [".."]
-    doc["start"] = list(start)
-    doc["objects"] = [{"id": "obj_x", "cell": [1, 0], "features": features,
-                       "goal": "e"}]
-    return CompoundGame(load_scenario(doc), ["obj_x"])
+    return CompoundGame(one_goal_scenario(features, start), ["obj_x"])
 
 
 @pytest.mark.parametrize("features", [["f1"], ["f1", "f2"]])
@@ -631,10 +611,8 @@ def test_factor_ranks_order_the_compound_game_by_repr(seed):
             sorted((i, j, pol) for pol, rows in succ.items()
                    for i, row in enumerate(rows) for j in row)
     nv = len(mverts) * len(bverts)
-    pairs = rng.sample(range(nv), min(nv, 2000))
-    vertex = {i: (mverts[i // len(bverts)], bverts[i % len(bverts)])
-              for i in pairs}
-    assert sorted(pairs) == sorted(pairs, key=lambda i: repr(vertex[i]))
+    assert sorted(range(nv), key=lambda v: repr(game.vertex(v))) == \
+        list(range(nv))
 
 
 def count_moves(monkeypatch):
