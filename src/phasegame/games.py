@@ -9,10 +9,14 @@ with payoffs combined by meet and by Heyting implication respectively.
 Any object with a root and moves(v, pol) is a game: Dual, Tensor and
 implication compose such games lazily, walk lists any game breadth-first,
 and a Game is that walked listing, in one vertex order (see materialize).
+ranked lists a game by the reprs of its vertices, as ints that index
+successor tables, and ranked_tensor is Tensor on that form.
 A strategy is a set of plays.  One breadth-first unfolding of plays against
 a response (_unfold) lists the maximal plays of a strategy, copycat, and
 the composite of two strategies with the middle game hidden.
 """
+
+from collections import namedtuple
 
 from .errors import (
     ComponentMismatch,
@@ -117,6 +121,40 @@ class Tensor:
 
 def implication(a, b):
     return Tensor(Dual(a), b)
+
+
+Ranked = namedtuple("Ranked", "vertices root succ")
+
+
+def ranked(game):
+    """Any game, walked and ranked: its vertices sorted by repr, the rank
+    of its root, and for each polarity the successors of each rank as
+    ranks, in move order."""
+    vertices, edges = walk(game)
+    vertices.sort(key=repr)
+    rank = {v: i for i, v in enumerate(vertices)}
+    succ = {pol: [[] for _ in vertices] for pol in _POLS}
+    for v, w, pol in edges:
+        succ[pol][rank[v]].append(rank[w])
+    return Ranked(vertices, rank[game.root], succ)
+
+
+def ranked_tensor(a, b):
+    """The Tensor of two ranked games, ranked: the pair of ranks (i, j) is
+    rank i * nb + j for nb = len(b.vertices), named (a.vertices[i],
+    b.vertices[j]), and a move changes one coordinate, a's moves first.
+
+    When both factors list their vertices by repr, so does the tensor: a
+    tuple's or a string's repr is prefix-free, and an int's is followed in
+    a pair's repr by "," or ")", below every digit, so comparing the reprs
+    of two pairs compares the reprs of their first coordinates, then of
+    their second ones."""
+    nb = len(b.vertices)
+    succ = {pol: [[x * nb + j for x in arow] + [i * nb + y for y in brow]
+                  for i, arow in enumerate(a.succ[pol])
+                  for j, brow in enumerate(b.succ[pol])] for pol in _POLS}
+    return Ranked([(u, w) for u in a.vertices for w in b.vertices],
+                  a.root * nb + b.root, succ)
 
 
 def materialize(game):

@@ -14,12 +14,12 @@ shrinks, until a single goal saturates.
 
 import json
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
-from .data import fields, load_doc, stem
+from .data import distinct, fields, load_doc, stem
 from .errors import BadGrid, HorizonEmpty, UnknownGoalElement, UsageError
-from .games import Game, PayoffGame, walk
+from .games import Dual, Game, PayoffGame, ranked, ranked_tensor
 from .lattice import PowersetLattice
 from .phase import phase_from_doc
 
@@ -145,9 +145,9 @@ def visible_rewards(sc, pos):
 
 def _goal_objects(sc, goals):
     """The scene objects with the ids in goals, in order; an id that names
-    no object raises UnknownGoalElement."""
+    no object raises UnknownGoalElement, and a repeated id UsageError."""
     try:
-        return [sc.objects[g] for g in goals]
+        return [sc.objects[g] for g in distinct(goals, "the goal list")]
     except KeyError as exc:
         raise UnknownGoalElement(
             "no object has the id %r" % (exc.args[0],)) from None
@@ -163,11 +163,7 @@ def eval_priority(sc, goals):
     if not goals:
         raise ValueError("goals must not be empty")
     ps = sc.phase
-    els = _as_elements(sc, goals)
-    folded = els[0]
-    for el in els[1:]:
-        folded = ps.mult(folded, el)
-    return ps.impl(sc.free_move_goal, folded)
+    return ps.impl(sc.free_move_goal, reduce(ps.mult, _as_elements(sc, goals)))
 
 
 class GoalProcessSet:
@@ -270,47 +266,24 @@ class _Movement:
         return [(cell, t + 1)]
 
 
+class _Chain:
+    """A goal's reveal chain: Opponent reveals one more feature of obj at
+    each move, from (obj id, 0) to (obj id, n)."""
+
+    def __init__(self, obj):
+        self.root = (obj.id, 0)
+        self._n = len(obj.features)
+
+    def moves(self, v, pol):
+        return [(v[0], v[1] + 1)] if pol == "O" and v[1] < self._n else []
+
+
+@lru_cache(maxsize=1)
 def _movement(sc, pos):
-    """The movement game from pos, dualized and ranked: its vertices sorted
-    by the reprs of cell and tick, the rank of its root (pos, 0), and for
-    each polarity the successors of each vertex as ranks, in move order.
-    Dualizing swaps the polarities, so Proponent steps at even ticks and
-    Opponent ticks at odd ones."""
-    vertices, edges = walk(_Movement(sc, pos, sc.horizon))
-    root = vertices[0]
-    vertices.sort(key=lambda m: (repr(m[0]), repr(m[1])))
-    rank = {v: i for i, v in enumerate(vertices)}
-    succ = {pol: [[] for _ in vertices] for pol in ("O", "P")}
-    for v, w, pol in edges:
-        succ[pol][rank[v]].append(rank[w])
-    return vertices, rank[root], {"O": succ["P"], "P": succ["O"]}
-
-
-def _chain(obj, lat, image):
-    """A goal's reveal chain, ranked by repr: its vertices (goal id, count),
-    the successor ranks of each per polarity (Opponent reveals one more
-    feature), and the revealed prefix of each joined with the image."""
-    n = len(obj.features)
-    counts = sorted(range(n + 1), key=lambda j: repr((obj.id, j)))
-    rank = {j: i for i, j in enumerate(counts)}
-    return ([(obj.id, j) for j in counts],
-            {"O": [[rank[j + 1]] if j < n else [] for j in counts],
-             "P": [[] for _ in counts]},
-            [lat.mask(obj.features[:j]) | image for j in counts])
-
-
-def _tensor(f, g):
-    """The ranked tensor of two ranked chains: pair (i, j) of ranks is rank
-    i * len(g's vertices) + j, a move changes one coordinate, and a pair's
-    prefix mask is the meet of its coordinates' masks."""
-    (fv, fs, fk), (gv, gs, gk) = f, g
-    n = len(gv)
-    return ([(a, b) for a in fv for b in gv],
-            {pol: [[x * n + j for x in fr] + [i * n + y for y in gr]
-                   for i, fr in enumerate(fs[pol])
-                   for j, gr in enumerate(gs[pol])]
-             for pol in fs},
-            [a & b for a in fk for b in gk])
+    """The movement game from pos, dualized and ranked.  One slot: a
+    cognition step's shrinks and saturation checks at one position share
+    its walk."""
+    return ranked(Dual(_Movement(sc, pos, sc.horizon)))
 
 
 def _check_mode(mode):
@@ -320,25 +293,23 @@ def _check_mode(mode):
 
 class CompoundGame:
     """The game implication(movement, tensor of per-goal reveal chains),
-    held as the ranked tables of its two factors.
+    held as the ranked tables (games.ranked) of its two factors.
 
-    The game's vertices are ints: v = m * nb + b for movement rank m,
-    chains rank b and nb = len(bverts) chains vertices, and vertex(v)
-    names v as the nested pair ((cell, tick), chains).  Implication
-    dualizes the movement game, so Proponent steps at even ticks and
-    Opponent ticks at odd ones.  A goal's chain runs through (goal id,
-    revealed count), advanced by Opponent; tensoring left to right nests
-    them as (g1, j1), then ((g1, j1), (g2, j2)), and so on.  Every move
-    advances the tick or one count, so a vertex sits at depth tick + sum
-    of counts.
+    The movement factor is the dual of _Movement from the position, so
+    Proponent steps at even ticks and Opponent ticks at odd ones.  A goal's
+    chain (_Chain) runs through (goal id, revealed count), advanced by
+    Opponent; the chains factor is their ranked_tensor, left to right,
+    which nests them as (g1, j1), then ((g1, j1), (g2, j2)), and so on.
+    Every move advances the tick or one count, so a vertex sits at depth
+    tick + sum of counts.
 
-    mverts lists the movement vertices by the reprs of cell and tick, and
-    bverts the chains vertices by repr, the tensor of the per-goal chains
-    each ranked by repr; msucc and bsucc give each rank's successor ranks
-    per polarity.  A tuple's repr is prefix-free and an int's is followed
-    by "," or ")", below every digit, so the int order of the vertices is
-    the repr order of their names.  moves(v, pol) reads these tables in
-    Tensor's order, movement moves first.
+    mverts and bverts list each factor's vertices by repr, and msucc and
+    bsucc give each rank's successor ranks per polarity.  The game's
+    vertices are the ranks of their ranked_tensor, the ints v = m * nb + b
+    for movement rank m, chains rank b and nb = len(bverts), so their int
+    order is the repr order of their names.  vertex(v) names v as the
+    nested pair ((cell, tick), chains), and moves(v, pol) reads the tables
+    in Tensor's order, movement moves first.
 
     A payoff is a mask of the scenario's payoff lattice, the powerset of
     its feature universe: side[m], what the cell of movement rank m reveals
@@ -361,8 +332,11 @@ class CompoundGame:
         objs = _goal_objects(sc, goals)
         lat = sc.payoff_lattice
         self.mverts, mroot, self.msucc = _movement(sc, pos)
-        self.bverts, self.bsucc, self.meet = reduce(_tensor, [
-            _chain(o, lat, lat.mask(images.get(o.id, ()))) for o in objs])
+        chains = [ranked(_Chain(o)) for o in objs]
+        self.bverts, broot, self.bsucc = reduce(ranked_tensor, chains)
+        self.meet = reduce(lambda f, g: [x & y for x in f for y in g], [
+            [lat.mask(o.features[:j]) | lat.mask(images.get(o.id, ()))
+             for _, j in c.vertices] for o, c in zip(objs, chains)])
         seen = lat.mask(f for g in goals for f in images.get(g, ()))
         side = {}
         for cell, _ in self.mverts:
@@ -372,8 +346,7 @@ class CompoundGame:
                 side[cell] = lat.complement(mask) if mode == "strict" \
                     else mask
         self.side = [side[cell] for cell, _ in self.mverts]
-        # every chain's root (goal id, 0) has the smallest repr of its chain
-        self.root = mroot * len(self.bverts)
+        self.root = mroot * len(self.bverts) + broot
 
     def moves(self, v, pol):
         nb = len(self.bverts)
@@ -452,14 +425,13 @@ def _search(game):
     objective has the largest support win; in a powerset such an objective
     is maximal, since no other set strictly contains it.  Ties fall to
     shorter plays, then to lexical move order: the repr order of the
-    vertices, which compares the reprs of their cell, tick and chains in
-    turn (tests pin it on two-digit coordinates and ticks).
+    vertices (tests pin it on two-digit coordinates and ticks).
 
     No play is listed, and no move of the game is asked for: the search
     reads its ranked tables, hoisting each layer's successor rows.  A
     vertex is the int m * nb + b, whose order is the repr order of its
-    name; its successors follow Tensor's rule, one coordinate moving, and
-    its payoff is side[m] | meet[b].
+    name (see games.ranked_tensor); its successors follow Tensor's rule,
+    one coordinate moving, and its payoff is side[m] | meet[b].
 
     A breadth-first search runs over states (vertex, objective so far),
     packed as the int objective * nv + vertex for the exact vertex count
@@ -598,7 +570,8 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
 
     Images of objects only ever grow (by join with what is visible).  A
     planning step builds one compound game of the active goals.  When no
-    cell within the horizon can add anything to their joined images, the
+    cell within the horizon can add anything to their joined images, or
+    the step revisits the position, pool and images of an earlier one, the
     active set shrinks; the run completes when a single goal saturates,
     else it stops at max_steps with the step_limit flag.  Otherwise the
     system moves to the first new cell of the game's searched play.
@@ -627,6 +600,7 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
     pos = sc.start
     images = {oid: frozenset() for oid in sc.objects}
     dropped = set()
+    visited = set()     # (position, pool, images) of each non-wander step
 
     def reveal(where):
         vis = visible_rewards(sc, where)
@@ -685,7 +659,16 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
         trace.log("  active set {%s} priority %s"
                   % (",".join(active), selection[0].priority))
 
-        game = _step_game(sc, active, pos, mode, images)
+        # a non-wander step is a function of this state, so a repeat of it
+        # would repeat every step since, and the run would never complete
+        state = (pos, tuple(pool), frozenset(images.items()))
+        if state in visited:
+            trace.log("step %d: revisit of %s with the same pool and images: "
+                      "a cycle" % (steps, list(pos)))
+            game = None
+        else:
+            visited.add(state)
+            game = _step_game(sc, active, pos, mode, images)
         if game is None:
             if len(active) == 1:
                 trace.log("step %d: single goal %s saturated; run complete"

@@ -295,6 +295,26 @@ def test_simulate_strict_termination_fails(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("mode", ["practical", "strict"])
+def test_simulate_strict_termination_passes_a_former_cycle(tmp_path, mode):
+    # the system stepped to [10, 11] and back to [10, 10] until the step
+    # limit; the revisit of [10, 10] now saturates the single goal
+    doc = {"name": "cycle", "grid": ["." * 21] * 21, "start": [10, 10],
+           "horizon": 3, "goal_phase": "data:goal_phase.json",
+           "free_move_goal": "a",
+           "objects": [{"id": "o", "cell": [8, 10], "features": ["x", "y"],
+                        "goal": "b2"}]}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["simulate", str(path), "--mode", mode, "--max-steps", "8",
+               "--out-dir", str(tmp_path), "--strict-termination"])
+    assert rc == 0
+    trace = read_json(tmp_path / "cycle_trace.json")
+    assert trace["complete"] and trace["header"]["steps_taken"] == 2
+    assert "step 2: revisit of [10, 10] with the same pool and images: " \
+        "a cycle" in trace["decision_log"]
+
+
 # oracle -----------------------------------------------------------------
 
 def test_oracle_passes_shipped_monoids(capsys):

@@ -13,9 +13,11 @@ from test_differential import (Listed, assert_unfolds_as_before,
                                one_goal_scenario, wide_plan_case)
 from phasegame import planner
 from phasegame.data import load_doc
-from phasegame.errors import BadGrid, HorizonEmpty, UnknownGoalElement
-from phasegame.games import (Dual, Game, Tensor, compose_strategies,
-                             copycat, implication, walk)
+from phasegame.errors import (BadGrid, HorizonEmpty, UnknownGoalElement,
+                              UsageError)
+from phasegame.games import (Dual, Game, PayoffGame, Tensor,
+                             compose_strategies, copycat, implication,
+                             materialize, payoff_implication, walk)
 from phasegame.phase import phase_from_doc
 from phasegame.planner import (_Movement, _vertex_doc,
                                CompoundGame, build_compound_game,
@@ -324,6 +326,15 @@ def test_unknown_goal_id_is_named(call):
 
 
 @pytest.mark.parametrize("call", [CompoundGame, build_compound_game,
+                                  plan_play, eval_priority, select_goal_sets,
+                                  _select_anchored])
+def test_repeated_goal_id_is_named(call):
+    # a repeat would tensor its chain twice, or list a candidate twice
+    with pytest.raises(UsageError, match="the goal list names 'obj_e' twice"):
+        call(four_goals(), ["obj_e", "obj_e", "obj_b1"])
+
+
+@pytest.mark.parametrize("call", [CompoundGame, build_compound_game,
                                   plan_play])
 @pytest.mark.parametrize("position", [(2, 0), (-1, 0), (99, 99)])
 def test_impassable_position_rejected(call, position):
@@ -540,6 +551,44 @@ def test_compound_game_matches_product_construction(seed):
         assert pg.k == {v: ",".join(sorted(val)) for v, val in k.items()}
 
 
+def chain_games(sc, goals):
+    """Each goal's reveal chain, listed as a Game."""
+    return [Game([(g, j) for j in range(len(sc.objects[g].features) + 1)],
+                 (g, 0), [((g, j), (g, j + 1), "O")
+                          for j in range(len(sc.objects[g].features))])
+            for g in goals]
+
+
+def chain_counts(b):
+    """The (goal id, count) coordinates of a chains vertex, left to right."""
+    return [b] if isinstance(b[0], str) else chain_counts(b[0]) + [b[1]]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_strict_payoff_is_the_games_layer_implication(seed):
+    # strict mode is payoff_implication from the movement game, paying what
+    # a cell shows joined with the images, to the tensor of the chains,
+    # paying the meet of each revealed prefix joined with its image
+    sc, goals, position, images = random_case(random.Random(seed))
+    lat = sc.payoff_lattice
+    seen = lat.mask(f for g in goals for f in images.get(g, ()))
+    movement = materialize(_Movement(sc, position, sc.horizon))
+    shows = PayoffGame(movement, lat, {v: lat.name(seen | lat.mask(
+        f for g in goals for f in visible_rewards(sc, v[0])[g]))
+        for v in movement.vertices})
+    chains = materialize(functools.reduce(Tensor, chain_games(sc, goals)))
+    meets = PayoffGame(chains, lat, {b: lat.name(functools.reduce(
+        int.__and__, [lat.mask(sc.objects[g].features[:j])
+                      | lat.mask(images.get(g, ()))
+                      for g, j in chain_counts(b)]))
+        for b in chains.vertices})
+    impl = payoff_implication(shows, meets)
+    pg = build_compound_game(sc, goals, position, "strict", images)
+    assert impl.game.root == pg.game.root
+    assert set(impl.game.edges) == set(pg.game.edges)
+    assert impl.k == pg.k
+
+
 def test_compound_game_is_listed_in_walk_order():
     cases = [(four_goals(), ["obj_e", "obj_b2"], None, None)]
     cases += [random_case(random.Random(100 + seed)) for seed in range(3)]
@@ -597,13 +646,10 @@ def test_factor_ranks_order_the_compound_game_by_repr(seed):
     sc, goals, position, images = wide_plan_case(rng)
     game = CompoundGame(sc, goals, position, images=images)
     mverts, bverts = game.mverts, game.bverts
-    chains = [Game([(g, j) for j in range(len(sc.objects[g].features) + 1)],
-                   (g, 0), [((g, j), (g, j + 1), "O")
-                            for j in range(len(sc.objects[g].features))])
-              for g in goals]
     for factor, verts, succ in [
             (Dual(_Movement(sc, position, sc.horizon)), mverts, game.msucc),
-            (functools.reduce(Tensor, chains), bverts, game.bsucc)]:
+            (functools.reduce(Tensor, chain_games(sc, goals)), bverts,
+             game.bsucc)]:
         walked, edges = walk(factor)
         assert verts == sorted(walked, key=repr)
         rank = {v: i for i, v in enumerate(verts)}
@@ -633,7 +679,7 @@ def test_plan_search_asks_no_move_of_the_compound_game(monkeypatch):
     nm = len(walk(_Movement(sc, sc.start, sc.horizon))[0])
     calls = count_moves(monkeypatch)
     plan = plan_play(sc, goals)
-    assert calls == {"_Movement": 2 * nm}
+    assert calls == {"Dual": 2 * nm, "_Movement": 2 * nm}
     assert plan.header["states"] > 2 * nm
 
 
@@ -646,27 +692,28 @@ def test_cognition_step_walks_the_movement_game_once(monkeypatch):
     assert trace.header["steps_taken"] == 1
     assert any(e.get("move") != "wander" for e in trace.entries
                if e["actor"] == "system")
-    assert calls == {"_Movement": 2 * nm}
+    assert calls == {"Dual": 2 * nm, "_Movement": 2 * nm}
 
 
 def test_cognition_walks_the_movement_game_once_per_active_set(monkeypatch):
-    # each compound game walks the movement game from its position: a step
-    # that moves builds one, and a saturation check after a shrink builds
-    # another at the same position, with the smaller active set
+    # a step that moves walks the movement game from the cell it leaves;
+    # the shrinks and the completing check at the final position share
+    # that position's walk, so there is one walk per position
     walked = []
 
-    def counted(sc, pos, _movement=planner._movement):
-        walked.append(pos)
-        return _movement(sc, pos)
-    monkeypatch.setattr(planner, "_movement", counted)
+    class Counted(planner._Movement):
+        def __init__(self, sc, pos, radius):
+            walked.append(pos)
+            super().__init__(sc, pos, radius)
+    monkeypatch.setattr(planner, "_Movement", Counted)
     trace = run_cognition(four_goals())
     moved = [e for e in trace.entries
              if e["actor"] == "system" and e["move"] != "wander"]
     assert trace.complete
     assert (len(moved), len(trace.shrink_events)) == (6, 2)
-    assert len(walked) == len(moved) + len(trace.shrink_events) + 1 == 9
-    assert walked[:len(moved)] == [tuple(e["move"][0]) for e in moved]
-    assert len(set(walked[len(moved):])) == 1
+    assert len(walked) == len(moved) + 1 == 7
+    assert walked == [tuple(e["move"][0]) for e in moved] + [
+        tuple(moved[-1]["move"][1])]
 
 
 @pytest.mark.parametrize("case", ["four_goals"] + list(range(24)))
@@ -809,6 +856,22 @@ def test_images_grow_monotonically(case):
         for oid, feats in entry["images"].items():
             assert set(feats) >= set(last.get(oid, set())), oid
             last[oid] = feats
+
+
+@pytest.mark.parametrize("mode", ["practical", "strict"])
+def test_every_run_completes_or_ends_wandering(mode):
+    # a non-wander step is a function of (position, pool, images), so a
+    # revisit of one is a cycle, and it saturates the step: no run ends at
+    # the step limit unless it is still wandering with nothing discovered
+    revisits = 0
+    for seed in range(10000, 10300):
+        sc = random_case(random.Random(seed))[0]
+        trace = run_cognition(sc, max_steps=60, mode=mode)
+        last = [e for e in trace.entries if e["actor"] == "system"][-1:]
+        assert trace.complete or last[0]["move"] == "wander", seed
+        revisits += any(line.endswith(": a cycle")
+                        for line in trace.decision_log)
+    assert revisits == {"practical": 3, "strict": 53}[mode]
 
 
 def test_empty_scenario_wanders_to_step_limit():
