@@ -11,7 +11,8 @@ implication compose such games lazily, walk lists any game breadth-first,
 and a Game is that walked listing, in one vertex order (see materialize).
 ranked lists a game by the reprs of its vertices, as ints that index
 successor tables, and ranked_tensor is Tensor on that form.
-A strategy is a set of plays.  One breadth-first unfolding of plays against
+A strategy is a set of plays, checked in one pass that builds the reply
+table it keeps.  One breadth-first unfolding of plays against
 a response (_unfold) lists the maximal plays of a strategy, copycat, and
 the composite of two strategies with the middle game hidden.
 """
@@ -26,6 +27,8 @@ from .errors import (
     LatticeMismatch,
     NotHeyting,
 )
+from .lattice import PowersetLattice
+
 _POLS = ("O", "P")
 _FLIP = {"O": "P", "P": "O"}
 
@@ -182,9 +185,17 @@ def implication_game(a, b):
     return materialize(implication(a, b))
 
 
+def _lattice_key(lat):
+    """What defines a payoff lattice: a powerset's base, or a Lattice's
+    elements and order, beside its class."""
+    if isinstance(lat, PowersetLattice):
+        return PowersetLattice, lat.base
+    return type(lat), lat.elements, lat._up
+
+
 def _payoff_product(pa, pb, product, combine):
     if pa.lattice is not pb.lattice \
-            and pa.lattice.elements != pb.lattice.elements:
+            and _lattice_key(pa.lattice) != _lattice_key(pb.lattice):
         raise LatticeMismatch("payoff lattices differ")
     g = product(pa.game, pb.game)
     return PayoffGame(g, pa.lattice, {(u, v): combine(pa.k[u], pb.k[v])
@@ -204,39 +215,54 @@ class Strategy:
     """A deterministic set of even-length alternated plays, O moving first.
 
     Plays are tuples of vertices beginning at the root; the empty play is
-    the one-vertex tuple (root,).
+    the one-vertex tuple (root,).  The plays are a frozenset, checked once
+    when the strategy is built, and the reply table that check builds is
+    kept as response().
     """
 
     def __init__(self, game, plays):
         self.game = game
-        self.plays = set(map(tuple, plays))
-        validate_strategy(self)
+        self.plays = frozenset(map(tuple, plays))
+        self._response = _reply_table(game, self.plays)
 
     def response(self):
-        return {p[:-1]: p[-1] for p in self.plays if len(p) >= 3}
+        """{play ending in an O-move: the strategy's reply}; the caller
+        must not change it."""
+        return self._response
 
 
-def validate_strategy(strategy):
-    game, plays = strategy.game, strategy.plays
-    if (game.root,) not in plays:
+def _reply_table(game, plays):
+    """Check plays as a strategy on game and return its reply table.
+
+    A play of three or more vertices checks only its last O-move, its last
+    P-move and that its prefix p[:-2] is a play.  That prefix is checked as
+    a play of its own, so by induction on length every move of every play
+    is checked, each once."""
+    root = game.root
+    if (root,) not in plays:
         raise InvalidStrategy("must contain the empty play at the root")
+    resp = {}
     for p in plays:
         if len(p) % 2 == 0:
             raise InvalidStrategy("odd number of moves in %r" % (p,))
-        if p[0] != game.root:
+        if p[0] != root:
             raise InvalidStrategy("play %r does not start at the root" % (p,))
-        for i in range(len(p) - 1):
-            pol = "O" if i % 2 == 0 else "P"
+        if len(p) == 1:
+            continue
+        for i, pol in ((-3, "O"), (-2, "P")):
             if p[i + 1] not in game.moves(p[i], pol):
                 raise InvalidStrategy(
                     "no %s-edge %r -> %r" % (pol, p[i], p[i + 1]))
-        if len(p) >= 3 and p[:-2] not in plays:
+        if p[:-2] not in plays:
             raise InvalidStrategy("prefix of %r missing" % (p,))
-    resp = {}
-    for p in plays:
-        if len(p) >= 3 and resp.setdefault(p[:-1], p[-1]) != p[-1]:
+        if resp.setdefault(p[:-1], p[-1]) != p[-1]:
             raise InvalidStrategy("two responses after %r: %r and %r"
                                   % (p[:-1], resp[p[:-1]], p[-1]))
+    return resp
+
+
+def validate_strategy(strategy):
+    _reply_table(strategy.game, strategy.plays)
     return True
 
 
@@ -290,15 +316,25 @@ def copycat(game):
     def respond(p, w, _):
         if len(p) > cap:
             raise InteractionOverflow("mirror play exceeds bound")
-        mirror = (w[0], w[0]) if w[1] == p[-1][1] else (w[1], w[1])
-        if mirror in impl.moves(w, "P"):
-            return mirror, None
+        # every play ends on the diagonal, and from (v, v) the mirror of an
+        # O-move is a P-move of game -o game: a left O-move v -> x is a
+        # P-move of game, and the mirror makes that P-move on the right; a
+        # right O-move v -> y is an O-move of game, and the mirror makes it
+        # on the left, where it is a P-move of the dual
+        return ((w[0], w[0]) if w[1] == p[-1][1] else (w[1], w[1])), None
     return Strategy(impl, _unfold(impl, respond)[0])
 
 
 def _same_game(g, h):
     """Equal roots and walked edge sets, so equal vertex sets too."""
     return g.root == h.root and set(walk(g)[1]) == set(walk(h)[1])
+
+
+# Strategy i of a composite is sigma (0) on X -o Y or tau (1) on Y -o Z.
+# Its vertices hold its outer game (X or Z) at coordinate _OUTER[i], which
+# is also that game's coordinate in X -o Z, and the middle game Y at
+# _MIDDLE[i].
+_OUTER, _MIDDLE = (0, 1), (1, 0)
 
 
 def compose_strategies(game_x, game_y, game_z, sigma, tau):
@@ -316,35 +352,28 @@ def compose_strategies(game_x, game_y, game_z, sigma, tau):
         raise ComponentMismatch("first strategy is not on X -o Y")
     if not _same_game(tau.game, implication(game_y, game_z)):
         raise ComponentMismatch("second strategy is not on Y -o Z")
-    resp_s, resp_t = sigma.response(), tau.response()
+    replies = (sigma.response(), tau.response())
+
+    def put(v, c, u):
+        """The pair v with coordinate c set to u."""
+        return (u, v[1]) if c == 0 else (v[0], u)
 
     def respond(cp, w, hidden):
-        sq, tq = hidden
-        wx, wz = w
-        if wx != cp[-1][0]:
-            side, sq = "s", sq + ((wx, sq[-1][1]),)
-        else:
-            side, tq = "t", tq + ((tq[-1][0], wz),)
+        plays = list(hidden)
+        # O moved in X or in Z: the strategy with that outer game holds it
+        i = 0 if w[_OUTER[0]] != cp[-1][_OUTER[0]] else 1
+        plays[i] += (put(plays[i][-1], _OUTER[i], w[_OUTER[i]]),)
         while True:
-            if side == "s":
-                r = resp_s.get(sq)
-                if r is None:
-                    return None
-                sq += (r,)
-                if r[0] != sq[-2][0]:
-                    # answered in X: a composite P-move
-                    return (r[0], wz), (sq, tq)
-                # answered in Y: forwarded to tau as an O-move
-                tq += ((r[1], tq[-1][1]),)
-                side = "t"
-            else:
-                r = resp_t.get(tq)
-                if r is None:
-                    return None
-                tq += (r,)
-                if r[1] != tq[-2][1]:
-                    return (wx, r[1]), (sq, tq)
-                sq += ((sq[-1][0], r[0]),)
-                side = "s"
+            r = replies[i].get(plays[i])
+            if r is None:
+                return None
+            plays[i] += (r,)
+            if r[_OUTER[i]] != plays[i][-2][_OUTER[i]]:
+                # answered in its outer game: a composite P-move
+                return put(w, _OUTER[i], r[_OUTER[i]]), tuple(plays)
+            # answered in Y: the other strategy's O-move
+            j = 1 - i
+            plays[j] += (put(plays[j][-1], _MIDDLE[j], r[_MIDDLE[i]]),)
+            i = j
     hidden = ((sigma.game.root,), (tau.game.root,))
     return Strategy(impl_xz, _unfold(impl_xz, respond, hidden)[0])

@@ -14,7 +14,7 @@ shrinks, until a single goal saturates.
 
 import json
 import random
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 
 from .data import distinct, fields, load_doc, stem
@@ -49,6 +49,7 @@ class Scenario:
             {f for o in objects for f in o.features})
         self.universe = self.payoff_lattice.base
         self._visible = {}              # cell -> visible_rewards
+        self._walked = None             # (cell, _movement from it), last
 
     def neighbors(self, cell):
         x, y = cell
@@ -278,12 +279,13 @@ class _Chain:
         return [(v[0], v[1] + 1)] if pol == "O" and v[1] < self._n else []
 
 
-@lru_cache(maxsize=1)
 def _movement(sc, pos):
-    """The movement game from pos, dualized and ranked.  One slot: a
-    cognition step's shrinks and saturation checks at one position share
-    its walk."""
-    return ranked(Dual(_Movement(sc, pos, sc.horizon)))
+    """The movement game from pos, dualized and ranked.  One slot on the
+    scenario: a cognition step's shrinks and saturation checks at one
+    position share its walk, and the walk goes with the scenario."""
+    if sc._walked is None or sc._walked[0] != pos:
+        sc._walked = pos, ranked(Dual(_Movement(sc, pos, sc.horizon)))
+    return sc._walked[1]
 
 
 def _check_mode(mode):

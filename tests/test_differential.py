@@ -49,6 +49,7 @@ import os
 import random
 from collections import Counter, deque
 from itertools import combinations, islice, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,6 +62,7 @@ from phasegame.errors import (
     ExprSyntaxError,
     ForeignElement,
     InteractionOverflow,
+    InvalidStrategy,
     NotALattice,
     NotAPartialOrder,
     NotAssociative,
@@ -75,10 +77,10 @@ from phasegame.errors import (
     UsageError,
 )
 from phasegame.expr import eval_expr, parse, tokenize
-from phasegame.games import (Game, PayoffGame, Tensor,
+from phasegame.games import (Game, PayoffGame, Strategy, Tensor,
                              compose_strategies, copycat, implication,
                              implication_game, materialize, maximal_plays,
-                             tensor_game, walk)
+                             tensor_game, validate_strategy, walk)
 from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
@@ -1228,7 +1230,7 @@ def alternating_chain(length):
                                   for i in range(length)])
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 4])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
 def test_plays_match_the_earlier_walkers_on_chain_tensors(length):
     g = tensor_game(alternating_chain(length), alternating_chain(length))
     h = tensor_game(alternating_chain(length - 1), alternating_chain(1))
@@ -1236,6 +1238,137 @@ def test_plays_match_the_earlier_walkers_on_chain_tensors(length):
     assert_unfolds_as_before(g, g, g, cc, cc)
     sigma = random_strategy(random.Random(length), implication_game(g, h))
     assert_unfolds_as_before(g, g, h, cc, sigma)
+
+
+# the earlier strategy check ---------------------------------------------
+#
+# validate_strategy as it was before a play checked only its last two moves
+# and its prefix: every move of every play, then the reply table in a
+# second pass.
+
+def old_validate_strategy(strategy):
+    game, plays = strategy.game, strategy.plays
+    if (game.root,) not in plays:
+        raise InvalidStrategy("must contain the empty play at the root")
+    for p in plays:
+        if len(p) % 2 == 0:
+            raise InvalidStrategy("odd number of moves in %r" % (p,))
+        if p[0] != game.root:
+            raise InvalidStrategy("play %r does not start at the root" % (p,))
+        for i in range(len(p) - 1):
+            pol = "O" if i % 2 == 0 else "P"
+            if p[i + 1] not in game.moves(p[i], pol):
+                raise InvalidStrategy(
+                    "no %s-edge %r -> %r" % (pol, p[i], p[i + 1]))
+        if len(p) >= 3 and p[:-2] not in plays:
+            raise InvalidStrategy("prefix of %r missing" % (p,))
+    resp = {}
+    for p in plays:
+        if len(p) >= 3 and resp.setdefault(p[:-1], p[-1]) != p[-1]:
+            raise InvalidStrategy("two responses after %r: %r and %r"
+                                  % (p[:-1], resp[p[:-1]], p[-1]))
+    return True
+
+
+_FAULTS = ("empty play", "odd number", "does not start at the root",
+           "no O-edge", "no P-edge", "prefix", "two responses")
+
+
+def strategy_verdicts(game, plays):
+    """What Strategy, validate_strategy and the earlier check say of plays
+    on game: None when it is accepted, else which fault was named."""
+    out = []
+    for check in (lambda: Strategy(game, plays),
+                  lambda: validate_strategy(SimpleNamespace(game=game,
+                                                            plays=plays)),
+                  lambda: old_validate_strategy(SimpleNamespace(game=game,
+                                                                plays=plays))):
+        try:
+            check()
+            out.append(None)
+        except InvalidStrategy as e:
+            out.append(next(f for f in _FAULTS if f in str(e)))
+    return out
+
+
+def faulty_copies(game, plays):
+    """(fault, plays with that one fault) for each fault this strategy can
+    be given: the fault is what both checks must name."""
+    root = game.root
+    vertices = walk(game)[0]
+    extended = {p[:-2] for p in plays if len(p) >= 3}
+    long_plays = sorted((p for p in plays if len(p) >= 3), key=repr)
+    leaves = [p for p in long_plays if p not in extended]
+    for q in long_plays:
+        if q in extended:
+            yield "prefix", plays - {q}
+            break
+    for p in sorted(plays, key=repr):
+        w = next(iter(game.moves(p[-1], "O")), None)
+        if w is not None:
+            yield "odd number", plays | {p + (w,)}
+            break
+    for v in vertices:
+        if v != root:
+            yield "does not start at the root", plays | {(v,)}
+            break
+    for p in long_plays:
+        other = [w for w in game.moves(p[-2], "P") if w != p[-1]]
+        if other:
+            yield "two responses", plays | {p[:-1] + (other[0],)}
+            break
+    for q in leaves:
+        wrong = [w for w in game.moves(q[-2], "O")
+                 if w not in game.moves(q[-2], "P")]
+        if wrong:
+            yield "no P-edge", plays - {q} | {q[:-1] + (wrong[0],)}
+            break
+    for p in long_plays:
+        if len(p) < 5:
+            continue
+        # an illegal first move in p and in every play through it, so each
+        # prefix is present and only the shortest one is at fault
+        bad = next((v for v in vertices
+                    if v not in game.moves(root, "O")), None)
+        if bad is not None:
+            yield "no O-edge", frozenset(
+                q[:1] + (bad,) + q[2:] if q[:2] == p[:2] else q
+                for q in plays)
+        break
+
+
+def test_validation_agrees_with_the_earlier_strategy_check():
+    rng = random.Random(2027)
+    named = Counter()
+    strategies = [copycat(tensor_game(alternating_chain(n),
+                                      alternating_chain(n)))
+                  for n in (2, 3)]
+    for _ in range(150):
+        x, y = random_game(rng, 5), random_game(rng, 5)
+        strategies += [random_strategy(rng, implication_game(x, y)),
+                       copycat(x)]
+    for s in strategies:
+        assert strategy_verdicts(s.game, s.plays) == [None] * 3
+        for fault, plays in faulty_copies(s.game, s.plays):
+            assert strategy_verdicts(s.game, plays) == [fault] * 3
+            named[fault] += 1
+            if fault != "no O-edge":
+                continue
+            # a play checks the O-move from the root only when it is three
+            # vertices long, so the new check names the shortest faulty play
+            root = s.game.root
+            bad = next(p[1] for p in plays
+                       if len(p) > 1 and p[1] not in s.game.moves(root, "O"))
+            with pytest.raises(InvalidStrategy) as e:
+                Strategy(s.game, plays)
+            assert str(e.value) == "no O-edge %r -> %r" % (root, bad)
+    assert set(named) == set(_FAULTS) - {"empty play"}
+    assert min(named.values()) >= 10, named
+    # and an empty set of plays, or one without the root play
+    root = strategies[0].game.root
+    for plays in (frozenset(), strategies[0].plays - {(root,)}):
+        assert strategy_verdicts(strategies[0].game, plays) == [
+            "empty play"] * 3
 
 
 # the earlier play search -----------------------------------------------

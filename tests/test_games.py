@@ -2,7 +2,8 @@ import pytest
 
 from conftest import (positionally_winning, random_distributive_lattice,
                       random_game, random_payoff, random_strategy, seeded)
-from test_differential import old_dual_game, old_tensor_game
+from test_differential import (alternating_chain, old_dual_game,
+                               old_tensor_game)
 from phasegame.errors import (ComponentMismatch, ForeignElement,
                               InteractionOverflow, InvalidStrategy,
                               LatticeMismatch, NotHeyting)
@@ -12,7 +13,7 @@ from phasegame.games import (Dual, Game, PayoffGame, Strategy, Tensor,
                              is_winning, maximal_plays, payoff_implication,
                              payoff_tensor, ranked, ranked_tensor,
                              tensor_game, validate_strategy, walk)
-from phasegame.lattice import Lattice, chain
+from phasegame.lattice import Lattice, PowersetLattice, chain
 
 
 def line_game():
@@ -280,6 +281,28 @@ def test_payoff_lattice_mismatch():
         payoff_tensor(pa, pb)
     with pytest.raises(LatticeMismatch):
         payoff_implication(pa, pb)
+    # the same names in another order: 0 < 2 < 1, where the meet of 1 and
+    # 2 is 2, not chain(3)'s 1
+    swapped = Lattice(["0", "1", "2"], [("0", "2"), ("2", "1")], "0", "1")
+    pb = PayoffGame(point("b"), swapped, {"b": "2"})
+    with pytest.raises(LatticeMismatch):
+        payoff_tensor(pa, pb)
+    with pytest.raises(LatticeMismatch):
+        payoff_implication(pa, pb)
+    # equal lattices combine, and powersets by their base, without listing
+    # their 2**20 elements
+    pb = PayoffGame(point("b"), chain(3), {"b": "2"})
+    assert payoff_tensor(pa, pb).k == {("a", "b"): "1"}
+    features = ["f%02d" % i for i in range(20)]
+    lats = [PowersetLattice(features) for _ in range(2)]
+    pa, pb = (PayoffGame(point(v), lat, {v: lat.top})
+              for v, lat in zip("ab", lats))
+    assert payoff_tensor(pa, pb).k == {("a", "b"): lats[0].top}
+    assert all("elements" not in lat.__dict__ for lat in lats)
+    pb = PayoffGame(point("b"), PowersetLattice(features[1:]),
+                    {"b": "f01"})
+    with pytest.raises(LatticeMismatch):
+        payoff_tensor(pa, pb)
 
 
 def test_dual_payoff_negates_every_payoff():
@@ -331,6 +354,32 @@ def test_strategy_rejects_nondeterminism():
 def test_validate_strategy_passes_good_one():
     s = Strategy(line_game(), {("r",), ("r", "s", "t")})
     assert validate_strategy(s)
+
+
+class CountedMoves:
+    """A game that counts the moves asked of it."""
+
+    def __init__(self, game):
+        self.game, self.root, self.calls = game, game.root, 0
+
+    def moves(self, v, pol):
+        self.calls += 1
+        return self.game.moves(v, pol)
+
+
+def test_strategy_checks_each_move_once():
+    # a play checks its last two moves and finds its prefix among the
+    # plays, so building the strategy asks at most two moves per play
+    g = tensor_game(alternating_chain(5), alternating_chain(5))
+    cc = copycat(g)
+    counted = CountedMoves(cc.game)
+    s = Strategy(counted, cc.plays)
+    assert len(s.plays) == 923
+    assert counted.calls <= 2 * len(s.plays)
+    # the reply table is built once and kept
+    assert s.response() is s.response()
+    assert s.response() == cc.response() == {
+        p[:-1]: p[-1] for p in cc.plays if len(p) >= 3}
 
 
 def test_maximal_plays_answered_and_unanswered():

@@ -1,7 +1,9 @@
 import functools
+import gc
 import hashlib
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -714,6 +716,18 @@ def test_cognition_walks_the_movement_game_once_per_active_set(monkeypatch):
     assert len(walked) == len(moved) + 1 == 7
     assert walked == [tuple(e["move"][0]) for e in moved] + [
         tuple(moved[-1]["move"][1])]
+
+
+def test_a_finished_run_keeps_no_scenario_alive():
+    # the movement game's walk is cached on its scenario, so it goes when
+    # the caller drops the scenario
+    sc = four_goals()
+    trace = run_cognition(sc)
+    ref = weakref.ref(sc)
+    del sc
+    gc.collect()
+    assert ref() is None
+    assert trace.complete
 
 
 @pytest.mark.parametrize("case", ["four_goals"] + list(range(24)))
