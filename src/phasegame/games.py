@@ -27,7 +27,6 @@ from .errors import (
     LatticeMismatch,
     NotHeyting,
 )
-from .lattice import PowersetLattice
 
 _POLS = ("O", "P")
 _FLIP = {"O": "P", "P": "O"}
@@ -185,17 +184,8 @@ def implication_game(a, b):
     return materialize(implication(a, b))
 
 
-def _lattice_key(lat):
-    """What defines a payoff lattice: a powerset's base, or a Lattice's
-    elements and order, beside its class."""
-    if isinstance(lat, PowersetLattice):
-        return PowersetLattice, lat.base
-    return type(lat), lat.elements, lat._up
-
-
 def _payoff_product(pa, pb, product, combine):
-    if pa.lattice is not pb.lattice \
-            and _lattice_key(pa.lattice) != _lattice_key(pb.lattice):
+    if pa.lattice is not pb.lattice and pa.lattice.key != pb.lattice.key:
         raise LatticeMismatch("payoff lattices differ")
     g = product(pa.game, pb.game)
     return PayoffGame(g, pa.lattice, {(u, v): combine(pa.k[u], pb.k[v])
@@ -234,27 +224,28 @@ class Strategy:
 def _reply_table(game, plays):
     """Check plays as a strategy on game and return its reply table.
 
-    A play of three or more vertices checks only its last O-move, its last
-    P-move and that its prefix p[:-2] is a play.  That prefix is checked as
-    a play of its own, so by induction on length every move of every play
-    is checked, each once."""
+    A play of three or more vertices checks only that its prefix p[:-2] is
+    a play, then its last O-move and its last P-move.  Plays are checked
+    shortest first, so that prefix has passed as a play of its own: p[-3]
+    is a vertex, and by induction on length every move of every play is
+    checked, each once."""
     root = game.root
     if (root,) not in plays:
         raise InvalidStrategy("must contain the empty play at the root")
     resp = {}
-    for p in plays:
+    for p in sorted(plays, key=len):
         if len(p) % 2 == 0:
             raise InvalidStrategy("odd number of moves in %r" % (p,))
         if p[0] != root:
             raise InvalidStrategy("play %r does not start at the root" % (p,))
         if len(p) == 1:
             continue
+        if p[:-2] not in plays:
+            raise InvalidStrategy("prefix of %r missing" % (p,))
         for i, pol in ((-3, "O"), (-2, "P")):
             if p[i + 1] not in game.moves(p[i], pol):
                 raise InvalidStrategy(
                     "no %s-edge %r -> %r" % (pol, p[i], p[i + 1]))
-        if p[:-2] not in plays:
-            raise InvalidStrategy("prefix of %r missing" % (p,))
         if resp.setdefault(p[:-1], p[-1]) != p[-1]:
             raise InvalidStrategy("two responses after %r: %r and %r"
                                   % (p[:-1], resp[p[:-1]], p[-1]))

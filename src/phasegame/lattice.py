@@ -98,6 +98,12 @@ class Lattice:
             self._meet.append(meets)
         self._distributive = None
 
+    @property
+    def key(self):
+        """What defines this lattice beside its class: its elements, in
+        their declared order, and their order."""
+        return type(self), tuple(self.elements), tuple(self._up)
+
     def idx(self, x):
         try:
             return self._index[x]
@@ -241,6 +247,11 @@ class PowersetLattice:
         self.top = ",".join(self.base)
         self.generators = list(self.base)
         self._parsed = {}
+
+    @property
+    def key(self):
+        """What defines this lattice beside its class: its universe."""
+        return type(self), tuple(self.base)
 
     @cached_property
     def elements(self):

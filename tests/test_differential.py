@@ -1335,6 +1335,16 @@ def faulty_copies(game, plays):
                 q[:1] + (bad,) + q[2:] if q[:2] == p[:2] else q
                 for q in plays)
         break
+    stray = "not a vertex"
+    assert stray not in vertices
+    for p in long_plays:
+        if len(p) >= 5:
+            # a reply off the game in p and in every play through it, so
+            # the longer plays move on from a vertex the game does not have
+            yield "no P-edge", frozenset(
+                q[:2] + (stray,) + q[3:] if q[:3] == p[:3] else q
+                for q in plays)
+            break
 
 
 def test_validation_agrees_with_the_earlier_strategy_check():

@@ -303,6 +303,12 @@ def test_payoff_lattice_mismatch():
                     {"b": "f01"})
     with pytest.raises(LatticeMismatch):
         payoff_tensor(pa, pb)
+    # a Lattice is not a PowersetLattice with the same elements and order
+    pb = PayoffGame(point("b"), Lattice(["", "a"], [("", "a")], "", "a"),
+                    {"b": "a"})
+    with pytest.raises(LatticeMismatch):
+        payoff_tensor(PayoffGame(point("a"), PowersetLattice(["a"]),
+                                 {"a": "a"}), pb)
 
 
 def test_dual_payoff_negates_every_payoff():
@@ -349,6 +355,18 @@ def test_strategy_rejects_nondeterminism():
              [("r", "s", "O"), ("s", "t1", "P"), ("s", "t2", "P")])
     with pytest.raises(InvalidStrategy, match="two responses"):
         Strategy(g, {("r",), ("r", "s", "t1"), ("r", "s", "t2")})
+
+
+def test_strategy_rejects_a_play_through_no_vertex():
+    # no move is asked of a vertex the game does not have, lazy or not
+    with pytest.raises(InvalidStrategy, match="prefix"):
+        Strategy(line_game(), {("r",), ("r", "s", "x", "y", "z")})
+    with pytest.raises(InvalidStrategy, match="no P-edge 's' -> 'x'"):
+        Strategy(line_game(), {("r",), ("r", "s", "x"),
+                               ("r", "s", "x", "y", "z")})
+    g = Tensor(line_game(), line_game())
+    with pytest.raises(InvalidStrategy, match="prefix"):
+        Strategy(g, {(g.root,), (g.root, ("s", "r"), "x", "y", "z")})
 
 
 def test_validate_strategy_passes_good_one():
