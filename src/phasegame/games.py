@@ -81,7 +81,13 @@ class Game:
 
 
 class PayoffGame:
-    """A game with a payoff k(v) in a distributive lattice at each vertex."""
+    """A game with a payoff k(v) in a distributive lattice at each vertex.
+
+    The payoff-lattice protocol, all that payoff games ask of a lattice
+    (Lattice and PowersetLattice both answer it): is_distributive(),
+    membership of a name (in), bottom, key (what two lattices must share
+    to combine), meet2, heyting_implies and heyting_neg.
+    """
 
     def __init__(self, game, lattice, k):
         if not lattice.is_distributive():

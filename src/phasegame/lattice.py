@@ -4,16 +4,12 @@ Order is the reflexive-transitive closure of the covers, computed once at
 construction and cached as bitmasks.  All operations are pure; a Lattice is
 immutable after __init__.
 """
-from functools import cached_property
-from itertools import combinations
-
 from .data import distinct, fields, load_doc
 from .errors import (
     ForeignElement,
     NotALattice,
     NotAPartialOrder,
     NotHeyting,
-    SizeExceeded,
     UnboundedLattice,
     UsageError,
 )
@@ -100,9 +96,13 @@ class Lattice:
 
     @property
     def key(self):
-        """What defines this lattice beside its class: its elements, in
-        their declared order, and their order."""
-        return type(self), tuple(self.elements), tuple(self._up)
+        """What defines this lattice beside its class: its order, as the
+        pairs (x, y) of names with x <= y, whatever order they were
+        declared in."""
+        els = self.elements
+        return type(self), frozenset(
+            (x, y) for x, up in zip(els, self._up)
+            for j, y in enumerate(els) if up >> j & 1)
 
     def idx(self, x):
         try:
@@ -193,9 +193,6 @@ class Lattice:
     def __contains__(self, x):
         return x in self._index
 
-    def __len__(self):
-        return len(self.elements)
-
     def __repr__(self):
         return "Lattice(%d elements, bottom=%r, top=%r)" % (
             len(self.elements), self.bottom, self.top)
@@ -211,10 +208,9 @@ def load_lattice(path):
     return lattice_from_doc(path)
 
 
-def chain(n, names=None):
+def chain(n):
     """Chain lattice 0 < 1 < ... < n-1."""
-    if names is None:
-        names = [str(i) for i in range(n)]
+    names = [str(i) for i in range(n)]
     covers = [(names[i], names[i + 1]) for i in range(n - 1)]
     return Lattice(names, covers, names[0], names[-1])
 
@@ -223,18 +219,16 @@ class PowersetLattice:
     """Boolean lattice of all subsets of a universe, on int bitmasks.
 
     Bit i of a mask stands for the i-th member of the sorted universe, so
-    join, meet and complement are |, & and a flip of every member's bit.
-    An element is named by its members, comma-joined in that order ('' for
-    the empty set); any other spelling of a subset is not an element.  The
-    universe holds at most 20 distinct members, each nonempty and free of
-    commas.  Shares the Lattice interface, but lists its elements only when
-    they are asked for.
+    meet and complement are & and a flip of every member's bit.  An element
+    is named by its members, comma-joined in that order ('' for the empty
+    set); any other spelling of a subset is not an element.  The universe
+    holds distinct members, each nonempty and free of commas, and may be of
+    any size: no element is ever listed.  Answers the payoff-lattice
+    protocol of games.PayoffGame, plus the masks the planner works on.
     """
 
     def __init__(self, universe):
         self.base = sorted(universe)
-        if len(self.base) > 20:
-            raise SizeExceeded("universe of %d members" % len(self.base))
         self._bit = {u: 1 << i for i, u in enumerate(self.base)}
         if len(self._bit) != len(self.base):
             raise UsageError("duplicate universe members")
@@ -244,20 +238,12 @@ class PowersetLattice:
                     "universe members must be nonempty and contain no commas")
         self._full = (1 << len(self.base)) - 1
         self.bottom = ""
-        self.top = ",".join(self.base)
-        self.generators = list(self.base)
         self._parsed = {}
 
     @property
     def key(self):
         """What defines this lattice beside its class: its universe."""
         return type(self), tuple(self.base)
-
-    @cached_property
-    def elements(self):
-        """Every element name, by size and then by member list."""
-        return [",".join(c) for k in range(len(self.base) + 1)
-                for c in combinations(self.base, k)]
 
     def mask(self, members):
         """The mask of an iterable of members."""
@@ -290,26 +276,8 @@ class PowersetLattice:
         self._parsed[x] = m
         return m
 
-    def leq(self, x, y):
-        return self._parse(x) & ~self._parse(y) == 0
-
-    def join2(self, x, y):
-        return self.name(self._parse(x) | self._parse(y))
-
     def meet2(self, x, y):
         return self.name(self._parse(x) & self._parse(y))
-
-    def join(self, xs):
-        out = 0
-        for x in xs:
-            out |= self._parse(x)
-        return self.name(out)
-
-    def meet(self, xs):
-        out = self._full
-        for x in xs:
-            out &= self._parse(x)
-        return self.name(out)
 
     def heyting_implies(self, x, y):
         return self.name(self.complement(self._parse(x)) | self._parse(y))
@@ -326,9 +294,3 @@ class PowersetLattice:
             return True
         except ForeignElement:
             return False
-
-    def __len__(self):
-        return 1 << len(self.base)
-
-    def __repr__(self):
-        return "PowersetLattice(%d members)" % len(self.base)

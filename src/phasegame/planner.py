@@ -188,25 +188,26 @@ class Selection(list):
         self.log = log
 
 
-def select_goal_sets(sc, discovered, must_include=None):
+def select_goal_sets(sc, discovered, must_include):
     """Rank subsets of the discovered objects by goal-lattice priority.
 
-    Prices every subset (holding must_include, if given) and ranks them
-    with _rank; the log lists each candidate, then the ranking.  An id,
-    the anchor's included, that names no object raises UnknownGoalElement,
-    and an anchor outside discovered raises ValueError.
+    Prices every subset holding the anchor must_include, by size and then
+    in name order, and ranks them with _rank; the log lists each candidate,
+    then the ranking.  An id, the anchor's included, that names no object
+    raises UnknownGoalElement, and an anchor outside discovered raises
+    ValueError.
     """
     ids = sorted(discovered)
     attractiveness = {o.id: o.attractiveness for o in _goal_objects(sc, ids)}
-    if must_include is not None and must_include not in ids:
+    if must_include not in ids:
         _goal_objects(sc, [must_include])
         raise ValueError("anchor %r is not a discovered object"
                          % (must_include,))
+    others = [i for i in ids if i != must_include]
     candidates = []
     for size in range(1, len(ids) + 1):
-        for combo in combinations(ids, size):
-            if must_include is not None and must_include not in combo:
-                continue
+        for rest in combinations(others, size - 1):
+            combo = tuple(sorted(rest + (must_include,)))
             candidates.append(GoalProcessSet(
                 combo, eval_priority(sc, combo),
                 sum(attractiveness[i] for i in combo)))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -313,6 +314,26 @@ def test_simulate_strict_termination_passes_a_former_cycle(tmp_path, mode):
     assert trace["complete"] and trace["header"]["steps_taken"] == 2
     assert "step 2: revisit of [10, 10] with the same pool and images: " \
         "a cycle" in trace["decision_log"]
+
+
+def test_simulate_loads_more_than_twenty_features(tmp_path, capsys):
+    # two objects of 11 features: a payoff universe of 22, which once
+    # exceeded a 20-member cap and exited 2
+    doc = {"name": "wide", "grid": ["...", "..."], "start": [0, 0],
+           "horizon": 2, "goal_phase": "data:goal_phase.json",
+           "free_move_goal": "a",
+           "objects": [{"id": "o%d" % i, "cell": [2, i], "goal": goal,
+                        "features": ["f%d_%02d" % (i, j) for j in range(11)]}
+                       for i, goal in enumerate(["b2", "e"])]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert "simulate: pass" in capsys.readouterr().out
+    trace = read_json(tmp_path / "wide_trace.json")
+    assert trace["complete"]
+    assert trace["header"]["objective_lattice"] == "powerset of 22 features"
+    assert trace["final_images"] == {o["id"]: o["features"]
+                                     for o in doc["objects"]}
 
 
 # oracle -----------------------------------------------------------------
@@ -801,3 +822,56 @@ def test_console_script_runs():
                            "--quiet"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("facts: pass")
+
+
+# README examples -----------------------------------------------------------
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_commands():
+    """Each `phasegame` line of README's sh blocks, with what README says
+    it prints: the text of its `# prints X` comment, and each comment line
+    under it but a `# ...` aside."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    commands = []
+    for line in (ln for b in blocks for ln in b.splitlines()):
+        if line.startswith("phasegame "):
+            prints = line.partition("#")[2].strip().partition("prints ")[2]
+            commands.append((shlex.split(line, comments=True)[1:], prints,
+                             []))
+        elif line.startswith("# ") and line != "# ...":
+            commands[-1][2].append(line[2:])
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv,prints,shown", README_COMMANDS,
+                         ids=[" ".join(c[0]) for c in README_COMMANDS])
+def test_readme_example_runs(tmp_path, monkeypatch, capsys, argv, prints,
+                             shown):
+    # what README's examples write goes to tmp_path
+    monkeypatch.chdir(tmp_path)
+    argv = [str(tmp_path) if prev == "--out-dir" else arg
+            for prev, arg in zip([None] + argv, argv)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if prints:
+        assert out.strip() == prints
+    for text in shown:
+        assert text in out.splitlines()
+
+
+def test_readme_shows_the_checked_outputs():
+    # the examples the test above runs, and the outputs it compares
+    commands = README_COMMANDS
+    assert [argv[0] for argv, _, _ in commands] == [
+        "verify", "solve", "eval", "eval", "eval", "simulate", "oracle",
+        "facts"]
+    assert [p for _, p, _ in commands if p] == ["1", "J23e", "a"]
+    assert commands[-1][2] == [
+        "PASS facts: 12 of 18 elements: {0,a,b1,J1a,b2,b3,J12,J13,J23,"
+        "J123,J23e,1}"]

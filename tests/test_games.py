@@ -289,16 +289,20 @@ def test_payoff_lattice_mismatch():
         payoff_tensor(pa, pb)
     with pytest.raises(LatticeMismatch):
         payoff_implication(pa, pb)
-    # equal lattices combine, and powersets by their base, without listing
-    # their 2**20 elements
+    # equal lattices combine, also when declared in another element order
     pb = PayoffGame(point("b"), chain(3), {"b": "2"})
     assert payoff_tensor(pa, pb).k == {("a", "b"): "1"}
+    reordered = Lattice(["0", "2", "1"], [("0", "1"), ("1", "2")], "0", "2")
+    pb = PayoffGame(point("b"), reordered, {"b": "2"})
+    assert payoff_tensor(pa, pb).k == {("a", "b"): "1"}
+    assert payoff_implication(pa, pb).k == {("a", "b"): "2"}
+    # powersets combine by their base
     features = ["f%02d" % i for i in range(20)]
     lats = [PowersetLattice(features) for _ in range(2)]
-    pa, pb = (PayoffGame(point(v), lat, {v: lat.top})
+    top = lats[0].name(lats[0].complement(0))
+    pa, pb = (PayoffGame(point(v), lat, {v: top})
               for v, lat in zip("ab", lats))
-    assert payoff_tensor(pa, pb).k == {("a", "b"): lats[0].top}
-    assert all("elements" not in lat.__dict__ for lat in lats)
+    assert payoff_tensor(pa, pb).k == {("a", "b"): top}
     pb = PayoffGame(point("b"), PowersetLattice(features[1:]),
                     {"b": "f01"})
     with pytest.raises(LatticeMismatch):
