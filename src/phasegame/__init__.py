@@ -19,7 +19,7 @@ _EXPORTS = {
     "games": ["Game", "PayoffGame", "Strategy", "compose_strategies",
               "copycat", "dual_game", "dual_payoff_game", "implication_game",
               "is_winning", "maximal_plays", "payoff_implication",
-              "payoff_tensor", "tensor_game", "validate_strategy"],
+              "payoff_tensor", "tensor_game"],
     "planner": ["Scenario", "build_compound_game", "eval_priority",
                 "load_scenario", "plan_play", "run_cognition",
                 "select_goal_sets", "visible_rewards"],

@@ -76,13 +76,6 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _need(args, attr, flag):
-    value = getattr(args, attr, None)
-    if value is None:
-        raise UsageError("%s requires %s" % (args.verb, flag))
-    return value
-
-
 def _count(text, least=0):
     """argparse type for a nonnegative integer (positive if least is 1)."""
     try:
@@ -156,14 +149,11 @@ def cmd_verify(args):
 
 def cmd_solve(args):
     from .solver import solve_table
-    if args.table is not None and args.phase is not None:
-        raise UsageError("solve reads a table argument or --phase, not both")
-    table = args.table or _need(args, "phase", "--phase or a table argument")
     report = Report("solve")
     out_dir = args.out_dir or "."
     capped = False
     try:
-        solutions = solve_table(table, max_solutions=args.max_solutions)
+        solutions = solve_table(args.table, max_solutions=args.max_solutions)
     except NoSolution as exc:
         report.add("completions", "fail", "no solution: %s" % exc)
         return report.emit(args)
@@ -171,7 +161,7 @@ def cmd_solve(args):
         solutions = exc.solutions
         capped = True
 
-    name = stem(table)
+    name = stem(args.table)
     for i, doc in enumerate(solutions, 1):
         path = os.path.join(out_dir, "%s_solution_%03d.json" % (name, i))
         _write_json(path, doc)
@@ -187,11 +177,10 @@ def cmd_solve(args):
 def cmd_eval(args):
     from .expr import eval_expr
     from .phase import load_phase
-    phase = _need(args, "phase", "--phase")
     text = " ".join(args.expr).strip()
     if not text:
         raise UsageError("eval needs an expression")
-    ps = load_phase(phase)
+    ps = load_phase(args.phase)
     value = eval_expr(ps, text)
     print(value)
     if args.out_dir:
@@ -263,8 +252,7 @@ def cmd_oracle(args):
 
 def cmd_facts(args):
     from .phase import classify, load_phase
-    phase = _need(args, "phase", "--phase")
-    ps = load_phase(phase)
+    ps = load_phase(args.phase)
     report = Report("facts")
     facts = ps.facts()
     report.add("facts", "pass",
@@ -295,7 +283,7 @@ def build_parser():
     common.add_argument("--quiet", action="store_true",
                         help="print only the final status line")
     phased = argparse.ArgumentParser(add_help=False, parents=[common])
-    phased.add_argument("--phase", metavar="FILE",
+    phased.add_argument("--phase", metavar="FILE", required=True,
                         help="phase structure JSON")
 
     parser = argparse.ArgumentParser(
@@ -303,16 +291,16 @@ def build_parser():
         description="Lattice-valued phase semantics, games and planning.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("verify", parents=[phased],
+    p = sub.add_parser("verify", parents=[common],
                        help="audit lattice and phase laws")
+    p.add_argument("--phase", metavar="FILE", help="phase structure JSON")
     p.add_argument("--lattice", metavar="FILE",
                    help="lattice JSON (file path or data:NAME)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", parents=[phased],
+    p = sub.add_parser("solve", parents=[common],
                        help="complete an ambiguous multiplication table")
-    p.add_argument("table", nargs="?",
-                   help="candidates JSON (defaults to --phase)")
+    p.add_argument("table", help="candidates JSON")
     p.add_argument("--max-solutions", type=_positive, metavar="N")
     p.set_defaults(func=cmd_solve)
 

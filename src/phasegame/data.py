@@ -11,6 +11,7 @@ product rows, straight into index rows, which ``total_rows`` requires total.
 
 import io
 import json
+import math
 import os
 from collections import namedtuple
 
@@ -56,6 +57,14 @@ def _not_json(constant):
     raise ValueError("%s is not a JSON value" % constant)
 
 
+def _finite(text):
+    """A JSON number's float, unless it overflows to an infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("%s is not a finite number" % text)
+    return value
+
+
 def _object(pairs):
     """A JSON object's dict; a key given twice raises ValueError naming
     it, where json would keep its last value."""
@@ -68,11 +77,12 @@ def _object(pairs):
 def parse_doc(raw, path):
     """The JSON object in raw, the bytes of the file at path, decoded as a
     text-mode open() decodes them; anything else, NaN and the infinities
-    and an object that repeats a key included, raises UsageError naming
-    path."""
+    (spelled out or as a number too large for a float) and an object that
+    repeats a key included, raises UsageError naming path."""
     try:
         doc = json.load(io.TextIOWrapper(io.BytesIO(raw)),
-                        parse_constant=_not_json, object_pairs_hook=_object)
+                        parse_constant=_not_json, parse_float=_finite,
+                        object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         raise UsageError("%s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
@@ -128,7 +138,7 @@ ENUMS = {"unit_mode": ("weak", "strict"), "checks": ("full", "relaxed")}
 
 # the array fields that name each of their items, or the first name of each
 # of their pairs, once
-DISTINCT = ("elements", "dual_overrides")
+DISTINCT = ("elements", "dual_overrides", "features")
 
 # each kind of row: the types its entries may have, in order (an array
 # entry lists names, as a product's candidates do), and the message for a

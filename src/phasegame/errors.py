@@ -106,9 +106,5 @@ class UnknownGoalElement(PhasegameError):
     pass
 
 
-class HorizonEmpty(PhasegameError):
-    pass
-
-
 class SizeExceeded(UsageError, PhasegameError):
     pass

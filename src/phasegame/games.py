@@ -258,11 +258,6 @@ def _reply_table(game, plays):
     return resp
 
 
-def validate_strategy(strategy):
-    _reply_table(strategy.game, strategy.plays)
-    return True
-
-
 def _unfold(game, respond, state=None):
     """Every play a strategy allows on game, breadth first from the root.
 
@@ -286,21 +281,25 @@ def _unfold(game, respond, state=None):
     return [p for p, _ in todo], maximal
 
 
-def maximal_plays(game, strategy):
-    """Every play the strategy can be driven into that cannot continue, in
-    breadth-first order.  A finite strategy ends every play, so this ends
-    on a cyclic game too."""
+def maximal_plays(strategy):
+    """Every play the strategy can be driven into on its game that cannot
+    continue, in breadth-first order.  A finite strategy ends every play,
+    so this ends on a cyclic game too."""
     resp = strategy.response()
 
     def respond(p, w, _):
         r = resp.get(p + (w,))
         return None if r is None else (r, None)
-    return _unfold(game, respond)[1]
+    return _unfold(strategy.game, respond)[1]
 
 
 def is_winning(pg, strategy):
+    """Whether every maximal play of a strategy on pg's game ends above
+    bottom; a strategy on another game raises ComponentMismatch."""
+    if not _same_game(strategy.game, pg.game):
+        raise ComponentMismatch("strategy is not on the payoff game")
     bot = pg.lattice.bottom
-    return all(pg.k[p[-1]] != bot for p in maximal_plays(pg.game, strategy))
+    return all(pg.k[p[-1]] != bot for p in maximal_plays(strategy))
 
 
 def copycat(game):

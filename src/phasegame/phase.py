@@ -93,13 +93,16 @@ class PhaseStructure:
         return lat.elements[star]
 
 
-def override_map(lattice, pairs):
-    """The checked dual_overrides pairs as a dict, once no pair overrides a
-    foreign element: the first that does raises ForeignElement."""
-    for x, _ in pairs:
-        if x not in lattice:
-            raise ForeignElement(repr(x))
-    return dict(pairs)
+def named_elements(lattice, f):
+    """(unit index, falsum index, dual_overrides as a dict) of checked
+    phase fields f, once the unit, the falsum and both sides of every
+    override pair name elements: the first foreign name, in document
+    order, raises ForeignElement."""
+    unit, falsum, pairs = f["unit"], f["falsum"], f["dual_overrides"]
+    for el in [unit, falsum] + [el for pair in pairs for el in pair]:
+        if el not in lattice:
+            raise ForeignElement(repr(el))
+    return lattice.idx(unit), lattice.idx(falsum), dict(pairs)
 
 
 def _derive_duals(lattice, rows, falsum, overrides):
@@ -109,8 +112,6 @@ def _derive_duals(lattice, rows, falsum, overrides):
     dual = []
     for x, row in zip(els, rows):
         if x in overrides:
-            if overrides[x] not in lattice:
-                raise ForeignElement(repr(overrides[x]))
             dual.append(lattice.idx(overrides[x]))
             continue
         [(star, closed)] = lattice.residual(row, [falsum])
@@ -358,16 +359,12 @@ def _phase_of(doc, lattice, base_dir, validate):
 
 def phase_from_rows(lattice, rows, f, validate=True):
     """The PhaseStructure of lattice, index product rows and checked phase
-    fields f, through the gates that phase_from_doc describes, the first
-    being data.total_rows: the table must be total."""
-    els = lattice.elements
-    rows = tuple(map(tuple, total_rows(els, rows)))
-    unit, falsum = f["unit"], f["falsum"]
-    for el in (unit, falsum):
-        if el not in lattice:
-            raise ForeignElement(repr(el))
+    fields f, once named_elements finds every name of f an element,
+    through data.total_rows (the table must be total) and the gates that
+    phase_from_doc describes."""
+    unit_i, falsum_i, overrides = named_elements(lattice, f)
+    rows = tuple(map(tuple, total_rows(lattice.elements, rows)))
     unit_mode, checks = f["unit_mode"], f["checks"]
-    unit_i, falsum_i = lattice.idx(unit), lattice.idx(falsum)
 
     if validate:
         product_gates = {}
@@ -377,15 +374,14 @@ def phase_from_rows(lattice, rows, f, validate=True):
             product_gates["unit_identity"] = UnitNotNeutral
         _enforce(_laws(lattice, rows, unit_i, falsum_i), product_gates)
 
-    overrides = override_map(lattice, f["dual_overrides"])
     dual = _derive_duals(lattice, rows, falsum_i, overrides)
     if validate and checks == "full":
         err = OverrideInconsistent if overrides else DualLawViolation
         _enforce(_laws(lattice, rows, unit_i, falsum_i, dual),
                  dict.fromkeys(_DUAL_LAWS, err))
 
-    ps = PhaseStructure(lattice, rows, unit, falsum, dual, unit_mode,
-                        f["op_class"], f["cl_class"])
+    ps = PhaseStructure(lattice, rows, f["unit"], f["falsum"], dual,
+                        unit_mode, f["op_class"], f["cl_class"])
     ps._proved_associative = validate and checks == "full"
     return ps
 

@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import combinations
 
 from .data import distinct, fields, load_doc, stem
-from .errors import BadGrid, HorizonEmpty, UnknownGoalElement, UsageError
+from .errors import BadGrid, UnknownGoalElement, UsageError
 from .games import Dual, Game, PayoffGame, ranked, ranked_tensor
 from .lattice import PowersetLattice
 from .phase import phase_from_doc
@@ -326,8 +326,6 @@ class CompoundGame:
         pos = tuple(sc.start if position is None else position)
         if pos not in sc.passable:
             raise BadGrid("position %r is not a passable cell" % (pos,))
-        if not sc.neighbors(pos) and len(sc.passable) > 1:
-            raise HorizonEmpty("no legal move from %r" % (pos,))
         _check_mode(mode)
         if not goals:
             raise ValueError("goals must not be empty")
@@ -561,9 +559,8 @@ def _step_game(sc, goals, pos, mode, images):
     """The compound game a cognition step plans in, or None when the step
     is saturated.  A side payoff joins the images, which hold what pos
     shows, with what its cell shows, so no cell within the horizon adds to
-    them when every cell pays the same; a walled-in pos sees only itself."""
-    if not sc.neighbors(pos):
-        return None
+    them when every cell pays the same, as at a walled-in pos, whose
+    movement game is its root alone."""
     game = CompoundGame(sc, goals, pos, mode, images)
     return None if min(game.side) == max(game.side) else game
 

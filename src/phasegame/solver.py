@@ -18,7 +18,7 @@ from .errors import (
     PhasegameError,
 )
 from .lattice import lattice_from_doc
-from .phase import phase_from_rows, verify_laws
+from .phase import named_elements, phase_from_rows, verify_laws
 
 
 def _agree(a, b):
@@ -63,10 +63,7 @@ def solve_table(doc_or_path, max_solutions=None):
     # a foreign unit, falsum or override name raises ForeignElement here,
     # and a foreign name in a sum or as a target just below: before the
     # search, whose leaf audit would only reject every completion
-    overrides = [el for kv in f["dual_overrides"] for el in kv]
-    for el in [f["unit"], f["falsum"]] + overrides:
-        if el not in lattice:
-            raise ForeignElement(repr(el))
+    named_elements(lattice, f)
     constraints = [([pair(x, y) for x, y in c["sum"]],
                     lattice.idx(c["equals"]))
                    for c in f["linked_constraints"]]

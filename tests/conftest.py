@@ -151,7 +151,7 @@ def positionally_winning(pg, strategy):
     stronger predicate is the one that composes (see test_games).
     """
     bot = pg.lattice.bottom
-    for p in maximal_plays(pg.game, strategy):
+    for p in maximal_plays(strategy):
         if pg.k[p[-1]] == bot:
             return False
         for i in range(0, len(p), 2):

@@ -563,6 +563,13 @@ MALFORMED = [
     ("attractiveness_minus_infinity",
      _edited("four_goals_scenario.json",
              _object(attractiveness=float("-inf")), SIMULATE), 2),
+    # json reads a number too large for a float as an infinity
+    ("attractiveness_overflow",
+     _respelled("tiny_scenario.json", '"attractiveness": 1',
+                '"attractiveness": 1e999', SIMULATE), 2),
+    ("attractiveness_minus_overflow",
+     _respelled("tiny_scenario.json", '"attractiveness": 1',
+                '"attractiveness": -1e999', SIMULATE), 2),
     # json keeps the last of two values for one key, which would run
     # this scenario at horizon 0
     ("repeated_key",
@@ -574,6 +581,10 @@ MALFORMED = [
      _edited("tiny_scenario.json", _object(features=["a,b"]), SIMULATE), 2),
     ("tiny_feature_empty",
      _edited("tiny_scenario.json", _object(features=[""]), SIMULATE), 2),
+    # a repeated feature would count twice towards what a cell reveals
+    ("object_features_repeated",
+     _edited("tiny_scenario.json", _object(features=["tall"] * 3),
+             SIMULATE), 2),
     ("duplicate_object_id",
      _edited("four_goals_scenario.json",
              lambda d: d["objects"][1].update(id=d["objects"][0]["id"]),
@@ -669,7 +680,12 @@ NAMED = {
                                "JSON value",
     "attractiveness_minus_infinity": "four_goals_scenario.json: -Infinity is "
                                      "not a JSON value",
+    "attractiveness_overflow": "tiny_scenario.json: 1e999 is not a finite "
+                               "number",
+    "attractiveness_minus_overflow": "tiny_scenario.json: -1e999 is not a "
+                                     "finite number",
     "repeated_key": "tiny_scenario.json: an object names 'horizon' twice",
+    "object_features_repeated": "field 'features' names 'tall' twice",
     "tiny_feature_comma": "universe members must be nonempty and contain "
                           "no commas",
     "tiny_feature_empty": "universe members must be nonempty and contain "
@@ -794,21 +810,27 @@ def test_schema_contract(tmp_path, capsys, kind, key, edit):
      "a"],
     ["facts", "--phase", "data:goal_phase.json", "--lattice", "nosuch.json"],
     ["simulate", "data:four_goals_scenario.json", "--dual-payoff", "negate"],
+    ["solve", "data:goal_phase_candidates.json", "--phase", "nosuch.json"],
 ], ids=["simulate_phase", "simulate_lattice", "oracle_phase",
         "oracle_lattice", "solve_lattice", "eval_lattice", "facts_lattice",
-        "simulate_dual_payoff"])
+        "simulate_dual_payoff", "solve_phase"])
 def test_ignored_flag_is_usage_failure(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)  # a verb that ran would write files here
     assert main(argv) == 2
     assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
-def test_solve_rejects_table_and_phase_together(tmp_path, monkeypatch,
-                                                capsys):
+@pytest.mark.parametrize("argv,missing", [
+    (["solve"], "table"),
+    (["eval", "a"], "--phase"),
+    (["facts"], "--phase"),
+], ids=["solve", "eval", "facts"])
+def test_required_input_is_declared_by_the_parser(tmp_path, monkeypatch,
+                                                  capsys, argv, missing):
     monkeypatch.chdir(tmp_path)  # a verb that ran would write files here
-    assert main(["solve", "data:goal_phase_candidates.json",
-                 "--phase", "data:goal_lattice.json"]) == 2
-    assert "not both" in capsys.readouterr().err
+    assert main(argv) == 2
+    assert "the following arguments are required: %s" % missing \
+        in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -80,7 +80,7 @@ from phasegame.expr import eval_expr, parse, tokenize
 from phasegame.games import (Game, PayoffGame, Strategy, Tensor,
                              compose_strategies, copycat, implication,
                              implication_game, materialize, maximal_plays,
-                             tensor_game, validate_strategy, walk)
+                             tensor_game, walk)
 from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
@@ -229,12 +229,19 @@ def old_laws(lat, mult, unit, falsum, dual=None):
     yield (RESIDUAL_LAW, iter(witnesses), checked)
 
 
+def old_override_names(lat, overrides):
+    """Both sides of every override pair, in document order, must be
+    elements; a load checks them before any gate."""
+    for el in [el for pair in overrides.items() for el in pair]:
+        if el not in lat:
+            raise ForeignElement(repr(el))
+
+
 def old_derive_duals(lat, mult, falsum, overrides):
+    old_override_names(lat, overrides)
     dual = {}
     for x in lat.elements:
         if x in overrides:
-            if overrides[x] not in lat:
-                raise ForeignElement(repr(overrides[x]))
             dual[x] = overrides[x]
             continue
         star, closed = old_residual(
@@ -259,6 +266,7 @@ def old_lin_implies(lat, mult, x, y):
 
 def old_load(lat, mult, unit, falsum, unit_mode, checks, overrides):
     """The duals a validating load derived, or its error."""
+    old_override_names(lat, overrides)
     gates = {}
     if checks == "full":
         gates["associative"] = NotAssociative
@@ -1207,7 +1215,7 @@ def assert_unfolds_as_before(x, y, z, sigma, tau):
     assert comp.plays == old_compose_strategies(x, y, z, sigma, tau)
     strategies.append(comp)
     for s in strategies:
-        maximal = maximal_plays(s.game, s)
+        maximal = maximal_plays(s)
         assert len(maximal) == len(set(maximal))
         assert set(maximal) == set(old_maximal_plays(s.game, s))
 
@@ -1275,12 +1283,10 @@ _FAULTS = ("empty play", "odd number", "does not start at the root",
 
 
 def strategy_verdicts(game, plays):
-    """What Strategy, validate_strategy and the earlier check say of plays
-    on game: None when it is accepted, else which fault was named."""
+    """What Strategy and the earlier check say of plays on game: None when
+    it is accepted, else which fault was named."""
     out = []
     for check in (lambda: Strategy(game, plays),
-                  lambda: validate_strategy(SimpleNamespace(game=game,
-                                                            plays=plays)),
                   lambda: old_validate_strategy(SimpleNamespace(game=game,
                                                                 plays=plays))):
         try:
@@ -1358,9 +1364,9 @@ def test_validation_agrees_with_the_earlier_strategy_check():
         strategies += [random_strategy(rng, implication_game(x, y)),
                        copycat(x)]
     for s in strategies:
-        assert strategy_verdicts(s.game, s.plays) == [None] * 3
+        assert strategy_verdicts(s.game, s.plays) == [None] * 2
         for fault, plays in faulty_copies(s.game, s.plays):
-            assert strategy_verdicts(s.game, plays) == [fault] * 3
+            assert strategy_verdicts(s.game, plays) == [fault] * 2
             named[fault] += 1
             if fault != "no O-edge":
                 continue
@@ -1378,7 +1384,7 @@ def test_validation_agrees_with_the_earlier_strategy_check():
     root = strategies[0].game.root
     for plays in (frozenset(), strategies[0].plays - {(root,)}):
         assert strategy_verdicts(strategies[0].game, plays) == [
-            "empty play"] * 3
+            "empty play"] * 2
 
 
 # the earlier play search -----------------------------------------------

@@ -12,7 +12,7 @@ from phasegame.games import (Dual, Game, PayoffGame, Strategy, Tensor,
                              dual_payoff_game, implication, implication_game,
                              is_winning, maximal_plays, payoff_implication,
                              payoff_tensor, ranked, ranked_tensor,
-                             tensor_game, validate_strategy, walk)
+                             tensor_game, walk)
 from phasegame.lattice import Lattice, PowersetLattice, chain
 
 
@@ -373,11 +373,6 @@ def test_strategy_rejects_a_play_through_no_vertex():
         Strategy(g, {(g.root,), (g.root, ("s", "r"), "x", "y", "z")})
 
 
-def test_validate_strategy_passes_good_one():
-    s = Strategy(line_game(), {("r",), ("r", "s", "t")})
-    assert validate_strategy(s)
-
-
 class CountedMoves:
     """A game that counts the moves asked of it."""
 
@@ -407,9 +402,9 @@ def test_strategy_checks_each_move_once():
 def test_maximal_plays_answered_and_unanswered():
     g = line_game()
     answered = Strategy(g, {("r",), ("r", "s", "t")})
-    assert maximal_plays(g, answered) == [("r", "s", "t")]
+    assert maximal_plays(answered) == [("r", "s", "t")]
     silent = Strategy(g, {("r",)})
-    assert maximal_plays(g, silent) == [("r", "s")]
+    assert maximal_plays(silent) == [("r", "s")]
 
 
 def test_maximal_plays_of_a_finite_strategy_on_a_cyclic_game():
@@ -417,7 +412,7 @@ def test_maximal_plays_of_a_finite_strategy_on_a_cyclic_game():
     # O-move is the one unanswered ending
     g = Game(["r", "s"], "r", [("r", "s", "O"), ("s", "r", "P")])
     twice = Strategy(g, {("r",), ("r", "s", "r"), ("r", "s", "r", "s", "r")})
-    assert maximal_plays(g, twice) == [("r", "s", "r", "s", "r", "s")]
+    assert maximal_plays(twice) == [("r", "s", "r", "s", "r", "s")]
 
 
 def test_is_winning_checks_every_ending():
@@ -426,6 +421,20 @@ def test_is_winning_checks_every_ending():
     pg = PayoffGame(g, lat, {"r": "2", "s": "0", "t": "1"})
     assert is_winning(pg, Strategy(g, {("r",), ("r", "s", "t")}))
     assert not is_winning(pg, Strategy(g, {("r",)}))
+
+
+def test_is_winning_rejects_another_games_strategy():
+    # a strategy on r -O-> a -P-> b is judged only against its own game
+    lat = chain(2)
+    own = Game(["r", "a", "b"], "r", [("r", "a", "O"), ("a", "b", "P")])
+    s = Strategy(own, {("r",), ("r", "a", "b")})
+    assert is_winning(PayoffGame(own, lat, dict.fromkeys("rab", "1")), s)
+    other = Game(["r", "x"], "r", [("r", "x", "O")])
+    swapped = Game(["r", "a", "c"], "r", [("r", "a", "O"), ("a", "c", "P")])
+    for pg in (PayoffGame(other, lat, {"r": "1", "x": "0"}),
+               PayoffGame(swapped, lat, dict.fromkeys("rac", "1"))):
+        with pytest.raises(ComponentMismatch, match="not on the payoff"):
+            is_winning(pg, s)
 
 
 # copycat and composition ------------------------------------------------
@@ -505,13 +514,13 @@ def test_compose_through_a_cyclic_middle_game():
     root, answered = ("x", "z0"), (("x", "z0"), ("x", "z1"), ("x", "z2"))
     comp = compose_strategies(x, y, z, sigma, tau)
     assert comp.plays == {(root,), answered}
-    assert maximal_plays(comp.game, comp) == [answered]
+    assert maximal_plays(comp) == [answered]
     # one lap short on either side, the interaction stops unanswered
     for s, t in [(s_plays[:2], t_plays), (s_plays, t_plays[:3])]:
         comp = compose_strategies(x, y, z, Strategy(sigma.game, s),
                                   Strategy(tau.game, t))
         assert comp.plays == {(root,)}
-        assert maximal_plays(comp.game, comp) == [(root, ("x", "z1"))]
+        assert maximal_plays(comp) == [(root, ("x", "z1"))]
 
 
 def test_compose_rejects_mismatched_components():

@@ -22,7 +22,7 @@ PUBLIC = {
     "games": ["Game", "PayoffGame", "Strategy", "compose_strategies",
               "copycat", "dual_game", "dual_payoff_game", "implication_game",
               "is_winning", "maximal_plays", "payoff_implication",
-              "payoff_tensor", "tensor_game", "validate_strategy"],
+              "payoff_tensor", "tensor_game"],
     "planner": ["Scenario", "build_compound_game", "eval_priority",
                 "load_scenario", "plan_play", "run_cognition",
                 "select_goal_sets", "visible_rewards"],
@@ -33,7 +33,7 @@ PUBLIC = {
 def test_each_public_name_is_its_modules_object():
     assert set(phasegame.__all__) == {
         name for names in PUBLIC.values() for name in names}
-    assert len(phasegame.__all__) == 39
+    assert len(phasegame.__all__) == 38
     for module, names in PUBLIC.items():
         owner = import_module("phasegame." + module)
         for name in names:

@@ -15,8 +15,7 @@ from test_differential import (Listed, assert_unfolds_as_before,
                                one_goal_scenario, wide_plan_case)
 from phasegame import planner
 from phasegame.data import load_doc
-from phasegame.errors import (BadGrid, HorizonEmpty, UnknownGoalElement,
-                              UsageError)
+from phasegame.errors import BadGrid, UnknownGoalElement, UsageError
 from phasegame.games import (Dual, Game, PayoffGame, Tensor,
                              compose_strategies, copycat, implication,
                              materialize, payoff_implication, walk)
@@ -280,15 +279,22 @@ def test_compound_payoffs_accumulate_images():
     assert all(v != "" for v in pg.k.values())
 
 
-def test_blocked_start_raises():
-    doc = base_doc()
-    doc["grid"] = [".#."]
-    doc["start"] = [0, 0]
-    doc["objects"] = [{"id": "obj_x", "cell": [0, 0],
-                       "features": ["f1"], "goal": "e"}]
-    sc = load_scenario(doc)
-    with pytest.raises(HorizonEmpty):
-        build_compound_game(sc, ["obj_x"])
+def test_walled_in_start_plans_like_a_one_cell_grid():
+    # with no move from the start its movement game is the root alone, as
+    # on a one-cell grid, so the plan holds the start and reveals f1
+    traces = []
+    for grid in ([".#."], ["."]):
+        doc = base_doc()
+        doc["grid"] = grid
+        doc["start"] = [0, 0]
+        doc["objects"] = [{"id": "obj_x", "cell": [0, 0],
+                           "features": ["f1"], "goal": "e"}]
+        traces.append(plan_play(load_scenario(doc), ["obj_x"]))
+    walled, one_cell = traces
+    assert [v["cell"] for v in walled.final_play] == [[0, 0], [0, 0]]
+    assert walled.final_play == one_cell.final_play
+    assert walled.objective == one_cell.objective == ["f1"]
+    assert walled.header["states"] == one_cell.header["states"] == 2
 
 
 def test_bad_mode_rejected():

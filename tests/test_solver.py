@@ -109,6 +109,20 @@ def test_bad_override_keys_are_named():
         solve_table(doc)
 
 
+def test_loader_and_solver_name_the_same_foreign_override():
+    # the first foreign name in document order, a value here, though a
+    # foreign key follows it
+    phase, candidates = load_doc("data:goal_phase.json")[0], candidates_doc()
+    phase["lattice"] = "data:goal_lattice.json"
+    for doc in (phase, candidates):
+        doc["dual_overrides"][0][1] = "zz1"
+        doc["dual_overrides"].append(["zz2", "0"])
+    with pytest.raises(ForeignElement, match="^'zz1'$"):
+        phase_from_doc(phase)
+    with pytest.raises(ForeignElement, match="^'zz1'$"):
+        solve_table(candidates)
+
+
 def test_max_solutions_cap():
     with pytest.raises(CapExceeded) as exc:
         solve_table(data_path("goal_phase_candidates.json"), max_solutions=1)
