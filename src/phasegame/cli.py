@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .data import fields, load_doc, stem
 from .errors import (
@@ -307,7 +308,7 @@ def build_parser():
     p = sub.add_parser("eval", parents=[phased],
                        help="evaluate a connective expression")
     p.add_argument("expr", nargs=argparse.REMAINDER,
-                   help="expression; quote it or pass flags first")
+                   help="expression (its words may be given unquoted)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -333,10 +334,40 @@ def build_parser():
     return parser
 
 
+# the flags of eval that take a value
+_EVAL_VALUE_FLAGS = ("--phase", "--out-dir")
+
+
+def _eval_flags_first(argv):
+    """argv with the flags of an eval verb moved before its expression.
+
+    The expression is the rest of the line, so a flag after its first word
+    would join it.  No expression word is '-h' or starts with '--' (a '-'
+    outside the connective '-o' is stray), so those words are taken out as
+    flags, each with the word after it when it names a flag that takes a
+    value, whole or by a prefix as argparse allows.  Every other word,
+    '-o' included, stays in the expression, in order.
+    """
+    if argv[:1] != ["eval"]:
+        return argv
+    flags, words = [], []
+    rest = iter(argv[1:])
+    for word in rest:
+        if word == "-h" or word.startswith("--") and word != "--":
+            flags.append(word)
+            if "=" not in word and any(
+                    f.startswith(word) for f in _EVAL_VALUE_FLAGS):
+                flags.extend(islice(rest, 1))
+        else:
+            words.append(word)
+    return ["eval"] + flags + words
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_eval_flags_first(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -4,6 +4,9 @@ Order is the reflexive-transitive closure of the covers, computed once at
 construction and cached as bitmasks.  All operations are pure; a Lattice is
 immutable after __init__.
 """
+from itertools import compress
+from operator import itemgetter
+
 from .data import distinct, fields, load_doc
 from .errors import (
     ForeignElement,
@@ -13,6 +16,10 @@ from .errors import (
     UnboundedLattice,
     UsageError,
 )
+
+# the digits "0" and "1" as the bytes 0 and 1, so a string of binary digits
+# becomes selectors for itertools.compress
+_BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Lattice:
@@ -64,13 +71,18 @@ class Lattice:
         if any(not (up[i] >> topi) & 1 for i in range(n)):
             raise UnboundedLattice("declared top %r is not above every element" % (top,))
 
-        down = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if (up[j] >> i) & 1:
-                    down[i] |= 1 << j
-        self._down = down
+        # the down-sets are the columns of the up-set bit matrix: row j of
+        # the matrix spells up[j] most significant bit first, so column
+        # n-1-i holds bit i of every row, row 0 first.  below[i] is that
+        # column as bytes, byte j 1 iff j <= i, and down[i] the same bits
+        # as a mask
+        cols = ["".join(col) for col in zip(*[format(u, "0%db" % n)
+                                              for u in up])][::-1]
+        self._below = [c.encode().translate(_BYTE_OF_DIGIT) for c in cols]
+        self._down = down = [int(c[::-1], 2) for c in cols]
         self._by_down = by_down = {m: k for k, m in enumerate(down)}
+        self._bot = bot
+        self._bits = [1 << z for z in range(n)]
         # each element after its lower covers, for scans that fold upwards
         self._lower = [[] for _ in range(n)]
         for lo, hi in enumerate(succ):
@@ -78,20 +90,24 @@ class Lattice:
                 self._lower[h].append(lo)
         self._upward = sorted(range(n), key=lambda k: down[k].bit_count())
         # join/meet tables: the join of i and j is the k whose up-set is the
-        # common up-set, if there is one; meets dually.  A pair j < i was
-        # found in row j, so each row raises at its first pair j >= i.
-        self._join, self._meet = [], []
-        for i in range(n):
-            joins = [by_up.get(up[i] & u) for u in up]
-            meets = [by_down.get(down[i] & d) for d in down]
+        # common up-set, if there is one; meets dually.  Row i looks up only
+        # the pairs j >= i and copies the pairs j < i from column i of the
+        # rows before it, which found them, so each row raises at its first
+        # pair j >= i.
+        self._join, self._meet = join, meet = [], []
+        for i, (u, d) in enumerate(zip(up, down)):
+            joins = list(map(itemgetter(i), join))
+            meets = list(map(itemgetter(i), meet))
+            joins += map(by_up.get, map(u.__and__, up[i:]))
+            meets += map(by_down.get, map(d.__and__, down[i:]))
             if None in joins or None in meets:
                 j = next(j for j in range(i, n)
                          if joins[j] is None or meets[j] is None)
                 raise NotALattice("no unique %s for %r, %r" % (
                     "join" if joins[j] is None else "meet",
                     self.elements[i], self.elements[j]))
-            self._join.append(joins)
-            self._meet.append(meets)
+            join.append(joins)
+            meet.append(meets)
         self._distributive = None
 
     @property
@@ -143,19 +159,21 @@ class Lattice:
                 for mi in self._meet for j, mij in enumerate(mi))
         return self._distributive
 
-    def residual(self, row, targets):
-        """[(star, closed)] for each target index t, where row lists the
-        indices of some products in element order: star indexes the join of
-        the witnesses, the z with row[z] at or below t, and closed says
-        whether star is itself a witness.
+    def residual(self, row, t):
+        """(star, closed), as _star gives them, for the witnesses of target
+        index t, where row lists the indices of some products in element
+        order: the z with row[z] at or below t, gathered in one pass.
 
         When row is the product row of some x, a closed star is the largest
-        z with x.z <= t: the residual of t by x.  Bottom when no z is a
-        witness.  The witnesses of t, as a bitmask, are those whose product
-        is t plus the witnesses of each lower cover of t.  When they form a
-        principal down-set its top is their join, else (products need not be
-        monotone) the join is folded.
+        z with x.z <= t: the residual of t by x.
         """
+        return self._star(sum(compress(
+            self._bits, map(self._below[t].__getitem__, row))))
+
+    def witnesses(self, row):
+        """The witness bitmask of every target index t for the product row
+        row, as residual gathers it for one: those z whose product is t,
+        plus the witnesses of each lower cover of t, folded upwards."""
         witnesses = [0] * len(row)
         for z, p in enumerate(row):
             witnesses[p] |= 1 << z
@@ -163,20 +181,22 @@ class Lattice:
         for t in self._upward:
             for s in lower[t]:
                 witnesses[t] |= witnesses[s]
-        by_down, join = self._by_down, self._join
-        bottom = self._index[self.bottom]
-        out = []
-        for t in targets:
-            w = witnesses[t]
-            star = by_down.get(w)
-            if star is None:
-                star, rest = bottom, w
-                while rest:
-                    low = rest & -rest
-                    star = join[star][low.bit_length() - 1]
-                    rest ^= low
-            out.append((star, w >> star & 1 == 1))
-        return out
+        return witnesses
+
+    def _star(self, w):
+        """(star, closed) for a witness bitmask w: star indexes the join of
+        the witnesses, bottom when there is none, and closed says whether
+        star is itself a witness.  When the witnesses form a principal
+        down-set its top is their join, else (products need not be
+        monotone) the join is folded."""
+        star = self._by_down.get(w)
+        if star is None:
+            star, rest, join = self._bot, w, self._join
+            while rest:
+                low = rest & -rest
+                star = join[star][low.bit_length() - 1]
+                rest ^= low
+        return star, w >> star & 1 == 1
 
     def heyting_implies(self, a, b):
         """Relative pseudo-complement: join of all c with a /\\ c <= b."""
@@ -184,7 +204,7 @@ class Lattice:
             raise NotHeyting("lattice is not distributive")
         # a /\ (join of the witnesses) is the join of their meets with a,
         # at or below b, so the residual of a distributive meet row is closed
-        [(star, _)] = self.residual(self._meet[self.idx(a)], [self.idx(b)])
+        star, _ = self.residual(self._meet[self.idx(a)], self.idx(b))
         return self.elements[star]
 
     def heyting_neg(self, a):

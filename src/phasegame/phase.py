@@ -38,8 +38,9 @@ class PhaseStructure:
     in the arguments and results of the methods.
     """
 
-    # set by a load whose associativity gate passed, so the audit reuses it
-    _proved_associative = False
+    # the gate laws a load checked and passed, which the audit lists as
+    # passing without scanning them again
+    _proved = frozenset()
 
     def __init__(self, lattice, rows, unit, falsum, dual, unit_mode="weak",
                  op_class=None, cl_class=None):
@@ -85,7 +86,7 @@ class PhaseStructure:
         which case the residual does not exist in this structure.
         """
         lat = self.lattice
-        [(star, closed)] = lat.residual(self._rows[lat.idx(x)], [lat.idx(y)])
+        star, closed = lat.residual(self._rows[lat.idx(x)], lat.idx(y))
         if not closed:
             raise NotClosed(
                 "lin_implies(%r, %r): join %r of witnesses is not a witness"
@@ -114,7 +115,7 @@ def _derive_duals(lattice, rows, falsum, overrides):
         if x in overrides:
             dual.append(lattice.idx(overrides[x]))
             continue
-        [(star, closed)] = lattice.residual(row, [falsum])
+        star, closed = lattice.residual(row, falsum)
         if not closed:
             raise NotClosed(
                 "dual of %r is not expressible: join %r of witnesses fails "
@@ -244,40 +245,59 @@ def _dual_of_join(lattice, dual):
                     yield els[x], els[y]
 
 
-def _laws(lattice, rows, unit, falsum, dual=None, associative=False):
+def _laws(lattice, rows, unit, falsum, dual=None, proved=()):
     """Yield (name, witnesses, instances) for each law, in a fixed order.
 
     rows, unit, falsum and dual are element indices; witnesses are names.
     witnesses lazily yields the failing instances, so a caller that stops
     at the first pays only for the scan up to it.  Without a dual table only
-    the product laws are listed.  associative=True lists associativity
-    with no witness and no scan.
+    the product laws are listed.  A law named in proved is listed with no
+    witness and no scan.
     """
     els = lattice.elements
     n = len(els)
     span = range(n)
-    yield ("commutative", _commutative(els, rows), n * n)
-    yield ("associative",
-           iter(()) if associative else _associative(els, rows, unit), n ** 3)
-    yield ("unit_identity",
-           (els[x] for x in span if rows[unit][x] != x), n)
+    laws = [
+        ("commutative", lambda: _commutative(els, rows), n * n),
+        ("associative", lambda: _associative(els, rows, unit), n ** 3),
+        ("unit_identity",
+         lambda: (els[x] for x in span if rows[unit][x] != x), n),
+    ]
+    if dual is not None:
+        up = lattice._up
+        laws += [
+            ("triple_dual",
+             lambda: (els[x] for x in span if dual[dual[dual[x]]] != dual[x]),
+             n),
+            ("double_dual_extensive",
+             lambda: (els[x] for x in span if not up[x] >> dual[dual[x]] & 1),
+             n),
+            ("contradiction_below_falsum",
+             lambda: (els[x] for x in span
+                      if not up[rows[x][dual[x]]] >> falsum & 1), n),
+            ("dual_of_join_is_meet_of_duals",
+             lambda: _dual_of_join(lattice, dual), n * n),
+        ]
+    for name, scan, instances in laws:
+        yield name, iter(()) if name in proved else scan(), instances
     if dual is None:
         return
-    up = lattice._up
-    yield ("triple_dual",
-           (els[x] for x in span if dual[dual[dual[x]]] != dual[x]), n)
-    yield ("double_dual_extensive",
-           (els[x] for x in span if not up[x] >> dual[dual[x]] & 1), n)
-    yield ("contradiction_below_falsum",
-           (els[x] for x in span if not up[rows[x][dual[x]]] >> falsum & 1),
-           n)
-    yield ("dual_of_join_is_meet_of_duals", _dual_of_join(lattice, dual),
-           n * n)
     # only pairs whose residual towards dual(y) exists are instances, so
-    # this law is scanned in full before it is listed
+    # this law is scanned in full before it is listed.  A row whose
+    # witness masks towards the duals are the down-sets of the duals of
+    # its products has every pair closed and passing; only the pairs of
+    # any other row are taken one by one.
+    down, star_of = lattice._down, lattice._star
+    wants = list(map(down.__getitem__, dual))
     checked, witnesses = 0, []
     for x, row in enumerate(rows):
-        for y, (star, closed) in enumerate(lattice.residual(row, dual)):
+        w = lattice.witnesses(row)
+        if list(map(w.__getitem__, dual)) == list(map(wants.__getitem__,
+                                                          row)):
+            checked += n
+            continue
+        for y, t in enumerate(dual):
+            star, closed = star_of(w[t])
             if closed:
                 checked += 1
                 want = dual[row[y]]
@@ -317,7 +337,8 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     dual_of_join_is_meet_of_duals (OverrideInconsistent if the document
     overrides duals, else DualLawViolation).  validate=False skips these
     gates so a broken table can still be loaded and audited with
-    verify_laws.
+    verify_laws.  The gates a load passed are kept on the structure, and
+    verify_laws lists those laws as passing without scanning them again.
 
     A reference with no lattice given is built once per content: while the
     bytes of its file, and of its lattice file if the lattice field is a
@@ -366,23 +387,24 @@ def phase_from_rows(lattice, rows, f, validate=True):
     rows = tuple(map(tuple, total_rows(lattice.elements, rows)))
     unit_mode, checks = f["unit_mode"], f["checks"]
 
+    gates = {}
     if validate:
-        product_gates = {}
         if checks == "full":
-            product_gates["associative"] = NotAssociative
+            gates["associative"] = NotAssociative
         if unit_mode == "strict":
-            product_gates["unit_identity"] = UnitNotNeutral
-        _enforce(_laws(lattice, rows, unit_i, falsum_i), product_gates)
+            gates["unit_identity"] = UnitNotNeutral
+        _enforce(_laws(lattice, rows, unit_i, falsum_i), gates)
 
     dual = _derive_duals(lattice, rows, falsum_i, overrides)
     if validate and checks == "full":
         err = OverrideInconsistent if overrides else DualLawViolation
-        _enforce(_laws(lattice, rows, unit_i, falsum_i, dual),
-                 dict.fromkeys(_DUAL_LAWS, err))
+        dual_gates = dict.fromkeys(_DUAL_LAWS, err)
+        _enforce(_laws(lattice, rows, unit_i, falsum_i, dual), dual_gates)
+        gates.update(dual_gates)
 
     ps = PhaseStructure(lattice, rows, f["unit"], f["falsum"], dual,
                         unit_mode, f["op_class"], f["cl_class"])
-    ps._proved_associative = validate and checks == "full"
+    ps._proved = frozenset(gates)
     return ps
 
 
@@ -401,13 +423,15 @@ def verify_laws(ps):
     Unlike load-time validation this never raises: hand-built or corrupted
     structures produce a report with failing entries and witnesses instead.
     Pairs with no residual are skipped by the residual law, not failed.
+    A law whose gate the structure passed when it was loaded is listed as
+    passing, with its instance count, and not scanned again.
     """
     lat = ps.lattice
     n = len(lat.elements)
     laws = []
     for name, witnesses, instances in _laws(lat, ps._rows, lat.idx(ps.unit),
                                             lat.idx(ps.falsum), ps._dual,
-                                            ps._proved_associative):
+                                            ps._proved):
         if name == "unit_identity" and ps.unit_mode != "strict":
             laws.append({"law": name, "status": "skipped", "checked": 0,
                          "skipped": instances, "witnesses": []})

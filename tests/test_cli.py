@@ -169,6 +169,34 @@ def test_eval_requires_phase_and_expression():
     assert main(["eval", "--phase", "data:goal_phase.json"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--phase", "data:goal_phase.json", "a", "--quiet"],
+    ["eval", "a", "--phase", "data:goal_phase.json"],
+    ["eval", "a", "--phase=data:goal_phase.json", "--quiet"],
+    ["eval", "a", "--ph", "data:goal_phase.json"],
+], ids=["quiet_after", "phase_after", "phase_equals_after", "prefix_after"])
+def test_eval_flags_may_follow_the_expression(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "a\n"
+
+
+def test_eval_reads_unquoted_implication_among_flags(capsys):
+    # '-o' is the connective wherever it stands, flags after it or not
+    rc = main(["eval", "a", "-o", "b2", "--phase", "data:goal_phase.json"])
+    assert rc == 0
+    assert capsys.readouterr().out == "1\n"
+    assert main(["eval", "--phase", "data:goal_phase.json", "a -o"]) == 2
+    assert main(["eval", "a", "-o", "--phase", "data:goal_phase.json"]) == 2
+
+
+def test_eval_report_dir_may_follow_the_expression(tmp_path, capsys):
+    rc = main(["eval", "e^^", "--out-dir", str(tmp_path), "--phase",
+               "data:goal_phase.json"])
+    assert rc == 0
+    assert capsys.readouterr().out == "J23e\n"
+    assert read_json(tmp_path / "eval_report.json")["expression"] == "e^^"
+
+
 # simulate ---------------------------------------------------------------
 
 def test_simulate_emits_stable_trace_and_dot(tmp_path, capsys):

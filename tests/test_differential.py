@@ -398,8 +398,8 @@ def test_distributive_meet_rows_residuate_closed():
         lattices += 1
         els = lat.elements
         for a, row in zip(els, lat._meet):
-            for b, (star, closed) in zip(els, lat.residual(
-                    row, range(len(els)))):
+            for t, b in enumerate(els):
+                star, closed = lat.residual(row, t)
                 assert closed, (els, a, b)
                 witnesses = [c for c in els if lat.leq(lat.meet2(a, c), b)]
                 assert els[star] in witnesses
@@ -623,6 +623,86 @@ def test_lawful_structures_never_scan_associativity(kind, n, monkeypatch):
     assert report["laws"][1] == {"law": "associative", "status": "pass",
                                  "checked": n ** 3, "skipped": 0,
                                  "witnesses": []}
+
+
+# the residual law by whole rows -----------------------------------------
+#
+# A row whose witness masks towards the duals are the down-sets of the
+# duals of its products passes whole; only the pairs of any other row are
+# scanned, each through Lattice._star.  The per-pair fold of old_laws is
+# the oracle.
+
+def counting_star(monkeypatch):
+    """The witness masks Lattice._star is asked about from here on."""
+    calls = []
+    star = Lattice._star
+
+    def counting(self, w):
+        calls.append(w)
+        return star(self, w)
+
+    monkeypatch.setattr(Lattice, "_star", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind,n", [("boolean", 128), ("boolean", 256),
+                                    ("downset", 128), ("downset", 256)])
+def test_lawful_structures_never_scan_residual_pairs(kind, n, monkeypatch):
+    gen = _load_gen()
+    ps = phase_from_doc(getattr(gen, kind + "_structure")(
+        random.Random(n + 606), n)[0])
+    calls = counting_star(monkeypatch)
+    report = verify_laws(ps)
+    assert calls == []
+    assert report["ok"]
+    assert report["laws"][-1] == {"law": RESIDUAL_LAW, "status": "pass",
+                                  "checked": n * n, "skipped": 0,
+                                  "witnesses": []}
+
+
+def test_edited_structures_match_the_earlier_residual_law(monkeypatch):
+    # one planted product or dual edit, loaded without the gates: most
+    # rows pass whole and the rows the edit reaches are scanned pair by
+    # pair, to the report of the per-pair fold
+    gen = _load_gen()
+    rng = random.Random(607)
+    calls = counting_star(monkeypatch)
+    seen = Counter()
+    for kind, n in [("boolean", 32), ("boolean", 64), ("downset", 32),
+                    ("downset", 64)] * 6:
+        doc, _ = getattr(gen, kind + "_structure")(rng, n)
+        lat = lattice_from_doc(doc["lattice"])
+        els = lat.elements
+        table = {}
+        for x, y, v in doc["mult"]:
+            table[x, y] = table[y, x] = v
+        x, y, v = rng.choice(els), rng.choice(els), rng.choice(els)
+        overrides = {}
+        if rng.random() < 0.5:
+            table[x, y] = table[y, x] = v
+            doc["mult"] = [[a, b, c] for (a, b), c in table.items()]
+        else:
+            overrides = {x: v}
+            doc["dual_overrides"] = [[x, v]]
+        case = (kind, n, x, y, v, bool(overrides))
+        want = outcome(old_derive_duals, lat, table, doc["falsum"],
+                       overrides)
+        try:
+            ps = phase_from_doc(doc, lattice=lat, validate=False)
+        except PhasegameError as exc:
+            assert (type(exc).__name__, str(exc)) == want, case
+            continue
+        assert {e: ps.dual(e) for e in els} == want, case
+        calls.clear()
+        report = verify_laws(ps)
+        assert report == old_report(lat, table, doc["unit"], doc["falsum"],
+                                    want, doc["unit_mode"]), case
+        # a row scanned pair by pair asks _star once per element
+        assert len(calls) % n == 0 and len(calls) < n * n, case
+        seen[report["laws"][-1]["status"], len(calls) // n] += 1
+    # the laws fail with as few as one or two rows scanned
+    assert sum(count for (status, scanned), count in seen.items()
+               if status == "fail" and scanned <= 2) >= 5, seen
 
 
 # the earlier two-pass product-row parser -------------------------------

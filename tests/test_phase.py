@@ -300,34 +300,32 @@ def test_declared_class_mismatch_detected(goal_phase):
 
 def test_load_runs_no_residual_scan(monkeypatch):
     # every dual of the goal phase is an override, so loading needs no
-    # residual at all; the audit computes one per pair, in one call per
-    # element that asks for its residual towards every dual
+    # residual at all; the audit folds the witness masks of one product
+    # row per element and asks no single residual
     calls = []
-    residual = Lattice.residual
+    for kernel in ("residual", "witnesses"):
+        def counting(self, row, *args, _kernel=getattr(Lattice, kernel),
+                     _name=kernel):
+            calls.append(_name)
+            return _kernel(self, row, *args)
 
-    def counting(self, *args):
-        calls.append(args)
-        return residual(self, *args)
-
-    monkeypatch.setattr(Lattice, "residual", counting)
+        monkeypatch.setattr(Lattice, kernel, counting)
     ps = phase_from_doc(phase_doc())
     assert calls == []
     verify_laws(ps)
-    n = len(ps.lattice.elements)
-    assert len(calls) == n
-    assert sum(len(targets) for _, targets in calls) == n * n
+    assert calls == ["witnesses"] * len(ps.lattice.elements)
 
 
-def counting_light(monkeypatch):
-    """The calls of Light's test from here on, one list entry each."""
+def counting_scans(monkeypatch):
+    """The calls of Light's test and of the dual-of-join scan from here on,
+    one name each."""
     calls = []
-    light = phase_module._light
+    for name in ("_light", "_dual_of_join"):
+        def counting(*args, _scan=getattr(phase_module, name), _name=name):
+            calls.append(_name)
+            return _scan(*args)
 
-    def counting(rows, gens):
-        calls.append(gens)
-        return light(rows, gens)
-
-    monkeypatch.setattr(phase_module, "_light", counting)
+        monkeypatch.setattr(phase_module, name, counting)
     return calls
 
 
@@ -338,34 +336,39 @@ def boolean_doc(n=32):
 
 
 def test_audit_reuses_the_load_time_associativity_verdict(monkeypatch):
-    calls = counting_light(monkeypatch)
+    calls = counting_scans(monkeypatch)
     ps = phase_from_doc(boolean_doc())
-    assert len(calls) == 1
+    assert calls == ["_light", "_dual_of_join"]
     report = verify_laws(ps)
-    assert len(calls) == 1
+    assert calls == ["_light", "_dual_of_join"]
     assert report["laws"][1] == {"law": "associative", "status": "pass",
                                  "checked": 32 ** 3, "skipped": 0,
                                  "witnesses": []}
-    # the same rows loaded without the gate are audited in full, to the
+    assert report["laws"][6] == {"law": "dual_of_join_is_meet_of_duals",
+                                 "status": "pass", "checked": 32 ** 2,
+                                 "skipped": 0, "witnesses": []}
+    # the same rows loaded without the gates are audited in full, to the
     # same report
+    calls.clear()
     assert verify_laws(phase_from_doc(boolean_doc(), validate=False)) == \
         report
-    assert len(calls) == 2
+    assert calls == ["_light", "_dual_of_join"]
 
 
 def test_ungated_structures_are_audited_in_full(monkeypatch):
     loaded = phase_from_doc(boolean_doc())
-    calls = counting_light(monkeypatch)
+    report = verify_laws(loaded)
+    calls = counting_scans(monkeypatch)
     relaxed = boolean_doc()
     relaxed["checks"] = "relaxed"
     # a structure built by hand on the same index tables
     built = PhaseStructure(loaded.lattice, loaded._rows, loaded.unit,
-                           loaded.falsum, loaded._dual)
+                           loaded.falsum, loaded._dual, loaded.unit_mode)
     for ps in (phase_from_doc(boolean_doc(), validate=False),
                phase_from_doc(relaxed), built):
         assert calls == []
-        assert verify_laws(ps)["ok"]
-        assert len(calls) == 1
+        assert verify_laws(ps) == report
+        assert calls == ["_light", "_dual_of_join"]
         calls.clear()
 
 
