@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 
 from .data import fields, load_doc, stem
 from .errors import (
@@ -305,10 +304,14 @@ def build_parser():
     p.add_argument("--max-solutions", type=_positive, metavar="N")
     p.set_defaults(func=cmd_solve)
 
+    # main passes the words no flag claims as args.expr
     p = sub.add_parser("eval", parents=[phased],
-                       help="evaluate a connective expression")
-    p.add_argument("expr", nargs=argparse.REMAINDER,
-                   help="expression (its words may be given unquoted)")
+                       usage="%(prog)s [-h] [--out-dir DIR] [--quiet] "
+                             "--phase FILE EXPR ...",
+                       help="evaluate a connective expression",
+                       description="EXPR is the words no flag claims, in "
+                       "order, so flags may stand among them and '-o' needs "
+                       "no quotes; no word of it starts with '--'.")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -334,42 +337,16 @@ def build_parser():
     return parser
 
 
-# the flags of eval that take a value
-_EVAL_VALUE_FLAGS = ("--phase", "--out-dir")
-
-
-def _eval_flags_first(argv):
-    """argv with the flags of an eval verb moved before its expression.
-
-    The expression is the rest of the line, so a flag after its first word
-    would join it.  No expression word is '-h' or starts with '--' (a '-'
-    outside the connective '-o' is stray), so those words are taken out as
-    flags, each with the word after it when it names a flag that takes a
-    value, whole or by a prefix as argparse allows.  Every other word,
-    '-o' included, stays in the expression, in order.
-    """
-    if argv[:1] != ["eval"]:
-        return argv
-    flags, words = [], []
-    rest = iter(argv[1:])
-    for word in rest:
-        if word == "-h" or word.startswith("--") and word != "--":
-            flags.append(word)
-            if "=" not in word and any(
-                    f.startswith(word) for f in _EVAL_VALUE_FLAGS):
-                flags.extend(islice(rest, 1))
-        else:
-            words.append(word)
-    return ["eval"] + flags + words
-
-
 def main(argv=None):
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_eval_flags_first(argv))
+        args, extra = parser.parse_known_args(argv)
+        if extra and (args.verb != "eval" or any(
+                word.startswith("--") for word in extra)):
+            parser.error("unrecognized arguments: %s" % " ".join(extra))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    args.expr = extra
     try:
         return args.func(args)
     except (UsageError, OSError, PhasegameError) as exc:

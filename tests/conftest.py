@@ -1,5 +1,8 @@
 """Shared fixtures and random-structure generators for the test suite."""
 
+import hashlib
+import json
+import os
 import random
 
 import pytest
@@ -162,3 +165,24 @@ def positionally_winning(pg, strategy):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def pinned(name):
+    """The table checked in as tests/pinned/<name>: a JSON object from each
+    case to its answer."""
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "pinned", name)) as fh:
+        return json.load(fh)
+
+
+def sha16(text):
+    """The 16-hex sha256 prefix by which a pinned table names an output."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def moved(table, answers):
+    """Each case whose answer differs from the table's, as (pinned, now); a
+    case missing on either side has moved too."""
+    return {key: (table.get(key), answers.get(key))
+            for key in sorted(set(table) | set(answers))
+            if table.get(key) != answers.get(key)}

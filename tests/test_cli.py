@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -9,6 +12,8 @@ import sys
 import pytest
 
 import phasegame
+from conftest import moved, pinned, sha16
+from test_differential import _load_gen
 from phasegame.cli import main
 from phasegame.data import (DISTINCT, ENUMS, REQUIRED, ROWS, SCHEMAS,
                             data_path)
@@ -860,6 +865,116 @@ def test_required_input_is_declared_by_the_parser(tmp_path, monkeypatch,
     assert "the following arguments are required: %s" % missing \
         in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_stray_word_after_a_verb_is_usage_failure(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)  # a verb that ran would write files here
+    for argv in (["simulate", "data:tiny_scenario.json", "extra"],
+                 ["verify", "--phase", "data:goal_phase.json", "extra"]):
+        assert main(argv) == 2
+        assert "unrecognized arguments: extra" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_eval_reads_an_expression_split_by_flags(capsys):
+    rc = main(["eval", "a", "--quiet", "-o", "b2", "--phase",
+               "data:goal_phase.json"])
+    assert rc == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+# the exit-code contract on a seeded argv corpus -------------------------
+
+VERB_INPUT = {
+    "verify": ["--phase", "data:goal_phase.json"],
+    "solve": ["data:goal_phase_candidates.json"],
+    "eval": ["--phase", "data:goal_phase.json"],
+    "simulate": ["data:tiny_scenario.json"],
+    "oracle": ["data:z2_monoid.json"],
+    "facts": ["--phase", "data:goal_phase.json"],
+}
+CORPUS_WORDS = ["a", "zork", "-o", "b2", "e^^", "x", "extra", "-x", "-h",
+                "--", "--quiet", "--phase", "--ph",
+                "--phase=data:goal_phase.json", "--out-dir", "--lattice"]
+
+
+def argv_corpus(seed=1031, size=500):
+    """Seeded argv: a verb with its required input, set anywhere among 0 to
+    6 words drawn from CORPUS_WORDS."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(size):
+        verb = rng.choice(sorted(VERB_INPUT))
+        words = [rng.choice(CORPUS_WORDS) for _ in range(rng.randint(0, 6))]
+        at = rng.randint(0, len(words))
+        corpus.append([verb] + words[:at] + VERB_INPUT[verb] + words[at:])
+    return corpus
+
+
+def corpus_answer(argv):
+    """main's exit code on argv, and for eval what it printed; a help text
+    reads "<help>", since its layout is argparse's."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if argv[0] != "eval":
+        return [code, None]
+    return [code, "<help>" if out.getvalue().startswith("usage: ")
+            else out.getvalue()]
+
+
+def test_argv_corpus_keeps_its_pinned_answers(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # what the verbs write goes to tmp_path
+    answers = {" ".join(argv): corpus_answer(argv) for argv in argv_corpus()}
+    assert len(answers) > 400
+    assert moved(pinned("argv_corpus.json"), answers) == {}
+
+
+# pinned outputs on generated structures --------------------------------
+
+def test_outputs_on_generated_structures_keep_their_pins(tmp_path, capsys):
+    # verify and facts on seeded Boolean and down-set structures, eval of a
+    # seeded expression batch on each, and solve on two planted tables: the
+    # exit codes, with sha256 prefixes of what verify and facts print (the
+    # temp path masked), of eval's values and of solve's completions
+    gen = _load_gen()
+    answers = {}
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out.replace(str(tmp_path), "TMP")
+
+    for kind in ("boolean", "downset"):
+        for n in (32, 64, 128):
+            rng = random.Random(n)
+            doc, model = getattr(gen, kind + "_structure")(rng, n)
+            path = tmp_path / ("%s_%d.json" % (kind, n))
+            path.write_text(json.dumps(doc))
+            for verb in ("verify", "facts"):
+                code, out = run([verb, "--phase", str(path)])
+                answers["%s %s %d" % (verb, kind, n)] = [code, sha16(out)]
+            runs = [run(["eval", "--phase", str(path), text])
+                    for text, _ in gen.expr_batch(rng, model, 8)]
+            answers["eval %s %d" % (kind, n)] = [
+                max(code for code, _ in runs),
+                sha16("".join(out for _, out in runs))]
+
+    rng = random.Random(128)
+    goal = gen.inline_lattice(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), read_json(data_path("goal_phase.json")))
+    for i, phase_doc in enumerate(
+            [goal, gen.downset_structure(rng, 12)[0]], 1):
+        doc, _ = gen.planted_table(rng, phase_doc, 8, 3)
+        out_dir = tmp_path / ("planted_%d" % i)
+        path = tmp_path / ("planted_%d.json" % i)
+        path.write_text(json.dumps(doc))
+        code, _ = run(["solve", str(path), "--out-dir", str(out_dir)])
+        tables = [sorted(gen.table_of(read_json(sol)).items())
+                  for sol in sorted(out_dir.glob("*_solution_*.json"))]
+        answers["solve planted %d" % i] = [code, sha16(json.dumps(tables))]
+    assert moved(pinned("generated_cli.json"), answers) == {}
 
 
 # installed script -------------------------------------------------------

@@ -8,11 +8,12 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_strategy
+from conftest import moved, pinned, random_strategy, sha16
 from test_differential import (Listed, assert_unfolds_as_before,
                                old_build_compound_game, old_dual_game,
                                old_select_goal_sets, old_tensor_game,
-                               one_goal_scenario, wide_plan_case)
+                               one_goal_scenario, planner_shape_case,
+                               wide_plan_case)
 from phasegame import planner
 from phasegame.data import load_doc
 from phasegame.errors import BadGrid, UnknownGoalElement, UsageError
@@ -612,6 +613,37 @@ def test_compound_game_is_listed_in_walk_order():
                                  for v, w, pol in edges]
 
 
+def most_reveals_reached(game):
+    """The most reveals (the summed counts of its chains name) held by a
+    vertex that alternated plays reach from the root, O moving at even
+    depth."""
+    depth = {game.root: 0}
+    todo = [game.root]
+    while todo:
+        v = todo.pop()
+        for w in game.moves(v, "P" if depth[v] % 2 else "O"):
+            if w not in depth:
+                depth[w] = depth[v] + 1
+                todo.append(w)
+    return max(sum(j for _, j in chain_counts(game.vertex(v)[1]))
+               for v in depth)
+
+
+def test_no_play_holds_more_than_two_reveals():
+    # the play grammar: at tick 0 O has no movement move, so O's first move
+    # reveals; P steps; O ticks or reveals; a reveal at an odd tick leaves P
+    # no move and ends the play
+    cases = [random_case(random.Random(seed)) + (mode,)
+             for seed in range(10000, 10300)
+             for mode in ("practical", "strict")]
+    rng = random.Random(2020)
+    cases += [planner_shape_case(rng) + ("practical",) for _ in range(10)]
+    most = Counter(most_reveals_reached(CompoundGame(
+        sc, goals, position=position, mode=mode, images=images))
+        for sc, goals, position, images, mode in cases)
+    assert max(most) == 2, most
+
+
 def one_goal_game(features, start):
     """A one-goal CompoundGame on two cells at horizon 1: 3 movement
     vertices times the goal's len(features) + 1 reveal counts."""
@@ -886,7 +918,9 @@ def test_every_run_completes_or_ends_wandering(mode):
     # a non-wander step is a function of (position, pool, images), so a
     # revisit of one is a cycle, and it saturates the step: no run ends at
     # the step limit unless it is still wandering with nothing discovered
+    # each trace's bytes are pinned too, by a sha256 prefix keyed "mode seed"
     revisits = 0
+    digests = {}
     for seed in range(10000, 10300):
         sc = random_case(random.Random(seed))[0]
         trace = run_cognition(sc, max_steps=60, mode=mode)
@@ -894,7 +928,11 @@ def test_every_run_completes_or_ends_wandering(mode):
         assert trace.complete or last[0]["move"] == "wander", seed
         revisits += any(line.endswith(": a cycle")
                         for line in trace.decision_log)
+        digests["%s %d" % (mode, seed)] = sha16(trace.to_json())
     assert revisits == {"practical": 3, "strict": 53}[mode]
+    table = pinned("run_traces.json")
+    assert moved({key: table[key] for key in table
+                  if key.startswith(mode + " ")}, digests) == {}
 
 
 def test_empty_scenario_wanders_to_step_limit():
