@@ -138,7 +138,8 @@ ENUMS = {"unit_mode": ("weak", "strict"), "checks": ("full", "relaxed")}
 
 # the array fields that name each of their items, or the first name of each
 # of their pairs, once
-DISTINCT = ("elements", "dual_overrides", "features")
+DISTINCT = ("elements", "dual_overrides", "features", "generators",
+            "op_class", "cl_class", "falsum_subset")
 
 # each kind of row: the types its entries may have, in order (an array
 # entry lists names, as a product's candidates do), and the message for a

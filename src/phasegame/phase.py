@@ -151,15 +151,14 @@ def _commutative(els, rows):
 
 
 def _generators(rows, unit):
-    """A generating set of the magma rows, or None when it would hold more
-    than half the carrier.
+    """A generating set of the magma rows, or None.
 
-    It starts from the elements that are no product y.z with y and z other
-    than the unit and the element itself, and closes them under x -> x.a
-    for each generator a, each pair (x, a) taken once; an element the
-    closure misses becomes a generator too.  Every element reached is a
-    left-nested product of generators, so a closure that covers the carrier
-    proves that they generate it, whatever the product.
+    The set is the elements that are no product y.z with y and z other
+    than the unit and the element itself.  It is None when they hold more
+    than half the carrier, or when their closure under x -> x.a, for each
+    of them a, misses an element.  Every element reached is a left-nested
+    product of generators, so a closure that covers the carrier proves
+    that they generate it, whatever the product.
     """
     n = len(rows)
     others = [z for z in range(n) if z != unit]
@@ -171,30 +170,19 @@ def _generators(rows, unit):
             got = set(compress(vals, map(ne, vals, others)))
             got.discard(y)
             made |= got
-    gens, reached, seen = [], [], bytearray(n)
-
-    def reach(vals):
-        for v in vals:
+    gens = [x for x in range(n) if x not in made]
+    if 2 * len(gens) > n:
+        return None
+    seen, reached = bytearray(n), list(gens)
+    for x in gens:
+        seen[x] = 1
+    for x in reached:           # reached grows while it is read
+        row = rows[x]
+        for v in map(row.__getitem__, gens):
             if not seen[v]:
                 seen[v] = 1
                 reached.append(v)
-
-    new = [x for x in range(n) if x not in made]
-    done = 0                    # reached[:done] are multiplied by all gens
-    misses = iter(range(n))
-    while 2 * (len(gens) + len(new)) <= n:
-        reach(new)
-        for x in reached[:done]:
-            reach([rows[x][a] for a in new])
-        gens += new
-        while done < len(reached):
-            row = rows[reached[done]]
-            reach([row[a] for a in gens])
-            done += 1
-        if done == n:
-            return gens
-        new = [next(x for x in misses if not seen[x])]
-    return None
+    return gens if len(reached) == n else None
 
 
 def _light(rows, gens):
@@ -211,7 +199,7 @@ def _light(rows, gens):
 def _associative(els, rows, unit):
     # Light's test decides the verdict; the per-instance scan runs from the
     # start only when it fails or does not apply (two elements or fewer,
-    # or generators making up most of the carrier)
+    # or no generating set found by _generators)
     if len(rows) > 2:
         gens = _generators(rows, unit)
         if gens is not None and _light(rows, gens):

@@ -49,7 +49,6 @@ class Scenario:
             {f for o in objects for f in o.features})
         self.universe = self.payoff_lattice.base
         self._visible = {}              # cell -> visible_rewards
-        self._walked = None             # (cell, _movement from it), last
 
     def neighbors(self, cell):
         x, y = cell
@@ -280,15 +279,6 @@ class _Chain:
         return [(v[0], v[1] + 1)] if pol == "O" and v[1] < self._n else []
 
 
-def _movement(sc, pos):
-    """The movement game from pos, dualized and ranked.  One slot on the
-    scenario: a cognition step's shrinks and saturation checks at one
-    position share its walk, and the walk goes with the scenario."""
-    if sc._walked is None or sc._walked[0] != pos:
-        sc._walked = pos, ranked(Dual(_Movement(sc, pos, sc.horizon)))
-    return sc._walked[1]
-
-
 def _check_mode(mode):
     if mode not in ("practical", "strict"):
         raise ValueError("mode must be 'practical' or 'strict'")
@@ -332,7 +322,8 @@ class CompoundGame:
         images = images or {}
         objs = _goal_objects(sc, goals)
         lat = sc.payoff_lattice
-        self.mverts, mroot, self.msucc = _movement(sc, pos)
+        self.mverts, mroot, self.msucc = ranked(
+            Dual(_Movement(sc, pos, sc.horizon)))
         chains = [ranked(_Chain(o)) for o in objs]
         self.bverts, broot, self.bsucc = reduce(ranked_tensor, chains)
         self.meet = reduce(lambda f, g: [x & y for x in f for y in g], [

@@ -607,8 +607,9 @@ def test_light_verdict_matches_the_scan_on_edited_structures():
     assert edits[True, False] and edits[False, False]
 
 
-@pytest.mark.parametrize("kind,n", [("boolean", 128), ("boolean", 256),
-                                    ("downset", 128), ("downset", 256)])
+@pytest.mark.parametrize("kind,n", [(kind, n)
+                                    for kind in ("boolean", "downset")
+                                    for n in (32, 64, 128, 256)])
 def test_lawful_structures_never_scan_associativity(kind, n, monkeypatch):
     gen = _load_gen()
     doc, _ = getattr(gen, kind + "_structure")(random.Random(n + 605), n)

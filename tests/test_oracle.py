@@ -93,6 +93,20 @@ def test_census_sizes():
     assert len(all_commutative_monoids(4)) == 94
 
 
+def test_census_classes_up_to_renaming():
+    # renaming the non-unit elements leaves 1, 2, 5 and 19 classes: the
+    # commutative monoids of orders 1 to 4 (OEIS A058131)
+    def canonical(els, mult):
+        return min(tuple(order.index(mult[x, y]) for x in order
+                         for y in order)
+                   for order in ([els[0]] + list(rest)
+                                 for rest in permutations(els[1:])))
+
+    assert [len({canonical(els, mult)
+                 for els, mult, _ in all_commutative_monoids(n)})
+             for n in (1, 2, 3, 4)] == [1, 2, 5, 19]
+
+
 def test_census_all_poles_pass():
     for n in (1, 2, 3):
         for els, mult, unit in all_commutative_monoids(n):

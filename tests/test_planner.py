@@ -739,9 +739,9 @@ def test_cognition_step_walks_the_movement_game_once(monkeypatch):
 
 
 def test_cognition_walks_the_movement_game_once_per_active_set(monkeypatch):
-    # a step that moves walks the movement game from the cell it leaves;
-    # the shrinks and the completing check at the final position share
-    # that position's walk, so there is one walk per position
+    # each compound game built walks the movement game once: a step that
+    # moves walks it from the cell it leaves, and at the final position
+    # each shrink and the completing check build a game of their own
     walked = []
 
     class Counted(planner._Movement):
@@ -754,13 +754,13 @@ def test_cognition_walks_the_movement_game_once_per_active_set(monkeypatch):
              if e["actor"] == "system" and e["move"] != "wander"]
     assert trace.complete
     assert (len(moved), len(trace.shrink_events)) == (6, 2)
-    assert len(walked) == len(moved) + 1 == 7
+    assert len(walked) == len(moved) + len(trace.shrink_events) + 1 == 9
     assert walked == [tuple(e["move"][0]) for e in moved] + [
-        tuple(moved[-1]["move"][1])]
+        tuple(moved[-1]["move"][1])] * 3
 
 
 def test_a_finished_run_keeps_no_scenario_alive():
-    # the movement game's walk is cached on its scenario, so it goes when
+    # the visible rewards are cached on their scenario, so they go when
     # the caller drops the scenario
     sc = four_goals()
     trace = run_cognition(sc)

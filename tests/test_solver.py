@@ -1,7 +1,10 @@
 import json
+import os
+import random
 
 import pytest
 
+from test_differential import _load_gen
 from phasegame import solver
 from phasegame.data import data_path, load_doc
 from phasegame.errors import (CapExceeded, ForeignElement, NoSolution,
@@ -85,9 +88,8 @@ def test_foreign_constraint_target_is_named():
         solve_table(doc)
 
 
-def test_search_audits_two_leaves(monkeypatch):
-    # the associativity prune leaves two completions to audit on the
-    # shipped candidates; without it the search reaches 16,128 leaves
+def leaf_audits(monkeypatch, doc):
+    """The completions of doc, and how many leaves the search audited."""
     phase_from_rows, calls = solver.phase_from_rows, []
 
     def counted(*args, **kwargs):
@@ -95,8 +97,32 @@ def test_search_audits_two_leaves(monkeypatch):
         return phase_from_rows(*args, **kwargs)
 
     monkeypatch.setattr(solver, "phase_from_rows", counted)
-    assert len(solve_table("data:goal_phase_candidates.json")) == 2
-    assert len(calls) == 2
+    return solve_table(doc), len(calls)
+
+
+def test_search_audits_two_leaves(monkeypatch):
+    # the associativity prune leaves two completions to audit on the
+    # shipped candidates; without it the search reaches 16,128 leaves
+    solutions, audits = leaf_audits(monkeypatch,
+                                    "data:goal_phase_candidates.json")
+    assert (len(solutions), audits) == (2, 2)
+
+
+def test_each_half_of_the_associativity_prune_saves_leaves(monkeypatch):
+    # on the shipped candidates either half alone prunes to the same 2
+    # leaves; on this planted table the search audits 1 leaf, but 4 with
+    # only the (xy)z check or only the (zx)y check, and all 12,288 with
+    # no prune, so deleting either half fails here
+    gen = _load_gen()
+    rng = random.Random(9)
+    goal = gen.inline_lattice(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        load_doc("data:goal_phase.json")[0])
+    doc, table = gen.planted_table(rng, goal, rng.randint(6, 10), 3)
+    assert gen.search_space(doc) == 12288
+    solutions, audits = leaf_audits(monkeypatch, doc)
+    assert [gen.table_of(s) for s in solutions] == [table]
+    assert audits == 1
 
 
 def test_bad_override_keys_are_named():
