@@ -14,6 +14,7 @@ shrinks, until a single goal saturates.
 
 import json
 import random
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 
@@ -296,6 +297,15 @@ class CompoundGame:
     Every move advances the tick or one count, so a vertex sits at depth
     tick + sum of counts.
 
+    Its alternated plays, Opponent first, follow one grammar, which
+    _search rests on and tests pin.  At tick 0 Opponent has no movement
+    move, so its first move reveals, or the root is the only play when no
+    goal has a feature.  Then Proponent steps at each even tick and
+    Opponent ticks at each odd one, until the last tick, or a walled-in
+    position, leaves Proponent no move.  Or Opponent reveals once more at
+    an odd tick, where Proponent has no move, and that ends the play.  So
+    no play holds more than two reveals.
+
     mverts and bverts list each factor's vertices by repr, and msucc and
     bsucc give each rank's successor ranks per polarity.  The game's
     vertices are the ranks of their ranked_tensor, the ints v = m * nb + b
@@ -411,7 +421,8 @@ class Trace:
 def _search(game):
     """The play of a CompoundGame with a maximal joined payoff, as a list
     of its int vertices, with its objective mask, the number of states
-    explored and the number of plays ending with each objective size.
+    (vertex, objective so far) its plays reach and the number of plays
+    ending with each objective size.
 
     A play's objective is the join of its vertex payoffs.  Plays whose
     objective has the largest support win; in a powerset such an objective
@@ -420,56 +431,82 @@ def _search(game):
     vertices (tests pin it on two-digit coordinates and ticks).
 
     No play is listed, and no move of the game is asked for: the search
-    reads its ranked tables, hoisting each layer's successor rows.  A
-    vertex is the int m * nb + b, whose order is the repr order of its
-    name (see games.ranked_tensor); its successors follow Tensor's rule,
-    one coordinate moving, and its payoff is side[m] | meet[b].
+    reads its ranked tables.  It rests on the play grammar (see
+    CompoundGame): every play is root, (m0, y1), ..., (mj, y1), for one
+    first reveal y1 and a movement walk m0..mj, and ends there when P has
+    no move, or goes on to one second reveal (mj, y2) at an odd tick,
+    which ends it.  meet only grows along chain moves, so the objective
+    is seen | meet[y], for seen the join of side over the walk and y the
+    play's last chains rank.
 
-    A breadth-first search runs over states (vertex, objective so far),
-    packed as the int objective * nv + vertex for the exact vertex count
-    nv, one layer per play length: a vertex fixes its depth, so every
-    prefix reaching a state has the same length, and the state keeps the
-    number of prefixes reaching it and the lexically smallest one, whose
-    every extension is the smallest among theirs.  Each layer is kept in
-    the lexical order of those prefixes, so the first play found with the
-    largest objective is the winner, and each play count is a sum of
-    state counts.
+    So one breadth-first search runs over movement states (m, seen),
+    packed as the int seen << shift | m, one layer per tick.  Each state
+    keeps the number of walks reaching it and the lexically smallest one,
+    whose every extension is the smallest among theirs, and each layer is
+    kept in the lexical order of those walks.  The reveals are attached
+    at a play's two ends: every y1 to a state where P has no move, every
+    (y1, y2) pair to a state at an odd tick, where O moves.  They are
+    grouped by meet value (with distinct features almost always just 0),
+    so a state costs one popcount per group, not one per goal or per pair
+    of goals, and adds its count times the group's size to the play
+    counts.  The (vertex, objective) states are counted from the movement
+    states: each y1 with every one of them and each y2 with every one at
+    an odd tick, seen joined with its meet, so that only a nonzero meet
+    needs a set.
+
+    Among the ends of the largest support and then the shortest play, the
+    winner has the smallest y1, then the smallest walk.  A walk that ends
+    in a tick x from an odd-tick state m comes before m's second reveals
+    exactly when x < m, and among those the smaller y2 comes first.
     """
-    msucc, side = game.msucc, game.side
-    bsucc, meet = game.bsucc, game.meet
+    msucc, side, meet = game.msucc, game.side, game.meet
     nb = len(game.bverts)
-    nv = len(game.mverts) * nb
-    root = game.payoff(game.root) * nv + game.root
+    mroot, broot = divmod(game.root, nb)
+    reveals = game.bsucc["O"]
+    firsts = sorted(reveals[broot])
+    if not firsts:
+        objective = side[mroot] | meet[broot]
+        return [game.root], objective, 1, {objective.bit_count(): 1}
+    seconds = {y: sorted(reveals[y]) for y in firsts}
+    # meet value -> the reveal ends with it: the first reveals, which end
+    # a walk where P has no move, and the (first, second) pairs, which end
+    # one at an odd tick
+    ends = (Counter(meet[y] for y in firsts),
+            Counter(meet[y] for y1 in firsts for y in seconds[y1]))
+    shift = len(game.mverts).bit_length()
+    low = (1 << shift) - 1
+    # each movement rank's moves, P's steps at an even tick and O's tick at
+    # an odd one, as the packed side payoff and rank they add, in rank order
+    moves = [[side[x] << shift | x
+              for x in sorted(msucc["O" if t % 2 else "P"][m])]
+             for m, (_, t) in enumerate(game.mverts)]
+    root = side[mroot] << shift | mroot
     count = {root: 1}
     parent = {root: None}
-    succ = {}
     support = {}                # objective size -> plays ending with it
-    best_size, best = -1, None
+    best_size, best_len = -1, 0
+    layers = []
     layer = [root]
-    depth = 0
     while layer:
-        pol = "O" if depth % 2 == 0 else "P"
-        mrows, brows = msucc[pol], bsucc[pol]
+        odd = len(layers) % 2
+        length = len(layers) + 2 + odd      # of a play ending at this tick
+        layers.append(layer)
+        groups = ends[odd].items()
         nxt = []
         for s in layer:
-            mask, v = divmod(s, nv)
-            out = succ.get(v)
-            if out is None:
-                m, b = divmod(v, nb)
-                ws = [x * nb + b for x in mrows[m]]
-                ws += [v - b + y for y in brows[b]]     # v - b == m * nb
-                ws.sort()
-                out = succ[v] = [(w, side[w // nb] | meet[w % nb])
-                                 for w in ws]
-            if not out:
-                size = mask.bit_count()
-                support[size] = support.get(size, 0) + count[s]
-                if size > best_size:
-                    best_size, best = size, s
-                continue
+            m = s & low
+            out = moves[m]
             c = count[s]
-            for w, k in out:
-                u = (mask | k) * nv + w
+            if odd or not out:
+                seen = s >> shift
+                for g, n in groups:
+                    size = (seen | g).bit_count()
+                    support[size] = support.get(size, 0) + c * n
+                    if size > best_size:
+                        best_size, best_len = size, length
+            base = s ^ m
+            for x in out:
+                u = base | x
                 if u in count:
                     count[u] += c
                 else:
@@ -477,15 +514,50 @@ def _search(game):
                     parent[u] = s
                     nxt.append(u)
         layer = nxt
-        depth += 1
 
-    play = []
-    s = best
+    odds = [s for layer in layers[1::2] for s in layer]
+    states = 1 + _joined(count, shift, ends[0]) + _joined(
+        odds, shift, Counter(meet[y] for y in set().union(*seconds.values())))
+
+    def fits(s, y):
+        return ((s >> shift) | meet[y]).bit_count() == best_size
+
+    # the winner ends a walk at tick best_len - 2 with no move, or takes a
+    # second reveal at tick best_len - 3
+    stops = [s for s in layers[best_len - 2] if not moves[s & low]]
+    turns = layers[best_len - 3] if best_len > 3 else []
+    for y1 in firsts:
+        stop = next((s for s in stops if fits(s, y1)), None)
+        turn = next(((i, s, y) for i, s in enumerate(turns)
+                     for y in seconds[y1] if fits(s, y)), None)
+        if stop is not None or turn is not None:
+            break
+    if turn is not None and stop is not None:
+        i, s, _ = turn
+        j = turns.index(parent[stop])
+        if j < i or j == i and (stop & low) < (s & low):
+            turn = None
+    if turn is None:
+        end, last = stop, y1
+    else:
+        _, end, last = turn
+    walk = []
+    s = end
     while s is not None:
-        play.append(s % nv)
+        walk.append(s & low)
         s = parent[s]
-    play.reverse()
-    return play, best // nv, len(count), support
+    walk.reverse()
+    play = [game.root] + [m * nb + y1 for m in walk]
+    if turn is not None:
+        play.append(walk[-1] * nb + last)
+    return play, (end >> shift) | meet[last], states, support
+
+
+def _joined(packed, shift, values):
+    """The number of distinct (m, seen | g) over packed movement states for
+    each meet value g, times its count in values."""
+    return sum(n * (len({s | g << shift for s in packed}) if g
+                    else len(packed)) for g, n in values.items())
 
 
 def plan_play(sc, goals, mode="practical", position=None, images=None):

@@ -25,9 +25,13 @@ and (in tests/test_planner.py) compound games; so is the earlier play
 search, which sorted each successor list by a repr of every vertex and
 whose traces plan_play must reproduce on seeded scenarios with two-digit
 coordinates and ticks and with object ids that share a prefix or hold
-quotes and commas; so are the earlier compound game, composed of the
-movement game and the per-goal chain Games, whose listing and payoffs the
-ranked CompoundGame must reproduce, as must copycat on its int vertices
+quotes and commas; so is the search over (vertex, objective) states,
+whose play, objective, state count and play counts the movement-state
+search must match on every step of the seeded whole runs, on seeded and
+open grids and on the shapes where the play grammar is degenerate; so
+are the earlier compound game, composed of the movement game and the
+per-goal chain Games, whose listing and payoffs the ranked CompoundGame
+must reproduce, as must copycat on its int vertices
 once named, and the earlier goal-set selection,
 whose pairwise maximality test select_goal_sets must match on every
 anchor, and the earlier saturation check of a cognition step (the features
@@ -55,6 +59,7 @@ import pytest
 
 from conftest import hand_built, random_game, random_strategy
 from phasegame import phase as phase_module
+from phasegame import planner
 from phasegame.data import data_path, fields, load_doc, resolve_path
 from phasegame.errors import (
     CapExceeded,
@@ -96,9 +101,10 @@ from phasegame.phase import (
 )
 from phasegame.planner import (CompoundGame, GoalProcessSet, Selection,
                                Trace, _Movement, _check_mode, _goal_objects,
-                               _step_game, _vertex_doc, build_compound_game,
-                               eval_priority, load_scenario, plan_play,
-                               run_cognition, visible_rewards)
+                               _search, _step_game, _vertex_doc,
+                               build_compound_game, eval_priority,
+                               load_scenario, plan_play, run_cognition,
+                               visible_rewards)
 from phasegame.solver import solve_table
 from phasegame.subset_oracle import (all_commutative_monoids, cyclic_monoid,
                                      monoid_from_doc, oracle_report)
@@ -1690,6 +1696,251 @@ def test_plans_match_the_earlier_search_on_twenty_features():
             if mode == "practical":
                 assert sc.universe[-1] in plan.objective
 
+
+def random_case(rng):
+    """A small seeded scenario, and plan_play arguments with nonempty
+    images that start away from sc.start wherever another cell has a
+    move."""
+    while True:
+        w, h = rng.randint(2, 5), rng.randint(2, 4)
+        grid = ["".join("#" if rng.random() < 0.15 else "."
+                        for _ in range(w)) for _ in range(h)]
+        cells = [(x, y) for y in range(h) for x in range(w)
+                 if grid[y][x] == "."]
+        ngoals = rng.randint(1, 3)
+        if len(cells) >= max(2, ngoals):
+            break
+    shared = ["u%d" % i for i in range(4)] if rng.random() < 0.5 else None
+    objects = []
+    for i, (cell, goal) in enumerate(zip(rng.sample(cells, ngoals),
+                                         ["J1a", "b2", "b3", "e"])):
+        n = rng.randint(1, 3)
+        feats = (rng.sample(shared, n) if shared
+                 else ["f%d_%d" % (i, j) for j in range(n)])
+        objects.append({"id": "o%d" % i, "cell": list(cell),
+                        "features": feats, "goal": goal})
+    start = rng.choice(cells)
+    sc = load_scenario({
+        "name": "random", "grid": grid, "start": list(start),
+        "horizon": rng.randint(1, 3), "goal_phase": "data:goal_phase.json",
+        "free_move_goal": "a", "objects": objects})
+    moving = [c for c in cells if c != start and sc.neighbors(c)]
+    position = rng.choice(moving) if moving else start
+    goals = sorted(sc.objects)
+    images = {g: frozenset(rng.sample(sc.objects[g].features, 1))
+              for g in goals if rng.random() < 0.7}
+    images[goals[0]] = frozenset(sc.objects[goals[0]].features[:1])
+    return sc, goals, position, images
+
+
+
+# the earlier search over (vertex, objective) states --------------------
+#
+# _search as it was before it searched the movement game once per plan and
+# attached the reveals at a play's two ends: one breadth-first search over
+# the product states (vertex, objective so far), repeating the movement
+# walk once per first reveal.
+
+def old_search(game):
+    """The play of a CompoundGame with a maximal joined payoff, as a list
+    of its int vertices, with its objective mask, the number of states
+    explored and the number of plays ending with each objective size.
+
+    A play's objective is the join of its vertex payoffs.  Plays whose
+    objective has the largest support win; in a powerset such an objective
+    is maximal, since no other set strictly contains it.  Ties fall to
+    shorter plays, then to lexical move order: the repr order of the
+    vertices (tests pin it on two-digit coordinates and ticks).
+
+    No play is listed, and no move of the game is asked for: the search
+    reads its ranked tables, hoisting each layer's successor rows.  A
+    vertex is the int m * nb + b, whose order is the repr order of its
+    name (see games.ranked_tensor); its successors follow Tensor's rule,
+    one coordinate moving, and its payoff is side[m] | meet[b].
+
+    A breadth-first search runs over states (vertex, objective so far),
+    packed as the int objective * nv + vertex for the exact vertex count
+    nv, one layer per play length: a vertex fixes its depth, so every
+    prefix reaching a state has the same length, and the state keeps the
+    number of prefixes reaching it and the lexically smallest one, whose
+    every extension is the smallest among theirs.  Each layer is kept in
+    the lexical order of those prefixes, so the first play found with the
+    largest objective is the winner, and each play count is a sum of
+    state counts.
+    """
+    msucc, side = game.msucc, game.side
+    bsucc, meet = game.bsucc, game.meet
+    nb = len(game.bverts)
+    nv = len(game.mverts) * nb
+    root = game.payoff(game.root) * nv + game.root
+    count = {root: 1}
+    parent = {root: None}
+    succ = {}
+    support = {}                # objective size -> plays ending with it
+    best_size, best = -1, None
+    layer = [root]
+    depth = 0
+    while layer:
+        pol = "O" if depth % 2 == 0 else "P"
+        mrows, brows = msucc[pol], bsucc[pol]
+        nxt = []
+        for s in layer:
+            mask, v = divmod(s, nv)
+            out = succ.get(v)
+            if out is None:
+                m, b = divmod(v, nb)
+                ws = [x * nb + b for x in mrows[m]]
+                ws += [v - b + y for y in brows[b]]     # v - b == m * nb
+                ws.sort()
+                out = succ[v] = [(w, side[w // nb] | meet[w % nb])
+                                 for w in ws]
+            if not out:
+                size = mask.bit_count()
+                support[size] = support.get(size, 0) + count[s]
+                if size > best_size:
+                    best_size, best = size, s
+                continue
+            c = count[s]
+            for w, k in out:
+                u = (mask | k) * nv + w
+                if u in count:
+                    count[u] += c
+                else:
+                    count[u] = c
+                    parent[u] = s
+                    nxt.append(u)
+        layer = nxt
+        depth += 1
+
+    play = []
+    s = best
+    while s is not None:
+        play.append(s % nv)
+        s = parent[s]
+    play.reverse()
+    return play, best // nv, len(count), support
+
+
+def edge_scenario(grid, start, horizon, objects):
+    """A scenario on grid with one object per (cell, features) pair, given
+    the goals J1a, b2, b3 and e in turn."""
+    return load_scenario({
+        "name": "edge", "grid": grid, "start": list(start),
+        "horizon": horizon, "goal_phase": "data:goal_phase.json",
+        "free_move_goal": "a", "objects": [
+            {"id": "o%d" % i, "cell": list(cell), "features": feats,
+             "goal": goal}
+            for i, ((cell, feats), goal) in enumerate(zip(
+                objects, ["J1a", "b2", "b3", "e"]))]})
+
+
+def search_edge_cases():
+    """{label: (scenario, images)} for the shapes where a premise of the
+    play grammar or of the search is degenerate, each planned with every
+    goal from the start."""
+    square = ["...", "...", "..."]
+    return {
+        # no goal can reveal, so the root is the only play
+        "no features": (edge_scenario(
+            square, (1, 1), 1, [((0, 0), []), ((2, 2), [])]), {}),
+        "a featureless goal": (edge_scenario(
+            square, (1, 1), 2, [((0, 0), []), ((2, 2), ["f1", "f2"])]),
+            {}),
+        # P has no move after the first reveal
+        "horizon 0": (edge_scenario(
+            square, (1, 1), 0, [((0, 0), ["f1", "f2"]), ((1, 1), ["g1"])]),
+            {"o1": frozenset(["g1"])}),
+        "walled in": (edge_scenario(
+            [".#..", "##.."], (0, 0), 2,
+            [((0, 0), ["f1"]), ((2, 0), ["g1", "g2"])]), {}),
+        # no goal is revealed twice
+        "one feature each": (edge_scenario(
+            ["....", "...."], (0, 0), 2,
+            [((3, 0), ["f1"]), ((1, 1), ["g1"]), ((3, 1), ["h1"])]), {}),
+        "one goal of one feature": (edge_scenario(
+            ["...."], (0, 0), 2, [((3, 0), ["f1"])]), {}),
+        # meet is the goal's own revealed prefix, never 0 past the root
+        "a single goal": (edge_scenario(
+            ["......"], (2, 0), 3, [((5, 0), ["f1", "f2", "f3"])]),
+            {"o0": frozenset(["f1"])}),
+        # goals share features, so several reveals meet above 0
+        "shared universe": (edge_scenario(
+            ["....", "....", "...."], (1, 1), 2,
+            [((3, 0), ["u0", "u1"]), ((0, 2), ["u1", "u0", "u2"]),
+             ((3, 2), ["u0", "u2"])]),
+            {"o1": frozenset(["u0"]), "o2": frozenset(["u0"])}),
+    }
+
+
+def open_grid_scenario(horizon, goals):
+    """An open 25x25 grid, start in the middle, with goals objects of two
+    distinct features each at fixed offsets from it."""
+    return edge_scenario(["." * 25] * 25, (12, 12), horizon, [
+        ((12 + dx, 12 + dy), ["s%d_0" % i, "s%d_1" % i])
+        for i, (dx, dy) in enumerate([(-3, -2), (3, -2), (-3, 2),
+                                      (3, 2)][:goals])])
+
+
+def assert_searches_agree(game):
+    """The search picks the earlier search's play and objective, and counts
+    the same states and plays by size."""
+    got = _search(game)
+    assert got == old_search(game)
+    return got
+
+
+def test_search_matches_the_earlier_search_on_whole_runs(monkeypatch):
+    # every step's compound game of the 600 seeded whole runs
+    games = []
+
+    def checked(game):
+        games.append(game)
+        return assert_searches_agree(game)
+    monkeypatch.setattr(planner, "_search", checked)
+    for seed in range(10000, 10300):
+        sc = random_case(random.Random(seed))[0]
+        for mode in ("practical", "strict"):
+            run_cognition(sc, max_steps=60, mode=mode)
+    assert len(games) == 556
+
+
+def test_search_matches_the_earlier_search_on_seeded_grids():
+    # past one digit in ticks and coordinates, and the benchmark's shapes
+    # with four goals from one shared universe
+    cases = [wide_plan_case(random.Random(1919 + i)) for i in range(16)]
+    rng = random.Random(2020)
+    cases += [planner_shape_case(rng) for _ in range(10)]
+    for sc, goals, position, images in cases:
+        for mode in ("practical", "strict"):
+            for at in (None, position):
+                for seen in (None, images):
+                    assert_searches_agree(
+                        CompoundGame(sc, goals, at, mode, seen))
+
+
+@pytest.mark.parametrize("horizon", [10, 12])
+def test_search_matches_the_earlier_search_on_open_grids(horizon):
+    for goals in range(1, 5):
+        sc = open_grid_scenario(horizon, goals)
+        for mode in ("practical", "strict"):
+            assert_searches_agree(
+                CompoundGame(sc, sorted(sc.objects), mode=mode))
+
+
+@pytest.mark.parametrize("label", sorted(search_edge_cases()))
+def test_search_matches_the_earlier_search_on_edge_cases(label):
+    sc, images = search_edge_cases()[label]
+    goals = sorted(sc.objects)
+    for mode in ("practical", "strict"):
+        for seen in (None, images):
+            game = CompoundGame(sc, goals, mode=mode, images=seen)
+            play, _, states, support = assert_searches_agree(game)
+    if label == "no features":
+        assert (play, states, sum(support.values())) == ([game.root], 1, 1)
+    if label in ("a single goal", "shared universe"):
+        # with the images, a first reveal meets above 0
+        firsts = game.bsucc["O"][game.root % len(game.bverts)]
+        assert any(game.meet[y] for y in firsts)
 
 # the earlier compound game ---------------------------------------------
 #

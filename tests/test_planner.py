@@ -13,6 +13,7 @@ from test_differential import (Listed, assert_unfolds_as_before,
                                old_build_compound_game, old_dual_game,
                                old_select_goal_sets, old_tensor_game,
                                one_goal_scenario, planner_shape_case,
+                               random_case, search_edge_cases,
                                wide_plan_case)
 from phasegame import planner
 from phasegame.data import load_doc
@@ -465,42 +466,6 @@ def oracle_plan(game, k):
     return len(scored), len(ranked), play, sorted(val), sizes
 
 
-def random_case(rng):
-    """A small seeded scenario, and plan_play arguments with nonempty
-    images that start away from sc.start wherever another cell has a
-    move."""
-    while True:
-        w, h = rng.randint(2, 5), rng.randint(2, 4)
-        grid = ["".join("#" if rng.random() < 0.15 else "."
-                        for _ in range(w)) for _ in range(h)]
-        cells = [(x, y) for y in range(h) for x in range(w)
-                 if grid[y][x] == "."]
-        ngoals = rng.randint(1, 3)
-        if len(cells) >= max(2, ngoals):
-            break
-    shared = ["u%d" % i for i in range(4)] if rng.random() < 0.5 else None
-    objects = []
-    for i, (cell, goal) in enumerate(zip(rng.sample(cells, ngoals),
-                                         ["J1a", "b2", "b3", "e"])):
-        n = rng.randint(1, 3)
-        feats = (rng.sample(shared, n) if shared
-                 else ["f%d_%d" % (i, j) for j in range(n)])
-        objects.append({"id": "o%d" % i, "cell": list(cell),
-                        "features": feats, "goal": goal})
-    start = rng.choice(cells)
-    sc = load_scenario({
-        "name": "random", "grid": grid, "start": list(start),
-        "horizon": rng.randint(1, 3), "goal_phase": "data:goal_phase.json",
-        "free_move_goal": "a", "objects": objects})
-    moving = [c for c in cells if c != start and sc.neighbors(c)]
-    position = rng.choice(moving) if moving else start
-    goals = sorted(sc.objects)
-    images = {g: frozenset(rng.sample(sc.objects[g].features, 1))
-              for g in goals if rng.random() < 0.7}
-    images[goals[0]] = frozenset(sc.objects[goals[0]].features[:1])
-    return sc, goals, position, images
-
-
 def assert_plan_matches_enumeration(sc, goals, position=None, images=None):
     """plan_play picks the oracle's play, objective and play counts in
     both modes; returns the numbers of plays of largest support."""
@@ -616,17 +581,22 @@ def test_compound_game_is_listed_in_walk_order():
 def most_reveals_reached(game):
     """The most reveals (the summed counts of its chains name) held by a
     vertex that alternated plays reach from the root, O moving at even
-    depth."""
+    depth; every move from the root reveals, and a vertex holding two
+    reveals ends every play that reaches it."""
+    def reveals(v):
+        return sum(j for _, j in chain_counts(game.vertex(v)[1]))
+    assert all(reveals(w) == 1 for w in game.moves(game.root, "O"))
     depth = {game.root: 0}
     todo = [game.root]
     while todo:
         v = todo.pop()
-        for w in game.moves(v, "P" if depth[v] % 2 else "O"):
+        moves = game.moves(v, "P" if depth[v] % 2 else "O")
+        assert reveals(v) < 2 or not moves
+        for w in moves:
             if w not in depth:
                 depth[w] = depth[v] + 1
                 todo.append(w)
-    return max(sum(j for _, j in chain_counts(game.vertex(v)[1]))
-               for v in depth)
+    return max(reveals(v) for v in depth)
 
 
 def test_no_play_holds_more_than_two_reveals():
@@ -642,6 +612,14 @@ def test_no_play_holds_more_than_two_reveals():
         sc, goals, position=position, mode=mode, images=images))
         for sc, goals, position, images, mode in cases)
     assert max(most) == 2, most
+    # and where the grammar is degenerate: no goal can reveal, P has no
+    # move (horizon 0, a walled-in start), no goal is revealed twice
+    assert {label: most_reveals_reached(CompoundGame(
+        sc, sorted(sc.objects), images=images))
+        for label, (sc, images) in search_edge_cases().items()} == {
+        "no features": 0, "a featureless goal": 2, "horizon 0": 1,
+        "walled in": 1, "one feature each": 2, "one goal of one feature": 1,
+        "a single goal": 2, "shared universe": 2}
 
 
 def one_goal_game(features, start):
