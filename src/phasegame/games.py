@@ -10,7 +10,7 @@ Any object with a root and moves(v, pol) is a game: Dual, Tensor and
 implication compose such games lazily, walk lists any game breadth-first,
 and a Game is that walked listing, in one vertex order (see materialize).
 ranked lists a game by the reprs of its vertices, as ints that index
-successor tables, and ranked_tensor is Tensor on that form.
+successor tables.
 A strategy is a set of plays, checked in one pass that builds the reply
 table it keeps.  One breadth-first unfolding of plays against
 a response (_unfold) lists the maximal plays of a strategy, copycat, and
@@ -145,24 +145,6 @@ def ranked(game):
     for v, w, pol in edges:
         succ[pol][rank[v]].append(rank[w])
     return Ranked(vertices, rank[game.root], succ)
-
-
-def ranked_tensor(a, b):
-    """The Tensor of two ranked games, ranked: the pair of ranks (i, j) is
-    rank i * nb + j for nb = len(b.vertices), named (a.vertices[i],
-    b.vertices[j]), and a move changes one coordinate, a's moves first.
-
-    When both factors list their vertices by repr, so does the tensor: a
-    tuple's or a string's repr is prefix-free, and an int's is followed in
-    a pair's repr by "," or ")", below every digit, so comparing the reprs
-    of two pairs compares the reprs of their first coordinates, then of
-    their second ones."""
-    nb = len(b.vertices)
-    succ = {pol: [[x * nb + j for x in arow] + [i * nb + y for y in brow]
-                  for i, arow in enumerate(a.succ[pol])
-                  for j, brow in enumerate(b.succ[pol])] for pol in _POLS}
-    return Ranked([(u, w) for u in a.vertices for w in b.vertices],
-                  a.root * nb + b.root, succ)
 
 
 def materialize(game):

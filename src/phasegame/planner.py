@@ -5,8 +5,9 @@ object carries an ordered feature list; visibility reveals a distance-scaled
 prefix of it, so images of objects accumulate monotonically as the system
 moves.  Discovered goals are ranked through the goal phase structure, and
 the preferred goal set becomes a compound game: the movement game implying
-the tensor of per-goal reveal chains, held in ranked form (CompoundGame):
-its vertices are ints that index the tables of its two factors.  A play
+the tensor of per-goal reveal chains, held as ints (CompoundGame): a
+movement rank, which indexes the ranked movement game's tables, and a
+chains rank, whose mixed-radix digits are the goals' revealed counts.  A play
 maximizing the lattice-valued objective is chosen.  When the cells within
 the horizon cannot grow the joined images of the active goals the set
 shrinks, until a single goal saturates.
@@ -17,10 +18,11 @@ import random
 from collections import Counter
 from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from .data import distinct, fields, load_doc, stem
 from .errors import BadGrid, UnknownGoalElement, UsageError
-from .games import Dual, Game, PayoffGame, ranked, ranked_tensor
+from .games import Dual, Game, PayoffGame, ranked
 from .lattice import PowersetLattice
 from .phase import phase_from_doc
 
@@ -268,18 +270,6 @@ class _Movement:
         return [(cell, t + 1)]
 
 
-class _Chain:
-    """A goal's reveal chain: Opponent reveals one more feature of obj at
-    each move, from (obj id, 0) to (obj id, n)."""
-
-    def __init__(self, obj):
-        self.root = (obj.id, 0)
-        self._n = len(obj.features)
-
-    def moves(self, v, pol):
-        return [(v[0], v[1] + 1)] if pol == "O" and v[1] < self._n else []
-
-
 def _check_mode(mode):
     if mode not in ("practical", "strict"):
         raise ValueError("mode must be 'practical' or 'strict'")
@@ -287,15 +277,16 @@ def _check_mode(mode):
 
 class CompoundGame:
     """The game implication(movement, tensor of per-goal reveal chains),
-    held as the ranked tables (games.ranked) of its two factors.
+    held as ints: a movement rank and a chains rank.
 
     The movement factor is the dual of _Movement from the position, so
-    Proponent steps at even ticks and Opponent ticks at odd ones.  A goal's
-    chain (_Chain) runs through (goal id, revealed count), advanced by
-    Opponent; the chains factor is their ranked_tensor, left to right,
-    which nests them as (g1, j1), then ((g1, j1), (g2, j2)), and so on.
-    Every move advances the tick or one count, so a vertex sits at depth
-    tick + sum of counts.
+    Proponent steps at even ticks and Opponent ticks at odd ones; it is
+    held as its ranked tables (games.ranked).  A goal's chain runs through
+    (goal id, revealed count), advanced by Opponent.  The chains factor is
+    their Tensor, left to right, which nests them as (g1, j1), then
+    ((g1, j1), (g2, j2)), and so on; a move advances one count, the goals'
+    in order.  Every move advances the tick or one count, so a vertex sits
+    at depth tick + sum of counts.
 
     Its alternated plays, Opponent first, follow one grammar, which
     _search rests on and tests pin.  At tick 0 Opponent has no movement
@@ -306,18 +297,26 @@ class CompoundGame:
     an odd tick, where Proponent has no move, and that ends the play.  So
     no play holds more than two reveals.
 
-    mverts and bverts list each factor's vertices by repr, and msucc and
-    bsucc give each rank's successor ranks per polarity.  The game's
-    vertices are the ranks of their ranked_tensor, the ints v = m * nb + b
-    for movement rank m, chains rank b and nb = len(bverts), so their int
-    order is the repr order of their names.  vertex(v) names v as the
-    nested pair ((cell, tick), chains), and moves(v, pol) reads the tables
-    in Tensor's order, movement moves first.
+    mverts lists the movement vertices by repr, and msucc gives each
+    rank's successor ranks per polarity.  The chains factor is not listed:
+    it is a mixed radix, one digit per goal.  A goal's digits are its
+    counts 0..n sorted by repr, and chains rank b holds the digit
+    b // stride % (n + 1) of a goal, for its stride the product of the
+    later goals' n + 1, so the first goal's digit is the most significant;
+    nb is the number of chains ranks.  A vertex is the int v = m * nb + b
+    for movement rank m.  Int order is the repr order of the nested names:
+    a tuple's or a string's repr is prefix-free, and an int's is followed
+    in a pair's repr by "," or ")", below every digit, so comparing the
+    reprs of two pairs compares the reprs of their first coordinates, then
+    of their second ones.  vertex(v) names v as the nested pair
+    ((cell, tick), chains), reveals(b) gives the chains ranks one reveal
+    from b, and moves(v, pol) reads them in Tensor's order, movement moves
+    first.
 
     A payoff is a mask of the scenario's payoff lattice, the powerset of
     its feature universe: side[m], what the cell of movement rank m reveals
     of the goals joined with their images (or its complement, in strict
-    mode), joined with meet[b], the meet over goals of each revealed prefix
+    mode), joined with meet(b), the meet over goals of each revealed prefix
     in chains rank b joined with its image.
     """
 
@@ -334,11 +333,19 @@ class CompoundGame:
         lat = sc.payoff_lattice
         self.mverts, mroot, self.msucc = ranked(
             Dual(_Movement(sc, pos, sc.horizon)))
-        chains = [ranked(_Chain(o)) for o in objs]
-        self.bverts, broot, self.bsucc = reduce(ranked_tensor, chains)
-        self.meet = reduce(lambda f, g: [x & y for x in f for y in g], [
-            [lat.mask(o.features[:j]) | lat.mask(images.get(o.id, ()))
-             for _, j in c.vertices] for o, c in zip(objs, chains)])
+        # each goal's stride and, per digit, the name (goal id, count), the
+        # meet term and the step to the next count's digit (0 at the last)
+        self._chains = []
+        self.nb = 1
+        for o in reversed(objs):
+            n = len(o.features)
+            counts = sorted(range(n + 1), key=repr)
+            self._chains.insert(0, (self.nb, [(
+                (o.id, j), lat.mask(o.features[:j])
+                | lat.mask(images.get(o.id, ())),
+                (counts.index(j + 1) - d) * self.nb if j < n else 0)
+                for d, j in enumerate(counts)]))
+            self.nb *= n + 1
         seen = lat.mask(f for g in goals for f in images.get(g, ()))
         side = {}
         for cell, _ in self.mverts:
@@ -348,21 +355,36 @@ class CompoundGame:
                 side[cell] = lat.complement(mask) if mode == "strict" \
                     else mask
         self.side = [side[cell] for cell, _ in self.mverts]
-        self.root = mroot * len(self.bverts) + broot
+        # count 0 sorts first, so every digit of the chains root is 0
+        self.root = mroot * self.nb
+
+    def _digits(self, b):
+        """The (name, meet term, step) of each goal's digit in rank b.  A
+        vertex v = m * nb + b has b's digits, since nb is a multiple of
+        every stride times its radix."""
+        return [rows[b // stride % len(rows)] for stride, rows in self._chains]
+
+    def reveals(self, b):
+        """The chains ranks one reveal from b, goals in order; given a
+        vertex, the vertices one reveal from it."""
+        return [b + step for _, _, step in self._digits(b) if step]
+
+    def meet(self, b):
+        return reduce(and_, [term for _, term, _ in self._digits(b)])
 
     def moves(self, v, pol):
-        nb = len(self.bverts)
-        m, b = divmod(v, nb)
-        return ([x * nb + b for x in self.msucc[pol][m]]
-                + [v - b + y for y in self.bsucc[pol][b]])
+        m, b = divmod(v, self.nb)
+        out = [x * self.nb + b for x in self.msucc[pol][m]]
+        return out + self.reveals(v) if pol == "O" else out
 
     def payoff(self, v):
-        m, b = divmod(v, len(self.bverts))
-        return self.side[m] | self.meet[b]
+        m, b = divmod(v, self.nb)
+        return self.side[m] | self.meet(b)
 
     def vertex(self, v):
-        m, b = divmod(v, len(self.bverts))
-        return self.mverts[m], self.bverts[b]
+        m, b = divmod(v, self.nb)
+        return self.mverts[m], reduce(
+            lambda x, y: (x, y), [name for name, _, _ in self._digits(b)])
 
 
 def build_compound_game(sc, goals, position=None, mode="practical",
@@ -372,7 +394,10 @@ def build_compound_game(sc, goals, position=None, mode="practical",
     by moves of either polarity.  Payoffs are named in the scenario's
     payoff lattice."""
     game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
-    names = [(mv, bv) for mv in game.mverts for bv in game.bverts]
+    # vertex m * nb + b names its movement vertex and the chains of rank b,
+    # so each chains name is decoded once, at movement rank 0
+    chains = [game.vertex(b)[1] for b in range(game.nb)]
+    names = [(mv, bv) for mv in game.mverts for bv in chains]
     listed = Game(names, names[game.root], [
         (names[v], names[w], pol) for v in range(len(names))
         for pol in ("O", "P") for w in game.moves(v, pol)])
@@ -431,13 +456,15 @@ def _search(game):
     vertices (tests pin it on two-digit coordinates and ticks).
 
     No play is listed, and no move of the game is asked for: the search
-    reads its ranked tables.  It rests on the play grammar (see
-    CompoundGame): every play is root, (m0, y1), ..., (mj, y1), for one
-    first reveal y1 and a movement walk m0..mj, and ends there when P has
-    no move, or goes on to one second reveal (mj, y2) at an odd tick,
-    which ends it.  meet only grows along chain moves, so the objective
-    is seen | meet[y], for seen the join of side over the walk and y the
-    play's last chains rank.
+    reads the movement factor's ranked tables, and of the chains factor
+    only the reveals and meets of the chains ranks a play can reach, at
+    most 1 + k + k(k+1)/2 of them for k goals.  It rests on the play
+    grammar (see CompoundGame): every play is root, (m0, y1), ...,
+    (mj, y1), for one first reveal y1 and a movement walk m0..mj, and ends
+    there when P has no move, or goes on to one second reveal (mj, y2) at
+    an odd tick, which ends it.  meet only grows along chain moves, so the
+    objective is seen | meet(y), for seen the join of side over the walk
+    and y the play's last chains rank.
 
     So one breadth-first search runs over movement states (m, seen),
     packed as the int seen << shift | m, one layer per tick.  Each state
@@ -459,15 +486,14 @@ def _search(game):
     in a tick x from an odd-tick state m comes before m's second reveals
     exactly when x < m, and among those the smaller y2 comes first.
     """
-    msucc, side, meet = game.msucc, game.side, game.meet
-    nb = len(game.bverts)
+    msucc, side, nb = game.msucc, game.side, game.nb
     mroot, broot = divmod(game.root, nb)
-    reveals = game.bsucc["O"]
-    firsts = sorted(reveals[broot])
+    firsts = sorted(game.reveals(broot))
     if not firsts:
-        objective = side[mroot] | meet[broot]
+        objective = game.payoff(game.root)
         return [game.root], objective, 1, {objective.bit_count(): 1}
-    seconds = {y: sorted(reveals[y]) for y in firsts}
+    seconds = {y: sorted(game.reveals(y)) for y in firsts}
+    meet = {y: game.meet(y) for y in set(firsts).union(*seconds.values())}
     # meet value -> the reveal ends with it: the first reveals, which end
     # a walk where P has no move, and the (first, second) pairs, which end
     # one at an odd tick

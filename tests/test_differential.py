@@ -30,7 +30,7 @@ whose play, objective, state count and play counts the movement-state
 search must match on every step of the seeded whole runs, on seeded and
 open grids and on the shapes where the play grammar is degenerate; so
 are the earlier compound game, composed of the movement game and the
-per-goal chain Games, whose listing and payoffs the ranked CompoundGame
+per-goal chain Games, whose listing and payoffs the int CompoundGame
 must reproduce, as must copycat on its int vertices
 once named, and the earlier goal-set selection,
 whose pairwise maximality test select_goal_sets must match on every
@@ -1697,6 +1697,41 @@ def test_plans_match_the_earlier_search_on_twenty_features():
                 assert sc.universe[-1] in plan.objective
 
 
+def chain_goal_scenario(k):
+    """k goals on the chain goal phase z < g0 < ... < g(k-1) < t, whose
+    product is the meet, with unit t, falsum z and generators g0..g(k-1):
+    one object per generator, of two features each, around the middle of
+    an open 21x21 grid at horizon 5."""
+    names = ["z"] + ["g%d" % i for i in range(k)] + ["t"]
+    phase = {"lattice": {"elements": names,
+                         "covers": [list(c) for c in zip(names, names[1:])],
+                         "bottom": "z", "top": "t",
+                         "generators": names[1:-1]},
+             "mult": [[x, y, names[min(i, j)]] for i, x in enumerate(names)
+                      for j, y in enumerate(names)],
+             "unit": "t", "falsum": "z"}
+    # the rings of offsets at distance 1 to 5, corners first
+    offsets = [(dx * r, dy * r) for r in range(1, 6)
+               for dx, dy in [(-1, -1), (1, -1), (-1, 1), (1, 1),
+                              (0, -1), (0, 1), (-1, 0), (1, 0)]]
+    return load_scenario({
+        "name": "chain", "grid": ["." * 21] * 21, "start": [10, 10],
+        "horizon": 5, "goal_phase": phase, "free_move_goal": "t",
+        "objects": [{"id": "o%02d" % i, "cell": [10 + dx, 10 + dy],
+                     "features": ["f%d_0" % i, "f%d_1" % i],
+                     "goal": "g%d" % i}
+                    for i, (dx, dy) in enumerate(offsets[:k])]})
+
+
+def test_plans_match_the_earlier_search_on_eight_chain_goals():
+    # 3**8 chains ranks, of which a play reaches at most 1 + 8 + 36
+    sc = chain_goal_scenario(8)
+    goals = sorted(sc.objects)
+    for mode in ("practical", "strict"):
+        assert plan_play(sc, goals, mode).to_json() == \
+            old_plan_play(sc, goals, mode).to_json()
+
+
 def random_case(rng):
     """A small seeded scenario, and plan_play arguments with nonempty
     images that start away from sc.start wherever another cell has a
@@ -1752,11 +1787,9 @@ def old_search(game):
     shorter plays, then to lexical move order: the repr order of the
     vertices (tests pin it on two-digit coordinates and ticks).
 
-    No play is listed, and no move of the game is asked for: the search
-    reads its ranked tables, hoisting each layer's successor rows.  A
-    vertex is the int m * nb + b, whose order is the repr order of its
-    name (see games.ranked_tensor); its successors follow Tensor's rule,
-    one coordinate moving, and its payoff is side[m] | meet[b].
+    No play is listed: the search asks the game once for the moves of
+    each vertex it reaches, sorted, and for their payoffs.  A vertex is an
+    int, whose order is the repr order of its name (see CompoundGame).
 
     A breadth-first search runs over states (vertex, objective so far),
     packed as the int objective * nv + vertex for the exact vertex count
@@ -1768,10 +1801,7 @@ def old_search(game):
     largest objective is the winner, and each play count is a sum of
     state counts.
     """
-    msucc, side = game.msucc, game.side
-    bsucc, meet = game.bsucc, game.meet
-    nb = len(game.bverts)
-    nv = len(game.mverts) * nb
+    nv = len(game.mverts) * game.nb
     root = game.payoff(game.root) * nv + game.root
     count = {root: 1}
     parent = {root: None}
@@ -1782,18 +1812,13 @@ def old_search(game):
     depth = 0
     while layer:
         pol = "O" if depth % 2 == 0 else "P"
-        mrows, brows = msucc[pol], bsucc[pol]
         nxt = []
         for s in layer:
             mask, v = divmod(s, nv)
             out = succ.get(v)
             if out is None:
-                m, b = divmod(v, nb)
-                ws = [x * nb + b for x in mrows[m]]
-                ws += [v - b + y for y in brows[b]]     # v - b == m * nb
-                ws.sort()
-                out = succ[v] = [(w, side[w // nb] | meet[w % nb])
-                                 for w in ws]
+                out = succ[v] = [(w, game.payoff(w))
+                                 for w in sorted(game.moves(v, pol))]
             if not out:
                 size = mask.bit_count()
                 support[size] = support.get(size, 0) + count[s]
@@ -1939,8 +1964,8 @@ def test_search_matches_the_earlier_search_on_edge_cases(label):
         assert (play, states, sum(support.values())) == ([game.root], 1, 1)
     if label in ("a single goal", "shared universe"):
         # with the images, a first reveal meets above 0
-        firsts = game.bsucc["O"][game.root % len(game.bverts)]
-        assert any(game.meet[y] for y in firsts)
+        firsts = game.moves(game.root, "O")
+        assert any(game.meet(y % game.nb) for y in firsts)
 
 # the earlier compound game ---------------------------------------------
 #

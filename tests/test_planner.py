@@ -10,8 +10,9 @@ import pytest
 
 from conftest import moved, pinned, random_strategy, sha16
 from test_differential import (Listed, assert_unfolds_as_before,
-                               old_build_compound_game, old_dual_game,
-                               old_select_goal_sets, old_tensor_game,
+                               chain_goal_scenario, old_build_compound_game,
+                               old_dual_game, old_select_goal_sets,
+                               old_tensor_game,
                                one_goal_scenario, planner_shape_case,
                                random_case, search_edge_cases,
                                wide_plan_case)
@@ -274,6 +275,15 @@ def test_compound_game_on_forty_features_is_fast():
     assert pg.k[pg.game.root] == ",".join(sorted(vis["obj_0"] | vis["obj_1"]))
 
 
+def test_plan_on_thirteen_goals_is_fast():
+    # 3**13 chains ranks: a plan reads only the few its plays reach
+    sc = chain_goal_scenario(13)
+    began = time.process_time()
+    plan = plan_play(sc, sorted(sc.objects))
+    assert time.process_time() - began < 1.0
+    assert plan.complete and len(plan.objective) > 0
+
+
 def test_compound_payoffs_accumulate_images():
     sc = load_scenario("data:tiny_scenario.json")
     pg = build_compound_game(sc, ["obj_e"],
@@ -371,11 +381,10 @@ def test_payoff_is_side_joined_with_meet(seed):
         assert pg.game.edges == old.game.edges
         assert pg.k == old.k
         lat = sc.payoff_lattice
-        for m, mv in enumerate(game.mverts):
-            for b, bv in enumerate(game.bverts):
-                if (mv, bv) in pg.k:
-                    assert pg.k[mv, bv] == \
-                        lat.name(game.side[m] | game.meet[b])
+        for v in range(len(game.mverts) * game.nb):
+            m, b = divmod(v, game.nb)
+            assert game.payoff(v) == game.side[m] | game.meet(b)
+            assert pg.k[game.vertex(v)] == lat.name(game.payoff(v))
 
 
 # planning ---------------------------------------------------------------
@@ -661,23 +670,40 @@ def test_plan_objective_is_maximal_over_all_plays():
         assert not objective < val, val
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "counts past nine"])
 def test_factor_ranks_order_the_compound_game_by_repr(seed):
-    rng = random.Random(300 + seed)
-    sc, goals, position, images = wide_plan_case(rng)
+    if seed == "counts past nine":
+        # a first goal of 11 features, whose count 10 sorts before 2
+        doc = base_doc()
+        doc["objects"] = [
+            {"id": "obj_%d" % i, "cell": [i, 0], "goal": goal,
+             "features": ["f%d_%02d" % (i, j) for j in range(n)]}
+            for i, (goal, n) in enumerate([("b2", 11), ("e", 2)])]
+        sc = load_scenario(doc)
+        goals, position, images = sorted(sc.objects), sc.start, None
+    else:
+        sc, goals, position, images = wide_plan_case(
+            random.Random(300 + seed))
     game = CompoundGame(sc, goals, position, images=images)
-    mverts, bverts = game.mverts, game.bverts
+    nb = game.nb
+    # the chains ranks, named and moved at movement rank 0, where every
+    # move that stays at movement rank 0 is a chain move
+    bverts = [game.vertex(b)[1] for b in range(nb)]
+    bsucc = {pol: [[w for w in game.moves(b, pol) if w < nb]
+                   for b in range(nb)] for pol in ("O", "P")}
     for factor, verts, succ in [
-            (Dual(_Movement(sc, position, sc.horizon)), mverts, game.msucc),
+            (Dual(_Movement(sc, position, sc.horizon)), game.mverts,
+             game.msucc),
             (functools.reduce(Tensor, chain_games(sc, goals)), bverts,
-             game.bsucc)]:
+             bsucc)]:
         walked, edges = walk(factor)
         assert verts == sorted(walked, key=repr)
         rank = {v: i for i, v in enumerate(verts)}
         assert sorted((rank[v], rank[w], pol) for v, w, pol in edges) == \
             sorted((i, j, pol) for pol, rows in succ.items()
                    for i, row in enumerate(rows) for j in row)
-    nv = len(mverts) * len(bverts)
+    assert bsucc["O"] == [game.reveals(b) for b in range(nb)]
+    nv = len(game.mverts) * nb
     assert sorted(range(nv), key=lambda v: repr(game.vertex(v))) == \
         list(range(nv))
 
@@ -694,8 +720,9 @@ def count_moves(monkeypatch):
 
 
 def test_plan_search_asks_no_move_of_the_compound_game(monkeypatch):
-    # the movement game is walked once; the search reads the ranked tables,
-    # so the compound game is asked no move
+    # the movement game is walked once; the search reads its ranked tables
+    # and asks the chains factor only for reveals and meets, so the
+    # compound game is asked no move
     sc, goals = four_goals(), ["obj_b1", "obj_b2", "obj_e"]
     nm = len(walk(_Movement(sc, sc.start, sc.horizon))[0])
     calls = count_moves(monkeypatch)
