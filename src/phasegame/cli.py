@@ -71,8 +71,10 @@ def _write_json(path, doc):
 
 
 def _write_text(path, text):
+    """Write text as UTF-8, whatever the locale: Graphviz reads DOT as
+    UTF-8, and JSON is written as ASCII."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 

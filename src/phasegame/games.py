@@ -9,15 +9,11 @@ with payoffs combined by meet and by Heyting implication respectively.
 Any object with a root and moves(v, pol) is a game: Dual, Tensor and
 implication compose such games lazily, walk lists any game breadth-first,
 and a Game is that walked listing, in one vertex order (see materialize).
-ranked lists a game by the reprs of its vertices, as ints that index
-successor tables.
 A strategy is a set of plays, checked in one pass that builds the reply
 table it keeps.  One breadth-first unfolding of plays against
 a response (_unfold) lists the maximal plays of a strategy, copycat, and
 the composite of two strategies with the middle game hidden.
 """
-
-from collections import namedtuple
 
 from .errors import (
     ComponentMismatch,
@@ -129,22 +125,6 @@ class Tensor:
 
 def implication(a, b):
     return Tensor(Dual(a), b)
-
-
-Ranked = namedtuple("Ranked", "vertices root succ")
-
-
-def ranked(game):
-    """Any game, walked and ranked: its vertices sorted by repr, the rank
-    of its root, and for each polarity the successors of each rank as
-    ranks, in move order."""
-    vertices, edges = walk(game)
-    vertices.sort(key=repr)
-    rank = {v: i for i, v in enumerate(vertices)}
-    succ = {pol: [[] for _ in vertices] for pol in _POLS}
-    for v, w, pol in edges:
-        succ[pol][rank[v]].append(rank[w])
-    return Ranked(vertices, rank[game.root], succ)
 
 
 def materialize(game):

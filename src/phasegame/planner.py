@@ -6,7 +6,7 @@ prefix of it, so images of objects accumulate monotonically as the system
 moves.  Discovered goals are ranked through the goal phase structure, and
 the preferred goal set becomes a compound game: the movement game implying
 the tensor of per-goal reveal chains, held as ints (CompoundGame): a
-movement rank, which indexes the ranked movement game's tables, and a
+movement rank, which indexes the movement game's successor table, and a
 chains rank, whose mixed-radix digits are the goals' revealed counts.  A play
 maximizing the lattice-valued objective is chosen.  When the cells within
 the horizon cannot grow the joined images of the active goals the set
@@ -22,7 +22,7 @@ from operator import and_
 
 from .data import distinct, fields, load_doc, stem
 from .errors import BadGrid, UnknownGoalElement, UsageError
-from .games import Dual, Game, PayoffGame, ranked
+from .games import Game, PayoffGame, walk
 from .lattice import PowersetLattice
 from .phase import phase_from_doc
 
@@ -281,7 +281,7 @@ class CompoundGame:
 
     The movement factor is the dual of _Movement from the position, so
     Proponent steps at even ticks and Opponent ticks at odd ones; it is
-    held as its ranked tables (games.ranked).  A goal's chain runs through
+    held as its walk, ranked by repr.  A goal's chain runs through
     (goal id, revealed count), advanced by Opponent.  The chains factor is
     their Tensor, left to right, which nests them as (g1, j1), then
     ((g1, j1), (g2, j2)), and so on; a move advances one count, the goals'
@@ -297,21 +297,21 @@ class CompoundGame:
     an odd tick, where Proponent has no move, and that ends the play.  So
     no play holds more than two reveals.
 
-    mverts lists the movement vertices by repr, and msucc gives each
-    rank's successor ranks per polarity.  The chains factor is not listed:
-    it is a mixed radix, one digit per goal.  A goal's digits are its
-    counts 0..n sorted by repr, and chains rank b holds the digit
-    b // stride % (n + 1) of a goal, for its stride the product of the
-    later goals' n + 1, so the first goal's digit is the most significant;
-    nb is the number of chains ranks.  A vertex is the int v = m * nb + b
-    for movement rank m.  Int order is the repr order of the nested names:
-    a tuple's or a string's repr is prefix-free, and an int's is followed
-    in a pair's repr by "," or ")", below every digit, so comparing the
-    reprs of two pairs compares the reprs of their first coordinates, then
-    of their second ones.  vertex(v) names v as the nested pair
-    ((cell, tick), chains), reveals(b) gives the chains ranks one reveal
-    from b, and moves(v, pol) reads them in Tensor's order, movement moves
-    first.
+    mverts lists the movement vertices by repr, and mnext gives each
+    rank's successor ranks in move order; its tick says which player owns
+    them.  The chains factor is not listed: it is a mixed radix, one digit
+    per goal.  A goal's digits are its counts 0..n sorted by repr, and
+    chains rank b holds the digit b // stride % (n + 1) of a goal, for its
+    stride the product of the later goals' n + 1, so the first goal's
+    digit is the most significant; nb is the number of chains ranks.  A
+    vertex is the int v = m * nb + b for movement rank m.  Int order is
+    the repr order of the nested names: a tuple's or a string's repr is
+    prefix-free, and an int's is followed in a pair's repr by "," or ")",
+    below every digit, so comparing the reprs of two pairs compares the
+    reprs of their first coordinates, then of their second ones.
+    vertex(v) names v as the nested pair ((cell, tick), chains), reveals(b)
+    gives the chains ranks one reveal from b, and moves(v, pol) reads them
+    in Tensor's order, movement moves first.
 
     A payoff is a mask of the scenario's payoff lattice, the powerset of
     its feature universe: side[m], what the cell of movement rank m reveals
@@ -331,8 +331,12 @@ class CompoundGame:
         images = images or {}
         objs = _goal_objects(sc, goals)
         lat = sc.payoff_lattice
-        self.mverts, mroot, self.msucc = ranked(
-            Dual(_Movement(sc, pos, sc.horizon)))
+        mwalk, medges = walk(_Movement(sc, pos, sc.horizon))
+        self.mverts = sorted(mwalk, key=repr)
+        rank = {v: i for i, v in enumerate(self.mverts)}
+        self.mnext = [[] for _ in self.mverts]
+        for v, w, _ in medges:
+            self.mnext[rank[v]].append(rank[w])
         # each goal's stride and, per digit, the name (goal id, count), the
         # meet term and the step to the next count's digit (0 at the last)
         self._chains = []
@@ -356,7 +360,7 @@ class CompoundGame:
                     else mask
         self.side = [side[cell] for cell, _ in self.mverts]
         # count 0 sorts first, so every digit of the chains root is 0
-        self.root = mroot * self.nb
+        self.root = rank[pos, 0] * self.nb
 
     def _digits(self, b):
         """The (name, meet term, step) of each goal's digit in rank b.  A
@@ -374,7 +378,9 @@ class CompoundGame:
 
     def moves(self, v, pol):
         m, b = divmod(v, self.nb)
-        out = [x * self.nb + b for x in self.msucc[pol][m]]
+        # the dual of _Movement: P steps at even ticks, O ticks at odd ones
+        out = [x * self.nb + b for x in self.mnext[m]] \
+            if self.mverts[m][1] % 2 == (pol == "O") else []
         return out + self.reveals(v) if pol == "O" else out
 
     def payoff(self, v):
@@ -456,7 +462,7 @@ def _search(game):
     vertices (tests pin it on two-digit coordinates and ticks).
 
     No play is listed, and no move of the game is asked for: the search
-    reads the movement factor's ranked tables, and of the chains factor
+    reads the movement factor's successor table, and of the chains factor
     only the reveals and meets of the chains ranks a play can reach, at
     most 1 + k + k(k+1)/2 of them for k goals.  It rests on the play
     grammar (see CompoundGame): every play is root, (m0, y1), ...,
@@ -481,12 +487,13 @@ def _search(game):
     an odd tick, seen joined with its meet, so that only a nonzero meet
     needs a set.
 
-    Among the ends of the largest support and then the shortest play, the
-    winner has the smallest y1, then the smallest walk.  A walk that ends
-    in a tick x from an odd-tick state m comes before m's second reveals
-    exactly when x < m, and among those the smaller y2 comes first.
+    The winner's first reveal y1 is the smallest one that reaches an end
+    of the largest support and then the shortest play.  Under it, the
+    first walk that stops there and the first walk that takes a second
+    reveal there are rebuilt, and the smaller of the two plays wins: both
+    hold the same number of ints, and int order is repr order.
     """
-    msucc, side, nb = game.msucc, game.side, game.nb
+    side, nb = game.side, game.nb
     mroot, broot = divmod(game.root, nb)
     firsts = sorted(game.reveals(broot))
     if not firsts:
@@ -501,11 +508,9 @@ def _search(game):
             Counter(meet[y] for y1 in firsts for y in seconds[y1]))
     shift = len(game.mverts).bit_length()
     low = (1 << shift) - 1
-    # each movement rank's moves, P's steps at an even tick and O's tick at
-    # an odd one, as the packed side payoff and rank they add, in rank order
-    moves = [[side[x] << shift | x
-              for x in sorted(msucc["O" if t % 2 else "P"][m])]
-             for m, (_, t) in enumerate(game.mverts)]
+    # each movement rank's moves, as the packed side payoff and rank they
+    # add, in rank order
+    moves = [[side[x] << shift | x for x in sorted(row)] for row in game.mnext]
     root = side[mroot] << shift | mroot
     count = {root: 1}
     parent = {root: None}
@@ -548,35 +553,30 @@ def _search(game):
     def fits(s, y):
         return ((s >> shift) | meet[y]).bit_count() == best_size
 
+    def rebuilt(s, y1, y):
+        """The play of the walk to state s under the first reveal y1, then
+        the second reveal y unless it is y1, and its objective."""
+        end, ms = s, []
+        while s is not None:
+            ms.append(s & low)
+            s = parent[s]
+        play = [game.root] + [m * nb + y1 for m in reversed(ms)]
+        if y != y1:
+            play.append(ms[0] * nb + y)
+        return play, (end >> shift) | meet[y]
+
     # the winner ends a walk at tick best_len - 2 with no move, or takes a
     # second reveal at tick best_len - 3
-    stops = [s for s in layers[best_len - 2] if not moves[s & low]]
     turns = layers[best_len - 3] if best_len > 3 else []
     for y1 in firsts:
-        stop = next((s for s in stops if fits(s, y1)), None)
-        turn = next(((i, s, y) for i, s in enumerate(turns)
-                     for y in seconds[y1] if fits(s, y)), None)
-        if stop is not None or turn is not None:
+        stop = next((rebuilt(s, y1, y1) for s in layers[best_len - 2]
+                     if not moves[s & low] and fits(s, y1)), None)
+        turn = next((rebuilt(s, y1, y) for s in turns for y in seconds[y1]
+                     if fits(s, y)), None)
+        if stop or turn:
             break
-    if turn is not None and stop is not None:
-        i, s, _ = turn
-        j = turns.index(parent[stop])
-        if j < i or j == i and (stop & low) < (s & low):
-            turn = None
-    if turn is None:
-        end, last = stop, y1
-    else:
-        _, end, last = turn
-    walk = []
-    s = end
-    while s is not None:
-        walk.append(s & low)
-        s = parent[s]
-    walk.reverse()
-    play = [game.root] + [m * nb + y1 for m in walk]
-    if turn is not None:
-        play.append(walk[-1] * nb + last)
-    return play, (end >> shift) | meet[last], states, support
+    play, objective = min(p for p in (stop, turn) if p)
+    return play, objective, states, support
 
 
 def _joined(packed, shift, values):
@@ -780,7 +780,7 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
             continue
 
         play, objective, _, _ = _search(game)
-        cells = [game.vertex(v)[0][0] for v in play]
+        cells = [game.mverts[v // game.nb][0] for v in play]
         move_to = next((cell for cell in cells if cell != pos), None)
         if move_to is None:
             trace.log("step %d: plan holds position" % steps)

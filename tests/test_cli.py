@@ -316,6 +316,35 @@ def test_simulate_same_seed_same_bytes_across_processes(tmp_path, mode):
     assert traces[0] == traces[1]
 
 
+def test_emitted_files_do_not_depend_on_the_locale(tmp_path):
+    # an object id outside ASCII, under the C locale with no UTF-8 mode,
+    # where text files default to ASCII: the trace and DOT files are
+    # written all the same, and the DOT bytes are the UTF-8 run's
+    src = os.path.dirname(os.path.dirname(phasegame.__file__))
+    doc = read_json(data_path("tiny_scenario.json"))
+    doc["objects"][0]["id"] = "obj_\u00e9"
+    scenario = tmp_path / "accent.json"
+    scenario.write_text(json.dumps(doc))
+    written = []
+    for name, env in [
+            ("c", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                   "PYTHONUTF8": "0"}),
+            ("utf8", {"PYTHONUTF8": "1"})]:
+        out_dir = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasegame.cli", "simulate",
+             str(scenario), "--emit", "both", "--quiet",
+             "--out-dir", str(out_dir)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, **env))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        written.append([(out_dir / ("accent_trace." + ext)).read_bytes()
+                        for ext in ("json", "dot")])
+    assert written[0] == written[1]
+    assert "obj_\u00e9".encode("utf-8") in written[0][1]
+
+
 def test_simulate_step_limit_warns_by_default(tmp_path, capsys):
     rc = main(["simulate", "data:empty_scenario.json", "--max-steps", "3",
                "--out-dir", str(tmp_path)])
@@ -946,20 +975,22 @@ def test_outputs_on_generated_structures_keep_their_pins(tmp_path, capsys):
         code = main(argv)
         return code, capsys.readouterr().out.replace(str(tmp_path), "TMP")
 
-    for kind in ("boolean", "downset"):
-        for n in (32, 64, 128):
-            rng = random.Random(n)
-            doc, model = getattr(gen, kind + "_structure")(rng, n)
-            path = tmp_path / ("%s_%d.json" % (kind, n))
-            path.write_text(json.dumps(doc))
-            for verb in ("verify", "facts"):
-                code, out = run([verb, "--phase", str(path)])
-                answers["%s %s %d" % (verb, kind, n)] = [code, sha16(out)]
-            runs = [run(["eval", "--phase", str(path), text])
-                    for text, _ in gen.expr_batch(rng, model, 8)]
-            answers["eval %s %d" % (kind, n)] = [
-                max(code for code, _ in runs),
-                sha16("".join(out for _, out in runs))]
+    # a Boolean lattice has a power of two elements, so n=18 is a down-set
+    # structure only
+    for kind, n in [(kind, n) for kind in ("boolean", "downset")
+                    for n in (32, 64, 128)] + [("downset", 18)]:
+        rng = random.Random(n)
+        doc, model = getattr(gen, kind + "_structure")(rng, n)
+        path = tmp_path / ("%s_%d.json" % (kind, n))
+        path.write_text(json.dumps(doc))
+        for verb in ("verify", "facts"):
+            code, out = run([verb, "--phase", str(path)])
+            answers["%s %s %d" % (verb, kind, n)] = [code, sha16(out)]
+        runs = [run(["eval", "--phase", str(path), text])
+                for text, _ in gen.expr_batch(rng, model, 8)]
+        answers["eval %s %d" % (kind, n)] = [
+            max(code for code, _ in runs),
+            sha16("".join(out for _, out in runs))]
 
     rng = random.Random(128)
     goal = gen.inline_lattice(os.path.dirname(os.path.dirname(

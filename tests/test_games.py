@@ -11,7 +11,7 @@ from phasegame.games import (Dual, Game, PayoffGame, Strategy, Tensor,
                              compose_strategies, copycat, dual_game,
                              dual_payoff_game, implication, implication_game,
                              is_winning, maximal_plays, payoff_implication,
-                             payoff_tensor, ranked, tensor_game, walk)
+                             payoff_tensor, tensor_game, walk)
 from phasegame.lattice import Lattice, PowersetLattice, chain
 
 
@@ -194,41 +194,6 @@ def test_walk_shares_equal_vertices():
         vertices, edges = walk(Tensor(a, b))
         shared = {v: v for v in vertices}
         assert all(shared[v] is v and shared[w] is w for v, w, _ in edges)
-
-
-def int_game(game):
-    """A random_game with its vertex "v<i>" renamed to the int i."""
-    return Game([int(v[1:]) for v in game.vertices], int(game.root[1:]),
-                [(int(v[1:]), int(w[1:]), pol) for v, w, pol in game.edges])
-
-
-def assert_ranks(ranked_game, game):
-    """ranked_game lists the walk of game by repr, with its root and each
-    vertex's successors per polarity, in move order."""
-    vertices = ranked_game.vertices
-    assert vertices == sorted(walk(game)[0], key=repr)
-    assert vertices[ranked_game.root] == game.root
-    for pol in ("O", "P"):
-        assert [[vertices[j] for j in row] for row in ranked_game.succ[pol]] \
-            == [game.moves(v, pol) for v in vertices]
-
-
-def test_ranked_forms_list_the_walks_by_repr():
-    # int vertices past 9, where repr order ("10" before "2") is not int
-    # order, and pairs of them, where "(1, 5)" sorts before "(10, 2)"
-    rng = seeded(14)
-    reordered = False
-    for _ in range(30):
-        a, c = int_game(random_game(rng, 12)), int_game(random_game(rng, 4))
-        b = random_game(rng, 4)
-        ra = ranked(a)
-        reordered |= ra.vertices != sorted(ra.vertices)
-        for game, ranked_game in [
-                (a, ra), (Dual(b), ranked(Dual(b))),
-                (Tensor(a, b), ranked(Tensor(a, b))),
-                (Tensor(c, a), ranked(Tensor(c, a)))]:
-            assert_ranks(ranked_game, game)
-    assert reordered
 
 
 # payoff games -----------------------------------------------------------

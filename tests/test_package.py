@@ -1,5 +1,6 @@
 """The package's public names, and the modules each entry point loads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -75,3 +76,58 @@ CORE = {"phasegame", "phasegame.data", "phasegame.errors"}
 ])
 def test_entry_point_loads_only_what_it_runs(argv, loaded):
     assert imported(argv) == loaded
+
+
+def _package_trees():
+    """Each module of the package, parsed: {module name: ast.Module}."""
+    src = os.path.dirname(phasegame.__file__)
+    trees = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                trees[name[:-3]] = ast.parse(fh.read(), name)
+    return trees
+
+
+def _reads(tree):
+    """The names a module reads."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _sibling_imports(tree):
+    """The names a module imports from a sibling module."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names}
+
+
+def _bound(stmt):
+    """The names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [node.id for target in stmt.targets
+                for node in ast.walk(target) if isinstance(node, ast.Name)]
+    return []
+
+
+def test_every_import_and_private_name_is_read():
+    # an import a module never reads, or a private module-level name that
+    # no module of the package reads, is code with no caller
+    trees = _package_trees()
+    read = set().union(*map(_reads, trees.values()),
+                       *map(_sibling_imports, trees.values()))
+    unread = []
+    for module, tree in trees.items():
+        local = _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += ["%s imports %s" % (module, name) for name in (
+                    alias.asname or alias.name.split(".")[0]
+                    for alias in node.names) if name not in local]
+        for stmt in tree.body:
+            unread += ["%s defines %s" % (module, name)
+                       for name in _bound(stmt) if name.startswith("_")
+                       and not name.endswith("__") and name not in read]
+    assert unread == []

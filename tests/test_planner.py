@@ -686,22 +686,29 @@ def test_factor_ranks_order_the_compound_game_by_repr(seed):
             random.Random(300 + seed))
     game = CompoundGame(sc, goals, position, images=images)
     nb = game.nb
+    # the movement ranks, moved at chains rank 0, where every move that
+    # stays at chains rank 0 is a movement move: each polarity's moves are
+    # the ranks of the dual movement game's edges, in move order
+    walked, edges = walk(Dual(_Movement(sc, position, sc.horizon)))
+    assert game.mverts == sorted(walked, key=repr)
+    rank = {v: i for i, v in enumerate(game.mverts)}
+    out = {(v, pol): [] for v in walked for pol in ("O", "P")}
+    for v, w, pol in edges:
+        out[v, pol].append(rank[w])
+    assert out == {(v, pol): [w // nb for w in game.moves(m * nb, pol)
+                              if w % nb == 0]
+                   for m, v in enumerate(game.mverts) for pol in ("O", "P")}
     # the chains ranks, named and moved at movement rank 0, where every
     # move that stays at movement rank 0 is a chain move
     bverts = [game.vertex(b)[1] for b in range(nb)]
     bsucc = {pol: [[w for w in game.moves(b, pol) if w < nb]
                    for b in range(nb)] for pol in ("O", "P")}
-    for factor, verts, succ in [
-            (Dual(_Movement(sc, position, sc.horizon)), game.mverts,
-             game.msucc),
-            (functools.reduce(Tensor, chain_games(sc, goals)), bverts,
-             bsucc)]:
-        walked, edges = walk(factor)
-        assert verts == sorted(walked, key=repr)
-        rank = {v: i for i, v in enumerate(verts)}
-        assert sorted((rank[v], rank[w], pol) for v, w, pol in edges) == \
-            sorted((i, j, pol) for pol, rows in succ.items()
-                   for i, row in enumerate(rows) for j in row)
+    walked, edges = walk(functools.reduce(Tensor, chain_games(sc, goals)))
+    assert bverts == sorted(walked, key=repr)
+    rank = {v: i for i, v in enumerate(bverts)}
+    assert sorted((rank[v], rank[w], pol) for v, w, pol in edges) == \
+        sorted((i, j, pol) for pol, rows in bsucc.items()
+               for i, row in enumerate(rows) for j in row)
     assert bsucc["O"] == [game.reveals(b) for b in range(nb)]
     nv = len(game.mverts) * nb
     assert sorted(range(nv), key=lambda v: repr(game.vertex(v))) == \
@@ -720,14 +727,14 @@ def count_moves(monkeypatch):
 
 
 def test_plan_search_asks_no_move_of_the_compound_game(monkeypatch):
-    # the movement game is walked once; the search reads its ranked tables
-    # and asks the chains factor only for reveals and meets, so the
+    # the movement game is walked once; the search reads its successor
+    # table and asks the chains factor only for reveals and meets, so the
     # compound game is asked no move
     sc, goals = four_goals(), ["obj_b1", "obj_b2", "obj_e"]
     nm = len(walk(_Movement(sc, sc.start, sc.horizon))[0])
     calls = count_moves(monkeypatch)
     plan = plan_play(sc, goals)
-    assert calls == {"Dual": 2 * nm, "_Movement": 2 * nm}
+    assert calls == {"_Movement": 2 * nm}
     assert plan.header["states"] > 2 * nm
 
 
@@ -740,7 +747,7 @@ def test_cognition_step_walks_the_movement_game_once(monkeypatch):
     assert trace.header["steps_taken"] == 1
     assert any(e.get("move") != "wander" for e in trace.entries
                if e["actor"] == "system")
-    assert calls == {"Dual": 2 * nm, "_Movement": 2 * nm}
+    assert calls == {"_Movement": 2 * nm}
 
 
 def test_cognition_walks_the_movement_game_once_per_active_set(monkeypatch):
