@@ -4,6 +4,10 @@ Verbs: verify, solve, eval, simulate, oracle, facts.  Exit codes follow a
 fixed contract: 0 success; 2 usage or parse failure (a UsageError, even one
 that is also a PhasegameError, or an OSError); 1 any other domain failure
 (a PhasegameError).  Any other exception is a defect and propagates.
+
+Whatever the locale, the command line is read as UTF-8 (a word that is not
+UTF-8 is a UsageError), and what stdout's encoding cannot hold is printed
+as backslash escapes.
 """
 
 import argparse
@@ -11,7 +15,7 @@ import json
 import os
 import sys
 
-from .data import fields, load_doc, stem
+from .data import fields, fs_path, load_doc, stem
 from .errors import (
     NoSolution,
     CapExceeded,
@@ -73,8 +77,8 @@ def _write_json(path, doc):
 def _write_text(path, text):
     """Write text as UTF-8, whatever the locale: Graphviz reads DOT as
     UTF-8, and JSON is written as ASCII."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    os.makedirs(fs_path(os.path.dirname(path) or "."), exist_ok=True)
+    with open(fs_path(path), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -339,17 +343,35 @@ def build_parser():
     return parser
 
 
+def _utf8(word):
+    """An argv word read as UTF-8.  Python decodes argv with the locale's
+    codec and keeps each byte it cannot decode as a surrogate escape, so
+    such a word is encoded back to its bytes and decoded as UTF-8."""
+    if not any("\udc80" <= ch <= "\udcff" for ch in word):
+        return word
+    try:
+        return os.fsencode(word).decode("utf-8")
+    except UnicodeError:
+        raise UsageError("argument %s is not UTF-8 text"
+                         % ascii(word)) from None
+
+
 def main(argv=None):
+    # the one stdout policy: under a UTF-8 locale every report encodes, so
+    # no byte moves; elsewhere what the encoding cannot hold is escaped
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
-        if extra and (args.verb != "eval" or any(
-                word.startswith("--") for word in extra)):
-            parser.error("unrecognized arguments: %s" % " ".join(extra))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    args.expr = extra
-    try:
+        words = [_utf8(w) for w in (sys.argv[1:] if argv is None else argv)]
+        try:
+            args, extra = parser.parse_known_args(words)
+            if extra and (args.verb != "eval" or any(
+                    word.startswith("--") for word in extra)):
+                parser.error("unrecognized arguments: %s" % " ".join(extra))
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
+        args.expr = extra
         return args.func(args)
     except (UsageError, OSError, PhasegameError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -49,8 +49,19 @@ def load_doc(path_or_doc, base_dir=None):
 
 
 def read_bytes(path):
-    with open(path, "rb") as fh:
+    with open(fs_path(path), "rb") as fh:
         return fh.read()
+
+
+def fs_path(path):
+    """The path to hand the file system: unchanged where the locale's codec
+    can encode it, else (a name outside ASCII under the C locale) its UTF-8
+    bytes, since command lines and documents are read as UTF-8."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        return path.encode("utf-8")
+    return path
 
 
 def _not_json(constant):

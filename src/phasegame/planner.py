@@ -22,7 +22,7 @@ from operator import and_
 
 from .data import distinct, fields, load_doc, stem
 from .errors import BadGrid, UnknownGoalElement, UsageError
-from .games import Game, PayoffGame, walk
+from .games import Game, PayoffGame
 from .lattice import PowersetLattice
 from .phase import phase_from_doc
 
@@ -127,23 +127,28 @@ def chebyshev(a, b):
 def visible_rewards(sc, pos):
     """Feature prefix of each object revealed from pos; empty beyond horizon.
 
-    At distance d the first ceil(n * (1 - d/(horizon+1))) features show, so
-    standing on the object reveals everything and the fraction decays with
-    distance.  Computed once per scenario and cell; every call returns a
+    At distance d an object of n features shows its first _shown(n, d,
+    horizon).  Computed once per scenario and cell; every call returns a
     fresh dict, which the caller may change.
     """
     pos = tuple(pos)
     out = sc._visible.get(pos)
     if out is None:
-        out = sc._visible[pos] = {}
-        den = sc.horizon + 1
-        for obj in sc.objects.values():
-            d = chebyshev(pos, obj.cell)
-            n = len(obj.features)
-            num = n * (den - d)
-            count = -(-num // den) if num > 0 else 0
-            out[obj.id] = frozenset(obj.features[:count])
+        out = sc._visible[pos] = {
+            obj.id: frozenset(obj.features[:_shown(
+                len(obj.features), chebyshev(pos, obj.cell), sc.horizon)])
+            for obj in sc.objects.values()}
     return dict(out)
+
+
+def _shown(n, d, horizon):
+    """How many of an object's n features show at Chebyshev distance d: the
+    first ceil(n * (1 - d/(horizon+1))), so standing on the object reveals
+    everything, the fraction decays with distance, and none show beyond
+    the horizon."""
+    den = horizon + 1
+    num = n * (den - d)
+    return -(-num // den) if num > 0 else 0
 
 
 def _goal_objects(sc, goals):
@@ -252,24 +257,6 @@ def _rank(lat, candidates):
 
 # compound game ---------------------------------------------------------
 
-class _Movement:
-    """The system's movement game from pos: Opponent steps to a neighbour
-    at even ticks and Proponent ticks at odd ones, for radius rounds."""
-
-    def __init__(self, sc, pos, radius):
-        self.sc = sc
-        self.root = (pos, 0)
-        self._last_tick = 2 * radius
-
-    def moves(self, v, pol):
-        cell, t = v
-        if t >= self._last_tick or t % 2 != (pol == "P"):
-            return []
-        if pol == "O":
-            return [(n, t + 1) for n in self.sc.neighbors(cell)]
-        return [(cell, t + 1)]
-
-
 def _check_mode(mode):
     if mode not in ("practical", "strict"):
         raise ValueError("mode must be 'practical' or 'strict'")
@@ -279,9 +266,13 @@ class CompoundGame:
     """The game implication(movement, tensor of per-goal reveal chains),
     held as ints: a movement rank and a chains rank.
 
-    The movement factor is the dual of _Movement from the position, so
-    Proponent steps at even ticks and Opponent ticks at odd ones; it is
-    held as its walk, ranked by repr.  A goal's chain runs through
+    The movement factor is the dual of the system's movement game from the
+    position, so Proponent steps to a neighbour at even ticks and Opponent
+    ticks at odd ones, up to tick 2 * horizon.  It is listed from the cell
+    frontiers: F0 is the position and F(L) the neighbours of F(L-1), the
+    cells a walk of exactly L steps reaches, so its vertices are
+    (position, 0) and (c, 2L - 1) and (c, 2L) for each c in F(L), up to L =
+    horizon or the first empty frontier.  A goal's chain runs through
     (goal id, revealed count), advanced by Opponent.  The chains factor is
     their Tensor, left to right, which nests them as (g1, j1), then
     ((g1, j1), (g2, j2)), and so on; a move advances one count, the goals'
@@ -297,10 +288,12 @@ class CompoundGame:
     an odd tick, where Proponent has no move, and that ends the play.  So
     no play holds more than two reveals.
 
-    mverts lists the movement vertices by repr, and mnext gives each
-    rank's successor ranks in move order; its tick says which player owns
-    them.  The chains factor is not listed: it is a mixed radix, one digit
-    per goal.  A goal's digits are its counts 0..n sorted by repr, and
+    mverts lists the movement vertices by repr: the cells sorted by repr,
+    and under each cell its ticks sorted by str, which is the same order
+    since a cell's repr is prefix-free.  mnext gives each rank's successor
+    ranks in move order, a cell's neighbours in Scenario.neighbors order;
+    its tick says which player owns them.  The chains factor is not
+    listed: it is a mixed radix, one digit per goal.  A goal's digits are its counts 0..n sorted by repr, and
     chains rank b holds the digit b // stride % (n + 1) of a goal, for its
     stride the product of the later goals' n + 1, so the first goal's
     digit is the most significant; nb is the number of chains ranks.  A
@@ -317,7 +310,9 @@ class CompoundGame:
     its feature universe: side[m], what the cell of movement rank m reveals
     of the goals joined with their images (or its complement, in strict
     mode), joined with meet(b), the meet over goals of each revealed prefix
-    in chains rank b joined with its image.
+    in chains rank b joined with its image.  What a cell reveals of a goal
+    is the mask of the feature prefix visible_rewards shows there, read
+    off the goal's prefix masks by the count _shown gives.
     """
 
     def __init__(self, sc, goals, position=None, mode="practical",
@@ -331,34 +326,58 @@ class CompoundGame:
         images = images or {}
         objs = _goal_objects(sc, goals)
         lat = sc.payoff_lattice
-        mwalk, medges = walk(_Movement(sc, pos, sc.horizon))
-        self.mverts = sorted(mwalk, key=repr)
+        last = 2 * sc.horizon
+        # the cells a walk of exactly L steps reaches, frontier by frontier,
+        # each with its ticks 2L - 1 and 2L
+        neighbors = {pos: sc.neighbors(pos)}
+        ticks = {pos: [0]}
+        frontier = [pos]
+        for t in range(1, last, 2):
+            reached = {n for c in frontier for n in neighbors[c]}
+            if not reached:
+                break
+            for c in reached:
+                if c in ticks:
+                    ticks[c] += (t, t + 1)
+                else:
+                    ticks[c] = [t, t + 1]
+                    neighbors[c] = sc.neighbors(c)
+            frontier = reached
+        # a cell's repr is prefix-free, so sorting the cells by repr and
+        # each cell's ticks by str sorts the vertices by repr
+        self.mverts = [(c, t) for c in sorted(ticks, key=repr)
+                       for t in sorted(ticks[c], key=str)]
         rank = {v: i for i, v in enumerate(self.mverts)}
-        self.mnext = [[] for _ in self.mverts]
-        for v, w, _ in medges:
-            self.mnext[rank[v]].append(rank[w])
+        self.mnext = [
+            [] if t == last else [rank[c, t + 1]] if t % 2
+            else [rank[n, t + 1] for n in neighbors[c]]
+            for c, t in self.mverts]
         # each goal's stride and, per digit, the name (goal id, count), the
-        # meet term and the step to the next count's digit (0 at the last)
+        # meet term and the step to the next count's digit (0 at the last);
+        # and per goal its object's cell and the masks of its feature
+        # prefixes, by count
         self._chains = []
+        prefixes = []
         self.nb = 1
         for o in reversed(objs):
             n = len(o.features)
+            prefix = [lat.mask(o.features[:j]) for j in range(n + 1)]
+            prefixes.append((o.cell, n, prefix))
+            image = lat.mask(images.get(o.id, ()))
             counts = sorted(range(n + 1), key=repr)
             self._chains.insert(0, (self.nb, [(
-                (o.id, j), lat.mask(o.features[:j])
-                | lat.mask(images.get(o.id, ())),
+                (o.id, j), prefix[j] | image,
                 (counts.index(j + 1) - d) * self.nb if j < n else 0)
                 for d, j in enumerate(counts)]))
             self.nb *= n + 1
         seen = lat.mask(f for g in goals for f in images.get(g, ()))
         side = {}
-        for cell, _ in self.mverts:
-            if cell not in side:
-                vis = visible_rewards(sc, cell)
-                mask = seen | lat.mask(f for g in goals for f in vis[g])
-                side[cell] = lat.complement(mask) if mode == "strict" \
-                    else mask
-        self.side = [side[cell] for cell, _ in self.mverts]
+        for c in ticks:
+            mask = seen
+            for cell, n, prefix in prefixes:
+                mask |= prefix[_shown(n, chebyshev(c, cell), sc.horizon)]
+            side[c] = lat.complement(mask) if mode == "strict" else mask
+        self.side = [side[c] for c, _ in self.mverts]
         # count 0 sorts first, so every digit of the chains root is 0
         self.root = rank[pos, 0] * self.nb
 
@@ -378,7 +397,7 @@ class CompoundGame:
 
     def moves(self, v, pol):
         m, b = divmod(v, self.nb)
-        # the dual of _Movement: P steps at even ticks, O ticks at odd ones
+        # the dual movement game: P steps at even ticks, O ticks at odd ones
         out = [x * self.nb + b for x in self.mnext[m]] \
             if self.mverts[m][1] % 2 == (pol == "O") else []
         return out + self.reveals(v) if pol == "O" else out

@@ -316,6 +316,11 @@ def test_simulate_same_seed_same_bytes_across_processes(tmp_path, mode):
     assert traces[0] == traces[1]
 
 
+# the C locale with no UTF-8 mode, where stdout, argv and file names are
+# ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
 def test_emitted_files_do_not_depend_on_the_locale(tmp_path):
     # an object id outside ASCII, under the C locale with no UTF-8 mode,
     # where text files default to ASCII: the trace and DOT files are
@@ -326,10 +331,7 @@ def test_emitted_files_do_not_depend_on_the_locale(tmp_path):
     scenario = tmp_path / "accent.json"
     scenario.write_text(json.dumps(doc))
     written = []
-    for name, env in [
-            ("c", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
-                   "PYTHONUTF8": "0"}),
-            ("utf8", {"PYTHONUTF8": "1"})]:
+    for name, env in [("c", C_LOCALE), ("utf8", {"PYTHONUTF8": "1"})]:
         out_dir = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "phasegame.cli", "simulate",
@@ -1006,6 +1008,91 @@ def test_outputs_on_generated_structures_keep_their_pins(tmp_path, capsys):
                   for sol in sorted(out_dir.glob("*_solution_*.json"))]
         answers["solve planted %d" % i] = [code, sha16(json.dumps(tables))]
     assert moved(pinned("generated_cli.json"), answers) == {}
+
+
+# the exit-code contract under the C locale -----------------------------
+
+def run_in_locale(argv, cwd, locale=C_LOCALE):
+    """(exit code, stdout, stderr text) of the CLI run as a process under
+    locale on argv, each text word given as its UTF-8 bytes; stdout is
+    decoded as ASCII under the C locale, which it must be, else as UTF-8."""
+    src = os.path.dirname(os.path.dirname(phasegame.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phasegame.cli"]
+        + [w if isinstance(w, bytes) else w.encode("utf-8") for w in argv],
+        capture_output=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src, **locale))
+    err = proc.stderr.decode("utf-8", "backslashreplace")
+    assert proc.returncode in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    return proc.returncode, proc.stdout.decode(
+        "ascii" if locale is C_LOCALE else "utf-8"), err
+
+
+def test_text_outside_ascii_runs_under_the_c_locale(tmp_path):
+    # an element named \u00e1 and an object obj_\u00e9: the reports print
+    # them as backslash escapes, eval and file names read their argument
+    # as UTF-8, and a word that is not UTF-8 is a usage error
+    phase = tmp_path / "ph\u00e1.json"
+    phase.write_text(json.dumps({
+        "lattice": {"elements": ["\u00e1", "1"], "covers": [["\u00e1", "1"]],
+                    "bottom": "\u00e1", "top": "1"},
+        "mult": [["\u00e1", "\u00e1", "\u00e1"], ["\u00e1", "1", "\u00e1"],
+                 ["1", "1", "1"]],
+        "unit": "1", "falsum": "\u00e1"}))
+    doc = read_json(data_path("tiny_scenario.json"))
+    doc["objects"][0]["id"] = "obj_\u00e9"
+    doc["goal_phase"] = "data:goal_phase.json"
+    scenario = tmp_path / "accent.json"
+    scenario.write_text(json.dumps(doc))
+    out_dir = tmp_path / "d\u00e9"
+    for argv, line in [
+            (["verify", "--phase", str(phase)], "verify: pass"),
+            (["facts", "--phase", str(phase), "--out-dir", str(out_dir)],
+             "PASS falsum: \\xe1"),
+            (["simulate", str(scenario)], "PASS image obj_\\xe9: {")]:
+        code, out, _ = run_in_locale(argv, tmp_path)
+        assert code == 0, argv
+        assert any(row.startswith(line) for row in out.splitlines()), \
+            (argv, out)
+    assert (out_dir / "facts_report.json").exists()
+    argv = ["eval", "--phase", str(phase), "\u00e1"]
+    assert run_in_locale(argv, tmp_path)[:2] == (0, "\\xe1\n")
+    assert run_in_locale(argv, tmp_path, {"PYTHONUTF8": "1"})[:2] == \
+        (0, "\u00e1\n")
+    code, _, err = run_in_locale(
+        ["eval", "--phase", str(phase), b"\xff"], tmp_path)
+    assert (code, err) == \
+        (2, "error: UsageError: argument '\\udcff' is not UTF-8 text\n")
+
+
+def test_ascii_inputs_print_their_pinned_bytes_under_the_c_locale(tmp_path):
+    # a seeded slice of the argv corpus, and verify, facts and eval on a
+    # generated structure of each kind
+    table = pinned("argv_corpus.json")
+    for argv in random.Random(1032).sample(argv_corpus(), 12):
+        code, out, _ = run_in_locale(argv, tmp_path)
+        answer = [code, None if argv[0] != "eval" else
+                  "<help>" if out.startswith("usage: ") else out]
+        assert answer == table[" ".join(argv)], argv
+    gen = _load_gen()
+    table = pinned("generated_cli.json")
+    for kind in ("boolean", "downset"):
+        rng = random.Random(32)
+        doc, model = getattr(gen, kind + "_structure")(rng, 32)
+        path = tmp_path / ("%s_32.json" % kind)
+        path.write_text(json.dumps(doc))
+        for verb in ("verify", "facts"):
+            code, out, _ = run_in_locale([verb, "--phase", str(path)],
+                                         tmp_path)
+            assert [code, sha16(out.replace(str(tmp_path), "TMP"))] == \
+                table["%s %s 32" % (verb, kind)], (verb, kind)
+        runs = [run_in_locale(["eval", "--phase", str(path), text],
+                              tmp_path)
+                for text, _ in gen.expr_batch(rng, model, 8)]
+        assert [max(code for code, _, _ in runs),
+                sha16("".join(out for _, out, _ in runs))] == \
+            table["eval %s 32" % kind], kind
 
 
 # installed script -------------------------------------------------------

@@ -29,7 +29,11 @@ quotes and commas; so is the search over (vertex, objective) states,
 whose play, objective, state count and play counts the movement-state
 search must match on every step of the seeded whole runs, on seeded and
 open grids and on the shapes where the play grammar is degenerate; so
-are the earlier compound game, composed of the movement game and the
+is the walk of the movement game (_Movement), whose repr-sorted vertices,
+successor lists, side payoffs and root CompoundGame's listing from the
+cell frontiers must equal from every cell of two seeded rounds of the
+benchmark's planner scenarios and of the edge shapes; so are the earlier
+compound game, composed of the movement game and the
 per-goal chain Games, whose listing and payoffs the int CompoundGame
 must reproduce, as must copycat on its int vertices
 once named, and the earlier goal-set selection,
@@ -51,6 +55,7 @@ import functools
 import importlib.util
 import os
 import random
+import sys
 from collections import Counter, deque
 from itertools import combinations, islice, product
 from types import SimpleNamespace
@@ -100,7 +105,7 @@ from phasegame.phase import (
     verify_laws,
 )
 from phasegame.planner import (CompoundGame, GoalProcessSet, Selection,
-                               Trace, _Movement, _check_mode, _goal_objects,
+                               Trace, _check_mode, _goal_objects,
                                _search, _step_game, _vertex_doc,
                                build_compound_game, eval_priority,
                                load_scenario, plan_play, run_cognition,
@@ -1966,6 +1971,124 @@ def test_search_matches_the_earlier_search_on_edge_cases(label):
         # with the images, a first reveal meets above 0
         firsts = game.moves(game.root, "O")
         assert any(game.meet(y % game.nb) for y in firsts)
+
+# the walked movement game ----------------------------------------------
+#
+# The system's movement game as CompoundGame listed it before it read the
+# cell frontiers: walked from the position with games.walk, its vertices
+# sorted by repr and each one's successors ranked in move order, and each
+# cell's side payoff joined from visible_rewards.
+
+class _Movement:
+    """The system's movement game from pos: Opponent steps to a neighbour
+    at even ticks and Proponent ticks at odd ones, for radius rounds."""
+
+    def __init__(self, sc, pos, radius):
+        self.sc = sc
+        self.root = (pos, 0)
+        self._last_tick = 2 * radius
+
+    def moves(self, v, pol):
+        cell, t = v
+        if t >= self._last_tick or t % 2 != (pol == "P"):
+            return []
+        if pol == "O":
+            return [(n, t + 1) for n in self.sc.neighbors(cell)]
+        return [(cell, t + 1)]
+
+
+def old_movement_listing(sc, pos):
+    """(mverts, mnext, root rank) from the walk of _Movement from pos."""
+    walked, edges = walk(_Movement(sc, pos, sc.horizon))
+    mverts = sorted(walked, key=repr)
+    rank = {v: i for i, v in enumerate(mverts)}
+    mnext = [[] for _ in mverts]
+    for v, w, _ in edges:
+        mnext[rank[v]].append(rank[w])
+    return mverts, mnext, rank[pos, 0]
+
+
+def old_sides(sc, goals, mverts, mode, images):
+    """Each movement vertex's side payoff, from the visible rewards of the
+    goals at its cell joined with their images."""
+    lat = sc.payoff_lattice
+    images = images or {}
+    seen = lat.mask(f for g in goals for f in images.get(g, ()))
+    out = []
+    for cell, _ in mverts:
+        vis = visible_rewards(sc, cell)
+        mask = seen | lat.mask(f for g in goals for f in vis[g])
+        out.append(lat.complement(mask) if mode == "strict" else mask)
+    return out
+
+
+def assert_lists_the_walk(sc, goals, images):
+    """From every passable cell, CompoundGame lists the movement game as
+    its walk did, in both modes, with and without the images; returns the
+    largest tick and coordinate listed."""
+    top = 0
+    for pos in sorted(sc.passable):
+        mverts, mnext, root = old_movement_listing(sc, pos)
+        for mode in ("practical", "strict"):
+            for seen in (None, images):
+                game = CompoundGame(sc, goals, pos, mode, seen)
+                assert (game.mverts, game.mnext) == (mverts, mnext), pos
+                assert game.root == root * game.nb
+                assert game.side == old_sides(sc, goals, mverts, mode, seen)
+        top = max([top] + [max(t, *cell) for cell, t in mverts])
+    return top
+
+
+def planner_round_scenarios(seed, monkeypatch):
+    """The scenarios of one seeded round of the benchmark's planner
+    workload, loaded from perfbench/workloads.py."""
+    monkeypatch.setitem(sys.modules, "gen", _load_gen())
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    jobs = module.PlannerWorkload(None, None).rounds(
+        random.Random(seed), None, 1)[0]
+    return [load_scenario(job.args) for job in jobs]
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_movement_listing_matches_the_walk_in_the_benchmark_shapes(
+        seed, monkeypatch):
+    top = 0
+    for sc in planner_round_scenarios(seed, monkeypatch):
+        goals = sorted(sc.objects)
+        images = {g: frozenset(sc.objects[g].features[:1]) for g in goals}
+        top = max(top, assert_lists_the_walk(sc, goals, images))
+    # two-digit coordinates and ticks, where repr order is not int order
+    assert top >= 10
+
+
+def listing_edge_cases():
+    """{label: (scenario, images)}: the search's edge shapes, and a one-row
+    corridor, a grid wider than 10 columns and an open grid at h=6, whose
+    coordinates and ticks pass 9."""
+    cases = search_edge_cases()
+    cases["corridor"] = (edge_scenario(
+        ["." * 14], (6, 0), 5, [((1, 0), ["f1", "f2"]), ((12, 0), ["g1"])]),
+        {"o0": frozenset(["f1"])})
+    cases["wide"] = (edge_scenario(
+        ["............", "..#....#..#.", "....#......."], (9, 1), 3,
+        [((11, 0), ["f1", "f2", "f3"]), ((0, 2), ["g1", "g2"])]),
+        {"o1": frozenset(["g1"])})
+    cases["open h=6"] = (edge_scenario(
+        ["." * 11] * 11, (5, 5), 6,
+        [((0, 0), ["f1", "f2"]), ((10, 7), ["g1", "g2", "g3"])]),
+        {"o0": frozenset(["f2"])})
+    return cases
+
+
+@pytest.mark.parametrize("label", sorted(listing_edge_cases()))
+def test_movement_listing_matches_the_walk_on_edge_cases(label):
+    sc, images = listing_edge_cases()[label]
+    assert_lists_the_walk(sc, sorted(sc.objects), images)
+
 
 # the earlier compound game ---------------------------------------------
 #

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from conftest import moved, pinned, random_strategy, sha16
-from test_differential import (Listed, assert_unfolds_as_before,
+from test_differential import (Listed, _Movement, assert_unfolds_as_before,
                                chain_goal_scenario, old_build_compound_game,
                                old_dual_game, old_select_goal_sets,
                                old_tensor_game,
@@ -23,7 +23,7 @@ from phasegame.games import (Dual, Game, PayoffGame, Tensor,
                              compose_strategies, copycat, implication,
                              materialize, payoff_implication, walk)
 from phasegame.phase import phase_from_doc
-from phasegame.planner import (_Movement, _vertex_doc,
+from phasegame.planner import (_vertex_doc,
                                CompoundGame, build_compound_game,
                                eval_priority, load_scenario, plan_play,
                                run_cognition, select_goal_sets,
@@ -718,7 +718,7 @@ def test_factor_ranks_order_the_compound_game_by_repr(seed):
 def count_moves(monkeypatch):
     """A Counter of the moves asked of each game class from now on."""
     calls = Counter()
-    for cls in (CompoundGame, Dual, Game, Tensor, _Movement):
+    for cls in (CompoundGame, Dual, Game, Tensor):
         def counted(self, v, pol, _moves=cls.moves, _name=cls.__name__):
             calls[_name] += 1
             return _moves(self, v, pol)
@@ -726,48 +726,54 @@ def count_moves(monkeypatch):
     return calls
 
 
+def count_listings(monkeypatch):
+    """The position of each movement game listed from now on: a
+    CompoundGame lists its movement game once, when it is built."""
+    listed = []
+    init = CompoundGame.__init__
+
+    def counted(self, sc, goals, position=None, *args, **kwargs):
+        listed.append(tuple(sc.start if position is None else position))
+        init(self, sc, goals, position, *args, **kwargs)
+    monkeypatch.setattr(CompoundGame, "__init__", counted)
+    return listed
+
+
 def test_plan_search_asks_no_move_of_the_compound_game(monkeypatch):
-    # the movement game is walked once; the search reads its successor
-    # table and asks the chains factor only for reveals and meets, so the
-    # compound game is asked no move
+    # a plan lists the movement game once; the search reads its successor
+    # table and asks the chains factor only for reveals and meets, so no
+    # game is asked a move
     sc, goals = four_goals(), ["obj_b1", "obj_b2", "obj_e"]
     nm = len(walk(_Movement(sc, sc.start, sc.horizon))[0])
-    calls = count_moves(monkeypatch)
+    calls, listed = count_moves(monkeypatch), count_listings(monkeypatch)
     plan = plan_play(sc, goals)
-    assert calls == {"_Movement": 2 * nm}
+    assert (calls, listed) == (Counter(), [sc.start])
     assert plan.header["states"] > 2 * nm
 
 
-def test_cognition_step_walks_the_movement_game_once(monkeypatch):
-    # the saturation check and the plan of a step share one walk
+def test_cognition_step_lists_the_movement_game_once(monkeypatch):
+    # the saturation check and the plan of a step share one listing
     sc = four_goals()
-    nm = len(walk(_Movement(sc, sc.start, sc.horizon))[0])
-    calls = count_moves(monkeypatch)
+    calls, listed = count_moves(monkeypatch), count_listings(monkeypatch)
     trace = run_cognition(sc, max_steps=1)
     assert trace.header["steps_taken"] == 1
     assert any(e.get("move") != "wander" for e in trace.entries
                if e["actor"] == "system")
-    assert calls == {"_Movement": 2 * nm}
+    assert (calls, listed) == (Counter(), [sc.start])
 
 
-def test_cognition_walks_the_movement_game_once_per_active_set(monkeypatch):
-    # each compound game built walks the movement game once: a step that
-    # moves walks it from the cell it leaves, and at the final position
+def test_cognition_lists_the_movement_game_once_per_active_set(monkeypatch):
+    # each compound game built lists the movement game once: a step that
+    # moves lists it from the cell it leaves, and at the final position
     # each shrink and the completing check build a game of their own
-    walked = []
-
-    class Counted(planner._Movement):
-        def __init__(self, sc, pos, radius):
-            walked.append(pos)
-            super().__init__(sc, pos, radius)
-    monkeypatch.setattr(planner, "_Movement", Counted)
+    listed = count_listings(monkeypatch)
     trace = run_cognition(four_goals())
     moved = [e for e in trace.entries
              if e["actor"] == "system" and e["move"] != "wander"]
     assert trace.complete
     assert (len(moved), len(trace.shrink_events)) == (6, 2)
-    assert len(walked) == len(moved) + len(trace.shrink_events) + 1 == 9
-    assert walked == [tuple(e["move"][0]) for e in moved] + [
+    assert len(listed) == len(moved) + len(trace.shrink_events) + 1 == 9
+    assert listed == [tuple(e["move"][0]) for e in moved] + [
         tuple(moved[-1]["move"][1])] * 3
 
 
