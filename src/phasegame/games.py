@@ -6,9 +6,9 @@ value to every vertex; a strategy wins when every maximal play it allows
 ends strictly above bottom.  Tensor is the product graph, the dual flips
 edge ownership, and implication is tensor of the dual with the consequent,
 with payoffs combined by meet and by Heyting implication respectively.
-Any object with a root and moves(v, pol) is a game: Dual, Tensor and
-implication compose such games lazily, walk lists any game breadth-first,
-and a Game is that walked listing, in one vertex order (see materialize).
+Any object with a root and moves(v, pol) is a game, and walk lists it
+breadth-first.  A Game is that walked listing, in one vertex order, and
+dual_game, tensor_game and implication_game list their results as Games.
 A strategy is a set of plays, checked in one pass that builds the reply
 table it keeps.  One breadth-first unfolding of plays against
 a response (_unfold) lists the maximal plays of a strategy, copycat, and
@@ -98,43 +98,11 @@ class PayoffGame:
         self.k = dict(k)
 
 
-class Dual:
-    """A game with the owner of every move swapped."""
-
-    def __init__(self, game):
-        self.game = game
-        self.root = game.root
-
-    def moves(self, v, pol):
-        return self.game.moves(v, _FLIP[pol])
-
-
-class Tensor:
-    """The product of two games: a move of either factor changes its
-    coordinate and leaves the other one in place."""
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-        self.root = (a.root, b.root)
-
-    def moves(self, v, pol):
-        u, w = v
-        return ([(x, w) for x in self.a.moves(u, pol)]
-                + [(u, y) for y in self.b.moves(w, pol)])
-
-
-def implication(a, b):
-    return Tensor(Dual(a), b)
-
-
-def materialize(game):
-    """Any game, walked and listed as a Game."""
-    vertices, edges = walk(game)
-    return Game(vertices, game.root, edges)
-
-
 def dual_game(game):
-    return materialize(Dual(game))
+    """The walk of game, with the owner of every edge flipped."""
+    vertices, edges = walk(game)
+    return Game(vertices, game.root,
+                [(v, w, _FLIP[pol]) for v, w, pol in edges])
 
 
 def dual_payoff_game(pg):
@@ -145,11 +113,18 @@ def dual_payoff_game(pg):
 
 
 def tensor_game(a, b):
-    return materialize(Tensor(a, b))
+    """The product of two games' walks: a move of either factor changes its
+    coordinate and leaves the other one in place, the first factor's moves
+    listed first."""
+    av, bv = walk(a)[0], walk(b)[0]
+    return Game([(u, w) for u in av for w in bv], (a.root, b.root),
+                [((u, w), to, pol) for u in av for w in bv for pol in _POLS
+                 for to in ([(x, w) for x in a.moves(u, pol)]
+                            + [(u, y) for y in b.moves(w, pol)])])
 
 
 def implication_game(a, b):
-    return materialize(implication(a, b))
+    return tensor_game(dual_game(a), b)
 
 
 def _payoff_product(pa, pb, product, combine):
@@ -268,8 +243,8 @@ def copycat(game):
     """The mirror strategy on game -o game: each Opponent move is copied to
     the other component.  A cyclic game has mirror plays of every length,
     so a play beyond four times the vertex count raises InteractionOverflow."""
-    impl = implication(game, game)
-    cap = 4 * len(walk(impl)[0]) + 4
+    impl = implication_game(game, game)
+    cap = 4 * len(impl.vertices) + 4
 
     def respond(p, w, _):
         if len(p) > cap:
@@ -305,10 +280,10 @@ def compose_strategies(game_x, game_y, game_z, sigma, tau):
     sigma or tau, so with finite strategies every interaction and every
     composite play ends, even on cyclic games.
     """
-    impl_xz = implication(game_x, game_z)
-    if not _same_game(sigma.game, implication(game_x, game_y)):
+    impl_xz = implication_game(game_x, game_z)
+    if not _same_game(sigma.game, implication_game(game_x, game_y)):
         raise ComponentMismatch("first strategy is not on X -o Y")
-    if not _same_game(tau.game, implication(game_y, game_z)):
+    if not _same_game(tau.game, implication_game(game_y, game_z)):
         raise ComponentMismatch("second strategy is not on Y -o Z")
     replies = (sigma.response(), tau.response())
 

@@ -228,13 +228,6 @@ def load_lattice(path):
     return lattice_from_doc(path)
 
 
-def chain(n):
-    """Chain lattice 0 < 1 < ... < n-1."""
-    names = [str(i) for i in range(n)]
-    covers = [(names[i], names[i + 1]) for i in range(n - 1)]
-    return Lattice(names, covers, names[0], names[-1])
-
-
 class PowersetLattice:
     """Boolean lattice of all subsets of a universe, on int bitmasks.
 

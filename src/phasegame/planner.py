@@ -51,7 +51,6 @@ class Scenario:
         self.payoff_lattice = PowersetLattice(
             {f for o in objects for f in o.features})
         self.universe = self.payoff_lattice.base
-        self._visible = {}              # cell -> visible_rewards
 
     def neighbors(self, cell):
         x, y = cell
@@ -128,17 +127,12 @@ def visible_rewards(sc, pos):
     """Feature prefix of each object revealed from pos; empty beyond horizon.
 
     At distance d an object of n features shows its first _shown(n, d,
-    horizon).  Computed once per scenario and cell; every call returns a
-    fresh dict, which the caller may change.
+    horizon).  Every call returns a new dict, which the caller may change.
     """
     pos = tuple(pos)
-    out = sc._visible.get(pos)
-    if out is None:
-        out = sc._visible[pos] = {
-            obj.id: frozenset(obj.features[:_shown(
-                len(obj.features), chebyshev(pos, obj.cell), sc.horizon)])
-            for obj in sc.objects.values()}
-    return dict(out)
+    return {obj.id: frozenset(obj.features[:_shown(
+        len(obj.features), chebyshev(pos, obj.cell), sc.horizon)])
+        for obj in sc.objects.values()}
 
 
 def _shown(n, d, horizon):
@@ -274,7 +268,7 @@ class CompoundGame:
     (position, 0) and (c, 2L - 1) and (c, 2L) for each c in F(L), up to L =
     horizon or the first empty frontier.  A goal's chain runs through
     (goal id, revealed count), advanced by Opponent.  The chains factor is
-    their Tensor, left to right, which nests them as (g1, j1), then
+    their tensor, left to right, which nests them as (g1, j1), then
     ((g1, j1), (g2, j2)), and so on; a move advances one count, the goals'
     in order.  Every move advances the tick or one count, so a vertex sits
     at depth tick + sum of counts.
@@ -304,7 +298,7 @@ class CompoundGame:
     reprs of their first coordinates, then of their second ones.
     vertex(v) names v as the nested pair ((cell, tick), chains), reveals(b)
     gives the chains ranks one reveal from b, and moves(v, pol) reads them
-    in Tensor's order, movement moves first.
+    in tensor_game's order, movement moves first.
 
     A payoff is a mask of the scenario's payoff lattice, the powerset of
     its feature universe: side[m], what the cell of movement rank m reveals

@@ -28,6 +28,13 @@ def alt_phase():
     return load_phase("data:goal_phase_alt.json")
 
 
+def chain(n):
+    """Chain lattice 0 < 1 < ... < n-1."""
+    names = [str(i) for i in range(n)]
+    covers = [(names[i], names[i + 1]) for i in range(n - 1)]
+    return Lattice(names, covers, names[0], names[-1])
+
+
 def hand_built(lattice, table, unit, falsum, duals, **kwargs):
     """A PhaseStructure from a name-keyed product table and dual map, turned
     into its index tables; a partial table raises NotCommutative and a

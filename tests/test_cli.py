@@ -1030,9 +1030,10 @@ def run_in_locale(argv, cwd, locale=C_LOCALE):
 
 
 def test_text_outside_ascii_runs_under_the_c_locale(tmp_path):
-    # an element named \u00e1 and an object obj_\u00e9: the reports print
-    # them as backslash escapes, eval and file names read their argument
-    # as UTF-8, and a word that is not UTF-8 is a usage error
+    # an element named \u00e1 and an object obj_\u00e9: the reports and
+    # error lines print them as backslash escapes, eval and file names
+    # read their argument as UTF-8, and a word that is not UTF-8 is a
+    # usage error
     phase = tmp_path / "ph\u00e1.json"
     phase.write_text(json.dumps({
         "lattice": {"elements": ["\u00e1", "1"], "covers": [["\u00e1", "1"]],
@@ -1064,6 +1065,12 @@ def test_text_outside_ascii_runs_under_the_c_locale(tmp_path):
         ["eval", "--phase", str(phase), b"\xff"], tmp_path)
     assert (code, err) == \
         (2, "error: UsageError: argument '\\udcff' is not UTF-8 text\n")
+    doc["grid"], doc["objects"][0]["cell"] = ["..."], [5, 0]
+    off_grid = tmp_path / "off_grid.json"
+    off_grid.write_text(json.dumps(doc))
+    code, _, err = run_in_locale(["simulate", str(off_grid)], tmp_path)
+    assert (code, err) == (1, "error: BadGrid: object 'obj_\\xe9' sits on "
+                              "cell (5, 0) outside the grid\n")
 
 
 def test_ascii_inputs_print_their_pinned_bytes_under_the_c_locale(tmp_path):

@@ -8,10 +8,11 @@ import shutil
 
 import pytest
 
+from conftest import chain
 from phasegame.cli import main
 from phasegame.data import data_path, load_doc, product_rows, stem
 from phasegame.errors import UsageError
-from phasegame.lattice import chain, load_lattice
+from phasegame.lattice import load_lattice
 from phasegame.phase import load_phase
 from phasegame.planner import load_scenario, run_cognition
 from phasegame.solver import solve_table

@@ -16,11 +16,12 @@ at most three elements, on the census monoids and on seeded structures
 with one planted edit, the law must list the scan's witnesses; and on
 lawful seeded structures of 128 and 256 elements the scan must never run.
 
-The earlier list-based dual and tensor games are kept here too, as the
-oracles that tests/test_games.py and tests/test_planner.py hold the walked
-implicit games and their Game listings to; so are the earlier play walkers
-behind maximal_plays, copycat and compose_strategies, which the one
-unfolding must match on seeded random games, tensors of alternating chains
+The earlier list-based dual and tensor games are kept here too, and the
+earlier implicit games (Dual, Tensor, implication, materialize) walked on
+demand, as the oracles that tests/test_games.py and tests/test_planner.py
+hold dual_game, tensor_game and implication_game to; so are the earlier
+play walkers behind maximal_plays, copycat and compose_strategies, which
+the one unfolding must match on seeded random games, tensors of alternating chains
 and (in tests/test_planner.py) compound games; so is the earlier play
 search, which sorted each successor list by a repr of every vertex and
 whose traces plan_play must reproduce on seeded scenarios with two-digit
@@ -87,10 +88,9 @@ from phasegame.errors import (
     UsageError,
 )
 from phasegame.expr import eval_expr, parse, tokenize
-from phasegame.games import (Game, PayoffGame, Strategy, Tensor,
-                             compose_strategies, copycat, implication,
-                             implication_game, materialize, maximal_plays,
-                             tensor_game, walk)
+from phasegame.games import (Game, PayoffGame, Strategy, compose_strategies,
+                             copycat, dual_game, implication_game,
+                             maximal_plays, tensor_game, walk)
 from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
@@ -1182,6 +1182,50 @@ def old_tensor_game(a, b):
                   [e for e in edges if e[0] in seen])
 
 
+# the earlier implicit games --------------------------------------------
+#
+# Dual, Tensor, implication and materialize as they were before dual_game,
+# tensor_game and implication_game listed their results directly: lazy
+# games over any games, walked when a caller asks for their moves.
+
+_FLIP = {"O": "P", "P": "O"}
+
+
+class Dual:
+    """A game with the owner of every move swapped."""
+
+    def __init__(self, game):
+        self.game = game
+        self.root = game.root
+
+    def moves(self, v, pol):
+        return self.game.moves(v, _FLIP[pol])
+
+
+class Tensor:
+    """The product of two games: a move of either factor changes its
+    coordinate and leaves the other one in place."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.root = (a.root, b.root)
+
+    def moves(self, v, pol):
+        u, w = v
+        return ([(x, w) for x in self.a.moves(u, pol)]
+                + [(u, y) for y in self.b.moves(w, pol)])
+
+
+def implication(a, b):
+    return Tensor(Dual(a), b)
+
+
+def materialize(game):
+    """Any game, walked and listed as a Game."""
+    vertices, edges = walk(game)
+    return Game(vertices, game.root, edges)
+
+
 # the earlier play walkers ----------------------------------------------
 #
 # maximal_plays, copycat and compose_strategies as they were before the
@@ -1294,11 +1338,25 @@ def old_compose_strategies(game_x, game_y, game_z, sigma, tau):
     return plays
 
 
+def assert_lists_the_implicit_games(a, b):
+    """dual_game, tensor_game and implication_game of a and b have the
+    root, vertices and edges, in order, of the earlier implicit games'
+    walks."""
+    for implicit, listed in [(Dual(a), dual_game(a)),
+                             (Tensor(a, b), tensor_game(a, b)),
+                             (implication(a, b), implication_game(a, b))]:
+        assert (listed.root, listed.vertices, listed.edges) == \
+            (implicit.root, *walk(implicit))
+
+
 def assert_unfolds_as_before(x, y, z, sigma, tau):
-    """Copycat on X, Y and Z, sigma;tau, and the maximal plays of each of
-    these strategies equal the earlier walkers' (maximal plays as sets,
-    since the unfolding lists them breadth first)."""
+    """The listed games of X, Y and Z pairs are the earlier implicit
+    games' walks, and copycat on X, Y and Z, sigma;tau, and the maximal
+    plays of each of these strategies equal the earlier walkers' (maximal
+    plays as sets, since the unfolding lists them breadth first)."""
     strategies = [sigma, tau]
+    for a, b in ((x, y), (y, z), (x, z)):
+        assert_lists_the_implicit_games(a, b)
     for g in (x, y, z):
         cc = copycat(g)
         assert cc.plays == old_copycat(g)

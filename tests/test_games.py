@@ -1,18 +1,19 @@
 import pytest
 
-from conftest import (positionally_winning, random_distributive_lattice,
-                      random_game, random_payoff, random_strategy, seeded)
-from test_differential import (alternating_chain, old_dual_game,
-                               old_tensor_game)
+from conftest import (chain, positionally_winning,
+                      random_distributive_lattice, random_game, random_payoff,
+                      random_strategy, seeded)
+from test_differential import (Dual, Tensor, alternating_chain, implication,
+                               old_dual_game, old_tensor_game)
 from phasegame.errors import (ComponentMismatch, ForeignElement,
                               InteractionOverflow, InvalidStrategy,
                               LatticeMismatch, NotHeyting)
-from phasegame.games import (Dual, Game, PayoffGame, Strategy, Tensor,
-                             compose_strategies, copycat, dual_game,
-                             dual_payoff_game, implication, implication_game,
-                             is_winning, maximal_plays, payoff_implication,
-                             payoff_tensor, tensor_game, walk)
-from phasegame.lattice import Lattice, PowersetLattice, chain
+from phasegame.games import (Game, PayoffGame, Strategy, compose_strategies,
+                             copycat, dual_game, dual_payoff_game,
+                             implication_game, is_winning, maximal_plays,
+                             payoff_implication, payoff_tensor, tensor_game,
+                             walk)
+from phasegame.lattice import Lattice, PowersetLattice
 
 
 def line_game():
@@ -170,8 +171,8 @@ def assert_lists_as(root, vertices, edges, oracle):
 
 
 def test_implicit_games_walk_to_the_explicit_ones():
-    # both the walked implicit game and its Game listing against the
-    # earlier list-based construction
+    # each Game listing is the walk of the earlier implicit game, in order,
+    # and both list the earlier list-based construction
     rng = seeded(12)
     for _ in range(30):
         a, b, c = (random_game(rng, 4) for _ in range(3))
@@ -182,6 +183,8 @@ def test_implicit_games_walk_to_the_explicit_ones():
                  old_tensor_game(old_dual_game(a), b)),
                 (Tensor(Tensor(a, b), c), tensor_game(tensor_game(a, b), c),
                  old_tensor_game(old_tensor_game(a, b), c))]:
+            assert (listed.root, listed.vertices, listed.edges) == \
+                (implicit.root, *walk(implicit))
             assert_lists_as(implicit.root, *walk(implicit), oracle)
             assert_lists_as(listed.root, listed.vertices, listed.edges,
                             oracle)

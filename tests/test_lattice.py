@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import downset_lattice, random_distributive_lattice, seeded
+from conftest import (chain, downset_lattice, random_distributive_lattice,
+                      seeded)
 from phasegame.errors import (
     ForeignElement,
     NotALattice,
@@ -16,7 +17,6 @@ from phasegame.errors import (
 from phasegame.lattice import (
     Lattice,
     PowersetLattice,
-    chain,
     lattice_from_doc,
     load_lattice,
 )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import hand_built
+from conftest import chain, hand_built
 from test_differential import _load_gen
 from phasegame import phase as phase_module
 from phasegame.data import data_path, load_doc
@@ -25,7 +25,7 @@ from phasegame.phase import (
     phase_from_doc,
     verify_laws,
 )
-from phasegame.lattice import Lattice, chain, lattice_from_doc
+from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.planner import load_scenario
 
 ESTIMATIONS = [

@@ -9,19 +9,19 @@ from collections import Counter
 import pytest
 
 from conftest import moved, pinned, random_strategy, sha16
-from test_differential import (Listed, _Movement, assert_unfolds_as_before,
-                               chain_goal_scenario, old_build_compound_game,
-                               old_dual_game, old_select_goal_sets,
-                               old_tensor_game,
+from test_differential import (Dual, Listed, Tensor, _Movement,
+                               assert_unfolds_as_before, chain_goal_scenario,
+                               implication, materialize,
+                               old_build_compound_game, old_dual_game,
+                               old_select_goal_sets, old_tensor_game,
                                one_goal_scenario, planner_shape_case,
                                random_case, search_edge_cases,
                                wide_plan_case)
 from phasegame import planner
 from phasegame.data import load_doc
 from phasegame.errors import BadGrid, UnknownGoalElement, UsageError
-from phasegame.games import (Dual, Game, PayoffGame, Tensor,
-                             compose_strategies, copycat, implication,
-                             materialize, payoff_implication, walk)
+from phasegame.games import (Game, PayoffGame, compose_strategies, copycat,
+                             payoff_implication, walk)
 from phasegame.phase import phase_from_doc
 from phasegame.planner import (_vertex_doc,
                                CompoundGame, build_compound_game,
@@ -85,19 +85,14 @@ def test_reveal_counts_follow_scaled_ceiling():
         assert len(visible_rewards(sc, (d, 0))["o"]) == want, d
 
 
-def test_visibility_is_computed_once_and_returned_fresh(monkeypatch):
+def test_visibility_is_returned_fresh():
     sc = four_goals()
     vis = visible_rewards(sc, (6, 3))
     want = dict(vis)
     vis["obj_e"] = frozenset()
     vis["extra"] = frozenset({"x"})
-    calls = []
-    monkeypatch.setattr(planner, "chebyshev",
-                        lambda a, b: calls.append(a) or 0)
     assert visible_rewards(sc, [6, 3]) == want
-    assert calls == []
     assert visible_rewards(sc, (5, 3)) != want
-    assert calls
 
 
 # loading ----------------------------------------------------------------
@@ -718,7 +713,7 @@ def test_factor_ranks_order_the_compound_game_by_repr(seed):
 def count_moves(monkeypatch):
     """A Counter of the moves asked of each game class from now on."""
     calls = Counter()
-    for cls in (CompoundGame, Dual, Game, Tensor):
+    for cls in (CompoundGame, Game):
         def counted(self, v, pol, _moves=cls.moves, _name=cls.__name__):
             calls[_name] += 1
             return _moves(self, v, pol)
@@ -778,8 +773,7 @@ def test_cognition_lists_the_movement_game_once_per_active_set(monkeypatch):
 
 
 def test_a_finished_run_keeps_no_scenario_alive():
-    # the visible rewards are cached on their scenario, so they go when
-    # the caller drops the scenario
+    # nothing a run builds holds its scenario once the run returns
     sc = four_goals()
     trace = run_cognition(sc)
     ref = weakref.ref(sc)
