@@ -126,7 +126,5 @@ def eval_node(ps, node):
         if node[1] not in ps.lattice:
             raise ForeignElement("unknown element %r in expression" % node[1])
         return node[1]
-    if kind not in _MEANING:
-        raise ExprSyntaxError("unknown node %r" % (kind,))
     # map, not a list display, keeps one frame per level of the tree
     return _MEANING[kind](ps)(*map(eval_node, repeat(ps), node[1:]))

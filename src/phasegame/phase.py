@@ -13,6 +13,7 @@ residuation dual(X) = lin_implies(X, falsum) when that join is closed.
 """
 
 import os
+from collections import namedtuple
 from itertools import compress, islice
 from operator import itemgetter, ne
 
@@ -432,12 +433,8 @@ def verify_laws(ps):
     return {"ok": all(e["status"] != "fail" for e in laws), "laws": laws}
 
 
-class FactClassification:
-    def __init__(self, facts, open_class, closed_class, neutral):
-        self.facts = facts
-        self.open_class = open_class
-        self.closed_class = closed_class
-        self.neutral = neutral
+FactClassification = namedtuple(
+    "FactClassification", "facts open_class closed_class neutral")
 
 
 def classify(ps):
@@ -455,30 +452,30 @@ def classify(ps):
     op = [x for x in facts if lat.leq(x, neutral)]
     cl = [x for x in facts if lat.leq(ps.falsum, x)]
 
-    if ps.op_class is not None and sorted(ps.op_class) != sorted(op):
-        raise NotClosedClass("declared open class %r differs from derived %r"
-                             % (list(ps.op_class), op))
-    if ps.cl_class is not None and sorted(ps.cl_class) != sorted(cl):
-        raise NotClosedClass("declared closed class %r differs from derived %r"
-                             % (list(ps.cl_class), cl))
+    for name, declared, derived in (("open", ps.op_class, op),
+                                    ("closed", ps.cl_class, cl)):
+        if declared is not None and sorted(declared) != sorted(derived):
+            raise NotClosedClass("declared %s class %r differs from derived %r"
+                                 % (name, list(declared), derived))
 
     if sorted(ps.dual(x) for x in op) != sorted(cl):
         raise NotClosedClass("duality does not swap the open and closed classes")
-    for x in op:
-        for y in op:
-            j = lat.join2(x, y)
-            if j not in op:
-                raise NotClosedClass("open class not join-closed at (%r, %r)" % (x, y))
-            if ps.dual(ps.dual(ps.mult(x, y))) not in op:
-                raise NotClosedClass("open class not tensor-closed at (%r, %r)" % (x, y))
-    for x in cl:
-        for y in cl:
-            m = lat.meet2(x, y)
-            if m not in cl:
-                raise NotClosedClass("closed class not meet-closed at (%r, %r)" % (x, y))
-            p = ps.par(x, y)
-            if p not in cl:
-                raise NotClosedClass("closed class not par-closed at (%r, %r)" % (x, y))
+
+    def tensor(x, y):
+        """The fact-closed tensor: the double dual of the product."""
+        return ps.dual(ps.dual(ps.mult(x, y)))
+
+    for name, members, closures in (
+            ("open", op, [("join", lat.join2), ("tensor", tensor)]),
+            ("closed", cl, [("meet", lat.meet2), ("par", ps.par)])):
+        member = set(members)
+        for x in members:
+            for y in members:
+                for closure, combine in closures:
+                    if combine(x, y) not in member:
+                        raise NotClosedClass(
+                            "%s class not %s-closed at (%r, %r)"
+                            % (name, closure, x, y))
 
     if lat.join(op) != neutral:
         raise NotClosedClass("largest open fact is not the neutral element")

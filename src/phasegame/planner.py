@@ -15,7 +15,7 @@ shrinks, until a single goal saturates.
 
 import json
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import reduce
 from itertools import combinations
 from operator import and_
@@ -168,15 +168,8 @@ def eval_priority(sc, goals):
     return ps.impl(sc.free_move_goal, reduce(ps.mult, _as_elements(sc, goals)))
 
 
-class GoalProcessSet:
-    def __init__(self, goals, priority, attractiveness):
-        self.goals = tuple(goals)            # object ids, name order
-        self.priority = priority
-        self.attractiveness = attractiveness
-
-    def __repr__(self):
-        return "GoalProcessSet(%s -> %s)" % (",".join(self.goals),
-                                             self.priority)
+# goals is a tuple of object ids in name order
+GoalProcessSet = namedtuple("GoalProcessSet", "goals priority attractiveness")
 
 
 class Selection(list):
@@ -676,7 +669,15 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
     the step revisits the position, pool and images of an earlier one, the
     active set shrinks; the run completes when a single goal saturates,
     else it stops at max_steps with the step_limit flag.  Otherwise the
-    system moves to the first new cell of the game's searched play.
+    system moves to the cell of the third vertex of the game's searched
+    play, a neighbour of pos.
+
+    That vertex is always a step.  A step reaches _search only when its
+    game is not saturated, so some listed cell is not pos; so pos has a
+    neighbour and Proponent moves at tick 0.  Every active goal has a shown
+    feature, so the chains root has a reveal, and by the play grammar (see
+    CompoundGame) every searched play is the root, a first reveal, and then
+    a step to a neighbour.
     """
     _check_mode(mode)
     rng = random.Random(seed)
@@ -793,11 +794,7 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
             continue
 
         play, objective, _, _ = _search(game)
-        cells = [game.mverts[v // game.nb][0] for v in play]
-        move_to = next((cell for cell in cells if cell != pos), None)
-        if move_to is None:
-            trace.log("step %d: plan holds position" % steps)
-            move_to = pos
+        move_to = game.mverts[play[2] // game.nb][0]
         trace.entries.append({
             "actor": "system",
             "position": list(move_to),

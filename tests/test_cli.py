@@ -81,6 +81,44 @@ def test_verify_fails_on_degenerate_phase(capsys):
     assert "FAIL associative" in out
 
 
+_TWO = {"elements": ["0", "1"], "covers": [["0", "1"]], "bottom": "0",
+        "top": "1"}
+# facts {0}, open {0} below the neutral element 0, closed {} above falsum a
+_NO_SWAP = {
+    "lattice": {"elements": ["0", "a", "1"],
+                "covers": [["0", "a"], ["a", "1"]], "bottom": "0",
+                "top": "1"},
+    "mult": [["0", "0", "1"], ["0", "a", "a"], ["0", "1", "0"],
+             ["a", "a", "0"], ["a", "1", "1"], ["1", "1", "1"]],
+    "unit": "a", "falsum": "a", "checks": "relaxed",
+    "dual_overrides": [["0", "0"], ["a", "0"], ["1", "a"]]}
+
+
+@pytest.mark.parametrize("verb,flag,doc,line", [
+    ("verify", "--lattice", dict(_TWO, bottom="z"),
+     "FAIL lattice_wellformed: ForeignElement: bottom/top must be declared "
+     "elements"),
+    ("verify", "--lattice", dict(_TWO, covers=[["0", "q"]]),
+     "FAIL lattice_wellformed: ForeignElement: cover ('0', 'q') uses unknown "
+     "element"),
+    ("facts", "--phase", _NO_SWAP,
+     "FAIL classification: duality does not swap the open and closed "
+     "classes"),
+    ("verify", "--phase", _NO_SWAP,
+     "FAIL fact_classification: duality does not swap the open and closed "
+     "classes")],
+    ids=["foreign_bottom", "foreign_cover", "facts_no_swap",
+         "verify_no_swap"])
+def test_failed_check_prints_its_line(tmp_path, capsys, verb, flag, doc,
+                                      line):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([verb, flag, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert line in out.splitlines(), out
+    assert "Traceback" not in err
+
+
 def test_verify_missing_file():
     assert main(["verify", "--phase", "no_such_file.json"]) == 2
 
@@ -1071,6 +1109,15 @@ def test_text_outside_ascii_runs_under_the_c_locale(tmp_path):
     code, _, err = run_in_locale(["simulate", str(off_grid)], tmp_path)
     assert (code, err) == (1, "error: BadGrid: object 'obj_\\xe9' sits on "
                               "cell (5, 0) outside the grid\n")
+    # argparse's own texts: the "(choose from ...)" tail of an invalid
+    # choice differs between Python versions, so only its head is pinned
+    code, _, err = run_in_locale(
+        ["simulate", str(scenario), "--mode", "\u00e9"], tmp_path)
+    assert code == 2
+    assert "invalid choice: '\\xe9'" in err, err
+    code, out, _ = run_in_locale(["simulate", "--help"], tmp_path)
+    assert code == 0
+    assert out.startswith("usage: "), out
 
 
 def test_ascii_inputs_print_their_pinned_bytes_under_the_c_locale(tmp_path):

@@ -298,6 +298,57 @@ def test_declared_class_mismatch_detected(goal_phase):
         classify(ps)
 
 
+# one hand-built structure per NotClosedClass message of classify, in the
+# order classify checks them: (lattice, product rows, falsum, duals,
+# declared classes, message).  Row i of the product and character i of
+# the duals belong to the lattice's element i; the unit plays no part.
+_SQUARE = Lattice(["0", "a", "b", "1"],
+                  [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")], "0", "1")
+NOT_CLOSED = [
+    # the Boolean chain 0 < 1, whose both classes are {0, 1}
+    (chain(2), ["00", "01"], "0", "10", {"op_class": ["0"]},
+     "declared open class ['0'] differs from derived ['0', '1']"),
+    (chain(2), ["00", "01"], "0", "10", {"cl_class": ["1"]},
+     "declared closed class ['1'] differs from derived ['0', '1']"),
+    # facts 1 and 2, open {1} and closed {1, 2}
+    (chain(3), ["201", "022", "121"], "1", "112", {},
+     "duality does not swap the open and closed classes"),
+    # facts a and b, both classes {a, b}, and a v b = 1
+    (_SQUARE, ["b0ba", "011b", "b1b1", "ab11"], "0", "1aba", {},
+     "open class not join-closed at ('a', 'b')"),
+    # open {1}, and 1.1 = 2 is its own double dual
+    (chain(3), ["112", "120", "200"], "2", "221", {},
+     "open class not tensor-closed at ('1', '1')"),
+    # both classes {a, b, 1}, and a & b = 0
+    (_SQUARE, ["11ab", "1a0b", "a0b1", "bb10"], "0", "1a1b", {},
+     "closed class not meet-closed at ('a', 'b')"),
+    # both classes {1}, and 1 par 1 = dual(1.1) = 2
+    (chain(3), ["020", "202", "021"], "1", "211", {},
+     "closed class not par-closed at ('1', '1')"),
+    # both classes {1}, below the neutral element dual(0) = 2
+    (chain(3), ["000", "020", "002"], "0", "211", {},
+     "largest open fact is not the neutral element"),
+    # every dual is 2, so both classes are {2}, above falsum 0
+    (chain(3), ["210", "120", "000"], "0", "222", {},
+     "least closed fact is not falsum"),
+]
+
+
+@pytest.mark.parametrize("lat,rows,falsum,duals,declared,message", NOT_CLOSED,
+                         ids=[case[-1].split(" at ")[0]
+                              for case in NOT_CLOSED])
+def test_classify_names_the_first_failed_check(lat, rows, falsum, duals,
+                                               declared, message):
+    from phasegame.errors import NotClosedClass
+    els = lat.elements
+    ps = hand_built(lat, {(x, y): rows[i][j] for i, x in enumerate(els)
+                          for j, y in enumerate(els)},
+                    els[-1], falsum, dict(zip(els, duals)), **declared)
+    with pytest.raises(NotClosedClass) as info:
+        classify(ps)
+    assert str(info.value) == message
+
+
 def test_load_runs_no_residual_scan(monkeypatch):
     # every dual of the goal phase is an override, so loading needs no
     # residual at all; the audit folds the witness masks of one product

@@ -938,6 +938,12 @@ def test_every_run_completes_or_ends_wandering(mode):
         trace = run_cognition(sc, max_steps=60, mode=mode)
         last = [e for e in trace.entries if e["actor"] == "system"][-1:]
         assert trace.complete or last[0]["move"] == "wander", seed
+        # a planned move steps to a 4-neighbour: a searched play never
+        # holds its position (see run_cognition)
+        for e in trace.entries:
+            if e["actor"] == "system" and e["move"] != "wander":
+                (x, y), (u, v) = e["move"]
+                assert abs(x - u) + abs(y - v) == 1, (seed, e["move"])
         revisits += any(line.endswith(": a cycle")
                         for line in trace.decision_log)
         digests["%s %d" % (mode, seed)] = sha16(trace.to_json())
