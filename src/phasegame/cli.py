@@ -5,9 +5,9 @@ fixed contract: 0 success; 2 usage or parse failure (a UsageError, even one
 that is also a PhasegameError, or an OSError); 1 any other domain failure
 (a PhasegameError).  Any other exception is a defect and propagates.
 
-Whatever the locale, the command line is read as UTF-8 (a word that is not
-UTF-8 is a UsageError), and what stdout's encoding cannot hold is printed
-as backslash escapes.
+Whatever the locale, the command line and every document are read as
+UTF-8 (a word that is not UTF-8 is a UsageError), and what stdout's
+encoding cannot hold is printed as backslash escapes.
 """
 
 import argparse

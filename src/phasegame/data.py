@@ -9,7 +9,6 @@ each kind, ``fields`` the one checker and ``product_rows`` the one parser of
 product rows, straight into index rows, which ``total_rows`` requires total.
 """
 
-import io
 import json
 import math
 import os
@@ -86,14 +85,13 @@ def _object(pairs):
 
 
 def parse_doc(raw, path):
-    """The JSON object in raw, the bytes of the file at path, decoded as a
-    text-mode open() decodes them; anything else, NaN and the infinities
+    """The JSON object in raw, the bytes of the file at path, decoded as
+    UTF-8 whatever the locale; anything else, NaN and the infinities
     (spelled out or as a number too large for a float) and an object that
     repeats a key included, raises UsageError naming path."""
     try:
-        doc = json.load(io.TextIOWrapper(io.BytesIO(raw)),
-                        parse_constant=_not_json, parse_float=_finite,
-                        object_pairs_hook=_object)
+        doc = json.loads(raw.decode("utf-8"), parse_constant=_not_json,
+                         parse_float=_finite, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         raise UsageError("%s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):

@@ -6,9 +6,10 @@ value to every vertex; a strategy wins when every maximal play it allows
 ends strictly above bottom.  Tensor is the product graph, the dual flips
 edge ownership, and implication is tensor of the dual with the consequent,
 with payoffs combined by meet and by Heyting implication respectively.
-Any object with a root and moves(v, pol) is a game, and walk lists it
-breadth-first.  A Game is that walked listing, in one vertex order, and
-dual_game, tensor_game and implication_game list their results as Games.
+A Game is listed once, breadth-first from its root over each vertex's
+successors, in one vertex order however its vertices and edges were given;
+dual_game, tensor_game and implication_game read their arguments' listings
+and list their results as Games.
 A strategy is a set of plays, checked in one pass that builds the reply
 table it keeps.  One breadth-first unfolding of plays against
 a response (_unfold) lists the maximal plays of a strategy, copycat, and
@@ -28,24 +29,6 @@ _POLS = ("O", "P")
 _FLIP = {"O": "P", "P": "O"}
 
 
-def walk(game):
-    """The vertices reachable from the root of a game, in breadth-first
-    order, and the edges (v, w, pol) leaving them.  Equal vertices are one
-    shared object, the first one reached."""
-    seen = {game.root: game.root}
-    order = [game.root]
-    edges = []
-    for v in order:
-        for pol in _POLS:
-            for w in game.moves(v, pol):
-                u = seen.get(w)
-                if u is None:
-                    u = seen[w] = w
-                    order.append(w)
-                edges.append((v, u, pol))
-    return order, edges
-
-
 class Game:
     def __init__(self, vertices, root, edges):
         vertices = list(vertices)
@@ -55,21 +38,35 @@ class Game:
         if root not in vset:
             raise ForeignElement("root %r is not a vertex" % (root,))
         self.root = root
-        self._out = {v: [] for v in vertices}
+        # each vertex's successors as (O-moves, P-moves), in edge order
+        self._succ = succ = {v: ([], []) for v in vertices}
         for frm, to, pol in edges:
             if frm not in vset or to not in vset:
                 raise ForeignElement("edge (%r, %r) leaves the vertex set"
                                      % (frm, to))
             if pol not in _POLS:
                 raise ValueError("edge polarity must be 'O' or 'P'")
-            self._out[frm].append((to, pol))
-        self.vertices, self.edges = walk(self)
-        if len(self.vertices) != len(vset):
+            succ[frm][pol == "P"].append(to)
+        # the breadth-first walk from the root; equal vertices are one
+        # shared object, the first one reached
+        seen = {root: root}
+        order, listed = [root], []
+        for v in order:
+            for pol, ws in zip(_POLS, succ[v]):
+                for w in ws:
+                    u = seen.get(w)
+                    if u is None:
+                        u = seen[w] = w
+                        order.append(w)
+                    listed.append((v, u, pol))
+        if len(order) != len(vset):
             raise ValueError("unreachable vertices: %r"
-                             % sorted(vset.difference(self.vertices)))
+                             % sorted(vset.difference(order)))
+        self.vertices, self.edges = order, listed
 
     def moves(self, v, pol):
-        return [w for w, p in self._out[v] if p == pol]
+        """A new list of v's pol-moves, in edge order."""
+        return list(self._succ[v][_POLS.index(pol)])
 
     def __repr__(self):
         return "Game(%d vertices, %d edges)" % (len(self.vertices),
@@ -99,10 +96,9 @@ class PayoffGame:
 
 
 def dual_game(game):
-    """The walk of game, with the owner of every edge flipped."""
-    vertices, edges = walk(game)
-    return Game(vertices, game.root,
-                [(v, w, _FLIP[pol]) for v, w, pol in edges])
+    """game with the owner of every edge flipped."""
+    return Game(game.vertices, game.root,
+                [(v, w, _FLIP[pol]) for v, w, pol in game.edges])
 
 
 def dual_payoff_game(pg):
@@ -113,10 +109,10 @@ def dual_payoff_game(pg):
 
 
 def tensor_game(a, b):
-    """The product of two games' walks: a move of either factor changes its
-    coordinate and leaves the other one in place, the first factor's moves
-    listed first."""
-    av, bv = walk(a)[0], walk(b)[0]
+    """The product of two games' listings: a move of either factor changes
+    its coordinate and leaves the other one in place, the first factor's
+    moves listed first."""
+    av, bv = a.vertices, b.vertices
     return Game([(u, w) for u in av for w in bv], (a.root, b.root),
                 [((u, w), to, pol) for u in av for w in bv for pol in _POLS
                  for to in ([(x, w) for x in a.moves(u, pol)]
@@ -259,8 +255,8 @@ def copycat(game):
 
 
 def _same_game(g, h):
-    """Equal roots and walked edge sets, so equal vertex sets too."""
-    return g.root == h.root and set(walk(g)[1]) == set(walk(h)[1])
+    """Equal roots and edge sets, so equal vertex sets too."""
+    return g.root == h.root and set(g.edges) == set(h.edges)
 
 
 # Strategy i of a composite is sigma (0) on X -o Y or tau (1) on Y -o Z.

@@ -1070,15 +1070,19 @@ def run_in_locale(argv, cwd, locale=C_LOCALE):
 def test_text_outside_ascii_runs_under_the_c_locale(tmp_path):
     # an element named \u00e1 and an object obj_\u00e9: the reports and
     # error lines print them as backslash escapes, eval and file names
-    # read their argument as UTF-8, and a word that is not UTF-8 is a
-    # usage error
-    phase = tmp_path / "ph\u00e1.json"
-    phase.write_text(json.dumps({
+    # read their argument as UTF-8, documents are read as UTF-8 (escaped
+    # or raw), and a word that is not UTF-8 is a usage error
+    phase_doc = {
         "lattice": {"elements": ["\u00e1", "1"], "covers": [["\u00e1", "1"]],
                     "bottom": "\u00e1", "top": "1"},
         "mult": [["\u00e1", "\u00e1", "\u00e1"], ["\u00e1", "1", "\u00e1"],
                  ["1", "1", "1"]],
-        "unit": "1", "falsum": "\u00e1"}))
+        "unit": "1", "falsum": "\u00e1"}
+    phase = tmp_path / "ph\u00e1.json"
+    phase.write_text(json.dumps(phase_doc))
+    raw_phase = tmp_path / "raw_phase.json"
+    raw_phase.write_text(json.dumps(phase_doc, ensure_ascii=False),
+                         encoding="utf-8")
     doc = read_json(data_path("tiny_scenario.json"))
     doc["objects"][0]["id"] = "obj_\u00e9"
     doc["goal_phase"] = "data:goal_phase.json"
@@ -1089,6 +1093,8 @@ def test_text_outside_ascii_runs_under_the_c_locale(tmp_path):
             (["verify", "--phase", str(phase)], "verify: pass"),
             (["facts", "--phase", str(phase), "--out-dir", str(out_dir)],
              "PASS falsum: \\xe1"),
+            (["verify", "--phase", str(raw_phase)], "verify: pass"),
+            (["facts", "--phase", str(raw_phase)], "PASS falsum: \\xe1"),
             (["simulate", str(scenario)], "PASS image obj_\\xe9: {")]:
         code, out, _ = run_in_locale(argv, tmp_path)
         assert code == 0, argv
@@ -1103,6 +1109,8 @@ def test_text_outside_ascii_runs_under_the_c_locale(tmp_path):
         ["eval", "--phase", str(phase), b"\xff"], tmp_path)
     assert (code, err) == \
         (2, "error: UsageError: argument '\\udcff' is not UTF-8 text\n")
+    code, _, err = run_in_locale(_raw(b"\xff\xfe{")(tmp_path), tmp_path)
+    assert code == 2 and NAMED["binary_file"] in err, err
     doc["grid"], doc["objects"][0]["cell"] = ["..."], [5, 0]
     off_grid = tmp_path / "off_grid.json"
     off_grid.write_text(json.dumps(doc))

@@ -18,8 +18,9 @@ lawful seeded structures of 128 and 256 elements the scan must never run.
 
 The earlier list-based dual and tensor games are kept here too, and the
 earlier implicit games (Dual, Tensor, implication, materialize) walked on
-demand, as the oracles that tests/test_games.py and tests/test_planner.py
-hold dual_game, tensor_game and implication_game to; so are the earlier
+demand by the earlier breadth-first walk (walk), as the oracles that
+tests/test_games.py and tests/test_planner.py hold dual_game, tensor_game
+and implication_game to; so are the earlier
 play walkers behind maximal_plays, copycat and compose_strategies, which
 the one unfolding must match on seeded random games, tensors of alternating chains
 and (in tests/test_planner.py) compound games; so is the earlier play
@@ -36,8 +37,8 @@ cell frontiers must equal from every cell of two seeded rounds of the
 benchmark's planner scenarios and of the edge shapes; so are the earlier
 compound game, composed of the movement game and the
 per-goal chain Games, whose listing and payoffs the int CompoundGame
-must reproduce, as must copycat on its int vertices
-once named, and the earlier goal-set selection,
+must reproduce, as must copycat on its listing, and the earlier
+goal-set selection,
 whose pairwise maximality test select_goal_sets must match on every
 anchor, and the earlier saturation check of a cognition step (the features
 visible from the movement ball against the joined images), which the
@@ -90,7 +91,7 @@ from phasegame.errors import (
 from phasegame.expr import eval_expr, parse, tokenize
 from phasegame.games import (Game, PayoffGame, Strategy, compose_strategies,
                              copycat, dual_game, implication_game,
-                             maximal_plays, tensor_game, walk)
+                             maximal_plays, tensor_game)
 from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
@@ -1186,9 +1187,30 @@ def old_tensor_game(a, b):
 #
 # Dual, Tensor, implication and materialize as they were before dual_game,
 # tensor_game and implication_game listed their results directly: lazy
-# games over any games, walked when a caller asks for their moves.
+# games over any games, walked when a caller asks for their moves.  walk
+# lists any object with a root and moves(v, pol); only these oracles walk
+# implicit games.
 
+_POLS = ("O", "P")
 _FLIP = {"O": "P", "P": "O"}
+
+
+def walk(game):
+    """The vertices reachable from the root of a game, in breadth-first
+    order, and the edges (v, w, pol) leaving them.  Equal vertices are one
+    shared object, the first one reached."""
+    seen = {game.root: game.root}
+    order = [game.root]
+    edges = []
+    for v in order:
+        for pol in _POLS:
+            for w in game.moves(v, pol):
+                u = seen.get(w)
+                if u is None:
+                    u = seen[w] = w
+                    order.append(w)
+                edges.append((v, u, pol))
+    return order, edges
 
 
 class Dual:
@@ -2033,7 +2055,7 @@ def test_search_matches_the_earlier_search_on_edge_cases(label):
 # the walked movement game ----------------------------------------------
 #
 # The system's movement game as CompoundGame listed it before it read the
-# cell frontiers: walked from the position with games.walk, its vertices
+# cell frontiers: walked from the position with walk, its vertices
 # sorted by repr and each one's successors ranked in move order, and each
 # cell's side payoff joined from visible_rewards.
 
@@ -2229,16 +2251,12 @@ def one_goal_scenario(features, start):
                                             (["f1"], (1, 0))])
 def test_compound_copycat_on_int_vertices_names_the_listed_copycat(
         features, start):
-    # copycat on the CompoundGame's int vertices, each named through
-    # vertex, is copycat on the listing build_compound_game names, and on
-    # the earlier compound game
+    # copycat on the listing build_compound_game names is the earlier
+    # copycat on the earlier compound game
     sc = one_goal_scenario(features, start)
-    game = CompoundGame(sc, ["obj_x"])
-    named = {tuple((game.vertex(a), game.vertex(b)) for a, b in p)
-             for p in copycat(game).plays}
     listed = copycat(build_compound_game(sc, ["obj_x"]).game).plays
     assert len(listed) > 1
-    assert named == listed == copycat(OldCompoundGame(sc, ["obj_x"])).plays
+    assert listed == old_copycat(OldCompoundGame(sc, ["obj_x"]))
 
 
 # the earlier goal-set selection ----------------------------------------

@@ -4,15 +4,14 @@ from conftest import (chain, positionally_winning,
                       random_distributive_lattice, random_game, random_payoff,
                       random_strategy, seeded)
 from test_differential import (Dual, Tensor, alternating_chain, implication,
-                               old_dual_game, old_tensor_game)
+                               old_dual_game, old_tensor_game, walk)
 from phasegame.errors import (ComponentMismatch, ForeignElement,
                               InteractionOverflow, InvalidStrategy,
                               LatticeMismatch, NotHeyting)
 from phasegame.games import (Game, PayoffGame, Strategy, compose_strategies,
                              copycat, dual_game, dual_payoff_game,
                              implication_game, is_winning, maximal_plays,
-                             payoff_implication, payoff_tensor, tensor_game,
-                             walk)
+                             payoff_implication, payoff_tensor, tensor_game)
 from phasegame.lattice import Lattice, PowersetLattice
 
 
@@ -80,6 +79,17 @@ def test_moves_filters_by_polarity():
     assert g.moves("r", "O") == ["s"]
     assert g.moves("r", "P") == ["t"]
     assert g.moves("s", "O") == []
+
+
+def test_moves_returns_a_new_list():
+    g = line_game()
+    listing = (g.vertices[:], g.edges[:])
+    for v in g.vertices:
+        for pol in "OP":
+            want = g.moves(v, pol)
+            g.moves(v, pol).append("x")
+            assert g.moves(v, pol) == want
+    assert (g.vertices, g.edges) == listing
 
 
 # dual, tensor, implication ----------------------------------------------
@@ -194,9 +204,12 @@ def test_walk_shares_equal_vertices():
     rng = seeded(13)
     for _ in range(20):
         a, b = random_game(rng), random_game(rng)
-        vertices, edges = walk(Tensor(a, b))
-        shared = {v: v for v in vertices}
-        assert all(shared[v] is v and shared[w] is w for v, w, _ in edges)
+        listed = tensor_game(a, b)
+        for vertices, edges in (walk(Tensor(a, b)),
+                                (listed.vertices, listed.edges)):
+            shared = {v: v for v in vertices}
+            assert all(shared[v] is v and shared[w] is w
+                       for v, w, _ in edges)
 
 
 # payoff games -----------------------------------------------------------
@@ -388,11 +401,19 @@ def test_is_winning_checks_every_ending():
 
 
 def test_is_winning_rejects_another_games_strategy():
-    # a strategy on r -O-> a -P-> b is judged only against its own game
+    # a strategy on r -O-> a -P-> b, r -O-> c is judged only against its
+    # own game, which a copy listed in another order still is
     lat = chain(2)
-    own = Game(["r", "a", "b"], "r", [("r", "a", "O"), ("a", "b", "P")])
+    own = Game(["r", "a", "b", "c"], "r",
+               [("r", "a", "O"), ("a", "b", "P"), ("r", "c", "O")])
     s = Strategy(own, {("r",), ("r", "a", "b")})
-    assert is_winning(PayoffGame(own, lat, dict.fromkeys("rab", "1")), s)
+    copy = Game(["c", "b", "a", "r"], "r",
+                [("a", "b", "P"), ("r", "c", "O"), ("r", "a", "O")])
+    assert copy.vertices != own.vertices
+    for g in (own, copy):
+        assert is_winning(PayoffGame(g, lat, dict.fromkeys("rabc", "1")), s)
+    assert compose_strategies(own, own, own, copycat(copy),
+                              copycat(own)).plays == copycat(own).plays
     other = Game(["r", "x"], "r", [("r", "x", "O")])
     swapped = Game(["r", "a", "c"], "r", [("r", "a", "O"), ("a", "c", "P")])
     for pg in (PayoffGame(other, lat, {"r": "1", "x": "0"}),

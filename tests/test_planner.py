@@ -11,17 +11,17 @@ import pytest
 from conftest import moved, pinned, random_strategy, sha16
 from test_differential import (Dual, Listed, Tensor, _Movement,
                                assert_unfolds_as_before, chain_goal_scenario,
-                               implication, materialize,
-                               old_build_compound_game, old_dual_game,
+                               materialize, old_build_compound_game,
+                               old_dual_game,
                                old_select_goal_sets, old_tensor_game,
                                one_goal_scenario, planner_shape_case,
-                               random_case, search_edge_cases,
+                               random_case, search_edge_cases, walk,
                                wide_plan_case)
 from phasegame import planner
 from phasegame.data import load_doc
 from phasegame.errors import BadGrid, UnknownGoalElement, UsageError
 from phasegame.games import (Game, PayoffGame, compose_strategies, copycat,
-                             payoff_implication, walk)
+                             implication_game, payoff_implication)
 from phasegame.phase import phase_from_doc
 from phasegame.planner import (_vertex_doc,
                                CompoundGame, build_compound_game,
@@ -627,24 +627,25 @@ def test_no_play_holds_more_than_two_reveals():
 
 
 def one_goal_game(features, start):
-    """A one-goal CompoundGame on two cells at horizon 1: 3 movement
-    vertices times the goal's len(features) + 1 reveal counts."""
-    return CompoundGame(one_goal_scenario(features, start), ["obj_x"])
+    """The listing of a one-goal compound game on two cells at horizon 1:
+    3 movement vertices times the goal's len(features) + 1 reveal counts."""
+    return build_compound_game(one_goal_scenario(features, start),
+                               ["obj_x"]).game
 
 
 @pytest.mark.parametrize("features", [["f1"], ["f1", "f2"]])
 def test_strategies_play_on_implicit_compound_games(features):
     g, h = one_goal_game(features, (0, 0)), one_goal_game(["f1"], (1, 0))
-    assert len(walk(g)[0]) == 3 * (len(features) + 1)
+    assert len(g.vertices) == 3 * (len(features) + 1)
     cc = copycat(g)
     assert len(cc.plays) > 1
     assert all(p[-1][0] == p[-1][1] for p in cc.plays)
     assert compose_strategies(g, g, g, cc, cc).plays == cc.plays
-    sigma = random_strategy(random.Random(3), implication(g, h))
+    sigma = random_strategy(random.Random(3), implication_game(g, h))
     assert len(sigma.plays) > 1
     assert compose_strategies(g, g, h, cc, sigma).plays == sigma.plays
     assert compose_strategies(g, h, h, sigma, copycat(h)).plays == sigma.plays
-    tau = random_strategy(random.Random(4), implication(h, g))
+    tau = random_strategy(random.Random(4), implication_game(h, g))
     assert_unfolds_as_before(g, h, g, sigma, tau)
     assert_unfolds_as_before(g, g, h, cc, sigma)
     assert_unfolds_as_before(g, h, h, sigma, copycat(h))
