@@ -11,11 +11,10 @@ encoding cannot hold is printed as backslash escapes.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from .data import fields, fs_path, load_doc, stem
+from .data import dump_doc, fields, fs_path, load_doc, stem
 from .errors import (
     NoSolution,
     CapExceeded,
@@ -71,7 +70,7 @@ class Report:
 
 
 def _write_json(path, doc):
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(path, dump_doc(doc))
 
 
 def _write_text(path, text):

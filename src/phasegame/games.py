@@ -255,8 +255,11 @@ def copycat(game):
 
 
 def _same_game(g, h):
-    """Equal roots and edge sets, so equal vertex sets too."""
-    return g.root == h.root and set(g.edges) == set(h.edges)
+    """Both Games, with equal roots and edge sets, so equal vertex sets too.
+    Any other game with a root and moves (a CompoundGame) matches none, so
+    callers raise ComponentMismatch for it."""
+    return (isinstance(g, Game) and isinstance(h, Game) and g.root == h.root
+            and set(g.edges) == set(h.edges))
 
 
 # Strategy i of a composite is sigma (0) on X -o Y or tau (1) on Y -o Z.

@@ -13,14 +13,13 @@ the horizon cannot grow the joined images of the active goals the set
 shrinks, until a single goal saturates.
 """
 
-import json
 import random
 from collections import Counter, namedtuple
 from functools import reduce
 from itertools import combinations
 from operator import and_
 
-from .data import distinct, fields, load_doc, stem
+from .data import distinct, dump_doc, fields, load_doc, stem
 from .errors import BadGrid, UnknownGoalElement, UsageError
 from .games import Game, PayoffGame
 from .lattice import PowersetLattice
@@ -452,7 +451,7 @@ class Trace:
         }
 
     def to_json(self):
-        return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+        return dump_doc(self.to_doc())
 
 
 def _search(game):

@@ -240,6 +240,32 @@ def test_eval_report_dir_may_follow_the_expression(tmp_path, capsys):
     assert read_json(tmp_path / "eval_report.json")["expression"] == "e^^"
 
 
+# every verb's written files, passing and failing ------------------------
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--lattice", "data:goal_lattice.json",
+      "--phase", "data:goal_phase.json"], 0),
+    (["verify", "--phase", "data:goal_phase_alt.json"], 1),
+    (["solve", "data:goal_phase_candidates.json"], 0),
+    (["eval", "--phase", "data:goal_phase.json", "a", "-o", "J1a"], 0),
+    (["simulate", "data:four_goals_scenario.json", "--emit", "both"], 0),
+    (["simulate", "data:tiny_scenario.json", "--mode", "strict",
+      "--seed", "3"], 0),
+    (["oracle", "data:z3_monoid.json"], 0),
+    (["facts", "--phase", "data:goal_phase.json"], 0)],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_every_written_json_is_the_stdlib_dump(tmp_path, capsys, argv, code):
+    # each report, trace and completion a verb writes is byte for byte what
+    # json.dumps(sort_keys=True, indent=2) writes of its own parse
+    assert main(argv + ["--out-dir", str(tmp_path), "--quiet"]) == code
+    written = sorted(tmp_path.glob("*.json"))
+    assert "%s_report.json" % argv[0] in [p.name for p in written]
+    for path in written:
+        text = path.read_text(encoding="ascii")
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=2) + "\n", path.name
+
+
 # simulate ---------------------------------------------------------------
 
 def test_simulate_emits_stable_trace_and_dot(tmp_path, capsys):

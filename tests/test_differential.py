@@ -2249,7 +2249,7 @@ def one_goal_scenario(features, start):
 @pytest.mark.parametrize("features,start", [(["f1"], (0, 0)),
                                             (["f1", "f2"], (0, 0)),
                                             (["f1"], (1, 0))])
-def test_compound_copycat_on_int_vertices_names_the_listed_copycat(
+def test_copycat_on_listed_compound_game_matches_old_copycat(
         features, start):
     # copycat on the listing build_compound_game names is the earlier
     # copycat on the earlier compound game

@@ -634,7 +634,7 @@ def one_goal_game(features, start):
 
 
 @pytest.mark.parametrize("features", [["f1"], ["f1", "f2"]])
-def test_strategies_play_on_implicit_compound_games(features):
+def test_copycat_and_composition_on_listed_compound_games(features):
     g, h = one_goal_game(features, (0, 0)), one_goal_game(["f1"], (1, 0))
     assert len(g.vertices) == 3 * (len(features) + 1)
     cc = copycat(g)
