@@ -6,7 +6,8 @@ JSON objects, named by a path or ``data:<name>`` (a document shipped in the
 package); a relative path inside a document resolves against its directory.
 ``load_doc`` is the one reader (``read_bytes`` and ``parse_doc`` are its two
 halves, for a caller that keeps the bytes), ``dump_doc`` the one writer (of
-traces and reports), ``SCHEMAS`` the one definition of each kind, ``fields``
+traces, reports and completions, each one line of compact sorted-key ASCII
+JSON), ``SCHEMAS`` the one definition of each kind, ``fields``
 the one checker and ``product_rows`` the one parser of product rows,
 straight into index rows, which ``total_rows`` requires total.
 """
@@ -15,7 +16,6 @@ import json
 import math
 import os
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
 
 from .errors import ForeignElement, NotCommutative, UsageError
 
@@ -102,59 +102,9 @@ def parse_doc(raw, path):
     return doc
 
 
-# the JSON of a value that holds no other, by exact type: a bool is not an
-# int here, and a subclass of str or int falls through to json.dumps
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
-            bool: lambda v: "true" if v else "false",
-            type(None): lambda v: "null"}
-_EMPTY = {list: "[]", dict: "{}"}
-
-
 def dump_doc(doc):
-    """json.dumps(doc, sort_keys=True, indent=2) + "\\n", byte for byte.
-
-    Up to Python 3.12, json.dumps encodes indented output in pure Python;
-    this writer puts strings, ints and lists of one scalar type through
-    C-level calls, and hands any other value (floats, tuples, dicts with
-    keys that are not strings) to json.dumps, re-indenting its lines:
-    encoded JSON holds no raw newline, so every newline in it starts a
-    line."""
-    out = []
-    _dump(doc, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
-
-
-def _dump(value, nl, put):
-    """Put value's JSON, each line after its first opened by nl."""
-    kind = type(value)
-    scalar = _SCALARS.get(kind)
-    if scalar:
-        return put(scalar(value))
-    if kind in _EMPTY and not value:
-        return put(_EMPTY[kind])
-    inner = nl + "  "
-    if kind is list:
-        kinds = set(map(type, value))
-        scalar = len(kinds) == 1 and _SCALARS.get(kinds.pop())
-        if scalar:
-            return put("[" + inner + ("," + inner).join(map(scalar, value))
-                       + nl + "]")
-        sep = "[" + inner
-        for item in value:
-            put(sep)
-            _dump(item, inner, put)
-            sep = "," + inner
-        put(nl + "]")
-    elif kind is dict and set(map(type, value)) == {str}:
-        sep = "{" + inner
-        for key in sorted(value):
-            put(sep + encode_basestring_ascii(key) + ": ")
-            _dump(value[key], inner, put)
-            sep = "," + inner
-        put(nl + "}")
-    else:
-        put(json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
+    """The JSON text of doc: one line of sorted-key ASCII JSON."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def stem(ref):

@@ -187,6 +187,15 @@ def sha16(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def doc_digest(text):
+    """The sha256 hex digest of the JSON document in text, taken on its
+    indented canonical form, so a pin holds the document, not its
+    layout."""
+    doc = json.loads(text)
+    return hashlib.sha256((json.dumps(doc, sort_keys=True, indent=2)
+                           + "\n").encode()).hexdigest()
+
+
 def moved(table, answers):
     """Each case whose answer differs from the table's, as (pinned, now); a
     case missing on either side has moved too."""

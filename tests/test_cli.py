@@ -256,14 +256,14 @@ def test_eval_report_dir_may_follow_the_expression(tmp_path, capsys):
     ids=lambda v: "-".join(v) if isinstance(v, list) else None)
 def test_every_written_json_is_the_stdlib_dump(tmp_path, capsys, argv, code):
     # each report, trace and completion a verb writes is byte for byte what
-    # json.dumps(sort_keys=True, indent=2) writes of its own parse
+    # json.dumps(sort_keys=True, separators=(",", ":")) writes of its parse
     assert main(argv + ["--out-dir", str(tmp_path), "--quiet"]) == code
     written = sorted(tmp_path.glob("*.json"))
     assert "%s_report.json" % argv[0] in [p.name for p in written]
     for path in written:
         text = path.read_text(encoding="ascii")
         assert text == json.dumps(json.loads(text), sort_keys=True,
-                                  indent=2) + "\n", path.name
+                                  separators=(",", ":")) + "\n", path.name
 
 
 # simulate ---------------------------------------------------------------
@@ -278,13 +278,32 @@ def test_simulate_emits_stable_trace_and_dot(tmp_path, capsys):
 
     trace_path = tmp_path / "four_goals_scenario_trace.json"
     doc = read_json(trace_path)
-    again = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    again = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert trace_path.read_text() == again
     assert doc["complete"] is True
 
     dot = (tmp_path / "four_goals_scenario_trace.dot").read_text()
     assert dot.startswith("digraph")
     assert "penwidth=3" in dot
+
+
+def test_a_trace_is_one_ascii_line_that_json_tool_reads(tmp_path, capsys):
+    # text outside ASCII is written as an escape, and python -m json.tool
+    # lays the one line out for a reader without changing the document
+    doc = read_json(data_path("tiny_scenario.json"))
+    doc["objects"][0]["id"] = "obj_\u00e9"
+    scenario = tmp_path / "accent.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["simulate", str(scenario), "--quiet",
+                 "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "accent_trace.json"
+    text = path.read_bytes().decode("ascii")
+    assert text.index("\n") == len(text) - 1
+    assert '"obj_\\u00e9"' in text
+    proc = subprocess.run([sys.executable, "-m", "json.tool", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(text)
 
 
 def test_simulate_reports_the_steps_taken(tmp_path, capsys):

@@ -7,13 +7,10 @@ import os
 import shutil
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from conftest import chain
 from phasegame.cli import main
-from phasegame.data import (data_path, dump_doc, load_doc, product_rows,
-                            stem)
+from phasegame.data import data_path, load_doc, product_rows, stem
 from phasegame.errors import UsageError
 from phasegame.lattice import load_lattice
 from phasegame.phase import load_phase
@@ -90,43 +87,6 @@ def test_load_doc_rejects_a_repeated_key(tmp_path, text, key):
 def test_stem_names_a_reference():
     assert stem("data:tiny_scenario.json") == "tiny_scenario"
     assert stem("some/dir/table.v2.json") == "table.v2"
-
-
-class Count(int):
-    """An int subclass, which json.dumps writes by int.__repr__."""
-
-
-class Name(str):
-    """A str subclass, which json.dumps writes as a string."""
-
-
-# what json.dumps writes: scalars of every JSON type, strings of any code
-# point (control characters and non-ASCII too), ints beyond 64 bits,
-# floats with NaN and the infinities, and the subclasses above; lists of
-# one scalar type (the writer's fast path) or of mixed items, tuples, and
-# dicts keyed by strings or by one other type json.dumps accepts as a key
-SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80)
-           | st.floats() | st.text() | st.integers().map(Count)
-           | st.text().map(Name))
-VALUES = st.recursive(SCALARS, lambda items: st.one_of(
-    [st.lists(items, max_size=4), st.tuples(items, items)]
-    + [st.lists(scalar, max_size=4) for scalar in (
-        st.text(), st.integers(-2 ** 70, 2 ** 70), st.booleans())]
-    + [st.dictionaries(key, items, max_size=4) for key in (
-        st.text(), st.integers(), st.booleans(), st.floats(),
-        st.text().map(Name))]), max_leaves=24)
-
-
-@settings(max_examples=400, deadline=None)
-@given(VALUES)
-@example({"a": [], "b": {}, "c": [[], {}, [[1, 2], ["x"]]], "": None})
-@example([float("nan"), float("inf"), -float("inf"), 0.1, True, 1, "1"])
-@example({"\u00e9\x00\n\u2028": ("t", (1, [2.5]), {3: "\ud800"})})
-@example({1: {"x": [1]}, 2: []})
-@example([Count(3), [Count(4)], {Name("k"): Name("v")}, 10 ** 30])
-def test_dump_doc_writes_the_stdlib_bytes(value):
-    assert dump_doc(value) == json.dumps(value, sort_keys=True,
-                                         indent=2) + "\n"
 
 
 def test_symmetrize_parses_rows():

@@ -1,6 +1,6 @@
 import functools
 import gc
-import hashlib
+import json
 import random
 import time
 import weakref
@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import moved, pinned, random_strategy, sha16
+from conftest import doc_digest, moved, pinned, random_strategy
 from test_differential import (Dual, Listed, Tensor, _Movement,
                                assert_unfolds_as_before, chain_goal_scenario,
                                materialize, old_build_compound_game,
@@ -931,7 +931,8 @@ def test_every_run_completes_or_ends_wandering(mode):
     # a non-wander step is a function of (position, pool, images), so a
     # revisit of one is a cycle, and it saturates the step: no run ends at
     # the step limit unless it is still wandering with nothing discovered
-    # each trace's bytes are pinned too, by a sha256 prefix keyed "mode seed"
+    # each trace's document is pinned too, by a sha256 prefix of its
+    # canonical form keyed "mode seed"
     revisits = 0
     digests = {}
     for seed in range(10000, 10300):
@@ -947,7 +948,7 @@ def test_every_run_completes_or_ends_wandering(mode):
                 assert abs(x - u) + abs(y - v) == 1, (seed, e["move"])
         revisits += any(line.endswith(": a cycle")
                         for line in trace.decision_log)
-        digests["%s %d" % (mode, seed)] = sha16(trace.to_json())
+        digests["%s %d" % (mode, seed)] = doc_digest(trace.to_json())[:16]
     assert revisits == {"practical": 3, "strict": 53}[mode]
     table = pinned("run_traces.json")
     assert moved({key: table[key] for key in table
@@ -979,9 +980,11 @@ def test_wander_priority_is_the_free_move_goal_on_itself():
     assert sc.phase.impl("a", "e") != "J123"
 
 
-# SHA-256 of the run_cognition trace JSON of each shipped scenario under the
-# default flags.  Two runs of the same code always agree, so only fixed
-# digests catch a change to the traces that every run shares.
+# SHA-256 of the run_cognition trace document of each shipped scenario under
+# the default flags, taken on its indented canonical form (conftest's
+# doc_digest), so the pins hold what a trace says, not how it is laid out.
+# Two runs of the same code always agree, so only fixed digests catch a
+# change to the traces that every run shares.
 TRACE_DIGESTS = {
     ("four_goals_scenario", "practical", 0):
         "343288b6a485c143a213850f7d0354b233212ac2864f955cde7a0d20753a545b",
@@ -1006,8 +1009,9 @@ TRACE_DIGESTS = {
 def test_trace_digests_are_pinned(name, mode, seed):
     sc = load_scenario("data:%s.json" % name)
     text = run_cognition(sc, mode=mode, seed=seed).to_json()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == TRACE_DIGESTS[(name, mode, seed)]
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              separators=(",", ":")) + "\n"
+    assert doc_digest(text) == TRACE_DIGESTS[(name, mode, seed)]
 
 
 def test_traces_are_deterministic():
