@@ -25,8 +25,9 @@ from .errors import (
 
 
 class Report:
-    """Aggregated command outcome.  exit_code is 0 exactly when every item
-    passed; warnings do not change the status."""
+    """Aggregated command outcome.  Each item's status is 'pass', 'fail'
+    or 'warn'; exit_code is 0 exactly when every item passed, and warnings
+    do not change the status."""
 
     def __init__(self, command):
         self.command = command
@@ -34,8 +35,6 @@ class Report:
         self.items = []
 
     def add(self, claim, status, detail=""):
-        if status not in ("pass", "fail", "warn"):
-            raise ValueError(status)
         self.items.append({"claim": claim, "status": status,
                            "detail": str(detail)})
         if status == "fail":
@@ -63,14 +62,10 @@ class Report:
         print("%s: %s" % (self.command, self.status))
         if args.out_dir:
             path = os.path.join(args.out_dir, "%s_report.json" % self.command)
-            _write_json(path, self.to_doc())
+            _write_text(path, dump_doc(self.to_doc()))
             if not args.quiet:
                 print("wrote %s" % path)
         return self.exit_code
-
-
-def _write_json(path, doc):
-    _write_text(path, dump_doc(doc))
 
 
 def _write_text(path, text):
@@ -169,7 +164,7 @@ def cmd_solve(args):
     name = stem(args.table)
     for i, doc in enumerate(solutions, 1):
         path = os.path.join(out_dir, "%s_solution_%03d.json" % (name, i))
-        _write_json(path, doc)
+        _write_text(path, dump_doc(doc))
         report.add("solution_%03d" % i, "pass", path)
     report.add("completions", "pass", "%d found" % len(solutions))
     if capped:
@@ -189,8 +184,8 @@ def cmd_eval(args):
     value = eval_expr(ps, text)
     print(value)
     if args.out_dir:
-        _write_json(os.path.join(args.out_dir, "eval_report.json"),
-                    {"command": "eval", "expression": text, "value": value})
+        _write_text(os.path.join(args.out_dir, "eval_report.json"), dump_doc(
+            {"command": "eval", "expression": text, "value": value}))
     return 0
 
 
@@ -228,7 +223,7 @@ def cmd_simulate(args):
     out_dir = args.out_dir or "."
     if args.emit in ("json", "both"):
         path = os.path.join(out_dir, "%s_trace.json" % sc.name)
-        _write_text(path, trace.to_json())
+        _write_text(path, dump_doc(doc))
         report.add("trace_json", "pass", path)
     if args.emit in ("dot", "both"):
         from .dot import trace_to_dot

@@ -224,8 +224,7 @@ def lattice_from_doc(doc, base_dir=None):
     return Lattice(**fields(load_doc(doc, base_dir)[0], "lattice"))
 
 
-def load_lattice(path):
-    return lattice_from_doc(path)
+load_lattice = lattice_from_doc
 
 
 class PowersetLattice:

@@ -334,26 +334,19 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     reference, are those a structure was built from under the same
     validate, that structure is returned again.
     """
-    if lattice is not None or not isinstance(doc, str):
+    key = None
+    if lattice is None and isinstance(doc, str):
+        path = resolve_path(doc, base_dir)
+        key = (os.path.abspath(path), validate)
+        raw = read_bytes(path)
+        if key in _LOADED:
+            was, lattice_path, lattice_raw, ps = _LOADED[key]
+            if was == raw and (lattice_path is None
+                               or read_bytes(lattice_path) == lattice_raw):
+                return ps
+        doc, base_dir = parse_doc(raw, path), os.path.dirname(key[0])
+    else:
         doc, base_dir = load_doc(doc, base_dir)
-        return _phase_of(doc, lattice, base_dir, validate)[0]
-    path = resolve_path(doc, base_dir)
-    key = (os.path.abspath(path), validate)
-    raw = read_bytes(path)
-    if key in _LOADED:
-        was, lattice_path, lattice_raw, ps = _LOADED[key]
-        if was == raw and (lattice_path is None
-                           or read_bytes(lattice_path) == lattice_raw):
-            return ps
-    ps, lattice_path, lattice_raw = _phase_of(
-        parse_doc(raw, path), None, os.path.dirname(key[0]), validate)
-    _LOADED[key] = (raw, lattice_path, lattice_raw, ps)
-    return ps
-
-
-def _phase_of(doc, lattice, base_dir, validate):
-    """(structure, lattice path, lattice bytes) of a phase document; the
-    last two are None unless its lattice is read here from a file."""
     f = fields(doc, "phase", given=() if lattice is None else ("lattice",))
     lattice_path = lattice_raw = None
     if lattice is None:
@@ -363,8 +356,11 @@ def _phase_of(doc, lattice, base_dir, validate):
             lattice_raw = read_bytes(lattice_path)
             lattice = parse_doc(lattice_raw, lattice_path)
         lattice = lattice_from_doc(lattice)
-    return (phase_from_rows(lattice, product_rows(lattice.elements, f["mult"]),
-                            f, validate), lattice_path, lattice_raw)
+    ps = phase_from_rows(lattice, product_rows(lattice.elements, f["mult"]),
+                         f, validate)
+    if key is not None:
+        _LOADED[key] = (raw, lattice_path, lattice_raw, ps)
+    return ps
 
 
 def phase_from_rows(lattice, rows, f, validate=True):
@@ -397,8 +393,7 @@ def phase_from_rows(lattice, rows, f, validate=True):
     return ps
 
 
-def load_phase(path, lattice=None, validate=True):
-    return phase_from_doc(path, lattice=lattice, validate=validate)
+load_phase = phase_from_doc
 
 
 # law audit ------------------------------------------------------------

@@ -21,7 +21,6 @@ from operator import and_
 
 from .data import distinct, dump_doc, fields, load_doc, stem
 from .errors import BadGrid, UnknownGoalElement, UsageError
-from .games import Game, PayoffGame
 from .lattice import PowersetLattice
 from .phase import phase_from_doc
 
@@ -154,17 +153,14 @@ def _goal_objects(sc, goals):
             "no object has the id %r" % (exc.args[0],)) from None
 
 
-def _as_elements(sc, goals):
-    return [o.goal for o in _goal_objects(sc, goals)]
-
-
 def eval_priority(sc, goals):
     """Priority of a goal set, given by object ids: the implication from
     the free-move element to the folded product of the goal elements."""
     if not goals:
         raise ValueError("goals must not be empty")
     ps = sc.phase
-    return ps.impl(sc.free_move_goal, reduce(ps.mult, _as_elements(sc, goals)))
+    return ps.impl(sc.free_move_goal, reduce(
+        ps.mult, [o.goal for o in _goal_objects(sc, goals)]))
 
 
 # goals is a tuple of object ids in name order
@@ -341,22 +337,23 @@ class CompoundGame:
         # each goal's stride and, per digit, the name (goal id, count), the
         # meet term and the step to the next count's digit (0 at the last);
         # and per goal its object's cell and the masks of its feature
-        # prefixes, by count
+        # prefixes, by count; seen joins the goals' image masks
         self._chains = []
         prefixes = []
         self.nb = 1
+        seen = 0
         for o in reversed(objs):
             n = len(o.features)
             prefix = [lat.mask(o.features[:j]) for j in range(n + 1)]
             prefixes.append((o.cell, n, prefix))
             image = lat.mask(images.get(o.id, ()))
+            seen |= image
             counts = sorted(range(n + 1), key=repr)
             self._chains.insert(0, (self.nb, [(
                 (o.id, j), prefix[j] | image,
                 (counts.index(j + 1) - d) * self.nb if j < n else 0)
                 for d, j in enumerate(counts)]))
             self.nb *= n + 1
-        seen = lat.mask(f for g in goals for f in images.get(g, ()))
         side = {}
         for c in ticks:
             mask = seen
@@ -404,6 +401,7 @@ def build_compound_game(sc, goals, position=None, mode="practical",
     vertices, in its walk order; every vertex is reachable from the root
     by moves of either polarity.  Payoffs are named in the scenario's
     payoff lattice."""
+    from .games import Game, PayoffGame
     game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
     # vertex m * nb + b names its movement vertex and the chains of rank b,
     # so each chains name is decoded once, at movement rank 0
@@ -752,7 +750,7 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
             "indistinguishable": selection.indistinguishable,
             "sets": [{
                 "goals": list(c.goals),
-                "elements": _as_elements(sc, c.goals),
+                "elements": [sc.objects[i].goal for i in c.goals],
                 "priority": c.priority,
                 "attractiveness": c.attractiveness,
             } for c in selection],

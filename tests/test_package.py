@@ -62,20 +62,35 @@ def imported(argv):
 
 
 CORE = {"phasegame", "phasegame.data", "phasegame.errors"}
+PHASE = CORE | {"phasegame.lattice", "phasegame.phase"}
+# the cognition loop runs no Conway game, so simulate never loads games
+PLANNER = PHASE | {"phasegame.planner"}
 
 
 # a verb run with -m executes phasegame.cli as __main__, so the CLI module
-# itself is never imported under its own name
+# itself is never imported under its own name; OUT stands for a fresh
+# --out-dir, so a verb that writes files leaves the working tree clean
 @pytest.mark.parametrize("argv, loaded", [
     (["-c", "import phasegame"], {"phasegame"}),
     (["-m", "phasegame.cli", "oracle", "data:z3_monoid.json"],
      CORE | {"phasegame.subset_oracle"}),
     (["-m", "phasegame.cli", "eval", "--phase", "data:goal_phase.json",
       "e^^"],
-     CORE | {"phasegame.expr", "phasegame.lattice", "phasegame.phase"}),
+     PHASE | {"phasegame.expr"}),
+    (["-m", "phasegame.cli", "simulate", "data:four_goals_scenario.json",
+      "--emit", "json", "--out-dir", "OUT"], PLANNER),
+    (["-m", "phasegame.cli", "simulate", "data:four_goals_scenario.json",
+      "--emit", "dot", "--out-dir", "OUT"], PLANNER | {"phasegame.dot"}),
+    (["-m", "phasegame.cli", "verify", "--lattice", "data:goal_lattice.json",
+      "--phase", "data:goal_phase.json"], PHASE),
+    (["-m", "phasegame.cli", "facts", "--phase", "data:goal_phase.json"],
+     PHASE),
+    (["-m", "phasegame.cli", "solve", "data:goal_phase_candidates.json",
+      "--out-dir", "OUT"], PHASE | {"phasegame.solver"}),
 ])
-def test_entry_point_loads_only_what_it_runs(argv, loaded):
-    assert imported(argv) == loaded
+def test_entry_point_loads_only_what_it_runs(argv, loaded, tmp_path):
+    assert imported([str(tmp_path) if word == "OUT" else word
+                     for word in argv]) == loaded
 
 
 def _package_trees():
