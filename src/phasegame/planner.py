@@ -17,7 +17,7 @@ import random
 from collections import Counter, namedtuple
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 
 from .data import distinct, dump_doc, fields, load_doc, stem
 from .errors import BadGrid, UnknownGoalElement, UsageError
@@ -52,11 +52,8 @@ class Scenario:
 
     def neighbors(self, cell):
         x, y = cell
-        out = []
-        for nx, ny in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
-            if (nx, ny) in self.passable:
-                out.append((nx, ny))
-        return out
+        return [n for n in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1))
+                if n in self.passable]
 
 
 def load_scenario(path_or_doc):
@@ -244,22 +241,80 @@ def _check_mode(mode):
         raise ValueError("mode must be 'practical' or 'strict'")
 
 
+def _movement_ball(sc, goals, pos, mode, images):
+    """The ball a step at pos moves in: (pos, the distance of each cell at
+    most horizon steps away, by one breadth-first pass that asks for the
+    neighbours only of the cells closer than the horizon and ends at the
+    first empty frontier, those neighbours, each cell's side payoff, and
+    per goal, the last first, its object, prefix masks by count and image
+    mask).  A side payoff joins the images with each goal's prefix mask at
+    the count _shown gives at the cell's Chebyshev distance to its object,
+    what visible_rewards shows there; in strict mode, its complement."""
+    pos = tuple(pos)
+    if pos not in sc.passable:
+        raise BadGrid("position %r is not a passable cell" % (pos,))
+    _check_mode(mode)
+    if not goals:
+        raise ValueError("goals must not be empty")
+    images = images or {}
+    objs = _goal_objects(sc, goals)
+    lat = sc.payoff_lattice
+    dist = {pos: 0}
+    neighbors = {}
+    frontier = [pos]
+    for d in range(1, sc.horizon + 1):
+        reached = []
+        for c in frontier:
+            neighbors[c] = sc.neighbors(c)
+            for n in neighbors[c]:
+                if n not in dist:
+                    dist[n] = d
+                    reached.append(n)
+        if not reached:
+            break
+        frontier = reached
+    # per goal, its mask at each Chebyshev distance a cell of the ball can
+    # have: at most the ball's radius plus the goal's distance from pos
+    radius = dist[frontier[0]]
+    chains, shows = [], []
+    seen = 0
+    for o in reversed(objs):
+        n = len(o.features)
+        prefix = [lat.mask(o.features[:j]) for j in range(n + 1)]
+        image = lat.mask(images.get(o.id, ()))
+        seen |= image
+        chains.append((o, prefix, image))
+        shows.append((*o.cell, [
+            prefix[_shown(n, k, sc.horizon)]
+            for k in range(radius + chebyshev(pos, o.cell) + 1)]))
+    side = {}
+    for c in dist:
+        x, y = c
+        mask = seen
+        for ox, oy, shown in shows:
+            mask |= shown[max(abs(x - ox), abs(y - oy))]
+        side[c] = lat.complement(mask) if mode == "strict" else mask
+    return pos, dist, neighbors, side, chains
+
+
 class CompoundGame:
     """The game implication(movement, tensor of per-goal reveal chains),
     held as ints: a movement rank and a chains rank.
 
     The movement factor is the dual of the system's movement game from the
     position, so Proponent steps to a neighbour at even ticks and Opponent
-    ticks at odd ones, up to tick 2 * horizon.  It is listed from the cell
-    frontiers: F0 is the position and F(L) the neighbours of F(L-1), the
-    cells a walk of exactly L steps reaches, so its vertices are
-    (position, 0) and (c, 2L - 1) and (c, 2L) for each c in F(L), up to L =
-    horizon or the first empty frontier.  A goal's chain runs through
-    (goal id, revealed count), advanced by Opponent.  The chains factor is
-    their tensor, left to right, which nests them as (g1, j1), then
-    ((g1, j1), (g2, j2)), and so on; a move advances one count, the goals'
-    in order.  Every move advances the tick or one count, so a vertex sits
-    at depth tick + sum of counts.
+    ticks at odd ones, up to tick 2 * horizon.  Its vertices are (position,
+    0) and (c, 2L - 1) and (c, 2L) for each cell c a walk of exactly L
+    steps reaches, 1 <= L <= horizon.  A grid graph is bipartite, so once
+    the position has a neighbour such a walk reaches c iff d <= L and L - d
+    is even, for d the distance of c from the position: the cells follow
+    from the distance pass of _movement_ball, and their ticks from one tick
+    list sorted by str, filtered once per distance.  A goal's chain runs
+    through (goal id, revealed count), advanced by Opponent.  The chains
+    factor is their tensor, left to right, which nests them as (g1, j1),
+    then ((g1, j1), (g2, j2)), and so on; a move advances one count, the
+    goals' in order.  Every move advances the tick or one count, so a
+    vertex sits at depth tick + sum of counts.
 
     Its alternated plays, Opponent first, follow one grammar, which
     _search rests on and tests pin.  At tick 0 Opponent has no movement
@@ -275,92 +330,59 @@ class CompoundGame:
     since a cell's repr is prefix-free.  mnext gives each rank's successor
     ranks in move order, a cell's neighbours in Scenario.neighbors order;
     its tick says which player owns them.  The chains factor is not
-    listed: it is a mixed radix, one digit per goal.  A goal's digits are its counts 0..n sorted by repr, and
-    chains rank b holds the digit b // stride % (n + 1) of a goal, for its
-    stride the product of the later goals' n + 1, so the first goal's
-    digit is the most significant; nb is the number of chains ranks.  A
-    vertex is the int v = m * nb + b for movement rank m.  Int order is
-    the repr order of the nested names: a tuple's or a string's repr is
-    prefix-free, and an int's is followed in a pair's repr by "," or ")",
-    below every digit, so comparing the reprs of two pairs compares the
-    reprs of their first coordinates, then of their second ones.
-    vertex(v) names v as the nested pair ((cell, tick), chains), reveals(b)
-    gives the chains ranks one reveal from b, and moves(v, pol) reads them
-    in tensor_game's order, movement moves first.
+    listed: it is a mixed radix, one digit per goal.  A goal's digits are
+    its counts 0..n sorted by repr, and chains rank b holds the digit b //
+    stride % (n + 1) of a goal, for its stride the product of the later
+    goals' n + 1, so the first goal's digit is the most significant; nb is
+    the number of chains ranks.  A vertex is the int v = m * nb + b for
+    movement rank m.  Int order is the repr order of the nested names: a
+    tuple's or a string's repr is prefix-free, and an int's is followed in
+    a pair's repr by "," or ")", below every digit, so comparing the reprs
+    of two pairs compares the reprs of their first coordinates, then of
+    their second ones.  vertex(v) names v as the nested pair ((cell, tick),
+    chains), reveals(b) gives the chains ranks one reveal from b, and
+    moves(v, pol) reads them in tensor_game's order, movement moves first.
 
     A payoff is a mask of the scenario's payoff lattice, the powerset of
-    its feature universe: side[m], what the cell of movement rank m reveals
-    of the goals joined with their images (or its complement, in strict
-    mode), joined with meet(b), the meet over goals of each revealed prefix
-    in chains rank b joined with its image.  What a cell reveals of a goal
-    is the mask of the feature prefix visible_rewards shows there, read
-    off the goal's prefix masks by the count _shown gives.
+    its feature universe: side[m], the side payoff _movement_ball gives the
+    cell of movement rank m, joined with meet(b), the meet over goals of
+    each revealed prefix in chains rank b joined with its image.
     """
 
     def __init__(self, sc, goals, position=None, mode="practical",
-                 images=None):
-        pos = tuple(sc.start if position is None else position)
-        if pos not in sc.passable:
-            raise BadGrid("position %r is not a passable cell" % (pos,))
-        _check_mode(mode)
-        if not goals:
-            raise ValueError("goals must not be empty")
-        images = images or {}
-        objs = _goal_objects(sc, goals)
-        lat = sc.payoff_lattice
+                 images=None, _ball=None):
+        pos, dist, neighbors, side, chains = _ball or _movement_ball(
+            sc, goals, sc.start if position is None else position, mode,
+            images)
         last = 2 * sc.horizon
-        # the cells a walk of exactly L steps reaches, frontier by frontier,
-        # each with its ticks 2L - 1 and 2L
-        neighbors = {pos: sc.neighbors(pos)}
-        ticks = {pos: [0]}
-        frontier = [pos]
-        for t in range(1, last, 2):
-            reached = {n for c in frontier for n in neighbors[c]}
-            if not reached:
-                break
-            for c in reached:
-                if c in ticks:
-                    ticks[c] += (t, t + 1)
-                else:
-                    ticks[c] = [t, t + 1]
-                    neighbors[c] = sc.neighbors(c)
-            frontier = reached
-        # a cell's repr is prefix-free, so sorting the cells by repr and
-        # each cell's ticks by str sorts the vertices by repr
-        self.mverts = [(c, t) for c in sorted(ticks, key=repr)
-                       for t in sorted(ticks[c], key=str)]
+        # the ticks of distance d: 0 at L = 0 (the only one at a walled-in
+        # pos), else 2L - 1 and 2L for L = d, d + 2, ..., sorted by str once
+        order = [((t + 1) // 2, t) for t in sorted(
+            range(last + 1 if len(dist) > 1 else 1), key=str)]
+        ticks = [[t for n, t in order if n >= d and (n - d) % 2 == 0]
+                 for d in range(max(dist.values()) + 1)]
+        self.mverts, self.side = [], []
+        for c in sorted(dist, key=repr):
+            ts = ticks[dist[c]]
+            self.mverts += [(c, t) for t in ts]
+            self.side += [side[c]] * len(ts)
         rank = {v: i for i, v in enumerate(self.mverts)}
         self.mnext = [
             [] if t == last else [rank[c, t + 1]] if t % 2
             else [rank[n, t + 1] for n in neighbors[c]]
             for c, t in self.mverts]
         # each goal's stride and, per digit, the name (goal id, count), the
-        # meet term and the step to the next count's digit (0 at the last);
-        # and per goal its object's cell and the masks of its feature
-        # prefixes, by count; seen joins the goals' image masks
+        # meet term and the step to the next count's digit (0 at the last)
         self._chains = []
-        prefixes = []
         self.nb = 1
-        seen = 0
-        for o in reversed(objs):
-            n = len(o.features)
-            prefix = [lat.mask(o.features[:j]) for j in range(n + 1)]
-            prefixes.append((o.cell, n, prefix))
-            image = lat.mask(images.get(o.id, ()))
-            seen |= image
+        for o, prefix, image in chains:
+            n = len(prefix) - 1
             counts = sorted(range(n + 1), key=repr)
             self._chains.insert(0, (self.nb, [(
                 (o.id, j), prefix[j] | image,
                 (counts.index(j + 1) - d) * self.nb if j < n else 0)
                 for d, j in enumerate(counts)]))
             self.nb *= n + 1
-        side = {}
-        for c in ticks:
-            mask = seen
-            for cell, n, prefix in prefixes:
-                mask |= prefix[_shown(n, chebyshev(c, cell), sc.horizon)]
-            side[c] = lat.complement(mask) if mode == "strict" else mask
-        self.side = [side[c] for c, _ in self.mverts]
         # count 0 sorts first, so every digit of the chains root is 0
         self.root = rank[pos, 0] * self.nb
 
@@ -452,11 +474,12 @@ class Trace:
         return dump_doc(self.to_doc())
 
 
-def _search(game):
+def _search(game, stop=False):
     """The play of a CompoundGame with a maximal joined payoff, as a list
     of its int vertices, with its objective mask, the number of states
     (vertex, objective so far) its plays reach and the number of plays
-    ending with each objective size.
+    ending with each objective size.  With stop, it ends at its bound, and
+    counts no states (None) and only the plays it reached.
 
     A play's objective is the join of its vertex payoffs.  Plays whose
     objective has the largest support win; in a powerset such an objective
@@ -490,6 +513,11 @@ def _search(game):
     an odd tick, seen joined with its meet, so that only a nonzero meet
     needs a set.
 
+    No objective passes the bound, the largest popcount of every side
+    payoff joined with the meet of a reached chains rank, and ties fall to
+    shorter plays; so once the best size equals it, a stopped search ends
+    after the layer that holds best_len - 2, the last the winner ends in.
+
     The winner's first reveal y1 is the smallest one that reaches an end
     of the largest support and then the shortest play.  Under it, the
     first walk that stops there and the first walk that takes a second
@@ -512,24 +540,34 @@ def _search(game):
     shift = len(game.mverts).bit_length()
     low = (1 << shift) - 1
     # each movement rank's moves, as the packed side payoff and rank they
-    # add, in rank order
-    moves = [[side[x] << shift | x for x in sorted(row)] for row in game.mnext]
+    # add, in rank order, made when the search first reaches the rank
+    mnext = game.mnext
+    moves = [None] * len(mnext)
     root = side[mroot] << shift | mroot
     count = {root: 1}
     parent = {root: None}
     support = {}                # objective size -> plays ending with it
     best_size, best_len = -1, 0
+    bound = None
+    if stop:
+        sides = reduce(or_, side)
+        bound = max((sides | g).bit_count() for g in meet.values())
     layers = []
     layer = [root]
     while layer:
         odd = len(layers) % 2
         length = len(layers) + 2 + odd      # of a play ending at this tick
         layers.append(layer)
+        if best_size == bound:      # layers reach best_len - 2 now
+            break
         groups = ends[odd].items()
         nxt = []
         for s in layer:
             m = s & low
             out = moves[m]
+            if out is None:
+                out = moves[m] = [side[x] << shift | x
+                                  for x in sorted(mnext[m])]
             c = count[s]
             if odd or not out:
                 seen = s >> shift
@@ -549,9 +587,9 @@ def _search(game):
                     nxt.append(u)
         layer = nxt
 
-    odds = [s for layer in layers[1::2] for s in layer]
-    states = 1 + _joined(count, shift, ends[0]) + _joined(
-        odds, shift, Counter(meet[y] for y in set().union(*seconds.values())))
+    states = None if stop else 1 + _joined(count, shift, ends[0]) + _joined(
+        [s for layer in layers[1::2] for s in layer], shift,
+        Counter(meet[y] for y in set().union(*seconds.values())))
 
     def fits(s, y):
         return ((s >> shift) | meet[y]).bit_count() == best_size
@@ -573,7 +611,7 @@ def _search(game):
     turns = layers[best_len - 3] if best_len > 3 else []
     for y1 in firsts:
         stop = next((rebuilt(s, y1, y1) for s in layers[best_len - 2]
-                     if not moves[s & low] and fits(s, y1)), None)
+                     if not mnext[s & low] and fits(s, y1)), None)
         turn = next((rebuilt(s, y1, y) for s in turns for y in seconds[y1]
                      if fits(s, y)), None)
         if stop or turn:
@@ -648,33 +686,37 @@ def _vertex_doc(v):
 
 
 def _step_game(sc, goals, pos, mode, images):
-    """The compound game a cognition step plans in, or None when the step
-    is saturated.  A side payoff joins the images, which hold what pos
-    shows, with what its cell shows, so no cell within the horizon adds to
-    them when every cell pays the same, as at a walled-in pos, whose
-    movement game is its root alone."""
-    game = CompoundGame(sc, goals, pos, mode, images)
-    return None if min(game.side) == max(game.side) else game
+    """The compound game a cognition step plans in, listed from the ball
+    whose side payoffs decide first whether the step is saturated (None).
+    A side payoff joins the images, which hold what pos shows, with what
+    its cell shows, so no cell adds to them when every cell pays the same,
+    as at a walled-in pos, whose ball is pos alone."""
+    ball = _movement_ball(sc, goals, pos, mode, images)
+    side = ball[3].values()
+    if min(side) == max(side):
+        return None
+    return CompoundGame(sc, goals, pos, mode, images, ball)
 
 
 def run_cognition(sc, max_steps=50, mode="practical", seed=0):
     """Full exploration loop: discover, select, plan, move, accumulate.
 
     Images of objects only ever grow (by join with what is visible).  A
-    planning step builds one compound game of the active goals.  When no
-    cell within the horizon can add anything to their joined images, or
-    the step revisits the position, pool and images of an earlier one, the
-    active set shrinks; the run completes when a single goal saturates,
-    else it stops at max_steps with the step_limit flag.  Otherwise the
-    system moves to the cell of the third vertex of the game's searched
-    play, a neighbour of pos.
+    planning step reads the side payoffs of the active goals' movement
+    ball.  When no cell within the horizon can add anything to their
+    joined images, or the step revisits the position, pool and images of
+    an earlier one, the active set shrinks, and no game is listed; the run
+    completes when a single goal saturates, else it stops at max_steps
+    with the step_limit flag.  Otherwise the step lists its compound game
+    from that ball and searches it, stopping at its bound, and the system
+    moves to the cell of the play's third vertex, a neighbour of pos.
 
     That vertex is always a step.  A step reaches _search only when its
-    game is not saturated, so some listed cell is not pos; so pos has a
-    neighbour and Proponent moves at tick 0.  Every active goal has a shown
-    feature, so the chains root has a reveal, and by the play grammar (see
-    CompoundGame) every searched play is the root, a first reveal, and then
-    a step to a neighbour.
+    ball is not saturated, so some cell of the ball is not pos; so pos has
+    a neighbour and Proponent moves at tick 0.  Every active goal has a
+    shown feature, so the chains root has a reveal, and by the play grammar
+    (see CompoundGame) every searched play is the root, a first reveal, and
+    then a step to a neighbour.
     """
     _check_mode(mode)
     rng = random.Random(seed)
@@ -790,7 +832,7 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
                       % (steps, ",".join(active), ",".join(shrunk)))
             continue
 
-        play, objective, _, _ = _search(game)
+        play, objective, _, _ = _search(game, stop=True)
         move_to = game.mverts[play[2] // game.nb][0]
         trace.entries.append({
             "actor": "system",

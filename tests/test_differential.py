@@ -2000,18 +2000,51 @@ def assert_searches_agree(game):
 
 
 def test_search_matches_the_earlier_search_on_whole_runs(monkeypatch):
-    # every step's compound game of the 600 seeded whole runs
-    games = []
+    # every step's compound game of the 600 seeded whole runs; a cognition
+    # step stops its search at the bound, which keeps the full search's
+    # play and objective
+    stops = []
 
-    def checked(game):
-        games.append(game)
-        return assert_searches_agree(game)
+    def checked(game, stop=False):
+        stops.append(stop)
+        full = assert_searches_agree(game)
+        if not stop:
+            return full
+        got = _search(game, stop=True)
+        assert got[:3] == (*full[:2], None)
+        return got
     monkeypatch.setattr(planner, "_search", checked)
     for seed in range(10000, 10300):
         sc = random_case(random.Random(seed))[0]
         for mode in ("practical", "strict"):
             run_cognition(sc, max_steps=60, mode=mode)
-    assert len(games) == 556
+    assert stops == [True] * 556
+
+
+def open61_scenario(horizon, dx, dy):
+    """The open 61x61 grid of CI's planner scale smoke run, start in the
+    middle, with four goals of two features each at (+-dx, +-dy) from it."""
+    return edge_scenario(["." * 61] * 61, (30, 30), horizon, [
+        ((30 + sx * dx, 30 + sy * dy), ["s%d_0" % i, "s%d_1" % i])
+        for i, (sx, sy) in enumerate([(-1, -1), (1, -1), (-1, 1), (1, 1)])])
+
+
+@pytest.mark.parametrize("horizon,dx,dy,mode,early", [
+    (h, 12, 8, mode, True) for h in (20, 30)
+    for mode in ("practical", "strict")] + [
+    (30, 25, 20, "practical", False), (30, 25, 20, "strict", True)])
+def test_stopped_search_keeps_the_full_search_play_on_open_grids(
+        horizon, dx, dy, mode, early):
+    # with the images a run holds at its start; near objects let a play
+    # reach the bound, so the search stops before counting every play, and
+    # far ones, in practical mode, do not, so it searches every layer
+    sc = open61_scenario(horizon, dx, dy)
+    game = CompoundGame(sc, sorted(sc.objects), mode=mode,
+                        images=visible_rewards(sc, sc.start))
+    play, objective, _, support = _search(game)
+    got = _search(game, stop=True)
+    assert got[:3] == (play, objective, None)
+    assert (got[3] != support) == early
 
 
 def test_search_matches_the_earlier_search_on_seeded_grids():
@@ -2146,10 +2179,18 @@ def test_movement_listing_matches_the_walk_in_the_benchmark_shapes(
 
 
 def listing_edge_cases():
-    """{label: (scenario, images)}: the search's edge shapes, and a one-row
-    corridor, a grid wider than 10 columns and an open grid at h=6, whose
-    coordinates and ticks pass 9."""
+    """{label: (scenario, images)}: the search's edge shapes (horizon 0 and
+    a walled-in start among them), a one-row corridor, a grid wider than 10
+    columns and an open grid at h=6, whose coordinates and ticks pass 9, a
+    1x4 strip at h=2000, and walled pockets smaller than the horizon, where
+    the distance pass ends at its first empty frontier."""
     cases = search_edge_cases()
+    cases["strip h=2000"] = (edge_scenario(
+        ["...."], (0, 0), 2000, [((3, 0), ["f1", "f2"])]), {})
+    cases["pockets"] = (edge_scenario(
+        ["..#...", ".##...", "###..."], (0, 0), 7,
+        [((1, 0), ["f1", "f2"]), ((4, 1), ["g1"])]),
+        {"o1": frozenset(["g1"])})
     cases["corridor"] = (edge_scenario(
         ["." * 14], (6, 0), 5, [((1, 0), ["f1", "f2"]), ((12, 0), ["g1"])]),
         {"o0": frozenset(["f1"])})

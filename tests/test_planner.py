@@ -761,16 +761,33 @@ def test_cognition_step_lists_the_movement_game_once(monkeypatch):
 def test_cognition_lists_the_movement_game_once_per_active_set(monkeypatch):
     # each compound game built lists the movement game once: a step that
     # moves lists it from the cell it leaves, and at the final position
-    # each shrink and the completing check build a game of their own
+    # each shrink and the completing check decide saturation from the
+    # ball's side payoffs, listing nothing
     listed = count_listings(monkeypatch)
     trace = run_cognition(four_goals())
     moved = [e for e in trace.entries
              if e["actor"] == "system" and e["move"] != "wander"]
     assert trace.complete
     assert (len(moved), len(trace.shrink_events)) == (6, 2)
-    assert len(listed) == len(moved) + len(trace.shrink_events) + 1 == 9
-    assert listed == [tuple(e["move"][0]) for e in moved] + [
-        tuple(moved[-1]["move"][1])] * 3
+    assert listed == [tuple(e["move"][0]) for e in moved]
+
+
+def test_a_saturated_step_lists_no_movement_game(monkeypatch):
+    # a 1x4 strip at horizon 100,000: the start shows both features of the
+    # one object, 3 cells away, so the run completes at step 0 from the
+    # ball's four cells, without listing the 399,999 vertices of its
+    # movement game
+    doc = base_doc()
+    doc.update(grid=["...."], start=[0, 0], horizon=100000)
+    doc["objects"][0]["cell"] = [3, 0]
+    sc = load_scenario(doc)
+    listed = count_listings(monkeypatch)
+    cpu = time.process_time()
+    trace = run_cognition(sc)
+    cpu = time.process_time() - cpu
+    assert trace.complete and trace.header["steps_taken"] == 0
+    assert listed == []
+    assert cpu < 0.1
 
 
 def test_a_finished_run_keeps_no_scenario_alive():
