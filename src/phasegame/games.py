@@ -256,8 +256,8 @@ def copycat(game):
 
 def _same_game(g, h):
     """Both Games, with equal roots and edge sets, so equal vertex sets too.
-    Any other game with a root and moves (a CompoundGame) matches none, so
-    callers raise ComponentMismatch for it."""
+    Any other object with a root and moves matches none, so callers raise
+    ComponentMismatch for it."""
     return (isinstance(g, Game) and isinstance(h, Game) and g.root == h.root
             and set(g.edges) == set(h.edges))
 

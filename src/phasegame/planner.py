@@ -5,10 +5,10 @@ object carries an ordered feature list; visibility reveals a distance-scaled
 prefix of it, so images of objects accumulate monotonically as the system
 moves.  Discovered goals are ranked through the goal phase structure, and
 the preferred goal set becomes a compound game: the movement game implying
-the tensor of per-goal reveal chains, held as ints (CompoundGame): a
-movement rank, which indexes the movement game's successor table, and a
-chains rank, whose mixed-radix digits are the goals' revealed counts.  A play
-maximizing the lattice-valued objective is chosen.  When the cells within
+the tensor of per-goal reveal chains, held as its factors (CompoundGame):
+the cells within the horizon, and chains ranks whose mixed-radix digits are
+the goals' revealed counts.  A play maximizing the lattice-valued objective
+is chosen.  When the cells within
 the horizon cannot grow the joined images of the active goals the set
 shrinks, until a single goal saturates.
 """
@@ -16,7 +16,7 @@ shrinks, until a single goal saturates.
 import random
 from collections import Counter, namedtuple
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from operator import and_, or_
 
 from .data import distinct, dump_doc, fields, load_doc, stem
@@ -241,80 +241,37 @@ def _check_mode(mode):
         raise ValueError("mode must be 'practical' or 'strict'")
 
 
-def _movement_ball(sc, goals, pos, mode, images):
-    """The ball a step at pos moves in: (pos, the distance of each cell at
-    most horizon steps away, by one breadth-first pass that asks for the
-    neighbours only of the cells closer than the horizon and ends at the
-    first empty frontier, those neighbours, each cell's side payoff, and
-    per goal, the last first, its object, prefix masks by count and image
-    mask).  A side payoff joins the images with each goal's prefix mask at
-    the count _shown gives at the cell's Chebyshev distance to its object,
-    what visible_rewards shows there; in strict mode, its complement."""
-    pos = tuple(pos)
-    if pos not in sc.passable:
-        raise BadGrid("position %r is not a passable cell" % (pos,))
-    _check_mode(mode)
-    if not goals:
-        raise ValueError("goals must not be empty")
-    images = images or {}
-    objs = _goal_objects(sc, goals)
-    lat = sc.payoff_lattice
-    dist = {pos: 0}
-    neighbors = {}
-    frontier = [pos]
-    for d in range(1, sc.horizon + 1):
-        reached = []
-        for c in frontier:
-            neighbors[c] = sc.neighbors(c)
-            for n in neighbors[c]:
-                if n not in dist:
-                    dist[n] = d
-                    reached.append(n)
-        if not reached:
-            break
-        frontier = reached
-    # per goal, its mask at each Chebyshev distance a cell of the ball can
-    # have: at most the ball's radius plus the goal's distance from pos
-    radius = dist[frontier[0]]
-    chains, shows = [], []
-    seen = 0
-    for o in reversed(objs):
-        n = len(o.features)
-        prefix = [lat.mask(o.features[:j]) for j in range(n + 1)]
-        image = lat.mask(images.get(o.id, ()))
-        seen |= image
-        chains.append((o, prefix, image))
-        shows.append((*o.cell, [
-            prefix[_shown(n, k, sc.horizon)]
-            for k in range(radius + chebyshev(pos, o.cell) + 1)]))
-    side = {}
-    for c in dist:
-        x, y = c
-        mask = seen
-        for ox, oy, shown in shows:
-            mask |= shown[max(abs(x - ox), abs(y - oy))]
-        side[c] = lat.complement(mask) if mode == "strict" else mask
-    return pos, dist, neighbors, side, chains
-
-
 class CompoundGame:
     """The game implication(movement, tensor of per-goal reveal chains),
-    held as ints: a movement rank and a chains rank.
+    held as its two factors: the cells of the movement factor and a mixed
+    radix of the chains.
 
     The movement factor is the dual of the system's movement game from the
     position, so Proponent steps to a neighbour at even ticks and Opponent
-    ticks at odd ones, up to tick 2 * horizon.  Its vertices are (position,
-    0) and (c, 2L - 1) and (c, 2L) for each cell c a walk of exactly L
-    steps reaches, 1 <= L <= horizon.  A grid graph is bipartite, so once
-    the position has a neighbour such a walk reaches c iff d <= L and L - d
-    is even, for d the distance of c from the position: the cells follow
-    from the distance pass of _movement_ball, and their ticks from one tick
-    list sorted by str, filtered once per distance.  A goal's chain runs
-    through (goal id, revealed count), advanced by Opponent.  The chains
-    factor is their tensor, left to right, which nests them as (g1, j1),
-    then ((g1, j1), (g2, j2)), and so on; a move advances one count, the
-    goals' in order.  Every move advances the tick or one count, so a
-    vertex sits at depth tick + sum of counts.
+    ticks at odd ones, up to tick 2 * horizon.  A tick keeps the cell, so a
+    walk of L steps is in the same cell at ticks 2L - 1 and 2L, and the
+    factor is held as its cells: cells lists every cell at most horizon
+    steps from the position, the position first, in the order one
+    breadth-first distance pass reaches them.  The pass asks for the
+    neighbours only of the cells closer than the horizon, and ends at its
+    first empty frontier.  cnext[i] gives the ranks of the neighbours of
+    cells[i] in Scenario.neighbors order, for each cell closer than the
+    horizon, and side[i] its side payoff: the images joined with each
+    goal's prefix mask at the count _shown gives at the cell's Chebyshev
+    distance to its object, what visible_rewards shows there; in strict
+    mode, its complement.
+
+    A goal's chain runs through (goal id, revealed count), advanced by
+    Opponent.  The chains factor is their tensor, left to right, which nests
+    them as (g1, j1), then ((g1, j1), (g2, j2)), and so on; a move advances
+    one count, the goals' in order.  It is not listed: chains rank b holds
+    each goal's count as the digit b // stride % (n + 1), for its stride
+    the product of the later goals' n + 1, so the first goal's digit is the
+    most significant.  goals holds per goal its id, stride and meet terms
+    by count (the revealed prefix mask joined with its image); name(b)
+    names rank b, reveals(b) gives the ranks one reveal from it, goals in
+    order, and meet(b) the meet of its terms.  A vertex pays the side
+    payoff of its cell joined with the meet of its chains rank.
 
     Its alternated plays, Opponent first, follow one grammar, which
     _search rests on and tests pin.  At tick 0 Opponent has no movement
@@ -323,118 +280,120 @@ class CompoundGame:
     Opponent ticks at each odd one, until the last tick, or a walled-in
     position, leaves Proponent no move.  Or Opponent reveals once more at
     an odd tick, where Proponent has no move, and that ends the play.  So
-    no play holds more than two reveals.
-
-    mverts lists the movement vertices by repr: the cells sorted by repr,
-    and under each cell its ticks sorted by str, which is the same order
-    since a cell's repr is prefix-free.  mnext gives each rank's successor
-    ranks in move order, a cell's neighbours in Scenario.neighbors order;
-    its tick says which player owns them.  The chains factor is not
-    listed: it is a mixed radix, one digit per goal.  A goal's digits are
-    its counts 0..n sorted by repr, and chains rank b holds the digit b //
-    stride % (n + 1) of a goal, for its stride the product of the later
-    goals' n + 1, so the first goal's digit is the most significant; nb is
-    the number of chains ranks.  A vertex is the int v = m * nb + b for
-    movement rank m.  Int order is the repr order of the nested names: a
-    tuple's or a string's repr is prefix-free, and an int's is followed in
-    a pair's repr by "," or ")", below every digit, so comparing the reprs
-    of two pairs compares the reprs of their first coordinates, then of
-    their second ones.  vertex(v) names v as the nested pair ((cell, tick),
-    chains), reveals(b) gives the chains ranks one reveal from b, and
-    moves(v, pol) reads them in tensor_game's order, movement moves first.
-
-    A payoff is a mask of the scenario's payoff lattice, the powerset of
-    its feature universe: side[m], the side payoff _movement_ball gives the
-    cell of movement rank m, joined with meet(b), the meet over goals of
-    each revealed prefix in chains rank b joined with its image.
+    no play holds more than two reveals, nor a count above 2, and up to 2
+    the int order of the ranks is the repr order of their names.
     """
 
     def __init__(self, sc, goals, position=None, mode="practical",
-                 images=None, _ball=None):
-        pos, dist, neighbors, side, chains = _ball or _movement_ball(
-            sc, goals, sc.start if position is None else position, mode,
-            images)
-        last = 2 * sc.horizon
-        # the ticks of distance d: 0 at L = 0 (the only one at a walled-in
-        # pos), else 2L - 1 and 2L for L = d, d + 2, ..., sorted by str once
-        order = [((t + 1) // 2, t) for t in sorted(
-            range(last + 1 if len(dist) > 1 else 1), key=str)]
-        ticks = [[t for n, t in order if n >= d and (n - d) % 2 == 0]
-                 for d in range(max(dist.values()) + 1)]
-        self.mverts, self.side = [], []
-        for c in sorted(dist, key=repr):
-            ts = ticks[dist[c]]
-            self.mverts += [(c, t) for t in ts]
-            self.side += [side[c]] * len(ts)
-        rank = {v: i for i, v in enumerate(self.mverts)}
-        self.mnext = [
-            [] if t == last else [rank[c, t + 1]] if t % 2
-            else [rank[n, t + 1] for n in neighbors[c]]
-            for c, t in self.mverts]
-        # each goal's stride and, per digit, the name (goal id, count), the
-        # meet term and the step to the next count's digit (0 at the last)
-        self._chains = []
-        self.nb = 1
-        for o, prefix, image in chains:
-            n = len(prefix) - 1
-            counts = sorted(range(n + 1), key=repr)
-            self._chains.insert(0, (self.nb, [(
-                (o.id, j), prefix[j] | image,
-                (counts.index(j + 1) - d) * self.nb if j < n else 0)
-                for d, j in enumerate(counts)]))
-            self.nb *= n + 1
-        # count 0 sorts first, so every digit of the chains root is 0
-        self.root = rank[pos, 0] * self.nb
-
-    def _digits(self, b):
-        """The (name, meet term, step) of each goal's digit in rank b.  A
-        vertex v = m * nb + b has b's digits, since nb is a multiple of
-        every stride times its radix."""
-        return [rows[b // stride % len(rows)] for stride, rows in self._chains]
+                 images=None):
+        pos = tuple(sc.start if position is None else position)
+        if pos not in sc.passable:
+            raise BadGrid("position %r is not a passable cell" % (pos,))
+        _check_mode(mode)
+        if not goals:
+            raise ValueError("goals must not be empty")
+        images = images or {}
+        objs = _goal_objects(sc, goals)
+        self.horizon = sc.horizon
+        cells, cnext, rank = [pos], [], {pos: 0}
+        radius = 0
+        while radius < sc.horizon and len(cnext) < len(cells):
+            # the frontier: the cells reached last, whose rows are not made
+            for c in cells[len(cnext):]:
+                row = []
+                for n in sc.neighbors(c):
+                    if n not in rank:
+                        rank[n] = len(cells)
+                        cells.append(n)
+                    row.append(rank[n])
+                cnext.append(row)
+            radius += 1
+        self.cells, self.cnext = cells, cnext
+        # per goal, its mask at each Chebyshev distance a cell can have: at
+        # most the radius plus the goal's distance from pos
+        lat = sc.payoff_lattice
+        self.goals, shows = [], []
+        seen, stride = 0, 1
+        for o in reversed(objs):
+            n = len(o.features)
+            prefix = [lat.mask(o.features[:j]) for j in range(n + 1)]
+            image = lat.mask(images.get(o.id, ()))
+            seen |= image
+            self.goals.insert(0, (o.id, stride, [p | image for p in prefix]))
+            stride *= n + 1
+            shows.append((*o.cell, [
+                prefix[_shown(n, k, sc.horizon)]
+                for k in range(radius + chebyshev(pos, o.cell) + 1)]))
+        self.side = []
+        for x, y in cells:
+            mask = seen
+            for ox, oy, shown in shows:
+                mask |= shown[max(abs(x - ox), abs(y - oy))]
+            self.side.append(lat.complement(mask) if mode == "strict"
+                             else mask)
 
     def reveals(self, b):
-        """The chains ranks one reveal from b, goals in order; given a
-        vertex, the vertices one reveal from it."""
-        return [b + step for _, _, step in self._digits(b) if step]
+        return [b + stride for _, stride, terms in self.goals
+                if b // stride % len(terms) < len(terms) - 1]
 
     def meet(self, b):
-        return reduce(and_, [term for _, term, _ in self._digits(b)])
+        return reduce(and_, [terms[b // stride % len(terms)]
+                             for _, stride, terms in self.goals])
 
-    def moves(self, v, pol):
-        m, b = divmod(v, self.nb)
-        # the dual movement game: P steps at even ticks, O ticks at odd ones
-        out = [x * self.nb + b for x in self.mnext[m]] \
-            if self.mverts[m][1] % 2 == (pol == "O") else []
-        return out + self.reveals(v) if pol == "O" else out
-
-    def payoff(self, v):
-        m, b = divmod(v, self.nb)
-        return self.side[m] | self.meet(b)
-
-    def vertex(self, v):
-        m, b = divmod(v, self.nb)
-        return self.mverts[m], reduce(
-            lambda x, y: (x, y), [name for name, _, _ in self._digits(b)])
+    def name(self, b):
+        return reduce(lambda x, y: (x, y), [
+            (g, b // stride % len(terms)) for g, stride, terms in self.goals])
 
 
 def build_compound_game(sc, goals, position=None, mode="practical",
                         images=None):
-    """The CompoundGame listed as a PayoffGame on the names of its
-    vertices, in its walk order; every vertex is reachable from the root
-    by moves of either polarity.  Payoffs are named in the scenario's
-    payoff lattice."""
+    """The CompoundGame listed as a PayoffGame on the names ((cell, tick),
+    chains) of its vertices, in its walk order; every vertex is reachable
+    from the root by moves of either polarity.  Payoffs are named in the
+    scenario's payoff lattice."""
     from .games import Game, PayoffGame
     game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
-    # vertex m * nb + b names its movement vertex and the chains of rank b,
-    # so each chains name is decoded once, at movement rank 0
-    chains = [game.vertex(b)[1] for b in range(game.nb)]
-    names = [(mv, bv) for mv in game.mverts for bv in chains]
-    listed = Game(names, names[game.root], [
-        (names[v], names[w], pol) for v in range(len(names))
-        for pol in ("O", "P") for w in game.moves(v, pol)])
+    cells, cnext, last = game.cells, game.cnext, 2 * sc.horizon
+    rank = {c: i for i, c in enumerate(cells)}
+    # the movement vertices (cell, tick), walked from (position, 0), in
+    # repr order
+    mverts, frontier = [(cells[0], 0)], [0]
+    for t in range(last):
+        if t % 2 == 0:
+            frontier = {n for i in frontier for n in cnext[i]}
+        mverts += [(cells[i], t + 1) for i in frontier]
+    mverts.sort(key=repr)
+    mrank = {v: m for m, v in enumerate(mverts)}
+    # every chains rank, in the repr order of its name: each goal's counts
+    # sorted by repr, the first goal's the most significant
+    order = [sum(j * stride for j, (_, stride, _) in zip(js, game.goals))
+             for js in product(*[sorted(range(len(terms)), key=repr)
+                                 for _, _, terms in game.goals])]
+    nb = len(order)
+    at = {b: p for p, b in enumerate(order)}
+    ups = [[at[y] for y in game.reveals(b)] for b in order]
+    meets = [game.meet(b) for b in order]
+    # vertex (m, b) is names[m * nb + at[b]], each name made once and shared
+    chains = [game.name(b) for b in order]
+    names = [(mv, bv) for mv in mverts for bv in chains]
+    edges = []
+    for m, (c, t) in enumerate(mverts):
+        # the dual movement game: P steps at even ticks, O ticks at odd ones
+        step = [] if t == last else [mrank[n, t + 1] * nb for n in (
+            [cells[j] for j in cnext[rank[c]]] if t % 2 == 0 else [c])]
+        for p, up in enumerate(ups):
+            v = names[m * nb + p]
+            for pol in ("O", "P"):
+                out = [names[x + p] for x in step] \
+                    if t % 2 == (pol == "O") else []
+                if pol == "O":
+                    out += [names[m * nb + q] for q in up]
+                edges += [(v, w, pol) for w in out]
+    listed = Game(names, names[mrank[cells[0], 0] * nb], edges)
     lat = sc.payoff_lattice
-    k = {name: lat.name(game.payoff(v)) for v, name in enumerate(names)}
-    return PayoffGame(listed, lat, k)
+    return PayoffGame(listed, lat, {
+        names[m * nb + p]: lat.name(game.side[rank[c]] | meet)
+        for m, (c, _) in enumerate(mverts) for p, meet in enumerate(meets)})
 
 
 # traces ----------------------------------------------------------------
@@ -476,152 +435,164 @@ class Trace:
 
 def _search(game, stop=False):
     """The play of a CompoundGame with a maximal joined payoff, as a list
-    of its int vertices, with its objective mask, the number of states
-    (vertex, objective so far) its plays reach and the number of plays
-    ending with each objective size.  With stop, it ends at its bound, and
-    counts no states (None) and only the plays it reached.
+    of its named vertices, with the objective so far at each of them, the
+    number of states (vertex, objective so far) its plays reach and the
+    number of plays ending with each objective size.  With stop, it ends at
+    its bound, and counts no states (None) and only the plays it reached.
 
     A play's objective is the join of its vertex payoffs.  Plays whose
     objective has the largest support win; in a powerset such an objective
     is maximal, since no other set strictly contains it.  Ties fall to
     shorter plays, then to lexical move order: the repr order of the
-    vertices (tests pin it on two-digit coordinates and ticks).
+    vertices, which compares their names part by part (cell, tick,
+    chains), since each part's repr is prefix-free (tests pin it on
+    two-digit coordinates and ticks).
 
     No play is listed, and no move of the game is asked for: the search
-    reads the movement factor's successor table, and of the chains factor
-    only the reveals and meets of the chains ranks a play can reach, at
-    most 1 + k + k(k+1)/2 of them for k goals.  It rests on the play
-    grammar (see CompoundGame): every play is root, (m0, y1), ...,
-    (mj, y1), for one first reveal y1 and a movement walk m0..mj, and ends
-    there when P has no move, or goes on to one second reveal (mj, y2) at
-    an odd tick, which ends it.  meet only grows along chain moves, so the
-    objective is seen | meet(y), for seen the join of side over the walk
-    and y the play's last chains rank.
+    reads the movement factor's cells, and of the chains factor only the
+    reveals and meets of the chains ranks a play can reach, at most 1 + k +
+    k(k+1)/2 of them for k goals.  It rests on the play grammar (see
+    CompoundGame): every play is the root, then a first reveal y1 under
+    which a walk of L steps runs from (position, 0).  After its last
+    step, at tick 2L - 1, the play may end with one second reveal y2;
+    else the walk ticks on to 2L, where it ends when P has no move (L =
+    horizon, or a walled-in position).  Both kinds of play hold 2L + 2
+    vertices.  meet only grows
+    along chain moves, so the objective is seen | meet(y), for seen the
+    join of side over the walk's cells and y the play's last chains rank.
 
-    So one breadth-first search runs over movement states (m, seen),
-    packed as the int seen << shift | m, one layer per tick.  Each state
+    So one breadth-first search runs over walk states (cell, seen), packed
+    as the int seen << shift | cell rank, one layer per step.  Each state
     keeps the number of walks reaching it and the lexically smallest one,
     whose every extension is the smallest among theirs, and each layer is
-    kept in the lexical order of those walks.  The reveals are attached
-    at a play's two ends: every y1 to a state where P has no move, every
-    (y1, y2) pair to a state at an odd tick, where O moves.  They are
-    grouped by meet value (with distinct features almost always just 0),
-    so a state costs one popcount per group, not one per goal or per pair
-    of goals, and adds its count times the group's size to the play
-    counts.  The (vertex, objective) states are counted from the movement
-    states: each y1 with every one of them and each y2 with every one at
-    an odd tick, seen joined with its meet, so that only a nonzero meet
-    needs a set.
+    kept in the lexical order of those walks: a walk's ticks are fixed by
+    its length, so it is ordered by its cells' reprs.  The reveals are
+    attached at a walk's end: every (y1, y2) pair to a state of a layer L
+    >= 1, every y1 to a state where P has no move.  They are grouped by
+    meet value (with distinct features almost always just 0), so a state
+    costs one popcount per group, not one per goal or per pair of goals,
+    and adds its count times the group's size to the play counts.  The
+    (vertex, objective) states are counted from the walk states: a layer
+    L >= 1 holds the vertices of ticks 2L - 1 and 2L, so each y1 joins
+    every state of it twice, and each distinct y2 once.
 
     No objective passes the bound, the largest popcount of every side
     payoff joined with the meet of a reached chains rank, and ties fall to
     shorter plays; so once the best size equals it, a stopped search ends
-    after the layer that holds best_len - 2, the last the winner ends in.
+    after the layer that holds it.
 
     The winner's first reveal y1 is the smallest one that reaches an end
     of the largest support and then the shortest play.  Under it, the
     first walk that stops there and the first walk that takes a second
-    reveal there are rebuilt, and the smaller of the two plays wins: both
-    hold the same number of ints, and int order is repr order.
+    reveal there are rebuilt, ticks named, and the smaller of the two
+    plays wins, compared part by part on (repr(cell), str(tick)): both
+    hold the same number of vertices and the same chains rank but at their
+    last one.
     """
-    side, nb = game.side, game.nb
-    mroot, broot = divmod(game.root, nb)
-    firsts = sorted(game.reveals(broot))
+    side, cnext, cells = game.side, game.cnext, game.cells
+
+    def no_move(steps):
+        """Whether P has no move after a walk of that many steps."""
+        return steps == game.horizon or not cnext[0]
+
+    firsts = sorted(game.reveals(0))
     if not firsts:
-        objective = game.payoff(game.root)
-        return [game.root], objective, 1, {objective.bit_count(): 1}
+        objective = side[0] | game.meet(0)
+        return [((cells[0], 0), game.name(0))], [objective], 1, {
+            objective.bit_count(): 1}
     seconds = {y: sorted(game.reveals(y)) for y in firsts}
     meet = {y: game.meet(y) for y in set(firsts).union(*seconds.values())}
     # meet value -> the reveal ends with it: the first reveals, which end
-    # a walk where P has no move, and the (first, second) pairs, which end
-    # one at an odd tick
+    # a walk where P has no move, and the (first, second) pairs
     ends = (Counter(meet[y] for y in firsts),
             Counter(meet[y] for y1 in firsts for y in seconds[y1]))
-    shift = len(game.mverts).bit_length()
+    shift = len(cells).bit_length()
     low = (1 << shift) - 1
-    # each movement rank's moves, as the packed side payoff and rank they
-    # add, in rank order, made when the search first reaches the rank
-    mnext = game.mnext
-    moves = [None] * len(mnext)
-    root = side[mroot] << shift | mroot
-    count = {root: 1}
-    parent = {root: None}
+    # each cell's moves, as the packed side payoff and rank they add, in
+    # the repr order of the cells, made when the search first reaches it
+    moves = [None] * len(cnext)
     support = {}                # objective size -> plays ending with it
-    best_size, best_len = -1, 0
+    best_size, best_steps = -1, 0
     bound = None
     if stop:
         sides = reduce(or_, side)
         bound = max((sides | g).bit_count() for g in meet.values())
-    layers = []
-    layer = [root]
+    layers, parents = [], [{}]  # packed state -> walks, and -> its parent
+    layer = {side[0] << shift: 1}
     while layer:
-        odd = len(layers) % 2
-        length = len(layers) + 2 + odd      # of a play ending at this tick
+        steps = len(layers)
         layers.append(layer)
-        if best_size == bound:      # layers reach best_len - 2 now
-            break
-        groups = ends[odd].items()
-        nxt = []
-        for s in layer:
-            m = s & low
-            out = moves[m]
+        final = no_move(steps)
+        # both kinds of end hold 2 * steps + 2 vertices
+        groups = ((ends[1] if steps else Counter())
+                  + (ends[0] if final else Counter())).items()
+        nxt, parent = {}, {}
+        for s, c in layer.items():
+            seen = s >> shift
+            for g, n in groups:
+                size = (seen | g).bit_count()
+                support[size] = support.get(size, 0) + c * n
+                if size > best_size:
+                    best_size, best_steps = size, steps
+            if final:
+                continue
+            i = s & low
+            out = moves[i]
             if out is None:
-                out = moves[m] = [side[x] << shift | x
-                                  for x in sorted(mnext[m])]
-            c = count[s]
-            if odd or not out:
-                seen = s >> shift
-                for g, n in groups:
-                    size = (seen | g).bit_count()
-                    support[size] = support.get(size, 0) + c * n
-                    if size > best_size:
-                        best_size, best_len = size, length
-            base = s ^ m
+                out = moves[i] = [side[x] << shift | x for x in sorted(
+                    cnext[i], key=lambda x: repr(cells[x]))]
+            base = s ^ i
             for x in out:
                 u = base | x
-                if u in count:
-                    count[u] += c
+                if u in nxt:
+                    nxt[u] += c
                 else:
-                    count[u] = c
+                    nxt[u] = c
                     parent[u] = s
-                    nxt.append(u)
+        parents.append(parent)
+        if best_size == bound:
+            break
         layer = nxt
 
-    states = None if stop else 1 + _joined(count, shift, ends[0]) + _joined(
-        [s for layer in layers[1::2] for s in layer], shift,
-        Counter(meet[y] for y in set().union(*seconds.values())))
+    states = None
+    if not stop:
+        distinct = Counter(meet[y] for y in set().union(*seconds.values()))
+        states = 1 + _joined(layers[0], shift, ends[0]) + sum(
+            2 * _joined(layer, shift, ends[0])
+            + _joined(layer, shift, distinct) for layer in layers[1:])
 
     def fits(s, y):
         return ((s >> shift) | meet[y]).bit_count() == best_size
 
     def rebuilt(s, y1, y):
-        """The play of the walk to state s under the first reveal y1, then
-        the second reveal y unless it is y1, and its objective."""
-        end, ms = s, []
-        while s is not None:
-            ms.append(s & low)
-            s = parent[s]
-        play = [game.root] + [m * nb + y1 for m in reversed(ms)]
-        if y != y1:
-            play.append(ms[0] * nb + y)
-        return play, (end >> shift) | meet[y]
+        """The (cell rank, tick, chains rank) of each vertex of the play of
+        the walk to state s under the first reveal y1, then the second
+        reveal y unless it is y1."""
+        parts = [(s & low, 2 * best_steps - (y != y1), y)]
+        for k in range(best_steps, 0, -1):
+            parts.append((s & low, 2 * k - 1, y1))
+            s = parents[k][s]
+            parts.append((s & low, 2 * k - 2, y1))
+        parts.append((0, 0, 0))     # the root
+        return parts[::-1]
 
-    # the winner ends a walk at tick best_len - 2 with no move, or takes a
-    # second reveal at tick best_len - 3
-    turns = layers[best_len - 3] if best_len > 3 else []
+    last, stops = layers[best_steps], no_move(best_steps)
     for y1 in firsts:
-        stop = next((rebuilt(s, y1, y1) for s in layers[best_len - 2]
-                     if not mnext[s & low] and fits(s, y1)), None)
-        turn = next((rebuilt(s, y1, y) for s in turns for y in seconds[y1]
-                     if fits(s, y)), None)
-        if stop or turn:
+        ended = stops and next((rebuilt(s, y1, y1) for s in last
+                                if fits(s, y1)), None)
+        turned = next((rebuilt(s, y1, y) for s in last if best_steps
+                       for y in seconds[y1] if fits(s, y)), None)
+        if ended or turned:
             break
-    play, objective = min(p for p in (stop, turn) if p)
-    return play, objective, states, support
+    parts = min((p for p in (ended, turned) if p), key=lambda p: [
+        (repr(cells[i]), str(t)) for i, t, _ in p])
+    play = [((cells[i], t), game.name(y)) for i, t, y in parts]
+    running = accumulate([side[i] | game.meet(y) for i, _, y in parts], or_)
+    return play, list(running), states, support
 
 
 def _joined(packed, shift, values):
-    """The number of distinct (m, seen | g) over packed movement states for
+    """The number of distinct (cell, seen | g) over packed walk states for
     each meet value g, times its count in values."""
     return sum(n * (len({s | g << shift for s in packed}) if g
                     else len(packed)) for g, n in values.items())
@@ -632,15 +603,14 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     entry per move after the root, the play's vertices and objective, and
     its counts of states and plays in the header and the decision log."""
     game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
-    play, objective, states, support = _search(game)
-    named = [game.vertex(v) for v in play]
+    play, running, states, support = _search(game)
     lat = sc.payoff_lattice
     plays = sum(support.values())
     trace = Trace({
         "kind": "plan",
         "scenario": sc.name,
         "mode": mode,
-        "position": list(named[0][0][0]),
+        "position": list(play[0][0][0]),
         "goals": sorted(goals),
         "objective_lattice": "powerset of %d features" % len(sc.universe),
         "states": states,
@@ -654,24 +624,20 @@ def plan_play(sc, goals, mode="practical", position=None, images=None):
     if best > 1:
         trace.log("tie-broken by length, then move order")
 
-    running = 0
-    for i, v in enumerate(play):
-        running |= game.payoff(v)
-        if i == 0:
-            continue
-        cell = named[i][0][0]
+    for i in range(1, len(play)):
+        cell = play[i][0][0]
         actor = "environment" if (i - 1) % 2 == 0 else "system"
         vis = visible_rewards(sc, cell)
         trace.entries.append({
             "actor": actor,
             "position": list(cell),
             "rewards": {g: sorted(vis[g]) for g in sorted(goals)},
-            "objective_so_far": lat.members(running),
+            "objective_so_far": lat.members(running[i]),
         })
-    trace.final_play = [_vertex_doc(v) for v in named]
-    trace.objective = lat.members(objective)
+    trace.final_play = [_vertex_doc(v) for v in play]
+    trace.objective = lat.members(running[-1])
 
-    reached = {cell for (cell, _), _ in named}
+    reached = {cell for (cell, _), _ in play}
     for g in goals:
         obj = sc.objects[g]
         if obj.cell not in reached:
@@ -685,34 +651,22 @@ def _vertex_doc(v):
     return {"cell": list(cell), "tick": t, "chains": repr(bvert)}
 
 
-def _step_game(sc, goals, pos, mode, images):
-    """The compound game a cognition step plans in, listed from the ball
-    whose side payoffs decide first whether the step is saturated (None).
-    A side payoff joins the images, which hold what pos shows, with what
-    its cell shows, so no cell adds to them when every cell pays the same,
-    as at a walled-in pos, whose ball is pos alone."""
-    ball = _movement_ball(sc, goals, pos, mode, images)
-    side = ball[3].values()
-    if min(side) == max(side):
-        return None
-    return CompoundGame(sc, goals, pos, mode, images, ball)
-
-
 def run_cognition(sc, max_steps=50, mode="practical", seed=0):
     """Full exploration loop: discover, select, plan, move, accumulate.
 
     Images of objects only ever grow (by join with what is visible).  A
-    planning step reads the side payoffs of the active goals' movement
-    ball.  When no cell within the horizon can add anything to their
-    joined images, or the step revisits the position, pool and images of
-    an earlier one, the active set shrinks, and no game is listed; the run
-    completes when a single goal saturates, else it stops at max_steps
-    with the step_limit flag.  Otherwise the step lists its compound game
-    from that ball and searches it, stopping at its bound, and the system
-    moves to the cell of the play's third vertex, a neighbour of pos.
+    planning step builds the active goals' compound game, whose distance
+    pass lists the cells within the horizon.  When no cell can add anything
+    to their joined images (every cell has the same side payoff), or the
+    step revisits the position, pool and images of an earlier one, the
+    active set shrinks, and nothing is searched; the run completes when a
+    single goal saturates, else it stops at max_steps with the step_limit
+    flag.  Otherwise the step searches the game, stopping at its bound, and
+    the system moves to the cell of the play's third vertex, a neighbour of
+    pos.
 
-    That vertex is always a step.  A step reaches _search only when its
-    ball is not saturated, so some cell of the ball is not pos; so pos has
+    That vertex is always a step.  A step reaches _search only when it is
+    not saturated, so some cell of the game is not pos; so pos has
     a neighbour and Proponent moves at tick 0.  Every active goal has a
     shown feature, so the chains root has a reveal, and by the play grammar
     (see CompoundGame) every searched play is the root, a first reveal, and
@@ -807,11 +761,15 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
         if state in visited:
             trace.log("step %d: revisit of %s with the same pool and images: "
                       "a cycle" % (steps, list(pos)))
-            game = None
+            saturated = True
         else:
             visited.add(state)
-            game = _step_game(sc, active, pos, mode, images)
-        if game is None:
+            # a side payoff joins the images, which hold what pos shows,
+            # with what its cell shows, so no cell adds to them when every
+            # cell pays the same, as at a walled-in pos, its only cell
+            game = CompoundGame(sc, active, pos, mode, images)
+            saturated = min(game.side) == max(game.side)
+        if saturated:
             if len(active) == 1:
                 trace.log("step %d: single goal %s saturated; run complete"
                           % (steps, active[0]))
@@ -832,14 +790,14 @@ def run_cognition(sc, max_steps=50, mode="practical", seed=0):
                       % (steps, ",".join(active), ",".join(shrunk)))
             continue
 
-        play, objective, _, _ = _search(game, stop=True)
-        move_to = game.mverts[play[2] // game.nb][0]
+        play, running, _, _ = _search(game, stop=True)
+        move_to = play[2][0][0]
         trace.entries.append({
             "actor": "system",
             "position": list(move_to),
             "move": [list(pos), list(move_to)],
             "active": sorted(active),
-            "objective": sc.payoff_lattice.members(objective),
+            "objective": sc.payoff_lattice.members(running[-1]),
         })
         pos = move_to
         reveal(pos)

@@ -27,18 +27,18 @@ and (in tests/test_planner.py) compound games; so is the earlier play
 search, which sorted each successor list by a repr of every vertex and
 whose traces plan_play must reproduce on seeded scenarios with two-digit
 coordinates and ticks and with object ids that share a prefix or hold
-quotes and commas; so is the search over (vertex, objective) states,
-whose play, objective, state count and play counts the movement-state
-search must match on every step of the seeded whole runs, on seeded and
-open grids and on the shapes where the play grammar is degenerate; so
-is the walk of the movement game (_Movement), whose repr-sorted vertices,
-successor lists, side payoffs and root CompoundGame's listing from the
-cell frontiers must equal from every cell of two seeded rounds of the
-benchmark's planner scenarios and of the edge shapes; so are the earlier
-compound game, composed of the movement game and the
-per-goal chain Games, whose listing and payoffs the int CompoundGame
-must reproduce, as must copycat on its listing, and the earlier
-goal-set selection,
+quotes and commas; so is the search over (vertex, objective) states of
+the earlier compound game, whose play, objectives, state count and play
+counts the step search must match on every step of the seeded whole
+runs, on seeded and open grids and on the shapes where the play grammar
+is degenerate; so is the walk of the movement game (_Movement), whose
+cells in the order it first reaches them, their neighbours and side
+payoffs CompoundGame's distance pass must equal from every cell of two
+seeded rounds of the benchmark's planner scenarios and of the edge
+shapes; so are the earlier compound game, composed of the movement game
+and the per-goal chain Games, whose listing and payoffs
+build_compound_game must reproduce, as must copycat on its listing, and
+the earlier goal-set selection,
 whose pairwise maximality test select_goal_sets must match on every
 anchor, and the earlier saturation check of a cognition step (the features
 visible from the movement ball against the joined images), which the
@@ -59,7 +59,8 @@ import os
 import random
 import sys
 from collections import Counter, deque
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, product
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
@@ -107,7 +108,7 @@ from phasegame.phase import (
 )
 from phasegame.planner import (CompoundGame, GoalProcessSet, Selection,
                                Trace, _check_mode, _goal_objects,
-                               _search, _step_game, _vertex_doc,
+                               _search, _vertex_doc,
                                build_compound_game, eval_priority,
                                load_scenario, plan_play, run_cognition,
                                visible_rewards)
@@ -1562,9 +1563,9 @@ def test_validation_agrees_with_the_earlier_strategy_check():
 # the earlier play search -----------------------------------------------
 #
 # plan_play as it was before its successor lists were ordered by the cached
-# reprs of their parts: each list sorted by a fresh repr of every vertex,
-# asked of the compound game's moves at each vertex, with nested tuples for
-# vertices and states.
+# reprs of their parts: the earlier search below, each successor list sorted
+# by a fresh repr of every vertex, asked of the compound game's moves at
+# each vertex, with nested tuples for vertices and states.
 
 def old_plan_play(sc, goals, mode="practical", position=None, images=None):
     if position is None:
@@ -1582,59 +1583,19 @@ def old_plan_play(sc, goals, mode="practical", position=None, images=None):
         "objective_lattice": "powerset of %d features" % len(sc.universe),
     })
 
-    root = (game.root, game.payoff(game.root))
-    count = {root: 1}
-    parent = {root: None}
-    succ = {}
-    support = {}
-    best_size, best = -1, None
-    layer = [root]
-    depth = 0
-    while layer:
-        pol = "O" if depth % 2 == 0 else "P"
-        nxt = []
-        for s in layer:
-            v, mask = s
-            if v not in succ:
-                succ[v] = [(w, game.payoff(w))
-                           for w in sorted(game.moves(v, pol), key=repr)]
-            if not succ[v]:
-                size = mask.bit_count()
-                support[size] = support.get(size, 0) + count[s]
-                if size > best_size:
-                    best_size, best = size, s
-                continue
-            for w, k in succ[v]:
-                u = (w, mask | k)
-                if u in count:
-                    count[u] += count[s]
-                else:
-                    count[u] = count[s]
-                    parent[u] = s
-                    nxt.append(u)
-        layer = nxt
-        depth += 1
-    trace.header["states"] = len(count)
+    play, running, states, support = old_search(game)
+    trace.header["states"] = states
     trace.header["plays"] = sum(support.values())
     trace.log("enumerated %d alternated plays" % trace.header["plays"])
     trace.log("plays with an objective of largest support: %d"
-              % support[best_size])
+              % support[max(support)])
     trace.log("plays by objective size: %s" % ", ".join(
         "%d: %d" % kv for kv in sorted(support.items())))
-    if support[best_size] > 1:
+    if support[max(support)] > 1:
         trace.log("tie-broken by length, then move order")
 
-    play = []
-    s = best
-    while s is not None:
-        play.append(s[0])
-        s = parent[s]
-    play.reverse()
-
-    running = 0
     for i, v in enumerate(play):
         (cell, t), _ = v
-        running |= game.payoff(v)
         if i == 0:
             continue
         actor = "environment" if (i - 1) % 2 == 0 else "system"
@@ -1643,10 +1604,10 @@ def old_plan_play(sc, goals, mode="practical", position=None, images=None):
             "actor": actor,
             "position": list(cell),
             "rewards": {g: sorted(vis[g]) for g in sorted(goals)},
-            "objective_so_far": lat.members(running),
+            "objective_so_far": lat.members(running[i]),
         })
     trace.final_play = [_vertex_doc(v) for v in play]
-    trace.objective = lat.members(best[1])
+    trace.objective = lat.members(running[-1])
 
     reached = {cell for (cell, t), _ in play}
     for g in goals:
@@ -1859,12 +1820,13 @@ def random_case(rng):
 # _search as it was before it searched the movement game once per plan and
 # attached the reveals at a play's two ends: one breadth-first search over
 # the product states (vertex, objective so far), repeating the movement
-# walk once per first reveal.
+# walk once per first reveal, run here on the earlier compound game.
 
 def old_search(game):
-    """The play of a CompoundGame with a maximal joined payoff, as a list
-    of its int vertices, with its objective mask, the number of states
-    explored and the number of plays ending with each objective size.
+    """The play of a compound game with a maximal joined payoff, as a list
+    of its vertices with the objective so far at each of them, the number
+    of states explored and the number of plays ending with each objective
+    size.
 
     A play's objective is the join of its vertex payoffs.  Plays whose
     objective has the largest support win; in a powerset such an objective
@@ -1873,21 +1835,18 @@ def old_search(game):
     vertices (tests pin it on two-digit coordinates and ticks).
 
     No play is listed: the search asks the game once for the moves of
-    each vertex it reaches, sorted, and for their payoffs.  A vertex is an
-    int, whose order is the repr order of its name (see CompoundGame).
+    each vertex it reaches, sorted by repr, and for their payoffs.
 
     A breadth-first search runs over states (vertex, objective so far),
-    packed as the int objective * nv + vertex for the exact vertex count
-    nv, one layer per play length: a vertex fixes its depth, so every
-    prefix reaching a state has the same length, and the state keeps the
-    number of prefixes reaching it and the lexically smallest one, whose
-    every extension is the smallest among theirs.  Each layer is kept in
-    the lexical order of those prefixes, so the first play found with the
+    one layer per play length: a vertex fixes its depth, so every prefix
+    reaching a state has the same length, and the state keeps the number
+    of prefixes reaching it and the lexically smallest one, whose every
+    extension is the smallest among theirs.  Each layer is kept in the
+    lexical order of those prefixes, so the first play found with the
     largest objective is the winner, and each play count is a sum of
     state counts.
     """
-    nv = len(game.mverts) * game.nb
-    root = game.payoff(game.root) * nv + game.root
+    root = (game.root, game.payoff(game.root))
     count = {root: 1}
     parent = {root: None}
     succ = {}
@@ -1899,11 +1858,11 @@ def old_search(game):
         pol = "O" if depth % 2 == 0 else "P"
         nxt = []
         for s in layer:
-            mask, v = divmod(s, nv)
+            v, mask = s
             out = succ.get(v)
             if out is None:
                 out = succ[v] = [(w, game.payoff(w))
-                                 for w in sorted(game.moves(v, pol))]
+                                 for w in sorted(game.moves(v, pol), key=repr)]
             if not out:
                 size = mask.bit_count()
                 support[size] = support.get(size, 0) + count[s]
@@ -1912,7 +1871,7 @@ def old_search(game):
                 continue
             c = count[s]
             for w, k in out:
-                u = (mask | k) * nv + w
+                u = (w, mask | k)
                 if u in count:
                     count[u] += c
                 else:
@@ -1925,10 +1884,11 @@ def old_search(game):
     play = []
     s = best
     while s is not None:
-        play.append(s % nv)
+        play.append(s[0])
         s = parent[s]
     play.reverse()
-    return play, best // nv, len(count), support
+    return (play, list(accumulate(map(game.payoff, play), or_)), len(count),
+            support)
 
 
 def edge_scenario(grid, start, horizon, objects):
@@ -1991,12 +1951,21 @@ def open_grid_scenario(horizon, goals):
                                       (3, 2)][:goals])])
 
 
-def assert_searches_agree(game):
-    """The search picks the earlier search's play and objective, and counts
-    the same states and plays by size."""
-    got = _search(game)
-    assert got == old_search(game)
+def assert_searches_agree(*args):
+    """The search of the CompoundGame of args picks the earlier search's
+    play and objectives on the earlier compound game, and counts the same
+    states and plays by size."""
+    got = _search(CompoundGame(*args))
+    assert got == old_search(OldCompoundGame(*args))
     return got
+
+
+class RecordedGame(CompoundGame):
+    """A CompoundGame that keeps the arguments it was built from."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.args = args
 
 
 def test_search_matches_the_earlier_search_on_whole_runs(monkeypatch):
@@ -2007,12 +1976,13 @@ def test_search_matches_the_earlier_search_on_whole_runs(monkeypatch):
 
     def checked(game, stop=False):
         stops.append(stop)
-        full = assert_searches_agree(game)
+        full = assert_searches_agree(*game.args)
         if not stop:
             return full
         got = _search(game, stop=True)
         assert got[:3] == (*full[:2], None)
         return got
+    monkeypatch.setattr(planner, "CompoundGame", RecordedGame)
     monkeypatch.setattr(planner, "_search", checked)
     for seed in range(10000, 10300):
         sc = random_case(random.Random(seed))[0]
@@ -2057,8 +2027,7 @@ def test_search_matches_the_earlier_search_on_seeded_grids():
         for mode in ("practical", "strict"):
             for at in (None, position):
                 for seen in (None, images):
-                    assert_searches_agree(
-                        CompoundGame(sc, goals, at, mode, seen))
+                    assert_searches_agree(sc, goals, at, mode, seen)
 
 
 @pytest.mark.parametrize("horizon", [10, 12])
@@ -2066,8 +2035,7 @@ def test_search_matches_the_earlier_search_on_open_grids(horizon):
     for goals in range(1, 5):
         sc = open_grid_scenario(horizon, goals)
         for mode in ("practical", "strict"):
-            assert_searches_agree(
-                CompoundGame(sc, sorted(sc.objects), mode=mode))
+            assert_searches_agree(sc, sorted(sc.objects), None, mode)
 
 
 @pytest.mark.parametrize("label", sorted(search_edge_cases()))
@@ -2076,21 +2044,22 @@ def test_search_matches_the_earlier_search_on_edge_cases(label):
     goals = sorted(sc.objects)
     for mode in ("practical", "strict"):
         for seen in (None, images):
-            game = CompoundGame(sc, goals, mode=mode, images=seen)
-            play, _, states, support = assert_searches_agree(game)
+            play, _, states, support = assert_searches_agree(
+                sc, goals, None, mode, seen)
     if label == "no features":
-        assert (play, states, sum(support.values())) == ([game.root], 1, 1)
+        assert (len(play), states, sum(support.values())) == (1, 1, 1)
     if label in ("a single goal", "shared universe"):
         # with the images, a first reveal meets above 0
-        firsts = game.moves(game.root, "O")
-        assert any(game.meet(y % game.nb) for y in firsts)
+        game = CompoundGame(sc, goals, images=images)
+        assert any(game.meet(y) for y in game.reveals(0))
 
 # the walked movement game ----------------------------------------------
 #
 # The system's movement game as CompoundGame listed it before it read the
-# cell frontiers: walked from the position with walk, its vertices
-# sorted by repr and each one's successors ranked in move order, and each
-# cell's side payoff joined from visible_rewards.
+# cell frontiers: walked from the position with walk, and each cell's side
+# payoff joined from visible_rewards.  The cells of its distance pass are
+# the walk's cells in the order it first reaches them, and a cell's
+# neighbours are its successors at an even tick below the last.
 
 class _Movement:
     """The system's movement game from pos: Opponent steps to a neighbour
@@ -2111,24 +2080,32 @@ class _Movement:
 
 
 def old_movement_listing(sc, pos):
-    """(mverts, mnext, root rank) from the walk of _Movement from pos."""
+    """(cells, cnext) from the walk of _Movement from pos: its cells, in
+    the order it first reaches them, and the ranks of each cell's
+    successors at an even tick below the last, for each cell that has
+    one."""
     walked, edges = walk(_Movement(sc, pos, sc.horizon))
-    mverts = sorted(walked, key=repr)
-    rank = {v: i for i, v in enumerate(mverts)}
-    mnext = [[] for _ in mverts]
-    for v, w, _ in edges:
-        mnext[rank[v]].append(rank[w])
-    return mverts, mnext, rank[pos, 0]
+    cells = list(dict.fromkeys(cell for cell, _ in walked))
+    rank = {c: i for i, c in enumerate(cells)}
+    steps = {}
+    for (cell, t), (n, _), _ in edges:
+        if t % 2 == 0:
+            steps.setdefault((cell, t), []).append(rank[n])
+    rows = {}
+    for cell, t in walked:
+        if t % 2 == 0 and t < 2 * sc.horizon:
+            rows.setdefault(cell, steps.get((cell, t), []))
+    return cells, [rows[c] for c in cells if c in rows]
 
 
-def old_sides(sc, goals, mverts, mode, images):
-    """Each movement vertex's side payoff, from the visible rewards of the
-    goals at its cell joined with their images."""
+def old_sides(sc, goals, cells, mode, images):
+    """Each cell's side payoff, from the visible rewards of the goals at
+    it joined with their images."""
     lat = sc.payoff_lattice
     images = images or {}
     seen = lat.mask(f for g in goals for f in images.get(g, ()))
     out = []
-    for cell, _ in mverts:
+    for cell in cells:
         vis = visible_rewards(sc, cell)
         mask = seen | lat.mask(f for g in goals for f in vis[g])
         out.append(lat.complement(mask) if mode == "strict" else mask)
@@ -2136,19 +2113,18 @@ def old_sides(sc, goals, mverts, mode, images):
 
 
 def assert_lists_the_walk(sc, goals, images):
-    """From every passable cell, CompoundGame lists the movement game as
-    its walk did, in both modes, with and without the images; returns the
-    largest tick and coordinate listed."""
+    """From every passable cell, CompoundGame lists the movement game's
+    cells as its walk did, in both modes, with and without the images;
+    returns the largest coordinate listed."""
     top = 0
     for pos in sorted(sc.passable):
-        mverts, mnext, root = old_movement_listing(sc, pos)
+        cells, cnext = old_movement_listing(sc, pos)
         for mode in ("practical", "strict"):
             for seen in (None, images):
                 game = CompoundGame(sc, goals, pos, mode, seen)
-                assert (game.mverts, game.mnext) == (mverts, mnext), pos
-                assert game.root == root * game.nb
-                assert game.side == old_sides(sc, goals, mverts, mode, seen)
-        top = max([top] + [max(t, *cell) for cell, t in mverts])
+                assert (game.cells, game.cnext) == (cells, cnext), pos
+                assert game.side == old_sides(sc, goals, cells, mode, seen)
+        top = max([top] + [max(cell) for cell in cells])
     return top
 
 
@@ -2174,7 +2150,7 @@ def test_movement_listing_matches_the_walk_in_the_benchmark_shapes(
         goals = sorted(sc.objects)
         images = {g: frozenset(sc.objects[g].features[:1]) for g in goals}
         top = max(top, assert_lists_the_walk(sc, goals, images))
-    # two-digit coordinates and ticks, where repr order is not int order
+    # two-digit coordinates, where repr order is not int order
     assert top >= 10
 
 
@@ -2410,8 +2386,9 @@ def test_saturation_matches_the_earlier_ball_check():
                         f for f in sc.objects[i].features
                         if rng.random() < 0.6) for i in ids}
                     want = old_saturated(sc, pos, active, images)
-                    game = _step_game(sc, active, pos, mode, images)
-                    assert (game is None) == want, (sc.rows, pos, active)
+                    side = CompoundGame(sc, active, pos, mode, images).side
+                    assert (min(side) == max(side)) == want, \
+                        (sc.rows, pos, active)
                     seen[want, not sc.neighbors(pos)] += 1
     assert min(seen[k] for k in [(True, False), (False, False),
                                  (True, True)]) >= 50, seen

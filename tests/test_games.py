@@ -13,7 +13,6 @@ from phasegame.games import (Game, PayoffGame, Strategy, compose_strategies,
                              implication_game, is_winning, maximal_plays,
                              payoff_implication, payoff_tensor, tensor_game)
 from phasegame.lattice import Lattice, PowersetLattice
-from phasegame.planner import CompoundGame, load_scenario
 
 
 def line_game():
@@ -379,14 +378,13 @@ def test_strategy_checks_each_move_once():
 
 def test_strategy_on_an_unlisted_game_is_on_no_game():
     # a Strategy is built on any game with a root and moves, but is_winning
-    # and compose_strategies compare listed Games, so a strategy on a
-    # CompoundGame, or on the counting wrapper above, is on none of them
-    game = CompoundGame(load_scenario("data:tiny_scenario.json"), ["obj_e"])
-    s = Strategy(game, {(game.root,)})
-    pg = PayoffGame(point(game.root), chain(2), {game.root: "1"})
+    # and compose_strategies compare listed Games, so a strategy on the
+    # counting wrapper above is on none of them, even one wrapping the Game
+    x = point()
+    s = Strategy(CountedMoves(x), {(x.root,)})
+    pg = PayoffGame(x, chain(2), {x.root: "1"})
     with pytest.raises(ComponentMismatch, match="not on the payoff"):
         is_winning(pg, s)
-    x = point()
     counted = Strategy(CountedMoves(copycat(x).game), copycat(x).plays)
     with pytest.raises(ComponentMismatch, match="first strategy"):
         compose_strategies(x, x, x, counted, copycat(x))
