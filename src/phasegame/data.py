@@ -16,6 +16,7 @@ import json
 import math
 import os
 from collections import namedtuple
+from itertools import chain
 
 from .errors import ForeignElement, NotCommutative, UsageError
 
@@ -158,12 +159,12 @@ ENUMS = {"unit_mode": ("weak", "strict"), "checks": ("full", "relaxed")}
 DISTINCT = ("elements", "dual_overrides", "features", "generators",
             "op_class", "cl_class", "falsum_subset")
 
-# each kind of row: the types its entries may have, in order (an array
-# entry lists names, as a product's candidates do), and the message for a
-# row that does not fit
-ROWS = {"pair": ({(str, str)}, "items of field {0!r} must be pairs of "
+# each kind of row: its length, the types its entries may have, in order
+# (an array entry lists names, as a product's candidates do), and the
+# message for a row that does not fit
+ROWS = {"pair": (2, {(str, str)}, "items of field {0!r} must be pairs of "
                  "strings, got {1!r}"),
-        "product": ({(str, str, str), (str, str, list)},
+        "product": (3, {(str, str, str), (str, str, list)},
                     "{0} row {1!r} is not an [x, y, value] triple")}
 
 _KINDS = {list: "an array", dict: "an object", str: "a string",
@@ -202,11 +203,11 @@ def fields(doc, kind, given=()):
                              % (key, arity, value))
         if item is None:
             continue
-        entries, message = ROWS.get(item, (None, None))
+        size, entries, message = ROWS.get(item, (None, None, None))
         want = list if entries else dict if item in SCHEMAS else item
         # rows are checked by entry types below, so they skip _is_a
         fits = isinstance if entries else _is_a
-        for v in value:
+        for v in () if entries and _plain(value, size) else value:
             if not fits(v, want):
                 raise UsageError("items of field %r must be %s, got %r"
                                  % (key, _KINDS[want], v))
@@ -220,6 +221,14 @@ def fields(doc, kind, given=()):
         if item in SCHEMAS:
             out[key] = [fields(v, item) for v in value]
     return out
+
+
+def _plain(rows, size):
+    """Whether every row is exactly a list of size entries, each exactly a
+    str, in three whole-array passes; rows that are not are checked one by
+    one, so the first bad row is named."""
+    return (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {size}
+            and set(map(type, chain.from_iterable(rows))) <= {str})
 
 
 def distinct(values, what):

@@ -1,8 +1,10 @@
 """Finite bounded lattices described by their Hasse (cover) relation.
 
 Order is the reflexive-transitive closure of the covers, computed once at
-construction and cached as bitmasks.  All operations are pure; a Lattice is
-immutable after __init__.
+construction and cached as bitmasks, with the join table.  All operations
+are pure; the only state a Lattice gains after __init__ is its meet rows,
+each built from the down-sets the first time it is read, and its
+distributivity verdict.
 """
 from itertools import compress
 from operator import itemgetter
@@ -80,7 +82,7 @@ class Lattice:
                                               for u in up])][::-1]
         self._below = [c.encode().translate(_BYTE_OF_DIGIT) for c in cols]
         self._down = down = [int(c[::-1], 2) for c in cols]
-        self._by_down = by_down = {m: k for k, m in enumerate(down)}
+        self._by_down = {m: k for k, m in enumerate(down)}
         self._bot = bot
         self._bits = [1 << z for z in range(n)]
         # each element after its lower covers, for scans that fold upwards
@@ -89,26 +91,45 @@ class Lattice:
             for h in hi:
                 self._lower[h].append(lo)
         self._upward = sorted(range(n), key=lambda k: down[k].bit_count())
-        # join/meet tables: the join of i and j is the k whose up-set is the
-        # common up-set, if there is one; meets dually.  Row i looks up only
-        # the pairs j >= i and copies the pairs j < i from column i of the
-        # rows before it, which found them, so each row raises at its first
-        # pair j >= i.
-        self._join, self._meet = join, meet = [], []
-        for i, (u, d) in enumerate(zip(up, down)):
+        # the join of i and j is the k whose up-set is the common up-set, if
+        # there is one.  Row i looks up only the pairs j >= i and copies the
+        # pairs j < i from column i of the rows before it.  With every join
+        # found, every meet exists too (the join of the common lower bounds,
+        # which bottom makes nonempty), so meet rows wait for _meet_row
+        self._join = join = []
+        for i, u in enumerate(up):
             joins = list(map(itemgetter(i), join))
-            meets = list(map(itemgetter(i), meet))
             joins += map(by_up.get, map(u.__and__, up[i:]))
-            meets += map(by_down.get, map(d.__and__, down[i:]))
-            if None in joins or None in meets:
-                j = next(j for j in range(i, n)
-                         if joins[j] is None or meets[j] is None)
-                raise NotALattice("no unique %s for %r, %r" % (
-                    "join" if joins[j] is None else "meet",
-                    self.elements[i], self.elements[j]))
+            if None in joins:
+                self._no_lattice(by_up)
             join.append(joins)
-            meet.append(meets)
+        self._meets = [None] * n
         self._distributive = None
+
+    def _no_lattice(self, by_up):
+        """Raise NotALattice at the first pair (i, j), j >= i, in element
+        order, that has no join or, failing that, no meet; by_up indexes
+        the elements by their up-sets."""
+        els, up, down, by_down = (self.elements, self._up, self._down,
+                                  self._by_down)
+        for i, (u, d) in enumerate(zip(up, down)):
+            for j in range(i, len(els)):
+                for word, have in (("join", u & up[j] in by_up),
+                                   ("meet", d & down[j] in by_down)):
+                    if not have:
+                        raise NotALattice("no unique %s for %r, %r"
+                                          % (word, els[i], els[j]))
+
+    def _meet_row(self, i):
+        """Row i of the meet table, built from the down-sets when first
+        asked for: the meet of i and j is the k whose down-set is the
+        common down-set."""
+        row = self._meets[i]
+        if row is None:
+            row = self._meets[i] = list(map(self._by_down.__getitem__,
+                                            map(self._down[i].__and__,
+                                                self._down)))
+        return row
 
     @property
     def key(self):
@@ -140,14 +161,14 @@ class Lattice:
         """Meet of xs; top when xs is empty."""
         acc = self.idx(self.top)
         for x in xs:
-            acc = self._meet[acc][self.idx(x)]
+            acc = self._meet_row(acc)[self.idx(x)]
         return self.elements[acc]
 
     def join2(self, x, y):
         return self.elements[self._join[self.idx(x)][self.idx(y)]]
 
     def meet2(self, x, y):
-        return self.elements[self._meet[self.idx(x)][self.idx(y)]]
+        return self.elements[self._meet_row(self.idx(x))[self.idx(y)]]
 
     def is_distributive(self):
         # row-wise: i /\ (j \/ k) == (i /\ j) \/ (i /\ k) for every k at once
@@ -156,7 +177,8 @@ class Lattice:
             self._distributive = all(
                 list(map(mi.__getitem__, join[j]))
                 == list(map(join[mij].__getitem__, mi))
-                for mi in self._meet for j, mij in enumerate(mi))
+                for mi in map(self._meet_row, range(len(join)))
+                for j, mij in enumerate(mi))
         return self._distributive
 
     def residual(self, row, t):
@@ -204,7 +226,7 @@ class Lattice:
             raise NotHeyting("lattice is not distributive")
         # a /\ (join of the witnesses) is the join of their meets with a,
         # at or below b, so the residual of a distributive meet row is closed
-        star, _ = self.residual(self._meet[self.idx(a)], self.idx(b))
+        star, _ = self.residual(self._meet_row(self.idx(a)), self.idx(b))
         return self.elements[star]
 
     def heyting_neg(self, a):

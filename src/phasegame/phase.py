@@ -227,7 +227,7 @@ def _dual_of_join(lattice, dual):
     els = lattice.elements
     get = dual.__getitem__
     for x, join_x in enumerate(lattice._join):
-        meet_dx = lattice._meet[dual[x]]
+        meet_dx = lattice._meet_row(dual[x])
         if list(map(get, join_x)) != list(map(meet_dx.__getitem__, dual)):
             for y in range(len(els)):
                 if dual[join_x[y]] != meet_dx[dual[y]]:
@@ -275,9 +275,11 @@ def _laws(lattice, rows, unit, falsum, dual=None, proved=()):
     # this law is scanned in full before it is listed.  A row whose
     # witness masks towards the duals are the down-sets of the duals of
     # its products has every pair closed and passing; only the pairs of
-    # any other row are taken one by one.
+    # any other row are taken one by one, with the residual towards each
+    # distinct dual found once per row.
     down, star_of = lattice._down, lattice._star
     wants = list(map(down.__getitem__, dual))
+    targets = list(dict.fromkeys(dual))
     checked, witnesses = 0, []
     for x, row in enumerate(rows):
         w = lattice.witnesses(row)
@@ -285,8 +287,9 @@ def _laws(lattice, rows, unit, falsum, dual=None, proved=()):
                                                           row)):
             checked += n
             continue
+        stars = dict(zip(targets, map(star_of, map(w.__getitem__, targets))))
         for y, t in enumerate(dual):
-            star, closed = star_of(w[t])
+            star, closed = stars[t]
             if closed:
                 checked += 1
                 want = dual[row[y]]

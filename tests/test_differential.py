@@ -49,7 +49,12 @@ tokens, trees, values and error messages the one operator table must
 reproduce on seeded random strings, well-formed and not; and the earlier
 two-pass product-row parser, a name-keyed table read back into index rows,
 whose rows or errors the one parser must reproduce through phase_from_doc,
-solve_table and monoid_from_doc on edited and seeded documents.
+solve_table and monoid_from_doc on edited and seeded documents; and the
+earlier row checks (old_fields), which took every row of a row array one
+by one, and whose fields or errors the whole-array passes of fields must
+reproduce on seeded row arrays.  The earlier lattice tables are also the
+oracle for each meet row, which a Lattice builds only when a reader first
+asks for it.
 """
 
 import copy
@@ -68,7 +73,9 @@ import pytest
 from conftest import hand_built, random_game, random_strategy
 from phasegame import phase as phase_module
 from phasegame import planner
-from phasegame.data import data_path, fields, load_doc, resolve_path
+from phasegame.data import (_KINDS, DISTINCT, ENUMS, REQUIRED, SCHEMAS,
+                            _is_a, data_path, distinct, fields, load_doc,
+                            resolve_path)
 from phasegame.errors import (
     CapExceeded,
     DualLawViolation,
@@ -97,6 +104,7 @@ from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
     _associative,
+    _dual_of_join,
     _enforce,
     _generators,
     _light,
@@ -184,7 +192,7 @@ def old_tables(elements, covers, bottom, top):
 
 def old_is_distributive(lat):
     n = len(lat.elements)
-    join, meet = lat._join, lat._meet
+    join, meet = lat._join, list(map(lat._meet_row, range(n)))
     return all(meet[i][join[j][k]] == join[meet[i][j]][meet[i][k]]
                for i in range(n) for j in range(n) for k in range(n))
 
@@ -378,7 +386,7 @@ def test_lattice_tables_match_the_earlier_search():
         except PhasegameError as exc:
             got = type(exc).__name__, str(exc)
         else:
-            got = lat._join, lat._meet
+            got = lat._join, list(map(lat._meet_row, range(len(els))))
             assert lat.is_distributive() == old_is_distributive(lat)
         assert got == want, (els, covers, bottom, top)
         kinds.add(want[0] if isinstance(want[0], str) else "lattice")
@@ -410,7 +418,7 @@ def test_distributive_meet_rows_residuate_closed():
             continue
         lattices += 1
         els = lat.elements
-        for a, row in zip(els, lat._meet):
+        for a, row in zip(els, map(lat._meet_row, range(len(els)))):
             for t, b in enumerate(els):
                 star, closed = lat.residual(row, t)
                 assert closed, (els, a, b)
@@ -420,6 +428,64 @@ def test_distributive_meet_rows_residuate_closed():
                 assert lat.heyting_implies(a, b) == els[star]
                 residuals += 1
     assert (lattices, residuals) == (938, 13572)
+
+
+def test_meet_rows_wait_for_their_first_reader():
+    # a Lattice builds its join table only; each reader of the meet table
+    # builds the rows it reads (meet's fold each row it passes through,
+    # _dual_of_join the rows of the duals), and every reader agrees with
+    # the earlier tables
+    rng = random.Random(602)
+    lattices = distributive = 0
+    for _ in range(3000):
+        els, covers, bottom, top = random_order(rng)
+        try:
+            lat = Lattice(els, covers, bottom, top)
+        except PhasegameError:
+            continue
+        lattices += 1
+        join, meet = old_tables(els, covers, bottom, top)
+        n = len(els)
+        assert lat._meets == [None] * n
+
+        def built():
+            return {i for i, row in enumerate(lat._meets) if row is not None}
+
+        i, j = rng.randrange(n), rng.randrange(n)
+        assert lat.meet2(els[i], els[j]) == els[meet[i][j]]
+        assert built() == {i}
+        xs = rng.sample(range(n), rng.randint(0, n))
+        acc = els.index(top)
+        rows = {i}
+        for x in xs:
+            rows.add(acc)
+            acc = meet[acc][x]
+        assert lat.meet([els[x] for x in xs]) == els[acc]
+        assert built() == rows
+
+        fresh = Lattice(els, covers, bottom, top)
+        dual = [rng.randrange(n) for _ in range(n)]
+        want = [(els[x], els[y]) for x in range(n) for y in range(n)
+                if dual[join[x][y]] != meet[dual[x]][dual[y]]]
+        assert list(_dual_of_join(fresh, dual)) == want
+        assert {i for i, row in enumerate(fresh._meets)
+                if row is not None} == set(dual)
+
+        d = all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+                for a in range(n) for b in range(n) for c in range(n))
+        assert lat.is_distributive() == d
+        # the verdict stops at its first failing row
+        assert all(row in (None, old) for row, old in zip(lat._meets, meet))
+        assert list(map(lat._meet_row, range(n))) == meet
+        if d:
+            distributive += 1
+            a, b = rng.randrange(n), rng.randrange(n)
+            below = [c for c in range(n) if meet[meet[a][c]][b] == meet[a][c]]
+            acc = els.index(bottom)
+            for c in below:
+                acc = join[acc][c]
+            assert lat.heyting_implies(els[a], els[b]) == els[acc]
+    assert (lattices, distributive) == (2029, 858)
 
 
 def loaded_duals(doc, lat):
@@ -711,9 +777,16 @@ def test_edited_structures_match_the_earlier_residual_law(monkeypatch):
         report = verify_laws(ps)
         assert report == old_report(lat, table, doc["unit"], doc["falsum"],
                                     want, doc["unit_mode"]), case
-        # a row scanned pair by pair asks _star once per element
-        assert len(calls) % n == 0 and len(calls) < n * n, case
-        seen[report["laws"][-1]["status"], len(calls) // n] += 1
+        # a row scanned pair by pair asks _star once per distinct dual: a
+        # row is scanned when its witness masks towards the duals are not
+        # the down-sets of the duals of its products
+        dual, down = ps._dual, lat._down
+        scanned = 0
+        for row in ps._rows:
+            w = lat.witnesses(row)
+            scanned += [w[t] for t in dual] != [down[dual[p]] for p in row]
+        assert len(calls) == len(set(dual)) * scanned and scanned < n, case
+        seen[report["laws"][-1]["status"], scanned] += 1
     # the laws fail with as few as one or two rows scanned
     assert sum(count for (status, scanned), count in seen.items()
                if status == "fail" and scanned <= 2) >= 5, seen
@@ -894,6 +967,148 @@ def test_phase_rows_match_the_earlier_parser_on_generated_structures(
                    for x, y, v in doc["mult"]]
     rng.shuffle(doc["mult"])
     assert new_phase_rows(doc) == old_phase_rows(doc)
+
+
+# the earlier row checks ------------------------------------------------
+#
+# fields as it was before row arrays were checked in whole-array passes:
+# every row of a pair or product array checked on its own, in order.
+
+OLD_ROWS = {"pair": ({(str, str)}, "items of field {0!r} must be pairs of "
+                     "strings, got {1!r}"),
+            "product": ({(str, str, str), (str, str, list)},
+                        "{0} row {1!r} is not an [x, y, value] triple")}
+
+
+def old_fields(doc, kind, given=()):
+    out = {}
+    for key, (types, item, arity, default) in SCHEMAS[kind].items():
+        if key in given:
+            continue
+        value = out[key] = doc.get(key, default)
+        if value is REQUIRED:
+            raise UsageError("%s document has no field %r" % (kind, key))
+        if value is default:
+            continue
+        if not _is_a(value, types):
+            raise UsageError("field %r must be %s, got %r"
+                             % (key, _KINDS[types], value))
+        if key in ENUMS and value not in ENUMS[key]:
+            raise UsageError("field %r must be %s, got %r" % (
+                key, " or ".join(map(repr, ENUMS[key])), value))
+        if arity is not None and len(value) != arity:
+            raise UsageError("field %r must have %d items, got %r"
+                             % (key, arity, value))
+        if item is None:
+            continue
+        entries, message = OLD_ROWS.get(item, (None, None))
+        want = list if entries else dict if item in SCHEMAS else item
+        fits = isinstance if entries else _is_a
+        for v in value:
+            if not fits(v, want):
+                raise UsageError("items of field %r must be %s, got %r"
+                                 % (key, _KINDS[want], v))
+            if entries and (tuple(map(type, v)) not in entries
+                            or type(v[-1]) is list
+                            and not all(isinstance(n, str) for n in v[-1])):
+                raise UsageError(message.format(key, v))
+        if key in DISTINCT:
+            distinct(value if item is str else [v[0] for v in value],
+                     "field %r" % key)
+        if item in SCHEMAS:
+            out[key] = [old_fields(v, item) for v in value]
+    return out
+
+
+class Name(str):
+    pass
+
+
+class Row(list):
+    pass
+
+
+def random_entry(rng, names):
+    """Mostly a name; else a str subclass, an int, a bool, None or a list
+    of names (a candidate list), some of them not plain."""
+    kind = rng.choice(["str"] * 12 + ["sub", "int", "bool", "none", "list",
+                                      "list"])
+    if kind == "str":
+        return rng.choice(names)
+    if kind == "sub":
+        return Name(rng.choice(names))
+    if kind == "list":
+        return [rng.choice([rng.choice(names), Name("x"), 3])
+                if rng.random() < 0.2 else rng.choice(names)
+                for _ in range(rng.randint(0, 3))]
+    return {"int": 5, "bool": True, "none": None}[kind]
+
+
+def random_rows(rng, names, size):
+    """A row array of up to six rows: mostly plain rows of size names, or
+    a candidate row; sometimes a tuple or list subclass, a row of another
+    length, odd entries, or an item that is no array."""
+    rows = []
+    for _ in range(rng.choice([0, 1, 2, 3, 4, 6])):
+        shape = rng.choice(["plain"] * 6 + ["candidates", "odd", "length",
+                                            "tuple", "subclass", "scalar"])
+        row = [rng.choice(names) for _ in range(size)]
+        if shape == "candidates":
+            row[-1] = [rng.choice(names) for _ in range(rng.randint(0, 3))]
+        elif shape == "odd":
+            row[rng.randrange(size)] = random_entry(rng, names)
+        elif shape == "length":
+            row = [random_entry(rng, names) for _ in range(rng.randint(0, 4))]
+        elif shape == "tuple":
+            row = tuple(row)
+        elif shape == "subclass":
+            row = Row(row)
+        elif shape == "scalar":
+            row = rng.choice(["x", 5, {}, None])
+        rows.append(row)
+    if rng.random() < 0.5:
+        rows = [[rng.choice(names) for _ in range(size)]
+                for _ in range(rng.randint(0, 5))]
+    return rows
+
+
+def test_row_checks_match_the_earlier_per_row_loop():
+    # every row array of every kind that has one, given seeded arrays
+    # with plain, candidate, tuple, subclassed, short, long and scalar
+    # rows and str subclass, int, bool, None and list entries: the same
+    # fields, or the same error
+    rng = random.Random(611)
+    names = ["a", "b", "c"]
+    bases = {
+        "lattice": {"elements": names, "covers": [], "bottom": "a",
+                    "top": "c"},
+        "phase": {"lattice": "l.json", "mult": [], "unit": "a",
+                  "falsum": "a", "dual_overrides": []},
+        "constraint": {"sum": [], "equals": "a"},
+        "monoid": {"elements": names, "mult": [], "unit": "a"},
+        "candidates": {"lattice": "l.json", "mult": [], "unit": "a",
+                       "falsum": "a", "dual_overrides": [],
+                       "linked_constraints": [{"sum": [], "equals": "a"}]},
+    }
+    arrays = [(kind, key) for kind, base in bases.items() for key in base
+              if SCHEMAS[kind][key].item in ("pair", "product")]
+    seen = Counter()
+    for _ in range(6000):
+        kind, key = rng.choice(arrays)
+        doc = copy.deepcopy(bases[kind])
+        size = 2 if SCHEMAS[kind][key].item == "pair" else 3
+        doc[key] = random_rows(rng, names, size)
+        if kind == "candidates" and rng.random() < 0.3:
+            doc["linked_constraints"][0]["sum"] = random_rows(rng, names, 2)
+        want = outcome(old_fields, doc, kind)
+        assert outcome(fields, doc, kind) == want, (kind, doc)
+        if isinstance(want, dict):
+            seen["fields", bool(doc[key])] += 1
+        else:
+            seen[want[0], want[1].split()[0]] += 1
+    assert seen.keys() == {("fields", False), ("fields", True),
+                           ("UsageError", "items"), ("UsageError", "field"),
+                           ("UsageError", "mult")}, seen
 
 
 # the earlier name-keyed solver ----------------------------------------
