@@ -8,8 +8,10 @@ edge ownership, and implication is tensor of the dual with the consequent,
 with payoffs combined by meet and by Heyting implication respectively.
 A Game is listed once, breadth-first from its root over each vertex's
 successors, in one vertex order however its vertices and edges were given;
-dual_game, tensor_game and implication_game read their arguments' listings
-and list their results as Games.
+its root and every successor are the objects its vertex list holds, so
+equal vertices are one shared object.  dual_game, tensor_game and
+implication_game read their arguments' listings and list their results as
+Games.
 A strategy is a set of plays, checked in one pass that builds the reply
 table it keeps.  One breadth-first unfolding of plays against
 a response (_unfold) lists the maximal plays of a strategy, copycat, and
@@ -32,12 +34,14 @@ _FLIP = {"O": "P", "P": "O"}
 class Game:
     def __init__(self, vertices, root, edges):
         vertices = list(vertices)
-        vset = set(vertices)
+        # each vertex keyed to itself: the root and every successor are
+        # kept as the object the vertex list holds
+        vset = {v: v for v in vertices}
         if len(vset) != len(vertices):
             raise ValueError("duplicate vertices")
         if root not in vset:
             raise ForeignElement("root %r is not a vertex" % (root,))
-        self.root = root
+        self.root = root = vset[root]
         # each vertex's successors as (O-moves, P-moves), in edge order
         self._succ = succ = {v: ([], []) for v in vertices}
         for frm, to, pol in edges:
@@ -46,22 +50,20 @@ class Game:
                                      % (frm, to))
             if pol not in _POLS:
                 raise ValueError("edge polarity must be 'O' or 'P'")
-            succ[frm][pol == "P"].append(to)
-        # the breadth-first walk from the root; equal vertices are one
-        # shared object, the first one reached
-        seen = {root: root}
+            succ[frm][pol == "P"].append(vset[to])
+        # the breadth-first walk from the root
+        seen = {root}
         order, listed = [root], []
         for v in order:
             for pol, ws in zip(_POLS, succ[v]):
                 for w in ws:
-                    u = seen.get(w)
-                    if u is None:
-                        u = seen[w] = w
+                    if w not in seen:
+                        seen.add(w)
                         order.append(w)
-                    listed.append((v, u, pol))
+                    listed.append((v, w, pol))
         if len(order) != len(vset):
             raise ValueError("unreachable vertices: %r"
-                             % sorted(vset.difference(order)))
+                             % sorted(vset.keys() - seen))
         self.vertices, self.edges = order, listed
 
     def moves(self, v, pol):
@@ -113,10 +115,12 @@ def tensor_game(a, b):
     its coordinate and leaves the other one in place, the first factor's
     moves listed first."""
     av, bv = a.vertices, b.vertices
+    # the edges as they are made: Game reads each once, so no list of the
+    # product's edges is held
     return Game([(u, w) for u in av for w in bv], (a.root, b.root),
-                [((u, w), to, pol) for u in av for w in bv for pol in _POLS
+                (((u, w), to, pol) for u in av for w in bv for pol in _POLS
                  for to in ([(x, w) for x in a.moves(u, pol)]
-                            + [(u, y) for y in b.moves(w, pol)])])
+                            + [(u, y) for y in b.moves(w, pol)])))
 
 
 def implication_game(a, b):

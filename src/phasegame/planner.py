@@ -16,7 +16,7 @@ shrinks, until a single goal saturates.
 import random
 from collections import Counter, namedtuple
 from functools import reduce
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from operator import and_, or_
 
 from .data import distinct, dump_doc, fields, load_doc, stem
@@ -347,53 +347,38 @@ class CompoundGame:
 
 def build_compound_game(sc, goals, position=None, mode="practical",
                         images=None):
-    """The CompoundGame listed as a PayoffGame on the names ((cell, tick),
-    chains) of its vertices, in its walk order; every vertex is reachable
-    from the root by moves of either polarity.  Payoffs are named in the
-    scenario's payoff lattice."""
-    from .games import Game, PayoffGame
+    """The CompoundGame listed as a PayoffGame: the implication from the
+    system's movement game on (cell, tick) to the tensor of the goals'
+    reveal chains, on the names ((cell, tick), chains) of its vertices.
+    Payoffs are named in the scenario's payoff lattice."""
+    from .games import Game, PayoffGame, implication_game, tensor_game
     game = CompoundGame(sc, goals, position=position, mode=mode, images=images)
-    cells, cnext, last = game.cells, game.cnext, 2 * sc.horizon
-    rank = {c: i for i, c in enumerate(cells)}
-    # the movement vertices (cell, tick), walked from (position, 0), in
-    # repr order
-    mverts, frontier = [(cells[0], 0)], [0]
-    for t in range(last):
+    cells, cnext = game.cells, game.cnext
+    # the movement game: O steps to a neighbour at even ticks and P ticks
+    # in place at odd ones, up to tick 2 * horizon
+    mverts, medges, frontier = [(cells[0], 0)], [], [0]
+    for t in range(2 * sc.horizon):
         if t % 2 == 0:
+            medges += [((cells[i], t), (cells[n], t + 1), "O")
+                       for i in frontier for n in cnext[i]]
             frontier = {n for i in frontier for n in cnext[i]}
+        else:
+            medges += [((cells[i], t), (cells[i], t + 1), "P")
+                       for i in frontier]
         mverts += [(cells[i], t + 1) for i in frontier]
-    mverts.sort(key=repr)
-    mrank = {v: m for m, v in enumerate(mverts)}
-    # every chains rank, in the repr order of its name: each goal's counts
-    # sorted by repr, the first goal's the most significant
-    order = [sum(j * stride for j, (_, stride, _) in zip(js, game.goals))
-             for js in product(*[sorted(range(len(terms)), key=repr)
-                                 for _, _, terms in game.goals])]
-    nb = len(order)
-    at = {b: p for p, b in enumerate(order)}
-    ups = [[at[y] for y in game.reveals(b)] for b in order]
-    meets = [game.meet(b) for b in order]
-    # vertex (m, b) is names[m * nb + at[b]], each name made once and shared
-    chains = [game.name(b) for b in order]
-    names = [(mv, bv) for mv in mverts for bv in chains]
-    edges = []
-    for m, (c, t) in enumerate(mverts):
-        # the dual movement game: P steps at even ticks, O ticks at odd ones
-        step = [] if t == last else [mrank[n, t + 1] * nb for n in (
-            [cells[j] for j in cnext[rank[c]]] if t % 2 == 0 else [c])]
-        for p, up in enumerate(ups):
-            v = names[m * nb + p]
-            for pol in ("O", "P"):
-                out = [names[x + p] for x in step] \
-                    if t % 2 == (pol == "O") else []
-                if pol == "O":
-                    out += [names[m * nb + q] for q in up]
-                edges += [(v, w, pol) for w in out]
-    listed = Game(names, names[mrank[cells[0], 0] * nb], edges)
+    chains = [Game([(g, j) for j in range(len(terms))], (g, 0),
+                   [((g, j), (g, j + 1), "O") for j in range(len(terms) - 1)])
+              for g, _, terms in game.goals]
+    listed = implication_game(Game(mverts, mverts[0], medges),
+                              reduce(tensor_game, chains))
+    _, stride, terms = game.goals[0]
+    meet = {game.name(b): game.meet(b) for b in range(stride * len(terms))}
+    side = dict(zip(cells, game.side))
     lat = sc.payoff_lattice
-    return PayoffGame(listed, lat, {
-        names[m * nb + p]: lat.name(game.side[rank[c]] | meet)
-        for m, (c, _) in enumerate(mverts) for p, meet in enumerate(meets)})
+    named = {m: lat.name(m) for m in {s | x for s in game.side
+                                      for x in meet.values()}}
+    return PayoffGame(listed, lat, {v: named[side[v[0][0]] | meet[v[1]]]
+                                    for v in listed.vertices})
 
 
 # traces ----------------------------------------------------------------

@@ -39,6 +39,13 @@ def test_rejects_foreign_root():
 def test_rejects_foreign_edge_endpoint():
     with pytest.raises(ForeignElement):
         Game(["r"], "r", [("r", "s", "O")])
+    # the message names the endpoints as the edge gave them
+    with pytest.raises(ForeignElement,
+                       match=r"^edge \('r', 'zz'\) leaves the vertex set$"):
+        Game(["r"], "r", [("r", "zz", "O")])
+    with pytest.raises(ForeignElement,
+                       match=r"^edge \('q', 'r'\) leaves the vertex set$"):
+        Game(["r"], "r", [("q", "r", "P")])
 
 
 def test_rejects_bad_polarity():
@@ -200,6 +207,15 @@ def test_implicit_games_walk_to_the_explicit_ones():
                             oracle)
 
 
+def assert_moves_are_listed(game):
+    """The root and every vertex moves returns are the objects that
+    game.vertices holds."""
+    listed = {id(v) for v in game.vertices}
+    assert id(game.root) in listed
+    assert all(id(w) in listed for v in game.vertices for pol in "OP"
+               for w in game.moves(v, pol))
+
+
 def test_walk_shares_equal_vertices():
     rng = seeded(13)
     for _ in range(20):
@@ -210,6 +226,8 @@ def test_walk_shares_equal_vertices():
             shared = {v: v for v in vertices}
             assert all(shared[v] is v and shared[w] is w
                        for v, w, _ in edges)
+        assert_moves_are_listed(listed)
+        assert_moves_are_listed(implication_game(a, b))
 
 
 # payoff games -----------------------------------------------------------
@@ -466,7 +484,7 @@ def test_copycat_overflows_on_cyclic_game():
 
 def test_compose_neutrality():
     rng = seeded(9)
-    for _ in range(30):
+    for _ in range(300):
         x, y = random_game(rng), random_game(rng)
         sigma = random_strategy(rng, implication_game(x, y))
         left = compose_strategies(x, x, y, copycat(x), sigma)
@@ -485,7 +503,7 @@ def test_compose_copycat_with_itself():
 
 def test_compose_associative():
     rng = seeded(11)
-    for _ in range(25):
+    for _ in range(300):
         w, x, y, z = (random_game(rng, 4) for _ in range(4))
         s1 = random_strategy(rng, implication_game(w, x))
         s2 = random_strategy(rng, implication_game(x, y))
