@@ -6,12 +6,12 @@ value to every vertex; a strategy wins when every maximal play it allows
 ends strictly above bottom.  Tensor is the product graph, the dual flips
 edge ownership, and implication is tensor of the dual with the consequent,
 with payoffs combined by meet and by Heyting implication respectively.
-A Game is listed once, breadth-first from its root over each vertex's
-successors, in one vertex order however its vertices and edges were given;
-its root and every successor are the objects its vertex list holds, so
-equal vertices are one shared object.  dual_game, tensor_game and
-implication_game read their arguments' listings and list their results as
-Games.
+A Game holds its graph once, as each vertex's successor lists, walked
+breadth-first from its root for one vertex order however its vertices and
+edges were given; edges is read off the lists in that order.  Its root and
+every successor are the objects its vertex list holds, so equal vertices
+are one object.  dual_game swaps each vertex's two lists and tensor_game
+zips its factors' lists; each lists its result as a Game.
 A strategy is a set of plays, checked in one pass that builds the reply
 table it keeps.  One breadth-first unfolding of plays against
 a response (_unfold) lists the maximal plays of a strategy, copycat, and
@@ -28,7 +28,6 @@ from .errors import (
 )
 
 _POLS = ("O", "P")
-_FLIP = {"O": "P", "P": "O"}
 
 
 class Game:
@@ -53,26 +52,31 @@ class Game:
             succ[frm][pol == "P"].append(vset[to])
         # the breadth-first walk from the root
         seen = {root}
-        order, listed = [root], []
+        order = [root]
         for v in order:
-            for pol, ws in zip(_POLS, succ[v]):
+            for ws in succ[v]:
                 for w in ws:
                     if w not in seen:
                         seen.add(w)
                         order.append(w)
-                    listed.append((v, w, pol))
         if len(order) != len(vset):
             raise ValueError("unreachable vertices: %r"
-                             % sorted(vset.keys() - seen))
-        self.vertices, self.edges = order, listed
+                             % [v for v in vertices if v not in seen])
+        self.vertices = order
+
+    @property
+    def edges(self):
+        """A new list of every edge (v, w, pol), in walk order."""
+        return [(v, w, pol) for v in self.vertices
+                for pol, ws in zip(_POLS, self._succ[v]) for w in ws]
 
     def moves(self, v, pol):
         """A new list of v's pol-moves, in edge order."""
         return list(self._succ[v][_POLS.index(pol)])
 
     def __repr__(self):
-        return "Game(%d vertices, %d edges)" % (len(self.vertices),
-                                                len(self.edges))
+        return "Game(%d vertices, %d edges)" % (len(self.vertices), sum(
+            len(o) + len(p) for o, p in self._succ.values()))
 
 
 class PayoffGame:
@@ -98,9 +102,10 @@ class PayoffGame:
 
 
 def dual_game(game):
-    """game with the owner of every edge flipped."""
+    """game with each vertex's O-moves and P-moves swapped."""
     return Game(game.vertices, game.root,
-                [(v, w, _FLIP[pol]) for v, w, pol in game.edges])
+                ((v, w, pol) for v in game.vertices
+                 for pol, ws in zip(_POLS, game._succ[v][::-1]) for w in ws))
 
 
 def dual_payoff_game(pg):
@@ -114,13 +119,13 @@ def tensor_game(a, b):
     """The product of two games' listings: a move of either factor changes
     its coordinate and leaves the other one in place, the first factor's
     moves listed first."""
-    av, bv = a.vertices, b.vertices
-    # the edges as they are made: Game reads each once, so no list of the
-    # product's edges is held
+    av, bv, asucc, bsucc = a.vertices, b.vertices, a._succ, b._succ
+    # the edges as they are made, from the factors' rows zipped per
+    # polarity: Game reads each once, so no list of them is held
     return Game([(u, w) for u in av for w in bv], (a.root, b.root),
-                (((u, w), to, pol) for u in av for w in bv for pol in _POLS
-                 for to in ([(x, w) for x in a.moves(u, pol)]
-                            + [(u, y) for y in b.moves(w, pol)])))
+                (((u, w), to, pol) for u in av for w in bv
+                 for pol, xs, ys in zip(_POLS, asucc[u], bsucc[w])
+                 for to in [(x, w) for x in xs] + [(u, y) for y in ys]))
 
 
 def implication_game(a, b):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -202,3 +203,14 @@ def moved(table, answers):
     return {key: (table.get(key), answers.get(key))
             for key in sorted(set(table) | set(answers))
             if table.get(key) != answers.get(key)}
+
+
+def count_moves(monkeypatch):
+    """A Counter of the moves asked of a Game from now on."""
+    calls = Counter()
+
+    def counted(self, v, pol, _moves=Game.moves):
+        calls["Game"] += 1
+        return _moves(self, v, pol)
+    monkeypatch.setattr(Game, "moves", counted)
+    return calls

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from conftest import (chain, positionally_winning,
+from conftest import (chain, count_moves, positionally_winning,
                       random_distributive_lattice, random_game, random_payoff,
                       random_strategy, seeded)
 from test_differential import (Dual, Tensor, alternating_chain, implication,
@@ -56,6 +58,14 @@ def test_rejects_bad_polarity():
 def test_rejects_unreachable_vertices():
     with pytest.raises(ValueError, match="unreachable"):
         Game(["r", "s", "t"], "r", [("s", "t", "O")])
+    # named in the order the vertex list gives them, with no sort, so
+    # vertices of types that do not compare are named too
+    with pytest.raises(ValueError,
+                       match=r"^unreachable vertices: \['t', 's'\]$"):
+        Game(["t", "r", "s"], "r", [("s", "t", "O")])
+    with pytest.raises(ValueError,
+                       match=r"^unreachable vertices: \[1, 'x'\]$"):
+        Game(["r", 1, "x"], "r", [])
 
 
 def test_game_lists_vertices_and_edges_in_walk_order():
@@ -96,6 +106,8 @@ def test_moves_returns_a_new_list():
             want = g.moves(v, pol)
             g.moves(v, pol).append("x")
             assert g.moves(v, pol) == want
+    # edges is read off the successor lists, a new list on every read
+    g.edges.append(("r", "t", "O"))
     assert (g.vertices, g.edges) == listing
 
 
@@ -216,18 +228,34 @@ def assert_moves_are_listed(game):
                for w in game.moves(v, pol))
 
 
+def assert_edges_are_listed(vertices, edges):
+    """Every endpoint of edges is the object that vertices holds."""
+    shared = {v: v for v in vertices}
+    assert all(shared[v] is v and shared[w] is w for v, w, _ in edges)
+
+
 def test_walk_shares_equal_vertices():
     rng = seeded(13)
     for _ in range(20):
         a, b = random_game(rng), random_game(rng)
-        listed = tensor_game(a, b)
-        for vertices, edges in (walk(Tensor(a, b)),
-                                (listed.vertices, listed.edges)):
-            shared = {v: v for v in vertices}
-            assert all(shared[v] is v and shared[w] is w
-                       for v, w, _ in edges)
-        assert_moves_are_listed(listed)
-        assert_moves_are_listed(implication_game(a, b))
+        assert_edges_are_listed(*walk(Tensor(a, b)))
+        for listed in (tensor_game(a, b), implication_game(a, b),
+                       dual_game(tensor_game(a, b))):
+            assert_edges_are_listed(listed.vertices, listed.edges)
+            assert_moves_are_listed(listed)
+
+
+def test_constructions_read_their_arguments_rows(monkeypatch):
+    # dual_game, tensor_game and implication_game read their arguments'
+    # successor lists, and ask no Game for a move
+    rng = seeded(15)
+    games = [random_game(rng) for _ in range(6)]
+    calls = count_moves(monkeypatch)
+    for a, b in zip(games, games[1:]):
+        tensor_game(a, b)
+        dual_game(a)
+        implication_game(a, b)
+    assert calls == Counter()
 
 
 # payoff games -----------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The package's public names, and the modules each entry point loads."""
+"""The package's public names, the modules each entry point loads, and the
+tests each README guarantee names."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -147,3 +149,35 @@ def test_every_import_and_private_name_is_read():
                        for name in _bound(stmt) if not name.endswith("__")
                        and name not in read and name not in phasegame.__all__]
     assert unread == []
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def readme_guarantees():
+    """The bullets of README's "Guarantees worth knowing about" section."""
+    with open(os.path.join(TESTS, os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Guarantees worth knowing about\n")[1]
+    return re.split(r"^- ", section.split("\n## ")[0], flags=re.M)[1:]
+
+
+def test_every_readme_guarantee_names_its_tests():
+    # each guarantee names the tests that check it as
+    # `tests/<file>.py::<function>`, and each named function is a test
+    # that its file defines, found by parsing the file, not importing it
+    bullets = readme_guarantees()
+    assert len(bullets) == 4
+    defined = {}
+    for bullet in bullets:
+        named = re.findall(r"`tests/(\w+\.py)::(\w+)`", bullet)
+        assert named, "names no test: " + bullet[:60]
+        for name, function in named:
+            if name not in defined:
+                with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+                    defined[name] = {
+                        node.name for node in ast.parse(fh.read()).body
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name.startswith("test_")}
+            assert function in defined[name], (name, function)

@@ -8,7 +8,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import doc_digest, moved, pinned, random_strategy
+from conftest import (count_moves, doc_digest, moved, pinned,
+                      random_strategy, sha16)
 from test_differential import (Dual, Listed, OldCompoundGame, Tensor,
                                _Movement, assert_unfolds_as_before,
                                chain_goal_scenario, materialize,
@@ -594,6 +595,21 @@ def test_compound_game_is_listed_in_walk_order():
         assert (pg.game.vertices, pg.game.edges) == walk(game)
 
 
+def test_benchmark_shape_listing_is_pinned():
+    # the first benchmark-shaped grid: its root, vertices and edges in walk
+    # order and its payoffs, by a sha256 prefix, each edge named by the
+    # ranks of its ends in the vertex order
+    sc, goals, _, _ = planner_shape_case(random.Random(2020))
+    pg = build_compound_game(sc, goals)
+    game, edges = pg.game, pg.game.edges
+    assert (len(game.vertices), len(edges)) == (46336, 216576)
+    rank = {v: i for i, v in enumerate(game.vertices)}
+    assert sha16(repr((game.root, game.vertices,
+                       [(rank[v], rank[w], pol) for v, w, pol in edges],
+                       [pg.k[v] for v in game.vertices]))) == \
+        "20809a9d8bf173bf"
+
+
 def most_reveals_reached(game):
     """The most reveals (the summed counts of its chains name) held by a
     vertex ((cell, tick), chains) of a compound game that alternated plays
@@ -727,17 +743,6 @@ def test_factor_ranks_order_the_compound_game_by_repr(seed):
     parts = [(m, names[b]) for m in moves for b in low]
     assert sorted(parts, key=repr) == sorted(parts, key=lambda v: (
         repr(v[0][0]), str(v[0][1]), repr(v[1])))
-
-
-def count_moves(monkeypatch):
-    """A Counter of the moves asked of a Game from now on."""
-    calls = Counter()
-
-    def counted(self, v, pol, _moves=Game.moves):
-        calls["Game"] += 1
-        return _moves(self, v, pol)
-    monkeypatch.setattr(Game, "moves", counted)
-    return calls
 
 
 def count_listings(monkeypatch):
