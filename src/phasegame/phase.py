@@ -136,7 +136,9 @@ def _derive_duals(lattice, rows, falsum, overrides):
 # Semigroups, vol. 1, 1961, section 1.2): if a set A generates the magma,
 # the product is associative iff (x.a).y == x.(a.y) for every a in A and
 # every x, y, which is n.|A| row comparisons instead of n^2.  Only when the
-# test fails, or does not apply, are the rows scanned for witnesses.
+# test fails, or does not apply, are the rows scanned for witnesses.  The
+# residual law is decided by residuation on a load whose gate proved
+# associativity; only where a premise fails are the witness masks folded.
 
 _RESIDUAL_LAW = "residual_matches_dual_product"
 _DUAL_LAWS = ("triple_dual", "double_dual_extensive",
@@ -279,6 +281,16 @@ def _laws(lattice, rows, unit, falsum, dual=None, proved=()):
     # distinct dual found once per row.
     down, star_of = lattice._down, lattice._star
     wants = list(map(down.__getitem__, dual))
+    # but first, on a load whose gate proved associativity: if the rows
+    # commute and each row's witness mask towards falsum is the down-set
+    # of its dual, every pair is closed and passes, since z <= x -o dual(y)
+    # iff y.(x.z) <= falsum iff (x.y).z <= falsum iff z <= dual(x.y)
+    if "associative" in proved and tuple(zip(*rows)) == rows:
+        below = lattice._below[falsum].__getitem__
+        if [sum(compress(lattice._bits, map(below, row)))
+                for row in rows] == wants:
+            yield _RESIDUAL_LAW, iter(()), n * n
+            return
     targets = list(dict.fromkeys(dual))
     checked, witnesses = 0, []
     for x, row in enumerate(rows):

@@ -15,6 +15,11 @@ the oracle for Light's test, which decides the verdict: on every magma of
 at most three elements, on the census monoids and on seeded structures
 with one planted edit, the law must list the scan's witnesses; and on
 lawful seeded structures of 128 and 256 elements the scan must never run.
+The per-pair residual fold is also the oracle for the audit of gated
+loads, which decides the residual law by residuation where it can: on
+seeded meet, perturbed meet, cyclic-group and chain-max products, with
+and without dual overrides, both that proof and the row fold must give
+its report.
 
 The earlier list-based dual and tensor games are kept here too, and the
 earlier implicit games (Dual, Tensor, implication, materialize) walked on
@@ -709,8 +714,11 @@ def test_lawful_structures_never_scan_associativity(kind, n, monkeypatch):
 #
 # A row whose witness masks towards the duals are the down-sets of the
 # duals of its products passes whole; only the pairs of any other row are
-# scanned, each through Lattice._star.  The per-pair fold of old_laws is
-# the oracle.
+# scanned, each through Lattice._star.  A gated load that proved
+# associativity skips the rows altogether when the rows commute and each
+# row's witness mask towards falsum is the down-set of its dual, which
+# decides every pair by residuation.  The per-pair fold of old_laws is the
+# oracle for both.
 
 def counting_star(monkeypatch):
     """The witness masks Lattice._star is asked about from here on."""
@@ -725,15 +733,29 @@ def counting_star(monkeypatch):
     return calls
 
 
+def counting_folds(monkeypatch):
+    """The product rows Lattice.witnesses folds from here on."""
+    calls = []
+    witnesses = Lattice.witnesses
+
+    def counting(self, row):
+        calls.append(row)
+        return witnesses(self, row)
+
+    monkeypatch.setattr(Lattice, "witnesses", counting)
+    return calls
+
+
 @pytest.mark.parametrize("kind,n", [("boolean", 128), ("boolean", 256),
                                     ("downset", 128), ("downset", 256)])
 def test_lawful_structures_never_scan_residual_pairs(kind, n, monkeypatch):
     gen = _load_gen()
     ps = phase_from_doc(getattr(gen, kind + "_structure")(
         random.Random(n + 606), n)[0])
-    calls = counting_star(monkeypatch)
+    calls, folds = counting_star(monkeypatch), counting_folds(monkeypatch)
     report = verify_laws(ps)
-    assert calls == []
+    # the gated load proved associativity, so residuation decides the law
+    assert calls == [] and folds == []
     assert report["ok"]
     assert report["laws"][-1] == {"law": RESIDUAL_LAW, "status": "pass",
                                   "checked": n * n, "skipped": 0,
@@ -790,6 +812,97 @@ def test_edited_structures_match_the_earlier_residual_law(monkeypatch):
     # the laws fail with as few as one or two rows scanned
     assert sum(count for (status, scanned), count in seen.items()
                if status == "fail" and scanned <= 2) >= 5, seen
+
+
+def gated_product(rng, lat):
+    """(kind, name-keyed symmetric table, unit) for a gated load: the
+    meet, a perturbed meet, a cyclic group on the elements in shuffled
+    order, or the max over a shuffled chain of the elements.  The last two
+    are associative but, on most orders, not monotone."""
+    els = lat.elements
+    n = len(els)
+    kind = rng.choice(["meet", "perturbed", "cyclic", "chain_max"])
+    ranked = list(els)
+    rng.shuffle(ranked)
+    rank = {x: r for r, x in enumerate(ranked)}
+    if kind == "cyclic":
+        value = lambda x, y: ranked[(rank[x] + rank[y]) % n]
+    elif kind == "chain_max":
+        value = lambda x, y: max(x, y, key=rank.__getitem__)
+    else:
+        value = lat.meet2
+    table = {(x, y): value(x, y) for x in els for y in els}
+    if kind == "perturbed":
+        for _ in range(rng.randint(1, 2)):
+            x, y = rng.choice(els), rng.choice(els)
+            table[(x, y)] = table[(y, x)] = rng.choice(els)
+    return kind, table, lat.top if kind in ("meet", "perturbed") else ranked[0]
+
+
+def monotone(lat, table):
+    els = lat.elements
+    return all(lat.leq(table[x, z], table[y, z]) for x in els for y in els
+               if lat.leq(x, y) for z in els)
+
+
+def test_gated_audits_match_the_earlier_residual_law(monkeypatch):
+    # gated loads of seeded products: the audit decides the residual law
+    # by residuation when the load proved associativity, the rows commute
+    # and each row's witness mask towards falsum is the down-set of its
+    # dual, with no witness mask folded; any other structure folds one per
+    # row.  Both paths must give the per-pair fold's report
+    rng = random.Random(608)
+    folds = counting_folds(monkeypatch)
+    paths = Counter()
+    for _ in range(1200):
+        lat = random_lattice(rng)
+        els = lat.elements
+        kind, table, unit = gated_product(rng, lat)
+        falsum = rng.choice(els)
+        unit_mode = rng.choice(["weak", "strict"])
+        checks = rng.choice(["full", "full", "relaxed"])
+        # no overrides, random ones, or the duals towards an element at or
+        # below falsum, which pass the dual gates more often
+        overrides, pick = {}, rng.random()
+        if pick < 0.2:
+            overrides = {x: rng.choice(els) for x in
+                         rng.sample(els, rng.randint(1, len(els)))}
+        elif pick < 0.4:
+            lower = rng.choice([x for x in els if lat.leq(x, falsum)])
+            overrides = outcome(old_derive_duals, lat, table, lower, {})
+            if not isinstance(overrides, dict):
+                overrides = {}
+        doc = {"mult": [[x, y, v] for (x, y), v in table.items()],
+               "unit": unit, "falsum": falsum, "unit_mode": unit_mode,
+               "checks": checks,
+               "dual_overrides": [list(p) for p in overrides.items()]}
+        case = (els, table, unit, falsum, unit_mode, checks, overrides)
+        want = outcome(old_load, lat, table, unit, falsum, unit_mode,
+                       checks, overrides)
+        assert outcome(loaded_duals, doc, lat) == want, case
+        if not isinstance(want, dict):
+            continue
+        ps = phase_from_doc(doc, lattice=lat)
+        folds.clear()
+        report = verify_laws(ps)
+        assert report == old_report(lat, table, unit, falsum, want,
+                                    unit_mode), case
+        assert len(folds) in (0, len(els)), case
+        if folds:
+            paths["fold", checks, bool(overrides)] += 1
+        else:
+            assert checks == "full" and report["ok"], case
+            paths["proof", monotone(lat, table), bool(overrides)] += 1
+    # keys: ("proof", monotone, overridden) and ("fold", checks,
+    # overridden).  Non-monotone products take the proof as well; a gated
+    # load keeps the fold when some row's witness mask towards falsum is
+    # not the down-set of its dual: a mask that is no down-set (only a
+    # non-monotone product has one) or an override other than the residual
+    assert paths == {("proof", True, False): 129, ("proof", True, True): 41,
+                     ("proof", False, False): 45, ("proof", False, True): 10,
+                     ("fold", "full", False): 14, ("fold", "full", True): 23,
+                     ("fold", "relaxed", False): 136,
+                     ("fold", "relaxed", True): 98}, paths
 
 
 # the earlier two-pass product-row parser -------------------------------

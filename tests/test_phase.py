@@ -408,8 +408,17 @@ def test_audit_reuses_the_load_time_associativity_verdict(monkeypatch):
 
 def test_ungated_structures_are_audited_in_full(monkeypatch):
     loaded = phase_from_doc(boolean_doc())
-    report = verify_laws(loaded)
     calls = counting_scans(monkeypatch)
+
+    def folding(self, row, _witnesses=Lattice.witnesses):
+        calls.append("witnesses")
+        return _witnesses(self, row)
+
+    monkeypatch.setattr(Lattice, "witnesses", folding)
+    # the gated load's audit scans nothing: it decides the residual law by
+    # residuation and folds no row's witness masks
+    report = verify_laws(loaded)
+    assert calls == []
     relaxed = boolean_doc()
     relaxed["checks"] = "relaxed"
     # a structure built by hand on the same index tables
@@ -419,7 +428,7 @@ def test_ungated_structures_are_audited_in_full(monkeypatch):
                phase_from_doc(relaxed), built):
         assert calls == []
         assert verify_laws(ps) == report
-        assert calls == ["_light", "_dual_of_join"]
+        assert calls == ["_light", "_dual_of_join"] + ["witnesses"] * 32
         calls.clear()
 
 
