@@ -264,11 +264,18 @@ def copycat(game):
 
 
 def _same_game(g, h):
-    """Both Games, with equal roots and edge sets, so equal vertex sets too.
-    Any other object with a root and moves matches none, so callers raise
+    """Both Games, with equal roots, equal vertex sets and, at each vertex,
+    equal sets of O-moves and of P-moves: equal edge sets.  Any other
+    object with a root and moves matches none, so callers raise
     ComponentMismatch for it."""
-    return (isinstance(g, Game) and isinstance(h, Game) and g.root == h.root
-            and set(g.edges) == set(h.edges))
+    if not (isinstance(g, Game) and isinstance(h, Game)):
+        return False
+    if g is h:
+        return True
+    hsucc = h._succ
+    return g.root == h.root and g._succ.keys() == hsucc.keys() and all(
+        moves == hsucc[v] or list(map(set, moves)) == list(map(set, hsucc[v]))
+        for v, moves in g._succ.items())
 
 
 # Strategy i of a composite is sigma (0) on X -o Y or tau (1) on Y -o Z.

@@ -39,8 +39,9 @@ class PhaseStructure:
     in the arguments and results of the methods.
     """
 
-    # the gate laws a load checked and passed, which the audit lists as
-    # passing without scanning them again
+    # the laws a gated load checked and passed, or proved from the Galois
+    # connection of its duals, which the audit lists as passing without
+    # scanning them
     _proved = frozenset()
 
     def __init__(self, lattice, rows, unit, falsum, dual, unit_mode="weak",
@@ -108,22 +109,29 @@ def named_elements(lattice, f):
 
 
 def _derive_duals(lattice, rows, falsum, overrides):
-    """Index duals: an override where the name-keyed overrides give one,
-    else the residual of falsum (an index) by each element."""
-    els = lattice.elements
-    dual = []
+    """(dual, galois).  dual holds the index duals: an override where the
+    name-keyed overrides give one, else the residual of falsum (an index)
+    by each element.  galois says whether, for every x, the z with
+    x.z <= falsum are exactly the z <= dual(x): each row's witness mask
+    towards falsum, gathered once as Lattice.residual gathers it, is the
+    down-set of its dual."""
+    els, down, star_of = lattice.elements, lattice._down, lattice._star
+    bits, below = lattice._bits, lattice._below[falsum].__getitem__
+    dual, galois = [], True
     for x, row in zip(els, rows):
+        mask = sum(compress(bits, map(below, row)))
         if x in overrides:
-            dual.append(lattice.idx(overrides[x]))
-            continue
-        star, closed = lattice.residual(row, falsum)
-        if not closed:
-            raise NotClosed(
-                "dual of %r is not expressible: join %r of witnesses fails "
-                "mult(%r, %r) <= %r; add a dual override"
-                % (x, els[star], x, els[star], els[falsum]))
+            star = lattice.idx(overrides[x])
+        else:
+            star, closed = star_of(mask)
+            if not closed:
+                raise NotClosed(
+                    "dual of %r is not expressible: join %r of witnesses "
+                    "fails mult(%r, %r) <= %r; add a dual override"
+                    % (x, els[star], x, els[star], els[falsum]))
         dual.append(star)
-    return tuple(dual)
+        galois = galois and mask == down[star]
+    return tuple(dual), galois
 
 
 # laws -----------------------------------------------------------------
@@ -136,9 +144,12 @@ def _derive_duals(lattice, rows, falsum, overrides):
 # Semigroups, vol. 1, 1961, section 1.2): if a set A generates the magma,
 # the product is associative iff (x.a).y == x.(a.y) for every a in A and
 # every x, y, which is n.|A| row comparisons instead of n^2.  Only when the
-# test fails, or does not apply, are the rows scanned for witnesses.  The
-# residual law is decided by residuation on a load whose gate proved
-# associativity; only where a premise fails are the witness masks folded.
+# test fails, or does not apply, are the rows scanned for witnesses.  A
+# gated load whose duals form a Galois connection (each row's witness mask
+# towards falsum is the down-set of its dual) on commuting rows proves the
+# four dual laws and the residual law, and the audit scans none of them;
+# only where a premise fails are the dual laws scanned and each row's
+# witness masks folded.
 
 _RESIDUAL_LAW = "residual_matches_dual_product"
 _DUAL_LAWS = ("triple_dual", "double_dual_extensive",
@@ -273,6 +284,9 @@ def _laws(lattice, rows, unit, falsum, dual=None, proved=()):
         yield name, iter(()) if name in proved else scan(), instances
     if dual is None:
         return
+    if _RESIDUAL_LAW in proved:
+        yield _RESIDUAL_LAW, iter(()), n * n
+        return
     # only pairs whose residual towards dual(y) exists are instances, so
     # this law is scanned in full before it is listed.  A row whose
     # witness masks towards the duals are the down-sets of the duals of
@@ -281,16 +295,6 @@ def _laws(lattice, rows, unit, falsum, dual=None, proved=()):
     # distinct dual found once per row.
     down, star_of = lattice._down, lattice._star
     wants = list(map(down.__getitem__, dual))
-    # but first, on a load whose gate proved associativity: if the rows
-    # commute and each row's witness mask towards falsum is the down-set
-    # of its dual, every pair is closed and passes, since z <= x -o dual(y)
-    # iff y.(x.z) <= falsum iff (x.y).z <= falsum iff z <= dual(x.y)
-    if "associative" in proved and tuple(zip(*rows)) == rows:
-        below = lattice._below[falsum].__getitem__
-        if [sum(compress(lattice._bits, map(below, row)))
-                for row in rows] == wants:
-            yield _RESIDUAL_LAW, iter(()), n * n
-            return
     targets = list(dict.fromkeys(dual))
     checked, witnesses = 0, []
     for x, row in enumerate(rows):
@@ -341,8 +345,12 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     dual_of_join_is_meet_of_duals (OverrideInconsistent if the document
     overrides duals, else DualLawViolation).  validate=False skips these
     gates so a broken table can still be loaded and audited with
-    verify_laws.  The gates a load passed are kept on the structure, and
-    verify_laws lists those laws as passing without scanning them again.
+    verify_laws.  Under checks 'full', when the rows commute and, for
+    every x, the z with x.z <= falsum are exactly the z <= dual(x), the
+    load proves the dual laws, commutativity and the residual law instead
+    of scanning them (see phase_from_rows).  The laws a load passed or
+    proved are kept on the structure, and verify_laws lists them as
+    passing without scanning them.
 
     A reference with no lattice given is built once per content: while the
     bytes of its file, and of its lattice file if the lattice field is a
@@ -395,12 +403,29 @@ def phase_from_rows(lattice, rows, f, validate=True):
             gates["unit_identity"] = UnitNotNeutral
         _enforce(_laws(lattice, rows, unit_i, falsum_i), gates)
 
-    dual = _derive_duals(lattice, rows, falsum_i, overrides)
+    dual, galois = _derive_duals(lattice, rows, falsum_i, overrides)
     if validate and checks == "full":
-        err = OverrideInconsistent if overrides else DualLawViolation
-        dual_gates = dict.fromkeys(_DUAL_LAWS, err)
-        _enforce(_laws(lattice, rows, unit_i, falsum_i, dual), dual_gates)
-        gates.update(dual_gates)
+        if galois and tuple(zip(*rows)) == rows:
+            # Write x^ for dual(x).  galois says z <= x^ iff x.z <= falsum;
+            # as the rows commute (the commutative law), that is iff
+            # z.x <= falsum iff x <= z^.  So duality towards falsum is an
+            # antitone Galois connection, and the dual laws are theorems:
+            # - z = x^ gives x <= x^^ (double_dual_extensive) and
+            #   x.x^ <= falsum (contradiction_below_falsum);
+            # - x <= y <= y^^ gives y^ <= x^, so x <= x^^ gives x^^^ <= x^,
+            #   and x^ <= x^^^ is the first law at x^ (triple_dual);
+            # - z <= (x v y)^ iff x v y <= z^ iff x <= z^ and y <= z^ iff
+            #   z <= x^ /\ y^ (dual_of_join_is_meet_of_duals).
+            # With the associativity gate passed, z <= x -o y^ iff
+            # y.(x.z) <= falsum iff (x.y).z <= falsum iff z <= (x.y)^, so
+            # every pair has its residual and passes the residual law.  No
+            # gate that could raise is skipped
+            gates.update(dict.fromkeys(("commutative", _RESIDUAL_LAW)))
+        else:
+            err = OverrideInconsistent if overrides else DualLawViolation
+            _enforce(_laws(lattice, rows, unit_i, falsum_i, dual),
+                     dict.fromkeys(_DUAL_LAWS, err))
+        gates.update(dict.fromkeys(_DUAL_LAWS))
 
     ps = PhaseStructure(lattice, rows, f["unit"], f["falsum"], dual,
                         unit_mode, f["op_class"], f["cl_class"])
@@ -422,8 +447,8 @@ def verify_laws(ps):
     Unlike load-time validation this never raises: hand-built or corrupted
     structures produce a report with failing entries and witnesses instead.
     Pairs with no residual are skipped by the residual law, not failed.
-    A law whose gate the structure passed when it was loaded is listed as
-    passing, with its instance count, and not scanned again.
+    A law the structure's load checked or proved (see phase_from_doc) is
+    listed as passing, with its instance count, and not scanned again.
     """
     lat = ps.lattice
     n = len(lat.elements)

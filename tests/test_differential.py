@@ -16,10 +16,12 @@ at most three elements, on the census monoids and on seeded structures
 with one planted edit, the law must list the scan's witnesses; and on
 lawful seeded structures of 128 and 256 elements the scan must never run.
 The per-pair residual fold is also the oracle for the audit of gated
-loads, which decides the residual law by residuation where it can: on
-seeded meet, perturbed meet, cyclic-group and chain-max products, with
-and without dual overrides, both that proof and the row fold must give
-its report.
+loads, whose load proves the residual law and the dual laws where its
+duals form a Galois connection: on seeded meet, perturbed meet,
+cyclic-group and chain-max products, with and without dual overrides,
+both that proof and the row fold must give its report, every load the
+earlier load's outcome, and each law the proof skipped must pass its
+scan.
 
 The earlier list-based dual and tensor games are kept here too, and the
 earlier implicit games (Dual, Tensor, implication, materialize) walked on
@@ -108,6 +110,7 @@ from phasegame.games import (Game, PayoffGame, Strategy, compose_strategies,
 from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
+    PhaseStructure,
     _associative,
     _dual_of_join,
     _enforce,
@@ -714,11 +717,11 @@ def test_lawful_structures_never_scan_associativity(kind, n, monkeypatch):
 #
 # A row whose witness masks towards the duals are the down-sets of the
 # duals of its products passes whole; only the pairs of any other row are
-# scanned, each through Lattice._star.  A gated load that proved
-# associativity skips the rows altogether when the rows commute and each
-# row's witness mask towards falsum is the down-set of its dual, which
-# decides every pair by residuation.  The per-pair fold of old_laws is the
-# oracle for both.
+# scanned, each through Lattice._star.  The audit of a gated load skips
+# the rows altogether when its load proved the law: the load's gate proved
+# associativity, the rows commute and each row's witness mask towards
+# falsum is the down-set of its dual, which decides every pair by
+# residuation.  The per-pair fold of old_laws is the oracle for both.
 
 def counting_star(monkeypatch):
     """The witness masks Lattice._star is asked about from here on."""
@@ -754,7 +757,7 @@ def test_lawful_structures_never_scan_residual_pairs(kind, n, monkeypatch):
         random.Random(n + 606), n)[0])
     calls, folds = counting_star(monkeypatch), counting_folds(monkeypatch)
     report = verify_laws(ps)
-    # the gated load proved associativity, so residuation decides the law
+    # the gated load proved the law by residuation
     assert calls == [] and folds == []
     assert report["ok"]
     assert report["laws"][-1] == {"law": RESIDUAL_LAW, "status": "pass",
@@ -903,6 +906,125 @@ def test_gated_audits_match_the_earlier_residual_law(monkeypatch):
                      ("fold", "full", False): 14, ("fold", "full", True): 23,
                      ("fold", "relaxed", False): 136,
                      ("fold", "relaxed", True): 98}, paths
+
+
+
+def gated_loads(rng):
+    """(lattice, name-keyed table, unit, falsum, unit_mode, checks,
+    overrides, document) of seeded gated loads, drawn as
+    test_gated_audits_match_the_earlier_residual_law draws them."""
+    while True:
+        lat = random_lattice(rng)
+        els = lat.elements
+        kind, table, unit = gated_product(rng, lat)
+        falsum = rng.choice(els)
+        unit_mode = rng.choice(["weak", "strict"])
+        checks = rng.choice(["full", "full", "relaxed"])
+        overrides, pick = {}, rng.random()
+        if pick < 0.2:
+            overrides = {x: rng.choice(els) for x in
+                         rng.sample(els, rng.randint(1, len(els)))}
+        elif pick < 0.4:
+            lower = rng.choice([x for x in els if lat.leq(x, falsum)])
+            overrides = outcome(old_derive_duals, lat, table, lower, {})
+            if not isinstance(overrides, dict):
+                overrides = {}
+        doc = {"mult": [[x, y, v] for (x, y), v in table.items()],
+               "unit": unit, "falsum": falsum, "unit_mode": unit_mode,
+               "checks": checks,
+               "dual_overrides": [list(p) for p in overrides.items()]}
+        yield lat, table, unit, falsum, unit_mode, checks, overrides, doc
+
+
+def counting_dual_of_join(monkeypatch):
+    """The dual-of-join scans run from here on, one None each."""
+    calls = []
+    scan = phase_module._dual_of_join
+    monkeypatch.setattr(phase_module, "_dual_of_join",
+                        lambda *args: calls.append(None) or scan(*args))
+    return calls
+
+
+def test_gated_loads_prove_only_dual_laws_that_scans_pass(monkeypatch):
+    # the 1,200 seeded loads above: under checks: full, a load whose duals
+    # form a Galois connection on commuting rows proves the four dual laws
+    # (and the commutative and residual laws) and scans none of them, and
+    # every other load scans them to the earlier load's outcome.  Each
+    # proved law, scanned directly here, finds no witness
+    scans = counting_dual_of_join(monkeypatch)
+    paths = Counter()
+    for lat, table, unit, falsum, unit_mode, checks, overrides, doc in \
+            islice(gated_loads(random.Random(608)), 1200):
+        case = (lat.elements, table, unit, falsum, unit_mode, checks,
+                overrides)
+        scans.clear()
+        got = outcome(phase_from_doc, doc, lat)
+        want = outcome(old_load, lat, table, unit, falsum, unit_mode,
+                       checks, overrides)
+        if not isinstance(got, PhaseStructure):
+            assert got == want, case
+            if got[0] in ("DualLawViolation", "OverrideInconsistent"):
+                paths["scan", got[0]] += 1
+            continue
+        assert {x: got.dual(x) for x in lat.elements} == want, case
+        proved = RESIDUAL_LAW in got._proved
+        assert proved == (checks == "full" and not scans), case
+        assert len(scans) == (checks == "full" and not proved), case
+        if checks != "full":
+            continue
+        paths["proof" if proved else "scan", "pass"] += 1
+        if proved:
+            assert {"commutative", RESIDUAL_LAW, *_DUAL_LAWS} <= got._proved
+            idx = lat.idx
+            for name, witnesses, _ in phase_module._laws(
+                    lat, got._rows, idx(unit), idx(falsum), got._dual):
+                if name in _DUAL_LAWS or name == "commutative":
+                    assert next(witnesses, None) is None, (name, case)
+    # the proofs are the 225 audits that the test above pins as proved,
+    # and the passing scans its 37 gated folds under checks: full
+    assert paths == {("proof", "pass"): 225, ("scan", "pass"): 37,
+                     ("scan", "DualLawViolation"): 37,
+                     ("scan", "OverrideInconsistent"): 98}, paths
+
+
+def test_a_non_residual_override_makes_the_load_scan(monkeypatch):
+    # Boolean meet structures whose every dual is overridden by its
+    # residual take the proof, one _enforce call for the product gates.
+    # Each override turned into another element breaks the Galois
+    # connection at that row, so the load scans the dual laws (a second
+    # _enforce call), to the earlier load's outcome
+    gen = _load_gen()
+    enforced = []
+    enforce = phase_module._enforce
+    monkeypatch.setattr(phase_module, "_enforce",
+                        lambda *args: enforced.append(None) or enforce(*args))
+    rng = random.Random(609)
+    seen = Counter()
+    for n in (4, 8, 16, 32) * 5:
+        doc, _ = gen.boolean_structure(rng, n)
+        lat = lattice_from_doc(doc["lattice"])
+        els = lat.elements
+        residual = phase_from_doc(doc, lattice=lat)
+        doc["dual_overrides"] = [[x, residual.dual(x)] for x in els]
+        enforced.clear()
+        ps = phase_from_doc(doc, lattice=lat)
+        assert len(enforced) == 1 and RESIDUAL_LAW in ps._proved
+        x = rng.choice(els)
+        v = rng.choice([y for y in els if y != residual.dual(x)])
+        doc["dual_overrides"][els.index(x)][1] = v
+        table = {}
+        for a, b, c in doc["mult"]:
+            table[a, b] = table[b, a] = c
+        overrides = dict(map(tuple, doc["dual_overrides"]))
+        case = (n, x, v)
+        enforced.clear()
+        got = outcome(loaded_duals, doc, lat)
+        assert len(enforced) == 2, case
+        assert got == outcome(old_load, lat, table, doc["unit"],
+                              doc["falsum"], "strict", "full", overrides), \
+            case
+        seen[got[0] if isinstance(got, tuple) else "loaded"] += 1
+    assert seen == {"OverrideInconsistent": 20}, seen
 
 
 # the earlier two-pass product-row parser -------------------------------

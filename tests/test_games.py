@@ -10,10 +10,11 @@ from test_differential import (Dual, Tensor, alternating_chain, implication,
 from phasegame.errors import (ComponentMismatch, ForeignElement,
                               InteractionOverflow, InvalidStrategy,
                               LatticeMismatch, NotHeyting)
-from phasegame.games import (Game, PayoffGame, Strategy, compose_strategies,
-                             copycat, dual_game, dual_payoff_game,
-                             implication_game, is_winning, maximal_plays,
-                             payoff_implication, payoff_tensor, tensor_game)
+from phasegame.games import (Game, PayoffGame, Strategy, _same_game,
+                             compose_strategies, copycat, dual_game,
+                             dual_payoff_game, implication_game, is_winning,
+                             maximal_plays, payoff_implication, payoff_tensor,
+                             tensor_game)
 from phasegame.lattice import Lattice, PowersetLattice
 
 
@@ -586,6 +587,22 @@ def test_compose_rejects_mismatched_components():
         compose_strategies(x, y, y, on_xy2, copycat(y))
     with pytest.raises(ComponentMismatch, match="second strategy"):
         compose_strategies(y, y, x, copycat(y), on_y2x)
+
+
+def test_same_game_is_judged_on_moves_not_on_listing_order():
+    # a game rebuilt from its vertices and edges in shuffled order is the
+    # same game; with one edge's polarity flipped it is another
+    rng = seeded(49)
+    for _ in range(40):
+        g = random_game(rng, max_vertices=7)
+        vertices, edges = list(g.vertices), g.edges
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        assert _same_game(g, Game(vertices, g.root, edges))
+        if edges:
+            v, w, pol = edges.pop()
+            edges.append((v, w, "P" if pol == "O" else "O"))
+            assert not _same_game(g, Game(vertices, g.root, edges))
 
 
 # winning does not compose in general ------------------------------------

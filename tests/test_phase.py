@@ -19,6 +19,7 @@ from phasegame.errors import (
     UsageError,
 )
 from phasegame.phase import (
+    _DUAL_LAWS,
     PhaseStructure,
     classify,
     load_phase,
@@ -350,9 +351,11 @@ def test_classify_names_the_first_failed_check(lat, rows, falsum, duals,
 
 
 def test_load_runs_no_residual_scan(monkeypatch):
-    # every dual of the goal phase is an override, so loading needs no
-    # residual at all; the audit folds the witness masks of one product
-    # row per element and asks no single residual
+    # every dual of the goal phase is an override, so loading asks no
+    # residual: it only gathers each row's witness mask towards falsum,
+    # which for this phase is not always the down-set of the row's dual,
+    # so the load scans the dual laws and the audit folds the witness
+    # masks of one product row per element, asking no single residual
     calls = []
     for kernel in ("residual", "witnesses"):
         def counting(self, row, *args, _kernel=getattr(Lattice, kernel),
@@ -367,11 +370,11 @@ def test_load_runs_no_residual_scan(monkeypatch):
     assert calls == ["witnesses"] * len(ps.lattice.elements)
 
 
-def counting_scans(monkeypatch):
-    """The calls of Light's test and of the dual-of-join scan from here on,
-    one name each."""
+def counting_scans(monkeypatch, names=("_light", "_dual_of_join")):
+    """The calls of the phase module's scans named in names (by default
+    Light's test and the dual-of-join scan) from here on, one name each."""
     calls = []
-    for name in ("_light", "_dual_of_join"):
+    for name in names:
         def counting(*args, _scan=getattr(phase_module, name), _name=name):
             calls.append(_name)
             return _scan(*args)
@@ -389,9 +392,10 @@ def boolean_doc(n=32):
 def test_audit_reuses_the_load_time_associativity_verdict(monkeypatch):
     calls = counting_scans(monkeypatch)
     ps = phase_from_doc(boolean_doc())
-    assert calls == ["_light", "_dual_of_join"]
+    # the load proves the dual laws, so it scans no dual of a join
+    assert calls == ["_light"]
     report = verify_laws(ps)
-    assert calls == ["_light", "_dual_of_join"]
+    assert calls == ["_light"]
     assert report["laws"][1] == {"law": "associative", "status": "pass",
                                  "checked": 32 ** 3, "skipped": 0,
                                  "witnesses": []}
@@ -406,6 +410,29 @@ def test_audit_reuses_the_load_time_associativity_verdict(monkeypatch):
     assert calls == ["_light", "_dual_of_join"]
 
 
+def test_gated_load_proves_the_dual_laws(monkeypatch):
+    # each row's witness mask towards falsum is the down-set of its dual
+    # and the rows commute: the load proves the four dual laws, the
+    # commutative law and the residual law, and neither it nor the audit
+    # scans any of them or folds a witness mask
+    calls = counting_scans(monkeypatch,
+                           ("_light", "_dual_of_join", "_commutative"))
+
+    def folding(self, row, _witnesses=Lattice.witnesses):
+        calls.append("witnesses")
+        return _witnesses(self, row)
+
+    monkeypatch.setattr(Lattice, "witnesses", folding)
+    ps = phase_from_doc(boolean_doc())
+    assert "_dual_of_join" not in calls
+    assert ps._proved == {"associative", "unit_identity", "commutative",
+                          "residual_matches_dual_product", *_DUAL_LAWS}
+    calls.clear()
+    report = verify_laws(ps)
+    assert calls == []
+    assert report["ok"]
+
+
 def test_ungated_structures_are_audited_in_full(monkeypatch):
     loaded = phase_from_doc(boolean_doc())
     calls = counting_scans(monkeypatch)
@@ -415,8 +442,8 @@ def test_ungated_structures_are_audited_in_full(monkeypatch):
         return _witnesses(self, row)
 
     monkeypatch.setattr(Lattice, "witnesses", folding)
-    # the gated load's audit scans nothing: it decides the residual law by
-    # residuation and folds no row's witness masks
+    # the gated load's audit scans nothing: its load proved the residual
+    # law by residuation, so it folds no row's witness masks
     report = verify_laws(loaded)
     assert calls == []
     relaxed = boolean_doc()
