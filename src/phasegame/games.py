@@ -296,9 +296,12 @@ def compose_strategies(game_x, game_y, game_z, sigma, tau):
     composite play ends, even on cyclic games.
     """
     impl_xz = implication_game(game_x, game_z)
-    if not _same_game(sigma.game, implication_game(game_x, game_y)):
+    # X -o Y is X -o Z when Y is Z, and Y -o Z is X -o Z when Y is X
+    impl_xy = impl_xz if game_y is game_z else implication_game(game_x, game_y)
+    if not _same_game(sigma.game, impl_xy):
         raise ComponentMismatch("first strategy is not on X -o Y")
-    if not _same_game(tau.game, implication_game(game_y, game_z)):
+    impl_yz = impl_xz if game_y is game_x else implication_game(game_y, game_z)
+    if not _same_game(tau.game, impl_yz):
         raise ComponentMismatch("second strategy is not on Y -o Z")
     replies = (sigma.response(), tau.response())
 

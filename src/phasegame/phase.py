@@ -39,9 +39,9 @@ class PhaseStructure:
     in the arguments and results of the methods.
     """
 
-    # the laws a gated load checked and passed, or proved from the Galois
-    # connection of its duals, which the audit lists as passing without
-    # scanning them
+    # the laws its load decided or proved passing, whatever its gates,
+    # which the audit lists as passing without scanning them; a structure
+    # built by hand has none
     _proved = frozenset()
 
     def __init__(self, lattice, rows, unit, falsum, dual, unit_mode="weak",
@@ -144,12 +144,14 @@ def _derive_duals(lattice, rows, falsum, overrides):
 # Semigroups, vol. 1, 1961, section 1.2): if a set A generates the magma,
 # the product is associative iff (x.a).y == x.(a.y) for every a in A and
 # every x, y, which is n.|A| row comparisons instead of n^2.  Only when the
-# test fails, or does not apply, are the rows scanned for witnesses.  A
-# gated load whose duals form a Galois connection (each row's witness mask
-# towards falsum is the down-set of its dual) on commuting rows proves the
-# four dual laws and the residual law, and the audit scans none of them;
-# only where a premise fails are the dual laws scanned and each row's
-# witness masks folded.
+# test fails, or does not apply, are the rows scanned for witnesses.
+# Every load decides the three product laws by their first witness,
+# whatever its gates.  A load whose duals form a Galois connection (each
+# row's witness mask towards falsum is the down-set of its dual) on
+# commuting rows proves the four dual laws, and on associative rows the
+# residual law, and the audit scans none of the laws a load decided or
+# proved; only where a premise fails are the dual laws scanned and each
+# row's witness masks folded.
 
 _RESIDUAL_LAW = "residual_matches_dual_product"
 _DUAL_LAWS = ("triple_dual", "double_dual_extensive",
@@ -168,11 +170,10 @@ def _generators(rows, unit):
     """A generating set of the magma rows, or None.
 
     The set is the elements that are no product y.z with y and z other
-    than the unit and the element itself.  It is None when they hold more
-    than half the carrier, or when their closure under x -> x.a, for each
-    of them a, misses an element.  Every element reached is a left-nested
-    product of generators, so a closure that covers the carrier proves
-    that they generate it, whatever the product.
+    than the unit and the element itself.  It is None when their closure
+    under x -> x.a, for each of them a, misses an element.  Every element
+    reached is a left-nested product of generators, so a closure that
+    covers the carrier proves that they generate it, whatever the product.
     """
     n = len(rows)
     others = [z for z in range(n) if z != unit]
@@ -185,8 +186,6 @@ def _generators(rows, unit):
             got.discard(y)
             made |= got
     gens = [x for x in range(n) if x not in made]
-    if 2 * len(gens) > n:
-        return None
     seen, reached = bytearray(n), list(gens)
     for x in gens:
         seen[x] = 1
@@ -213,7 +212,8 @@ def _light(rows, gens):
 def _associative(els, rows, unit):
     # Light's test decides the verdict; the per-instance scan runs from the
     # start only when it fails or does not apply (two elements or fewer,
-    # or no generating set found by _generators)
+    # or no generating set found by _generators); with at most n
+    # generators, it reads no more rows than the scan's row pass
     if len(rows) > 2:
         gens = _generators(rows, unit)
         if gens is not None and _light(rows, gens):
@@ -288,21 +288,13 @@ def _laws(lattice, rows, unit, falsum, dual=None, proved=()):
         yield _RESIDUAL_LAW, iter(()), n * n
         return
     # only pairs whose residual towards dual(y) exists are instances, so
-    # this law is scanned in full before it is listed.  A row whose
-    # witness masks towards the duals are the down-sets of the duals of
-    # its products has every pair closed and passing; only the pairs of
-    # any other row are taken one by one, with the residual towards each
-    # distinct dual found once per row.
-    down, star_of = lattice._down, lattice._star
-    wants = list(map(down.__getitem__, dual))
+    # this law is scanned in full before it is listed, pair by pair, with
+    # the residual towards each distinct dual found once per row
+    star_of = lattice._star
     targets = list(dict.fromkeys(dual))
     checked, witnesses = 0, []
     for x, row in enumerate(rows):
         w = lattice.witnesses(row)
-        if list(map(w.__getitem__, dual)) == list(map(wants.__getitem__,
-                                                          row)):
-            checked += n
-            continue
         stars = dict(zip(targets, map(star_of, map(w.__getitem__, targets))))
         for y, t in enumerate(dual):
             star, closed = stars[t]
@@ -312,19 +304,6 @@ def _laws(lattice, rows, unit, falsum, dual=None, proved=()):
                 if star != want:
                     witnesses.append((els[x], els[y], els[star], els[want]))
     yield (_RESIDUAL_LAW, iter(witnesses), checked)
-
-
-def _enforce(laws, errors):
-    """Raise errors[name] on the first witness of each law named in errors,
-    taking the laws in order and advancing no further than the last one."""
-    pending = dict(errors)
-    laws = iter(laws)
-    while pending:
-        name, witnesses, _ = next(laws)
-        err = pending.pop(name, None)
-        if err is not None:
-            for w in witnesses:
-                raise err("%s fails at %r" % (name, w))
 
 
 # phase files built so far: (absolute path, validate) -> (the file's bytes,
@@ -343,14 +322,15 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     and under checks 'full', the dual laws triple_dual,
     double_dual_extensive, contradiction_below_falsum and
     dual_of_join_is_meet_of_duals (OverrideInconsistent if the document
-    overrides duals, else DualLawViolation).  validate=False skips these
-    gates so a broken table can still be loaded and audited with
-    verify_laws.  Under checks 'full', when the rows commute and, for
-    every x, the z with x.z <= falsum are exactly the z <= dual(x), the
-    load proves the dual laws, commutativity and the residual law instead
-    of scanning them (see phase_from_rows).  The laws a load passed or
-    proved are kept on the structure, and verify_laws lists them as
-    passing without scanning them.
+    overrides duals, else DualLawViolation).  validate=False raises none
+    of these, so a broken table can still be loaded and audited with
+    verify_laws.  validate, checks and unit_mode choose only what raises:
+    every load decides the commutative, associative and unit laws, and,
+    when the rows commute and, for every x, the z with x.z <= falsum are
+    exactly the z <= dual(x), proves the dual laws, and the residual law
+    on associative rows, instead of scanning them (see phase_from_rows).
+    The laws a load passed or proved are kept on the structure, and
+    verify_laws lists them as passing without scanning them.
 
     A reference with no lattice given is built once per content: while the
     bytes of its file, and of its lattice file if the lattice field is a
@@ -390,7 +370,7 @@ def phase_from_rows(lattice, rows, f, validate=True):
     """The PhaseStructure of lattice, index product rows and checked phase
     fields f, once named_elements finds every name of f an element,
     through data.total_rows (the table must be total) and the gates that
-    phase_from_doc describes."""
+    phase_from_doc describes, which choose only what raises."""
     unit_i, falsum_i, overrides = named_elements(lattice, f)
     rows = tuple(map(tuple, total_rows(lattice.elements, rows)))
     unit_mode, checks = f["unit_mode"], f["checks"]
@@ -401,35 +381,46 @@ def phase_from_rows(lattice, rows, f, validate=True):
             gates["associative"] = NotAssociative
         if unit_mode == "strict":
             gates["unit_identity"] = UnitNotNeutral
-        _enforce(_laws(lattice, rows, unit_i, falsum_i), gates)
+    proved = set()
+    for name, witnesses, _ in _laws(lattice, rows, unit_i, falsum_i):
+        w = next(witnesses, None)
+        if w is None:
+            proved.add(name)
+        elif name in gates:
+            raise gates[name]("%s fails at %r" % (name, w))
 
     dual, galois = _derive_duals(lattice, rows, falsum_i, overrides)
-    if validate and checks == "full":
-        if galois and tuple(zip(*rows)) == rows:
-            # Write x^ for dual(x).  galois says z <= x^ iff x.z <= falsum;
-            # as the rows commute (the commutative law), that is iff
-            # z.x <= falsum iff x <= z^.  So duality towards falsum is an
-            # antitone Galois connection, and the dual laws are theorems:
-            # - z = x^ gives x <= x^^ (double_dual_extensive) and
-            #   x.x^ <= falsum (contradiction_below_falsum);
-            # - x <= y <= y^^ gives y^ <= x^, so x <= x^^ gives x^^^ <= x^,
-            #   and x^ <= x^^^ is the first law at x^ (triple_dual);
-            # - z <= (x v y)^ iff x v y <= z^ iff x <= z^ and y <= z^ iff
-            #   z <= x^ /\ y^ (dual_of_join_is_meet_of_duals).
-            # With the associativity gate passed, z <= x -o y^ iff
-            # y.(x.z) <= falsum iff (x.y).z <= falsum iff z <= (x.y)^, so
-            # every pair has its residual and passes the residual law.  No
-            # gate that could raise is skipped
-            gates.update(dict.fromkeys(("commutative", _RESIDUAL_LAW)))
-        else:
-            err = OverrideInconsistent if overrides else DualLawViolation
-            _enforce(_laws(lattice, rows, unit_i, falsum_i, dual),
-                     dict.fromkeys(_DUAL_LAWS, err))
-        gates.update(dict.fromkeys(_DUAL_LAWS))
+    if galois and "commutative" in proved:
+        # Write x^ for dual(x).  galois says z <= x^ iff x.z <= falsum;
+        # as the rows commute (the commutative law), that is iff
+        # z.x <= falsum iff x <= z^.  So duality towards falsum is an
+        # antitone Galois connection, and the dual laws are theorems:
+        # - z = x^ gives x <= x^^ (double_dual_extensive) and
+        #   x.x^ <= falsum (contradiction_below_falsum);
+        # - x <= y <= y^^ gives y^ <= x^, so x <= x^^ gives x^^^ <= x^,
+        #   and x^ <= x^^^ is the first law at x^ (triple_dual);
+        # - z <= (x v y)^ iff x v y <= z^ iff x <= z^ and y <= z^ iff
+        #   z <= x^ /\ y^ (dual_of_join_is_meet_of_duals).
+        # With associativity decided, z <= x -o y^ iff y.(x.z) <= falsum
+        # iff (x.y).z <= falsum iff z <= (x.y)^, so every pair has its
+        # residual and passes the residual law.  No gate that could raise
+        # is skipped
+        proved.update(_DUAL_LAWS)
+        if "associative" in proved:
+            proved.add(_RESIDUAL_LAW)
+    elif validate and checks == "full":
+        err = OverrideInconsistent if overrides else DualLawViolation
+        # entries 3 to 6 are the four dual laws; the residual law's fold
+        # after them is never reached
+        for name, witnesses, _ in islice(
+                _laws(lattice, rows, unit_i, falsum_i, dual), 3, 7):
+            for w in witnesses:
+                raise err("%s fails at %r" % (name, w))
+        proved.update(_DUAL_LAWS)
 
     ps = PhaseStructure(lattice, rows, f["unit"], f["falsum"], dual,
                         unit_mode, f["op_class"], f["cl_class"])
-    ps._proved = frozenset(gates)
+    ps._proved = frozenset(proved)
     return ps
 
 

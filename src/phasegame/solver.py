@@ -5,8 +5,8 @@ entries carry a list of candidate values instead of a single value, and it
 may state linked constraints of the form "the join of these products equals
 v".  The solver enumerates completions by backtracking on index product
 rows, pruning with the associativity instances that become decidable after
-each assignment, and keeps only completions that pass the gates a phase
-document's load passes and, under full checks, the full law audit.
+each assignment, and keeps only completions that load through a phase
+document's gates and, under full checks, then pass the law audit.
 """
 
 from .data import fields, load_doc, product_rows, resolve_path
@@ -98,10 +98,10 @@ def solve_table(doc_or_path, max_solutions=None):
         return True
 
     def accept():
-        # the loader's gates, which an entry no row fixes fails; under full
-        # checks the audit covers every law they enforce, so each runs once
+        # the loader's gates, which an entry no row fixes fails, then under
+        # full checks the audit of the laws the load did not decide
         try:
-            ps = phase_from_rows(lattice, rows, f, validate=not full_checks)
+            ps = phase_from_rows(lattice, rows, f)
         except PhasegameError:
             return False
         return not full_checks or verify_laws(ps)["ok"]

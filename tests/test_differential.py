@@ -3,21 +3,23 @@
 The scans below are the earlier implementations, kept only as oracles:
 the list-comprehension search for joins and meets, the triple loop for
 distributivity, the name-keyed law generator with its per-pair residual
-fold, the load sequence built on them, and the table solver on a
-name-keyed table that re-read each completion as a document.  Seeded
-random posets, tables and dual tables (most of them lawless: not monotone,
-not associative, not even commutative) must give the same tables, reports,
-duals and errors, and seeded and edited candidate tables the same
-completions, in the same order, or the same error.  One test checks the
+fold, the load sequence built on them (_enforce raised its gates), and
+the table solver on a name-keyed table that re-read each completion as a
+document.  Seeded random posets, tables and dual tables (most of them
+lawless: not monotone, not associative, not even commutative) must give
+the same tables, reports, duals and errors, and seeded and edited
+candidate tables the same completions, in the same order, or the same
+error.  One test checks the
 algebra against the independent reference model of the benchmark's
 generated structures.  The row scan of every associativity instance is
 the oracle for Light's test, which decides the verdict: on every magma of
 at most three elements, on the census monoids and on seeded structures
 with one planted edit, the law must list the scan's witnesses; and on
 lawful seeded structures of 128 and 256 elements the scan must never run.
-The per-pair residual fold is also the oracle for the audit of gated
-loads, whose load proves the residual law and the dual laws where its
-duals form a Galois connection: on seeded meet, perturbed meet,
+The per-pair residual fold is also the oracle for the audit of loads,
+with and without their gates, whose load proves the dual laws where its
+duals form a Galois connection on commuting rows, and the residual law
+too on associative rows: on seeded meet, perturbed meet,
 cyclic-group and chain-max products, with and without dual overrides,
 both that proof and the row fold must give its report, every load the
 earlier load's outcome, and each law the proof skipped must pass its
@@ -113,7 +115,6 @@ from phasegame.phase import (
     PhaseStructure,
     _associative,
     _dual_of_join,
-    _enforce,
     _generators,
     _light,
     _scan_associative,
@@ -291,6 +292,19 @@ def old_lin_implies(lat, mult, x, y):
             "lin_implies(%r, %r): join %r of witnesses is not a witness"
             % (x, y, star))
     return star
+
+
+def _enforce(laws, errors):
+    """Raise errors[name] on the first witness of each law named in errors,
+    taking the laws in order and advancing no further than the last one."""
+    pending = dict(errors)
+    laws = iter(laws)
+    while pending:
+        name, witnesses, _ = next(laws)
+        err = pending.pop(name, None)
+        if err is not None:
+            for w in witnesses:
+                raise err("%s fails at %r" % (name, w))
 
 
 def old_load(lat, mult, unit, falsum, unit_mode, checks, overrides):
@@ -713,15 +727,14 @@ def test_lawful_structures_never_scan_associativity(kind, n, monkeypatch):
                                  "witnesses": []}
 
 
-# the residual law by whole rows -----------------------------------------
+# the residual law by residuation or by rows ------------------------------
 #
-# A row whose witness masks towards the duals are the down-sets of the
-# duals of its products passes whole; only the pairs of any other row are
-# scanned, each through Lattice._star.  The audit of a gated load skips
-# the rows altogether when its load proved the law: the load's gate proved
-# associativity, the rows commute and each row's witness mask towards
-# falsum is the down-set of its dual, which decides every pair by
-# residuation.  The per-pair fold of old_laws is the oracle for both.
+# The audit skips the rows altogether when the load proved the law: the
+# load decided associativity, the rows commute and each row's witness
+# mask towards falsum is the down-set of its dual, which decides every
+# pair by residuation, whatever the load's gates.  Otherwise every row's
+# pairs are scanned, each through Lattice._star.  The per-pair fold of
+# old_laws is the oracle for both.
 
 def counting_star(monkeypatch):
     """The witness masks Lattice._star is asked about from here on."""
@@ -766,8 +779,8 @@ def test_lawful_structures_never_scan_residual_pairs(kind, n, monkeypatch):
 
 
 def test_edited_structures_match_the_earlier_residual_law(monkeypatch):
-    # one planted product or dual edit, loaded without the gates: most
-    # rows pass whole and the rows the edit reaches are scanned pair by
+    # one planted product or dual edit, loaded without the gates: unless
+    # the load proved the residual law, every row is scanned pair by
     # pair, to the report of the per-pair fold
     gen = _load_gen()
     rng = random.Random(607)
@@ -802,19 +815,12 @@ def test_edited_structures_match_the_earlier_residual_law(monkeypatch):
         report = verify_laws(ps)
         assert report == old_report(lat, table, doc["unit"], doc["falsum"],
                                     want, doc["unit_mode"]), case
-        # a row scanned pair by pair asks _star once per distinct dual: a
-        # row is scanned when its witness masks towards the duals are not
-        # the down-sets of the duals of its products
-        dual, down = ps._dual, lat._down
-        scanned = 0
-        for row in ps._rows:
-            w = lat.witnesses(row)
-            scanned += [w[t] for t in dual] != [down[dual[p]] for p in row]
-        assert len(calls) == len(set(dual)) * scanned and scanned < n, case
-        seen[report["laws"][-1]["status"], scanned] += 1
-    # the laws fail with as few as one or two rows scanned
-    assert sum(count for (status, scanned), count in seen.items()
-               if status == "fail" and scanned <= 2) >= 5, seen
+        # a row scanned pair by pair asks _star once per distinct dual
+        scanned = 0 if RESIDUAL_LAW in ps._proved else n
+        assert len(calls) == len(set(ps._dual)) * scanned, case
+        seen[report["laws"][-1]["status"], bool(scanned)] += 1
+    # no edit keeps the premises of the proof, and one keeps the law
+    assert seen == {("fail", True): 23, ("pass", True): 1}, seen
 
 
 def gated_product(rng, lat):
@@ -850,10 +856,11 @@ def monotone(lat, table):
 
 def test_gated_audits_match_the_earlier_residual_law(monkeypatch):
     # gated loads of seeded products: the audit decides the residual law
-    # by residuation when the load proved associativity, the rows commute
+    # by residuation when the load decided associativity, the rows commute
     # and each row's witness mask towards falsum is the down-set of its
-    # dual, with no witness mask folded; any other structure folds one per
-    # row.  Both paths must give the per-pair fold's report
+    # dual, with no witness mask folded, under checks: full or relaxed;
+    # any other structure folds one per row.  Both paths must give the
+    # per-pair fold's report
     rng = random.Random(608)
     folds = counting_folds(monkeypatch)
     paths = Counter()
@@ -894,18 +901,19 @@ def test_gated_audits_match_the_earlier_residual_law(monkeypatch):
         if folds:
             paths["fold", checks, bool(overrides)] += 1
         else:
-            assert checks == "full" and report["ok"], case
+            assert report["ok"], case
             paths["proof", monotone(lat, table), bool(overrides)] += 1
     # keys: ("proof", monotone, overridden) and ("fold", checks,
-    # overridden).  Non-monotone products take the proof as well; a gated
-    # load keeps the fold when some row's witness mask towards falsum is
-    # not the down-set of its dual: a mask that is no down-set (only a
-    # non-monotone product has one) or an override other than the residual
-    assert paths == {("proof", True, False): 129, ("proof", True, True): 41,
-                     ("proof", False, False): 45, ("proof", False, True): 10,
+    # overridden).  Non-monotone products take the proof as well; a load
+    # keeps the fold when some row's witness mask towards falsum is not
+    # the down-set of its dual (a mask that is no down-set, which only a
+    # non-monotone product has, or an override other than the residual),
+    # or, under checks: relaxed, when its rows are not associative
+    assert paths == {("proof", True, False): 191, ("proof", True, True): 56,
+                     ("proof", False, False): 74, ("proof", False, True): 13,
                      ("fold", "full", False): 14, ("fold", "full", True): 23,
-                     ("fold", "relaxed", False): 136,
-                     ("fold", "relaxed", True): 98}, paths
+                     ("fold", "relaxed", False): 45,
+                     ("fold", "relaxed", True): 80}, paths
 
 
 
@@ -946,11 +954,12 @@ def counting_dual_of_join(monkeypatch):
 
 
 def test_gated_loads_prove_only_dual_laws_that_scans_pass(monkeypatch):
-    # the 1,200 seeded loads above: under checks: full, a load whose duals
-    # form a Galois connection on commuting rows proves the four dual laws
-    # (and the commutative and residual laws) and scans none of them, and
-    # every other load scans them to the earlier load's outcome.  Each
-    # proved law, scanned directly here, finds no witness
+    # the 1,200 seeded loads above: a load whose duals form a Galois
+    # connection on commuting, associative rows proves the four dual laws
+    # (and the commutative and residual laws) and scans none of them,
+    # under checks: full or relaxed, and every other load under checks:
+    # full scans them to the earlier load's outcome.  Each proved law,
+    # scanned directly here, finds no witness
     scans = counting_dual_of_join(monkeypatch)
     paths = Counter()
     for lat, table, unit, falsum, unit_mode, checks, overrides, doc in \
@@ -968,9 +977,8 @@ def test_gated_loads_prove_only_dual_laws_that_scans_pass(monkeypatch):
             continue
         assert {x: got.dual(x) for x in lat.elements} == want, case
         proved = RESIDUAL_LAW in got._proved
-        assert proved == (checks == "full" and not scans), case
         assert len(scans) == (checks == "full" and not proved), case
-        if checks != "full":
+        if not (proved or scans):
             continue
         paths["proof" if proved else "scan", "pass"] += 1
         if proved:
@@ -980,24 +988,58 @@ def test_gated_loads_prove_only_dual_laws_that_scans_pass(monkeypatch):
                     lat, got._rows, idx(unit), idx(falsum), got._dual):
                 if name in _DUAL_LAWS or name == "commutative":
                     assert next(witnesses, None) is None, (name, case)
-    # the proofs are the 225 audits that the test above pins as proved,
+    # the proofs are the 334 audits that the test above pins as proved,
     # and the passing scans its 37 gated folds under checks: full
-    assert paths == {("proof", "pass"): 225, ("scan", "pass"): 37,
+    assert paths == {("proof", "pass"): 334, ("scan", "pass"): 37,
                      ("scan", "DualLawViolation"): 37,
                      ("scan", "OverrideInconsistent"): 98}, paths
 
 
+def test_ungated_loads_prove_exactly_the_lawful_tables():
+    # the 1,200 seeded loads above, without the gates: each gives the
+    # earlier duals or error and the per-pair fold's report, and a load
+    # proves the residual law exactly where, on the name-keyed table, the
+    # rows commute and are associative and the z with x.z <= falsum are
+    # the z <= dual(x) for every x
+    paths = Counter()
+    for lat, table, unit, falsum, unit_mode, checks, overrides, doc in \
+            islice(gated_loads(random.Random(608)), 1200):
+        els = lat.elements
+        case = (els, table, unit, falsum, unit_mode, checks, overrides)
+        got = outcome(phase_from_doc, doc, lat, None, False)
+        want = outcome(old_derive_duals, lat, table, falsum, overrides)
+        if not isinstance(got, PhaseStructure):
+            assert got == want, case
+            paths[got[0]] += 1
+            continue
+        assert {x: got.dual(x) for x in els} == want, case
+        assert verify_laws(got) == old_report(lat, table, unit, falsum,
+                                              want, unit_mode), case
+        laws = {name: next(w, None) for name, w, _ in
+                old_laws(lat, table, unit, falsum)}
+        lawful = laws["commutative"] is None and \
+            laws["associative"] is None and \
+            all({z for z in els if lat.leq(table[x, z], falsum)} ==
+                {z for z in els if lat.leq(z, want[x])} for x in els)
+        assert (RESIDUAL_LAW in got._proved) == lawful, case
+        paths["proof" if lawful else "fold"] += 1
+    # the 334 proofs of the gated audits above, and one load whose unit
+    # gate raises UnitNotNeutral
+    assert paths == {"proof": 335, "fold": 386, "NotClosed": 479}, paths
+
+
 def test_a_non_residual_override_makes_the_load_scan(monkeypatch):
     # Boolean meet structures whose every dual is overridden by its
-    # residual take the proof, one _enforce call for the product gates.
-    # Each override turned into another element breaks the Galois
-    # connection at that row, so the load scans the dual laws (a second
-    # _enforce call), to the earlier load's outcome
+    # residual take the proof and scan no dual law.  Each override turned
+    # into another element breaks the Galois connection at that row, so
+    # the load scans the dual laws, to the earlier load's outcome.  A scan
+    # of the dual laws is a _laws call given the dual table (a load that
+    # raises at an earlier dual law never reaches _dual_of_join)
     gen = _load_gen()
-    enforced = []
-    enforce = phase_module._enforce
-    monkeypatch.setattr(phase_module, "_enforce",
-                        lambda *args: enforced.append(None) or enforce(*args))
+    dual_scans = []
+    laws = phase_module._laws
+    monkeypatch.setattr(phase_module, "_laws", lambda *args: (
+        len(args) > 4 and dual_scans.append(None)) or laws(*args))
     rng = random.Random(609)
     seen = Counter()
     for n in (4, 8, 16, 32) * 5:
@@ -1006,9 +1048,9 @@ def test_a_non_residual_override_makes_the_load_scan(monkeypatch):
         els = lat.elements
         residual = phase_from_doc(doc, lattice=lat)
         doc["dual_overrides"] = [[x, residual.dual(x)] for x in els]
-        enforced.clear()
+        dual_scans.clear()
         ps = phase_from_doc(doc, lattice=lat)
-        assert len(enforced) == 1 and RESIDUAL_LAW in ps._proved
+        assert len(dual_scans) == 0 and RESIDUAL_LAW in ps._proved
         x = rng.choice(els)
         v = rng.choice([y for y in els if y != residual.dual(x)])
         doc["dual_overrides"][els.index(x)][1] = v
@@ -1017,9 +1059,9 @@ def test_a_non_residual_override_makes_the_load_scan(monkeypatch):
             table[a, b] = table[b, a] = c
         overrides = dict(map(tuple, doc["dual_overrides"]))
         case = (n, x, v)
-        enforced.clear()
+        dual_scans.clear()
         got = outcome(loaded_duals, doc, lat)
-        assert len(enforced) == 2, case
+        assert len(dual_scans) == 1, case
         assert got == outcome(old_load, lat, table, doc["unit"],
                               doc["falsum"], "strict", "full", overrides), \
             case

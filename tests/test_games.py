@@ -7,6 +7,7 @@ from conftest import (chain, count_moves, positionally_winning,
                       random_strategy, seeded)
 from test_differential import (Dual, Tensor, alternating_chain, implication,
                                old_dual_game, old_tensor_game, walk)
+from phasegame import games as games_module
 from phasegame.errors import (ComponentMismatch, ForeignElement,
                               InteractionOverflow, InvalidStrategy,
                               LatticeMismatch, NotHeyting)
@@ -528,6 +529,19 @@ def test_compose_copycat_with_itself():
         g = random_game(rng)
         cc = copycat(g)
         assert compose_strategies(g, g, g, cc, cc).plays == cc.plays
+
+
+def test_compose_lists_x_implies_z_once_for_one_game(monkeypatch):
+    # X -o Y is X -o Z when Y is Z, and Y -o Z is X -o Z when Y is X, so
+    # copycat;copycat with X, Y and Z one game lists one implication game
+    g = tensor_game(alternating_chain(3), alternating_chain(3))
+    cc = copycat(g)
+    calls = []
+    monkeypatch.setattr(games_module, "implication_game",
+                        lambda a, b: calls.append((a, b)) or
+                        implication_game(a, b))
+    assert compose_strategies(g, g, g, cc, cc).plays == cc.plays
+    assert calls == [(g, g)]
 
 
 def test_compose_associative():

@@ -402,12 +402,25 @@ def test_audit_reuses_the_load_time_associativity_verdict(monkeypatch):
     assert report["laws"][6] == {"law": "dual_of_join_is_meet_of_duals",
                                  "status": "pass", "checked": 32 ** 2,
                                  "skipped": 0, "witnesses": []}
-    # the same rows loaded without the gates are audited in full, to the
-    # same report
+    # the same rows loaded without the gates decide associativity at
+    # load, and their audit reuses that verdict, to the same report
     calls.clear()
-    assert verify_laws(phase_from_doc(boolean_doc(), validate=False)) == \
-        report
-    assert calls == ["_light", "_dual_of_join"]
+    ungated = phase_from_doc(boolean_doc(), validate=False)
+    assert calls == ["_light"]
+    assert verify_laws(ungated) == report
+    assert calls == ["_light"]
+
+
+def test_light_decides_the_goal_phase(monkeypatch):
+    # 12 of the goal phase's 18 elements are no product of two others,
+    # and they generate it, so Light's test decides its associativity
+    # and no instance is scanned
+    calls = counting_scans(monkeypatch, ("_light", "_scan_associative"))
+    ps = phase_from_doc(phase_doc())
+    assert calls == ["_light"]
+    rows = ps._rows
+    assert len(phase_module._generators(
+        rows, ps.lattice.idx(ps.unit))) == 12 and len(rows) == 18
 
 
 def test_gated_load_proves_the_dual_laws(monkeypatch):
@@ -433,30 +446,40 @@ def test_gated_load_proves_the_dual_laws(monkeypatch):
     assert report["ok"]
 
 
-def test_ungated_structures_are_audited_in_full(monkeypatch):
-    loaded = phase_from_doc(boolean_doc())
-    calls = counting_scans(monkeypatch)
+def test_loads_prove_the_same_laws_whatever_their_gates(monkeypatch):
+    # a lawful table loaded with its gates, without them or under checks:
+    # relaxed: each load decides commutativity (one _commutative pass)
+    # and associativity (Light's test) and proves the rest from the
+    # Galois connection of its duals, so none scans a dual of a join or
+    # folds a witness mask, and each audit scans nothing
+    calls = counting_scans(monkeypatch,
+                           ("_light", "_dual_of_join", "_commutative"))
 
     def folding(self, row, _witnesses=Lattice.witnesses):
         calls.append("witnesses")
         return _witnesses(self, row)
 
     monkeypatch.setattr(Lattice, "witnesses", folding)
-    # the gated load's audit scans nothing: its load proved the residual
-    # law by residuation, so it folds no row's witness masks
-    report = verify_laws(loaded)
-    assert calls == []
     relaxed = boolean_doc()
     relaxed["checks"] = "relaxed"
-    # a structure built by hand on the same index tables
-    built = PhaseStructure(loaded.lattice, loaded._rows, loaded.unit,
-                           loaded.falsum, loaded._dual, loaded.unit_mode)
-    for ps in (phase_from_doc(boolean_doc(), validate=False),
-               phase_from_doc(relaxed), built):
-        assert calls == []
-        assert verify_laws(ps) == report
-        assert calls == ["_light", "_dual_of_join"] + ["witnesses"] * 32
+    reports = []
+    for doc, validate in ((boolean_doc(), True), (boolean_doc(), False),
+                          (relaxed, True)):
+        ps = phase_from_doc(doc, validate=validate)
+        assert calls == ["_commutative", "_light"]
         calls.clear()
+        reports.append(verify_laws(ps))
+        assert calls == []
+        assert ps._proved == {"associative", "unit_identity", "commutative",
+                              "residual_matches_dual_product", *_DUAL_LAWS}
+    assert reports[0]["ok"] and reports.count(reports[0]) == 3
+    # a structure built by hand on the same index tables is audited in
+    # full, to the same report
+    built = PhaseStructure(ps.lattice, ps._rows, ps.unit, ps.falsum,
+                           ps._dual, ps.unit_mode)
+    assert verify_laws(built) == reports[0]
+    assert calls == ["_commutative", "_light", "_dual_of_join"] + \
+        ["witnesses"] * 32
 
 
 def test_verify_laws_caps_witnesses():
