@@ -30,6 +30,13 @@ from .errors import (
 )
 from .lattice import lattice_from_doc
 
+# up to this many elements an index fits in a byte, so a product row read
+# as bytes is gathered by bytes.translate, whose table has 256 entries
+_BYTE_ROWS = 256
+# the bytes 0 and 1 as the digits "0" and "1", so a row of selectors
+# becomes a string of binary digits for int(..., 2)
+_DIGIT_OF_BYTE = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class PhaseStructure:
     """Immutable bundle of lattice, product, unit, falsum and dual table.
@@ -40,9 +47,11 @@ class PhaseStructure:
     """
 
     # the laws its load decided or proved passing, whatever its gates,
-    # which the audit lists as passing without scanning them; a structure
-    # built by hand has none
+    # which the audit lists as passing without scanning them, and the
+    # product laws it found failing, which the audit scans for witnesses
+    # without deciding them again; a structure built by hand has neither
     _proved = frozenset()
+    _failed = frozenset()
 
     def __init__(self, lattice, rows, unit, falsum, dual, unit_mode="weak",
                  op_class=None, cl_class=None):
@@ -114,12 +123,21 @@ def _derive_duals(lattice, rows, falsum, overrides):
     by each element.  galois says whether, for every x, the z with
     x.z <= falsum are exactly the z <= dual(x): each row's witness mask
     towards falsum, gathered once as Lattice.residual gathers it, is the
-    down-set of its dual."""
+    down-set of its dual.  Up to _BYTE_ROWS elements a mask is the row in
+    bytes translated to binary digits, "1" where the product is at or
+    below falsum, and read reversed by int(..., 2), so that bit z is the
+    digit of row[z]."""
     els, down, star_of = lattice.elements, lattice._down, lattice._star
-    bits, below = lattice._bits, lattice._below[falsum].__getitem__
+    n = len(els)
+    if n <= _BYTE_ROWS:
+        digits = lattice._below[falsum].translate(_DIGIT_OF_BYTE) + \
+            b"0" * (_BYTE_ROWS - n)
+        masks = [int(bytes(row).translate(digits)[::-1], 2) for row in rows]
+    else:
+        bits, below = lattice._bits, lattice._below[falsum].__getitem__
+        masks = [sum(compress(bits, map(below, row))) for row in rows]
     dual, galois = [], True
-    for x, row in zip(els, rows):
-        mask = sum(compress(bits, map(below, row)))
+    for x, mask in zip(els, masks):
         if x in overrides:
             star = lattice.idx(overrides[x])
         else:
@@ -145,13 +163,19 @@ def _derive_duals(lattice, rows, falsum, overrides):
 # the product is associative iff (x.a).y == x.(a.y) for every a in A and
 # every x, y, which is n.|A| row comparisons instead of n^2.  Only when the
 # test fails, or does not apply, are the rows scanned for witnesses.
+# With at most _BYTE_ROWS (256) elements every index fits in a byte, so
+# the test builds each row x.(a.y) as row a in bytes translated through
+# row x, and the duals' witness masks are each row in bytes translated to
+# binary digits: bytes.translate takes a 256-byte table, so past 256
+# elements both gather through itemgetter and compress instead.
 # Every load decides the three product laws by their first witness,
 # whatever its gates.  A load whose duals form a Galois connection (each
 # row's witness mask towards falsum is the down-set of its dual) on
 # commuting rows proves the four dual laws, and on associative rows the
 # residual law, and the audit scans none of the laws a load decided or
 # proved; only where a premise fails are the dual laws scanned and each
-# row's witness masks folded.
+# row's witness masks folded.  Where the load found associativity
+# failing, the audit scans for its witnesses without Light's test.
 
 _RESIDUAL_LAW = "residual_matches_dual_product"
 _DUAL_LAWS = ("triple_dual", "double_dual_extensive",
@@ -174,17 +198,30 @@ def _generators(rows, unit):
     under x -> x.a, for each of them a, misses an element.  Every element
     reached is a left-nested product of generators, so a closure that
     covers the carrier proves that they generate it, whatever the product.
+    Up to _BYTE_ROWS elements, the z with y.z != z are the nonzero bytes
+    of row y in bytes xor the identity row, read as big integers, with
+    the unit's byte cleared.
     """
     n = len(rows)
-    others = [z for z in range(n) if z != unit]
-    pick = itemgetter(*others)
     made = set()
-    for y, row in enumerate(rows):
-        if y != unit:
-            vals = pick(row)
-            got = set(compress(vals, map(ne, vals, others)))
-            got.discard(y)
-            made |= got
+    if n <= _BYTE_ROWS:
+        ident = int.from_bytes(bytes(range(n)), "big")
+        keep = ((1 << 8 * n) - 1) ^ (0xFF << 8 * (n - 1 - unit))
+        for y, row in enumerate(map(bytes, rows)):
+            if y != unit:
+                moved = (int.from_bytes(row, "big") ^ ident) & keep
+                got = set(compress(row, moved.to_bytes(n, "big")))
+                got.discard(y)
+                made |= got
+    else:
+        others = [z for z in range(n) if z != unit]
+        pick = itemgetter(*others)
+        for y, row in enumerate(rows):
+            if y != unit:
+                vals = pick(row)
+                got = set(compress(vals, map(ne, vals, others)))
+                got.discard(y)
+                made |= got
     gens = [x for x in range(n) if x not in made]
     seen, reached = bytearray(n), list(gens)
     for x in gens:
@@ -201,7 +238,19 @@ def _generators(rows, unit):
 def _light(rows, gens):
     """Light's test: (x.a).y == x.(a.y) for every a in gens and every x, y.
     For each a, the rows x.(a.y) over y are built in one C call each and
-    compared with the rows of x.a."""
+    compared with the rows of x.a: up to _BYTE_ROWS elements as row a in
+    bytes translated through row x, padded to a 256-byte table, else as
+    row x taken at the entries of row a."""
+    n = len(rows)
+    if n <= _BYTE_ROWS:
+        brows = list(map(bytes, rows))
+        pad = bytes(_BYTE_ROWS - n)
+        tables = [row + pad for row in brows]
+        for a in gens:
+            if list(map(brows[a].translate, tables)) != \
+                    list(map(brows.__getitem__, map(itemgetter(a), rows))):
+                return False
+        return True
     for a in gens:
         if list(map(itemgetter(*rows[a]), rows)) != \
                 list(map(rows.__getitem__, map(itemgetter(a), rows))):
@@ -247,21 +296,24 @@ def _dual_of_join(lattice, dual):
                     yield els[x], els[y]
 
 
-def _laws(lattice, rows, unit, falsum, dual=None, proved=()):
+def _laws(lattice, rows, unit, falsum, dual=None, proved=(), failed=()):
     """Yield (name, witnesses, instances) for each law, in a fixed order.
 
     rows, unit, falsum and dual are element indices; witnesses are names.
     witnesses lazily yields the failing instances, so a caller that stops
     at the first pays only for the scan up to it.  Without a dual table only
     the product laws are listed.  A law named in proved is listed with no
-    witness and no scan.
+    witness and no scan; associativity named in failed is scanned without
+    Light's test first.
     """
     els = lattice.elements
     n = len(els)
     span = range(n)
     laws = [
         ("commutative", lambda: _commutative(els, rows), n * n),
-        ("associative", lambda: _associative(els, rows, unit), n ** 3),
+        ("associative",
+         lambda: _scan_associative(els, rows) if "associative" in failed
+         else _associative(els, rows, unit), n ** 3),
         ("unit_identity",
          lambda: (els[x] for x in span if rows[unit][x] != x), n),
     ]
@@ -330,7 +382,9 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     exactly the z <= dual(x), proves the dual laws, and the residual law
     on associative rows, instead of scanning them (see phase_from_rows).
     The laws a load passed or proved are kept on the structure, and
-    verify_laws lists them as passing without scanning them.
+    verify_laws lists them as passing without scanning them; a product
+    law the load found failing is kept too, and verify_laws scans it for
+    its witnesses without deciding it again.
 
     A reference with no lattice given is built once per content: while the
     bytes of its file, and of its lattice file if the lattice field is a
@@ -381,13 +435,15 @@ def phase_from_rows(lattice, rows, f, validate=True):
             gates["associative"] = NotAssociative
         if unit_mode == "strict":
             gates["unit_identity"] = UnitNotNeutral
-    proved = set()
+    proved, failed = set(), set()
     for name, witnesses, _ in _laws(lattice, rows, unit_i, falsum_i):
         w = next(witnesses, None)
         if w is None:
             proved.add(name)
         elif name in gates:
             raise gates[name]("%s fails at %r" % (name, w))
+        else:
+            failed.add(name)
 
     dual, galois = _derive_duals(lattice, rows, falsum_i, overrides)
     if galois and "commutative" in proved:
@@ -420,7 +476,7 @@ def phase_from_rows(lattice, rows, f, validate=True):
 
     ps = PhaseStructure(lattice, rows, f["unit"], f["falsum"], dual,
                         unit_mode, f["op_class"], f["cl_class"])
-    ps._proved = frozenset(proved)
+    ps._proved, ps._failed = frozenset(proved), frozenset(failed)
     return ps
 
 
@@ -446,7 +502,7 @@ def verify_laws(ps):
     laws = []
     for name, witnesses, instances in _laws(lat, ps._rows, lat.idx(ps.unit),
                                             lat.idx(ps.falsum), ps._dual,
-                                            ps._proved):
+                                            ps._proved, ps._failed):
         if name == "unit_identity" and ps.unit_mode != "strict":
             laws.append({"law": name, "status": "skipped", "checked": 0,
                          "skipped": instances, "witnesses": []})

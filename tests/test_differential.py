@@ -14,8 +14,11 @@ algebra against the independent reference model of the benchmark's
 generated structures.  The row scan of every associativity instance is
 the oracle for Light's test, which decides the verdict: on every magma of
 at most three elements, on the census monoids and on seeded structures
-with one planted edit, the law must list the scan's witnesses; and on
-lawful seeded structures of 128 and 256 elements the scan must never run.
+with one planted edit, the law must list the scan's witnesses; on
+lawful seeded structures of 128 and 256 elements the scan must never run;
+and on both sides of the byte bound (256 and 257 elements), where the
+test and the duals' witness masks change how they gather rows, the scan
+and the earlier duals are the oracles of both.
 The per-pair residual fold is also the oracle for the audit of loads,
 with and without their gates, whose load proves the dual laws where its
 duals form a Galois connection on commuting rows, and the residual law
@@ -706,6 +709,108 @@ def test_light_verdict_matches_the_scan_on_edited_structures():
             edits[one_sided, not want] += 1
     assert sum(edits.values()) >= 300
     assert edits[True, False] and edits[False, False]
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_light_and_dual_masks_match_the_scans_across_the_byte_bound(n):
+    # the generator search, Light's test and the duals' witness masks read
+    # the rows as bytes up to 256 elements and through itemgetter and
+    # compress past them: the meet product on the 256 down-sets of 8
+    # points, and on those plus one point above them all, lawful and with
+    # 20 planted edits (one- or two-sided, five in the unit's column, some
+    # with a dual override), each at one of three seeded falsums, must
+    # find the generators of their definition, list the scan's first
+    # witnesses and derive the earlier duals, with the Galois verdict of
+    # masks gathered one product at a time
+    gen = _load_gen()
+    rng = random.Random(609 + n)
+    below = [1 << i for i in range(8)] + [(1 << 9) - 1] * (n == 257)
+    doc, _ = gen._structure(rng, below)
+    lat = lattice_from_doc(doc["lattice"])
+    els, up = lat.elements, lat._up
+    assert len(els) == n and (n > phase_module._BYTE_ROWS) == (n == 257)
+    rows, unit = structure_rows(doc)
+    assert associative_witnesses(rows, unit) == \
+        list(_scan_associative(range(n), rows)) == []
+
+    def made(a, p, b):
+        # y.z makes p when y and z are neither the unit nor p itself
+        return unit not in (a, b) and p not in (a, b)
+
+    def generators(edited):
+        gens = [p for p in range(n) if not products[p]]
+        reached = list(gens)
+        for a in reached:
+            reached += {edited[a][g] for g in gens} - set(reached)
+        return gens if len(reached) == n else None
+
+    # how many products of the lawful rows make each element; an edit
+    # changes at most two of them
+    products = Counter(p for a, row in enumerate(rows)
+                       for b, p in enumerate(row) if made(a, p, b))
+    gens = _generators(rows, unit)
+    assert gens == generators(rows) is not None
+
+    def mask(row, falsum):
+        return sum(1 << z for z, p in enumerate(row) if up[p] >> falsum & 1)
+
+    # the masks of the lawful rows at each falsum; an edit changes two rows
+    falsums = rng.sample(range(n), 3)
+    masks = {f: [mask(row, f) for row in rows] for f in falsums}
+    table = {(els[a], els[b]): els[p]
+             for a, row in enumerate(rows) for b, p in enumerate(row)}
+    seen = Counter()
+    for edit in range(21):
+        edited = [list(row) for row in rows]
+        x = y = 0
+        if edit:
+            x, y, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if edit % 4 == 1:
+                # a product with the unit, valued at a generator, which
+                # the generator search must not count as made
+                y, v = unit, rng.choice(gens)
+            edited[x][y] = v
+            if rng.random() < 0.5:
+                edited[y][x] = v
+        edited = tuple(map(tuple, edited))
+        changed = {(x, y), (y, x)}
+        for a, b in changed:
+            products[rows[a][b]] -= made(a, rows[a][b], b)
+            products[edited[a][b]] += made(a, edited[a][b], b)
+        assert _generators(edited, unit) == generators(edited), edit
+        for a, b in changed:
+            products[edited[a][b]] -= made(a, edited[a][b], b)
+            products[rows[a][b]] += made(a, rows[a][b], b)
+        want = list(islice(_scan_associative(range(n), edited), 5))
+        assert associative_witnesses(edited, unit, 5) == want, edit
+        falsum = rng.choice(falsums)
+        overrides = {}
+        if rng.random() < 0.25:
+            overrides = {els[rng.randrange(n)]: els[rng.randrange(n)]}
+        for a, b in changed:
+            table[els[a], els[b]] = els[edited[a][b]]
+        got = outcome(phase_module._derive_duals, lat, edited, falsum,
+                      overrides)
+        old = outcome(old_derive_duals, lat, table, els[falsum], overrides)
+        for a, b in changed:
+            table[els[a], els[b]] = els[rows[a][b]]
+        if isinstance(old, dict):
+            dual, galois = got
+            assert dict(zip(els, map(els.__getitem__, dual))) == old, edit
+            row_masks = list(masks[falsum])
+            row_masks[x], row_masks[y] = (mask(edited[x], falsum),
+                                          mask(edited[y], falsum))
+            assert galois == (row_masks == [lat._down[d] for d in dual]), \
+                edit
+            seen[bool(want), "galois" if galois else "not galois"] += 1
+        else:
+            assert got == old, edit
+            seen[bool(want), old[0]] += 1
+    # duals that form a Galois connection and duals that do not, and
+    # most edits break associativity
+    assert {kind for _, kind in seen} >= {"galois", "not galois"}, seen
+    assert sum(count for (fails, _), count in seen.items() if fails) >= 15, \
+        seen
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n)

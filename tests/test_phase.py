@@ -423,6 +423,29 @@ def test_light_decides_the_goal_phase(monkeypatch):
         rows, ps.lattice.idx(ps.unit))) == 12 and len(rows) == 18
 
 
+def test_audit_reuses_the_load_time_associativity_failure(monkeypatch):
+    # goal_phase_alt is not associative: its ungated load finds Light's
+    # test failing and scans for the first witness, and the audit keeps
+    # that verdict, scanning once for its witnesses and neither looking
+    # for generators nor running Light's test again
+    calls = counting_scans(monkeypatch, ("_generators", "_light",
+                                         "_scan_associative"))
+    doc = load_doc("data:goal_phase_alt.json")[0]
+    doc["lattice"] = "data:goal_lattice.json"
+    ps = phase_from_doc(doc, validate=False)
+    assert calls == ["_generators", "_light", "_scan_associative"]
+    assert ps._failed == {"associative", "unit_identity"}
+    calls.clear()
+    report = verify_laws(ps)
+    assert calls == ["_scan_associative"]
+    # to the report of the same tables built by hand, which decides the
+    # law in full
+    built = PhaseStructure(ps.lattice, ps._rows, ps.unit, ps.falsum,
+                           ps._dual, ps.unit_mode)
+    assert verify_laws(built) == report
+    assert report["laws"][1]["status"] == "fail"
+
+
 def test_gated_load_proves_the_dual_laws(monkeypatch):
     # each row's witness mask towards falsum is the down-set of its dual
     # and the rows commute: the load proves the four dual laws, the
