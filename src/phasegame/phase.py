@@ -46,13 +46,6 @@ class PhaseStructure:
     in the arguments and results of the methods.
     """
 
-    # the laws its load decided or proved passing, whatever its gates,
-    # which the audit lists as passing without scanning them, and the
-    # product laws it found failing, which the audit scans for witnesses
-    # without deciding them again; a structure built by hand has neither
-    _proved = frozenset()
-    _failed = frozenset()
-
     def __init__(self, lattice, rows, unit, falsum, dual, unit_mode="weak",
                  op_class=None, cl_class=None):
         """rows and dual are the index tables; unit and falsum are names."""
@@ -64,6 +57,10 @@ class PhaseStructure:
         self.unit_mode = unit_mode
         self.op_class = tuple(op_class) if op_class is not None else None
         self.cl_class = tuple(cl_class) if cl_class is not None else None
+        # law -> the first witnesses its load found (none when it passed or
+        # was proved), which the audit lists without a scan; phase_from_rows
+        # fills it, and a structure built by hand has decided no law
+        self._verdicts = {}
 
     def mult(self, x, y):
         idx = self.lattice.idx
@@ -168,14 +165,19 @@ def _derive_duals(lattice, rows, falsum, overrides):
 # row x, and the duals' witness masks are each row in bytes translated to
 # binary digits: bytes.translate takes a 256-byte table, so past 256
 # elements both gather through itemgetter and compress instead.
-# Every load decides the three product laws by their first witness,
-# whatever its gates.  A load whose duals form a Galois connection (each
-# row's witness mask towards falsum is the down-set of its dual) on
-# commuting rows proves the four dual laws, and on associative rows the
-# residual law, and the audit scans none of the laws a load decided or
-# proved; only where a premise fails are the dual laws scanned and each
-# row's witness masks folded.  Where the load found associativity
-# failing, the audit scans for its witnesses without Light's test.
+# One rule decides the laws: every load decides the seven laws before the
+# residual law, whatever its gates, and the audit folds only the residual
+# law.  The load scans the three product laws, and proves the four dual
+# laws where its duals form a Galois connection (each row's witness mask
+# towards falsum is the down-set of its dual) on commuting rows, else
+# scans them; it keeps each law's first witnesses (up to _MAX_WITNESSES)
+# on the structure, and the audit lists them without a scan.  On
+# associative rows the same premises prove the residual law at load, and
+# the audit folds each row's witness masks only where they do not.  A
+# structure built by hand decides nothing at load, so its audit scans
+# every law.
+
+_MAX_WITNESSES = 5
 
 _RESIDUAL_LAW = "residual_matches_dual_product"
 _DUAL_LAWS = ("triple_dual", "double_dual_extensive",
@@ -198,30 +200,17 @@ def _generators(rows, unit):
     under x -> x.a, for each of them a, misses an element.  Every element
     reached is a left-nested product of generators, so a closure that
     covers the carrier proves that they generate it, whatever the product.
-    Up to _BYTE_ROWS elements, the z with y.z != z are the nonzero bytes
-    of row y in bytes xor the identity row, read as big integers, with
-    the unit's byte cleared.
     """
     n = len(rows)
+    others = [z for z in range(n) if z != unit]
+    pick = itemgetter(*others)
     made = set()
-    if n <= _BYTE_ROWS:
-        ident = int.from_bytes(bytes(range(n)), "big")
-        keep = ((1 << 8 * n) - 1) ^ (0xFF << 8 * (n - 1 - unit))
-        for y, row in enumerate(map(bytes, rows)):
-            if y != unit:
-                moved = (int.from_bytes(row, "big") ^ ident) & keep
-                got = set(compress(row, moved.to_bytes(n, "big")))
-                got.discard(y)
-                made |= got
-    else:
-        others = [z for z in range(n) if z != unit]
-        pick = itemgetter(*others)
-        for y, row in enumerate(rows):
-            if y != unit:
-                vals = pick(row)
-                got = set(compress(vals, map(ne, vals, others)))
-                got.discard(y)
-                made |= got
+    for y, row in enumerate(rows):
+        if y != unit:
+            vals = pick(row)
+            got = set(compress(vals, map(ne, vals, others)))
+            got.discard(y)
+            made |= got
     gens = [x for x in range(n) if x not in made]
     seen, reached = bytearray(n), list(gens)
     for x in gens:
@@ -296,24 +285,21 @@ def _dual_of_join(lattice, dual):
                     yield els[x], els[y]
 
 
-def _laws(lattice, rows, unit, falsum, dual=None, proved=(), failed=()):
+def _laws(lattice, rows, unit, falsum, dual=None, verdicts=()):
     """Yield (name, witnesses, instances) for each law, in a fixed order.
 
     rows, unit, falsum and dual are element indices; witnesses are names.
     witnesses lazily yields the failing instances, so a caller that stops
     at the first pays only for the scan up to it.  Without a dual table only
-    the product laws are listed.  A law named in proved is listed with no
-    witness and no scan; associativity named in failed is scanned without
-    Light's test first.
+    the product laws are listed.  A law that verdicts maps to its recorded
+    witnesses yields them, with no scan.
     """
     els = lattice.elements
     n = len(els)
     span = range(n)
     laws = [
         ("commutative", lambda: _commutative(els, rows), n * n),
-        ("associative",
-         lambda: _scan_associative(els, rows) if "associative" in failed
-         else _associative(els, rows, unit), n ** 3),
+        ("associative", lambda: _associative(els, rows, unit), n ** 3),
         ("unit_identity",
          lambda: (els[x] for x in span if rows[unit][x] != x), n),
     ]
@@ -333,11 +319,14 @@ def _laws(lattice, rows, unit, falsum, dual=None, proved=(), failed=()):
              lambda: _dual_of_join(lattice, dual), n * n),
         ]
     for name, scan, instances in laws:
-        yield name, iter(()) if name in proved else scan(), instances
+        yield name, iter(verdicts[name]) if name in verdicts else scan(), \
+            instances
     if dual is None:
         return
-    if _RESIDUAL_LAW in proved:
-        yield _RESIDUAL_LAW, iter(()), n * n
+    if _RESIDUAL_LAW in verdicts:
+        # only a load's proof decides it, and then every pair has its
+        # residual
+        yield _RESIDUAL_LAW, iter(verdicts[_RESIDUAL_LAW]), n * n
         return
     # only pairs whose residual towards dual(y) exists are instances, so
     # this law is scanned in full before it is listed, pair by pair, with
@@ -377,14 +366,13 @@ def phase_from_doc(doc, lattice=None, base_dir=None, validate=True):
     overrides duals, else DualLawViolation).  validate=False raises none
     of these, so a broken table can still be loaded and audited with
     verify_laws.  validate, checks and unit_mode choose only what raises:
-    every load decides the commutative, associative and unit laws, and,
-    when the rows commute and, for every x, the z with x.z <= falsum are
-    exactly the z <= dual(x), proves the dual laws, and the residual law
-    on associative rows, instead of scanning them (see phase_from_rows).
-    The laws a load passed or proved are kept on the structure, and
-    verify_laws lists them as passing without scanning them; a product
-    law the load found failing is kept too, and verify_laws scans it for
-    its witnesses without deciding it again.
+    every load decides the commutative, associative and unit laws and the
+    four dual laws, proving the dual laws, and the residual law on
+    associative rows, when the rows commute and, for every x, the z with
+    x.z <= falsum are exactly the z <= dual(x), and scanning the dual
+    laws otherwise (see phase_from_rows).  Each law's verdict, with its
+    first witnesses, is kept on the structure, and verify_laws lists it
+    without a scan.
 
     A reference with no lattice given is built once per content: while the
     bytes of its file, and of its lattice file if the lattice field is a
@@ -433,20 +421,23 @@ def phase_from_rows(lattice, rows, f, validate=True):
     if validate:
         if checks == "full":
             gates["associative"] = NotAssociative
+            gates.update(dict.fromkeys(_DUAL_LAWS, OverrideInconsistent
+                                       if overrides else DualLawViolation))
         if unit_mode == "strict":
             gates["unit_identity"] = UnitNotNeutral
-    proved, failed = set(), set()
-    for name, witnesses, _ in _laws(lattice, rows, unit_i, falsum_i):
-        w = next(witnesses, None)
-        if w is None:
-            proved.add(name)
-        elif name in gates:
-            raise gates[name]("%s fails at %r" % (name, w))
-        else:
-            failed.add(name)
+    verdicts = {}
 
+    def decide(laws):
+        # keep each law's first witnesses; the first failing law a gate
+        # names raises at its first witness
+        for name, witnesses, _ in laws:
+            found = verdicts[name] = tuple(islice(witnesses, _MAX_WITNESSES))
+            if found and name in gates:
+                raise gates[name]("%s fails at %r" % (name, found[0]))
+
+    decide(_laws(lattice, rows, unit_i, falsum_i))
     dual, galois = _derive_duals(lattice, rows, falsum_i, overrides)
-    if galois and "commutative" in proved:
+    if galois and not verdicts["commutative"]:
         # Write x^ for dual(x).  galois says z <= x^ iff x.z <= falsum;
         # as the rows commute (the commutative law), that is iff
         # z.x <= falsum iff x <= z^.  So duality towards falsum is an
@@ -461,22 +452,19 @@ def phase_from_rows(lattice, rows, f, validate=True):
         # iff (x.y).z <= falsum iff z <= (x.y)^, so every pair has its
         # residual and passes the residual law.  No gate that could raise
         # is skipped
-        proved.update(_DUAL_LAWS)
-        if "associative" in proved:
-            proved.add(_RESIDUAL_LAW)
-    elif validate and checks == "full":
-        err = OverrideInconsistent if overrides else DualLawViolation
-        # entries 3 to 6 are the four dual laws; the residual law's fold
-        # after them is never reached
-        for name, witnesses, _ in islice(
-                _laws(lattice, rows, unit_i, falsum_i, dual), 3, 7):
-            for w in witnesses:
-                raise err("%s fails at %r" % (name, w))
-        proved.update(_DUAL_LAWS)
+        verdicts.update(dict.fromkeys(_DUAL_LAWS, ()))
+        if not verdicts["associative"]:
+            verdicts[_RESIDUAL_LAW] = ()
+    else:
+        # entries 3 to 6 are the four dual laws, after the product laws
+        # already decided; the residual law's fold after them is never
+        # reached
+        decide(islice(_laws(lattice, rows, unit_i, falsum_i, dual, verdicts),
+                      3, 7))
 
     ps = PhaseStructure(lattice, rows, f["unit"], f["falsum"], dual,
                         unit_mode, f["op_class"], f["cl_class"])
-    ps._proved, ps._failed = frozenset(proved), frozenset(failed)
+    ps._verdicts = verdicts
     return ps
 
 
@@ -485,8 +473,6 @@ load_phase = phase_from_doc
 
 # law audit ------------------------------------------------------------
 
-_MAX_WITNESSES = 5
-
 
 def verify_laws(ps):
     """Audit every law on a structure, returning a report dictionary.
@@ -494,15 +480,16 @@ def verify_laws(ps):
     Unlike load-time validation this never raises: hand-built or corrupted
     structures produce a report with failing entries and witnesses instead.
     Pairs with no residual are skipped by the residual law, not failed.
-    A law the structure's load checked or proved (see phase_from_doc) is
-    listed as passing, with its instance count, and not scanned again.
+    A law the structure's load decided (see phase_from_doc) is listed with
+    its instance count and the witnesses the load found, and not scanned
+    again; only the laws no load decided are scanned here.
     """
     lat = ps.lattice
     n = len(lat.elements)
     laws = []
     for name, witnesses, instances in _laws(lat, ps._rows, lat.idx(ps.unit),
                                             lat.idx(ps.falsum), ps._dual,
-                                            ps._proved, ps._failed):
+                                            ps._verdicts):
         if name == "unit_identity" and ps.unit_mode != "strict":
             laws.append({"law": name, "status": "skipped", "checked": 0,
                          "skipped": instances, "witnesses": []})

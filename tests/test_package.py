@@ -168,7 +168,7 @@ def test_every_readme_guarantee_names_its_tests():
     # `tests/<file>.py::<function>`, and each named function is a test
     # that its file defines, found by parsing the file, not importing it
     bullets = readme_guarantees()
-    assert len(bullets) == 7
+    assert len(bullets) == 8
     defined = {}
     for bullet in bullets:
         named = re.findall(r"`tests/(\w+\.py)::(\w+)`", bullet)

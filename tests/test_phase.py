@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import chain, hand_built
-from test_differential import _load_gen
+from test_differential import _load_gen, passed
 from phasegame import phase as phase_module
 from phasegame.data import data_path, load_doc
 from phasegame.errors import (
@@ -425,25 +425,51 @@ def test_light_decides_the_goal_phase(monkeypatch):
 
 def test_audit_reuses_the_load_time_associativity_failure(monkeypatch):
     # goal_phase_alt is not associative: its ungated load finds Light's
-    # test failing and scans for the first witness, and the audit keeps
-    # that verdict, scanning once for its witnesses and neither looking
-    # for generators nor running Light's test again
+    # test failing and scans for the first witnesses, and the audit lists
+    # those, scanning nothing: it neither looks for generators nor runs
+    # Light's test or the scan again
     calls = counting_scans(monkeypatch, ("_generators", "_light",
                                          "_scan_associative"))
     doc = load_doc("data:goal_phase_alt.json")[0]
     doc["lattice"] = "data:goal_lattice.json"
     ps = phase_from_doc(doc, validate=False)
     assert calls == ["_generators", "_light", "_scan_associative"]
-    assert ps._failed == {"associative", "unit_identity"}
+    assert {law for law, found in ps._verdicts.items() if found} == \
+        {"associative", "unit_identity"}
     calls.clear()
     report = verify_laws(ps)
-    assert calls == ["_scan_associative"]
+    assert calls == []
     # to the report of the same tables built by hand, which decides the
     # law in full
     built = PhaseStructure(ps.lattice, ps._rows, ps.unit, ps.falsum,
                            ps._dual, ps.unit_mode)
     assert verify_laws(built) == report
     assert report["laws"][1]["status"] == "fail"
+
+
+@pytest.mark.parametrize("name", ["goal_phase", "goal_phase_alt"])
+@pytest.mark.parametrize("how", ["ungated", "relaxed"])
+def test_a_load_and_its_audit_scan_each_law_at_most_once(name, how,
+                                                         monkeypatch):
+    # the shipped phases loaded without their gates or under checks:
+    # relaxed: the load decides associativity and the four dual laws,
+    # scanning each at most once, and the audit lists those verdicts with
+    # no scan, to the report of the same tables built by hand
+    calls = counting_scans(monkeypatch, ("_scan_associative",
+                                         "_dual_of_join"))
+    doc = load_doc("data:%s.json" % name)[0]
+    doc["lattice"] = "data:goal_lattice.json"
+    if how == "relaxed":
+        doc["checks"] = "relaxed"
+    ps = phase_from_doc(doc, validate=how == "relaxed")
+    assert calls.count("_scan_associative") <= 1
+    assert calls.count("_dual_of_join") <= 1
+    calls.clear()
+    report = verify_laws(ps)
+    assert calls == []
+    built = PhaseStructure(ps.lattice, ps._rows, ps.unit, ps.falsum,
+                           ps._dual, ps.unit_mode)
+    assert verify_laws(built) == report
 
 
 def test_gated_load_proves_the_dual_laws(monkeypatch):
@@ -461,7 +487,7 @@ def test_gated_load_proves_the_dual_laws(monkeypatch):
     monkeypatch.setattr(Lattice, "witnesses", folding)
     ps = phase_from_doc(boolean_doc())
     assert "_dual_of_join" not in calls
-    assert ps._proved == {"associative", "unit_identity", "commutative",
+    assert passed(ps) == {"associative", "unit_identity", "commutative",
                           "residual_matches_dual_product", *_DUAL_LAWS}
     calls.clear()
     report = verify_laws(ps)
@@ -493,7 +519,7 @@ def test_loads_prove_the_same_laws_whatever_their_gates(monkeypatch):
         calls.clear()
         reports.append(verify_laws(ps))
         assert calls == []
-        assert ps._proved == {"associative", "unit_identity", "commutative",
+        assert passed(ps) == {"associative", "unit_identity", "commutative",
                               "residual_matches_dual_product", *_DUAL_LAWS}
     assert reports[0]["ok"] and reports.count(reports[0]) == 3
     # a structure built by hand on the same index tables is audited in
