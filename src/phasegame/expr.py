@@ -13,7 +13,6 @@ is still reachable through the Unicode spellings.
 
 import re
 from itertools import repeat
-from operator import attrgetter
 
 from .errors import ExprSyntaxError, ForeignElement
 
@@ -21,16 +20,15 @@ from .errors import ExprSyntaxError, ForeignElement
 # (left, right): it takes the operand before it when left reaches the
 # parser's floor, and parses the operand after it with right as the floor,
 # so right == left binds to the right and right == left + 1 to the left.
-# The postfix dual has no right power.  The meaning picks the method of a
-# PhaseStructure that applies the operator; the parentheses have no power
-# and no meaning.
+# The postfix dual has no right power.  A meaning takes a PhaseStructure and
+# operand indices to an index; the parentheses have no power and no meaning.
 _OPERATORS = {
-    "impl": (("-o", "⊸"), (1, 1), attrgetter("impl")),
-    "plus": (("+",), (2, 3), attrgetter("lattice.join2")),
-    "with": (("&",), (3, 4), attrgetter("lattice.meet2")),
-    "par": (("par", "⅋"), (4, 5), attrgetter("par")),
-    "tensor": (("x", "⊗"), (5, 6), attrgetter("mult")),
-    "dual": (("^",), (7, None), attrgetter("dual")),
+    "impl": (("-o", "⊸"), (1, 1), lambda ps, i, j: ps._impl(i, j)),
+    "plus": (("+",), (2, 3), lambda ps, i, j: ps.lattice._join[i][j]),
+    "with": (("&",), (3, 4), lambda ps, i, j: ps.lattice._meet_row(i)[j]),
+    "par": (("par", "⅋"), (4, 5), lambda ps, i, j: ps._par(i, j)),
+    "tensor": (("x", "⊗"), (5, 6), lambda ps, i, j: ps._rows[i][j]),
+    "dual": (("^",), (7, None), lambda ps, i: ps._dual[i]),
     "lparen": (("(",), None, None),
     "rparen": ((")",), None, None),
 }
@@ -115,16 +113,17 @@ def eval_expr(ps, text):
     """Evaluate an expression against a phase structure; returns an element."""
     node = parse(text)
     try:
-        return eval_node(ps, node)
+        return ps.lattice.elements[eval_node(ps, node)]
     except RecursionError:
         raise ExprSyntaxError(_TOO_DEEP) from None
 
 
 def eval_node(ps, node):
+    """The index of the element that the tree node evaluates to."""
     kind = node[0]
     if kind == "atom":
         if node[1] not in ps.lattice:
             raise ForeignElement("unknown element %r in expression" % node[1])
-        return node[1]
+        return ps.lattice._index[node[1]]
     # map, not a list display, keeps one frame per level of the tree
-    return _MEANING[kind](ps)(*map(eval_node, repeat(ps), node[1:]))
+    return _MEANING[kind](ps, *map(eval_node, repeat(ps), node[1:]))

@@ -42,10 +42,12 @@ class Lattice:
         # upward closure per element as a bitmask: bit j set iff e_i <= e_j
         up = [1 << i for i in range(n)]
         succ = [[] for _ in range(n)]
+        lower = [[] for _ in range(n)]
         for lo, hi in self.covers:
             if lo not in self._index or hi not in self._index:
                 raise ForeignElement("cover (%r, %r) uses unknown element" % (lo, hi))
             succ[self._index[lo]].append(self._index[hi])
+            lower[self._index[hi]].append(self._index[lo])
         # transitive closure, reverse topological-ish fixpoint
         changed = True
         while changed:
@@ -85,12 +87,9 @@ class Lattice:
         self._by_down = {m: k for k, m in enumerate(down)}
         self._bot = bot
         self._bits = [1 << z for z in range(n)]
-        # each element after its lower covers, for scans that fold upwards
-        self._lower = [[] for _ in range(n)]
-        for lo, hi in enumerate(succ):
-            for h in hi:
-                self._lower[h].append(lo)
-        self._upward = sorted(range(n), key=lambda k: down[k].bit_count())
+        # each element with its lower covers, after them, for folds upwards
+        self._upward = [(k, lower[k]) for k in sorted(
+            range(n), key=lambda k: down[k].bit_count())]
         # the join of i and j is the k whose up-set is the common up-set, if
         # there is one.  Row i looks up only the pairs j >= i and copies the
         # pairs j < i from column i of the rows before it.  With every join
@@ -192,18 +191,18 @@ class Lattice:
         return self._star(sum(compress(
             self._bits, map(self._below[t].__getitem__, row))))
 
-    def witnesses(self, row):
-        """The witness bitmask of every target index t for the product row
-        row, as residual gathers it for one: those z whose product is t,
-        plus the witnesses of each lower cover of t, folded upwards."""
-        witnesses = [0] * len(row)
+    def stars(self, row):
+        """Every target index t's star for the product row row, as residual
+        gives it for one: the join of the z whose product is t and the stars
+        of t's lower covers, folded upwards; closed iff row[star] <= t."""
+        join = self._join
+        stars = [self._bot] * len(row)
         for z, p in enumerate(row):
-            witnesses[p] |= 1 << z
-        lower = self._lower
-        for t in self._upward:
-            for s in lower[t]:
-                witnesses[t] |= witnesses[s]
-        return witnesses
+            stars[p] = join[stars[p]][z]
+        for t, lower in self._upward:
+            for s in lower:
+                stars[t] = join[stars[t]][stars[s]]
+        return stars
 
     def _star(self, w):
         """(star, closed) for a witness bitmask w: star indexes the join of

@@ -14,6 +14,7 @@ residuation dual(X) = lin_implies(X, falsum) when that join is closed.
 
 import os
 from collections import namedtuple
+from functools import reduce
 from itertools import compress, islice
 from operator import itemgetter, ne
 
@@ -69,23 +70,26 @@ class PhaseStructure:
     def dual(self, x):
         return self.lattice.elements[self._dual[self.lattice.idx(x)]]
 
-    def is_fact(self, x):
-        i = self.lattice.idx(x)
-        return self._dual[self._dual[i]] == i
-
     def facts(self):
         dual = self._dual
         return [x for i, x in enumerate(self.lattice.elements)
                 if dual[dual[i]] == i]
 
-    # connectives -----------------------------------------------------
+    # connectives, each defined once on indices ------------------------
+
+    def _par(self, i, j):
+        return self._dual[self._rows[self._dual[i]][self._dual[j]]]
+
+    def _impl(self, i, j):
+        return self._dual[self._rows[i][self._dual[j]]]
 
     def par(self, x, y):
-        return self.dual(self.mult(self.dual(x), self.dual(y)))
+        return self.lattice.elements[self._par(*map(self.lattice.idx, (x, y)))]
 
     def impl(self, x, y):
-        """Implication as the dual of x times dual y."""
-        return self.dual(self.mult(x, self.dual(y)))
+        """Implication as the dual of x times dual y; y is looked up first."""
+        j, i = map(self.lattice.idx, (y, x))
+        return self.lattice.elements[self._impl(i, j)]
 
     def lin_implies(self, x, y):
         """Largest z with mult(x, z) <= y, if that join is itself a witness.
@@ -173,9 +177,9 @@ def _derive_duals(lattice, rows, falsum, overrides):
 # scans them; it keeps each law's first witnesses (up to _MAX_WITNESSES)
 # on the structure, and the audit lists them without a scan.  On
 # associative rows the same premises prove the residual law at load, and
-# the audit folds each row's witness masks only where they do not.  A
-# structure built by hand decides nothing at load, so its audit scans
-# every law.
+# the audit folds each row's stars (Lattice.stars) only where they do
+# not.  A structure built by hand decides nothing at load, so its audit
+# scans every law.
 
 _MAX_WITNESSES = 5
 
@@ -329,17 +333,13 @@ def _laws(lattice, rows, unit, falsum, dual=None, verdicts=()):
         yield _RESIDUAL_LAW, iter(verdicts[_RESIDUAL_LAW]), n * n
         return
     # only pairs whose residual towards dual(y) exists are instances, so
-    # this law is scanned in full before it is listed, pair by pair, with
-    # the residual towards each distinct dual found once per row
-    star_of = lattice._star
-    targets = list(dict.fromkeys(dual))
+    # this law is scanned in full, pair by pair, before it is listed
     checked, witnesses = 0, []
     for x, row in enumerate(rows):
-        w = lattice.witnesses(row)
-        stars = dict(zip(targets, map(star_of, map(w.__getitem__, targets))))
+        stars = lattice.stars(row)
         for y, t in enumerate(dual):
-            star, closed = stars[t]
-            if closed:
+            star = stars[t]
+            if up[row[star]] >> t & 1:
                 checked += 1
                 want = dual[row[y]]
                 if star != want:
@@ -516,27 +516,29 @@ def classify(ps):
     must agree with the derived ones.
     """
     lat = ps.lattice
-    facts = ps.facts()
-    neutral = ps.dual(ps.falsum)
-    op = [x for x in facts if lat.leq(x, neutral)]
-    cl = [x for x in facts if lat.leq(ps.falsum, x)]
+    els, up, dual, rows = lat.elements, lat._up, ps._dual, ps._rows
+    falsum = lat.idx(ps.falsum)
+    neutral = dual[falsum]
+    facts = [i for i, d in enumerate(dual) if dual[d] == i]
+    op = [i for i in facts if up[i] >> neutral & 1]
+    cl = [i for i in facts if up[falsum] >> i & 1]
+    named = [list(map(els.__getitem__, c)) for c in (facts, op, cl)]
 
-    for name, declared, derived in (("open", ps.op_class, op),
-                                    ("closed", ps.cl_class, cl)):
+    for name, declared, derived in (("open", ps.op_class, named[1]),
+                                    ("closed", ps.cl_class, named[2])):
         if declared is not None and sorted(declared) != sorted(derived):
             raise NotClosedClass("declared %s class %r differs from derived %r"
                                  % (name, list(declared), derived))
 
-    if sorted(ps.dual(x) for x in op) != sorted(cl):
+    if sorted(map(dual.__getitem__, op)) != sorted(cl):
         raise NotClosedClass("duality does not swap the open and closed classes")
 
-    def tensor(x, y):
-        """The fact-closed tensor: the double dual of the product."""
-        return ps.dual(ps.dual(ps.mult(x, y)))
-
+    join, meet_row = lat._join, lat._meet_row
     for name, members, closures in (
-            ("open", op, [("join", lat.join2), ("tensor", tensor)]),
-            ("closed", cl, [("meet", lat.meet2), ("par", ps.par)])):
+            ("open", op, [("join", lambda i, j: join[i][j]),
+                          ("tensor", lambda i, j: dual[dual[rows[i][j]]])]),
+            ("closed", cl, [("meet", lambda i, j: meet_row(i)[j]),
+                            ("par", ps._par)])):
         member = set(members)
         for x in members:
             for y in members:
@@ -544,11 +546,11 @@ def classify(ps):
                     if combine(x, y) not in member:
                         raise NotClosedClass(
                             "%s class not %s-closed at (%r, %r)"
-                            % (name, closure, x, y))
+                            % (name, closure, els[x], els[y]))
 
-    if lat.join(op) != neutral:
+    if reduce(lambda a, i: join[a][i], op, lat._bot) != neutral:
         raise NotClosedClass("largest open fact is not the neutral element")
-    if lat.meet(cl) != ps.falsum:
+    if reduce(lambda a, i: meet_row(a)[i], cl, lat.idx(lat.top)) != falsum:
         raise NotClosedClass("least closed fact is not falsum")
 
-    return FactClassification(facts, op, cl, neutral)
+    return FactClassification(*named, els[neutral])

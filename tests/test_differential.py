@@ -26,7 +26,12 @@ too on associative rows: on seeded meet, perturbed meet,
 cyclic-group and chain-max products, with and without dual overrides,
 both that proof and the row fold must give its report, every load the
 earlier load's outcome, and each law the proof skipped must pass its
-scan.
+scan.  Lattice.residual, which gathers one target's witnesses, is the
+oracle for the stars that the row fold reads, on random rows; and the
+earlier name-keyed classify (old_classify) is the oracle for classify on
+the index tables, on the generated structures of the benchmark's two
+kinds (and, in tests/test_phase.py, on edits of its NotClosedClass
+cases).
 
 The earlier list-based dual and tensor games are kept here too, and the
 earlier implicit games (Dual, Tensor, implication, materialize) walked on
@@ -115,6 +120,7 @@ from phasegame.games import (Game, PayoffGame, Strategy, compose_strategies,
 from phasegame.lattice import Lattice, lattice_from_doc
 from phasegame.phase import (
     _DUAL_LAWS,
+    FactClassification,
     PhaseStructure,
     _associative,
     _dual_of_join,
@@ -460,6 +466,32 @@ def test_distributive_meet_rows_residuate_closed():
     assert (lattices, residuals) == (938, 13572)
 
 
+def test_stars_match_one_residual_per_target():
+    # Lattice.stars folds the star of every target of a row up the covers
+    # at once, and a star is closed when row[star] is at or below its
+    # target; Lattice.residual gathers one target's witnesses and joins
+    # them.  On random rows, most of them not monotone, both give every
+    # target the same star and closedness, targets with no witness too
+    rng = random.Random(609)
+    seen = Counter()
+    for _ in range(3000):
+        try:
+            lat = Lattice(*random_order(rng))
+        except PhasegameError:
+            continue
+        n, up = len(lat.elements), lat._up
+        for _ in range(3):
+            row = [rng.randrange(n) for _ in range(n)]
+            stars = lat.stars(row)
+            for t in range(n):
+                star, closed = lat.residual(row, t)
+                assert (stars[t], up[row[stars[t]]] >> t & 1 == 1) == \
+                    (star, closed), (lat.elements, lat.covers, row, t)
+                seen["closed" if closed else "open" if any(
+                    up[p] >> t & 1 for p in row) else "no witness"] += 1
+    assert seen == {"closed": 26004, "open": 5029, "no witness": 3005}, seen
+
+
 def test_meet_rows_wait_for_their_first_reader():
     # a Lattice builds its join table only; each reader of the meet table
     # builds the rows it reads (meet's fold each row it passes through,
@@ -632,6 +664,75 @@ def test_generated_structures_agree_with_reference_model(kind, n):
                 classify(ps)
         for text, want in gen.expr_batch(rng, model, 40):
             assert eval_expr(ps, text) == want, text
+
+
+def old_classify(ps):
+    """Split the facts into the open and closed classes and sanity-check them.
+
+    Open facts sit below the neutral element dual(falsum); closed facts sit
+    above falsum.  The two classes must be swapped by duality, the open class
+    must be closed under join and fact-closed tensor, and the closed class
+    under meet and par.  Declared classes on the structure, when present,
+    must agree with the derived ones.
+    """
+    lat = ps.lattice
+    facts = ps.facts()
+    neutral = ps.dual(ps.falsum)
+    op = [x for x in facts if lat.leq(x, neutral)]
+    cl = [x for x in facts if lat.leq(ps.falsum, x)]
+
+    for name, declared, derived in (("open", ps.op_class, op),
+                                    ("closed", ps.cl_class, cl)):
+        if declared is not None and sorted(declared) != sorted(derived):
+            raise NotClosedClass("declared %s class %r differs from derived %r"
+                                 % (name, list(declared), derived))
+
+    if sorted(ps.dual(x) for x in op) != sorted(cl):
+        raise NotClosedClass("duality does not swap the open and closed classes")
+
+    def tensor(x, y):
+        """The fact-closed tensor: the double dual of the product."""
+        return ps.dual(ps.dual(ps.mult(x, y)))
+
+    for name, members, closures in (
+            ("open", op, [("join", lat.join2), ("tensor", tensor)]),
+            ("closed", cl, [("meet", lat.meet2), ("par", ps.par)])):
+        member = set(members)
+        for x in members:
+            for y in members:
+                for closure, combine in closures:
+                    if combine(x, y) not in member:
+                        raise NotClosedClass(
+                            "%s class not %s-closed at (%r, %r)"
+                            % (name, closure, x, y))
+
+    if lat.join(op) != neutral:
+        raise NotClosedClass("largest open fact is not the neutral element")
+    if lat.meet(cl) != ps.falsum:
+        raise NotClosedClass("least closed fact is not falsum")
+
+    return FactClassification(facts, op, cl, neutral)
+
+
+def test_generated_structures_classify_as_before():
+    # classify on index tables against the name-keyed classify it
+    # replaced, on seeded lawful structures of the benchmark's two kinds:
+    # the same classes, or the same NotClosedClass message
+    gen = _load_gen()
+    rng = random.Random(610)
+    seen = Counter()
+    for kind, sizes in (("boolean", (8, 16, 32, 64, 128)),
+                        ("downset", (8, 12, 16, 24, 32, 48, 64, 128))):
+        for n in sizes:
+            for _ in range(3):
+                doc, _ = getattr(gen, kind + "_structure")(rng, n)
+                ps = phase_from_doc(doc)
+                want = outcome(old_classify, ps)
+                assert outcome(classify, ps) == want, (kind, n)
+                seen[kind, "classes" if isinstance(want, FactClassification)
+                     else want[1].split(" at ")[0]] += 1
+    assert seen == {("boolean", "classes"): 15, ("downset", "classes"): 20,
+                    ("downset", "open class not join-closed"): 4}, seen
 
 
 # associativity by Light's test ----------------------------------------
@@ -842,9 +943,10 @@ def test_lawful_structures_never_scan_associativity(kind, n, monkeypatch):
 # The audit skips the rows altogether when the load proved the law: the
 # load decided associativity, the rows commute and each row's witness
 # mask towards falsum is the down-set of its dual, which decides every
-# pair by residuation, whatever the load's gates.  Otherwise every row's
-# pairs are scanned, each through Lattice._star.  The per-pair fold of
-# old_laws is the oracle for both.
+# pair by residuation, whatever the load's gates.  Otherwise the stars of
+# every row are folded up the covers once (Lattice.stars) and each pair
+# reads its own, so the audit asks Lattice._star nothing.  The per-pair
+# fold of old_laws is the oracle for both.
 
 def counting_star(monkeypatch):
     """The witness masks Lattice._star is asked about from here on."""
@@ -860,15 +962,15 @@ def counting_star(monkeypatch):
 
 
 def counting_folds(monkeypatch):
-    """The product rows Lattice.witnesses folds from here on."""
+    """The product rows Lattice.stars folds from here on."""
     calls = []
-    witnesses = Lattice.witnesses
+    stars = Lattice.stars
 
     def counting(self, row):
         calls.append(row)
-        return witnesses(self, row)
+        return stars(self, row)
 
-    monkeypatch.setattr(Lattice, "witnesses", counting)
+    monkeypatch.setattr(Lattice, "stars", counting)
     return calls
 
 
@@ -890,11 +992,11 @@ def test_lawful_structures_never_scan_residual_pairs(kind, n, monkeypatch):
 
 def test_edited_structures_match_the_earlier_residual_law(monkeypatch):
     # one planted product or dual edit, loaded without the gates: unless
-    # the load proved the residual law, every row is scanned pair by
-    # pair, to the report of the per-pair fold
+    # the load proved the residual law, the stars of every row are folded
+    # once and its pairs read them, to the report of the per-pair fold
     gen = _load_gen()
     rng = random.Random(607)
-    calls = counting_star(monkeypatch)
+    calls, folds = counting_star(monkeypatch), counting_folds(monkeypatch)
     seen = Counter()
     for kind, n in [("boolean", 32), ("boolean", 64), ("downset", 32),
                     ("downset", 64)] * 6:
@@ -922,12 +1024,13 @@ def test_edited_structures_match_the_earlier_residual_law(monkeypatch):
             continue
         assert {e: ps.dual(e) for e in els} == want, case
         calls.clear()
+        folds.clear()
         report = verify_laws(ps)
         assert report == old_report(lat, table, doc["unit"], doc["falsum"],
                                     want, doc["unit_mode"]), case
-        # a row scanned pair by pair asks _star once per distinct dual
+        # a scanned row folds its stars once, and no pair asks _star
         scanned = 0 if RESIDUAL_LAW in passed(ps) else n
-        assert len(calls) == len(set(ps._dual)) * scanned, case
+        assert len(folds) == scanned and calls == [], case
         seen[report["laws"][-1]["status"], bool(scanned)] += 1
     # no edit keeps the premises of the proof, and one keeps the law
     assert seen == {("fail", True): 23, ("pass", True): 1}, seen
@@ -968,11 +1071,11 @@ def test_gated_audits_match_the_earlier_residual_law(monkeypatch):
     # gated loads of seeded products: the audit decides the residual law
     # by residuation when the load decided associativity, the rows commute
     # and each row's witness mask towards falsum is the down-set of its
-    # dual, with no witness mask folded, under checks: full or relaxed;
-    # any other structure folds one per row.  Both paths must give the
-    # per-pair fold's report
+    # dual, with no row's stars folded, under checks: full or relaxed;
+    # any other structure folds the stars of each row once, and asks
+    # _star nothing.  Both paths must give the per-pair fold's report
     rng = random.Random(608)
-    folds = counting_folds(monkeypatch)
+    calls, folds = counting_star(monkeypatch), counting_folds(monkeypatch)
     paths = Counter()
     for _ in range(1200):
         lat = random_lattice(rng)
@@ -1003,11 +1106,12 @@ def test_gated_audits_match_the_earlier_residual_law(monkeypatch):
         if not isinstance(want, dict):
             continue
         ps = phase_from_doc(doc, lattice=lat)
+        calls.clear()
         folds.clear()
         report = verify_laws(ps)
         assert report == old_report(lat, table, unit, falsum, want,
                                     unit_mode), case
-        assert len(folds) in (0, len(els)), case
+        assert len(folds) in (0, len(els)) and calls == [], case
         if folds:
             paths["fold", checks, bool(overrides)] += 1
         else:

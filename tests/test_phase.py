@@ -1,11 +1,12 @@
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import chain, hand_built
-from test_differential import _load_gen, passed
+from test_differential import _load_gen, old_classify, outcome, passed
 from phasegame import phase as phase_module
 from phasegame.data import data_path, load_doc
 from phasegame.errors import (
@@ -69,12 +70,13 @@ def test_load_goal_phase(goal_phase):
 
 
 def test_goal_phase_duals_exact(goal_phase):
+    facts = goal_phase.facts()
     for x, d in FACT_DUALS.items():
         assert goal_phase.dual(x) == d
-        assert goal_phase.is_fact(x)
+        assert x in facts
     for x, d in NONFACT_DUALS.items():
         assert goal_phase.dual(x) == d
-        assert not goal_phase.is_fact(x)
+        assert x not in facts
 
 
 def test_facts_census(goal_phase):
@@ -230,10 +232,10 @@ def test_foreign_elements_rejected():
 
 
 @pytest.mark.parametrize("method,args", [
-    ("mult", ("zz", "a")), ("dual", ("zz",)), ("is_fact", ("zz",)),
+    ("mult", ("zz", "a")), ("dual", ("zz",)),
     ("par", ("zz", "a")), ("impl", ("a", "zz")),
     ("lin_implies", ("zz", "a"))],
-    ids=["mult", "dual", "is_fact", "par", "impl", "lin_implies"])
+    ids=["mult", "dual", "par", "impl", "lin_implies"])
 def test_foreign_names_in_connectives(goal_phase, method, args):
     with pytest.raises(ForeignElement, match="'zz'"):
         getattr(goal_phase, method)(*args)
@@ -350,24 +352,58 @@ def test_classify_names_the_first_failed_check(lat, rows, falsum, duals,
     assert str(info.value) == message
 
 
+def test_edited_cases_classify_as_before():
+    # seeded one-entry edits of the cases above, to one product entry or
+    # one dual: classify on index tables gives the classes, or the
+    # NotClosedClass message, of the name-keyed classify it replaced
+    rng = random.Random(611)
+    seen = Counter()
+    for lat, rows, falsum, duals, declared, _ in NOT_CLOSED:
+        els = lat.elements
+        for _ in range(100):
+            table = {(x, y): rows[i][j] for i, x in enumerate(els)
+                     for j, y in enumerate(els)}
+            dual = dict(zip(els, duals))
+            if rng.random() < 0.7:
+                table[rng.choice(els), rng.choice(els)] = rng.choice(els)
+            else:
+                dual[rng.choice(els)] = rng.choice(els)
+            ps = hand_built(lat, table, els[-1], falsum, dual, **declared)
+            want = outcome(old_classify, ps)
+            assert outcome(classify, ps) == want, (table, dual, declared)
+            seen[want[1].split(" at ")[0].split(" differs")[0]
+                 if isinstance(want[1], str) else "classes"] += 1
+    # every check of classify fails on some edit, and 54 edits pass all
+    assert seen == {"declared open class ['0']": 88,
+                    "declared closed class ['1']": 91,
+                    "duality does not swap the open and closed classes": 120,
+                    "open class not join-closed": 84,
+                    "open class not tensor-closed": 81,
+                    "closed class not meet-closed": 74,
+                    "closed class not par-closed": 78,
+                    "largest open fact is not the neutral element": 104,
+                    "least closed fact is not falsum": 126,
+                    "classes": 54}, seen
+
+
 def test_load_runs_no_residual_scan(monkeypatch):
     # every dual of the goal phase is an override, so loading asks no
     # residual: it only gathers each row's witness mask towards falsum,
     # which for this phase is not always the down-set of the row's dual,
-    # so the load scans the dual laws and the audit folds the witness
-    # masks of one product row per element, asking no single residual
+    # so the load scans the dual laws and the audit folds the stars of
+    # one product row per element, asking no single residual or star
     calls = []
-    for kernel in ("residual", "witnesses"):
-        def counting(self, row, *args, _kernel=getattr(Lattice, kernel),
+    for kernel in ("residual", "stars", "_star"):
+        def counting(self, arg, *args, _kernel=getattr(Lattice, kernel),
                      _name=kernel):
             calls.append(_name)
-            return _kernel(self, row, *args)
+            return _kernel(self, arg, *args)
 
         monkeypatch.setattr(Lattice, kernel, counting)
     ps = phase_from_doc(phase_doc())
     assert calls == []
     verify_laws(ps)
-    assert calls == ["witnesses"] * len(ps.lattice.elements)
+    assert calls == ["stars"] * len(ps.lattice.elements)
 
 
 def counting_scans(monkeypatch, names=("_light", "_dual_of_join")):
@@ -476,15 +512,15 @@ def test_gated_load_proves_the_dual_laws(monkeypatch):
     # each row's witness mask towards falsum is the down-set of its dual
     # and the rows commute: the load proves the four dual laws, the
     # commutative law and the residual law, and neither it nor the audit
-    # scans any of them or folds a witness mask
+    # scans any of them or folds the stars of a row
     calls = counting_scans(monkeypatch,
                            ("_light", "_dual_of_join", "_commutative"))
 
-    def folding(self, row, _witnesses=Lattice.witnesses):
-        calls.append("witnesses")
-        return _witnesses(self, row)
+    def folding(self, row, _stars=Lattice.stars):
+        calls.append("stars")
+        return _stars(self, row)
 
-    monkeypatch.setattr(Lattice, "witnesses", folding)
+    monkeypatch.setattr(Lattice, "stars", folding)
     ps = phase_from_doc(boolean_doc())
     assert "_dual_of_join" not in calls
     assert passed(ps) == {"associative", "unit_identity", "commutative",
@@ -500,15 +536,15 @@ def test_loads_prove_the_same_laws_whatever_their_gates(monkeypatch):
     # relaxed: each load decides commutativity (one _commutative pass)
     # and associativity (Light's test) and proves the rest from the
     # Galois connection of its duals, so none scans a dual of a join or
-    # folds a witness mask, and each audit scans nothing
+    # folds the stars of a row, and each audit scans nothing
     calls = counting_scans(monkeypatch,
                            ("_light", "_dual_of_join", "_commutative"))
 
-    def folding(self, row, _witnesses=Lattice.witnesses):
-        calls.append("witnesses")
-        return _witnesses(self, row)
+    def folding(self, row, _stars=Lattice.stars):
+        calls.append("stars")
+        return _stars(self, row)
 
-    monkeypatch.setattr(Lattice, "witnesses", folding)
+    monkeypatch.setattr(Lattice, "stars", folding)
     relaxed = boolean_doc()
     relaxed["checks"] = "relaxed"
     reports = []
@@ -528,7 +564,7 @@ def test_loads_prove_the_same_laws_whatever_their_gates(monkeypatch):
                            ps._dual, ps.unit_mode)
     assert verify_laws(built) == reports[0]
     assert calls == ["_commutative", "_light", "_dual_of_join"] + \
-        ["witnesses"] * 32
+        ["stars"] * 32
 
 
 def test_verify_laws_caps_witnesses():
