@@ -23,7 +23,7 @@ _EXPORTS = {
     "planner": ["Scenario", "build_compound_game", "eval_priority",
                 "load_scenario", "plan_play", "run_cognition",
                 "select_goal_sets", "visible_rewards"],
-    "expr": ["eval_expr", "parse"],
+    "expr": ["eval_expr", "parse", "tokenize"],
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()
           for name in names}

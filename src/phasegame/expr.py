@@ -2,8 +2,9 @@
 
 _OPERATORS below is the grammar: each operator once, loosest binding
 first, with its spellings, its binding power and its meaning on a
-PhaseStructure.  The tokenizer reads the spellings, the parser climbs the
-binding powers and the evaluator applies the meanings.
+PhaseStructure.  The lexer reads the spellings, and one climber reads the
+binding powers: parse gives it tree builders, and eval_expr the index
+lookup and the meanings, so an expression is evaluated as it is parsed.
 
 Identifiers are runs of letters, digits and underscores, so element names
 like ``J1a`` or ``1`` work unquoted.  The bare words ``x`` and ``par`` are
@@ -12,7 +13,7 @@ is still reachable through the Unicode spellings.
 """
 
 import re
-from itertools import repeat
+from functools import partial
 
 from .errors import ExprSyntaxError, ForeignElement
 
@@ -35,22 +36,39 @@ _OPERATORS = {
 
 _KIND = {s: kind for kind, (spellings, _, _) in _OPERATORS.items()
          for s in spellings}
-_POWER = {kind: row[1] for kind, row in _OPERATORS.items() if row[1]}
+# spelling: (kind, left power, right power)
+_POWER = {s: (kind,) + row[1] for kind, row in _OPERATORS.items() if row[1]
+          for s in row[0]}
 _MEANING = {kind: row[2] for kind, row in _OPERATORS.items() if row[2]}
+
+# the spellings that are not words, longest first, each with the spaces
+# the lexer puts around it ("-o" is the only one longer than a character,
+# and no other holds a "-" or an "o")
+_SPACED = {s: " %s " % s for s in sorted(
+    (s for s in _KIND if not s.isalnum()), key=len, reverse=True)}
 
 # an identifier, or a spelling (a word-shaped one such as "par" is matched
 # whole as an identifier first); anything else visible is stray
 _TOKEN = re.compile(r"(\w+|%s)|(\S)" % "|".join(
     map(re.escape, sorted(_KIND, key=len, reverse=True))))
 
-_END = (None, None)
+_END = None
 
 _TOO_DEEP = "expression nested too deeply"
 
 
-def tokenize(text):
-    """Split an expression into (kind, lexeme) pairs."""
-    tokens = []
+def _lexemes(text):
+    """The lexemes of text, split in C.  The text is valid when every lexeme
+    that is no spelling is a word (\\w is isalnum() or "_"); only a text
+    that is not is scanned, and the scan names its first stray character."""
+    spaced = text
+    for spelling, padded in _SPACED.items():
+        spaced = spaced.replace(spelling, padded)
+    lexemes = spaced.split()
+    words = "".join([w for w in lexemes if w not in _SPACED])
+    if not words or words.replace("_", "0").isalnum():
+        return lexemes
+    lexemes = []
     for m in _TOKEN.finditer(text):
         lexeme, stray = m.groups()
         if stray == "-":
@@ -59,71 +77,88 @@ def tokenize(text):
         if stray:
             raise ExprSyntaxError("unexpected character %r at position %d"
                                   % (stray, m.start()))
-        tokens.append((_KIND.get(lexeme, "ident"), lexeme))
-    return tokens
+        lexemes.append(lexeme)
+    return lexemes
 
 
-def _describe(token):
-    return "end of input" if token is _END else "%r" % (token[1],)
+def tokenize(text):
+    """Split an expression into (kind, lexeme) pairs."""
+    return [(_KIND.get(lexeme, "ident"), lexeme) for lexeme in _lexemes(text)]
 
 
-def _climb(tokens, i, floor):
-    """The tree of the expression at tokens[i] whose operators all bind at
-    least as tightly as floor, and the index of the token after it."""
-    kind, lexeme = tokens[i]
-    if kind == "ident":
-        node, i = ("atom", lexeme), i + 1
+def _describe(lexeme):
+    return "end of input" if lexeme is _END else "%r" % (lexeme,)
+
+
+def _climb(lexemes, i, floor, atom, apply):
+    """The value of the expression at lexemes[i] whose operators all bind
+    at least as tightly as floor, and the index of the lexeme after it.
+    atom gives an identifier's value and apply an operator's, in text
+    order; only right operands and parentheses take a frame."""
+    lexeme = lexemes[i]
+    kind = _KIND.get(lexeme)
+    if kind is None and lexeme is not _END:
+        value, i = atom(lexeme), i + 1
     elif kind == "lparen":
-        node, i = _climb(tokens, i + 1, 0)
-        if tokens[i][0] != "rparen":
+        value, i = _climb(lexemes, i + 1, 0, atom, apply)
+        if _KIND.get(lexemes[i]) != "rparen":
             raise ExprSyntaxError("expected rparen, got %s"
-                                  % _describe(tokens[i]))
+                                  % _describe(lexemes[i]))
         i += 1
     else:
         raise ExprSyntaxError("expected an element or '(', got %s"
-                              % _describe(tokens[i]))
+                              % _describe(lexeme))
     while True:
-        kind = tokens[i][0]
-        power = _POWER.get(kind)
-        if power is None or power[0] < floor:
-            return node, i
-        if power[1] is None:
-            node, i = (kind, node), i + 1
+        power = _POWER.get(lexemes[i])
+        if power is None or power[1] < floor:
+            return value, i
+        kind, _, right = power
+        if right is None:
+            value, i = apply(kind, value), i + 1
         else:
-            right, i = _climb(tokens, i + 1, power[1])
-            node = (kind, node, right)
+            operand, i = _climb(lexemes, i + 1, right, atom, apply)
+            value = apply(kind, value, operand)
+
+
+def _value(text, atom, apply):
+    lexemes = _lexemes(text)
+    if not lexemes:
+        raise ExprSyntaxError("empty expression")
+    lexemes.append(_END)
+    value, i = _climb(lexemes, 0, 0, atom, apply)
+    if lexemes[i] is not _END:
+        raise ExprSyntaxError("trailing input at %s" % _describe(lexemes[i]))
+    return value
+
+
+def _node(kind, *operands):
+    return (kind,) + operands
 
 
 def parse(text):
     """Parse an expression into a nested tuple tree."""
-    tokens = tokenize(text)
-    if not tokens:
-        raise ExprSyntaxError("empty expression")
-    tokens.append(_END)
     try:
-        node, i = _climb(tokens, 0, 0)
+        return _value(text, partial(_node, "atom"), _node)
     except RecursionError:
         raise ExprSyntaxError(_TOO_DEEP) from None
-    if tokens[i] is not _END:
-        raise ExprSyntaxError("trailing input at %s" % _describe(tokens[i]))
-    return node
 
 
 def eval_expr(ps, text):
     """Evaluate an expression against a phase structure; returns an element."""
-    node = parse(text)
+    def apply(kind, *operands):
+        return _MEANING[kind](ps, *operands)
+
+    lattice = ps.lattice
     try:
-        return ps.lattice.elements[eval_node(ps, node)]
+        return lattice.elements[_value(text, lattice._index.__getitem__,
+                                       apply)]
+    except KeyError as exc:
+        unknown = exc.args[0]
     except RecursionError:
-        raise ExprSyntaxError(_TOO_DEEP) from None
-
-
-def eval_node(ps, node):
-    """The index of the element that the tree node evaluates to."""
-    kind = node[0]
-    if kind == "atom":
-        if node[1] not in ps.lattice:
-            raise ForeignElement("unknown element %r in expression" % node[1])
-        return ps.lattice._index[node[1]]
-    # map, not a list display, keeps one frame per level of the tree
-    return _MEANING[kind](ps, *map(eval_node, repeat(ps), node[1:]))
+        unknown = None
+    # an unknown atom or the stack stopped the climb: whatever parse makes
+    # of the whole text wins, as when the tree was built first
+    parse(text)
+    if unknown is not None:
+        raise ForeignElement("unknown element %r in expression" % unknown)
+    raise ExprSyntaxError(_TOO_DEEP)

@@ -163,9 +163,6 @@ class Lattice:
             acc = self._meet_row(acc)[self.idx(x)]
         return self.elements[acc]
 
-    def join2(self, x, y):
-        return self.elements[self._join[self.idx(x)][self.idx(y)]]
-
     def meet2(self, x, y):
         return self.elements[self._meet_row(self.idx(x))[self.idx(y)]]
 

@@ -79,9 +79,10 @@ import functools
 import importlib.util
 import os
 import random
+import re
 import sys
 from collections import Counter, deque
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, filterfalse, islice, product
 from operator import or_
 from types import SimpleNamespace
 
@@ -259,7 +260,7 @@ def old_laws(lat, mult, unit, falsum, dual=None):
            (x for x in els if not lat.leq(mult[(x, dual[x])], falsum)), n)
     yield ("dual_of_join_is_meet_of_duals",
            ((x, y) for x in els for y in els
-            if dual[lat.join2(x, y)] != lat.meet2(dual[x], dual[y])),
+            if dual[lat.join([x, y])] != lat.meet2(dual[x], dual[y])),
            n * n)
     checked, witnesses = 0, []
     for x in els:
@@ -695,7 +696,8 @@ def old_classify(ps):
         return ps.dual(ps.dual(ps.mult(x, y)))
 
     for name, members, closures in (
-            ("open", op, [("join", lat.join2), ("tensor", tensor)]),
+            ("open", op, [("join", lambda x, y: lat.join([x, y])),
+                          ("tensor", tensor)]),
             ("closed", cl, [("meet", lat.meet2), ("par", ps.par)])):
         member = set(members)
         for x in members:
@@ -3461,7 +3463,7 @@ def old_eval_node(ps, node):
     if op == "with":
         return ps.lattice.meet2(left, right)
     if op == "plus":
-        return ps.lattice.join2(left, right)
+        return ps.lattice.join([left, right])
     if op == "impl":
         return ps.impl(left, right)
     raise ExprSyntaxError("unknown node %r" % (op,))
@@ -3475,16 +3477,17 @@ EXPR_INFIX = ["-o", "\u22b8", "+", "&", "par", "\u214b", "x", "\u2297"]
 EXPR_NOISE = ["^", "(", ")", "-", "?", " ", "\t", "\u00a0"]
 
 
-def random_expression(rng, depth):
+def random_expression(rng, depth, atoms=EXPR_ATOMS):
     """Pieces of a well-formed expression, in random spellings."""
     roll = rng.random()
     if depth == 0 or roll < 0.3:
-        pieces = [rng.choice(EXPR_ATOMS)]
+        pieces = [rng.choice(atoms)]
     elif roll < 0.45:
-        pieces = ["("] + random_expression(rng, depth - 1) + [")"]
+        pieces = ["("] + random_expression(rng, depth - 1, atoms) + [")"]
     else:
-        pieces = (random_expression(rng, depth - 1) + [rng.choice(EXPR_INFIX)]
-                  + random_expression(rng, depth - 1))
+        pieces = (random_expression(rng, depth - 1, atoms)
+                  + [rng.choice(EXPR_INFIX)]
+                  + random_expression(rng, depth - 1, atoms))
     return pieces + ["^"] * (rng.random() < 0.2)
 
 
@@ -3529,3 +3532,91 @@ def test_expressions_match_the_earlier_grammar(goal_phase):
         seen[want[0]] += 1
     assert set(seen) == {"ok", "ExprSyntaxError", "ForeignElement"}
     assert min(seen.values()) > 2000, seen
+
+
+def test_the_lexer_split_is_the_regex_classes_on_every_code_point():
+    # the lexer splits on str.split()'s whitespace and checks words with
+    # isalnum(); the scan it falls back to reads re's \s and \w.  One
+    # C-level pass over every code point for each side of each class
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    not_words = "".join(filterfalse(str.isalnum, every))
+    assert re.sub(r"\w", "", every) == not_words.replace("_", "")
+    not_spaces = "".join(filterfalse(str.isspace, every))
+    assert re.sub(r"\s", "", every) == not_spaces == "".join(every.split())
+
+
+# every whitespace character; word characters that are not ASCII letters
+# (digits of other scripts, a superscript, a sharp s, a titlecase digraph,
+# a roman numeral); the hyphen next to an o or another hyphen; and visible
+# characters that are neither words nor spellings (a zero-width space, a
+# combining accent, a middle dot)
+LEXER_SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
+LEXER_WORDS = ["\u0663", "\u00b2", "\u00df", "x\u00b2", "\u01c5",
+               "\u216b", "_", "a_1", "\u00e9", "b2"]
+LEXER_HYPHENS = ["a-ob", "--o", "-oo", "-o-o", "x-o", "-ox", "o-", "-",
+                 "-o", "a-o", "(-o)"]
+LEXER_NOISE = ["\u200b", "\u0301", "\u00b7"]
+
+
+def lexer_text(rng):
+    """A well-formed expression or a soup, whose pieces are joined by any
+    whitespace or none, with word, hyphen or noise pieces swapped in."""
+    if rng.random() < 0.5:
+        pieces = random_expression(rng, rng.randint(0, 4),
+                                   EXPR_ATOMS + LEXER_WORDS)
+    else:
+        pieces = [rng.choice(EXPR_ATOMS + EXPR_INFIX + LEXER_WORDS)
+                  for _ in range(rng.randint(0, 6))]
+    extra = LEXER_WORDS + LEXER_HYPHENS + LEXER_NOISE
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        if pieces and rng.random() < 0.5:
+            pieces[rng.randrange(len(pieces))] = rng.choice(extra)
+        else:
+            pieces.insert(rng.randint(0, len(pieces)), rng.choice(extra))
+    return "".join(p + rng.choice(["", rng.choice(LEXER_SPACES)])
+                   for p in pieces)
+
+
+def test_lexemes_match_the_earlier_grammar_on_spaces_words_and_hyphens(
+        goal_phase):
+    rng = random.Random(5454)
+    seen = Counter()
+    for _ in range(8000):
+        text = lexer_text(rng)
+        assert expr_outcome(tokenize, text) == expr_outcome(
+            old_tokenize, text), ascii(text)
+        tree = expr_outcome(old_parse, text)
+        assert expr_outcome(parse, text) == tree, ascii(text)
+        want = tree if tree[0] != "ok" else expr_outcome(
+            old_eval_node, goal_phase, tree[1])
+        assert expr_outcome(eval_expr, goal_phase, text) == want, ascii(text)
+        seen[want[0]] += 1
+        seen["stray"] += want[0] == "ExprSyntaxError" and want[1].startswith(
+            ("stray", "unexpected"))
+    assert set(seen) == {"ok", "ExprSyntaxError", "ForeignElement", "stray"}
+    assert min(seen.values()) > 500, seen
+
+
+@pytest.mark.parametrize("kind,n", [("boolean", 16), ("boolean", 64),
+                                    ("downset", 12), ("downset", 48)])
+def test_eval_matches_the_earlier_tree_on_generated_structures(kind, n):
+    # the tree oracle on structures other than the goal phase: random
+    # trees of depth up to 5 over the structure's names, in random
+    # spellings and precedence, some with a name of no element
+    gen = _load_gen()
+    make = gen.boolean_structure if kind == "boolean" else \
+        gen.downset_structure
+    rng = random.Random(54 * n + len(kind))
+    doc, _ = make(rng, n)
+    ps = phase_from_doc(doc)
+    atoms = list(ps.lattice.elements) + ["zork"]
+    seen = Counter()
+    for _ in range(300):
+        text = " ".join(random_expression(rng, rng.randint(2, 5), atoms))
+        tree = expr_outcome(old_parse, text)
+        assert tree[0] == "ok", text
+        want = expr_outcome(old_eval_node, ps, tree[1])
+        assert expr_outcome(eval_expr, ps, text) == want, text
+        seen[want[0]] += 1
+    assert set(seen) == {"ok", "ForeignElement"}
+    assert seen["ok"] > 150, seen

@@ -90,9 +90,25 @@ def test_nesting_depth():
 
 
 def test_eval_deep_expression(goal_phase):
-    # one evaluator frame per tree level
+    # the climber evaluates as it parses, so eval nests as deeply as parse:
+    # one frame per parenthesis or right operand, none per left-nested
+    # operator or postfix dual
     assert eval_expr(goal_phase, "(" * 400 + "e^^" + ")" * 400) == "J23e"
     assert eval_expr(goal_phase, "b2 x " * 400 + "b2") == goal_phase.mult(
         "b2", "b2")
-    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
-        eval_expr(goal_phase, "a x " * 3000 + "a")
+    text = "a x " * 3000 + "a"
+    tree = parse(text)
+    rights = []
+    while tree[0] == "tensor":
+        rights.append(tree[2][1])
+        tree = tree[1]
+    value = tree[1]
+    for right in reversed(rights):
+        value = goal_phase.mult(value, right)
+    assert len(rights) == 3000
+    assert eval_expr(goal_phase, text) == value
+    for text in ("(" * 3000 + "a" + ")" * 3000, "a -o " * 3000 + "a"):
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse(text)
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            eval_expr(goal_phase, text)

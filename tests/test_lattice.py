@@ -34,7 +34,7 @@ def test_chain_order_and_bounds():
     lat = chain(4)
     assert lat.bottom == "0" and lat.top == "3"
     assert lat.leq("1", "2") and not lat.leq("2", "1")
-    assert lat.join2("1", "2") == "2"
+    assert lat.join(["1", "2"]) == "2"
     assert lat.meet2("1", "2") == "1"
     assert lat.join(["0", "3", "1"]) == "3"
     assert lat.meet(["2", "1", "3"]) == "1"
@@ -53,8 +53,8 @@ def test_goal_lattice_shape(goal_lattice):
     assert len(lat.elements) == 18
     assert lat.bottom == "0" and lat.top == "1"
     assert lat.generators == ["J1a", "b2", "b3", "e"]
-    assert lat.join2("b2", "b3") == "J23"
-    assert lat.join2("b1", "a") == "J1a"
+    assert lat.join(["b2", "b3"]) == "J23"
+    assert lat.join(["b1", "a"]) == "J1a"
     assert lat.meet2("b2", "b3") == "a"
     assert lat.meet2("J12", "J13") == "J1a"
     assert lat.is_distributive()
@@ -251,8 +251,8 @@ def test_absorption_laws_on_random_lattices(seed, data):
     lat = random_distributive_lattice(seeded(seed))
     x = data.draw(st.sampled_from(lat.elements))
     y = data.draw(st.sampled_from(lat.elements))
-    assert lat.join2(x, lat.meet2(x, y)) == x
-    assert lat.meet2(x, lat.join2(x, y)) == x
+    assert lat.join([x, lat.meet2(x, y)]) == x
+    assert lat.meet2(x, lat.join([x, y])) == x
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,7 +261,7 @@ def test_order_agrees_with_join_on_random_lattices(seed, data):
     lat = random_distributive_lattice(seeded(seed))
     x = data.draw(st.sampled_from(lat.elements))
     y = data.draw(st.sampled_from(lat.elements))
-    assert lat.leq(x, y) == (lat.join2(x, y) == y)
+    assert lat.leq(x, y) == (lat.join([x, y]) == y)
     assert lat.leq(x, y) == (lat.meet2(x, y) == x)
 
 
