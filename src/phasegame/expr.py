@@ -136,7 +136,13 @@ def _node(kind, *operands):
 
 
 def parse(text):
-    """Parse an expression into a nested tuple tree."""
+    """Parse an expression into a nested tuple tree.
+
+    A left-nested chain (+, &, par, x) or a run of postfix ^ parses at any
+    length, into a tree as deep as the chain is long.  Python's own repr
+    and == recurse on a tuple tree and raise RecursionError on one deeper
+    than the recursion limit, so a caller that prints or compares such a
+    tree walks it by hand."""
     try:
         return _value(text, partial(_node, "atom"), _node)
     except RecursionError:

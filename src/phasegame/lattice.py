@@ -1,13 +1,14 @@
 """Finite bounded lattices described by their Hasse (cover) relation.
 
 Order is the reflexive-transitive closure of the covers, computed once at
-construction and cached as bitmasks, with the join table.  All operations
-are pure; the only state a Lattice gains after __init__ is its meet rows,
-each built from the down-sets the first time it is read, and its
-distributivity verdict.
+construction and cached as bitmasks, with the join table: the row of an
+element that is the join of its first two lower covers gathers their rows,
+and only the rest (bottom and the join-irreducibles) are looked up.  All
+operations are pure; the only state a Lattice gains after __init__ is its
+meet rows, each built from the down-sets the first time it is read, and
+its distributivity verdict.
 """
 from itertools import compress
-from operator import itemgetter
 
 from .data import distinct, fields, load_doc
 from .errors import (
@@ -39,20 +40,32 @@ class Lattice:
             if g not in self._index:
                 raise ForeignElement("generator %r not an element" % (g,))
 
-        # upward closure per element as a bitmask: bit j set iff e_i <= e_j
+        # upward closure per element as a bitmask: bit j set iff e_i <= e_j;
+        # a self-loop cover adds nothing and is dropped
         up = [1 << i for i in range(n)]
         succ = [[] for _ in range(n)]
         lower = [[] for _ in range(n)]
         for lo, hi in self.covers:
             if lo not in self._index or hi not in self._index:
                 raise ForeignElement("cover (%r, %r) uses unknown element" % (lo, hi))
-            succ[self._index[lo]].append(self._index[hi])
-            lower[self._index[hi]].append(self._index[lo])
-        # transitive closure, reverse topological-ish fixpoint
+            if lo != hi:
+                succ[self._index[lo]].append(self._index[hi])
+                lower[self._index[hi]].append(self._index[lo])
+        # Kahn's order, each element after its lower covers; the elements
+        # on or above a cycle never enter it and follow it unordered
+        order = [k for k in range(n) if not lower[k]]
+        pending = list(map(len, lower))
+        for i in order:
+            for j in succ[i]:
+                pending[j] -= 1
+                if not pending[j]:
+                    order.append(j)
+        # transitive closure: a fixpoint over that order reversed
+        walk = order + [k for k in range(n) if pending[k]]
         changed = True
         while changed:
             changed = False
-            for i in range(n):
+            for i in reversed(walk):
                 acc = up[i]
                 for j in succ[i]:
                     acc |= up[j]
@@ -75,33 +88,35 @@ class Lattice:
         if any(not (up[i] >> topi) & 1 for i in range(n)):
             raise UnboundedLattice("declared top %r is not above every element" % (top,))
 
-        # the down-sets are the columns of the up-set bit matrix: row j of
-        # the matrix spells up[j] most significant bit first, so column
-        # n-1-i holds bit i of every row, row 0 first.  below[i] is that
-        # column as bytes, byte j 1 iff j <= i, and down[i] the same bits
-        # as a mask
-        cols = ["".join(col) for col in zip(*[format(u, "0%db" % n)
-                                              for u in up])][::-1]
-        self._below = [c.encode().translate(_BYTE_OF_DIGIT) for c in cols]
-        self._down = down = [int(c[::-1], 2) for c in cols]
+        # the down-sets, one pass upwards; below[i] spells down[i] as bytes,
+        # byte j 1 iff j <= i
+        self._down = down = [1 << k for k in range(n)]
+        for k in order:
+            for c in lower[k]:
+                down[k] |= down[c]
+        self._below = [format(d, "0%db" % n)[::-1].encode().translate(
+            _BYTE_OF_DIGIT) for d in down]
         self._by_down = {m: k for k, m in enumerate(down)}
         self._bot = bot
         self._bits = [1 << z for z in range(n)]
         # each element with its lower covers, after them, for folds upwards
-        self._upward = [(k, lower[k]) for k in sorted(
-            range(n), key=lambda k: down[k].bit_count())]
-        # the join of i and j is the k whose up-set is the common up-set, if
-        # there is one.  Row i looks up only the pairs j >= i and copies the
-        # pairs j < i from column i of the rows before it.  With every join
-        # found, every meet exists too (the join of the common lower bounds,
-        # which bottom makes nonempty), so meet rows wait for _meet_row
-        self._join = join = []
-        for i, u in enumerate(up):
-            joins = list(map(itemgetter(i), join))
-            joins += map(by_up.get, map(u.__and__, up[i:]))
-            if None in joins:
-                self._no_lattice(by_up)
-            join.append(joins)
+        self._upward = [(k, lower[k]) for k in order]
+        # the join of x and k is the element whose up-set is their common
+        # up-set.  Where k is the join of its first two lower covers c and
+        # d, up(k) is up(c) & up(d), so x \/ k is (x \/ c) \/ d: row k
+        # gathers row d at row c's entries.  Other rows are looked up; once
+        # they are whole, every pair has a join, by induction upwards, and
+        # every meet (the join of the common lower bounds, which bottom
+        # makes nonempty), so meet rows wait for _meet_row
+        self._join = join = [None] * n
+        for k in order:
+            lo = lower[k]
+            if len(lo) > 1 and join[lo[0]][lo[1]] == k:
+                join[k] = list(map(join[lo[1]].__getitem__, join[lo[0]]))
+            else:
+                join[k] = list(map(by_up.get, map(up[k].__and__, up)))
+                if None in join[k]:
+                    self._no_lattice(by_up)
         self._meets = [None] * n
         self._distributive = None
 

@@ -43,6 +43,53 @@ def test_verify_lattice_only(capsys):
     assert "lattice_distributive" in out
 
 
+SELF_LOOP_VERIFY = {
+    "lattice": (0, """\
+PASS lattice_wellformed: 18 elements
+PASS lattice_distributive
+PASS commutative: 324 checked, 0 skipped
+PASS associative: 5832 checked, 0 skipped
+WARN unit_identity: 0 checked, 18 skipped
+PASS triple_dual: 18 checked, 0 skipped
+PASS double_dual_extensive: 18 checked, 0 skipped
+PASS contradiction_below_falsum: 18 checked, 0 skipped
+PASS dual_of_join_is_meet_of_duals: 324 checked, 0 skipped
+PASS residual_matches_dual_product: 111 checked, 213 skipped
+PASS fact_classification: open {0,a,b1,J1a,b2,J12} closed {b3,J13,J23,J123,J23e,1}
+verify: pass
+"""),
+    "crown": (1, """\
+FAIL lattice_wellformed: NotALattice: no unique join for 'a1', 'a2'
+verify: fail
+"""),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SELF_LOOP_VERIFY))
+def test_verify_reads_a_self_loop_cover_as_nothing(tmp_path, capsys, kind):
+    # a cover of an element by itself adds nothing to the order: the goal
+    # lattice with every element looped to itself, each loop listed before
+    # the covers, verifies with the goal phase, and a crown (a1 and a2
+    # below both x and y) with loops on x and top fails at the same pair
+    if kind == "lattice":
+        doc = read_json(data_path("goal_lattice.json"))
+        doc["covers"] = [[e, e] for e in doc["elements"]] + doc["covers"]
+        argv = ["--phase", "data:goal_phase.json"]
+    else:
+        doc = {"elements": ["bot", "a1", "a2", "x", "y", "top"],
+               "covers": [["x", "x"]] + [[a, m] for a in ("a1", "a2")
+                                         for m in ("x", "y")]
+               + [["top", "top"], ["bot", "a1"], ["bot", "a2"],
+                  ["x", "top"], ["y", "top"]],
+               "bottom": "bot", "top": "top"}
+        argv = []
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(doc))
+    code, want = SELF_LOOP_VERIFY[kind]
+    assert main(["verify", "--lattice", str(path)] + argv) == code
+    assert capsys.readouterr() == (want, "")
+
+
 @pytest.mark.parametrize("overrides,code", [
     ([["zz", "0"]], 1), ([["0", "1"], ["0", "1"]], 2), ([["0", "1"]], 0)],
     ids=["foreign_key", "repeated_key", "override"])

@@ -1,13 +1,15 @@
 """The index-table algebra against the name-keyed scans it replaced.
 
 The scans below are the earlier implementations, kept only as oracles:
-the list-comprehension search for joins and meets, the triple loop for
+the list-comprehension search for joins and meets, the column transpose
+of the up-sets that gave the down-sets, the triple loop for
 distributivity, the name-keyed law generator with its per-pair residual
 fold, the load sequence built on them (_enforce raised its gates), and
 the table solver on a name-keyed table that re-read each completion as a
-document.  Seeded random posets, tables and dual tables (most of them
-lawless: not monotone, not associative, not even commutative) must give
-the same tables, reports, duals and errors, and seeded and edited
+document.  Seeded random posets (some with cover lists that repeat
+themselves, some past the byte bound), tables and dual tables (most of
+them lawless: not monotone, not associative, not even commutative) must
+give the same tables, reports, duals and errors, and seeded and edited
 candidate tables the same completions, in the same order, or the same
 error.  One test checks the
 algebra against the independent reference model of the benchmark's
@@ -209,6 +211,19 @@ def old_tables(elements, covers, bottom, top):
     return join, meet
 
 
+def old_down_sets(up):
+    """(below, down) as the earlier construction transposed them from the
+    up-sets: the columns of the up-set bit matrix, whose row j spells up[j]
+    most significant bit first, so that column n-1-i holds bit i of every
+    row, row 0 first; below[i] is that column as bytes, byte j 1 iff
+    j <= i, and down[i] the same bits as a mask."""
+    n = len(up)
+    cols = ["".join(col) for col in zip(*[format(u, "0%db" % n)
+                                          for u in up])][::-1]
+    return ([c.encode().translate(bytes.maketrans(b"01", b"\x00\x01"))
+             for c in cols], [int(c[::-1], 2) for c in cols])
+
+
 def old_is_distributive(lat):
     n = len(lat.elements)
     join, meet = lat._join, list(map(lat._meet_row, range(n)))
@@ -387,6 +402,38 @@ def random_order(rng):
     return els, covers, bottom, top
 
 
+def redundant_order(rng):
+    """(elements, covers, bottom, top): a random relation on up to seven
+    points between bot and top, whose cover list says things twice:
+    self-loops, repeated covers, the transitive covers from bot to every
+    element (listed first half the time, so that an element's first two
+    lower neighbours need not join to it) and, now and then, a crown (two
+    points with two minimal upper bounds), a cycle or bounds that are not
+    the bounds."""
+    n = rng.randint(1, 7)
+    els = ["p%d" % i for i in range(n)]
+    covers = [(els[i], els[j]) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.4]
+    if n > 3 and rng.random() < 0.2:
+        covers += [(els[i], els[j]) for i in (0, 1) for j in (2, 3)]
+    if n > 1 and rng.random() < 0.1:
+        i, j = sorted(rng.sample(range(n), 2))
+        covers.append((els[j], els[i]))
+    covers += [(e, "top") for e in els]
+    covers += [("bot", e) for e in els if rng.random() < 0.5]
+    els += ["bot", "top"]
+    covers += [(e, e) for e in rng.sample(els, rng.randint(0, 3))]
+    covers += rng.sample(covers, min(len(covers), rng.randint(0, 3)))
+    rng.shuffle(covers)
+    transitive = [("bot", e) for e in els if e != "bot"]
+    covers = transitive + covers if rng.random() < 0.5 else \
+        rng.sample(covers + transitive, len(covers) + len(transitive))
+    rng.shuffle(els)
+    if rng.random() < 0.1:
+        return els, covers, rng.choice(els), rng.choice(els)
+    return els, covers, "bot", "top"
+
+
 def random_lattice(rng):
     while True:
         try:
@@ -439,6 +486,70 @@ def test_lattice_tables_match_the_earlier_search():
     assert outcome(old_tables, els, covers, "bot", "top") == want
     assert outcome(Lattice, els, covers, "bot", "top") == want
 
+
+def test_lattice_tables_match_the_earlier_search_on_redundant_covers():
+    # a cover list may repeat a cover, loop an element to itself or list a
+    # transitive pair before the covers (bot below every element, first);
+    # none of these changes the order, so a Lattice that drops the loops,
+    # composes a row from the first two lower neighbours only when they
+    # join to it and looks every other row up must give the earlier
+    # tables and down-sets, or the earlier error; its folds upwards must
+    # still give every target of a random row the star residual gives it
+    rng = random.Random(605)
+    kinds = Counter()
+    for _ in range(3000):
+        els, covers, bottom, top = redundant_order(rng)
+        want = outcome(old_tables, els, covers, bottom, top)
+        try:
+            lat = Lattice(els, covers, bottom, top)
+        except PhasegameError as exc:
+            got = type(exc).__name__, str(exc)
+        else:
+            got = lat._join, list(map(lat._meet_row, range(len(els))))
+            assert (lat._below, lat._down) == old_down_sets(lat._up)
+            row = [rng.randrange(len(els)) for _ in els]
+            assert lat.stars(row) == [lat.residual(row, t)[0]
+                                      for t in range(len(els))]
+        assert got == want, (els, covers, bottom, top)
+        kinds[want[0] if isinstance(want[0], str) else "lattice"] += 1
+        kinds["self-loop"] += any(lo == hi for lo, hi in covers)
+        kinds["repeated"] += len(set(covers)) < len(covers)
+        kinds["transitive first"] += covers[0][0] == "bot" and \
+            covers[1][0] == "bot"
+    assert kinds == {"lattice": 2366, "UnboundedLattice": 279,
+                     "NotALattice": 225, "NotAPartialOrder": 130,
+                     "self-loop": 2255, "repeated": 2896,
+                     "transitive first": 1806}, kinds
+
+
+@pytest.mark.parametrize("points", [8, 9, 10], ids=["n256", "n257",
+                                                   "boolean_n1024"])
+def test_lattice_tables_match_the_pairwise_lookup_at_scale(points):
+    # the down-sets of 8 points (256 elements), of those plus one point
+    # above them all (257, past the byte bound) and of 10 points (the
+    # Boolean lattice on 1024), under shuffled names and covers: the join
+    # table must be the common up-set of every pair, looked up, and the
+    # down-sets the earlier column transpose
+    gen = _load_gen()
+    rng = random.Random(610 + points)
+    below = [1 << i for i in range(min(points, 8))] + \
+        [(1 << 9) - 1] * (points == 9) + [1 << 8, 1 << 9] * (points == 10)
+    sets = gen._downsets(below)
+    rng.shuffle(sets)
+    names = {s: "v%d" % i for i, s in enumerate(sets)}
+    covers = [(names[s], names[s | 1 << p]) for s in sets
+              for p, d in enumerate(below)
+              if not s >> p & 1 and d & ~(1 << p) & ~s == 0]
+    rng.shuffle(covers)
+    lat = Lattice(list(names.values()), covers, names[0],
+                  names[(1 << len(below)) - 1])
+    up = lat._up
+    assert len(up) == {8: 256, 9: 257, 10: 1024}[points]
+    by_up = {m: k for k, m in enumerate(up)}
+    assert lat._join == [[by_up[u & v] for v in up] for u in up]
+    below, down = old_down_sets(up)
+    assert lat._below == below and lat._down == down
+    assert lat._by_down == {m: k for k, m in enumerate(down)}
 
 def test_distributive_meet_rows_residuate_closed():
     # heyting_implies takes the residual of a meet row unchecked: in a
