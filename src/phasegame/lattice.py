@@ -8,8 +8,6 @@ operations are pure; the only state a Lattice gains after __init__ is its
 meet rows, each built from the down-sets the first time it is read, and
 its distributivity verdict.
 """
-from itertools import compress
-
 from .data import distinct, fields, load_doc
 from .errors import (
     ForeignElement,
@@ -20,9 +18,9 @@ from .errors import (
     UsageError,
 )
 
-# the digits "0" and "1" as the bytes 0 and 1, so a string of binary digits
-# becomes selectors for itertools.compress
-_BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+# up to this many elements an index fits in a byte, so a row of indices
+# read as bytes is gathered by bytes.translate, whose table has 256 entries
+_BYTE_ROWS = 256
 
 
 class Lattice:
@@ -88,17 +86,13 @@ class Lattice:
         if any(not (up[i] >> topi) & 1 for i in range(n)):
             raise UnboundedLattice("declared top %r is not above every element" % (top,))
 
-        # the down-sets, one pass upwards; below[i] spells down[i] as bytes,
-        # byte j 1 iff j <= i
+        # the down-sets, one pass upwards
         self._down = down = [1 << k for k in range(n)]
         for k in order:
             for c in lower[k]:
                 down[k] |= down[c]
-        self._below = [format(d, "0%db" % n)[::-1].encode().translate(
-            _BYTE_OF_DIGIT) for d in down]
         self._by_down = {m: k for k, m in enumerate(down)}
         self._bot = bot
-        self._bits = [1 << z for z in range(n)]
         # each element with its lower covers, after them, for folds upwards
         self._upward = [(k, lower[k]) for k in order]
         # the join of x and k is the element whose up-set is their common
@@ -192,16 +186,30 @@ class Lattice:
                 for j, mij in enumerate(mi))
         return self._distributive
 
+    def masks(self, rows, t):
+        """Each row's witness mask towards target index t, where a row lists
+        the indices of some products in element order: bit z is set iff
+        row[z] <= t.  Each row is read through t's down-set spelled as
+        binary digits, up to _BYTE_ROWS elements by bytes.translate (the
+        digits padded to a 256-byte table), else entry by entry, and back
+        by int(..., 2), reversed so that bit z is the digit of row[z]."""
+        n = len(self.elements)
+        digits = format(self._down[t], "0%db" % n)[::-1].encode()
+        if n <= _BYTE_ROWS:
+            digits += b"0" * (_BYTE_ROWS - n)
+            return [int(bytes(row).translate(digits)[::-1], 2)
+                    for row in rows]
+        return [int(bytes(map(digits.__getitem__, row))[::-1], 2)
+                for row in rows]
+
     def residual(self, row, t):
         """(star, closed), as _star gives them, for the witnesses of target
-        index t, where row lists the indices of some products in element
-        order: the z with row[z] at or below t, gathered in one pass.
+        index t in row, as masks gathers them.
 
         When row is the product row of some x, a closed star is the largest
         z with x.z <= t: the residual of t by x.
         """
-        return self._star(sum(compress(
-            self._bits, map(self._below[t].__getitem__, row))))
+        return self._star(self.masks([row], t)[0])
 
     def stars(self, row):
         """Every target index t's star for the product row row, as residual
@@ -315,6 +323,8 @@ class PowersetLattice:
         m = self._parsed.get(x)
         if m is not None:
             return m
+        if not isinstance(x, str):
+            raise ForeignElement(repr(x))
         m = self.mask(x.split(",")) if x else 0
         if self.name(m) != x:
             raise ForeignElement(repr(x))

@@ -29,14 +29,7 @@ from .errors import (
     OverrideInconsistent,
     UnitNotNeutral,
 )
-from .lattice import lattice_from_doc
-
-# up to this many elements an index fits in a byte, so a product row read
-# as bytes is gathered by bytes.translate, whose table has 256 entries
-_BYTE_ROWS = 256
-# the bytes 0 and 1 as the digits "0" and "1", so a row of selectors
-# becomes a string of binary digits for int(..., 2)
-_DIGIT_OF_BYTE = bytes.maketrans(b"\x00\x01", b"01")
+from .lattice import _BYTE_ROWS, lattice_from_doc
 
 
 class PhaseStructure:
@@ -123,20 +116,10 @@ def _derive_duals(lattice, rows, falsum, overrides):
     name-keyed overrides give one, else the residual of falsum (an index)
     by each element.  galois says whether, for every x, the z with
     x.z <= falsum are exactly the z <= dual(x): each row's witness mask
-    towards falsum, gathered once as Lattice.residual gathers it, is the
-    down-set of its dual.  Up to _BYTE_ROWS elements a mask is the row in
-    bytes translated to binary digits, "1" where the product is at or
-    below falsum, and read reversed by int(..., 2), so that bit z is the
-    digit of row[z]."""
+    towards falsum, gathered once for every row by Lattice.masks, is the
+    down-set of its dual."""
     els, down, star_of = lattice.elements, lattice._down, lattice._star
-    n = len(els)
-    if n <= _BYTE_ROWS:
-        digits = lattice._below[falsum].translate(_DIGIT_OF_BYTE) + \
-            b"0" * (_BYTE_ROWS - n)
-        masks = [int(bytes(row).translate(digits)[::-1], 2) for row in rows]
-    else:
-        bits, below = lattice._bits, lattice._below[falsum].__getitem__
-        masks = [sum(compress(bits, map(below, row))) for row in rows]
+    masks = lattice.masks(rows, falsum)
     dual, galois = [], True
     for x, mask in zip(els, masks):
         if x in overrides:
@@ -166,9 +149,9 @@ def _derive_duals(lattice, rows, falsum, overrides):
 # test fails, or does not apply, are the rows scanned for witnesses.
 # With at most _BYTE_ROWS (256) elements every index fits in a byte, so
 # the test builds each row x.(a.y) as row a in bytes translated through
-# row x, and the duals' witness masks are each row in bytes translated to
-# binary digits: bytes.translate takes a 256-byte table, so past 256
-# elements both gather through itemgetter and compress instead.
+# row x: bytes.translate takes a 256-byte table, so past 256 elements it
+# gathers through itemgetter instead.  The duals' witness masks come from
+# Lattice.masks, which has the same two sides.
 # One rule decides the laws: every load decides the seven laws before the
 # residual law, whatever its gates, and the audit folds only the residual
 # law.  The load scans the three product laws, and proves the four dual

@@ -212,16 +212,22 @@ def old_tables(elements, covers, bottom, top):
 
 
 def old_down_sets(up):
-    """(below, down) as the earlier construction transposed them from the
+    """The down-sets as the earlier construction transposed them from the
     up-sets: the columns of the up-set bit matrix, whose row j spells up[j]
     most significant bit first, so that column n-1-i holds bit i of every
-    row, row 0 first; below[i] is that column as bytes, byte j 1 iff
-    j <= i, and down[i] the same bits as a mask."""
+    row, row 0 first; down[i] is that column as a mask, bit j set iff
+    j <= i."""
     n = len(up)
     cols = ["".join(col) for col in zip(*[format(u, "0%db" % n)
                                           for u in up])][::-1]
-    return ([c.encode().translate(bytes.maketrans(b"01", b"\x00\x01"))
-             for c in cols], [int(c[::-1], 2) for c in cols])
+    return [int(c[::-1], 2) for c in cols]
+
+
+def old_masks(up, rows, t):
+    """Each row's witness mask towards t, entry by entry: bit z set iff
+    row[z] <= t, read from the up-sets."""
+    return [sum(1 << z for z, p in enumerate(row) if up[p] >> t & 1)
+            for row in rows]
 
 
 def old_is_distributive(lat):
@@ -494,7 +500,8 @@ def test_lattice_tables_match_the_earlier_search_on_redundant_covers():
     # composes a row from the first two lower neighbours only when they
     # join to it and looks every other row up must give the earlier
     # tables and down-sets, or the earlier error; its folds upwards must
-    # still give every target of a random row the star residual gives it
+    # still give every target of a random row the star residual gives it,
+    # and its witness masks of that row must be the entry-by-entry ones
     rng = random.Random(605)
     kinds = Counter()
     for _ in range(3000):
@@ -506,10 +513,12 @@ def test_lattice_tables_match_the_earlier_search_on_redundant_covers():
             got = type(exc).__name__, str(exc)
         else:
             got = lat._join, list(map(lat._meet_row, range(len(els))))
-            assert (lat._below, lat._down) == old_down_sets(lat._up)
+            assert lat._down == old_down_sets(lat._up)
             row = [rng.randrange(len(els)) for _ in els]
             assert lat.stars(row) == [lat.residual(row, t)[0]
                                       for t in range(len(els))]
+            assert all(lat.masks([row], t) == old_masks(lat._up, [row], t)
+                       for t in range(len(els)))
         assert got == want, (els, covers, bottom, top)
         kinds[want[0] if isinstance(want[0], str) else "lattice"] += 1
         kinds["self-loop"] += any(lo == hi for lo, hi in covers)
@@ -528,8 +537,10 @@ def test_lattice_tables_match_the_pairwise_lookup_at_scale(points):
     # the down-sets of 8 points (256 elements), of those plus one point
     # above them all (257, past the byte bound) and of 10 points (the
     # Boolean lattice on 1024), under shuffled names and covers: the join
-    # table must be the common up-set of every pair, looked up, and the
-    # down-sets the earlier column transpose
+    # table must be the common up-set of every pair, looked up, the
+    # down-sets the earlier column transpose, and the witness masks of
+    # seeded rows towards seeded targets the entry-by-entry ones (by
+    # bytes.translate up to 256 elements, entry by entry past it)
     gen = _load_gen()
     rng = random.Random(610 + points)
     below = [1 << i for i in range(min(points, 8))] + \
@@ -547,9 +558,13 @@ def test_lattice_tables_match_the_pairwise_lookup_at_scale(points):
     assert len(up) == {8: 256, 9: 257, 10: 1024}[points]
     by_up = {m: k for k, m in enumerate(up)}
     assert lat._join == [[by_up[u & v] for v in up] for u in up]
-    below, down = old_down_sets(up)
-    assert lat._below == below and lat._down == down
+    down = old_down_sets(up)
+    assert lat._down == down
     assert lat._by_down == {m: k for k, m in enumerate(down)}
+    n = len(up)
+    rows = [[rng.randrange(n) for _ in range(n)] for _ in range(8)]
+    for t in rng.sample(range(n), 8) + [lat.idx(lat.bottom), n - 1]:
+        assert lat.masks(rows, t) == old_masks(up, rows, t)
 
 def test_distributive_meet_rows_residuate_closed():
     # heyting_implies takes the residual of a meet row unchecked: in a

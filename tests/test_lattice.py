@@ -14,6 +14,7 @@ from phasegame.errors import (
     UnboundedLattice,
     UsageError,
 )
+from phasegame.games import Game, PayoffGame
 from phasegame.lattice import (
     Lattice,
     PowersetLattice,
@@ -209,6 +210,25 @@ def test_powerset_lattice_basics():
     assert lat.is_distributive()
     with pytest.raises(ForeignElement):
         lat.meet2("p", "zz")
+
+
+def test_powerset_lattice_answers_a_non_string_as_lattice_does():
+    # a value that is no string is no element of either lattice: in says
+    # False, the operations raise ForeignElement naming the value, and a
+    # payoff game rejects it as a payoff outside the lattice
+    game = Game(["r"], "r", [])
+    for lat in (PowersetLattice(["a"]), chain(2)):
+        for x in (5, None, 1.5, ("a",)):
+            assert x not in lat
+        with pytest.raises(ForeignElement, match="5"):
+            lat.meet2(5, lat.bottom)
+        with pytest.raises(ForeignElement, match="None"):
+            lat.heyting_implies(lat.bottom, None)
+        with pytest.raises(ForeignElement, match="5"):
+            lat.heyting_neg(5)
+        with pytest.raises(ForeignElement,
+                           match="^payoff 5 outside the lattice$"):
+            PayoffGame(game, lat, {"r": 5})
 
 
 def test_empty_join_is_bottom_and_empty_meet_is_top():

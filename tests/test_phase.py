@@ -388,12 +388,13 @@ def test_edited_cases_classify_as_before():
 
 def test_load_runs_no_residual_scan(monkeypatch):
     # every dual of the goal phase is an override, so loading asks no
-    # residual: it only gathers each row's witness mask towards falsum,
-    # which for this phase is not always the down-set of the row's dual,
-    # so the load scans the dual laws and the audit folds the stars of
-    # one product row per element, asking no single residual or star
+    # residual: it only gathers every row's witness mask towards falsum,
+    # in one call, which for this phase is not always the down-set of the
+    # row's dual, so the load scans the dual laws and the audit folds the
+    # stars of one product row per element, asking no single residual,
+    # star or mask
     calls = []
-    for kernel in ("residual", "stars", "_star"):
+    for kernel in ("masks", "residual", "stars", "_star"):
         def counting(self, arg, *args, _kernel=getattr(Lattice, kernel),
                      _name=kernel):
             calls.append(_name)
@@ -401,9 +402,9 @@ def test_load_runs_no_residual_scan(monkeypatch):
 
         monkeypatch.setattr(Lattice, kernel, counting)
     ps = phase_from_doc(phase_doc())
-    assert calls == []
+    assert calls == ["masks"]
     verify_laws(ps)
-    assert calls == ["stars"] * len(ps.lattice.elements)
+    assert calls == ["masks"] + ["stars"] * len(ps.lattice.elements)
 
 
 def counting_scans(monkeypatch, names=("_light", "_dual_of_join")):
